@@ -13,7 +13,6 @@ from .attention import (
     apply_rope,
     full_causal_attention,
     project_qkv,
-    segment_attention,
 )
 from .cache import (
     CacheError,
@@ -38,7 +37,7 @@ from .compressor import (
     new_conv_head,
     synthesize_weights,
 )
-from .instrumentation import MemoryTrace, PolicyReport, compare_policies, record_block
+from .instrumentation import MemoryTrace, PolicyReport, compare_policies
 from .model import (
     ModelConfig,
     ModelParams,
@@ -61,12 +60,7 @@ from .numerics import (
     relu,
     softmax_cols,
 )
-from .policies import (
-    POLICY_NAMES,
-    PolicySpec,
-    update_hybrid,
-    update_lococo,
-)
+from .policies import POLICY_NAMES, PolicySpec
 from .training import (
     AdamState,
     TrainConfig,

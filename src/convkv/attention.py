@@ -1,33 +1,30 @@
-"""Causal attention over full sequences and over cached segments.
+"""Causal attention over full sequences and over cached blocks.
 
-``full_causal_attention`` is the quadratic reference path. ``segment_attention``
-walks the same sequence block by block against an append-only KV cache and
-must agree with the reference to 1e-12 for every block size, which is the
-core correctness property everything downstream leans on. Rotary position
-embedding (with optional interpolation for context extension) lives here too.
+``full_causal_attention`` is the quadratic reference path. ``attend`` runs a
+block of queries against cached plus fresh keys; the model's block-wise
+forward (``model.forward_segmented``) is built on it and must agree with the
+reference for every block size, which is the core correctness property
+everything downstream leans on. Rotary position embedding (with optional
+interpolation for context extension) lives here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import CacheError, KvCache, update_concat
 from .numerics import (
     ShapeError,
     Tensor2,
     add_mask,
     custom_op,
-    hstack,
     matmul,
     scale,
-    slice_cols,
     slice_rows,
     softmax_cols,
     transpose,
-    vstack,
 )
 
 
@@ -204,45 +201,3 @@ def split_heads(x: Tensor2, n_heads: int, head_dim: int) -> list[Tensor2]:
     if n_heads == 1:
         return [x]
     return [slice_rows(x, h * head_dim, (h + 1) * head_dim) for h in range(n_heads)]
-
-
-def segment_attention(
-    x: Tensor2,
-    stream: SegmentStream,
-    params: AttentionParams,
-    cache: KvCache,
-    rope: RopeConfig | None = None,
-) -> tuple[Tensor2, KvCache]:
-    """Block-wise attention with an append-only cache.
-
-    Per block: project queries/keys/values, rotate them at their absolute
-    positions when ``rope`` is given, attend against everything cached so far
-    plus the block itself (causally), then append the block's keys/values to
-    the cache. Returns the concatenated per-block outputs (before any output
-    projection) and the grown cache.
-    """
-    if cache.live_entries != 0:
-        raise CacheError("segment_attention requires an empty starting cache")
-    if len(stream) != x.cols:
-        raise ShapeError(f"stream has {len(stream)} tokens but input has {x.cols} columns")
-    n_heads, head_dim = params.n_heads, params.head_dim
-    outs = []
-    for start, stop, positions in stream.blocks():
-        xb = slice_cols(x, start, stop)
-        q, k, v = project_qkv(xb, params)
-        if rope is not None:
-            q = vstack([apply_rope(h, positions, rope) for h in split_heads(q, n_heads, head_dim)])
-            k = vstack([apply_rope(h, positions, rope) for h in split_heads(k, n_heads, head_dim)])
-        n_cached = cache.live_entries
-        head_outs = []
-        for qh, kh, vh, ck, cv in zip(
-            split_heads(q, n_heads, head_dim),
-            split_heads(k, n_heads, head_dim),
-            split_heads(v, n_heads, head_dim),
-            split_heads(cache.keys, n_heads, head_dim),
-            split_heads(cache.values, n_heads, head_dim),
-        ):
-            head_outs.append(attend(qh, hstack([ck, kh]), hstack([cv, vh]), n_cached))
-        outs.append(head_outs[0] if n_heads == 1 else vstack(head_outs))
-        cache = update_concat(cache, k, v)
-    return hstack(outs), cache

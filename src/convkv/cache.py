@@ -1,8 +1,8 @@
 """Bounded key/value stores and eviction-style update rules.
 
 A cache update is a pure transition: (cache, new keys, new values, extras)
--> new cache. The merging policies that need the convolutional head live in
-``policies``; this module holds the store itself plus the rules that keep or
+-> new cache. The merging step that needs the convolutional head lives in
+``compressor``; this module holds the store itself plus the rules that keep or
 drop whole columns: plain concatenation (unbounded), heavy-hitter eviction,
 and sink+window eviction.
 """
@@ -47,6 +47,36 @@ class HeavyHitterState:
     def empty(cls, recent_budget: int, heavy_budget: int) -> "HeavyHitterState":
         return cls(np.zeros(0), recent_budget, heavy_budget)
 
+    def accumulate(self, attn_probs: np.ndarray | Tensor2 | None, n_new: int) -> np.ndarray:
+        """Scores of the cached plus ``n_new`` incoming columns after one block.
+
+        ``attn_probs`` are the block's softmax probabilities (rows = cached +
+        new keys, columns = queries); each key column gains its row sum.
+        """
+        if attn_probs is None:
+            raise CacheError("heavy-hitter updates need the block's attention probabilities")
+        probs = attn_probs.data if isinstance(attn_probs, Tensor2) else np.asarray(attn_probs)
+        n_total = len(self.scores) + n_new
+        if probs.shape[0] != n_total:
+            raise ShapeError(
+                f"attention probs cover {probs.shape[0]} keys, expected {n_total}"
+            )
+        return np.concatenate([self.scores, np.zeros(n_new)]) + probs.sum(axis=1)
+
+    def keep(self, scores: np.ndarray) -> np.ndarray:
+        """Indices of the newest ``recent_budget`` columns plus the
+        ``heavy_budget`` top-scored rest, sorted.
+
+        Ties in score break toward newer (higher index) columns.
+        """
+        n = len(scores)
+        cut = n - self.recent_budget
+        rest = np.arange(cut)
+        # lexsort: primary key last; -index makes equal scores favor newer tokens
+        order = rest[np.lexsort((-rest, -scores[:cut]))]
+        kept = np.concatenate([order[:self.heavy_budget], np.arange(cut, n)])
+        return np.sort(kept)
+
 
 @dataclass(frozen=True)
 class SinkWindowState:
@@ -58,6 +88,10 @@ class SinkWindowState:
     def __post_init__(self):
         if self.n_sink < 0 or self.window < 1:
             raise CacheError(f"bad sink/window split: {self.n_sink}/{self.window}")
+
+    @property
+    def budget(self) -> int:
+        return self.n_sink + self.window
 
 
 @dataclass(frozen=True)
@@ -118,26 +152,11 @@ def update_concat(cache: KvCache, k_new: Tensor2, v_new: Tensor2) -> KvCache:
     )
 
 
-def _keep_newest_plus_heavy(scores: np.ndarray, recent_budget: int, heavy_budget: int) -> np.ndarray:
-    """Indices of the newest columns plus the top-scored remainder, sorted.
-
-    Ties in score break toward newer (higher index) columns.
-    """
-    n = len(scores)
-    cut = n - recent_budget
-    rest = np.arange(cut)
-    # lexsort: primary key last; -index makes equal scores favor newer tokens
-    order = rest[np.lexsort((-rest, -scores[:cut]))]
-    kept = np.concatenate([order[:heavy_budget], np.arange(cut, n)])
-    return np.sort(kept)
-
-
 def update_h2o(
     cache: KvCache,
     k_new: Tensor2,
     v_new: Tensor2,
     attn_probs: np.ndarray | Tensor2,
-    state: HeavyHitterState | None = None,
 ) -> KvCache:
     """Accumulate attention mass, then evict down to the slot budget.
 
@@ -147,7 +166,7 @@ def update_h2o(
     accumulated score.
     """
     b = _check_block(cache, k_new, v_new)
-    state = cache.state if state is None else state
+    state = cache.state
     if not isinstance(state, HeavyHitterState):
         raise CacheError("update_h2o needs a HeavyHitterState on the cache")
     if cache.capacity is None:
@@ -160,18 +179,12 @@ def update_h2o(
         raise CacheError(
             f"recent+heavy budget {state.budget} must equal capacity {cache.capacity}"
         )
-    probs = attn_probs.data if isinstance(attn_probs, Tensor2) else np.asarray(attn_probs)
-    n_total = cache.live_entries + b
-    if probs.shape[0] != n_total:
-        raise ShapeError(
-            f"attention probs cover {probs.shape[0]} keys, expected {n_total}"
-        )
-    scores = np.concatenate([state.scores, np.zeros(b)]) + probs.sum(axis=1)
+    scores = state.accumulate(attn_probs, b)
 
     keys = hstack([cache.keys, k_new])
     values = hstack([cache.values, v_new])
-    if n_total > cache.capacity:
-        kept = _keep_newest_plus_heavy(scores, state.recent_budget, state.heavy_budget)
+    if keys.cols > cache.capacity:
+        kept = state.keep(scores)
         keys = select_cols(keys, kept)
         values = select_cols(values, kept)
         scores = scores[kept]
@@ -188,11 +201,10 @@ def update_sink_window(
     cache: KvCache,
     k_new: Tensor2,
     v_new: Tensor2,
-    state: SinkWindowState | None = None,
 ) -> KvCache:
     """Keep the first ``n_sink`` tokens ever seen plus the trailing window."""
     b = _check_block(cache, k_new, v_new)
-    state = cache.state if state is None else state
+    state = cache.state
     if not isinstance(state, SinkWindowState):
         raise CacheError("update_sink_window needs a SinkWindowState on the cache")
     if cache.capacity is None or state.n_sink + state.window != cache.capacity:

@@ -69,21 +69,39 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
             fh.write(tensor.data.astype("<f8", copy=False).tobytes())
 
 
+def _read_exact(fh, n: int, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise CheckpointError(f"checkpoint truncated in its {what}")
+    return data
+
+
 def _read_header(fh) -> dict:
     magic = fh.read(4)
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}; not a checkpoint file")
-    (version,) = struct.unpack("<I", fh.read(4))
+    (version,) = struct.unpack("<I", _read_exact(fh, 4, "version field"))
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack("<Q", fh.read(8))
-    return json.loads(fh.read(header_len).decode("utf-8"))
+    (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
+    try:
+        return json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
+    """Read a checkpoint; any truncation, padding or shape mismatch raises CheckpointError."""
     with open(path, "rb") as fh:
         header = _read_header(fh)
         payload = fh.read()
+    sections = header["sections"]
+    entries = [e for section in sections.values() for e in section]
+    expected = 8 * sum(e["rows"] * e["cols"] for e in entries)
+    if len(payload) != expected:
+        raise CheckpointError(
+            f"payload holds {len(payload)} bytes but the header describes {expected}"
+        )
     data = np.frombuffer(payload, dtype="<f8")
 
     def take(entry) -> Tensor2:
@@ -94,27 +112,21 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         return Tensor2(data[start:start + count].reshape(entry["rows"], entry["cols"]))
 
     config = ModelConfig.from_dict(header["config"])
-    tensors = {e["name"]: take(e) for e in header["sections"]["base"]}
-
+    base = {e["name"]: e for e in sections["base"]}
     params = ModelParams.init(config, seed=0)
-    for name, _ in params.named_base():
-        if name not in tensors:
+    for name, tensor in params.named_base():
+        entry = base.get(name)
+        if entry is None:
             raise CheckpointError(f"checkpoint is missing base tensor {name!r}")
-    params.embed = tensors["embed"]
-    for i, layer in enumerate(params.layers):
-        prefix = f"layers.{i}"
-        layer.attn_gain = tensors[f"{prefix}.attn_gain"]
-        layer.attn.w_q = tensors[f"{prefix}.attn.w_q"]
-        layer.attn.w_k = tensors[f"{prefix}.attn.w_k"]
-        layer.attn.w_v = tensors[f"{prefix}.attn.w_v"]
-        layer.attn.w_o = tensors[f"{prefix}.attn.w_o"]
-        layer.mlp_gain = tensors[f"{prefix}.mlp_gain"]
-        layer.mlp_in = tensors[f"{prefix}.mlp_in"]
-        layer.mlp_out = tensors[f"{prefix}.mlp_out"]
-    params.final_gain = tensors["final_gain"]
+        if (entry["rows"], entry["cols"]) != tensor.shape:
+            raise CheckpointError(
+                f"tensor {name!r} is {entry['rows']}x{entry['cols']} in the checkpoint, "
+                f"the model needs {tensor.rows}x{tensor.cols}"
+            )
+        tensor.data = take(entry).data
 
-    if "conv_heads" in header["sections"]:
-        conv_tensors = {e["name"]: take(e) for e in header["sections"]["conv_heads"]}
+    if "conv_heads" in sections:
+        conv_tensors = {e["name"]: take(e) for e in sections["conv_heads"]}
         heads = []
         for meta in header["conv_meta"]:
             i = meta["layer_index"]

@@ -1,4 +1,4 @@
-"""Command-line harness: pretrain, calibrate, eval, generate, ablate, report.
+"""Command-line harness: pretrain, calibrate, eval, generate, ablate.
 
 Configuration is a plain key=value file overridden by command-line flags; the
 parsed config is echoed into every run's output directory for provenance.
@@ -6,7 +6,7 @@ Users are scripts and CI: no interactive mode, artifacts are CSV/JSON, and
 exit codes are 0 (success), 1 (validation error), 2 (runtime error).
 
 The perplexity/memory CSVs are byte-reproducible for a fixed seed; wall-clock
-fields (tokens/sec, timestamps) only appear in the JSON reports.
+fields (tokens/sec, timestamps) only appear in the JSON reports and on stdout.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import load_corpus
-from .instrumentation import compare_policies, write_reports_csv, write_reports_json
+from .instrumentation import compare_policies, write_reports_json
 from .model import ModelConfig, generate, perplexity
 from .policies import POLICY_NAMES, PolicySpec
 from .training import TrainConfig, calibrate_conv_heads, pretrain, write_loss_trace
@@ -117,7 +117,7 @@ class RunConfig:
             raise ConfigError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
         return PolicySpec(
             name=name,
-            capacity=None if name == "concat" else (self.capacity if capacity is None else capacity),
+            capacity=self.capacity if capacity is None else capacity,
             n_sink=self.n_sink,
             window=self.window,
             recent_budget=self.recent_budget,
@@ -194,10 +194,9 @@ def build_parser() -> _Parser:
     for name, help_text in [
         ("pretrain", "train a base model on a byte corpus"),
         ("calibrate", "freeze the base model and train compression heads"),
-        ("eval", "perplexity + memory for one or more policy/capacity settings"),
+        ("eval", "perplexity, memory and throughput for policy/capacity settings"),
         ("generate", "greedy decoding from a prompt"),
         ("ablate", "sweep kernel size, memory size, or policy"),
-        ("report", "side-by-side policy comparison with throughput"),
     ]:
         _add_common(sub.add_parser(name, help=help_text))
     return parser
@@ -317,10 +316,11 @@ def cmd_eval(cfg: RunConfig) -> int:
     ]
     _write_rows_csv(out / "eval.csv", rows)
     write_reports_json(out / "eval_report.json", reports)
-    for row in rows:
+    for row, report in zip(rows, reports):
         print(
             f"policy={row['policy']} capacity={row['capacity']} "
-            f"perplexity={float(row['perplexity']):.4f} peak_live={row['peak_live_entries']}"
+            f"perplexity={report.perplexity:.4f} peak_live={row['peak_live_entries']} "
+            f"tokens/s={report.tokens_per_second:.0f}"
         )
     return 0
 
@@ -383,35 +383,12 @@ def cmd_ablate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    _require(cfg, "corpus", "checkpoint")
-    out = _out_dir(cfg)
-    _echo_config(cfg, out, "report")
-    params = load_checkpoint(cfg.checkpoint)
-    ids = load_corpus(cfg.corpus)
-    names = _parse_list(cfg.policies, str, "policy") if cfg.policies else [cfg.policy]
-    specs = [cfg.policy_spec(n) for n in names]
-    reports = compare_policies(
-        params, ids, specs, cfg.eval_context_length, cfg.block_size,
-        config_echo={"seed": cfg.seed},
-    )
-    write_reports_csv(out / "reports.csv", reports)
-    write_reports_json(out / "reports.json", reports)
-    for r in reports:
-        print(
-            f"policy={r.policy} perplexity={r.perplexity:.4f} "
-            f"peak_live={r.peak_live_entries} tokens/s={r.tokens_per_second:.0f}"
-        )
-    return 0
-
-
 COMMANDS = {
     "pretrain": cmd_pretrain,
     "calibrate": cmd_calibrate,
     "eval": cmd_eval,
     "generate": cmd_generate,
     "ablate": cmd_ablate,
-    "report": cmd_report,
 }
 
 

@@ -6,6 +6,10 @@ Rows of the score matrix are clamped nonnegative and normalized to sum to 1,
 so each updated slot is a convex combination of the columns it was built
 from, with the same blending weights applied to keys and values to preserve
 token correspondence.
+
+``compress_step`` is the one merging update every merging policy runs:
+plain LoCoCo pins nothing, the hybrids first pin attention sinks or heavy
+hitters verbatim and merge the rest.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cache import CacheError, KvCache, update_concat
+from .cache import CacheError, HeavyHitterState, KvCache, update_concat
 from .numerics import (
     ConvKernels,
     ShapeError,
@@ -25,6 +29,7 @@ from .numerics import (
     matmul,
     relu,
     row_normalize,
+    select_cols,
     slice_cols,
     transpose,
     vstack,
@@ -181,26 +186,80 @@ def fuse(
     return k_fused, v_fused
 
 
-def compress_step(cache: KvCache, k_new: Tensor2, v_new: Tensor2, head: ConvHead) -> KvCache:
+def compress_step(
+    cache: KvCache,
+    k_new: Tensor2,
+    v_new: Tensor2,
+    head: ConvHead,
+    reserved: int = 0,
+    attn_probs: np.ndarray | Tensor2 | None = None,
+) -> KvCache:
     """One cache update: concatenate while the budget allows, merge after.
 
-    While cache_len + B fits in the capacity the block is appended verbatim;
-    once it would overflow, fusion weights are synthesized over the block plus
-    the whole cache and everything is blended into exactly ``capacity`` slots.
+    While cache_len + B fits in the capacity the block is appended verbatim.
+    Once it would overflow, ``reserved`` columns are pinned verbatim at the
+    front and the rest (incoming block plus unpinned cache) are blended into
+    the remaining capacity - reserved slots, which the head must produce.
+    A cache carrying a ``HeavyHitterState`` pins its top-scored columns by
+    the heavy-hitter keep rule and needs the block's ``attn_probs``; merged
+    slots inherit the weighted sum of their sources' scores. Any other cache
+    pins the first ``reserved`` columns ever seen (attention sinks).
     """
-    if cache.capacity is None:
+    m = cache.capacity
+    if m is None:
         raise CacheError("compress_step needs a bounded cache")
-    if head.slots != cache.capacity:
+    if not 0 <= reserved < m:
+        raise CacheError(f"reserved slots ({reserved}) must be in [0, capacity {m})")
+    if head.slots != m - reserved:
         raise CacheError(
-            f"head produces {head.slots} slots but cache capacity is {cache.capacity}"
+            f"head produces {head.slots} slots but capacity - reserved is {m - reserved}"
         )
-    if cache.live_entries + k_new.cols <= cache.capacity:
-        return update_concat(cache, k_new, v_new)
-    weights = synthesize_weights(k_new, v_new, cache.keys, cache.values, head)
-    k_fused, v_fused = fuse(weights, k_new, v_new, cache.keys, cache.values)
+    state = cache.state
+    heavy = isinstance(state, HeavyHitterState)
+    n_cached, b = cache.live_entries, k_new.cols
+    if heavy:
+        if (state.recent_budget, state.heavy_budget) != (0, reserved):
+            raise CacheError(f"pinning {reserved} heavy hitters needs budgets (0, {reserved})")
+        scores = state.accumulate(attn_probs, b)
+    if n_cached + b <= m:
+        out = update_concat(cache, k_new, v_new)
+        return replace(out, state=replace(state, scores=scores)) if heavy else out
+
+    kc, vc, kn, vn = cache.keys, cache.values, k_new, v_new
+    if heavy:
+        cache_scores, new_scores = scores[:n_cached], scores[n_cached:]
+    if reserved:
+        if heavy:
+            pinned = state.keep(scores)
+        elif n_cached < reserved:
+            raise CacheError(
+                f"cache holds {n_cached} columns but {reserved} sinks must be pinned; "
+                "use a block size of at most capacity - reserved"
+            )
+        else:
+            pinned = np.arange(reserved)
+        pinned_keys = select_cols(hstack([cache.keys, k_new]), pinned)
+        pinned_values = select_cols(hstack([cache.values, v_new]), pinned)
+        free = np.ones(n_cached + b, dtype=bool)
+        free[pinned] = False
+        free_cache = np.flatnonzero(free[:n_cached])
+        free_new = np.flatnonzero(free[n_cached:])
+        kc, vc = select_cols(kc, free_cache), select_cols(vc, free_cache)
+        kn, vn = select_cols(kn, free_new), select_cols(vn, free_new)
+        if heavy:
+            cache_scores, new_scores = cache_scores[free_cache], new_scores[free_new]
+    weights = synthesize_weights(kn, vn, kc, vc, head)
+    keys, values = fuse(weights, kn, vn, kc, vc)
+    if reserved:
+        keys = hstack([pinned_keys, keys])
+        values = hstack([pinned_values, values])
+    if heavy:
+        scores_merged = (
+            weights.new_weights.data @ new_scores + weights.cache_weights.data @ cache_scores
+        )
+        if reserved:
+            scores_merged = np.concatenate([scores[pinned], scores_merged])
+        state = replace(state, scores=scores_merged)
     return replace(
-        cache,
-        keys=k_fused,
-        values=v_fused,
-        total_seen=cache.total_seen + k_new.cols,
+        cache, keys=keys, values=values, state=state, total_seen=cache.total_seen + b
     )

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,9 +23,6 @@ from .model import ModelParams, perplexity
 from .policies import PolicySpec
 
 TRACE_CSV_HEADER = ["block", "layer", "live_entries", "attn_entries", "tokens_seen"]
-REPORT_CSV_HEADER = [
-    "policy", "config", "perplexity", "peak_live_entries", "tokens_per_second", "timestamp",
-]
 
 
 @dataclass(frozen=True)
@@ -80,11 +77,6 @@ class MemoryTrace:
         Path(path).write_text(self.to_csv_text())
 
 
-def record_block(trace: MemoryTrace, block_index, caches, attn_entries, tokens_seen) -> MemoryTrace:
-    trace.record_block(block_index, caches, attn_entries, tokens_seen)
-    return trace
-
-
 @dataclass(frozen=True)
 class PolicyReport:
     """One evaluation run: quality, memory, throughput, and provenance."""
@@ -105,35 +97,6 @@ class PolicyReport:
             "tokens_per_second": self.tokens_per_second,
             "timestamp": self.timestamp,
         }
-
-    def to_csv_row(self) -> list[str]:
-        return [
-            self.policy,
-            json.dumps(self.config, sort_keys=True, separators=(",", ":")),
-            repr(float(self.perplexity)),
-            str(self.peak_live_entries),
-            repr(float(self.tokens_per_second)),
-            self.timestamp,
-        ]
-
-    @classmethod
-    def from_csv_row(cls, row: list[str]) -> "PolicyReport":
-        return cls(
-            policy=row[0],
-            config=json.loads(row[1]),
-            perplexity=float(row[2]),
-            peak_live_entries=int(row[3]),
-            tokens_per_second=float(row[4]),
-            timestamp=row[5],
-        )
-
-
-def write_reports_csv(path: str | Path, reports: list[PolicyReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_CSV_HEADER)
-        for report in reports:
-            writer.writerow(report.to_csv_row())
 
 
 def write_reports_json(path: str | Path, reports: list[PolicyReport]) -> None:

@@ -1,15 +1,18 @@
-"""Named cache policies and merge+pin hybrids.
+"""Named cache policies.
 
-The policy registry turns a config name (``concat``, ``lococo``, ``h2o``,
-``sink_window``, ``lococo+h2o``, ``lococo+sink``) into per-layer update
-behavior. Hybrids pin a reserved set of columns verbatim (attention sinks or
-heavy hitters) and run convolutional merging over the complement, so the
-total stays exactly at the slot budget.
+Every policy is the same update: concatenate while the cache fits, then keep
+some columns verbatim and drop or merge the rest. ``_RULES`` is the one place
+that maps a config name (``concat``, ``lococo``, ``h2o``, ``sink_window``,
+``lococo+h2o``, ``lococo+sink``) to that behavior: the cache state the policy
+starts from, and how many columns a convolutional merge pins verbatim (None
+for the eviction policies, which never merge). The merge+pin hybrids pin
+attention sinks or heavy hitters and merge the complement, so the total stays
+exactly at the slot budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,143 +25,41 @@ from .cache import (
     update_h2o,
     update_sink_window,
 )
-from .compressor import ConvHead, compress_step, fuse, synthesize_weights
-from .numerics import Tensor2, hstack, select_cols
+from .compressor import ConvHead, compress_step
+from .numerics import Tensor2
 
-POLICY_NAMES = ("concat", "lococo", "h2o", "sink_window", "lococo+h2o", "lococo+sink")
-
-
-def update_lococo(cache: KvCache, k_new: Tensor2, v_new: Tensor2, head: ConvHead) -> KvCache:
-    """Policy-facing wrapper around the fill-then-merge compression step."""
-    return compress_step(cache, k_new, v_new, head)
-
-
-@dataclass(frozen=True)
-class HybridSink:
-    """Pin the first ``n_sink`` tokens ever seen; merge everything else."""
-
-    n_sink: int
-
-
-@dataclass(frozen=True)
-class HybridHeavy:
-    """Pin the ``reserved`` highest-scoring columns; merge everything else."""
-
-    reserved: int
-
-
-def _top_scored(scores: np.ndarray, count: int) -> np.ndarray:
-    idx = np.arange(len(scores))
-    order = idx[np.lexsort((-idx, -scores))]  # ties favor newer columns
-    return np.sort(order[:count])
-
-
-def update_hybrid(
-    cache: KvCache,
-    k_new: Tensor2,
-    v_new: Tensor2,
-    head: ConvHead,
-    sub_policy: HybridSink | HybridHeavy,
-    attn_probs: np.ndarray | Tensor2 | None = None,
-) -> KvCache:
-    """Reserve-then-merge update.
-
-    Reserved columns are copied verbatim into the front of the new cache; the
-    remaining budget is filled by convolutional merging over the non-reserved
-    columns (incoming block plus unpinned cache). The head must therefore
-    produce capacity - reserved slots.
-    """
-    if cache.capacity is None:
-        raise CacheError("hybrid policies need a bounded cache")
-    m = cache.capacity
-    if isinstance(sub_policy, HybridSink):
-        reserved = sub_policy.n_sink
-    elif isinstance(sub_policy, HybridHeavy):
-        reserved = sub_policy.reserved
-    else:
-        raise CacheError(f"unknown hybrid sub-policy {sub_policy!r}")
-    if reserved >= m:
-        raise CacheError(f"reserved slots ({reserved}) must stay below capacity ({m})")
-    if head.slots != m - reserved:
-        raise CacheError(
-            f"hybrid head must produce capacity-reserved = {m - reserved} slots, got {head.slots}"
-        )
-    b = k_new.cols
-
-    if isinstance(sub_policy, HybridHeavy):
-        state = cache.state
-        if not isinstance(state, HeavyHitterState):
-            raise CacheError("heavy-hitter hybrid needs a HeavyHitterState on the cache")
-        if attn_probs is None:
-            raise CacheError("heavy-hitter hybrid needs the block's attention probabilities")
-        probs = attn_probs.data if isinstance(attn_probs, Tensor2) else np.asarray(attn_probs)
-        scores = np.concatenate([state.scores, np.zeros(b)]) + probs.sum(axis=1)
-    else:
-        scores = None
-
-    if cache.live_entries + b <= m:
-        out = update_concat(cache, k_new, v_new)
-        if scores is not None:
-            out = replace(out, state=replace(cache.state, scores=scores))
-        return out
-
-    n_cached = cache.live_entries
-    if isinstance(sub_policy, HybridSink):
-        if n_cached < reserved:
-            raise CacheError(
-                f"cache holds {n_cached} columns but {reserved} sinks must be pinned; "
-                "use a block size of at most capacity - n_sink"
-            )
-        pinned_idx = np.arange(reserved)
-    else:
-        pinned_idx = _top_scored(scores, reserved)
-
-    all_keys = hstack([cache.keys, k_new])
-    all_values = hstack([cache.values, v_new])
-    pinned_keys = select_cols(all_keys, pinned_idx)
-    pinned_values = select_cols(all_values, pinned_idx)
-
-    comp_mask = np.ones(n_cached + b, dtype=bool)
-    comp_mask[pinned_idx] = False
-    comp_idx = np.flatnonzero(comp_mask)
-    comp_cache = comp_idx[comp_idx < n_cached]
-    comp_new = comp_idx[comp_idx >= n_cached] - n_cached
-
-    kc = select_cols(cache.keys, comp_cache)
-    vc = select_cols(cache.values, comp_cache)
-    kn = select_cols(k_new, comp_new)
-    vn = select_cols(v_new, comp_new)
-    weights = synthesize_weights(kn, vn, kc, vc, head)
-    k_merged, v_merged = fuse(weights, kn, vn, kc, vc)
-
-    new_state = cache.state
-    if scores is not None:
-        merged_scores = (
-            weights.new_weights.data @ scores[comp_new + n_cached]
-            + weights.cache_weights.data @ scores[comp_cache]
-        )
-        new_state = replace(
-            cache.state, scores=np.concatenate([scores[pinned_idx], merged_scores])
-        )
-
-    return replace(
-        cache,
-        keys=hstack([pinned_keys, k_merged]),
-        values=hstack([pinned_values, v_merged]),
-        state=new_state,
-        total_seen=cache.total_seen + b,
-    )
+# name -> (empty cache state, columns a merge pins verbatim or None to evict)
+_RULES = {
+    "concat": (lambda spec: None, lambda spec: None),
+    "lococo": (lambda spec: None, lambda spec: 0),
+    "h2o": (lambda spec: HeavyHitterState.empty(*spec.h2o_split()), lambda spec: None),
+    "sink_window": (
+        lambda spec: SinkWindowState(spec.n_sink, spec.sink_window_size()),
+        lambda spec: None,
+    ),
+    "lococo+h2o": (
+        lambda spec: HeavyHitterState.empty(0, spec.reserved),
+        lambda spec: spec.reserved,
+    ),
+    "lococo+sink": (lambda spec: None, lambda spec: spec.n_sink),
+}
+POLICY_NAMES = tuple(_RULES)
 
 
 @dataclass(frozen=True)
 class PolicySpec:
     """Everything needed to instantiate a cache policy, minus the conv heads.
 
-    ``capacity`` is the slot budget M (ignored by concat). The eviction knobs
-    only apply to the policies that use them: recent/heavy budgets for h2o
-    (defaulting to an even split), n_sink/window for sink_window (window
-    defaults to capacity - n_sink), and ``reserved`` pinned slots for the two
-    lococo hybrids.
+    ``capacity`` is the slot budget M (ignored by concat, whose cache grows
+    without bound). The eviction knobs only apply to the policies that use
+    them: recent/heavy budgets for h2o (defaulting to an even split),
+    n_sink/window for sink_window (window defaults to capacity - n_sink),
+    ``n_sink`` pinned sinks for lococo+sink and ``reserved`` pinned heavy
+    hitters for lococo+h2o.
+
+    The rule is resolved once, at construction: ``pinned`` is the number of
+    columns a merge keeps verbatim (None when the policy does not merge) and
+    ``empty_state`` the state every fresh cache starts from.
     """
 
     name: str
@@ -168,31 +69,30 @@ class PolicySpec:
     recent_budget: int | None = None
     heavy_budget: int | None = None
     reserved: int = 4
+    pinned: int | None = field(init=False, repr=False, compare=False)
+    empty_state: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.name not in POLICY_NAMES:
+        if self.name not in _RULES:
             raise CacheError(f"unknown policy {self.name!r}; choose from {POLICY_NAMES}")
-        if self.name != "concat":
-            if self.capacity is None or self.capacity < 1:
-                raise CacheError(f"policy {self.name!r} needs a positive capacity")
-        if self.name == "h2o":
-            recent, heavy = self.h2o_split()
-            if recent + heavy != self.capacity:
-                raise CacheError(
-                    f"recent+heavy budgets ({recent}+{heavy}) must equal capacity {self.capacity}"
-                )
-        if self.name == "sink_window":
-            if self.n_sink + self.sink_window_size() != self.capacity:
-                raise CacheError(
-                    f"n_sink + window must equal capacity {self.capacity}, got "
-                    f"{self.n_sink}+{self.sink_window_size()}"
-                )
-        if self.name in ("lococo+h2o", "lococo+sink"):
-            res = self.reserved_slots()
-            if res < 0 or res >= self.capacity:
-                raise CacheError(
-                    f"hybrid reserve must be in [0, capacity), got {res} vs {self.capacity}"
-                )
+        if self.name == "concat":
+            object.__setattr__(self, "capacity", None)
+        elif self.capacity is None or self.capacity < 1:
+            raise CacheError(f"policy {self.name!r} needs a positive capacity")
+        make_state, pinned_of = _RULES[self.name]
+        pinned = pinned_of(self)
+        if pinned is not None and not 0 <= pinned < self.capacity:
+            raise CacheError(
+                f"pinned slots must be in [0, capacity), got {pinned} vs {self.capacity}"
+            )
+        state = make_state(self)
+        if pinned is None and state is not None and state.budget != self.capacity:
+            raise CacheError(
+                f"policy {self.name!r} keeps {state.budget} columns "
+                f"but capacity is {self.capacity}"
+            )
+        object.__setattr__(self, "pinned", pinned)
+        object.__setattr__(self, "empty_state", state)
 
     def h2o_split(self) -> tuple[int, int]:
         recent = self.capacity // 2 if self.recent_budget is None else self.recent_budget
@@ -202,21 +102,14 @@ class PolicySpec:
     def sink_window_size(self) -> int:
         return (self.capacity - self.n_sink) if self.window is None else self.window
 
-    def reserved_slots(self) -> int:
-        return self.n_sink if self.name == "lococo+sink" else self.reserved
-
     @property
     def needs_conv_head(self) -> bool:
-        return self.name.startswith("lococo")
+        return self.pinned is not None
 
     @property
     def merge_slots(self) -> int | None:
         """Slot count the conv head must produce, or None when no head is used."""
-        if not self.needs_conv_head:
-            return None
-        if self.name == "lococo":
-            return self.capacity
-        return self.capacity - self.reserved_slots()
+        return None if self.pinned is None else self.capacity - self.pinned
 
     def build(self, conv_head: ConvHead | None = None) -> "LayerPolicy":
         if self.needs_conv_head:
@@ -238,34 +131,16 @@ class LayerPolicy:
         self.conv_head = conv_head
 
     @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
     def needs_probs(self) -> bool:
-        return self.spec.name in ("h2o", "lococo+h2o")
+        return isinstance(self.spec.empty_state, HeavyHitterState)
 
     @property
     def slot_relative_positions(self) -> bool:
         """Rolling position embeddings: rotate by cache slot, not absolute index."""
-        return self.spec.name == "sink_window"
+        return isinstance(self.spec.empty_state, SinkWindowState)
 
     def empty_cache(self, d_k: int, d_v: int | None = None) -> KvCache:
-        spec = self.spec
-        if spec.name == "concat":
-            return KvCache.empty(d_k, d_v)
-        if spec.name == "h2o":
-            recent, heavy = spec.h2o_split()
-            return KvCache.empty(d_k, d_v, spec.capacity, HeavyHitterState.empty(recent, heavy))
-        if spec.name == "sink_window":
-            return KvCache.empty(
-                d_k, d_v, spec.capacity, SinkWindowState(spec.n_sink, spec.sink_window_size())
-            )
-        if spec.name == "lococo+h2o":
-            return KvCache.empty(
-                d_k, d_v, spec.capacity, HeavyHitterState.empty(0, spec.reserved_slots())
-            )
-        return KvCache.empty(d_k, d_v, spec.capacity)
+        return KvCache.empty(d_k, d_v, self.spec.capacity, self.spec.empty_state)
 
     def update(
         self,
@@ -274,20 +149,11 @@ class LayerPolicy:
         v_new: Tensor2,
         attn_probs: np.ndarray | Tensor2 | None = None,
     ) -> KvCache:
-        name = self.spec.name
-        if name == "concat":
-            return update_concat(cache, k_new, v_new)
-        if name == "lococo":
-            return update_lococo(cache, k_new, v_new, self.conv_head)
-        if name == "h2o":
-            if attn_probs is None:
-                raise CacheError("h2o updates need the block's attention probabilities")
+        spec = self.spec
+        if spec.pinned is not None:
+            return compress_step(cache, k_new, v_new, self.conv_head, spec.pinned, attn_probs)
+        if isinstance(spec.empty_state, HeavyHitterState):
             return update_h2o(cache, k_new, v_new, attn_probs)
-        if name == "sink_window":
+        if isinstance(spec.empty_state, SinkWindowState):
             return update_sink_window(cache, k_new, v_new)
-        if name == "lococo+sink":
-            return update_hybrid(cache, k_new, v_new, self.conv_head, HybridSink(self.spec.n_sink))
-        return update_hybrid(
-            cache, k_new, v_new, self.conv_head,
-            HybridHeavy(self.spec.reserved_slots()), attn_probs,
-        )
+        return update_concat(cache, k_new, v_new)

@@ -1,4 +1,4 @@
-"""Attention: projections, rotary embedding, full vs segment equivalence."""
+"""Attention: projections, rotary embedding, full vs block-wise equivalence."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,26 @@ import convkv.attention as attention_mod
 from convkv.attention import (
     AttentionParams,
     RopeConfig,
-    SegmentStream,
     apply_rope,
-    attend,
     full_causal_attention,
     project_qkv,
-    segment_attention,
+    split_heads,
 )
-from convkv.cache import CacheError, KvCache, update_concat
-from convkv.numerics import ShapeError, Tensor2, softmax_cols
+from convkv.instrumentation import MemoryTrace
+from convkv.model import ModelConfig, ModelParams, forward_segmented
+from convkv.numerics import (
+    ShapeError,
+    Tensor2,
+    add,
+    embedding_lookup,
+    matmul,
+    relu,
+    rms_norm_cols,
+    softmax_cols,
+    transpose,
+    vstack,
+)
+from convkv.policies import PolicySpec
 
 import oracles
 
@@ -114,82 +125,98 @@ class TestFullCausalAttention:
         assert np.max(np.abs(out.data - oracles.causal_attention_loops(q, k, v))) < 1e-12
 
 
-def run_segment(x, params, block_size, rope=None):
-    stream = SegmentStream(np.arange(x.cols), block_size)
-    out, cache = segment_attention(
-        Tensor2(x) if isinstance(x, np.ndarray) else x,
-        stream, params, KvCache.empty(params.w_k.rows), rope,
+def one_layer(d_model, n_heads=1, seed=0):
+    config = ModelConfig(
+        d_model=d_model, n_layers=1, n_heads=n_heads, head_dim=d_model // n_heads,
+        max_context=64,
     )
-    return out, cache
+    return ModelParams.init(config, seed=seed)
+
+
+def run_segment(params, tokens, block_size, trace=None):
+    logits, caches = forward_segmented(
+        params, tokens, PolicySpec("concat"), block_size, trace=trace
+    )
+    return logits.data, caches[0]
+
+
+def full_forward(params, tokens):
+    """One-layer model over the whole sequence through full_causal_attention."""
+    layer, cfg = params.layers[0], params.config
+    positions = np.arange(len(tokens))
+    h = embedding_lookup(params.embed, tokens)
+    q, k, v = project_qkv(rms_norm_cols(h, layer.attn_gain), layer.attn)
+    heads = [
+        full_causal_attention(
+            apply_rope(hq, positions, cfg.rope), apply_rope(hk, positions, cfg.rope), hv
+        )
+        for hq, hk, hv in zip(*(split_heads(x, cfg.n_heads, cfg.head_dim) for x in (q, k, v)))
+    ]
+    h = add(h, matmul(layer.attn.w_o, vstack(heads)))
+    mlp_in = rms_norm_cols(h, layer.mlp_gain)
+    h = add(h, matmul(layer.mlp_out, relu(matmul(layer.mlp_in, mlp_in))))
+    return matmul(transpose(params.embed), rms_norm_cols(h, params.final_gain)).data
 
 
 class TestSegmentAttention:
+    """Block-wise attention as the model runs it: forward_segmented with concat."""
+
     def test_single_block_equals_full_attention(self):
         rng = np.random.default_rng(10)
-        params = rand_params(rng, 4)
-        x = t2(rng.standard_normal((4, 12)))
-        q, k, v = project_qkv(x, params)
-        ref = full_causal_attention(q, k, v)
-        out, _ = run_segment(x, params, block_size=12)
-        assert np.max(np.abs(out.data - ref.data)) < 1e-12
+        params = one_layer(4, seed=10)
+        tokens = rng.integers(0, 256, size=12)
+        out, _ = run_segment(params, tokens, block_size=12)
+        assert np.max(np.abs(out - full_forward(params, tokens))) < 1e-12
 
     def test_block_size_one_is_autoregressive_decoding(self):
         rng = np.random.default_rng(11)
-        params = rand_params(rng, 4)
-        x = t2(rng.standard_normal((4, 9)))
-        q, k, v = project_qkv(x, params)
-        ref = full_causal_attention(q, k, v)
-        out, _ = run_segment(x, params, block_size=1)
-        assert np.max(np.abs(out.data - ref.data)) < 1e-12
+        params = one_layer(4, seed=11)
+        tokens = rng.integers(0, 256, size=9)
+        out, _ = run_segment(params, tokens, block_size=1)
+        assert np.max(np.abs(out - full_forward(params, tokens))) < 1e-12
 
     @pytest.mark.parametrize("block_size", [2, 3, 4, 6])
     def test_block_size_invariance(self, block_size):
         rng = np.random.default_rng(12)
-        params = rand_params(rng, 6)
-        x = t2(rng.standard_normal((6, 24)))
-        ref, _ = run_segment(x, params, block_size=24)
-        out, _ = run_segment(x, params, block_size=block_size)
-        assert np.max(np.abs(out.data - ref.data)) < 1e-12
+        params = one_layer(6, seed=12)
+        tokens = rng.integers(0, 256, size=24)
+        ref, _ = run_segment(params, tokens, block_size=24)
+        out, _ = run_segment(params, tokens, block_size=block_size)
+        assert np.max(np.abs(out - ref)) < 1e-12
 
     @pytest.mark.parametrize("block_size", [2, 4, 8])
     def test_block_size_invariance_multihead_with_rope(self, block_size):
         rng = np.random.default_rng(13)
-        params = rand_params(rng, 8, n_heads=2)
-        rope = RopeConfig()
-        x = t2(rng.standard_normal((8, 16)))
-        ref, _ = run_segment(x, params, 16, rope)
-        out, _ = run_segment(x, params, block_size, rope)
-        assert np.max(np.abs(out.data - ref.data)) < 1e-12
+        params = one_layer(8, n_heads=2, seed=13)
+        tokens = rng.integers(0, 256, size=16)
+        out, _ = run_segment(params, tokens, block_size)
+        assert np.max(np.abs(out - full_forward(params, tokens))) < 1e-12
 
     def test_cache_collects_rotated_keys(self):
         rng = np.random.default_rng(14)
-        params = rand_params(rng, 4)
-        rope = RopeConfig()
-        x = t2(rng.standard_normal((4, 6)))
-        _, cache = run_segment(x, params, 3, rope)
-        _, k, _ = project_qkv(x, params)
-        expect = apply_rope(k, np.arange(6), rope)
+        params = one_layer(4, n_heads=2, seed=14)
+        tokens = rng.integers(0, 256, size=6)
+        _, cache = run_segment(params, tokens, 3)
+        layer, cfg = params.layers[0], params.config
+        h = rms_norm_cols(embedding_lookup(params.embed, tokens), layer.attn_gain)
+        _, k, _ = project_qkv(h, layer.attn)
+        expect = vstack(
+            [apply_rope(hk, np.arange(6), cfg.rope) for hk in split_heads(k, 2, 2)]
+        )
         assert cache.live_entries == 6
         assert np.max(np.abs(cache.keys.data - expect.data)) < 1e-12
 
     def test_causality_perturbing_a_token_leaves_earlier_outputs_alone(self):
         rng = np.random.default_rng(15)
-        params = rand_params(rng, 4, n_heads=2)
-        x = rng.standard_normal((4, 12))
-        base, _ = run_segment(t2(x), params, 4, RopeConfig())
+        params = one_layer(4, n_heads=2, seed=15)
+        tokens = rng.integers(0, 256, size=12)
+        base, _ = run_segment(params, tokens, 4)
         for t in [3, 7, 11]:
-            bumped = x.copy()
-            bumped[:, t] += 1.0
-            out, _ = run_segment(t2(bumped), params, 4, RopeConfig())
-            assert np.array_equal(out.data[:, :t], base.data[:, :t])
-            assert np.abs(out.data[:, t:] - base.data[:, t:]).max() > 0
-
-    def test_non_empty_cache_rejected(self):
-        rng = np.random.default_rng(16)
-        params = rand_params(rng, 4)
-        cache = update_concat(KvCache.empty(4), Tensor2.zeros(4, 1), Tensor2.zeros(4, 1))
-        with pytest.raises(CacheError):
-            segment_attention(Tensor2.zeros(4, 4), SegmentStream(np.arange(4), 2), params, cache)
+            bumped = tokens.copy()
+            bumped[t] = (bumped[t] + 1) % 256
+            out, _ = run_segment(params, bumped, 4)
+            assert np.array_equal(out[:, :t], base[:, :t])
+            assert np.abs(out[:, t:] - base[:, t:]).max() > 0
 
     def test_score_matrix_never_reaches_l_squared(self, monkeypatch):
         seen = []
@@ -201,9 +228,11 @@ class TestSegmentAttention:
 
         monkeypatch.setattr(attention_mod, "softmax_cols", spy)
         rng = np.random.default_rng(17)
-        params = rand_params(rng, 4)
-        x = t2(rng.standard_normal((4, 32)))
+        params = one_layer(4, seed=17)
+        tokens = rng.integers(0, 256, size=32)
         block = 4
-        run_segment(x, params, block)
+        trace = MemoryTrace()
+        run_segment(params, tokens, block, trace)
         assert max(seen) == block * 32  # B x (cache + B) at the final block
         assert max(seen) < 32 * 32
+        assert trace.peak_attn_entries == max(seen)

@@ -1,5 +1,7 @@
 """Cache update rules: concat, heavy-hitter eviction, sink+window, hybrids."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,15 +16,15 @@ from convkv.cache import (
     update_h2o,
     update_sink_window,
 )
-from convkv.compressor import FusionWeights, fuse, new_conv_head, synthesize_weights
-from convkv.numerics import Tensor2
-from convkv.policies import (
-    HybridHeavy,
-    HybridSink,
-    PolicySpec,
-    update_hybrid,
-    update_lococo,
+from convkv.compressor import (
+    FusionWeights,
+    compress_step,
+    fuse,
+    new_conv_head,
+    synthesize_weights,
 )
+from convkv.numerics import Tensor2
+from convkv.policies import PolicySpec
 
 import oracles
 
@@ -91,13 +93,8 @@ class TestH2O:
         # column 1 of the cache gets no mass this round and had the least before
         probs = np.array([[0.3], [0.0], [0.25], [0.25], [0.2]])
         probs[1, 0] = 0.0
-        cache2 = update_h2o(
-            cache,
-            nxt,
-            paired_values(nxt),
-            probs,
-            HeavyHitterState(np.array([0.6, 0.0, 0.6, 0.6]), 2, 2),
-        )
+        cache = replace(cache, state=HeavyHitterState(np.array([0.6, 0.0, 0.6, 0.6]), 2, 2))
+        cache2 = update_h2o(cache, nxt, paired_values(nxt), probs)
         assert cache2.live_entries == 4
         assert 1.0 not in cache2.keys.data[0]
 
@@ -269,21 +266,23 @@ class TestH2OAsFusionOperator:
 
 class TestHybrids:
     def test_zero_reserve_degenerates_to_pure_merging(self):
+        # a heavy-hitter cache with nothing pinned merges exactly like plain lococo
         rng = np.random.default_rng(4)
         d, m, b = 4, 6, 3
         head = new_conv_head(d, m, kernel_size=3, rng=rng)
         k1, v1 = t2(rng.standard_normal((d, 4))), t2(rng.standard_normal((d, 4)))
         k2, v2 = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b)))
 
-        plain = update_lococo(KvCache.empty(d, capacity=m), k1, v1, head)
-        plain = update_lococo(plain, k2, v2, head)
+        plain = compress_step(KvCache.empty(d, capacity=m), k1, v1, head)
+        plain = compress_step(plain, k2, v2, head)
 
-        hybrid = KvCache.empty(d, capacity=m)
-        hybrid = update_hybrid(hybrid, k1, v1, head, HybridSink(0))
-        hybrid = update_hybrid(hybrid, k2, v2, head, HybridSink(0))
+        heavy = KvCache.empty(d, capacity=m, state=HeavyHitterState.empty(0, 0))
+        heavy = compress_step(heavy, k1, v1, head, 0, rng.random((4, 4)))
+        heavy = compress_step(heavy, k2, v2, head, 0, rng.random((4 + b, b)))
 
-        assert np.array_equal(hybrid.keys.data, plain.keys.data)
-        assert np.array_equal(hybrid.values.data, plain.values.data)
+        assert np.array_equal(heavy.keys.data, plain.keys.data)
+        assert np.array_equal(heavy.values.data, plain.values.data)
+        assert heavy.state.scores.shape == (m,)
 
     def test_sink_hybrid_pins_first_tokens_verbatim(self):
         rng = np.random.default_rng(5)
@@ -292,10 +291,10 @@ class TestHybrids:
         cache = KvCache.empty(d, capacity=m)
         first = token_block(d, 0, 4)
         first_v = paired_values(first)
-        cache = update_hybrid(cache, first, first_v, head, HybridSink(n_sink))
+        cache = compress_step(cache, first, first_v, head, n_sink)
         for t in range(1, 4):
             k = token_block(d, 4 * t, 4)
-            cache = update_hybrid(cache, k, paired_values(k), head, HybridSink(n_sink))
+            cache = compress_step(cache, k, paired_values(k), head, n_sink)
         assert cache.live_entries == m
         assert np.array_equal(cache.keys.data[:, :n_sink], first.data)
         assert np.array_equal(cache.values.data[:, :n_sink], first_v.data)
@@ -310,7 +309,7 @@ class TestHybrids:
         k_new, v_new = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b)))
         probs = rng.random((n_old + b, b))
 
-        out = update_hybrid(cache, k_new, v_new, head, HybridHeavy(reserved), probs)
+        out = compress_step(cache, k_new, v_new, head, reserved, probs)
 
         scores = np.concatenate([scores0, np.zeros(b)]) + probs.sum(axis=1)
         idx = np.arange(len(scores))
@@ -340,7 +339,7 @@ class TestHybrids:
         head = new_conv_head(d, m - n_sink, kernel_size=3, rng=rng)
         cache = KvCache.empty(d, capacity=m)
         k = token_block(d, 0, 3)
-        cache = update_hybrid(cache, k, paired_values(k), head, HybridSink(n_sink))
+        cache = compress_step(cache, k, paired_values(k), head, n_sink)
         big = token_block(d, 3, 5)
         with pytest.raises(CacheError):
-            update_hybrid(cache, big, paired_values(big), head, HybridSink(n_sink))
+            compress_step(cache, big, paired_values(big), head, n_sink)

@@ -155,6 +155,16 @@ class TestEvalCommand:
         report = json.loads((out / "eval_report.json").read_text())
         assert len(report) == 4 and all("tokens_per_second" in r for r in report)
 
+    def test_checkpoint_with_trailing_bytes_is_runtime_error(self, corpus_file, base_ckpt, tmp_path):
+        padded = tmp_path / "padded.ckpt"
+        with open(base_ckpt, "rb") as fh:
+            padded.write_bytes(fh.read() + bytes(8))
+        code = main([
+            "eval", "--corpus", corpus_file, "--checkpoint", str(padded),
+            "--out-dir", str(tmp_path), "--policy", "concat",
+        ])
+        assert code == 2
+
     def test_byte_identical_reruns(self, corpus_file, calibrated_ckpt, tmp_path):
         outs = []
         for run in ("a", "b"):
@@ -230,24 +240,26 @@ class TestAblateCommand:
 
 
 class TestReportCommand:
-    def test_reports_csv_and_json(self, corpus_file, calibrated_ckpt, tmp_path):
+    def test_reports_csv_and_json(self, corpus_file, calibrated_ckpt, tmp_path, capsys):
         out = tmp_path / "rep"
         code = main([
-            "report", "--corpus", corpus_file, "--checkpoint", calibrated_ckpt,
+            "eval", "--corpus", corpus_file, "--checkpoint", calibrated_ckpt,
             "--out-dir", str(out), "--policies", "concat,lococo", "--capacity", "8",
             "--block-size", "4",
         ])
         assert code == 0
-        assert (out / "reports.csv").exists()
-        payload = json.loads((out / "reports.json").read_text())
+        assert (out / "eval.csv").exists()
+        payload = json.loads((out / "eval_report.json").read_text())
         assert [r["policy"] for r in payload] == ["concat", "lococo"]
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 2 and all("tokens/s=" in line for line in lines)
 
     def test_runtime_error_exit_code(self, corpus_file, tmp_path):
         # checkpoint exists but is garbage: passes validation then fails at load
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"not a checkpoint")
         code = main([
-            "report", "--corpus", corpus_file, "--checkpoint", str(bad),
+            "eval", "--corpus", corpus_file, "--checkpoint", str(bad),
             "--out-dir", str(tmp_path),
         ])
         assert code == 2

@@ -1,10 +1,14 @@
 """Model-level behavior: equivalences, causality, checkpoints, generation."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from convkv.cache import CacheError
 from convkv.checkpoint import (
+    CheckpointError,
     has_conv_heads,
     load_checkpoint,
     save_checkpoint,
@@ -79,6 +83,25 @@ class TestSegmentedEquivalence:
         assert np.max(np.abs(probe - expect)) < 1e-10
 
 
+class TestSingleMergeStep:
+    @pytest.mark.parametrize("spec", [
+        PolicySpec("lococo+sink", capacity=8, n_sink=0),
+        PolicySpec("lococo+h2o", capacity=8, reserved=0),
+    ], ids=["lococo+sink", "lococo+h2o"])
+    def test_zero_pin_hybrid_is_bit_equal_to_lococo(self, spec):
+        params = ModelParams.init(TINY, seed=12)
+        params.install_conv_heads(slots=8, kernel_size=5, seed=5)
+        lococo = PolicySpec("lococo", capacity=8)
+        tokens = rand_tokens(np.random.default_rng(11), 40)
+        assert np.array_equal(
+            logits_for(params, tokens, spec, 4), logits_for(params, tokens, lococo, 4)
+        )
+        prompt = tokens[:9]
+        assert np.array_equal(
+            generate(params, prompt, 12, spec, 4), generate(params, prompt, 12, lococo, 4)
+        )
+
+
 class TestCausality:
     @pytest.mark.parametrize("policy_kwargs", [
         dict(name="concat"),
@@ -101,6 +124,28 @@ class TestCausality:
         bumped[t] = (bumped[t] + 1) % 256
         out = logits_for(params, bumped, spec, 4)
         assert np.array_equal(out[:, :t], base[:, :t])
+
+
+def _rewrite_header(raw: bytes, edit) -> bytes:
+    (n,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + n])
+    edit(header)
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:8] + struct.pack("<Q", len(encoded)) + encoded + raw[16 + n:]
+
+
+def _transpose_first_gain(header):
+    entry = next(e for e in header["sections"]["base"] if e["name"] == "layers.0.attn_gain")
+    entry["rows"], entry["cols"] = entry["cols"], entry["rows"]
+
+
+CORRUPTIONS = {
+    "truncated_header": lambda raw: raw[:26],
+    "truncated_length_field": lambda raw: raw[:12],
+    "payload_not_multiple_of_8": lambda raw: raw[:-3],
+    "trailing_bytes": lambda raw: raw + bytes(8),
+    "tensor_shape_mismatch": lambda raw: _rewrite_header(raw, _transpose_first_gain),
+}
 
 
 class TestCheckpoints:
@@ -142,6 +187,14 @@ class TestCheckpoints:
         save_checkpoint(params, full)
         strip_conv_heads(full, stripped)
         assert load_checkpoint(stripped).base_fingerprint() == params.base_fingerprint()
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_file_raises_checkpoint_error(self, tiny_params, tmp_path, corruption):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_params, path)
+        path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 class TestGenerate:
