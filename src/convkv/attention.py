@@ -83,15 +83,12 @@ class AttentionParams:
 class SegmentStream:
     """A token sequence chunked into blocks of ``block_size``.
 
-    ``position_base`` is the absolute index of the first token, so a stream
-    can continue an earlier one (generation after pre-fill). Training demands
-    an exact chunking; set ``allow_short_final`` for inference streams whose
-    last block may come up short.
+    Training demands an exact chunking; set ``allow_short_final`` for
+    inference streams whose last block may come up short.
     """
 
     token_ids: np.ndarray
     block_size: int
-    position_base: int = 0
     allow_short_final: bool = True
 
     def __post_init__(self):
@@ -118,7 +115,7 @@ class SegmentStream:
         total = len(self.token_ids)
         for start in range(0, total, self.block_size):
             stop = min(start + self.block_size, total)
-            yield start, stop, self.position_base + np.arange(start, stop)
+            yield start, stop, np.arange(start, stop)
 
 
 def project_qkv(x: Tensor2, params: AttentionParams) -> tuple[Tensor2, Tensor2, Tensor2]:

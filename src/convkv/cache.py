@@ -171,10 +171,6 @@ def update_h2o(
         raise CacheError("update_h2o needs a HeavyHitterState on the cache")
     if cache.capacity is None:
         raise CacheError("update_h2o needs a bounded cache")
-    if cache.capacity < b:
-        raise CacheError(
-            f"capacity {cache.capacity} cannot retain an incoming block of {b}"
-        )
     if state.budget != cache.capacity:
         raise CacheError(
             f"recent+heavy budget {state.budget} must equal capacity {cache.capacity}"

@@ -195,7 +195,9 @@ def build_parser() -> _Parser:
         ("pretrain", "train a base model on a byte corpus"),
         ("calibrate", "freeze the base model and train compression heads"),
         ("eval", "perplexity, memory and throughput for policy/capacity settings"),
-        ("generate", "greedy decoding from a prompt"),
+        ("generate", "greedy block-buffered decoding from a prompt: each layer's "
+                     "cache is updated once per --block-size tokens, so a bounded "
+                     "policy holds at most capacity + block-size columns per head"),
         ("ablate", "sweep kernel size, memory size, or policy"),
     ]:
         _add_common(sub.add_parser(name, help=help_text))

@@ -229,15 +229,9 @@ def compress_step(
     if heavy:
         cache_scores, new_scores = scores[:n_cached], scores[n_cached:]
     if reserved:
-        if heavy:
-            pinned = state.keep(scores)
-        elif n_cached < reserved:
-            raise CacheError(
-                f"cache holds {n_cached} columns but {reserved} sinks must be pinned; "
-                "use a block size of at most capacity - reserved"
-            )
-        else:
-            pinned = np.arange(reserved)
+        # merges keep the sinks in front, and before the first merge the columns
+        # are in token order: either way the first `reserved` are the sinks
+        pinned = state.keep(scores) if heavy else np.arange(reserved)
         pinned_keys = select_cols(hstack([cache.keys, k_new]), pinned)
         pinned_values = select_cols(hstack([cache.values, v_new]), pinned)
         free = np.ones(n_cached + b, dtype=bool)

@@ -202,7 +202,10 @@ class ModelParams:
         self.conv_heads = None
 
 
-def build_layer_policies(params: ModelParams, spec: PolicySpec) -> list[LayerPolicy]:
+def build_layer_policies(
+    params: ModelParams, spec: PolicySpec, block_size: int
+) -> list[LayerPolicy]:
+    spec.check_block_size(block_size)
     if spec.needs_conv_head:
         if params.conv_heads is None:
             raise CacheError(
@@ -213,41 +216,99 @@ def build_layer_policies(params: ModelParams, spec: PolicySpec) -> list[LayerPol
     return [spec.build() for _ in range(params.config.n_layers)]
 
 
+class LayerStream:
+    """One layer's streaming state: the policy's cache plus staged columns.
+
+    Up to B raw key/value columns wait in the staging buffer until a flush
+    hands them to the policy as one block, so the cache changes once per
+    block however the tokens arrive. Queries attend to cache + staged columns
+    + their own chunk: at most M + B columns per head for a bounded policy.
+    ``context`` holds the cache + staged columns per attention head, keys
+    rotated as attention sees them; it is rebuilt from the cache after each
+    flush. ``mass`` is the attention each of them drew from the staged
+    queries, summed over heads, for policies that keep keys by it.
+    """
+
+    def __init__(self, policy: LayerPolicy, cache: KvCache):
+        self.policy = policy
+        self.cache = cache
+        self.staged_k: list[Tensor2] = []
+        self.staged_v: list[Tensor2] = []
+        self.mass: np.ndarray | None = None
+        self.context: tuple[list[Tensor2], list[Tensor2]] | None = None
+
+    @property
+    def n_staged(self) -> int:
+        return sum(k.cols for k in self.staged_k)
+
+    def stage(
+        self,
+        k: Tensor2,
+        v: Tensor2,
+        context: tuple[list[Tensor2], list[Tensor2]],
+        attn_probs: np.ndarray | None,
+    ) -> None:
+        """Add one chunk; ``context`` and the rows of ``attn_probs`` now span
+        cache + staged + chunk columns."""
+        self.staged_k.append(k)
+        self.staged_v.append(v)
+        self.context = context
+        if attn_probs is not None:
+            drawn = attn_probs.sum(axis=1)
+            if self.mass is not None:
+                drawn += np.concatenate([self.mass, np.zeros(k.cols)])
+            self.mass = drawn
+
+    def flush(self, detach_cache: bool) -> None:
+        """Hand the staged columns to the policy as one block."""
+        k, v = (
+            parts[0] if len(parts) == 1 else hstack(parts)
+            for parts in (self.staged_k, self.staged_v)
+        )
+        probs = None if self.mass is None else self.mass[:, None]
+        cache = self.policy.update(self.cache, k, v, attn_probs=probs)
+        self.cache = cache.detach() if detach_cache else cache
+        self.staged_k, self.staged_v, self.mass, self.context = [], [], None, None
+
+
 def _layer_step(
     layer: LayerParams,
     h: Tensor2,
-    cache: KvCache,
+    stream: LayerStream,
     positions: np.ndarray,
     rope: RopeConfig,
-    policy: LayerPolicy,
+    flush: bool,
     detach_cache: bool,
-) -> tuple[Tensor2, KvCache, int]:
-    """One residual block over one token block; returns attn matrix entries."""
+) -> tuple[Tensor2, int]:
+    """One residual block over one chunk of tokens; returns attn matrix entries.
+
+    The chunk attends to the layer's cache and staged columns, then joins the
+    staged columns; ``flush`` hands them to the policy.
+    """
     n_heads, head_dim = layer.attn.n_heads, layer.attn.head_dim
+    policy = stream.policy
     b = h.cols
-    n_cached = cache.live_entries
+    n_cached = stream.cache.live_entries
+    n_context = n_cached + stream.n_staged
 
     normed = rms_norm_cols(h, layer.attn_gain)
     q, k, v = project_qkv(normed, layer.attn)
 
-    if policy.slot_relative_positions:
-        # rolling positions: everything is rotated by its cache slot index
-        q_pos = k_pos = n_cached + np.arange(b)
-        if n_cached:
+    if stream.context is None:
+        cached_keys = split_heads(stream.cache.keys, n_heads, head_dim)
+        if policy.slot_relative_positions and n_cached:
+            # rolling positions: everything is rotated by its cache slot index
             cached_pos = np.arange(n_cached)
-            cached_keys = vstack(
-                [apply_rope(hk, cached_pos, rope)
-                 for hk in split_heads(cache.keys, n_heads, head_dim)]
-            )
-        else:
-            cached_keys = cache.keys
+            cached_keys = [apply_rope(hk, cached_pos, rope) for hk in cached_keys]
+        stream.context = (cached_keys, split_heads(stream.cache.values, n_heads, head_dim))
+    if policy.slot_relative_positions:
+        q_pos = k_pos = n_context + np.arange(b)
         k_rot = vstack(
             [apply_rope(hk, k_pos, rope) for hk in split_heads(k, n_heads, head_dim)]
         )
         k_for_cache = k  # unrotated; slots get fresh positions every block
     else:
-        q_pos = positions
-        cached_keys = cache.keys  # already rotated at their absolute positions
+        q_pos = positions  # cached keys are already rotated at their absolute positions
         k_rot = vstack(
             [apply_rope(hk, positions, rope) for hk in split_heads(k, n_heads, head_dim)]
         )
@@ -256,33 +317,71 @@ def _layer_step(
         [apply_rope(hq, q_pos, rope) for hq in split_heads(q, n_heads, head_dim)]
     )
 
-    head_outs = []
+    head_outs, context_k, context_v = [], [], []
     probs_sum = None
     for qh, kh, vh, ck, cv in zip(
         split_heads(q_rot, n_heads, head_dim),
         split_heads(k_rot, n_heads, head_dim),
         split_heads(v, n_heads, head_dim),
-        split_heads(cached_keys, n_heads, head_dim),
-        split_heads(cache.values, n_heads, head_dim),
+        *stream.context,
     ):
         kv_k = hstack([ck, kh])
         kv_v = hstack([cv, vh])
         if policy.needs_probs:
-            out, probs = attend(qh, kv_k, kv_v, n_cached, return_probs=True)
+            out, probs = attend(qh, kv_k, kv_v, n_context, return_probs=True)
             probs_sum = probs.data if probs_sum is None else probs_sum + probs.data
         else:
-            out = attend(qh, kv_k, kv_v, n_cached)
+            out = attend(qh, kv_k, kv_v, n_context)
         head_outs.append(out)
+        context_k.append(kv_k)
+        context_v.append(kv_v)
     attn_out = matmul(layer.attn.w_o, head_outs[0] if n_heads == 1 else vstack(head_outs))
     h = add(h, attn_out)
 
     mlp_normed = rms_norm_cols(h, layer.mlp_gain)
     h = add(h, matmul(layer.mlp_out, relu(matmul(layer.mlp_in, mlp_normed))))
 
-    new_cache = policy.update(cache, k_for_cache, v, attn_probs=probs_sum)
-    if detach_cache:
-        new_cache = new_cache.detach()
-    return h, new_cache, (n_cached + b) * b
+    stream.stage(k_for_cache, v, (context_k, context_v), probs_sum)
+    if flush:
+        stream.flush(detach_cache)
+    return h, (n_context + b) * b
+
+
+def _forward_chunk(
+    params: ModelParams,
+    streams: list[LayerStream],
+    tokens: np.ndarray,
+    positions: np.ndarray,
+    flush: bool,
+    detach_cache: bool = False,
+) -> tuple[Tensor2, list[int]]:
+    """Logits of one chunk that stays within a block, plus attn entries per layer."""
+    rope = params.config.rope
+    h = embedding_lookup(params.embed, tokens)
+    attn_entries = []
+    for layer, stream in zip(params.layers, streams):
+        h, entries = _layer_step(layer, h, stream, positions, rope, flush, detach_cache)
+        attn_entries.append(entries)
+    final = rms_norm_cols(h, params.final_gain)
+    return matmul(transpose(params.embed), final), attn_entries
+
+
+def _open_streams(params: ModelParams, policy: PolicySpec, block_size: int) -> list[LayerStream]:
+    return [
+        LayerStream(lp, lp.empty_cache(params.config.d_model))
+        for lp in build_layer_policies(params, policy, block_size)
+    ]
+
+
+def _token_ids(params: ModelParams, tokens: np.ndarray, what: str) -> np.ndarray:
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.size == 0:
+        raise ValueError(f"{what} must not be empty")
+    if tokens.max() >= params.config.vocab_size:
+        raise ValueError(f"token id {tokens.max()} out of range for byte vocab")
+    if tokens.min() < 0:
+        raise ValueError("negative token id")
+    return tokens
 
 
 def forward_segmented(
@@ -291,8 +390,6 @@ def forward_segmented(
     policy: PolicySpec,
     block_size: int,
     *,
-    position_base: int = 0,
-    caches: list[KvCache] | None = None,
     trace=None,
     block_offset: int = 0,
     detach_cache: bool = False,
@@ -300,46 +397,27 @@ def forward_segmented(
 ) -> tuple[Tensor2, list[KvCache]]:
     """Run the model over ``tokens`` in blocks, returning logits per position.
 
-    ``caches`` continues an existing decoding session (fresh per-policy caches
-    otherwise). When ``trace`` is given, one record per (block, layer) of live
-    cache entries and allocated attention-score entries is appended via its
+    Every block, a short final one included, goes through the policy once it
+    has been attended to; the returned caches hold the whole sequence. When
+    ``trace`` is given, one record per (block, layer) of live cache entries
+    and allocated attention-score entries is appended via its
     ``record_block`` hook. ``detach_cache`` cuts the gradient graph at block
     boundaries during calibration.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.size and tokens.max() >= params.config.vocab_size:
-        raise ValueError(f"token id {tokens.max()} out of range for byte vocab")
-    if tokens.size and tokens.min() < 0:
-        raise ValueError("negative token id")
-    stream = SegmentStream(
-        tokens, block_size, position_base, allow_short_final=not require_exact_blocks
-    )
-    layer_policies = build_layer_policies(params, policy)
-    if caches is None:
-        caches = [lp.empty_cache(params.config.d_model) for lp in layer_policies]
-    else:
-        if len(caches) != params.config.n_layers:
-            raise ShapeError(f"need {params.config.n_layers} caches, got {len(caches)}")
-        caches = list(caches)
-
-    rope = params.config.rope
+    tokens = _token_ids(params, tokens, "token sequence")
+    segments = SegmentStream(tokens, block_size, allow_short_final=not require_exact_blocks)
+    streams = _open_streams(params, policy, block_size)
     logit_blocks = []
-    tokens_seen = position_base
-    for block_index, (start, stop, positions) in enumerate(stream.blocks()):
-        h = embedding_lookup(params.embed, tokens[start:stop])
-        attn_entries = []
-        for li, (layer, lp) in enumerate(zip(params.layers, layer_policies)):
-            h, caches[li], entries = _layer_step(
-                layer, h, caches[li], positions, rope, lp, detach_cache
-            )
-            attn_entries.append(entries)
-        final = rms_norm_cols(h, params.final_gain)
-        logit_blocks.append(matmul(transpose(params.embed), final))
-        tokens_seen += stop - start
+    for block_index, (start, stop, positions) in enumerate(segments.blocks()):
+        logits, attn_entries = _forward_chunk(
+            params, streams, tokens[start:stop], positions, True, detach_cache
+        )
+        logit_blocks.append(logits)
         if trace is not None:
-            trace.record_block(block_offset + block_index, caches, attn_entries, tokens_seen)
+            caches = [s.cache for s in streams]
+            trace.record_block(block_offset + block_index, caches, attn_entries, stop)
     logits = logit_blocks[0] if len(logit_blocks) == 1 else hstack(logit_blocks)
-    return logits, caches
+    return logits, [s.cache for s in streams]
 
 
 def sequence_loss(
@@ -369,14 +447,20 @@ def generate(
     policy: PolicySpec,
     block_size: int,
 ) -> np.ndarray:
-    """Greedy decoding: pre-fill the prompt in blocks, then one token at a time.
+    """Greedy block-buffered decoding.
+
+    The layer policies are built once. The prompt's full blocks are
+    pre-filled; its ragged tail and then each new token are staged, and every
+    layer's cache is updated once per ``block_size`` tokens, as in
+    ``forward_segmented``. Queries attend to the cache plus the staged columns,
+    so a bounded policy holds at most M + B columns per head, and the logits
+    equal those of ``forward_segmented(prompt + generated[:-1], policy,
+    block_size)`` up to summation order.
 
     Ties in the argmax resolve to the lowest byte, so decoding is
     deterministic. The total context must fit max_context * interpolation_scale.
     """
-    prompt = np.asarray(prompt, dtype=np.int64)
-    if prompt.size < 1:
-        raise ValueError("prompt must not be empty")
+    prompt = _token_ids(params, prompt, "prompt")
     if n_new < 0:
         raise ValueError("n_new must be nonnegative")
     if prompt.size + n_new > params.config.context_limit:
@@ -385,18 +469,17 @@ def generate(
         )
     if n_new == 0:
         return prompt.copy()
-    logits, caches = forward_segmented(params, prompt, policy, block_size)
+    streams = _open_streams(params, policy, block_size)
+    for start, stop, positions in SegmentStream(prompt, block_size).blocks():
+        logits, _ = _forward_chunk(
+            params, streams, prompt[start:stop], positions, stop % block_size == 0
+        )
     out = list(prompt)
-    next_id = int(np.argmax(logits.data[:, -1]))
-    out.append(next_id)
-    for _ in range(n_new - 1):
-        logits, caches = forward_segmented(
-            params,
-            np.array([out[-1]]),
-            policy,
-            block_size=1,
-            position_base=len(out) - 1,
-            caches=caches,
+    out.append(int(np.argmax(logits.data[:, -1])))
+    for position in range(prompt.size, prompt.size + n_new - 1):
+        logits, _ = _forward_chunk(
+            params, streams, np.array([out[-1]]), np.array([position]),
+            (position + 1) % block_size == 0,
         )
         out.append(int(np.argmax(logits.data[:, -1])))
     return np.array(out, dtype=np.int64)

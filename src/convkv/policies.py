@@ -111,6 +111,22 @@ class PolicySpec:
         """Slot count the conv head must produce, or None when no head is used."""
         return None if self.pinned is None else self.capacity - self.pinned
 
+    def check_block_size(self, block_size: int) -> None:
+        """Reject a block size whose blocks cannot enter the cache whole.
+
+        A bounded policy keeps ``pinned`` columns verbatim (0 for the eviction
+        policies), so at most ``capacity - pinned`` columns of one block fit.
+        """
+        if self.capacity is None:
+            return
+        room = self.capacity - (self.pinned or 0)
+        if block_size > room:
+            raise CacheError(
+                f"block size {block_size} is rejected: policy {self.name!r} takes at most "
+                f"{room} columns per block (capacity {self.capacity}, "
+                f"{self.pinned or 0} pinned)"
+            )
+
     def build(self, conv_head: ConvHead | None = None) -> "LayerPolicy":
         if self.needs_conv_head:
             if conv_head is None:

@@ -189,10 +189,7 @@ def calibrate_conv_heads(
     """
     if not policy.needs_conv_head:
         raise CacheError(f"calibration needs a merging policy, got {policy.name!r}")
-    if policy.capacity is not None and policy.capacity < block_size:
-        raise CacheError(
-            f"capacity {policy.capacity} smaller than block size {block_size} is rejected"
-        )
+    policy.check_block_size(block_size)
     if cfg.context_length % block_size != 0:
         raise ValueError(
             f"context {cfg.context_length} must be a multiple of block size {block_size}"

@@ -132,12 +132,6 @@ class TestH2O:
         # newest two (3, 4) kept by recency; heavy picks 1 and 2 over 0 on ties
         assert list(out.keys.data[0]) == [1.0, 2.0, 3.0, 4.0]
 
-    def test_block_larger_than_capacity_rejected(self):
-        cache = h2o_cache(2, 2)
-        k = token_block(2, 0, 3)
-        with pytest.raises(CacheError):
-            update_h2o(cache, k, paired_values(k), np.full((3, 3), 0.1))
-
 
 class TestSinkWindow:
     def make(self, d, n_sink, window):
@@ -333,7 +327,9 @@ class TestHybrids:
         with pytest.raises(CacheError):
             PolicySpec("lococo+sink", capacity=4, n_sink=4)
 
-    def test_sink_hybrid_rejects_blocks_that_outrun_the_fill(self):
+    def test_sink_hybrid_pins_sinks_that_straddle_the_block(self):
+        # the first merge comes before n_sink columns are cached: the sinks
+        # are the cached columns plus the block's first ones
         rng = np.random.default_rng(7)
         d, m, n_sink = 3, 6, 4
         head = new_conv_head(d, m - n_sink, kernel_size=3, rng=rng)
@@ -341,5 +337,8 @@ class TestHybrids:
         k = token_block(d, 0, 3)
         cache = compress_step(cache, k, paired_values(k), head, n_sink)
         big = token_block(d, 3, 5)
-        with pytest.raises(CacheError):
-            compress_step(cache, big, paired_values(big), head, n_sink)
+        cache = compress_step(cache, big, paired_values(big), head, n_sink)
+        first = t2(np.concatenate([k.data, big.data], axis=1)[:, :n_sink])
+        assert cache.live_entries == m
+        assert np.array_equal(cache.keys.data[:, :n_sink], first.data)
+        assert np.array_equal(cache.values.data[:, :n_sink], paired_values(first).data)

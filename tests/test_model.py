@@ -14,6 +14,7 @@ from convkv.checkpoint import (
     save_checkpoint,
     strip_conv_heads,
 )
+from convkv import model
 from convkv.corpus import corpus_to_ids, make_recall_corpus
 from convkv.model import (
     ModelConfig,
@@ -23,7 +24,7 @@ from convkv.model import (
     perplexity,
 )
 from convkv.numerics import Tensor2
-from convkv.policies import PolicySpec
+from convkv.policies import LayerPolicy, PolicySpec
 
 TINY = ModelConfig(d_model=16, n_layers=2, n_heads=2, head_dim=8, max_context=256)
 
@@ -45,6 +46,23 @@ def tiny_params():
 
 def rand_tokens(rng, n):
     return rng.integers(0, 256, size=n, dtype=np.int64)
+
+
+BOUNDED = {
+    "lococo": PolicySpec("lococo", capacity=8),
+    "h2o": PolicySpec("h2o", capacity=8),
+    "sink_window": PolicySpec("sink_window", capacity=8, n_sink=2),
+    "lococo+h2o": PolicySpec("lococo+h2o", capacity=8, reserved=2),
+    "lococo+sink": PolicySpec("lococo+sink", capacity=8, n_sink=2),
+}
+POLICIES = {"concat": PolicySpec("concat"), **BOUNDED}
+
+
+def model_for(spec, seed=13):
+    params = ModelParams.init(TINY, seed=seed)
+    if spec.needs_conv_head:
+        params.install_conv_heads(slots=spec.merge_slots, kernel_size=5, seed=seed)
+    return params
 
 
 def logits_for(params, tokens, policy, block_size):
@@ -230,6 +248,80 @@ class TestGenerate:
     def test_token_out_of_range(self, tiny_params):
         with pytest.raises(ValueError, match="out of range"):
             forward_segmented(tiny_params, np.array([300]), PolicySpec("concat"), 1)
+
+    def test_empty_token_sequence_rejected(self, tiny_params):
+        with pytest.raises(ValueError, match="token sequence must not be empty"):
+            forward_segmented(tiny_params, np.array([], dtype=np.int64), PolicySpec("concat"), 4)
+
+
+class TestDecodeMatchesPrefill:
+    """Block-buffered decode reproduces the teacher-forced segmented prefill."""
+
+    @pytest.mark.parametrize("prompt_len,block_size", [(8, 4), (10, 4), (3, 4), (5, 1)],
+                             ids=["whole_blocks", "ragged_tail", "shorter_than_block", "block_1"])
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_decode_logits_equal_prefill(self, monkeypatch, name, prompt_len, block_size):
+        spec = POLICIES[name]
+        params = model_for(spec)
+        chunk_logits = []
+        forward_chunk = model._forward_chunk
+
+        def spy(*args, **kwargs):
+            logits, entries = forward_chunk(*args, **kwargs)
+            chunk_logits.append(logits.data)
+            return logits, entries
+
+        monkeypatch.setattr(model, "_forward_chunk", spy)
+        prompt = rand_tokens(np.random.default_rng(prompt_len), prompt_len)
+        n_new = 20
+        out = generate(params, prompt, n_new, spec, block_size)
+        monkeypatch.undo()
+
+        decoded = np.hstack(chunk_logits)
+        ref = logits_for(params, out[:-1], spec, block_size)
+        assert decoded.shape == ref.shape == (256, prompt_len + n_new - 1)
+        assert np.max(np.abs(decoded - ref)) < 1e-10
+        assert np.array_equal(out[prompt_len:], ref[:, prompt_len - 1:].argmax(axis=0))
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_cache_updates_once_per_block(self, monkeypatch, name):
+        spec = POLICIES[name]
+        params = model_for(spec)
+        calls = {"update": 0, "build": 0}
+        update, build = LayerPolicy.update, PolicySpec.build
+
+        def counted_update(self, *args, **kwargs):
+            calls["update"] += 1
+            return update(self, *args, **kwargs)
+
+        def counted_build(self, *args, **kwargs):
+            calls["build"] += 1
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(LayerPolicy, "update", counted_update)
+        monkeypatch.setattr(PolicySpec, "build", counted_build)
+        prompt, block_size = rand_tokens(np.random.default_rng(4), 10), 4
+        for n_new in (1, 7, 30):
+            calls.update(update=0, build=0)
+            generate(params, prompt, n_new, spec, block_size)
+            fed = prompt.size + n_new - 1
+            assert calls["update"] == TINY.n_layers * (fed // block_size)
+            assert calls["build"] == TINY.n_layers
+
+
+class TestBlockSizePrecondition:
+    @pytest.mark.parametrize("name", list(BOUNDED))
+    def test_block_beyond_free_slots_rejected(self, name):
+        spec = BOUNDED[name]
+        params = model_for(spec)
+        room = spec.capacity - (spec.pinned or 0)
+        tokens = rand_tokens(np.random.default_rng(2), 3 * room)
+        forward_segmented(params, tokens, spec, room)
+        generate(params, tokens[:5], 3, spec, room)
+        with pytest.raises(CacheError, match="block size"):
+            forward_segmented(params, tokens, spec, room + 1)
+        with pytest.raises(CacheError, match="block size"):
+            generate(params, tokens[:5], 3, spec, room + 1)
 
 
 class TestPerplexity:
