@@ -6,6 +6,10 @@ forward (``model.forward_segmented``) is built on it and must agree with the
 reference for every block size, which is the core correctness property
 everything downstream leans on. Rotary position embedding (with optional
 interpolation for context extension) lives here too.
+
+Heads ride a leading axis: ``split_heads`` views a (n_heads * head_dim, T)
+projection as (n_heads, head_dim, T) without copying, rotary embedding and
+attention then run every head in one call, and ``merge_heads`` goes back.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .numerics import (
     custom_op,
     matmul,
     scale,
-    slice_rows,
     softmax_cols,
     transpose,
 )
@@ -129,10 +132,11 @@ def apply_rope(x: Tensor2, positions: np.ndarray, cfg: RopeConfig) -> Tensor2:
     """Rotate adjacent row pairs (2i, 2i+1) of each column by its position.
 
     Pair i of the column at position p turns by p_eff / base^(2i/d) radians
-    where p_eff = p / interpolation_scale. Rotation is linear, so the backward
-    pass is the same rotation by the negated angle.
+    where p_eff = p / interpolation_scale and d is the row count; a
+    head-batched input turns every head by one shared table. Rotation is
+    linear, so the backward pass is the same rotation by the negated angle.
     """
-    d, t_len = x.shape
+    d, t_len = x.rows, x.cols
     if d % 2 != 0:
         raise ShapeError(f"rotary embedding needs an even row count, got {d}")
     pos = np.asarray(positions, dtype=np.float64)
@@ -142,16 +146,16 @@ def apply_rope(x: Tensor2, positions: np.ndarray, cfg: RopeConfig) -> Tensor2:
     inv_freq = cfg.base ** (-2.0 * np.arange(half) / d)
     ang = np.outer(inv_freq, pos / cfg.interpolation_scale)
     c, s = np.cos(ang), np.sin(ang)
-    xe, xo = x.data[0::2, :], x.data[1::2, :]
+    xe, xo = x.data[..., 0::2, :], x.data[..., 1::2, :]
     out = np.empty_like(x.data)
-    out[0::2, :] = xe * c - xo * s
-    out[1::2, :] = xe * s + xo * c
+    out[..., 0::2, :] = xe * c - xo * s
+    out[..., 1::2, :] = xe * s + xo * c
 
     def vjp(g):
-        ge, go = g[0::2, :], g[1::2, :]
+        ge, go = g[..., 0::2, :], g[..., 1::2, :]
         gx = np.empty_like(g)
-        gx[0::2, :] = ge * c + go * s
-        gx[1::2, :] = -ge * s + go * c
+        gx[..., 0::2, :] = ge * c + go * s
+        gx[..., 1::2, :] = -ge * s + go * c
         return (gx,)
 
     return custom_op([x], out, vjp)
@@ -171,7 +175,8 @@ def attend(q: Tensor2, k: Tensor2, v: Tensor2, n_cached: int = 0,
 
     The first ``n_cached`` key columns are past context and fully visible;
     the remaining columns pair off causally with the query columns. Scores
-    are scaled by 1/sqrt(d) with d the query row count.
+    are scaled by 1/sqrt(d) with d the query row count. Head-batched
+    operands (H, d, .) attend per head under one shared mask.
     """
     if k.cols != v.cols:
         raise ShapeError(f"key/value column mismatch: {k.cols} vs {v.cols}")
@@ -192,9 +197,28 @@ def full_causal_attention(q: Tensor2, k: Tensor2, v: Tensor2) -> Tensor2:
     return attend(q, k, v, n_cached=0)
 
 
-def split_heads(x: Tensor2, n_heads: int, head_dim: int) -> list[Tensor2]:
-    if x.rows != n_heads * head_dim:
-        raise ShapeError(f"cannot split {x.rows} rows into {n_heads} heads of {head_dim}")
-    if n_heads == 1:
-        return [x]
-    return [slice_rows(x, h * head_dim, (h + 1) * head_dim) for h in range(n_heads)]
+def split_heads(x: Tensor2, n_heads: int, head_dim: int) -> Tensor2:
+    """View (n_heads * head_dim, T) as (n_heads, head_dim, T), without a copy.
+
+    Head h is rows h * head_dim .. (h + 1) * head_dim of ``x``.
+    """
+    if x.data.ndim != 2 or x.rows != n_heads * head_dim:
+        raise ShapeError(f"cannot split shape {x.shape} into {n_heads} heads of {head_dim}")
+    t_len = x.cols
+
+    def vjp(g):
+        return (g.reshape(n_heads * head_dim, t_len),)
+
+    return custom_op([x], x.data.reshape(n_heads, head_dim, t_len), vjp)
+
+
+def merge_heads(x: Tensor2) -> Tensor2:
+    """Inverse of ``split_heads``: (n_heads, head_dim, T) -> (n_heads * head_dim, T)."""
+    if x.data.ndim != 3:
+        raise ShapeError(f"merge_heads needs a head-batched (H, d, T) input, got {x.shape}")
+    shape = x.shape
+
+    def vjp(g):
+        return (g.reshape(shape),)
+
+    return custom_op([x], x.data.reshape(shape[0] * shape[1], shape[2]), vjp)

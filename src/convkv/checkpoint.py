@@ -3,12 +3,16 @@
 The conv heads live in their own section so they can be added after
 calibration or stripped again without touching a byte of the base weights;
 loading a checkpoint and saving it back reproduces the file bit for bit.
+The header of format version 2 carries a CRC-32 of the payload, so a flipped
+bit in the weights is caught at load time. Version 1 files have no checksum
+and are rejected.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +22,7 @@ from .model import ModelConfig, ModelParams
 from .numerics import ConvKernels, Tensor2
 
 MAGIC = b"CKVC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -41,10 +45,14 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     conv = params.named_conv()
     base_entries, offset = _tensor_entries(base, 0)
     conv_entries, offset = _tensor_entries(conv, offset)
+    payload = b"".join(
+        tensor.data.astype("<f8", copy=False).tobytes() for _, tensor in base + conv
+    )
 
     header: dict = {
         "format_version": FORMAT_VERSION,
         "config": params.config.to_dict(),
+        "payload_crc32": zlib.crc32(payload),
         "sections": {"base": base_entries},
     }
     if params.conv_heads is not None:
@@ -65,8 +73,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for _, tensor in list(base) + list(conv):
-            fh.write(tensor.data.astype("<f8", copy=False).tobytes())
+        fh.write(payload)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -81,6 +88,11 @@ def _read_header(fh) -> dict:
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}; not a checkpoint file")
     (version,) = struct.unpack("<I", _read_exact(fh, 4, "version field"))
+    if version == 1:
+        raise CheckpointError(
+            "checkpoint format version 1 carries no payload checksum and is not read; "
+            f"this release reads version {FORMAT_VERSION}"
+        )
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
@@ -91,7 +103,8 @@ def _read_header(fh) -> dict:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Read a checkpoint; any truncation, padding or shape mismatch raises CheckpointError."""
+    """Read a checkpoint; any truncation, padding, flipped payload bit or shape
+    mismatch raises CheckpointError."""
     with open(path, "rb") as fh:
         header = _read_header(fh)
         payload = fh.read()
@@ -102,6 +115,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(
             f"payload holds {len(payload)} bytes but the header describes {expected}"
         )
+    if zlib.crc32(payload) != header.get("payload_crc32"):
+        raise CheckpointError("payload checksum mismatch: the weights are corrupt")
     data = np.frombuffer(payload, dtype="<f8")
 
     def take(entry) -> Tensor2:

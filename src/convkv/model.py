@@ -19,13 +19,14 @@ from .attention import (
     SegmentStream,
     apply_rope,
     attend,
+    merge_heads,
     project_qkv,
     split_heads,
 )
 from .cache import CacheError, KvCache
 from .compressor import ConvHead, new_conv_head
 from .numerics import (
-    ShapeError,
+    NonFiniteError,
     Tensor2,
     add,
     cross_entropy_cols,
@@ -36,7 +37,6 @@ from .numerics import (
     rms_norm_cols,
     slice_cols,
     transpose,
-    vstack,
 )
 from .policies import LayerPolicy, PolicySpec
 
@@ -219,14 +219,16 @@ def build_layer_policies(
 class LayerStream:
     """One layer's streaming state: the policy's cache plus staged columns.
 
-    Up to B raw key/value columns wait in the staging buffer until a flush
-    hands them to the policy as one block, so the cache changes once per
-    block however the tokens arrive. Queries attend to cache + staged columns
-    + their own chunk: at most M + B columns per head for a bounded policy.
-    ``context`` holds the cache + staged columns per attention head, keys
-    rotated as attention sees them; it is rebuilt from the cache after each
-    flush. ``mass`` is the attention each of them drew from the staged
-    queries, summed over heads, for policies that keep keys by it.
+    Up to B raw key/value columns wait in the staging buffer, head-batched as
+    (H, head_dim, b) chunks, until a flush hands them to the policy as one
+    (H * head_dim, B) block, so the cache changes once per block however the
+    tokens arrive. Queries attend to cache + staged columns + their own
+    chunk: at most M + B columns per head for a bounded policy. ``context``
+    is one (keys, values) pair of (H, head_dim, n) tensors holding the cache
+    + staged columns, keys rotated as attention sees them; it is rebuilt
+    from the cache after each flush. ``mass`` is the attention each of them
+    drew from the staged queries, summed over heads, for policies that keep
+    keys by it.
     """
 
     def __init__(self, policy: LayerPolicy, cache: KvCache):
@@ -235,7 +237,7 @@ class LayerStream:
         self.staged_k: list[Tensor2] = []
         self.staged_v: list[Tensor2] = []
         self.mass: np.ndarray | None = None
-        self.context: tuple[list[Tensor2], list[Tensor2]] | None = None
+        self.context: tuple[Tensor2, Tensor2] | None = None
 
     @property
     def n_staged(self) -> int:
@@ -245,7 +247,7 @@ class LayerStream:
         self,
         k: Tensor2,
         v: Tensor2,
-        context: tuple[list[Tensor2], list[Tensor2]],
+        context: tuple[Tensor2, Tensor2],
         attn_probs: np.ndarray | None,
     ) -> None:
         """Add one chunk; ``context`` and the rows of ``attn_probs`` now span
@@ -262,7 +264,7 @@ class LayerStream:
     def flush(self, detach_cache: bool) -> None:
         """Hand the staged columns to the policy as one block."""
         k, v = (
-            parts[0] if len(parts) == 1 else hstack(parts)
+            merge_heads(parts[0] if len(parts) == 1 else hstack(parts))
             for parts in (self.staged_k, self.staged_v)
         )
         probs = None if self.mass is None else self.mass[:, None]
@@ -283,7 +285,8 @@ def _layer_step(
     """One residual block over one chunk of tokens; returns attn matrix entries.
 
     The chunk attends to the layer's cache and staged columns, then joins the
-    staged columns; ``flush`` hands them to the policy.
+    staged columns; ``flush`` hands them to the policy. Every head runs in
+    the same op calls, on a leading head axis.
     """
     n_heads, head_dim = layer.attn.n_heads, layer.attn.head_dim
     policy = stream.policy
@@ -292,56 +295,37 @@ def _layer_step(
     n_context = n_cached + stream.n_staged
 
     normed = rms_norm_cols(h, layer.attn_gain)
-    q, k, v = project_qkv(normed, layer.attn)
+    q, k, v = (split_heads(x, n_heads, head_dim) for x in project_qkv(normed, layer.attn))
 
     if stream.context is None:
         cached_keys = split_heads(stream.cache.keys, n_heads, head_dim)
         if policy.slot_relative_positions and n_cached:
             # rolling positions: everything is rotated by its cache slot index
-            cached_pos = np.arange(n_cached)
-            cached_keys = [apply_rope(hk, cached_pos, rope) for hk in cached_keys]
+            cached_keys = apply_rope(cached_keys, np.arange(n_cached), rope)
         stream.context = (cached_keys, split_heads(stream.cache.values, n_heads, head_dim))
     if policy.slot_relative_positions:
-        q_pos = k_pos = n_context + np.arange(b)
-        k_rot = vstack(
-            [apply_rope(hk, k_pos, rope) for hk in split_heads(k, n_heads, head_dim)]
-        )
+        q_pos = n_context + np.arange(b)
+        k_rot = apply_rope(k, q_pos, rope)
         k_for_cache = k  # unrotated; slots get fresh positions every block
     else:
         q_pos = positions  # cached keys are already rotated at their absolute positions
-        k_rot = vstack(
-            [apply_rope(hk, positions, rope) for hk in split_heads(k, n_heads, head_dim)]
-        )
+        k_rot = apply_rope(k, positions, rope)
         k_for_cache = k_rot
-    q_rot = vstack(
-        [apply_rope(hq, q_pos, rope) for hq in split_heads(q, n_heads, head_dim)]
-    )
+    q_rot = apply_rope(q, q_pos, rope)
 
-    head_outs, context_k, context_v = [], [], []
-    probs_sum = None
-    for qh, kh, vh, ck, cv in zip(
-        split_heads(q_rot, n_heads, head_dim),
-        split_heads(k_rot, n_heads, head_dim),
-        split_heads(v, n_heads, head_dim),
-        *stream.context,
-    ):
-        kv_k = hstack([ck, kh])
-        kv_v = hstack([cv, vh])
-        if policy.needs_probs:
-            out, probs = attend(qh, kv_k, kv_v, n_context, return_probs=True)
-            probs_sum = probs.data if probs_sum is None else probs_sum + probs.data
-        else:
-            out = attend(qh, kv_k, kv_v, n_context)
-        head_outs.append(out)
-        context_k.append(kv_k)
-        context_v.append(kv_v)
-    attn_out = matmul(layer.attn.w_o, head_outs[0] if n_heads == 1 else vstack(head_outs))
-    h = add(h, attn_out)
+    context_k, context_v = (hstack([c, x]) for c, x in zip(stream.context, (k_rot, v)))
+    mass = None
+    if policy.needs_probs:
+        out, probs = attend(q_rot, context_k, context_v, n_context, return_probs=True)
+        mass = probs.data.sum(axis=0)
+    else:
+        out = attend(q_rot, context_k, context_v, n_context)
+    h = add(h, matmul(layer.attn.w_o, merge_heads(out)))
 
     mlp_normed = rms_norm_cols(h, layer.mlp_gain)
     h = add(h, matmul(layer.mlp_out, relu(matmul(layer.mlp_in, mlp_normed))))
 
-    stream.stage(k_for_cache, v, (context_k, context_v), probs_sum)
+    stream.stage(k_for_cache, v, (context_k, context_v), mass)
     if flush:
         stream.flush(detach_cache)
     return h, (n_context + b) * b
@@ -352,15 +336,23 @@ def _forward_chunk(
     streams: list[LayerStream],
     tokens: np.ndarray,
     positions: np.ndarray,
+    block: int,
     flush: bool,
     detach_cache: bool = False,
 ) -> tuple[Tensor2, list[int]]:
-    """Logits of one chunk that stays within a block, plus attn entries per layer."""
+    """Logits of one chunk that stays within ``block``, plus attn entries per layer.
+
+    Raises NonFiniteError naming the block and layer whose output overflows.
+    """
     rope = params.config.rope
     h = embedding_lookup(params.embed, tokens)
     attn_entries = []
-    for layer, stream in zip(params.layers, streams):
+    for index, (layer, stream) in enumerate(zip(params.layers, streams)):
         h, entries = _layer_step(layer, h, stream, positions, rope, flush, detach_cache)
+        # NaN/inf, or an entry whose square overflows (the next RMS norm would
+        # silently zero its column), makes the sum of squares non-finite
+        if not np.isfinite(np.vdot(h.data, h.data)):
+            raise NonFiniteError(f"residual stream overflowed at block {block}, layer {index}")
         attn_entries.append(entries)
     final = rms_norm_cols(h, params.final_gain)
     return matmul(transpose(params.embed), final), attn_entries
@@ -402,20 +394,23 @@ def forward_segmented(
     ``trace`` is given, one record per (block, layer) of live cache entries
     and allocated attention-score entries is appended via its
     ``record_block`` hook. ``detach_cache`` cuts the gradient graph at block
-    boundaries during calibration.
+    boundaries during calibration. A layer output that overflows raises
+    NonFiniteError naming the block (counted from ``block_offset``, as in the
+    trace) and the layer.
     """
     tokens = _token_ids(params, tokens, "token sequence")
     segments = SegmentStream(tokens, block_size, allow_short_final=not require_exact_blocks)
     streams = _open_streams(params, policy, block_size)
     logit_blocks = []
     for block_index, (start, stop, positions) in enumerate(segments.blocks()):
+        block = block_offset + block_index
         logits, attn_entries = _forward_chunk(
-            params, streams, tokens[start:stop], positions, True, detach_cache
+            params, streams, tokens[start:stop], positions, block, True, detach_cache
         )
         logit_blocks.append(logits)
         if trace is not None:
             caches = [s.cache for s in streams]
-            trace.record_block(block_offset + block_index, caches, attn_entries, stop)
+            trace.record_block(block, caches, attn_entries, stop)
     logits = logit_blocks[0] if len(logit_blocks) == 1 else hstack(logit_blocks)
     return logits, [s.cache for s in streams]
 
@@ -472,14 +467,15 @@ def generate(
     streams = _open_streams(params, policy, block_size)
     for start, stop, positions in SegmentStream(prompt, block_size).blocks():
         logits, _ = _forward_chunk(
-            params, streams, prompt[start:stop], positions, stop % block_size == 0
+            params, streams, prompt[start:stop], positions, start // block_size,
+            stop % block_size == 0,
         )
     out = list(prompt)
     out.append(int(np.argmax(logits.data[:, -1])))
     for position in range(prompt.size, prompt.size + n_new - 1):
         logits, _ = _forward_chunk(
             params, streams, np.array([out[-1]]), np.array([position]),
-            (position + 1) % block_size == 0,
+            position // block_size, (position + 1) % block_size == 0,
         )
         out.append(int(np.argmax(logits.data[:, -1])))
     return np.array(out, dtype=np.int64)

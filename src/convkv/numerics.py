@@ -9,6 +9,14 @@ reverse.
 
 Only the operations needed on the compressor calibration path carry
 gradients; this is deliberately not a general autodiff system.
+
+Op results may carry one leading head axis, shape (H, rows, cols), so one
+call serves every attention head. ``rows`` and ``cols`` are then the last
+two axes. ``matmul`` (equal leading dims), ``transpose`` (swaps the last two
+axes), ``add``, ``scale``, ``relu``, ``softmax_cols``, ``add_mask`` (one
+(rows, cols) mask for every head) and ``hstack`` (along the last axis) take
+such operands; every other primitive requires 2-D operands and raises
+ShapeError on anything else.
 """
 
 from __future__ import annotations
@@ -40,6 +48,10 @@ class TapeError(NumericsError):
 class Tensor2:
     """Dense rows x cols matrix of 64-bit reals, row-major.
 
+    The constructor takes 2-D data only. Op results may add one leading head
+    axis, shape (H, rows, cols): a stack of H matrices of the same size, for
+    which ``rows`` and ``cols`` describe each matrix.
+
     Entries must be finite: NaN or +/-inf anywhere is a contract violation
     and raises NonFiniteError at construction. The one sanctioned exception
     is the -inf masking sentinel consumed by ``softmax_cols``, which only
@@ -64,14 +76,14 @@ class Tensor2:
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     @property
@@ -99,7 +111,7 @@ class Tensor2:
 
     def __repr__(self) -> str:
         flag = ", trainable" if self.requires_grad else ""
-        return f"Tensor2({self.rows}x{self.cols}{flag})"
+        return f"Tensor2({'x'.join(map(str, self.shape))}{flag})"
 
 
 def _wrap(arr: np.ndarray, requires_grad: bool) -> Tensor2:
@@ -222,25 +234,35 @@ def custom_op(inputs: Sequence[Tensor2], data: np.ndarray, vjp: _TapeVjp) -> Ten
     return _result(data, tuple(inputs), vjp)
 
 
+def _require_2d(op: str, *tensors: Tensor2) -> None:
+    """Primitives without a head axis reject head-batched operands outright."""
+    for t in tensors:
+        if t.data.ndim != 2:
+            raise ShapeError(f"{op}: needs 2-D operands, got shape {t.shape}")
+
+
 # --- primitives ---------------------------------------------------------------
 
 def matmul(a: Tensor2, b: Tensor2) -> Tensor2:
-    """Matrix product a @ b."""
+    """Matrix product a @ b, per head when both carry the same head axis."""
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul: leading dims differ ({a.shape} @ {b.shape})")
     if a.cols != b.rows:
-        raise ShapeError(f"matmul: inner dims differ ({a.rows}x{a.cols} @ {b.rows}x{b.cols})")
+        raise ShapeError(f"matmul: inner dims differ ({a.shape} @ {b.shape})")
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
     return _result(ad @ bd, (a, b), vjp)
 
 
 def transpose(a: Tensor2) -> Tensor2:
+    """Swap the last two axes (per head for a head-batched operand)."""
     def vjp(g):
-        return (np.ascontiguousarray(g.T),)
+        return (np.ascontiguousarray(g.swapaxes(-1, -2)),)
 
-    return _result(np.ascontiguousarray(a.data.T), (a,), vjp)
+    return _result(np.ascontiguousarray(a.data.swapaxes(-1, -2)), (a,), vjp)
 
 
 def add(a: Tensor2, b: Tensor2) -> Tensor2:
@@ -273,7 +295,7 @@ def relu(a: Tensor2) -> Tensor2:
 
 
 def softmax_cols(x: Tensor2) -> Tensor2:
-    """Column-wise softmax with per-column max subtraction.
+    """Column-wise softmax with per-column max subtraction (per head, if any).
 
     -inf entries are masking sentinels and map to exactly 0. A column that is
     entirely -inf has no attention context left and is rejected.
@@ -283,22 +305,25 @@ def softmax_cols(x: Tensor2) -> Tensor2:
         raise ShapeError("softmax_cols: empty input")
     if np.isnan(d).any() or np.isposinf(d).any():
         raise NonFiniteError("softmax_cols: NaN or +inf in logits")
-    col_max = d.max(axis=0)
+    col_max = d.max(axis=-2, keepdims=True)
     if np.isneginf(col_max).any():
         raise NumericsError("softmax_cols: column with every entry masked")
     e = np.exp(d - col_max)  # exp(-inf) == 0.0 exactly
-    p = e / e.sum(axis=0)
+    p = e / e.sum(axis=-2, keepdims=True)
 
     def vjp(g):
-        return (p * (g - (g * p).sum(axis=0)),)
+        return (p * (g - (g * p).sum(axis=-2, keepdims=True)),)
 
     return _result(p, (x,), vjp)
 
 
 def add_mask(x: Tensor2, mask: np.ndarray) -> Tensor2:
-    """Add a constant 0 / -inf mask; the only sanctioned source of -inf."""
+    """Add a constant 0 / -inf mask; the only sanctioned source of -inf.
+
+    The (rows, cols) mask applies to every head of a head-batched input.
+    """
     mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != x.shape:
+    if mask.shape != x.shape[-2:]:
         raise ShapeError(f"add_mask: mask shape {mask.shape} != input shape {x.shape}")
     if not np.all((mask == 0.0) | np.isneginf(mask)):
         raise NumericsError("add_mask: mask entries must be 0 or -inf")
@@ -341,6 +366,7 @@ def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
     both ends, so output column t depends only on input columns
     t-(k-1)/2 .. t+(k-1)/2.
     """
+    _require_2d("conv1d", x, kernels.weights)
     if x.rows != kernels.c_in:
         raise ShapeError(f"conv1d: input has {x.rows} channels, kernels expect {kernels.c_in}")
     c_in, k = kernels.c_in, kernels.k
@@ -379,6 +405,7 @@ def row_normalize(x: Tensor2, min_row_sum: float = 1e-8) -> Tensor2:
     uniformly, so a dead row normalizes to near-uniform weights instead of
     blowing up.
     """
+    _require_2d("row_normalize", x)
     d = x.data
     if d.shape[1] == 0:
         raise ShapeError("row_normalize: no columns to normalize over")
@@ -398,21 +425,21 @@ def row_normalize(x: Tensor2, min_row_sum: float = 1e-8) -> Tensor2:
 
 
 def hstack(parts: Sequence[Tensor2]) -> Tensor2:
-    """Concatenate columns; empty (d, 0) parts are allowed."""
+    """Concatenate along the last axis; empty (d, 0) parts are allowed."""
     parts = tuple(parts)
     if not parts:
         raise ShapeError("hstack: nothing to concatenate")
-    rows = parts[0].rows
+    lead = parts[0].shape[:-1]
     for p in parts:
-        if p.rows != rows:
-            raise ShapeError(f"hstack: row counts differ ({rows} vs {p.rows})")
+        if p.shape[:-1] != lead:
+            raise ShapeError(f"hstack: shapes differ before the last axis ({lead} vs {p.shape})")
     widths = [p.cols for p in parts]
     offsets = np.cumsum([0] + widths)
 
     def vjp(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
-    return _result(np.concatenate([p.data for p in parts], axis=1), parts, vjp)
+    return _result(np.concatenate([p.data for p in parts], axis=-1), parts, vjp)
 
 
 def vstack(parts: Sequence[Tensor2]) -> Tensor2:
@@ -420,6 +447,7 @@ def vstack(parts: Sequence[Tensor2]) -> Tensor2:
     parts = tuple(parts)
     if not parts:
         raise ShapeError("vstack: nothing to concatenate")
+    _require_2d("vstack", *parts)
     cols = parts[0].cols
     for p in parts:
         if p.cols != cols:
@@ -434,6 +462,7 @@ def vstack(parts: Sequence[Tensor2]) -> Tensor2:
 
 
 def slice_cols(x: Tensor2, start: int, stop: int) -> Tensor2:
+    _require_2d("slice_cols", x)
     if not (0 <= start <= stop <= x.cols):
         raise ShapeError(f"slice_cols: [{start}:{stop}] out of range for {x.cols} columns")
     rows, cols = x.shape
@@ -447,6 +476,7 @@ def slice_cols(x: Tensor2, start: int, stop: int) -> Tensor2:
 
 
 def slice_rows(x: Tensor2, start: int, stop: int) -> Tensor2:
+    _require_2d("slice_rows", x)
     if not (0 <= start <= stop <= x.rows):
         raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {x.rows} rows")
     rows, cols = x.shape
@@ -461,6 +491,7 @@ def slice_rows(x: Tensor2, start: int, stop: int) -> Tensor2:
 
 def select_cols(x: Tensor2, indices: np.ndarray) -> Tensor2:
     """Gather columns by index (duplicates allowed)."""
+    _require_2d("select_cols", x)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("select_cols: indices must be 1-D")
@@ -478,6 +509,7 @@ def select_cols(x: Tensor2, indices: np.ndarray) -> Tensor2:
 
 def embedding_lookup(table: Tensor2, ids: np.ndarray) -> Tensor2:
     """Gather embedding columns for integer ids; grads scatter-add back."""
+    _require_2d("embedding_lookup", table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeError("embedding_lookup: ids must be 1-D")
@@ -495,6 +527,7 @@ def embedding_lookup(table: Tensor2, ids: np.ndarray) -> Tensor2:
 
 def rms_norm_cols(x: Tensor2, gain: Tensor2, eps: float = 1e-8) -> Tensor2:
     """Normalize each column to unit root-mean-square, then scale rows by gain."""
+    _require_2d("rms_norm_cols", x)
     if gain.shape != (x.rows, 1):
         raise ShapeError(f"rms_norm_cols: gain must be {x.rows}x1, got {gain.shape}")
     r = np.sqrt((x.data ** 2).mean(axis=0) + eps)
@@ -512,6 +545,7 @@ def rms_norm_cols(x: Tensor2, gain: Tensor2, eps: float = 1e-8) -> Tensor2:
 
 def cross_entropy_cols(logits: Tensor2, targets: np.ndarray) -> Tensor2:
     """Mean negative log-likelihood of one target id per column; 1x1 output."""
+    _require_2d("cross_entropy_cols", logits)
     t = np.asarray(targets, dtype=np.int64)
     if t.ndim != 1 or t.size != logits.cols:
         raise ShapeError(f"cross_entropy_cols: need {logits.cols} targets, got shape {t.shape}")

@@ -8,7 +8,9 @@ from convkv.attention import (
     AttentionParams,
     RopeConfig,
     apply_rope,
+    attend,
     full_causal_attention,
+    merge_heads,
     project_qkv,
     split_heads,
 )
@@ -22,6 +24,7 @@ from convkv.numerics import (
     matmul,
     relu,
     rms_norm_cols,
+    slice_rows,
     softmax_cols,
     transpose,
     vstack,
@@ -125,6 +128,43 @@ class TestFullCausalAttention:
         assert np.max(np.abs(out.data - oracles.causal_attention_loops(q, k, v))) < 1e-12
 
 
+class TestHeadBatched:
+    """One call over a leading head axis equals the same op run head by head."""
+
+    def test_split_is_a_view_and_merge_inverts_it(self):
+        rng = np.random.default_rng(20)
+        x = t2(rng.standard_normal((6, 5)))
+        heads = split_heads(x, 3, 2)
+        assert heads.shape == (3, 2, 5)
+        assert np.shares_memory(heads.data, x.data)
+        assert np.array_equal(heads.data[1], x.data[2:4])
+        assert np.array_equal(merge_heads(heads).data, x.data)
+        with pytest.raises(ShapeError):
+            split_heads(x, 4, 2)
+
+    @pytest.mark.parametrize("n_cached", [0, 4])
+    def test_rope_and_attend_equal_per_head_runs(self, n_cached):
+        rng = np.random.default_rng(21)
+        n_heads, head_dim, b = 3, 4, 5
+        q, k, v = (
+            t2(rng.standard_normal((n_heads * head_dim, cols)))
+            for cols in (b, n_cached + b, n_cached + b)
+        )
+        rope, q_pos, k_pos = RopeConfig(), n_cached + np.arange(b), np.arange(n_cached + b)
+        qh, kh, vh = (split_heads(x, n_heads, head_dim) for x in (q, k, v))
+        out, probs = attend(apply_rope(qh, q_pos, rope), apply_rope(kh, k_pos, rope), vh,
+                            n_cached, return_probs=True)
+        for h in range(n_heads):
+            rows = slice(h * head_dim, (h + 1) * head_dim)
+            one_out, one_probs = attend(
+                apply_rope(t2(q.data[rows]), q_pos, rope),
+                apply_rope(t2(k.data[rows]), k_pos, rope),
+                t2(v.data[rows]), n_cached, return_probs=True,
+            )
+            assert np.array_equal(out.data[h], one_out.data)
+            assert np.array_equal(probs.data[h], one_probs.data)
+
+
 def one_layer(d_model, n_heads=1, seed=0):
     config = ModelConfig(
         d_model=d_model, n_layers=1, n_heads=n_heads, head_dim=d_model // n_heads,
@@ -140,8 +180,15 @@ def run_segment(params, tokens, block_size, trace=None):
     return logits.data, caches[0]
 
 
+def per_head(x, cfg):
+    """2-D row slices, one per head: the oracle shares no head layout code."""
+    d = cfg.head_dim
+    return [slice_rows(x, h * d, (h + 1) * d) for h in range(cfg.n_heads)]
+
+
 def full_forward(params, tokens):
-    """One-layer model over the whole sequence through full_causal_attention."""
+    """One-layer model over the whole sequence, head by head, through
+    full_causal_attention."""
     layer, cfg = params.layers[0], params.config
     positions = np.arange(len(tokens))
     h = embedding_lookup(params.embed, tokens)
@@ -150,7 +197,7 @@ def full_forward(params, tokens):
         full_causal_attention(
             apply_rope(hq, positions, cfg.rope), apply_rope(hk, positions, cfg.rope), hv
         )
-        for hq, hk, hv in zip(*(split_heads(x, cfg.n_heads, cfg.head_dim) for x in (q, k, v)))
+        for hq, hk, hv in zip(*(per_head(x, cfg) for x in (q, k, v)))
     ]
     h = add(h, matmul(layer.attn.w_o, vstack(heads)))
     mlp_in = rms_norm_cols(h, layer.mlp_gain)
@@ -200,11 +247,25 @@ class TestSegmentAttention:
         layer, cfg = params.layers[0], params.config
         h = rms_norm_cols(embedding_lookup(params.embed, tokens), layer.attn_gain)
         _, k, _ = project_qkv(h, layer.attn)
-        expect = vstack(
-            [apply_rope(hk, np.arange(6), cfg.rope) for hk in split_heads(k, 2, 2)]
-        )
+        expect = vstack([apply_rope(hk, np.arange(6), cfg.rope) for hk in per_head(k, cfg)])
         assert cache.live_entries == 6
         assert np.max(np.abs(cache.keys.data - expect.data)) < 1e-12
+
+    @pytest.mark.parametrize("block_size", [1, 3, 6])
+    def test_heavy_hitter_scores_sum_attention_over_heads(self, block_size):
+        rng = np.random.default_rng(16)
+        params = one_layer(8, n_heads=2, seed=16)
+        tokens = rng.integers(0, 256, size=6)
+        _, caches = forward_segmented(params, tokens, PolicySpec("h2o", capacity=8), block_size)
+        layer, cfg = params.layers[0], params.config
+        positions = np.arange(6)
+        h = rms_norm_cols(embedding_lookup(params.embed, tokens), layer.attn_gain)
+        expect = np.zeros(6)
+        for hq, hk, hv in zip(*(per_head(x, cfg) for x in project_qkv(h, layer.attn))):
+            _, probs = attend(apply_rope(hq, positions, cfg.rope),
+                              apply_rope(hk, positions, cfg.rope), hv, return_probs=True)
+            expect += probs.data.sum(axis=1)
+        assert np.max(np.abs(caches[0].state.scores - expect)) < 1e-12
 
     def test_causality_perturbing_a_token_leaves_earlier_outputs_alone(self):
         rng = np.random.default_rng(15)
@@ -223,7 +284,7 @@ class TestSegmentAttention:
         orig = softmax_cols
 
         def spy(x):
-            seen.append(x.shape[0] * x.shape[1])
+            seen.append(x.shape[-2] * x.shape[-1])
             return orig(x)
 
         monkeypatch.setattr(attention_mod, "softmax_cols", spy)

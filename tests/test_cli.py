@@ -165,6 +165,19 @@ class TestEvalCommand:
         ])
         assert code == 2
 
+    def test_overflowing_weights_are_runtime_error(self, corpus_file, tmp_path, capsys):
+        config = ModelConfig(d_model=8, n_layers=1, n_heads=1, head_dim=8, max_context=256)
+        params = ModelParams.init(config, seed=1)
+        params.layers[0].mlp_out.data = params.layers[0].mlp_out.data * 1e200
+        path = tmp_path / "overflow.ckpt"
+        save_checkpoint(params, path)
+        code = main([
+            "eval", "--corpus", corpus_file, "--checkpoint", str(path),
+            "--out-dir", str(tmp_path), "--policy", "concat",
+        ])
+        assert code == 2
+        assert "NonFiniteError" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, corpus_file, calibrated_ckpt, tmp_path):
         outs = []
         for run in ("a", "b"):

@@ -14,7 +14,7 @@ from convkv.checkpoint import (
     save_checkpoint,
     strip_conv_heads,
 )
-from convkv import model
+from convkv import model, numerics
 from convkv.corpus import corpus_to_ids, make_recall_corpus
 from convkv.model import (
     ModelConfig,
@@ -23,7 +23,7 @@ from convkv.model import (
     generate,
     perplexity,
 )
-from convkv.numerics import Tensor2
+from convkv.numerics import NonFiniteError, Tensor2
 from convkv.policies import LayerPolicy, PolicySpec
 
 TINY = ModelConfig(d_model=16, n_layers=2, n_heads=2, head_dim=8, max_context=256)
@@ -86,6 +86,15 @@ class TestSegmentedEquivalence:
         params.install_conv_heads(slots=32, kernel_size=5, seed=7)
         full = logits_for(params, tokens, PolicySpec("concat"), 4)
         filled = logits_for(params, tokens, PolicySpec("lococo", capacity=32), 4)
+        assert np.max(np.abs(filled - full)) < 1e-12
+
+    def test_sink_window_fill_branch_equals_concat(self, tiny_params):
+        # before any eviction a cache slot is the token's absolute position
+        tokens = rand_tokens(np.random.default_rng(2), 16)
+        full = logits_for(tiny_params, tokens, PolicySpec("concat"), 4)
+        filled = logits_for(
+            tiny_params, tokens, PolicySpec("sink_window", capacity=16, n_sink=2), 4
+        )
         assert np.max(np.abs(filled - full)) < 1e-12
 
     def test_lococo_regression_locked_logits(self):
@@ -163,6 +172,7 @@ CORRUPTIONS = {
     "payload_not_multiple_of_8": lambda raw: raw[:-3],
     "trailing_bytes": lambda raw: raw + bytes(8),
     "tensor_shape_mismatch": lambda raw: _rewrite_header(raw, _transpose_first_gain),
+    "flipped_payload_bit": lambda raw: raw[:-5] + bytes([raw[-5] ^ 0x10]) + raw[-4:],
 }
 
 
@@ -212,6 +222,14 @@ class TestCheckpoints:
         save_checkpoint(tiny_params, path)
         path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_format_version_1_rejected_by_name(self, tiny_params, tmp_path):
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_params, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(CheckpointError, match="version 1 carries no payload checksum"):
             load_checkpoint(path)
 
 
@@ -322,6 +340,57 @@ class TestBlockSizePrecondition:
             forward_segmented(params, tokens, spec, room + 1)
         with pytest.raises(CacheError, match="block size"):
             generate(params, tokens[:5], 3, spec, room + 1)
+
+
+class TestOpBudget:
+    """Tape results per decode layer-token, counted where every op makes one."""
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_decode_ops_do_not_grow_with_heads(self, monkeypatch, name):
+        block_size = 16
+        spec = PolicySpec(name) if name == "concat" else PolicySpec(
+            name, capacity=32, n_sink=2, reserved=2
+        )
+        calls = [0]
+        result = numerics._result
+
+        def counted(*args):
+            calls[0] += 1
+            return result(*args)
+
+        monkeypatch.setattr(numerics, "_result", counted)
+        prompt = rand_tokens(np.random.default_rng(1), 40)
+        per_layer_token = []
+        for n_heads in (1, 2, 4):
+            config = ModelConfig(d_model=16, n_layers=2, n_heads=n_heads,
+                                 head_dim=16 // n_heads, max_context=256)
+            params = ModelParams.init(config, seed=2)
+            if spec.needs_conv_head:
+                params.install_conv_heads(slots=spec.merge_slots, kernel_size=5, seed=2)
+            counts = []
+            # the extra block of decode steps runs with the cache already full
+            for n_new in (1 + block_size, 1 + 2 * block_size):
+                calls[0] = 0
+                generate(params, prompt, n_new, spec, block_size)
+                counts.append(calls[0])
+            per_layer_token.append((counts[1] - counts[0]) / (config.n_layers * block_size))
+        assert per_layer_token[0] == per_layer_token[1] == per_layer_token[2]
+        assert per_layer_token[0] <= 30
+
+
+class TestNonFiniteResidual:
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_overflowing_layer_named_by_block_and_layer(self, name):
+        spec = POLICIES[name]
+        params = model_for(spec)
+        # finite weights whose MLP output squares past the float64 range; without
+        # the check the next RMS norm zeroes the stream and every logit is equal
+        params.layers[1].mlp_out.data = params.layers[1].mlp_out.data * 1e200
+        tokens = rand_tokens(np.random.default_rng(3), 12)
+        with pytest.raises(NonFiniteError, match="block 0, layer 1"):
+            forward_segmented(params, tokens, spec, 4)
+        with pytest.raises(NonFiniteError, match="block 0, layer 1"):
+            generate(params, tokens[:5], 3, spec, 4)
 
 
 class TestPerplexity:

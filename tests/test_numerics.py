@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convkv.attention import RopeConfig, apply_rope, attend, merge_heads, split_heads
 from convkv.numerics import (
     ConvKernels,
     GradTape,
@@ -42,6 +43,11 @@ def t2(arr, trainable=False):
 
 def rand(rng, rows, cols, trainable=False):
     return Tensor2(rng.standard_normal((rows, cols)), requires_grad=trainable)
+
+
+def head_batched(rng, n_heads, rows, cols, trainable=False):
+    """An (n_heads, rows, cols) op result, made the way attention makes one."""
+    return split_heads(rand(rng, n_heads * rows, cols, trainable), n_heads, rows)
 
 
 class TestTensor2:
@@ -92,6 +98,13 @@ class TestMatmul:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             matmul(t2([[1, 2]]), t2([[1, 2]]))
+
+    def test_leading_dims_must_match(self):
+        rng = np.random.default_rng(12)
+        with pytest.raises(ShapeError, match="leading"):
+            matmul(head_batched(rng, 2, 3, 4), head_batched(rng, 3, 4, 2))
+        with pytest.raises(ShapeError, match="leading"):
+            matmul(rand(rng, 3, 4), head_batched(rng, 2, 4, 2))
 
 
 class TestSoftmaxCols:
@@ -213,6 +226,28 @@ class TestStackingAndSlicing:
     def test_row_mismatch(self):
         with pytest.raises(ShapeError):
             hstack([t2([[1.0]]), t2([[1.0], [2.0]])])
+
+
+# primitives without a head axis; each gets a (2, 2, 3) head-batched operand
+TWO_D_ONLY = {
+    "slice_cols": lambda x: slice_cols(x, 0, 1),
+    "slice_rows": lambda x: slice_rows(x, 0, 1),
+    "vstack": lambda x: vstack([x, x]),
+    "select_cols": lambda x: select_cols(x, np.array([0])),
+    "conv1d": lambda x: conv1d(x, ConvKernels(Tensor2(np.ones((1, 6))), c_in=2, k=3)),
+    "row_normalize": lambda x: row_normalize(relu(x)),
+    "rms_norm_cols": lambda x: rms_norm_cols(x, Tensor2(np.ones((2, 1)))),
+    "embedding_lookup": lambda x: embedding_lookup(x, np.array([0])),
+    "cross_entropy_cols": lambda x: cross_entropy_cols(x, np.zeros(3, dtype=int)),
+}
+
+
+class TestRankGuard:
+    @pytest.mark.parametrize("op", sorted(TWO_D_ONLY))
+    def test_head_batched_operand_rejected(self, op):
+        x = head_batched(np.random.default_rng(13), 2, 2, 3)
+        with pytest.raises(ShapeError, match=f"{op}: needs 2-D"):
+            TWO_D_ONLY[op](x)
 
 
 class TestRowNormalize:
@@ -346,6 +381,30 @@ class TestGradients:
             return cross_entropy_cols(normed, np.array([1, 2, 0, 3]))
 
         fd_check(loss, [table, gain], n_probe=10)
+
+    @pytest.mark.parametrize("n_cached", [0, 3])
+    def test_head_batched_attention(self, n_cached):
+        # the layer step's path: cached keys/values plus a rotated new block
+        rng = np.random.default_rng(5)
+        n_heads, head_dim, b = 2, 4, 3
+        d, rope = n_heads * head_dim, RopeConfig()
+        q, k_new, v_new = (rand(rng, d, b, trainable=True) for _ in range(3))
+        k_cached, v_cached = (rand(rng, d, n_cached, trainable=True) for _ in range(2))
+        positions = n_cached + np.arange(b)
+
+        def loss():
+            qh, kc, kn, vc, vn = (
+                split_heads(x, n_heads, head_dim) for x in (q, k_cached, k_new, v_cached, v_new)
+            )
+            out = attend(
+                apply_rope(qh, positions, rope),
+                hstack([kc, apply_rope(kn, positions, rope)]),
+                hstack([vc, vn]),
+                n_cached,
+            )
+            return cross_entropy_cols(merge_heads(out), np.array([1, 6, 3]))
+
+        fd_check(loss, [q, k_new, v_new, k_cached, v_cached])
 
     def test_relu_vstack_select(self):
         rng = np.random.default_rng(4)
