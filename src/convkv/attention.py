@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    NonFiniteError,
     ShapeError,
     Tensor2,
     add_mask,
@@ -176,14 +177,26 @@ def attend(q: Tensor2, k: Tensor2, v: Tensor2, n_cached: int = 0,
     The first ``n_cached`` key columns are past context and fully visible;
     the remaining columns pair off causally with the query columns. Scores
     are scaled by 1/sqrt(d) with d the query row count. Head-batched
-    operands (H, d, .) attend per head under one shared mask.
+    operands (H, d, .) attend per head under one shared mask. At most one
+    fresh key (a decode step) leaves nothing to mask, so no mask op runs.
+    Scores that overflow raise NonFiniteError.
     """
     if k.cols != v.cols:
         raise ShapeError(f"key/value column mismatch: {k.cols} vs {v.cols}")
     if not (0 <= n_cached <= k.cols):
         raise ShapeError(f"n_cached={n_cached} out of range for {k.cols} keys")
-    logits = scale(matmul(transpose(k), q), 1.0 / math.sqrt(q.rows))
-    probs = softmax_cols(add_mask(logits, _block_mask(n_cached, k.cols - n_cached, q.cols)))
+    # scores that overflow raise NonFiniteError below, so numpy's overflow
+    # warning for them would only say it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = matmul(transpose(k), q)
+    logits = scale(scores, 1.0 / math.sqrt(q.rows))
+    n_new = k.cols - n_cached
+    if n_new > 1:
+        logits = add_mask(logits, _block_mask(n_cached, n_new, q.cols))  # checks the scores
+    elif not np.isfinite(logits.data).all():
+        # unmasked, an overflowed -inf would pass for a masked entry in softmax_cols
+        raise NonFiniteError("attend: NaN or inf in the scores")
+    probs = softmax_cols(logits)
     out = matmul(v, probs)
     if return_probs:
         return out, probs

@@ -30,6 +30,7 @@ from .numerics import (
     Tensor2,
     add,
     cross_entropy_cols,
+    custom_op,
     embedding_lookup,
     hstack,
     matmul,
@@ -216,6 +217,21 @@ def build_layer_policies(
     return [spec.build() for _ in range(params.config.n_layers)]
 
 
+def _extend_cols(context: Tensor2, buffer: np.ndarray, x: Tensor2) -> Tensor2:
+    """``hstack([context, x])`` as a view of ``buffer``, which holds ``context``.
+
+    The columns of ``x`` are written just past ``context``, so no earlier view
+    of ``buffer`` changes; the vjp is hstack's.
+    """
+    n, b = context.cols, x.cols
+    buffer[..., n:n + b] = x.data
+
+    def vjp(g):
+        return g[..., :n], g[..., n:]
+
+    return custom_op([context, x], buffer[..., :n + b], vjp)
+
+
 class LayerStream:
     """One layer's streaming state: the policy's cache plus staged columns.
 
@@ -225,36 +241,50 @@ class LayerStream:
     tokens arrive. Queries attend to cache + staged columns + their own
     chunk: at most M + B columns per head for a bounded policy. ``context``
     is one (keys, values) pair of (H, head_dim, n) tensors holding the cache
-    + staged columns, keys rotated as attention sees them; it is rebuilt
-    from the cache after each flush. ``mass`` is the attention each of them
-    drew from the staged queries, summed over heads, for policies that keep
-    keys by it.
+    + staged columns, keys rotated as attention sees them. Both are views
+    into one buffer per tensor of n_cached + B columns, filled from the cache
+    once per flush and extended in place by each chunk, so a decode step
+    copies its own column only. ``mass`` is the attention each context
+    column drew from the staged queries, summed over heads, for policies
+    that keep keys by it.
     """
 
-    def __init__(self, policy: LayerPolicy, cache: KvCache):
+    def __init__(self, policy: LayerPolicy, cache: KvCache, block_size: int):
         self.policy = policy
         self.cache = cache
+        self.block_size = block_size
         self.staged_k: list[Tensor2] = []
         self.staged_v: list[Tensor2] = []
         self.mass: np.ndarray | None = None
         self.context: tuple[Tensor2, Tensor2] | None = None
+        self._buffers: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_staged(self) -> int:
         return sum(k.cols for k in self.staged_k)
 
-    def stage(
-        self,
-        k: Tensor2,
-        v: Tensor2,
-        context: tuple[Tensor2, Tensor2],
-        attn_probs: np.ndarray | None,
-    ) -> None:
-        """Add one chunk; ``context`` and the rows of ``attn_probs`` now span
-        cache + staged + chunk columns."""
+    def open_context(self, keys: Tensor2, values: Tensor2) -> None:
+        """Start a flush cycle's context from the cache's (H, head_dim, n) columns."""
+        self.context = (keys, values)
+        self._buffers = tuple(
+            np.empty(c.shape[:-1] + (c.cols + self.block_size,)) for c in self.context
+        )
+        for buffer, c in zip(self._buffers, self.context):
+            buffer[..., :c.cols] = c.data
+
+    def extend_context(self, keys: Tensor2, values: Tensor2) -> tuple[Tensor2, Tensor2]:
+        """Append a chunk's keys (rotated) and values to the context, in place."""
+        self.context = tuple(
+            _extend_cols(c, buffer, x)
+            for c, buffer, x in zip(self.context, self._buffers, (keys, values))
+        )
+        return self.context
+
+    def stage(self, k: Tensor2, v: Tensor2, attn_probs: np.ndarray | None) -> None:
+        """Add one chunk; the rows of ``attn_probs`` span cache + staged + chunk
+        columns."""
         self.staged_k.append(k)
         self.staged_v.append(v)
-        self.context = context
         if attn_probs is not None:
             drawn = attn_probs.sum(axis=1)
             if self.mass is not None:
@@ -270,7 +300,8 @@ class LayerStream:
         probs = None if self.mass is None else self.mass[:, None]
         cache = self.policy.update(self.cache, k, v, attn_probs=probs)
         self.cache = cache.detach() if detach_cache else cache
-        self.staged_k, self.staged_v, self.mass, self.context = [], [], None, None
+        self.staged_k, self.staged_v, self.mass = [], [], None
+        self.context = self._buffers = None
 
 
 def _layer_step(
@@ -302,7 +333,7 @@ def _layer_step(
         if policy.slot_relative_positions and n_cached:
             # rolling positions: everything is rotated by its cache slot index
             cached_keys = apply_rope(cached_keys, np.arange(n_cached), rope)
-        stream.context = (cached_keys, split_heads(stream.cache.values, n_heads, head_dim))
+        stream.open_context(cached_keys, split_heads(stream.cache.values, n_heads, head_dim))
     if policy.slot_relative_positions:
         q_pos = n_context + np.arange(b)
         k_rot = apply_rope(k, q_pos, rope)
@@ -313,7 +344,7 @@ def _layer_step(
         k_for_cache = k_rot
     q_rot = apply_rope(q, q_pos, rope)
 
-    context_k, context_v = (hstack([c, x]) for c, x in zip(stream.context, (k_rot, v)))
+    context_k, context_v = stream.extend_context(k_rot, v)
     mass = None
     if policy.needs_probs:
         out, probs = attend(q_rot, context_k, context_v, n_context, return_probs=True)
@@ -325,7 +356,7 @@ def _layer_step(
     mlp_normed = rms_norm_cols(h, layer.mlp_gain)
     h = add(h, matmul(layer.mlp_out, relu(matmul(layer.mlp_in, mlp_normed))))
 
-    stream.stage(k_for_cache, v, (context_k, context_v), mass)
+    stream.stage(k_for_cache, v, mass)
     if flush:
         stream.flush(detach_cache)
     return h, (n_context + b) * b
@@ -339,28 +370,36 @@ def _forward_chunk(
     block: int,
     flush: bool,
     detach_cache: bool = False,
+    unembed: Tensor2 | None = None,
 ) -> tuple[Tensor2, list[int]]:
     """Logits of one chunk that stays within ``block``, plus attn entries per layer.
 
-    Raises NonFiniteError naming the block and layer whose output overflows.
+    ``unembed`` is ``transpose(params.embed)`` when the caller already made
+    it. A NonFiniteError inside a layer, or a layer output that overflows, is
+    raised again naming the block and the layer.
     """
     rope = params.config.rope
     h = embedding_lookup(params.embed, tokens)
     attn_entries = []
     for index, (layer, stream) in enumerate(zip(params.layers, streams)):
-        h, entries = _layer_step(layer, h, stream, positions, rope, flush, detach_cache)
-        # NaN/inf, or an entry whose square overflows (the next RMS norm would
-        # silently zero its column), makes the sum of squares non-finite
-        if not np.isfinite(np.vdot(h.data, h.data)):
-            raise NonFiniteError(f"residual stream overflowed at block {block}, layer {index}")
+        try:
+            h, entries = _layer_step(layer, h, stream, positions, rope, flush, detach_cache)
+            # NaN/inf, or an entry whose square overflows (the next RMS norm would
+            # silently zero its column), makes the sum of squares non-finite
+            if not np.isfinite(np.vdot(h.data, h.data)):
+                raise NonFiniteError("residual stream overflowed")
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{exc} at block {block}, layer {index}") from exc
         attn_entries.append(entries)
     final = rms_norm_cols(h, params.final_gain)
-    return matmul(transpose(params.embed), final), attn_entries
+    if unembed is None:
+        unembed = transpose(params.embed)
+    return matmul(unembed, final), attn_entries
 
 
 def _open_streams(params: ModelParams, policy: PolicySpec, block_size: int) -> list[LayerStream]:
     return [
-        LayerStream(lp, lp.empty_cache(params.config.d_model))
+        LayerStream(lp, lp.empty_cache(params.config.d_model), block_size)
         for lp in build_layer_policies(params, policy, block_size)
     ]
 
@@ -450,7 +489,9 @@ def generate(
     ``forward_segmented``. Queries attend to the cache plus the staged columns,
     so a bounded policy holds at most M + B columns per head, and the logits
     equal those of ``forward_segmented(prompt + generated[:-1], policy,
-    block_size)`` up to summation order.
+    block_size)`` up to summation order. A decode step writes its one key
+    and value column into each layer's context buffer (see ``LayerStream``)
+    and reuses the unembedding made once per call.
 
     Ties in the argmax resolve to the lowest byte, so decoding is
     deterministic. The total context must fit max_context * interpolation_scale.
@@ -465,17 +506,18 @@ def generate(
     if n_new == 0:
         return prompt.copy()
     streams = _open_streams(params, policy, block_size)
+    unembed = transpose(params.embed)
     for start, stop, positions in SegmentStream(prompt, block_size).blocks():
         logits, _ = _forward_chunk(
             params, streams, prompt[start:stop], positions, start // block_size,
-            stop % block_size == 0,
+            stop % block_size == 0, unembed=unembed,
         )
     out = list(prompt)
     out.append(int(np.argmax(logits.data[:, -1])))
     for position in range(prompt.size, prompt.size + n_new - 1):
         logits, _ = _forward_chunk(
             params, streams, np.array([out[-1]]), np.array([position]),
-            position // block_size, (position + 1) % block_size == 0,
+            position // block_size, (position + 1) % block_size == 0, unembed=unembed,
         )
         out.append(int(np.argmax(logits.data[:, -1])))
     return np.array(out, dtype=np.int64)

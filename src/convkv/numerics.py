@@ -320,13 +320,17 @@ def softmax_cols(x: Tensor2) -> Tensor2:
 def add_mask(x: Tensor2, mask: np.ndarray) -> Tensor2:
     """Add a constant 0 / -inf mask; the only sanctioned source of -inf.
 
-    The (rows, cols) mask applies to every head of a head-batched input.
+    The (rows, cols) mask applies to every head of a head-batched input. The
+    input must be finite: an overflowed score would turn into NaN or pass for
+    a masked entry once the mask is added.
     """
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != x.shape[-2:]:
         raise ShapeError(f"add_mask: mask shape {mask.shape} != input shape {x.shape}")
     if not np.all((mask == 0.0) | np.isneginf(mask)):
         raise NumericsError("add_mask: mask entries must be 0 or -inf")
+    if not np.isfinite(x.data).all():
+        raise NonFiniteError("add_mask: NaN or inf in the scores")
 
     def vjp(g):
         return (g,)  # -inf rows carry zero probability, so g is 0 there already
@@ -530,14 +534,16 @@ def rms_norm_cols(x: Tensor2, gain: Tensor2, eps: float = 1e-8) -> Tensor2:
     _require_2d("rms_norm_cols", x)
     if gain.shape != (x.rows, 1):
         raise ShapeError(f"rms_norm_cols: gain must be {x.rows}x1, got {gain.shape}")
-    r = np.sqrt((x.data ** 2).mean(axis=0) + eps)
+    rows = x.rows
+    # the column mean as numpy's .mean computes it, without its Python wrapper
+    r = np.sqrt(np.add.reduce(x.data ** 2, axis=0) / rows + eps)
     u = x.data / r
     gd = gain.data
 
     def vjp(g):
         ggain = (g * u).sum(axis=1, keepdims=True)
         gg = g * gd
-        gx = gg / r - u * ((gg * u).mean(axis=0) / r)
+        gx = gg / r - u * ((np.add.reduce(gg * u, axis=0) / rows) / r)
         return gx, ggain
 
     return _result(gd * u, (x, gain), vjp)

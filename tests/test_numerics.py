@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convkv.attention import RopeConfig, apply_rope, attend, merge_heads, split_heads
+from convkv.cache import KvCache
+from convkv.model import LayerStream
 from convkv.numerics import (
     ConvKernels,
     GradTape,
@@ -19,6 +21,7 @@ from convkv.numerics import (
     backward,
     conv1d,
     cross_entropy_cols,
+    custom_op,
     embedding_lookup,
     hstack,
     matmul,
@@ -33,6 +36,7 @@ from convkv.numerics import (
     transpose,
     vstack,
 )
+from convkv.policies import PolicySpec
 
 import oracles
 
@@ -122,6 +126,12 @@ class TestSoftmaxCols:
         col = np.array([1.0, 2.0, 3.0])
         out = softmax_cols(t2(col.reshape(3, 1)))
         assert np.max(np.abs(out.data[:, 0] - oracles.softmax_scalar(col))) < 1e-15
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_add_mask_rejects_non_finite_scores(self, bad):
+        scores = custom_op([], np.array([[bad], [0.0]]), lambda g: ())
+        with pytest.raises(NonFiniteError, match="add_mask"):
+            add_mask(scores, np.zeros((2, 1)))
 
     def test_fully_masked_column_rejected(self):
         x = add_mask(t2([[0.0], [0.0]]), np.full((2, 1), -np.inf))
@@ -405,6 +415,30 @@ class TestGradients:
             return cross_entropy_cols(merge_heads(out), np.array([1, 6, 3]))
 
         fd_check(loss, [q, k_new, v_new, k_cached, v_cached])
+
+    @pytest.mark.parametrize("n_cached", [0, 3])
+    def test_context_buffer_extension(self, n_cached):
+        # the decode path: two chunks extend one in-place context buffer
+        rng = np.random.default_rng(6)
+        n_heads, head_dim, chunks = 2, 4, (2, 1)
+        d = n_heads * head_dim
+        k_cached, v_cached = (rand(rng, d, n_cached, trainable=True) for _ in range(2))
+        qs, ks, vs = ([rand(rng, d, b, trainable=True) for b in chunks] for _ in range(3))
+
+        def loss():
+            stream = LayerStream(PolicySpec("concat").build(), KvCache.empty(d), sum(chunks))
+            stream.open_context(*(split_heads(x, n_heads, head_dim) for x in (k_cached, v_cached)))
+            outs, n_context = [], n_cached
+            for q, k, v in zip(qs, ks, vs):
+                context_k, context_v = stream.extend_context(
+                    split_heads(k, n_heads, head_dim), split_heads(v, n_heads, head_dim)
+                )
+                outs.append(attend(split_heads(q, n_heads, head_dim), context_k, context_v,
+                                   n_context))
+                n_context += q.cols
+            return cross_entropy_cols(merge_heads(hstack(outs)), np.array([1, 6, 3]))
+
+        fd_check(loss, [k_cached, v_cached, *qs, *ks, *vs])
 
     def test_relu_vstack_select(self):
         rng = np.random.default_rng(4)
