@@ -9,9 +9,7 @@ compared on equal footing with exact memory instrumentation.
 from .attention import (
     AttentionParams,
     RopeConfig,
-    SegmentStream,
     apply_rope,
-    full_causal_attention,
     project_qkv,
 )
 from .cache import (
@@ -23,12 +21,7 @@ from .cache import (
     update_h2o,
     update_sink_window,
 )
-from .checkpoint import (
-    has_conv_heads,
-    load_checkpoint,
-    save_checkpoint,
-    strip_conv_heads,
-)
+from .checkpoint import load_checkpoint, save_checkpoint
 from .compressor import (
     ConvHead,
     FusionWeights,

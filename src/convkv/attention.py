@@ -1,11 +1,11 @@
-"""Causal attention over full sequences and over cached blocks.
+"""Causal attention of a block of queries against cached plus fresh keys.
 
-``full_causal_attention`` is the quadratic reference path. ``attend`` runs a
-block of queries against cached plus fresh keys; the model's block-wise
-forward (``model.forward_segmented``) is built on it and must agree with the
-reference for every block size, which is the core correctness property
-everything downstream leans on. Rotary position embedding (with optional
-interpolation for context extension) lives here too.
+``attend`` is the one attention op. The model's block-wise forward
+(``model.forward_segmented``) is built on it and must agree with a
+whole-sequence causal pass for every block size (the reference lives in the
+tests), which is the core correctness property everything downstream leans
+on. Rotary position embedding (with optional interpolation for context
+extension) lives here too.
 
 Heads ride a leading axis: ``split_heads`` views a (n_heads * head_dim, T)
 projection as (n_heads, head_dim, T) without copying, rotary embedding and
@@ -66,12 +66,10 @@ class AttentionParams:
     w_k: Tensor2
     w_v: Tensor2
     w_o: Tensor2
-    n_heads: int = 1
-    head_dim: int = 0
+    n_heads: int
+    head_dim: int
 
     def __post_init__(self):
-        if self.head_dim == 0:
-            self.head_dim = self.w_q.rows // self.n_heads
         inner = self.n_heads * self.head_dim
         for name, w in (("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v)):
             if w.rows != inner:
@@ -81,45 +79,6 @@ class AttentionParams:
 
     def tensors(self):
         return [("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v), ("w_o", self.w_o)]
-
-
-@dataclass(frozen=True)
-class SegmentStream:
-    """A token sequence chunked into blocks of ``block_size``.
-
-    Training demands an exact chunking; set ``allow_short_final`` for
-    inference streams whose last block may come up short.
-    """
-
-    token_ids: np.ndarray
-    block_size: int
-    allow_short_final: bool = True
-
-    def __post_init__(self):
-        ids = np.asarray(self.token_ids, dtype=np.int64)
-        if ids.ndim != 1:
-            raise ShapeError("token_ids must be a 1-D sequence")
-        object.__setattr__(self, "token_ids", ids)
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
-        if not self.allow_short_final and len(ids) % self.block_size != 0:
-            raise ValueError(
-                f"length {len(ids)} is not a multiple of block size {self.block_size}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.token_ids)
-
-    @property
-    def n_blocks(self) -> int:
-        return -(-len(self.token_ids) // self.block_size)
-
-    def blocks(self):
-        """Yield (start, stop, absolute_positions) per block."""
-        total = len(self.token_ids)
-        for start in range(0, total, self.block_size):
-            stop = min(start + self.block_size, total)
-            yield start, stop, np.arange(start, stop)
 
 
 def project_qkv(x: Tensor2, params: AttentionParams) -> tuple[Tensor2, Tensor2, Tensor2]:
@@ -201,13 +160,6 @@ def attend(q: Tensor2, k: Tensor2, v: Tensor2, n_cached: int = 0,
     if return_probs:
         return out, probs
     return out
-
-
-def full_causal_attention(q: Tensor2, k: Tensor2, v: Tensor2) -> Tensor2:
-    """Reference quadratic path: output column t attends to key columns <= t."""
-    if q.cols != k.cols:
-        raise ShapeError(f"full attention expects square layout, got {q.cols} queries vs {k.cols} keys")
-    return attend(q, k, v, n_cached=0)
 
 
 def split_heads(x: Tensor2, n_heads: int, head_dim: int) -> Tensor2:

@@ -47,7 +47,7 @@ class HeavyHitterState:
     def empty(cls, recent_budget: int, heavy_budget: int) -> "HeavyHitterState":
         return cls(np.zeros(0), recent_budget, heavy_budget)
 
-    def accumulate(self, attn_probs: np.ndarray | Tensor2 | None, n_new: int) -> np.ndarray:
+    def accumulate(self, attn_probs: np.ndarray | None, n_new: int) -> np.ndarray:
         """Scores of the cached plus ``n_new`` incoming columns after one block.
 
         ``attn_probs`` are the block's softmax probabilities (rows = cached +
@@ -55,7 +55,7 @@ class HeavyHitterState:
         """
         if attn_probs is None:
             raise CacheError("heavy-hitter updates need the block's attention probabilities")
-        probs = attn_probs.data if isinstance(attn_probs, Tensor2) else np.asarray(attn_probs)
+        probs = np.asarray(attn_probs)
         n_total = len(self.scores) + n_new
         if probs.shape[0] != n_total:
             raise ShapeError(
@@ -120,10 +120,10 @@ class KvCache:
             raise CacheError(f"capacity must be positive, got {self.capacity}")
 
     @classmethod
-    def empty(cls, d_k: int, d_v: int | None = None, capacity: int | None = None,
+    def empty(cls, d: int, capacity: int | None = None,
               state: object | None = None) -> "KvCache":
-        d_v = d_k if d_v is None else d_v
-        return cls(Tensor2.zeros(d_k, 0), Tensor2.zeros(d_v, 0), capacity, state)
+        """No columns yet; keys and values both have ``d`` rows."""
+        return cls(Tensor2.zeros(d, 0), Tensor2.zeros(d, 0), capacity, state)
 
     @property
     def live_entries(self) -> int:
@@ -156,7 +156,7 @@ def update_h2o(
     cache: KvCache,
     k_new: Tensor2,
     v_new: Tensor2,
-    attn_probs: np.ndarray | Tensor2,
+    attn_probs: np.ndarray,
 ) -> KvCache:
     """Accumulate attention mass, then evict down to the slot budget.
 

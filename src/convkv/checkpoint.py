@@ -1,8 +1,9 @@
 """Versioned binary checkpoints: JSON header + raw little-endian float64.
 
-The conv heads live in their own section so they can be added after
-calibration or stripped again without touching a byte of the base weights;
-loading a checkpoint and saving it back reproduces the file bit for bit.
+The conv heads live in their own section after the base weights, so adding
+them after calibration, or saving again after ``ModelParams.drop_conv_heads``,
+leaves every byte of the base weights as it was; loading a checkpoint and
+saving it back reproduces the file bit for bit.
 The header of format version 2 carries a CRC-32 of the payload, so a flipped
 bit in the weights is caught at load time. Version 1 files have no checksum
 and are rejected.
@@ -10,6 +11,7 @@ and are rejected.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 import zlib
@@ -17,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .compressor import ConvHead
+from .compressor import new_conv_head
 from .model import ModelConfig, ModelParams
-from .numerics import ConvKernels, Tensor2
+from .numerics import Tensor2
 
 MAGIC = b"CKVC"
 FORMAT_VERSION = 2
@@ -29,43 +31,52 @@ class CheckpointError(ValueError):
     """Unreadable or inconsistent checkpoint file."""
 
 
-def _tensor_entries(named, offset):
-    entries = []
-    for name, tensor in named:
-        entries.append(
-            {"name": name, "rows": tensor.rows, "cols": tensor.cols, "offset": offset}
-        )
-        offset += tensor.rows * tensor.cols
-    return entries, offset
+def _layout(params: ModelParams) -> tuple[dict, list | None]:
+    """The header's ``sections`` and ``conv_meta`` for ``params``.
+
+    The one place that knows the layout: save writes it, and load accepts a
+    header only if it equals the layout of the params built from it. Tensors
+    sit in the payload back to back, base weights first.
+    """
+    named = {"base": params.named_base()}
+    if params.conv_heads is not None:
+        named["conv_heads"] = params.named_conv()
+    sections, offset = {}, 0
+    for section, tensors in named.items():
+        sections[section] = []
+        for name, tensor in tensors:
+            sections[section].append(
+                {"name": name, "rows": tensor.rows, "cols": tensor.cols, "offset": offset}
+            )
+            offset += tensor.rows * tensor.cols
+    conv_meta = None if params.conv_heads is None else [
+        {
+            "layer_index": head.layer_index,
+            "kernel_size": head.kernel_size,
+            "relu_position": head.relu_position,
+            "slots": head.slots,
+        }
+        for head in params.conv_heads
+    ]
+    return sections, conv_meta
+
+
+def _tensors(params: ModelParams) -> list[Tensor2]:
+    return [tensor for _, tensor in params.named_base() + params.named_conv()]
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     """Write config + weights; byte output is a pure function of the params."""
-    base = params.named_base()
-    conv = params.named_conv()
-    base_entries, offset = _tensor_entries(base, 0)
-    conv_entries, offset = _tensor_entries(conv, offset)
-    payload = b"".join(
-        tensor.data.astype("<f8", copy=False).tobytes() for _, tensor in base + conv
-    )
-
+    payload = b"".join(t.data.astype("<f8", copy=False).tobytes() for t in _tensors(params))
+    sections, conv_meta = _layout(params)
     header: dict = {
         "format_version": FORMAT_VERSION,
-        "config": params.config.to_dict(),
+        "config": dataclasses.asdict(params.config),
         "payload_crc32": zlib.crc32(payload),
-        "sections": {"base": base_entries},
+        "sections": sections,
     }
-    if params.conv_heads is not None:
-        header["sections"]["conv_heads"] = conv_entries
-        header["conv_meta"] = [
-            {
-                "layer_index": head.layer_index,
-                "kernel_size": head.kernel_size,
-                "relu_position": head.relu_position,
-                "slots": head.slots,
-            }
-            for head in params.conv_heads
-        ]
+    if conv_meta is not None:
+        header["conv_meta"] = conv_meta
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     with open(path, "wb") as fh:
@@ -102,15 +113,38 @@ def _read_header(fh) -> dict:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
 
 
+def _params_from_header(header: dict) -> ModelParams:
+    """Params shaped as the header says, their weights still to be filled."""
+    config = ModelConfig(**header["config"])
+    params = ModelParams.init(config)
+    conv_meta = header.get("conv_meta")
+    if conv_meta is not None:
+        rng = np.random.default_rng(0)
+        params.conv_heads = [
+            new_conv_head(config.d_model, meta["slots"], meta["kernel_size"], rng,
+                          meta["relu_position"], meta["layer_index"])
+            for meta in conv_meta
+        ]
+        if [head.layer_index for head in params.conv_heads] != list(range(config.n_layers)):
+            raise ValueError(f"conv heads must be listed for layers 0..{config.n_layers - 1}")
+    if (header["sections"], conv_meta) != _layout(params):
+        raise ValueError("the tensor layout does not match the config and conv_meta")
+    return params
+
+
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Read a checkpoint; any truncation, padding, flipped payload bit or shape
-    mismatch raises CheckpointError."""
+    """Read a checkpoint; any truncation, padding, flipped payload bit or header
+    that disagrees with the layout ``save_checkpoint`` writes raises
+    CheckpointError."""
     with open(path, "rb") as fh:
         header = _read_header(fh)
         payload = fh.read()
-    sections = header["sections"]
-    entries = [e for section in sections.values() for e in section]
-    expected = 8 * sum(e["rows"] * e["cols"] for e in entries)
+    try:
+        params = _params_from_header(header)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
+    tensors = _tensors(params)
+    expected = 8 * sum(t.rows * t.cols for t in tensors)
     if len(payload) != expected:
         raise CheckpointError(
             f"payload holds {len(payload)} bytes but the header describes {expected}"
@@ -118,52 +152,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     if zlib.crc32(payload) != header.get("payload_crc32"):
         raise CheckpointError("payload checksum mismatch: the weights are corrupt")
     data = np.frombuffer(payload, dtype="<f8")
-
-    def take(entry) -> Tensor2:
-        start = entry["offset"]
-        count = entry["rows"] * entry["cols"]
-        if start + count > data.size:
-            raise CheckpointError(f"tensor {entry['name']} runs past the payload")
-        return Tensor2(data[start:start + count].reshape(entry["rows"], entry["cols"]))
-
-    config = ModelConfig.from_dict(header["config"])
-    base = {e["name"]: e for e in sections["base"]}
-    params = ModelParams.init(config, seed=0)
-    for name, tensor in params.named_base():
-        entry = base.get(name)
-        if entry is None:
-            raise CheckpointError(f"checkpoint is missing base tensor {name!r}")
-        if (entry["rows"], entry["cols"]) != tensor.shape:
-            raise CheckpointError(
-                f"tensor {name!r} is {entry['rows']}x{entry['cols']} in the checkpoint, "
-                f"the model needs {tensor.rows}x{tensor.cols}"
-            )
-        tensor.data = take(entry).data
-
-    if "conv_heads" in sections:
-        conv_tensors = {e["name"]: take(e) for e in sections["conv_heads"]}
-        heads = []
-        for meta in header["conv_meta"]:
-            i = meta["layer_index"]
-            weights = conv_tensors[f"conv_heads.{i}.kernels"]
-            kernels = ConvKernels(weights, c_in=2 * config.d_model, k=meta["kernel_size"])
-            heads.append(
-                ConvHead(kernels, layer_index=i, relu_position=meta["relu_position"])
-            )
-        params.conv_heads = heads
-    else:
-        params.conv_heads = None
+    offset = 0
+    for tensor in tensors:
+        count = tensor.rows * tensor.cols
+        tensor.data = Tensor2(data[offset:offset + count].reshape(tensor.shape)).data
+        offset += count
     return params
-
-
-def has_conv_heads(path: str | Path) -> bool:
-    with open(path, "rb") as fh:
-        header = _read_header(fh)
-    return "conv_heads" in header["sections"]
-
-
-def strip_conv_heads(src: str | Path, dst: str | Path) -> None:
-    """Rewrite a checkpoint without its compression heads."""
-    params = load_checkpoint(src)
-    params.drop_conv_heads()
-    save_checkpoint(params, dst)

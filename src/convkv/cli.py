@@ -61,7 +61,6 @@ class RunConfig:
     learning_rate_base: float = 2e-2
     learning_rate_conv: float = 5e-2
     context_length: int = 64
-    window_align: int | None = None
     detach_cache: bool = False
     # evaluation
     eval_context_length: int = 64
@@ -84,20 +83,10 @@ class RunConfig:
     axis: str = "memory_size"
     values: str = ""
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            d_model=self.d_model,
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            head_dim=self.head_dim,
-            max_context=self.max_context,
-            mlp_ratio=self.mlp_ratio,
-            rope_base=self.rope_base,
-            interpolation_scale=self.interpolation_scale,
-        )
+        """The architecture knobs, each named as its ModelConfig field."""
+        names = [f.name for f in dataclasses.fields(ModelConfig) if f.name in _FIELD_TYPES]
+        return ModelConfig(**{name: getattr(self, name) for name in names})
 
     def train_config(self, steps: int | None = None, seed: int | None = None) -> TrainConfig:
         return TrainConfig(
@@ -107,7 +96,6 @@ class RunConfig:
             batch_size=self.batch_size,
             seed=self.seed if seed is None else seed,
             context_length=self.context_length,
-            window_align=self.window_align,
             detach_cache_between_blocks=self.detach_cache,
         )
 
@@ -233,7 +221,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _echo_config(cfg: RunConfig, out: Path, command: str) -> None:
-    payload = {"command": command, **cfg.to_dict()}
+    payload = {"command": command, **dataclasses.asdict(cfg)}
     (out / f"{command}_config.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n"
     )

@@ -36,7 +36,7 @@ from .numerics import (
 )
 
 RELU_POSITIONS = ("post", "pre")
-DEFAULT_KERNEL_SIZE = 21
+INIT_SCALE = 0.05  # spread of a fresh head's kernel weights
 
 
 @dataclass
@@ -66,10 +66,6 @@ class ConvHead:
         return self.kernels.c_out
 
     @property
-    def feature_dim(self) -> int:
-        return self.kernels.c_in // 2
-
-    @property
     def kernel_size(self) -> int:
         return self.kernels.k
 
@@ -77,11 +73,10 @@ class ConvHead:
 def new_conv_head(
     feature_dim: int,
     slots: int,
-    kernel_size: int = DEFAULT_KERNEL_SIZE,
-    rng: np.random.Generator | None = None,
+    kernel_size: int,
+    rng: np.random.Generator,
     relu_position: str = "post",
     layer_index: int = 0,
-    init_scale: float = 0.05,
 ) -> ConvHead:
     """Fresh head with near-delta initialization.
 
@@ -90,11 +85,10 @@ def new_conv_head(
     that survive the clamp (averaging-like behavior before calibration) while
     leaving every kernel parameter a live gradient path.
     """
-    rng = np.random.default_rng() if rng is None else rng
     c_in = 2 * feature_dim
-    w = rng.normal(0.0, init_scale, size=(slots, c_in * kernel_size))
+    w = rng.normal(0.0, INIT_SCALE, size=(slots, c_in * kernel_size))
     center = (kernel_size - 1) // 2
-    w[:, center::kernel_size] += init_scale / c_in
+    w[:, center::kernel_size] += INIT_SCALE / c_in
     kernels = ConvKernels(Tensor2(w, requires_grad=False), c_in=c_in, k=kernel_size)
     return ConvHead(kernels, layer_index=layer_index, relu_position=relu_position)
 
@@ -116,10 +110,6 @@ class FusionWeights:
     def __post_init__(self):
         if self.new_weights.rows != self.cache_weights.rows:
             raise ShapeError("weight halves disagree on slot count")
-
-    @property
-    def slots(self) -> int:
-        return self.new_weights.rows
 
 
 def synthesize_weights(
@@ -192,7 +182,7 @@ def compress_step(
     v_new: Tensor2,
     head: ConvHead,
     reserved: int = 0,
-    attn_probs: np.ndarray | Tensor2 | None = None,
+    attn_probs: np.ndarray | None = None,
 ) -> KvCache:
     """One cache update: concatenate while the budget allows, merge after.
 

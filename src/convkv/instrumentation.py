@@ -10,6 +10,7 @@ layer-head for bounded policies).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import time
@@ -56,15 +57,6 @@ class MemoryTrace:
     def peak_attn_entries(self) -> int:
         return max((r.attn_entries for r in self.records), default=0)
 
-    def live_entries_by_block(self, layer: int = 0) -> list[int]:
-        return [r.live_entries for r in self.records if r.layer == layer]
-
-    def merge(self, other: "MemoryTrace") -> "MemoryTrace":
-        """Explicit reduce step for combining per-session traces."""
-        merged = MemoryTrace()
-        merged.records = list(self.records) + list(other.records)
-        return merged
-
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -88,19 +80,9 @@ class PolicyReport:
     tokens_per_second: float
     timestamp: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "config": self.config,
-            "perplexity": self.perplexity,
-            "peak_live_entries": self.peak_live_entries,
-            "tokens_per_second": self.tokens_per_second,
-            "timestamp": self.timestamp,
-        }
-
 
 def write_reports_json(path: str | Path, reports: list[PolicyReport]) -> None:
-    payload = [r.to_json_dict() for r in reports]
+    payload = [dataclasses.asdict(r) for r in reports]
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 

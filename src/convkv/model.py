@@ -9,14 +9,13 @@ which cache columns survive between blocks is entirely the policy's call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import (
     AttentionParams,
     RopeConfig,
-    SegmentStream,
     apply_rope,
     attend,
     merge_heads,
@@ -27,15 +26,16 @@ from .cache import CacheError, KvCache
 from .compressor import ConvHead, new_conv_head
 from .numerics import (
     NonFiniteError,
+    ShapeError,
     Tensor2,
     add,
     cross_entropy_cols,
     custom_op,
-    embedding_lookup,
     hstack,
     matmul,
     relu,
     rms_norm_cols,
+    select_cols,
     slice_cols,
     transpose,
 )
@@ -80,23 +80,6 @@ class ModelConfig:
     @property
     def context_limit(self) -> int:
         return int(self.max_context * self.interpolation_scale)
-
-    def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "head_dim": self.head_dim,
-            "vocab_size": self.vocab_size,
-            "max_context": self.max_context,
-            "mlp_ratio": self.mlp_ratio,
-            "rope_base": self.rope_base,
-            "interpolation_scale": self.interpolation_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -213,6 +196,11 @@ def build_layer_policies(
                 f"policy {spec.name!r} needs conv heads but the model has none; "
                 "calibrate first or pick an eviction policy"
             )
+        if len(params.conv_heads) != params.config.n_layers:
+            raise CacheError(
+                f"policy {spec.name!r} needs one conv head per layer: the model has "
+                f"{params.config.n_layers} layers and {len(params.conv_heads)} heads"
+            )
         return [spec.build(head) for head in params.conv_heads]
     return [spec.build() for _ in range(params.config.n_layers)]
 
@@ -244,9 +232,9 @@ class LayerStream:
     + staged columns, keys rotated as attention sees them. Both are views
     into one buffer per tensor of n_cached + B columns, filled from the cache
     once per flush and extended in place by each chunk, so a decode step
-    copies its own column only. ``mass`` is the attention each context
-    column drew from the staged queries, summed over heads, for policies
-    that keep keys by it.
+    copies its own column only. ``mass``, for policies that keep keys by it,
+    is allocated beside the buffers with n_cached + B zeros and sums the
+    attention each context column drew from the staged queries, over heads.
     """
 
     def __init__(self, policy: LayerPolicy, cache: KvCache, block_size: int):
@@ -271,6 +259,8 @@ class LayerStream:
         )
         for buffer, c in zip(self._buffers, self.context):
             buffer[..., :c.cols] = c.data
+        if self.policy.needs_probs:
+            self.mass = np.zeros(keys.cols + self.block_size)
 
     def extend_context(self, keys: Tensor2, values: Tensor2) -> tuple[Tensor2, Tensor2]:
         """Append a chunk's keys (rotated) and values to the context, in place."""
@@ -286,10 +276,7 @@ class LayerStream:
         self.staged_k.append(k)
         self.staged_v.append(v)
         if attn_probs is not None:
-            drawn = attn_probs.sum(axis=1)
-            if self.mass is not None:
-                drawn += np.concatenate([self.mass, np.zeros(k.cols)])
-            self.mass = drawn
+            self.mass[:len(attn_probs)] += attn_probs.sum(axis=1)
 
     def flush(self, detach_cache: bool) -> None:
         """Hand the staged columns to the policy as one block."""
@@ -297,7 +284,7 @@ class LayerStream:
             merge_heads(parts[0] if len(parts) == 1 else hstack(parts))
             for parts in (self.staged_k, self.staged_v)
         )
-        probs = None if self.mass is None else self.mass[:, None]
+        probs = None if self.mass is None else self.mass[:self.context[0].cols, None]
         cache = self.policy.update(self.cache, k, v, attn_probs=probs)
         self.cache = cache.detach() if detach_cache else cache
         self.staged_k, self.staged_v, self.mass = [], [], None
@@ -379,7 +366,7 @@ def _forward_chunk(
     raised again naming the block and the layer.
     """
     rope = params.config.rope
-    h = embedding_lookup(params.embed, tokens)
+    h = select_cols(params.embed, tokens)
     attn_entries = []
     for index, (layer, stream) in enumerate(zip(params.layers, streams)):
         try:
@@ -406,6 +393,8 @@ def _open_streams(params: ModelParams, policy: PolicySpec, block_size: int) -> l
 
 def _token_ids(params: ModelParams, tokens: np.ndarray, what: str) -> np.ndarray:
     tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim != 1:
+        raise ShapeError(f"{what} must be a 1-D sequence of token ids")
     if tokens.size == 0:
         raise ValueError(f"{what} must not be empty")
     if tokens.max() >= params.config.vocab_size:
@@ -413,6 +402,25 @@ def _token_ids(params: ModelParams, tokens: np.ndarray, what: str) -> np.ndarray
     if tokens.min() < 0:
         raise ValueError("negative token id")
     return tokens
+
+
+def _blocks(n_tokens: int, block_size: int, exact: bool = False):
+    """(start, stop, absolute positions) of each block of ``block_size`` tokens.
+
+    The last block may come up short unless ``exact`` is set, which demands
+    a length that is a multiple of the block size. Checks run on the call.
+    """
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    if exact and n_tokens % block_size != 0:
+        raise ValueError(f"length {n_tokens} is not a multiple of block size {block_size}")
+
+    def blocks():
+        for start in range(0, n_tokens, block_size):
+            stop = min(start + block_size, n_tokens)
+            yield start, stop, np.arange(start, stop)
+
+    return blocks()
 
 
 def forward_segmented(
@@ -438,10 +446,10 @@ def forward_segmented(
     trace) and the layer.
     """
     tokens = _token_ids(params, tokens, "token sequence")
-    segments = SegmentStream(tokens, block_size, allow_short_final=not require_exact_blocks)
+    blocks = _blocks(tokens.size, block_size, exact=require_exact_blocks)
     streams = _open_streams(params, policy, block_size)
     logit_blocks = []
-    for block_index, (start, stop, positions) in enumerate(segments.blocks()):
+    for block_index, (start, stop, positions) in enumerate(blocks):
         block = block_offset + block_index
         logits, attn_entries = _forward_chunk(
             params, streams, tokens[start:stop], positions, block, True, detach_cache
@@ -505,9 +513,10 @@ def generate(
         )
     if n_new == 0:
         return prompt.copy()
+    blocks = _blocks(prompt.size, block_size)
     streams = _open_streams(params, policy, block_size)
     unembed = transpose(params.embed)
-    for start, stop, positions in SegmentStream(prompt, block_size).blocks():
+    for start, stop, positions in blocks:
         logits, _ = _forward_chunk(
             params, streams, prompt[start:stop], positions, start // block_size,
             stop % block_size == 0, unembed=unembed,
@@ -551,7 +560,7 @@ def perplexity(
         logits, _ = forward_segmented(
             params, window, policy, block_size, trace=trace, block_offset=block_offset
         )
-        block_offset += SegmentStream(window, block_size).n_blocks
+        block_offset += -(-window.size // block_size)
         d = logits.data[:, :-1]
         targets = window[1:]
         m = d.max(axis=0)

@@ -28,6 +28,9 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+RMS_EPS = 1e-8  # keeps rms_norm_cols finite on an all-zero column
+MIN_ROW_SUM = 1e-8  # row_normalize's floor for a dead row
+
 
 class NumericsError(ValueError):
     """Numeric contract violation (non-finite data, bad shapes, tape misuse)."""
@@ -71,8 +74,8 @@ class Tensor2:
         self.grad: np.ndarray | None = None
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, requires_grad: bool = False) -> "Tensor2":
-        return _wrap(np.zeros((rows, cols)), requires_grad)
+    def zeros(cls, rows: int, cols: int) -> "Tensor2":
+        return _wrap(np.zeros((rows, cols)), False)
 
     @property
     def rows(self) -> int:
@@ -86,28 +89,9 @@ class Tensor2:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def T(self) -> "Tensor2":
-        return transpose(self)
-
     def detach(self) -> "Tensor2":
         """Same values, cut off from gradient tracking."""
         return _wrap(self.data, False)
-
-    def copy(self) -> "Tensor2":
-        out = _wrap(self.data.copy(), self.requires_grad)
-        return out
-
-    def __matmul__(self, other: "Tensor2") -> "Tensor2":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        return add(self, other)
-
-    def __mul__(self, scalar: float) -> "Tensor2":
-        return scale(self, scalar)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         flag = ", trainable" if self.requires_grad else ""
@@ -176,30 +160,22 @@ class GradTape:
         return len(self._entries)
 
 
-def backward(tape: GradTape, seed: float = 1.0, output: Tensor2 | None = None) -> dict[Tensor2, np.ndarray]:
-    """Replay ``tape`` in reverse, returning gradients for trainable leaves.
+def backward(tape: GradTape, output: Tensor2) -> dict[Tensor2, np.ndarray]:
+    """Replay ``tape`` in reverse from the 1x1 ``output``, returning gradients
+    for trainable leaves.
 
-    ``output`` defaults to the result of the last recorded op and must be a
-    1x1 tensor when ``seed`` is a plain scalar. Gradients are accumulated per
-    tensor; ops whose result never received an upstream gradient contribute
-    nothing. The tape must be ``reset()`` before it can be replayed again.
+    Gradients are accumulated per tensor; ops whose result never received an
+    upstream gradient contribute nothing. The tape must be ``reset()`` before
+    it can be replayed again.
     """
     if tape._consumed:
         raise TapeError("tape already replayed; call reset() before reuse")
     if not tape._entries:
         raise TapeError("tape is empty; no forward pass was recorded")
-    if output is None:
-        output = tape._entries[-1][1]
-    if np.isscalar(seed):
-        if output.shape != (1, 1):
-            raise ShapeError(f"scalar seed needs a 1x1 output, got {output.shape}")
-        seed_arr = np.array([[float(seed)]])
-    else:
-        seed_arr = np.asarray(seed, dtype=np.float64)
-        if seed_arr.shape != output.shape:
-            raise ShapeError(f"seed shape {seed_arr.shape} != output shape {output.shape}")
+    if output.shape != (1, 1):
+        raise ShapeError(f"backward needs a 1x1 output, got {output.shape}")
 
-    grads: dict[Tensor2, np.ndarray] = {output: seed_arr}
+    grads: dict[Tensor2, np.ndarray] = {output: np.ones((1, 1))}
     produced = {id(entry[1]) for entry in tape._entries}
     for inputs, out, vjp in reversed(tape._entries):
         g = grads.pop(out, None)
@@ -402,10 +378,10 @@ def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
     return _result(out, (x, w), vjp)
 
 
-def row_normalize(x: Tensor2, min_row_sum: float = 1e-8) -> Tensor2:
+def row_normalize(x: Tensor2) -> Tensor2:
     """Divide each row by its sum; entries must be nonnegative.
 
-    Rows whose sum falls below ``min_row_sum`` first get ``min_row_sum`` added
+    Rows whose sum falls below ``MIN_ROW_SUM`` first get ``MIN_ROW_SUM`` added
     uniformly, so a dead row normalizes to near-uniform weights instead of
     blowing up.
     """
@@ -416,8 +392,8 @@ def row_normalize(x: Tensor2, min_row_sum: float = 1e-8) -> Tensor2:
     if (d < 0.0).any():
         raise NumericsError("row_normalize: negative entries")
     sums = d.sum(axis=1, keepdims=True)
-    dead = sums < min_row_sum
-    adj = np.where(dead, d + min_row_sum, d)
+    dead = sums < MIN_ROW_SUM
+    adj = np.where(dead, d + MIN_ROW_SUM, d)
     r = adj.sum(axis=1, keepdims=True)
     y = adj / r
 
@@ -479,22 +455,11 @@ def slice_cols(x: Tensor2, start: int, stop: int) -> Tensor2:
     return _result(x.data[:, start:stop].copy(), (x,), vjp)
 
 
-def slice_rows(x: Tensor2, start: int, stop: int) -> Tensor2:
-    _require_2d("slice_rows", x)
-    if not (0 <= start <= stop <= x.rows):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {x.rows} rows")
-    rows, cols = x.shape
-
-    def vjp(g):
-        gx = np.zeros((rows, cols))
-        gx[start:stop, :] = g
-        return (gx,)
-
-    return _result(x.data[start:stop, :].copy(), (x,), vjp)
-
-
 def select_cols(x: Tensor2, indices: np.ndarray) -> Tensor2:
-    """Gather columns by index (duplicates allowed)."""
+    """Gather columns by index (duplicates allowed); grads scatter-add back.
+
+    Also the embedding lookup: the columns of the table are the token ids.
+    """
     _require_2d("select_cols", x)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
@@ -511,32 +476,14 @@ def select_cols(x: Tensor2, indices: np.ndarray) -> Tensor2:
     return _result(x.data[:, idx].copy(), (x,), vjp)
 
 
-def embedding_lookup(table: Tensor2, ids: np.ndarray) -> Tensor2:
-    """Gather embedding columns for integer ids; grads scatter-add back."""
-    _require_2d("embedding_lookup", table)
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError("embedding_lookup: ids must be 1-D")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.cols):
-        raise ShapeError(f"embedding_lookup: id out of range for vocab {table.cols}")
-    rows, vocab = table.shape
-
-    def vjp(g):
-        gt = np.zeros((vocab, rows))
-        np.add.at(gt, ids, g.T)
-        return (np.ascontiguousarray(gt.T),)
-
-    return _result(table.data[:, ids].copy(), (table,), vjp)
-
-
-def rms_norm_cols(x: Tensor2, gain: Tensor2, eps: float = 1e-8) -> Tensor2:
+def rms_norm_cols(x: Tensor2, gain: Tensor2) -> Tensor2:
     """Normalize each column to unit root-mean-square, then scale rows by gain."""
     _require_2d("rms_norm_cols", x)
     if gain.shape != (x.rows, 1):
         raise ShapeError(f"rms_norm_cols: gain must be {x.rows}x1, got {gain.shape}")
     rows = x.rows
     # the column mean as numpy's .mean computes it, without its Python wrapper
-    r = np.sqrt(np.add.reduce(x.data ** 2, axis=0) / rows + eps)
+    r = np.sqrt(np.add.reduce(x.data ** 2, axis=0) / rows + RMS_EPS)
     u = x.data / r
     gd = gain.data
 

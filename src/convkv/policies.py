@@ -155,15 +155,15 @@ class LayerPolicy:
         """Rolling position embeddings: rotate by cache slot, not absolute index."""
         return isinstance(self.spec.empty_state, SinkWindowState)
 
-    def empty_cache(self, d_k: int, d_v: int | None = None) -> KvCache:
-        return KvCache.empty(d_k, d_v, self.spec.capacity, self.spec.empty_state)
+    def empty_cache(self, d: int) -> KvCache:
+        return KvCache.empty(d, self.spec.capacity, self.spec.empty_state)
 
     def update(
         self,
         cache: KvCache,
         k_new: Tensor2,
         v_new: Tensor2,
-        attn_probs: np.ndarray | Tensor2 | None = None,
+        attn_probs: np.ndarray | None = None,
     ) -> KvCache:
         spec = self.spec
         if spec.pinned is not None:

@@ -21,6 +21,9 @@ from .model import ModelConfig, ModelParams, sequence_loss
 from .numerics import GradTape, NonFiniteError, Tensor2, add, backward, scale
 from .policies import PolicySpec
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 class TrainingDivergedError(RuntimeError):
     """Loss went NaN; aborts with the offending step in the message."""
@@ -39,10 +42,8 @@ class TrainConfig:
     learning_rate_conv: float = 5e-2
     steps: int = 200
     batch_size: int = 16
-    linear_decay: bool = True
     seed: int = 0
     context_length: int = 64
-    window_align: int | None = None  # sample windows at multiples of this offset
     detach_cache_between_blocks: bool = False
 
 
@@ -53,9 +54,6 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(
@@ -68,7 +66,7 @@ def adam_step(
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETAS
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     for name, tensor in params:
@@ -85,14 +83,8 @@ def adam_step(
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
-        tensor.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        tensor.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     return state
-
-
-def _step_lr(base_lr: float, step: int, cfg: TrainConfig) -> float:
-    if not cfg.linear_decay:
-        return base_lr
-    return base_lr * (1.0 - step / cfg.steps)
 
 
 def _sample_starts(rng, corpus_len: int, cfg: TrainConfig) -> np.ndarray:
@@ -101,9 +93,6 @@ def _sample_starts(rng, corpus_len: int, cfg: TrainConfig) -> np.ndarray:
         raise ValueError(
             f"corpus of {corpus_len} tokens is shorter than context {cfg.context_length}"
         )
-    if cfg.window_align:
-        n_slots = span // cfg.window_align + 1
-        return rng.integers(0, n_slots, size=cfg.batch_size) * cfg.window_align
     return rng.integers(0, span + 1, size=cfg.batch_size)
 
 
@@ -121,7 +110,7 @@ def _train_loop(
     trace: list[tuple[int, float, float]] = []
     by_tensor = {id(t): name for name, t in trainable}
     for step in range(cfg.steps):
-        lr = _step_lr(base_lr, step, cfg)
+        lr = base_lr * (1.0 - step / cfg.steps)  # linear decay to 0
         starts = _sample_starts(rng, corpus_ids.size, cfg)
         try:
             with GradTape() as tape:
@@ -145,7 +134,7 @@ def _train_loop(
                 f"loss is NaN at step {step} (lr={lr:.3g}); "
                 "lower the learning rate or check the corpus"
             )
-        grads = backward(tape, 1.0, output=mean_loss)
+        grads = backward(tape, mean_loss)
         named_grads = {
             by_tensor[id(t)]: g for t, g in grads.items() if id(t) in by_tensor
         }

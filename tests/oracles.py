@@ -1,7 +1,10 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is deliberately written as plain scalar loops over numpy
-arrays, sharing no code with the package under test.
+arrays, sharing no code with the package under test. The one exception is
+``full_causal_attention``, the whole-sequence reference path that the
+block-wise forward is checked against; it is checked against
+``causal_attention_loops`` in turn.
 """
 
 from __future__ import annotations
@@ -9,6 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from convkv.attention import attend
+from convkv.numerics import ShapeError, Tensor2
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -66,6 +72,13 @@ def causal_attention_loops(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.nd
         for i in range(v.shape[0]):
             out[i, t] = sum(probs[j] * v[i, j] for j in range(t + 1))
     return out
+
+
+def full_causal_attention(q: Tensor2, k: Tensor2, v: Tensor2) -> Tensor2:
+    """Reference quadratic path: output column t attends to key columns <= t."""
+    if q.cols != k.cols:
+        raise ShapeError(f"full attention expects square layout, got {q.cols} queries vs {k.cols} keys")
+    return attend(q, k, v, n_cached=0)
 
 
 def rope_scalar(x: np.ndarray, positions: np.ndarray, base: float, scale: float) -> np.ndarray:

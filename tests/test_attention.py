@@ -9,7 +9,6 @@ from convkv.attention import (
     RopeConfig,
     apply_rope,
     attend,
-    full_causal_attention,
     merge_heads,
     project_qkv,
     split_heads,
@@ -20,11 +19,10 @@ from convkv.numerics import (
     ShapeError,
     Tensor2,
     add,
-    embedding_lookup,
     matmul,
     relu,
     rms_norm_cols,
-    slice_rows,
+    select_cols,
     softmax_cols,
     transpose,
     vstack,
@@ -32,6 +30,7 @@ from convkv.numerics import (
 from convkv.policies import PolicySpec
 
 import oracles
+from oracles import full_causal_attention
 
 
 def t2(arr):
@@ -42,14 +41,14 @@ def rand_params(rng, d_model, n_heads=1):
     inner = d_model
     mk = lambda: Tensor2(rng.standard_normal((inner, d_model)) / np.sqrt(d_model))
     return AttentionParams(mk(), mk(), mk(), Tensor2(rng.standard_normal((d_model, inner))),
-                           n_heads=n_heads)
+                           n_heads=n_heads, head_dim=inner // n_heads)
 
 
 class TestProjectQkv:
     def test_identity_projection_passes_through(self):
         x = t2(np.arange(6.0).reshape(2, 3))
         eye = Tensor2(np.eye(2))
-        params = AttentionParams(eye, eye.copy(), eye.copy(), Tensor2(np.eye(2)), n_heads=1)
+        params = AttentionParams(eye, eye, eye, Tensor2(np.eye(2)), n_heads=1, head_dim=2)
         q, k, v = project_qkv(x, params)
         assert np.array_equal(k.data, x.data)
 
@@ -183,7 +182,7 @@ def run_segment(params, tokens, block_size, trace=None):
 def per_head(x, cfg):
     """2-D row slices, one per head: the oracle shares no head layout code."""
     d = cfg.head_dim
-    return [slice_rows(x, h * d, (h + 1) * d) for h in range(cfg.n_heads)]
+    return [t2(x.data[h * d:(h + 1) * d]) for h in range(cfg.n_heads)]
 
 
 def full_forward(params, tokens):
@@ -191,7 +190,7 @@ def full_forward(params, tokens):
     full_causal_attention."""
     layer, cfg = params.layers[0], params.config
     positions = np.arange(len(tokens))
-    h = embedding_lookup(params.embed, tokens)
+    h = select_cols(params.embed, tokens)
     q, k, v = project_qkv(rms_norm_cols(h, layer.attn_gain), layer.attn)
     heads = [
         full_causal_attention(
@@ -245,7 +244,7 @@ class TestSegmentAttention:
         tokens = rng.integers(0, 256, size=6)
         _, cache = run_segment(params, tokens, 3)
         layer, cfg = params.layers[0], params.config
-        h = rms_norm_cols(embedding_lookup(params.embed, tokens), layer.attn_gain)
+        h = rms_norm_cols(select_cols(params.embed, tokens), layer.attn_gain)
         _, k, _ = project_qkv(h, layer.attn)
         expect = vstack([apply_rope(hk, np.arange(6), cfg.rope) for hk in per_head(k, cfg)])
         assert cache.live_entries == 6
@@ -259,7 +258,7 @@ class TestSegmentAttention:
         _, caches = forward_segmented(params, tokens, PolicySpec("h2o", capacity=8), block_size)
         layer, cfg = params.layers[0], params.config
         positions = np.arange(6)
-        h = rms_norm_cols(embedding_lookup(params.embed, tokens), layer.attn_gain)
+        h = rms_norm_cols(select_cols(params.embed, tokens), layer.attn_gain)
         expect = np.zeros(6)
         for hq, hk, hv in zip(*(per_head(x, cfg) for x in project_qkv(h, layer.attn))):
             _, probs = attend(apply_rope(hq, positions, cfg.rope),

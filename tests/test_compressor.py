@@ -300,7 +300,7 @@ class TestCompressorGradients:
 
         with GradTape() as tape:
             value = loss()
-        grads = backward(tape, 1.0, output=value)
+        grads = backward(tape, value)
         g = grads[head.kernels.weights]
         assert np.abs(g).max() > 0
 

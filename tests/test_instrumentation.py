@@ -1,5 +1,7 @@
 """Live-entry counting, attention-allocation bounds, policy reports."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,10 @@ def params():
     return p
 
 
+def live_entries_of_layer_0(trace):
+    return [r.live_entries for r in trace.records if r.layer == 0]
+
+
 def with_heads(slots, seed=1):
     p = ModelParams.init(CFG, seed=0)
     p.install_conv_heads(slots=slots, kernel_size=5, seed=seed)
@@ -41,13 +47,13 @@ class TestMemoryTrace:
     def test_concat_live_entries_grow_with_each_block(self, params):
         b = 8
         trace = run_traced(params, 64, PolicySpec("concat"), b)
-        per_block = trace.live_entries_by_block(layer=0)
+        per_block = live_entries_of_layer_0(trace)
         assert per_block == [b * (r + 1) for r in range(8)]
 
     def test_bounded_policy_pins_live_entries_at_capacity(self):
         m, b = 16, 8
         trace = run_traced(with_heads(m), 128, PolicySpec("lococo", capacity=m), b)
-        per_block = trace.live_entries_by_block(layer=0)
+        per_block = live_entries_of_layer_0(trace)
         assert per_block[0] == 8 and per_block[1] == 16
         assert all(v == m for v in per_block[1:])
         assert trace.peak_live_entries == m
@@ -86,12 +92,6 @@ class TestMemoryTrace:
         first = lines[1].split(",")
         assert [int(x) for x in first] == [0, 0, 8, 64, 8]
 
-    def test_merge_is_explicit_reduce(self, params):
-        a = run_traced(params, 16, PolicySpec("concat"), 8)
-        b = run_traced(params, 16, PolicySpec("concat"), 8)
-        merged = a.merge(b)
-        assert len(merged.records) == len(a.records) + len(b.records)
-
 
 class TestPolicyReport:
     def sample(self):
@@ -104,8 +104,9 @@ class TestPolicyReport:
             timestamp="2024-01-01T00:00:00+00:00",
         )
 
-    def test_json_fields_all_populated(self):
-        d = self.sample().to_json_dict()
+    def test_json_fields_all_populated(self, tmp_path):
+        write_reports_json(tmp_path / "r.json", [self.sample()])
+        (d,) = json.loads((tmp_path / "r.json").read_text())
         assert set(d) == {
             "policy", "config", "perplexity", "peak_live_entries",
             "tokens_per_second", "timestamp",

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from convkv.cache import CacheError
-from convkv.checkpoint import (
-    CheckpointError,
-    has_conv_heads,
-    load_checkpoint,
-    save_checkpoint,
-    strip_conv_heads,
-)
+from convkv.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from convkv import attention, model, numerics
 from convkv.attention import split_heads
 from convkv.corpus import corpus_to_ids, make_recall_corpus
@@ -43,6 +37,13 @@ REGRESSION_PROBE = np.array([
 @pytest.fixture(scope="module")
 def tiny_params():
     return ModelParams.init(TINY, seed=42)
+
+
+@pytest.fixture(scope="module")
+def headed_params():
+    params = ModelParams.init(TINY, seed=42)
+    params.install_conv_heads(slots=8, kernel_size=5, seed=2)
+    return params
 
 
 def rand_tokens(rng, n):
@@ -167,6 +168,21 @@ def _transpose_first_gain(header):
     entry["rows"], entry["cols"] = entry["cols"], entry["rows"]
 
 
+def _header_edit(*path, value=None):
+    """Set the header entry at ``path`` to ``value``, or delete it for None."""
+    def edit(header):
+        *parents, last = path
+        for key in parents:
+            header = header[key]
+        if value is None:
+            del header[last]
+        else:
+            header[last] = value
+
+    return lambda raw: _rewrite_header(raw, edit)
+
+
+LAYER_0_META = {"kernel_size": 5, "layer_index": 0, "relu_position": "post", "slots": 8}
 CORRUPTIONS = {
     "truncated_header": lambda raw: raw[:26],
     "truncated_length_field": lambda raw: raw[:12],
@@ -174,6 +190,17 @@ CORRUPTIONS = {
     "trailing_bytes": lambda raw: raw + bytes(8),
     "tensor_shape_mismatch": lambda raw: _rewrite_header(raw, _transpose_first_gain),
     "flipped_payload_bit": lambda raw: raw[:-5] + bytes([raw[-5] ^ 0x10]) + raw[-4:],
+    "wrong_kernel_size": _header_edit("conv_meta", 0, "kernel_size", value=7),
+    "wrong_slots": _header_edit("conv_meta", 1, "slots", value=9),
+    "wrong_relu_position": _header_edit("conv_meta", 0, "relu_position", value="middle"),
+    "layer_index_7": _header_edit("conv_meta", 1, "layer_index", value=7),
+    "conv_meta_missing": _header_edit("conv_meta"),
+    "sections_missing": _header_edit("sections"),
+    "unknown_config_key": _header_edit("config", "n_experts", value=2),
+    "negative_offset": _header_edit("sections", "base", 1, "offset", value=-3),
+    "two_tensors_at_offset_0": _header_edit("sections", "base", 1, "offset", value=0),
+    "duplicated_conv_meta_entry": _header_edit("conv_meta", 1, value=LAYER_0_META),
+    "one_conv_meta_for_2_layers": _header_edit("conv_meta", 1),
 }
 
 
@@ -200,8 +227,10 @@ class TestCheckpoints:
         params.install_conv_heads(slots=8, kernel_size=5, seed=2)
         full, stripped = tmp_path / "full.ckpt", tmp_path / "base.ckpt"
         save_checkpoint(params, full)
-        strip_conv_heads(full, stripped)
-        assert has_conv_heads(full) and not has_conv_heads(stripped)
+        params.drop_conv_heads()
+        save_checkpoint(params, stripped)
+        assert load_checkpoint(full).conv_heads is not None
+        assert load_checkpoint(stripped).conv_heads is None
 
         rng = np.random.default_rng(3)
         tokens = rand_tokens(rng, 12)
@@ -214,13 +243,15 @@ class TestCheckpoints:
         params.install_conv_heads(slots=8, kernel_size=5, seed=2)
         full, stripped = tmp_path / "full.ckpt", tmp_path / "base.ckpt"
         save_checkpoint(params, full)
-        strip_conv_heads(full, stripped)
-        assert load_checkpoint(stripped).base_fingerprint() == params.base_fingerprint()
+        params.drop_conv_heads()
+        save_checkpoint(params, stripped)
+        fingerprint = load_checkpoint(full).base_fingerprint()
+        assert load_checkpoint(stripped).base_fingerprint() == fingerprint
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-    def test_corrupt_file_raises_checkpoint_error(self, tiny_params, tmp_path, corruption):
+    def test_corrupt_file_raises_checkpoint_error(self, headed_params, tmp_path, corruption):
         path = tmp_path / "a.ckpt"
-        save_checkpoint(tiny_params, path)
+        save_checkpoint(headed_params, path)
         path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
@@ -341,6 +372,22 @@ class TestBlockSizePrecondition:
             forward_segmented(params, tokens, spec, room + 1)
         with pytest.raises(CacheError, match="block size"):
             generate(params, tokens[:5], 3, spec, room + 1)
+
+
+class TestConvHeadCount:
+    """A merging policy needs exactly one conv head per layer."""
+
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("name", ["lococo", "lococo+h2o", "lococo+sink"])
+    def test_head_count_must_equal_layer_count(self, name, n_heads):
+        spec = BOUNDED[name]
+        params = model_for(spec)
+        params.conv_heads = [params.conv_heads[0]] * n_heads
+        tokens = rand_tokens(np.random.default_rng(3), 12)
+        with pytest.raises(CacheError, match="one conv head per layer"):
+            forward_segmented(params, tokens, spec, 4)
+        with pytest.raises(CacheError, match="one conv head per layer"):
+            generate(params, tokens, 3, spec, 4)
 
 
 class TestOpBudget:

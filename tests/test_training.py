@@ -105,7 +105,7 @@ class TestPretrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_aborts_with_diagnostic(self):
         ids = corpus_to_ids(make_recall_corpus(8, seed=2))
-        cfg = small_cfg(steps=5, learning_rate_base=1e200, linear_decay=False)
+        cfg = small_cfg(steps=5, learning_rate_base=1e200)
         with pytest.raises(TrainingDivergedError, match="step"):
             pretrain(ids, SMALL, cfg)
 
@@ -185,7 +185,7 @@ class TestCalibration:
             tokens = rng.integers(0, 256, size=32)
             with GradTape() as tape:
                 loss = sequence_loss(params, tokens, spec, 4, require_exact_blocks=True)
-            grads = backward(tape, 1.0, output=loss)
+            grads = backward(tape, loss)
             for name, t in trainable:
                 if t in grads:
                     touched[name] |= grads[t] != 0.0
@@ -207,7 +207,7 @@ class TestCalibration:
 
         with GradTape() as tape:
             loss = sequence_loss(params, tokens, spec, 2, require_exact_blocks=True)
-        grads = backward(tape, 1.0, output=loss)
+        grads = backward(tape, loss)
         rng = np.random.default_rng(9)
         h = 1e-5
         for _ in range(5):
