@@ -14,9 +14,8 @@ from .attention import (
 )
 from .cache import (
     CacheError,
-    HeavyHitterState,
+    KeepRule,
     KvCache,
-    SinkWindowState,
     update_concat,
     update_h2o,
     update_sink_window,

@@ -1,10 +1,13 @@
-"""Bounded key/value stores and eviction-style update rules.
+"""Bounded key/value stores and the one rule that decides which columns stay.
 
 A cache update is a pure transition: (cache, new keys, new values, extras)
--> new cache. The merging step that needs the convolutional head lives in
-``compressor``; this module holds the store itself plus the rules that keep or
-drop whole columns: plain concatenation (unbounded), heavy-hitter eviction,
-and sink+window eviction.
+-> new cache. Plain concatenation grows without bound. Every bounded policy
+runs ``bounded_update``: append the block while the cache has room; once it
+would overflow, keep the columns the cache's ``KeepRule`` names verbatim and
+drop the rest (heavy-hitter and sink+window eviction) or hand the rest to a
+merge (``compressor.compress_step`` blends it into slots with the
+convolutional head). A policy differs from another only in its rule and in
+whether the rest is dropped or merged.
 """
 
 from __future__ import annotations
@@ -21,77 +24,57 @@ class CacheError(ValueError):
 
 
 @dataclass(frozen=True)
-class HeavyHitterState:
-    """Accumulated attention mass per cache column plus the keep budgets.
+class KeepRule:
+    """Which columns of an over-full cache are kept verbatim.
 
-    Scores are plain sums of the attention probabilities each key column has
-    received across all queries so far; they only ever shrink by eviction.
+    The first ``n_sink`` columns (attention sinks; they are never dropped or
+    merged, so they stay the oldest tokens), the newest ``recent`` and the
+    ``heavy`` top-scored of the columns in between. A column's score is the
+    attention mass it has received across all queries so far; equal scores
+    favour the newer column. ``scores`` holds one score per cache column and
+    is tracked only when ``heavy > 0``.
     """
 
-    scores: np.ndarray
-    recent_budget: int
-    heavy_budget: int
+    n_sink: int = 0
+    recent: int = 0
+    heavy: int = 0
+    scores: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
-        if self.scores.ndim != 1:
-            raise CacheError("scores must be 1-D")
-        if self.recent_budget < 0 or self.heavy_budget < 0:
-            raise CacheError("budgets must be nonnegative")
+        if min(self.n_sink, self.recent, self.heavy) < 0:
+            raise CacheError(
+                f"keep budgets must be nonnegative, got {self.n_sink}/{self.recent}/{self.heavy}"
+            )
+        if self.heavy and self.scores is None:
+            object.__setattr__(self, "scores", np.zeros(0))
 
     @property
     def budget(self) -> int:
-        return self.recent_budget + self.heavy_budget
+        return self.n_sink + self.recent + self.heavy
 
-    @classmethod
-    def empty(cls, recent_budget: int, heavy_budget: int) -> "HeavyHitterState":
-        return cls(np.zeros(0), recent_budget, heavy_budget)
-
-    def accumulate(self, attn_probs: np.ndarray | None, n_new: int) -> np.ndarray:
+    def accumulate(self, attn_probs: np.ndarray | None, n_new: int) -> np.ndarray | None:
         """Scores of the cached plus ``n_new`` incoming columns after one block.
 
         ``attn_probs`` are the block's softmax probabilities (rows = cached +
         new keys, columns = queries); each key column gains its row sum.
         """
+        if not self.heavy:
+            return None
         if attn_probs is None:
             raise CacheError("heavy-hitter updates need the block's attention probabilities")
         probs = np.asarray(attn_probs)
         n_total = len(self.scores) + n_new
         if probs.shape[0] != n_total:
-            raise ShapeError(
-                f"attention probs cover {probs.shape[0]} keys, expected {n_total}"
-            )
+            raise ShapeError(f"attention probs cover {probs.shape[0]} keys, expected {n_total}")
         return np.concatenate([self.scores, np.zeros(n_new)]) + probs.sum(axis=1)
 
-    def keep(self, scores: np.ndarray) -> np.ndarray:
-        """Indices of the newest ``recent_budget`` columns plus the
-        ``heavy_budget`` top-scored rest, sorted.
-
-        Ties in score break toward newer (higher index) columns.
-        """
-        n = len(scores)
-        cut = n - self.recent_budget
-        rest = np.arange(cut)
+    def keep(self, n: int, scores: np.ndarray | None = None) -> np.ndarray:
+        """Sorted indices of the kept columns among ``n`` > ``budget``."""
+        lo, hi = self.n_sink, n - self.recent
+        rest = np.arange(lo, hi)
         # lexsort: primary key last; -index makes equal scores favor newer tokens
-        order = rest[np.lexsort((-rest, -scores[:cut]))]
-        kept = np.concatenate([order[:self.heavy_budget], np.arange(cut, n)])
-        return np.sort(kept)
-
-
-@dataclass(frozen=True)
-class SinkWindowState:
-    """Keep the first ``n_sink`` tokens ever seen plus a recency window."""
-
-    n_sink: int
-    window: int
-
-    def __post_init__(self):
-        if self.n_sink < 0 or self.window < 1:
-            raise CacheError(f"bad sink/window split: {self.n_sink}/{self.window}")
-
-    @property
-    def budget(self) -> int:
-        return self.n_sink + self.window
+        heavy = rest[np.lexsort((-rest, -scores[lo:hi]))][:self.heavy] if self.heavy else rest[:0]
+        return np.concatenate([np.arange(lo), np.sort(heavy), np.arange(hi, n)])
 
 
 @dataclass(frozen=True)
@@ -99,16 +82,16 @@ class KvCache:
     """Per-layer store of key/value columns, at most ``capacity`` of them.
 
     Column j of keys and values always describes the same (possibly merged)
-    token(s). ``capacity`` is None for the unbounded concat policy. ``state``
-    carries whatever the owning policy accumulates (e.g. heavy-hitter scores).
-    ``live_entries`` is the instrumentation hook: KV entries currently held
-    per attention head.
+    token(s). ``capacity`` is None for the unbounded concat policy; a bounded
+    cache is kept within it by ``rule``, which also carries the heavy-hitter
+    scores. ``live_entries`` is the instrumentation hook: KV entries currently
+    held per attention head.
     """
 
     keys: Tensor2
     values: Tensor2
     capacity: int | None = None
-    state: object | None = None
+    rule: KeepRule = KeepRule()
     total_seen: int = 0
 
     def __post_init__(self):
@@ -120,10 +103,9 @@ class KvCache:
             raise CacheError(f"capacity must be positive, got {self.capacity}")
 
     @classmethod
-    def empty(cls, d: int, capacity: int | None = None,
-              state: object | None = None) -> "KvCache":
+    def empty(cls, d: int, capacity: int | None = None, rule: KeepRule = KeepRule()) -> "KvCache":
         """No columns yet; keys and values both have ``d`` rows."""
-        return cls(Tensor2.zeros(d, 0), Tensor2.zeros(d, 0), capacity, state)
+        return cls(Tensor2.zeros(d, 0), Tensor2.zeros(d, 0), capacity, rule)
 
     @property
     def live_entries(self) -> int:
@@ -152,75 +134,50 @@ def update_concat(cache: KvCache, k_new: Tensor2, v_new: Tensor2) -> KvCache:
     )
 
 
-def update_h2o(
-    cache: KvCache,
-    k_new: Tensor2,
-    v_new: Tensor2,
-    attn_probs: np.ndarray,
-) -> KvCache:
-    """Accumulate attention mass, then evict down to the slot budget.
+def bounded_update(cache: KvCache, k_new: Tensor2, v_new: Tensor2,
+                   attn_probs: np.ndarray | None = None, merge=None) -> KvCache:
+    """Append the block while it fits; past the capacity, keep what the rule names.
 
-    ``attn_probs`` are the softmax probabilities of the block just computed
-    (rows = cached + new keys, columns = queries). When over budget, the
-    newest ``recent_budget`` columns survive outright and the rest compete on
-    accumulated score.
+    ``attn_probs`` (rows = cached + new keys, columns = queries) feed the
+    heavy-hitter scores. Once cache + block would overflow, the columns
+    ``cache.rule.keep`` names stay verbatim, in token order, and the rest is
+    dropped; given ``merge``, the rest is instead blended into slots that
+    follow them. ``merge(cache, k_new, v_new, rest, scores)`` gets the mask
+    of the columns not kept (cache first, then block) and returns the keys,
+    values and scores (None when untracked) of its slots.
     """
     b = _check_block(cache, k_new, v_new)
-    state = cache.state
-    if not isinstance(state, HeavyHitterState):
-        raise CacheError("update_h2o needs a HeavyHitterState on the cache")
-    if cache.capacity is None:
-        raise CacheError("update_h2o needs a bounded cache")
-    if state.budget != cache.capacity:
-        raise CacheError(
-            f"recent+heavy budget {state.budget} must equal capacity {cache.capacity}"
-        )
-    scores = state.accumulate(attn_probs, b)
-
-    keys = hstack([cache.keys, k_new])
-    values = hstack([cache.values, v_new])
-    if keys.cols > cache.capacity:
-        kept = state.keep(scores)
-        keys = select_cols(keys, kept)
-        values = select_cols(values, kept)
-        scores = scores[kept]
-    return replace(
-        cache,
-        keys=keys,
-        values=values,
-        state=replace(state, scores=scores),
-        total_seen=cache.total_seen + b,
-    )
+    rule, m = cache.rule, cache.capacity
+    if m is None:
+        raise CacheError("a bounded update needs a bounded cache")
+    if merge is None and rule.budget != m:
+        raise CacheError(f"eviction keeps {rule.budget} columns but capacity is {m}")
+    scores = rule.accumulate(attn_probs, b)
+    n = cache.live_entries + b
+    if n <= m:
+        return replace(update_concat(cache, k_new, v_new), rule=replace(rule, scores=scores))
+    kept = rule.keep(n, scores)
+    if len(kept):
+        keys = select_cols(hstack([cache.keys, k_new]), kept)
+        values = select_cols(hstack([cache.values, v_new]), kept)
+    if merge is not None:
+        rest = np.ones(n, dtype=bool)
+        rest[kept] = False
+        merged_keys, merged_values, merged_scores = merge(cache, k_new, v_new, rest, scores)
+        keys = hstack([keys, merged_keys]) if len(kept) else merged_keys
+        values = hstack([values, merged_values]) if len(kept) else merged_values
+    if scores is not None:
+        scores = scores[kept] if merge is None else np.concatenate([scores[kept], merged_scores])
+    return replace(cache, keys=keys, values=values, rule=replace(rule, scores=scores),
+                   total_seen=cache.total_seen + b)
 
 
-def update_sink_window(
-    cache: KvCache,
-    k_new: Tensor2,
-    v_new: Tensor2,
-) -> KvCache:
-    """Keep the first ``n_sink`` tokens ever seen plus the trailing window."""
-    b = _check_block(cache, k_new, v_new)
-    state = cache.state
-    if not isinstance(state, SinkWindowState):
-        raise CacheError("update_sink_window needs a SinkWindowState on the cache")
-    if cache.capacity is None or state.n_sink + state.window != cache.capacity:
-        raise CacheError(
-            f"n_sink + window must equal capacity, got {state.n_sink}+{state.window} "
-            f"vs {cache.capacity}"
-        )
-    keys = hstack([cache.keys, k_new])
-    values = hstack([cache.values, v_new])
-    n_total = keys.cols
-    if n_total > cache.capacity:
-        # sinks were never evicted, so the first columns are the oldest tokens
-        kept = np.concatenate(
-            [np.arange(state.n_sink), np.arange(n_total - state.window, n_total)]
-        )
-        keys = select_cols(keys, kept)
-        values = select_cols(values, kept)
-    return replace(
-        cache,
-        keys=keys,
-        values=values,
-        total_seen=cache.total_seen + b,
-    )
+def update_h2o(cache: KvCache, k_new: Tensor2, v_new: Tensor2, attn_probs: np.ndarray) -> KvCache:
+    """Heavy-hitter eviction: add the block's attention mass to the scores,
+    then drop every column the cache's rule does not keep."""
+    return bounded_update(cache, k_new, v_new, attn_probs)
+
+
+def update_sink_window(cache: KvCache, k_new: Tensor2, v_new: Tensor2) -> KvCache:
+    """Sink+window eviction: drop every column the cache's rule does not keep."""
+    return bounded_update(cache, k_new, v_new)

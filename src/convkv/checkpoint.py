@@ -4,9 +4,11 @@ The conv heads live in their own section after the base weights, so adding
 them after calibration, or saving again after ``ModelParams.drop_conv_heads``,
 leaves every byte of the base weights as it was; loading a checkpoint and
 saving it back reproduces the file bit for bit.
-The header of format version 2 carries a CRC-32 of the payload, so a flipped
-bit in the weights is caught at load time. Version 1 files have no checksum
-and are rejected.
+The header of format version 3 carries a CRC-32 of the canonical header
+(without that field) followed by the payload, so a flipped bit in the
+weights, or a header edit that stays self-consistent, is caught at load
+time. Version 1 files have no checksum and version 2 files checksum only the
+payload; both are rejected.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .model import ModelConfig, ModelParams
 from .numerics import Tensor2
 
 MAGIC = b"CKVC"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -61,6 +63,16 @@ def _layout(params: ModelParams) -> tuple[dict, list | None]:
     return sections, conv_meta
 
 
+def _canonical(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _checksum(header: dict, payload: bytes) -> int:
+    """CRC-32 of the canonical header, its own ``crc32`` field left out, then the payload."""
+    body = {key: value for key, value in header.items() if key != "crc32"}
+    return zlib.crc32(payload, zlib.crc32(_canonical(body)))
+
+
 def _tensors(params: ModelParams) -> list[Tensor2]:
     return [tensor for _, tensor in params.named_base() + params.named_conv()]
 
@@ -72,12 +84,12 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     header: dict = {
         "format_version": FORMAT_VERSION,
         "config": dataclasses.asdict(params.config),
-        "payload_crc32": zlib.crc32(payload),
         "sections": sections,
     }
     if conv_meta is not None:
         header["conv_meta"] = conv_meta
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header["crc32"] = _checksum(header, payload)
+    header_bytes = _canonical(header)
 
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -99,10 +111,10 @@ def _read_header(fh) -> dict:
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}; not a checkpoint file")
     (version,) = struct.unpack("<I", _read_exact(fh, 4, "version field"))
-    if version == 1:
+    if version in (1, 2):
         raise CheckpointError(
-            "checkpoint format version 1 carries no payload checksum and is not read; "
-            f"this release reads version {FORMAT_VERSION}"
+            f"checkpoint format version {version} carries no header checksum and is not "
+            f"read; this release reads version {FORMAT_VERSION}"
         )
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
@@ -133,8 +145,8 @@ def _params_from_header(header: dict) -> ModelParams:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Read a checkpoint; any truncation, padding, flipped payload bit or header
-    that disagrees with the layout ``save_checkpoint`` writes raises
+    """Read a checkpoint; any truncation, padding, flipped bit, header edit or
+    header that disagrees with the layout ``save_checkpoint`` writes raises
     CheckpointError."""
     with open(path, "rb") as fh:
         header = _read_header(fh)
@@ -149,8 +161,8 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError(
             f"payload holds {len(payload)} bytes but the header describes {expected}"
         )
-    if zlib.crc32(payload) != header.get("payload_crc32"):
-        raise CheckpointError("payload checksum mismatch: the weights are corrupt")
+    if _checksum(header, payload) != header.get("crc32"):
+        raise CheckpointError("checksum mismatch: the header or the weights are corrupt")
     data = np.frombuffer(payload, dtype="<f8")
     offset = 0
     for tensor in tensors:

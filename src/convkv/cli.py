@@ -88,11 +88,11 @@ class RunConfig:
         names = [f.name for f in dataclasses.fields(ModelConfig) if f.name in _FIELD_TYPES]
         return ModelConfig(**{name: getattr(self, name) for name in names})
 
-    def train_config(self, steps: int | None = None, seed: int | None = None) -> TrainConfig:
+    def train_config(self, seed: int | None = None) -> TrainConfig:
         return TrainConfig(
             learning_rate_base=self.learning_rate_base,
             learning_rate_conv=self.learning_rate_conv,
-            steps=self.steps if steps is None else steps,
+            steps=self.steps,
             batch_size=self.batch_size,
             seed=self.seed if seed is None else seed,
             context_length=self.context_length,

@@ -7,18 +7,20 @@ so each updated slot is a convex combination of the columns it was built
 from, with the same blending weights applied to keys and values to preserve
 token correspondence.
 
-``compress_step`` is the one merging update every merging policy runs:
-plain LoCoCo pins nothing, the hybrids first pin attention sinks or heavy
-hitters verbatim and merge the rest.
+``compress_step`` is the merging half of ``cache.bounded_update``: the
+cache's ``KeepRule`` picks the columns kept verbatim (none for plain LoCoCo,
+attention sinks or heavy hitters for the hybrids) and the head merges the
+rest, where the eviction policies would drop it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .cache import CacheError, HeavyHitterState, KvCache, update_concat
+from .cache import CacheError, KvCache, bounded_update
 from .numerics import (
     ConvKernels,
     ShapeError,
@@ -181,69 +183,37 @@ def compress_step(
     k_new: Tensor2,
     v_new: Tensor2,
     head: ConvHead,
-    reserved: int = 0,
     attn_probs: np.ndarray | None = None,
 ) -> KvCache:
-    """One cache update: concatenate while the budget allows, merge after.
+    """One merging update: concatenate while the budget allows, merge after.
 
     While cache_len + B fits in the capacity the block is appended verbatim.
-    Once it would overflow, ``reserved`` columns are pinned verbatim at the
-    front and the rest (incoming block plus unpinned cache) are blended into
-    the remaining capacity - reserved slots, which the head must produce.
-    A cache carrying a ``HeavyHitterState`` pins its top-scored columns by
-    the heavy-hitter keep rule and needs the block's ``attn_probs``; merged
-    slots inherit the weighted sum of their sources' scores. Any other cache
-    pins the first ``reserved`` columns ever seen (attention sinks).
+    Once it would overflow, the columns the cache's ``KeepRule`` names
+    (attention sinks or heavy hitters, none for plain LoCoCo) stay verbatim
+    in front, and the rest, incoming block plus unkept cache, is blended
+    into the remaining capacity - ``rule.budget`` slots, which the head must
+    produce. A rule with heavy hitters needs the block's ``attn_probs``;
+    merged slots inherit the weighted sum of their sources' scores.
     """
-    m = cache.capacity
-    if m is None:
-        raise CacheError("compress_step needs a bounded cache")
-    if not 0 <= reserved < m:
-        raise CacheError(f"reserved slots ({reserved}) must be in [0, capacity {m})")
-    if head.slots != m - reserved:
+    if cache.capacity is not None and head.slots != cache.capacity - cache.rule.budget:
         raise CacheError(
-            f"head produces {head.slots} slots but capacity - reserved is {m - reserved}"
+            f"head produces {head.slots} slots but capacity - kept is "
+            f"{cache.capacity - cache.rule.budget}"
         )
-    state = cache.state
-    heavy = isinstance(state, HeavyHitterState)
-    n_cached, b = cache.live_entries, k_new.cols
-    if heavy:
-        if (state.recent_budget, state.heavy_budget) != (0, reserved):
-            raise CacheError(f"pinning {reserved} heavy hitters needs budgets (0, {reserved})")
-        scores = state.accumulate(attn_probs, b)
-    if n_cached + b <= m:
-        out = update_concat(cache, k_new, v_new)
-        return replace(out, state=replace(state, scores=scores)) if heavy else out
+    return bounded_update(cache, k_new, v_new, attn_probs, partial(_merge_rest, head))
 
+
+def _merge_rest(head, cache, k_new, v_new, rest, scores):
+    """Blend the columns ``rest`` marks (cache first, then block) into the head's slots."""
+    n_cached = cache.live_entries
+    rest_cache, rest_new = np.flatnonzero(rest[:n_cached]), np.flatnonzero(rest[n_cached:])
     kc, vc, kn, vn = cache.keys, cache.values, k_new, v_new
-    if heavy:
-        cache_scores, new_scores = scores[:n_cached], scores[n_cached:]
-    if reserved:
-        # merges keep the sinks in front, and before the first merge the columns
-        # are in token order: either way the first `reserved` are the sinks
-        pinned = state.keep(scores) if heavy else np.arange(reserved)
-        pinned_keys = select_cols(hstack([cache.keys, k_new]), pinned)
-        pinned_values = select_cols(hstack([cache.values, v_new]), pinned)
-        free = np.ones(n_cached + b, dtype=bool)
-        free[pinned] = False
-        free_cache = np.flatnonzero(free[:n_cached])
-        free_new = np.flatnonzero(free[n_cached:])
-        kc, vc = select_cols(kc, free_cache), select_cols(vc, free_cache)
-        kn, vn = select_cols(kn, free_new), select_cols(vn, free_new)
-        if heavy:
-            cache_scores, new_scores = cache_scores[free_cache], new_scores[free_new]
+    if not rest.all():
+        kc, vc = select_cols(kc, rest_cache), select_cols(vc, rest_cache)
+        kn, vn = select_cols(kn, rest_new), select_cols(vn, rest_new)
     weights = synthesize_weights(kn, vn, kc, vc, head)
     keys, values = fuse(weights, kn, vn, kc, vc)
-    if reserved:
-        keys = hstack([pinned_keys, keys])
-        values = hstack([pinned_values, values])
-    if heavy:
-        scores_merged = (
-            weights.new_weights.data @ new_scores + weights.cache_weights.data @ cache_scores
-        )
-        if reserved:
-            scores_merged = np.concatenate([scores[pinned], scores_merged])
-        state = replace(state, scores=scores_merged)
-    return replace(
-        cache, keys=keys, values=values, state=state, total_seen=cache.total_seen + b
-    )
+    if scores is not None:
+        scores = (weights.new_weights.data @ scores[n_cached:][rest_new]
+                  + weights.cache_weights.data @ scores[:n_cached][rest_cache])
+    return keys, values, scores

@@ -404,16 +404,13 @@ def _token_ids(params: ModelParams, tokens: np.ndarray, what: str) -> np.ndarray
     return tokens
 
 
-def _blocks(n_tokens: int, block_size: int, exact: bool = False):
+def _blocks(n_tokens: int, block_size: int):
     """(start, stop, absolute positions) of each block of ``block_size`` tokens.
 
-    The last block may come up short unless ``exact`` is set, which demands
-    a length that is a multiple of the block size. Checks run on the call.
+    The last block may come up short. Checks run on the call.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    if exact and n_tokens % block_size != 0:
-        raise ValueError(f"length {n_tokens} is not a multiple of block size {block_size}")
 
     def blocks():
         for start in range(0, n_tokens, block_size):
@@ -432,7 +429,6 @@ def forward_segmented(
     trace=None,
     block_offset: int = 0,
     detach_cache: bool = False,
-    require_exact_blocks: bool = False,
 ) -> tuple[Tensor2, list[KvCache]]:
     """Run the model over ``tokens`` in blocks, returning logits per position.
 
@@ -446,7 +442,7 @@ def forward_segmented(
     trace) and the layer.
     """
     tokens = _token_ids(params, tokens, "token sequence")
-    blocks = _blocks(tokens.size, block_size, exact=require_exact_blocks)
+    blocks = _blocks(tokens.size, block_size)
     streams = _open_streams(params, policy, block_size)
     logit_blocks = []
     for block_index, (start, stop, positions) in enumerate(blocks):
@@ -469,16 +465,12 @@ def sequence_loss(
     block_size: int,
     *,
     detach_cache: bool = False,
-    require_exact_blocks: bool = False,
 ) -> Tensor2:
     """Mean next-token cross entropy over one sequence."""
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.size < 2:
         raise ValueError("need at least two tokens for a next-token loss")
-    logits, _ = forward_segmented(
-        params, tokens, policy, block_size,
-        detach_cache=detach_cache, require_exact_blocks=require_exact_blocks,
-    )
+    logits, _ = forward_segmented(params, tokens, policy, block_size, detach_cache=detach_cache)
     return cross_entropy_cols(slice_cols(logits, 0, tokens.size - 1), tokens[1:])
 
 

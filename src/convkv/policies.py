@@ -1,13 +1,13 @@
 """Named cache policies.
 
 Every policy is the same update: concatenate while the cache fits, then keep
-some columns verbatim and drop or merge the rest. ``_RULES`` is the one place
-that maps a config name (``concat``, ``lococo``, ``h2o``, ``sink_window``,
-``lococo+h2o``, ``lococo+sink``) to that behavior: the cache state the policy
-starts from, and how many columns a convolutional merge pins verbatim (None
-for the eviction policies, which never merge). The merge+pin hybrids pin
-attention sinks or heavy hitters and merge the complement, so the total stays
-exactly at the slot budget.
+the columns a ``KeepRule`` names verbatim and drop or merge the rest.
+``_RULES`` is the one place that maps a config name (``concat``, ``lococo``,
+``h2o``, ``sink_window``, ``lococo+h2o``, ``lococo+sink``) to that behavior:
+the rule a fresh cache starts from, whether the rest is merged by the
+convolutional head or dropped, and whether keys rotate by cache slot. The
+merge+pin hybrids pin attention sinks or heavy hitters and merge the
+complement, so the total stays exactly at the slot budget.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import numpy as np
 
 from .cache import (
     CacheError,
-    HeavyHitterState,
+    KeepRule,
     KvCache,
-    SinkWindowState,
     update_concat,
     update_h2o,
     update_sink_window,
@@ -28,20 +27,15 @@ from .cache import (
 from .compressor import ConvHead, compress_step
 from .numerics import Tensor2
 
-# name -> (empty cache state, columns a merge pins verbatim or None to evict)
+# name -> (keep rule of a fresh cache, merge the rest (else drop it),
+#          rotate keys by cache slot rather than by absolute position)
 _RULES = {
-    "concat": (lambda spec: None, lambda spec: None),
-    "lococo": (lambda spec: None, lambda spec: 0),
-    "h2o": (lambda spec: HeavyHitterState.empty(*spec.h2o_split()), lambda spec: None),
-    "sink_window": (
-        lambda spec: SinkWindowState(spec.n_sink, spec.sink_window_size()),
-        lambda spec: None,
-    ),
-    "lococo+h2o": (
-        lambda spec: HeavyHitterState.empty(0, spec.reserved),
-        lambda spec: spec.reserved,
-    ),
-    "lococo+sink": (lambda spec: None, lambda spec: spec.n_sink),
+    "concat": (lambda spec: KeepRule(), False, False),
+    "lococo": (lambda spec: KeepRule(), True, False),
+    "h2o": (lambda spec: KeepRule(0, *spec.h2o_split()), False, False),
+    "sink_window": (lambda spec: KeepRule(spec.n_sink, spec.sink_window_size()), False, True),
+    "lococo+h2o": (lambda spec: KeepRule(heavy=spec.reserved), True, False),
+    "lococo+sink": (lambda spec: KeepRule(spec.n_sink), True, False),
 }
 POLICY_NAMES = tuple(_RULES)
 
@@ -51,15 +45,17 @@ class PolicySpec:
     """Everything needed to instantiate a cache policy, minus the conv heads.
 
     ``capacity`` is the slot budget M (ignored by concat, whose cache grows
-    without bound). The eviction knobs only apply to the policies that use
-    them: recent/heavy budgets for h2o (defaulting to an even split),
-    n_sink/window for sink_window (window defaults to capacity - n_sink),
-    ``n_sink`` pinned sinks for lococo+sink and ``reserved`` pinned heavy
-    hitters for lococo+h2o.
+    without bound). The other knobs set the policy's ``KeepRule`` and apply
+    only to the policies that use them: recent/heavy budgets for h2o
+    (defaulting to an even split), n_sink/window for sink_window (window
+    defaults to capacity - n_sink), ``n_sink`` pinned sinks for lococo+sink
+    and ``reserved`` pinned heavy hitters for lococo+h2o.
 
-    The rule is resolved once, at construction: ``pinned`` is the number of
-    columns a merge keeps verbatim (None when the policy does not merge) and
-    ``empty_state`` the state every fresh cache starts from.
+    The rule is resolved once, at construction: ``rule`` is the ``KeepRule``
+    every fresh cache starts from and ``needs_conv_head`` whether the
+    columns it does not keep are merged rather than dropped. An eviction
+    rule keeps exactly ``capacity`` columns, at least one of them past the
+    sinks; a merging rule keeps fewer, and the head fills the rest.
     """
 
     name: str
@@ -69,8 +65,8 @@ class PolicySpec:
     recent_budget: int | None = None
     heavy_budget: int | None = None
     reserved: int = 4
-    pinned: int | None = field(init=False, repr=False, compare=False)
-    empty_state: object = field(init=False, repr=False, compare=False)
+    rule: KeepRule = field(init=False, repr=False, compare=False)
+    needs_conv_head: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.name not in _RULES:
@@ -79,20 +75,20 @@ class PolicySpec:
             object.__setattr__(self, "capacity", None)
         elif self.capacity is None or self.capacity < 1:
             raise CacheError(f"policy {self.name!r} needs a positive capacity")
-        make_state, pinned_of = _RULES[self.name]
-        pinned = pinned_of(self)
-        if pinned is not None and not 0 <= pinned < self.capacity:
-            raise CacheError(
-                f"pinned slots must be in [0, capacity), got {pinned} vs {self.capacity}"
-            )
-        state = make_state(self)
-        if pinned is None and state is not None and state.budget != self.capacity:
-            raise CacheError(
-                f"policy {self.name!r} keeps {state.budget} columns "
-                f"but capacity is {self.capacity}"
-            )
-        object.__setattr__(self, "pinned", pinned)
-        object.__setattr__(self, "empty_state", state)
+        make_rule, merges, _ = _RULES[self.name]
+        rule = make_rule(self)
+        if self.capacity is not None:
+            if merges and rule.budget >= self.capacity:
+                raise CacheError(
+                    f"pinned slots must be in [0, capacity), got {rule.budget} vs {self.capacity}"
+                )
+            if not merges and not rule.n_sink < rule.budget == self.capacity:
+                raise CacheError(
+                    f"policy {self.name!r} keeps {rule.budget} columns, {rule.n_sink} of them "
+                    f"sinks; it needs capacity {self.capacity} and one column past the sinks"
+                )
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "needs_conv_head", merges)
 
     def h2o_split(self) -> tuple[int, int]:
         recent = self.capacity // 2 if self.recent_budget is None else self.recent_budget
@@ -103,28 +99,25 @@ class PolicySpec:
         return (self.capacity - self.n_sink) if self.window is None else self.window
 
     @property
-    def needs_conv_head(self) -> bool:
-        return self.pinned is not None
-
-    @property
     def merge_slots(self) -> int | None:
         """Slot count the conv head must produce, or None when no head is used."""
-        return None if self.pinned is None else self.capacity - self.pinned
+        return self.capacity - self.rule.budget if self.needs_conv_head else None
 
     def check_block_size(self, block_size: int) -> None:
         """Reject a block size whose blocks cannot enter the cache whole.
 
-        A bounded policy keeps ``pinned`` columns verbatim (0 for the eviction
-        policies), so at most ``capacity - pinned`` columns of one block fit.
+        A merging policy keeps ``rule.budget`` columns verbatim, so at most
+        ``merge_slots`` columns of one block fit; an eviction policy takes up
+        to ``capacity``.
         """
         if self.capacity is None:
             return
-        room = self.capacity - (self.pinned or 0)
+        room = self.merge_slots or self.capacity
         if block_size > room:
             raise CacheError(
                 f"block size {block_size} is rejected: policy {self.name!r} takes at most "
                 f"{room} columns per block (capacity {self.capacity}, "
-                f"{self.pinned or 0} pinned)"
+                f"{self.capacity - room} pinned)"
             )
 
     def build(self, conv_head: ConvHead | None = None) -> "LayerPolicy":
@@ -148,15 +141,15 @@ class LayerPolicy:
 
     @property
     def needs_probs(self) -> bool:
-        return isinstance(self.spec.empty_state, HeavyHitterState)
+        return self.spec.rule.heavy > 0
 
     @property
     def slot_relative_positions(self) -> bool:
         """Rolling position embeddings: rotate by cache slot, not absolute index."""
-        return isinstance(self.spec.empty_state, SinkWindowState)
+        return _RULES[self.spec.name][2]
 
     def empty_cache(self, d: int) -> KvCache:
-        return KvCache.empty(d, self.spec.capacity, self.spec.empty_state)
+        return KvCache.empty(d, self.spec.capacity, self.spec.rule)
 
     def update(
         self,
@@ -165,11 +158,12 @@ class LayerPolicy:
         v_new: Tensor2,
         attn_probs: np.ndarray | None = None,
     ) -> KvCache:
-        spec = self.spec
-        if spec.pinned is not None:
-            return compress_step(cache, k_new, v_new, self.conv_head, spec.pinned, attn_probs)
-        if isinstance(spec.empty_state, HeavyHitterState):
+        # evictions run through two named entry points, which the benchmark
+        # traces apart: with heavy hitters (h2o) or by position only (sink_window)
+        if self.spec.needs_conv_head:
+            return compress_step(cache, k_new, v_new, self.conv_head, attn_probs)
+        if self.spec.capacity is None:
+            return update_concat(cache, k_new, v_new)
+        if self.needs_probs:
             return update_h2o(cache, k_new, v_new, attn_probs)
-        if isinstance(spec.empty_state, SinkWindowState):
-            return update_sink_window(cache, k_new, v_new)
-        return update_concat(cache, k_new, v_new)
+        return update_sink_window(cache, k_new, v_new)

@@ -120,7 +120,6 @@ def _train_loop(
                     loss = sequence_loss(
                         params, window, policy, block_size,
                         detach_cache=cfg.detach_cache_between_blocks,
-                        require_exact_blocks=True,
                     )
                     total = loss if total is None else add(total, loss)
                 mean_loss = scale(total, 1.0 / cfg.batch_size)

@@ -96,25 +96,27 @@ def rope_scalar(x: np.ndarray, positions: np.ndarray, base: float, scale: float)
     return out
 
 
-def h2o_keep_indices(scores: np.ndarray, recent_budget: int, heavy_budget: int) -> list[int]:
-    """Exhaustive-sort oracle: newest `recent_budget` plus top-scored rest.
-
-    Ties break toward newer (higher index) tokens.
+def keep_indices(scores: np.ndarray, n_sink: int, recent: int, heavy: int) -> list[int]:
+    """Columns an over-full cache keeps: the first ``n_sink``, the newest
+    ``recent`` and, picked one at a time, the ``heavy`` highest-scored of the
+    columns in between, ties going to the newer column. Everything is kept
+    while the cache holds at most ``n_sink + recent + heavy`` columns.
     """
     n = len(scores)
-    budget = recent_budget + heavy_budget
-    if n <= budget:
+    if n <= n_sink + recent + heavy:
         return list(range(n))
-    recent = list(range(n - recent_budget, n))
-    rest = list(range(0, n - recent_budget))
-    ranked = sorted(rest, key=lambda i: (-scores[i], -i))
-    return sorted(ranked[:heavy_budget] + recent)
-
-
-def sink_window_keep_indices(total: int, n_sink: int, window: int) -> list[int]:
-    if total <= n_sink + window:
-        return list(range(total))
-    return sorted(set(range(n_sink)) | set(range(total - window, total)))
+    kept = list(range(n_sink)) + list(range(n - recent, n))
+    for _ in range(heavy):
+        best = None
+        for i in range(n_sink, n - recent):
+            if i in kept:
+                continue
+            if best is None or scores[i] > scores[best] or (
+                scores[i] == scores[best] and i > best
+            ):
+                best = i
+        kept.append(best)
+    return sorted(kept)
 
 
 def adam_scalar(grads: list[float], lr: float, beta1=0.9, beta2=0.999, eps=1e-8) -> float:

@@ -1,12 +1,15 @@
 """The package API the benchmark depends on, and imports that nothing uses.
 
 ``benchmarks/`` drives ``convkv`` from outside and traces its functions by
-name, so a deletion in ``src/`` can break it without any other test noticing.
+name, so a deletion in ``src/`` can break it without any other test noticing,
+and a refactor that stops calling a traced entry point silently zeroes the
+per-policy figures.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import convkv
@@ -23,6 +26,35 @@ def test_every_traced_benchmark_target_resolves(monkeypatch):
     with tracing.Tracer(tracing.SpanRecorder()) as tracer:
         pass
     assert tracer.missing == []
+
+
+# the spans that tell the benchmark which eviction or merge a policy ran
+POLICY_SPANS = {
+    "concat": set(),
+    "h2o": {"cache.update_h2o"},
+    "sink_window": {"cache.update_sink_window"},
+    "lococo": {"compressor.synthesize_weights"},
+    "lococo+h2o": {"compressor.synthesize_weights"},
+    "lococo+sink": {"compressor.synthesize_weights"},
+}
+
+
+@pytest.mark.parametrize("policy", sorted(POLICY_SPANS))
+def test_each_policy_runs_under_its_traced_entry_point(monkeypatch, policy):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    params = convkv.ModelParams.init(convkv.ModelConfig(d_model=8, n_heads=1, head_dim=8))
+    spec = convkv.PolicySpec(policy, capacity=6, n_sink=2, reserved=2)
+    if spec.needs_conv_head:
+        params.install_conv_heads(slots=spec.merge_slots, kernel_size=3, seed=0)
+    rec = tracing.SpanRecorder()
+    rec.begin_op(tracing.WORKLOAD)
+    with tracing.Tracer(rec):
+        convkv.forward_segmented(params, np.arange(16), spec, 2)
+    traced = {rec.names[i] for i in rec.name} & set().union(*POLICY_SPANS.values())
+    assert traced == POLICY_SPANS[policy]
+    assert (rec.stats["evicted_cols"] > 0) == (policy in ("h2o", "sink_window"))
 
 
 def test_every_name_the_benchmark_uses_exists():

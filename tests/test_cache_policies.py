@@ -1,4 +1,4 @@
-"""Cache update rules: concat, heavy-hitter eviction, sink+window, hybrids."""
+"""Cache update rules: concat, the keep rule, eviction, hybrids and policy specs."""
 
 from dataclasses import replace
 
@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from convkv.cache import (
     CacheError,
-    HeavyHitterState,
+    KeepRule,
     KvCache,
-    SinkWindowState,
     update_concat,
     update_h2o,
     update_sink_window,
@@ -70,10 +69,76 @@ class TestConcat:
         assert np.array_equal(cache.keys.data, np.concatenate(blocks, axis=1))
 
 
+def rule_of(policy, capacity, knob):
+    """The keep rule of ``policy`` at ``capacity``, its one free knob set to ``knob``."""
+    kwargs = {
+        "h2o": dict(recent_budget=knob),
+        "sink_window": dict(n_sink=knob),
+        "lococo": {},
+        "lococo+h2o": dict(reserved=knob),
+        "lococo+sink": dict(n_sink=knob),
+    }[policy]
+    return PolicySpec(policy, capacity=capacity, **kwargs).rule
+
+
+class TestKeepRule:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        policy=st.sampled_from(["h2o", "sink_window", "lococo", "lococo+h2o", "lococo+sink"]),
+        capacity=st.integers(2, 8),
+        data=st.data(),
+    )
+    def test_keep_matches_scalar_oracle(self, policy, capacity, data):
+        knob = data.draw(st.integers(0, capacity - 1), label="knob")
+        rule = rule_of(policy, capacity, knob)
+        n = rule.budget + data.draw(st.integers(1, 8), label="extra")
+        # few distinct values, so equal scores are common
+        values = st.sampled_from([0.0, 0.5, 1.0])
+        scores = np.array(data.draw(st.lists(values, min_size=n, max_size=n), label="scores"))
+        kept = rule.keep(n, scores)
+        assert kept.tolist() == oracles.keep_indices(scores, rule.n_sink, rule.recent, rule.heavy)
+
+    @pytest.mark.parametrize("policy, knob, budgets, tracks_scores", [
+        ("h2o", 3, (0, 3, 5), True),
+        ("sink_window", 2, (2, 6, 0), False),
+        ("lococo", 0, (0, 0, 0), False),
+        ("lococo+h2o", 3, (0, 0, 3), True),
+        ("lococo+sink", 2, (2, 0, 0), False),
+    ])
+    def test_each_policy_maps_to_its_rule(self, policy, knob, budgets, tracks_scores):
+        rule = rule_of(policy, 8, knob)
+        assert (rule.n_sink, rule.recent, rule.heavy) == budgets
+        assert (rule.scores is not None) == tracks_scores
+
+
+class TestPolicySpecRejects:
+    @pytest.mark.parametrize("kwargs", [
+        dict(name="lru", capacity=8),
+        dict(name="lococo"),
+        dict(name="h2o", capacity=0),
+        dict(name="h2o", capacity=8, recent_budget=3, heavy_budget=3),
+        dict(name="h2o", capacity=8, recent_budget=-1, heavy_budget=9),
+        dict(name="sink_window", capacity=8, n_sink=2, window=5),
+        dict(name="sink_window", capacity=4, n_sink=4),
+        dict(name="lococo+h2o", capacity=4, reserved=4),
+        dict(name="lococo+h2o", capacity=4, reserved=5),
+        dict(name="lococo+sink", capacity=4, n_sink=-1),
+        dict(name="lococo+sink", capacity=4, n_sink=4),
+    ], ids=[
+        "unknown-name", "missing-capacity", "zero-capacity", "h2o-budgets-short",
+        "h2o-negative-budget", "sink-window-budgets-short", "sink-window-empty-window",
+        "reserved-at-capacity", "reserved-over-capacity", "negative-sinks",
+        "sinks-at-capacity",
+    ])
+    def test_rejected_with_cache_error(self, kwargs):
+        with pytest.raises(CacheError):
+            PolicySpec(**kwargs)
+
+
 def h2o_cache(d, capacity, recent=None, heavy=None):
     recent = capacity // 2 if recent is None else recent
     heavy = capacity - recent if heavy is None else heavy
-    return KvCache.empty(d, capacity=capacity, state=HeavyHitterState.empty(recent, heavy))
+    return KvCache.empty(d, capacity=capacity, rule=KeepRule(0, recent, heavy))
 
 
 class TestH2O:
@@ -83,7 +148,7 @@ class TestH2O:
         probs = np.full((3, 3), 1 / 3)
         out = update_h2o(cache, k, paired_values(k), probs)
         assert np.array_equal(out.keys.data, k.data)
-        assert np.allclose(out.state.scores, probs.sum(axis=1))
+        assert np.allclose(out.rule.scores, probs.sum(axis=1))
 
     def test_unique_zero_score_column_evicted(self):
         cache = h2o_cache(2, 4, recent=2, heavy=2)
@@ -93,7 +158,7 @@ class TestH2O:
         # column 1 of the cache gets no mass this round and had the least before
         probs = np.array([[0.3], [0.0], [0.25], [0.25], [0.2]])
         probs[1, 0] = 0.0
-        cache = replace(cache, state=HeavyHitterState(np.array([0.6, 0.0, 0.6, 0.6]), 2, 2))
+        cache = replace(cache, rule=KeepRule(0, 2, 2, np.array([0.6, 0.0, 0.6, 0.6])))
         cache2 = update_h2o(cache, nxt, paired_values(nxt), probs)
         assert cache2.live_entries == 4
         assert 1.0 not in cache2.keys.data[0]
@@ -105,26 +170,23 @@ class TestH2O:
             recent = int(rng.integers(1, m))
             heavy = m - recent
             scores0 = rng.random(n_old) * 3
-            cache = KvCache.empty(
-                2, capacity=m, state=HeavyHitterState(scores0, recent, heavy)
-            )
             cache = KvCache(
                 token_block(2, 0, n_old), paired_values(token_block(2, 0, n_old)),
-                m, HeavyHitterState(scores0, recent, heavy), n_old,
+                m, KeepRule(0, recent, heavy, scores0), n_old,
             )
             k = token_block(2, n_old, b)
             probs = rng.random((n_old + b, b))
             out = update_h2o(cache, k, paired_values(k), probs)
             scores = np.concatenate([scores0, np.zeros(b)]) + probs.sum(axis=1)
-            kept = oracles.h2o_keep_indices(scores, recent, heavy)
+            kept = oracles.keep_indices(scores, 0, recent, heavy)
             assert list(out.keys.data[0]) == [float(i) for i in kept]
-            assert np.allclose(out.state.scores, scores[kept])
+            assert np.allclose(out.rule.scores, scores[kept])
 
     def test_tie_breaks_toward_newer(self):
         scores0 = np.array([1.0, 1.0, 1.0, 1.0])
         cache = KvCache(
             token_block(2, 0, 4), paired_values(token_block(2, 0, 4)),
-            4, HeavyHitterState(scores0, 2, 2), 4,
+            4, KeepRule(0, 2, 2, scores0), 4,
         )
         k = token_block(2, 4, 1)
         probs = np.zeros((5, 1))
@@ -135,9 +197,7 @@ class TestH2O:
 
 class TestSinkWindow:
     def make(self, d, n_sink, window):
-        return KvCache.empty(
-            d, capacity=n_sink + window, state=SinkWindowState(n_sink, window)
-        )
+        return KvCache.empty(d, capacity=n_sink + window, rule=KeepRule(n_sink, window))
 
     def test_under_budget_identical_to_concat(self):
         cache = self.make(2, 2, 4)
@@ -164,7 +224,7 @@ class TestSinkWindow:
                 k = token_block(2, total, b)
                 cache = update_sink_window(cache, k, paired_values(k))
                 total += b
-            kept = oracles.sink_window_keep_indices(total, n_sink, window)
+            kept = oracles.keep_indices(np.zeros(total), n_sink, window, 0)
             assert list(cache.keys.data[0]) == [float(i) for i in kept]
 
 
@@ -235,7 +295,7 @@ class TestH2OAsFusionOperator:
         scores0 = rng.random(n_old)
         old_k = t2(rng.standard_normal((d, n_old)))
         old_v = t2(rng.standard_normal((d, n_old)))
-        cache = KvCache(old_k, old_v, m, HeavyHitterState(scores0, recent, heavy), n_old)
+        cache = KvCache(old_k, old_v, m, KeepRule(0, recent, heavy, scores0), n_old)
         k_new = t2(rng.standard_normal((d, b)))
         v_new = t2(rng.standard_normal((d, b)))
         probs = rng.random((n_old + b, b))
@@ -243,7 +303,7 @@ class TestH2OAsFusionOperator:
         evicted = update_h2o(cache, k_new, v_new, probs)
 
         scores = np.concatenate([scores0, np.zeros(b)]) + probs.sum(axis=1)
-        kept = oracles.h2o_keep_indices(scores, recent, heavy)
+        kept = oracles.keep_indices(scores, 0, recent, heavy)
         w_new = np.zeros((m, b))
         w_cache = np.zeros((m, n_old))
         for slot, col in enumerate(kept):
@@ -260,7 +320,8 @@ class TestH2OAsFusionOperator:
 
 class TestHybrids:
     def test_zero_reserve_degenerates_to_pure_merging(self):
-        # a heavy-hitter cache with nothing pinned merges exactly like plain lococo
+        # lococo+h2o with nothing pinned merges exactly like plain lococo and
+        # tracks no scores
         rng = np.random.default_rng(4)
         d, m, b = 4, 6, 3
         head = new_conv_head(d, m, kernel_size=3, rng=rng)
@@ -270,25 +331,26 @@ class TestHybrids:
         plain = compress_step(KvCache.empty(d, capacity=m), k1, v1, head)
         plain = compress_step(plain, k2, v2, head)
 
-        heavy = KvCache.empty(d, capacity=m, state=HeavyHitterState.empty(0, 0))
-        heavy = compress_step(heavy, k1, v1, head, 0, rng.random((4, 4)))
-        heavy = compress_step(heavy, k2, v2, head, 0, rng.random((4 + b, b)))
+        rule = PolicySpec("lococo+h2o", capacity=m, reserved=0).rule
+        heavy = KvCache.empty(d, capacity=m, rule=rule)
+        heavy = compress_step(heavy, k1, v1, head, rng.random((4, 4)))
+        heavy = compress_step(heavy, k2, v2, head, rng.random((4 + b, b)))
 
         assert np.array_equal(heavy.keys.data, plain.keys.data)
         assert np.array_equal(heavy.values.data, plain.values.data)
-        assert heavy.state.scores.shape == (m,)
+        assert heavy.rule.scores is None
 
     def test_sink_hybrid_pins_first_tokens_verbatim(self):
         rng = np.random.default_rng(5)
         d, m, n_sink = 3, 8, 4
         head = new_conv_head(d, m - n_sink, kernel_size=3, rng=rng)
-        cache = KvCache.empty(d, capacity=m)
+        cache = KvCache.empty(d, capacity=m, rule=KeepRule(n_sink))
         first = token_block(d, 0, 4)
         first_v = paired_values(first)
-        cache = compress_step(cache, first, first_v, head, n_sink)
+        cache = compress_step(cache, first, first_v, head)
         for t in range(1, 4):
             k = token_block(d, 4 * t, 4)
-            cache = compress_step(cache, k, paired_values(k), head, n_sink)
+            cache = compress_step(cache, k, paired_values(k), head)
         assert cache.live_entries == m
         assert np.array_equal(cache.keys.data[:, :n_sink], first.data)
         assert np.array_equal(cache.values.data[:, :n_sink], first_v.data)
@@ -299,11 +361,11 @@ class TestHybrids:
         head = new_conv_head(d, m - reserved, kernel_size=3, rng=rng)
         scores0 = rng.random(n_old) * 2
         old_k, old_v = t2(rng.standard_normal((d, n_old))), t2(rng.standard_normal((d, n_old)))
-        cache = KvCache(old_k, old_v, m, HeavyHitterState(scores0, 0, reserved), n_old)
+        cache = KvCache(old_k, old_v, m, KeepRule(heavy=reserved, scores=scores0), n_old)
         k_new, v_new = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b)))
         probs = rng.random((n_old + b, b))
 
-        out = compress_step(cache, k_new, v_new, head, reserved, probs)
+        out = compress_step(cache, k_new, v_new, head, probs)
 
         scores = np.concatenate([scores0, np.zeros(b)]) + probs.sum(axis=1)
         idx = np.arange(len(scores))
@@ -333,11 +395,11 @@ class TestHybrids:
         rng = np.random.default_rng(7)
         d, m, n_sink = 3, 6, 4
         head = new_conv_head(d, m - n_sink, kernel_size=3, rng=rng)
-        cache = KvCache.empty(d, capacity=m)
+        cache = KvCache.empty(d, capacity=m, rule=KeepRule(n_sink))
         k = token_block(d, 0, 3)
-        cache = compress_step(cache, k, paired_values(k), head, n_sink)
+        cache = compress_step(cache, k, paired_values(k), head)
         big = token_block(d, 3, 5)
-        cache = compress_step(cache, big, paired_values(big), head, n_sink)
+        cache = compress_step(cache, big, paired_values(big), head)
         first = t2(np.concatenate([k.data, big.data], axis=1)[:, :n_sink])
         assert cache.live_entries == m
         assert np.array_equal(cache.keys.data[:, :n_sink], first.data)

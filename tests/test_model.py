@@ -182,6 +182,11 @@ def _header_edit(*path, value=None):
     return lambda raw: _rewrite_header(raw, edit)
 
 
+def _every_relu_position_pre(header):
+    for meta in header["conv_meta"]:
+        meta["relu_position"] = "pre"
+
+
 LAYER_0_META = {"kernel_size": 5, "layer_index": 0, "relu_position": "post", "slots": 8}
 CORRUPTIONS = {
     "truncated_header": lambda raw: raw[:26],
@@ -201,6 +206,9 @@ CORRUPTIONS = {
     "two_tensors_at_offset_0": _header_edit("sections", "base", 1, "offset", value=0),
     "duplicated_conv_meta_entry": _header_edit("conv_meta", 1, value=LAYER_0_META),
     "one_conv_meta_for_2_layers": _header_edit("conv_meta", 1),
+    # self-consistent edits that load as a different model unless checksummed
+    "every_relu_position_pre": lambda raw: _rewrite_header(raw, _every_relu_position_pre),
+    "rope_base_500": _header_edit("config", "rope_base", value=500.0),
 }
 
 
@@ -257,12 +265,14 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_format_version_1_rejected_by_name(self, tiny_params, tmp_path):
+        # version 2, whose checksum skips the header, is rejected the same way
         path = tmp_path / "a.ckpt"
         save_checkpoint(tiny_params, path)
         raw = path.read_bytes()
-        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
-        with pytest.raises(CheckpointError, match="version 1 carries no payload checksum"):
-            load_checkpoint(path)
+        for version in (1, 2):
+            path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+            with pytest.raises(CheckpointError, match=f"version {version} carries no header"):
+                load_checkpoint(path)
 
 
 class TestGenerate:
@@ -364,7 +374,7 @@ class TestBlockSizePrecondition:
     def test_block_beyond_free_slots_rejected(self, name):
         spec = BOUNDED[name]
         params = model_for(spec)
-        room = spec.capacity - (spec.pinned or 0)
+        room = spec.merge_slots or spec.capacity
         tokens = rand_tokens(np.random.default_rng(2), 3 * room)
         forward_segmented(params, tokens, spec, room)
         generate(params, tokens[:5], 3, spec, room)
