@@ -125,7 +125,9 @@ def synthesize_weights(
 
     The conv input stacks keys over values, incoming block columns first,
     cache columns after; the first B output columns therefore become the
-    new-token weights and the rest the cache weights.
+    new-token weights and the rest the cache weights. Either side may have
+    no columns, as when a hybrid keeps every column of a block verbatim and
+    only unkept cache columns are left to merge.
     """
     d = k_new.rows
     for name, t in (("v_new", v_new), ("k_cache", k_cache), ("v_cache", v_cache)):
@@ -133,8 +135,8 @@ def synthesize_weights(
             raise ShapeError(f"{name} has {t.rows} rows, expected {d}")
     if k_new.cols != v_new.cols or k_cache.cols != v_cache.cols:
         raise ShapeError("key/value column counts disagree")
-    if k_new.cols < 1:
-        raise ShapeError("incoming block must have at least one column")
+    if k_new.cols + k_cache.cols < 1:
+        raise ShapeError("nothing to merge: block and cache have no columns")
     if 2 * d != head.kernels.c_in:
         raise ShapeError(
             f"head expects {head.kernels.c_in} input channels, inputs provide {2 * d}"

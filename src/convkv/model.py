@@ -420,6 +420,40 @@ def _blocks(n_tokens: int, block_size: int):
     return blocks()
 
 
+def _run_blocks(
+    params: ModelParams,
+    tokens: np.ndarray,
+    policy: PolicySpec,
+    block_size: int,
+    flush_last: bool,
+    trace=None,
+    block_offset: int = 0,
+    detach_cache: bool = False,
+) -> tuple[Tensor2, list[LayerStream]]:
+    """The block loop of ``forward_segmented`` and ``sequence_loss``.
+
+    Every block but the last goes through the policy once it has been
+    attended to; the last does too when ``flush_last`` is set, and otherwise
+    stays staged in the returned streams.
+    """
+    tokens = _token_ids(params, tokens, "token sequence")
+    blocks = _blocks(tokens.size, block_size)
+    streams = _open_streams(params, policy, block_size)
+    logit_blocks = []
+    for block_index, (start, stop, positions) in enumerate(blocks):
+        block = block_offset + block_index
+        flush = flush_last or stop < tokens.size
+        logits, attn_entries = _forward_chunk(
+            params, streams, tokens[start:stop], positions, block, flush, detach_cache
+        )
+        logit_blocks.append(logits)
+        if trace is not None:
+            caches = [s.cache for s in streams]
+            trace.record_block(block, caches, attn_entries, stop)
+    logits = logit_blocks[0] if len(logit_blocks) == 1 else hstack(logit_blocks)
+    return logits, streams
+
+
 def forward_segmented(
     params: ModelParams,
     tokens: np.ndarray,
@@ -441,20 +475,9 @@ def forward_segmented(
     NonFiniteError naming the block (counted from ``block_offset``, as in the
     trace) and the layer.
     """
-    tokens = _token_ids(params, tokens, "token sequence")
-    blocks = _blocks(tokens.size, block_size)
-    streams = _open_streams(params, policy, block_size)
-    logit_blocks = []
-    for block_index, (start, stop, positions) in enumerate(blocks):
-        block = block_offset + block_index
-        logits, attn_entries = _forward_chunk(
-            params, streams, tokens[start:stop], positions, block, True, detach_cache
-        )
-        logit_blocks.append(logits)
-        if trace is not None:
-            caches = [s.cache for s in streams]
-            trace.record_block(block, caches, attn_entries, stop)
-    logits = logit_blocks[0] if len(logit_blocks) == 1 else hstack(logit_blocks)
+    logits, streams = _run_blocks(
+        params, tokens, policy, block_size, True, trace, block_offset, detach_cache
+    )
     return logits, [s.cache for s in streams]
 
 
@@ -466,11 +489,16 @@ def sequence_loss(
     *,
     detach_cache: bool = False,
 ) -> Tensor2:
-    """Mean next-token cross entropy over one sequence."""
+    """Mean next-token cross entropy over one sequence.
+
+    The logits are ``forward_segmented``'s, but the caches are not updated
+    after the last block: nothing reads them, so that merge or eviction, and
+    its entries on an active gradient tape, would be dead work.
+    """
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.size < 2:
         raise ValueError("need at least two tokens for a next-token loss")
-    logits, _ = forward_segmented(params, tokens, policy, block_size, detach_cache=detach_cache)
+    logits, _ = _run_blocks(params, tokens, policy, block_size, False, detach_cache=detach_cache)
     return cross_entropy_cols(slice_cols(logits, 0, tokens.size - 1), tokens[1:])
 
 

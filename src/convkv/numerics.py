@@ -165,8 +165,10 @@ def backward(tape: GradTape, output: Tensor2) -> dict[Tensor2, np.ndarray]:
     for trainable leaves.
 
     Gradients are accumulated per tensor; ops whose result never received an
-    upstream gradient contribute nothing. The tape must be ``reset()`` before
-    it can be replayed again.
+    upstream gradient contribute nothing. A vjp may return None for an
+    operand that needs no gradient (``requires_grad`` False), and ops with
+    several operands do, so a frozen weight costs no gradient work. The tape
+    must be ``reset()`` before it can be replayed again.
     """
     if tape._consumed:
         raise TapeError("tape already replayed; call reset() before reuse")
@@ -220,7 +222,10 @@ def _require_2d(op: str, *tensors: Tensor2) -> None:
 # --- primitives ---------------------------------------------------------------
 
 def matmul(a: Tensor2, b: Tensor2) -> Tensor2:
-    """Matrix product a @ b, per head when both carry the same head axis."""
+    """Matrix product a @ b, per head when both carry the same head axis.
+
+    The vjp computes the gradient of a frozen operand as None.
+    """
     if a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul: leading dims differ ({a.shape} @ {b.shape})")
     if a.cols != b.rows:
@@ -228,7 +233,10 @@ def matmul(a: Tensor2, b: Tensor2) -> Tensor2:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+        return (
+            g @ bd.swapaxes(-1, -2) if a.requires_grad else None,
+            ad.swapaxes(-1, -2) @ g if b.requires_grad else None,
+        )
 
     return _result(ad @ bd, (a, b), vjp)
 
@@ -344,7 +352,9 @@ def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
 
     Input is (c_in, T); output is (c_out, T) under zero padding of (k-1)/2 on
     both ends, so output column t depends only on input columns
-    t-(k-1)/2 .. t+(k-1)/2.
+    t-(k-1)/2 .. t+(k-1)/2. The vjp skips the input gradient (a GEMM and a
+    k-tap col2im loop) when the input is frozen, and the kernel gradient
+    when the kernels are; either comes back as None.
     """
     _require_2d("conv1d", x, kernels.weights)
     if x.rows != kernels.c_in:
@@ -368,7 +378,9 @@ def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
     out = w.data @ cols
 
     def vjp(g):
-        gw = g @ cols.T
+        gw = g @ cols.T if w.requires_grad else None
+        if not x.requires_grad:
+            return None, gw
         tmp = (w.data.T @ g).reshape(c_in, k, t_len)
         gxp = np.zeros_like(xp)
         for j in range(k):
@@ -477,7 +489,10 @@ def select_cols(x: Tensor2, indices: np.ndarray) -> Tensor2:
 
 
 def rms_norm_cols(x: Tensor2, gain: Tensor2) -> Tensor2:
-    """Normalize each column to unit root-mean-square, then scale rows by gain."""
+    """Normalize each column to unit root-mean-square, then scale rows by gain.
+
+    The vjp computes the gradient of a frozen operand as None.
+    """
     _require_2d("rms_norm_cols", x)
     if gain.shape != (x.rows, 1):
         raise ShapeError(f"rms_norm_cols: gain must be {x.rows}x1, got {gain.shape}")
@@ -488,7 +503,9 @@ def rms_norm_cols(x: Tensor2, gain: Tensor2) -> Tensor2:
     gd = gain.data
 
     def vjp(g):
-        ggain = (g * u).sum(axis=1, keepdims=True)
+        ggain = (g * u).sum(axis=1, keepdims=True) if gain.requires_grad else None
+        if not x.requires_grad:
+            return None, ggain
         gg = g * gd
         gx = gg / r - u * ((np.add.reduce(gg * u, axis=0) / rows) / r)
         return gx, ggain

@@ -7,6 +7,7 @@ per-policy figures.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,33 @@ def test_each_policy_runs_under_its_traced_entry_point(monkeypatch, policy):
     traced = {rec.names[i] for i in rec.name} & set().union(*POLICY_SPANS.values())
     assert traced == POLICY_SPANS[policy]
     assert (rec.stats["evicted_cols"] > 0) == (policy in ("h2o", "sink_window"))
+
+
+# what the benchmark's calibrate figures are read from
+CALIBRATION_SPANS = {
+    "model.sequence_loss",
+    "numerics.backward",
+    "training.adam_step",
+    "compressor.synthesize_weights",
+}
+
+
+def test_calibration_runs_under_the_spans_the_benchmark_traces(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    params = convkv.ModelParams.init(convkv.ModelConfig(d_model=8, n_heads=1, head_dim=8))
+    spec = convkv.PolicySpec("lococo", capacity=8)
+    cfg = convkv.TrainConfig(steps=1, batch_size=2, context_length=16)
+    rec = tracing.SpanRecorder()
+    rec.begin_op(tracing.WORKLOAD)
+    with tracing.Tracer(rec):
+        convkv.calibrate_conv_heads(params, np.arange(64), spec, 4, cfg, kernel_size=3)
+    calls = Counter(rec.names[i] for i in rec.name)
+    assert CALIBRATION_SPANS <= set(calls)
+    # 2 sequences x 2 layers, each merging once: of the merges after blocks 3
+    # and 4 of 4, the last is never read and is not run
+    assert calls["compressor.synthesize_weights"] == 4
 
 
 def test_every_name_the_benchmark_uses_exists():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from convkv.cache import CacheError, KvCache, update_concat
+from convkv.cache import CacheError, KeepRule, KvCache, update_concat
 from convkv.compressor import (
     ConvHead,
     FusionWeights,
@@ -267,6 +267,30 @@ class TestCompressStep:
             k, v = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b)))
             cache = compress_step(cache, k, v, head)
             assert cache.live_entries == min((i + 1) * b, m)
+
+    def test_block_kept_whole_merges_the_unkept_cache_columns(self):
+        # lococo+h2o at B = 1: the block's one key drew all of the attention, so
+        # it ranks among the heavy hitters and no block column is left to merge
+        rng = np.random.default_rng(15)
+        d, m, heavy = 3, 4, 2
+        head = new_conv_head(d, m - heavy, kernel_size=3, rng=rng)
+        k_cache, v_cache = t2(rng.standard_normal((d, m))), t2(rng.standard_normal((d, m)))
+        cache = KvCache(k_cache, v_cache, capacity=m,
+                        rule=KeepRule(heavy=heavy, scores=np.zeros(m)), total_seen=m)
+        k_new, v_new = t2(rng.standard_normal((d, 1))), t2(rng.standard_normal((d, 1)))
+        probs = np.zeros((m + 1, 1))
+        probs[m, 0] = 1.0
+        out = compress_step(cache, k_new, v_new, head, probs)
+        assert out.live_entries == m
+        # kept verbatim: the newest cache column (ties favour newer) and the block
+        kept = np.hstack([k_cache.data[:, -1:], k_new.data])
+        assert np.array_equal(out.keys.data[:, :heavy], kept)
+        assert np.array_equal(out.rule.scores, [0.0, 1.0, 0.0, 0.0])
+        eps = 1e-12
+        for merged, sources in ((out.keys, k_cache), (out.values, v_cache)):
+            slots, src = merged.data[:, heavy:], sources.data[:, :m - 1]
+            assert (slots <= src.max(axis=1, keepdims=True) + eps).all()
+            assert (slots >= src.min(axis=1, keepdims=True) - eps).all()
 
     def test_slot_capacity_mismatch_rejected(self):
         rng = np.random.default_rng(13)

@@ -17,8 +17,9 @@ from convkv.model import (
     forward_segmented,
     generate,
     perplexity,
+    sequence_loss,
 )
-from convkv.numerics import NonFiniteError, Tensor2
+from convkv.numerics import NonFiniteError, Tensor2, cross_entropy_cols, slice_cols
 from convkv.policies import LayerPolicy, PolicySpec
 
 TINY = ModelConfig(d_model=16, n_layers=2, n_heads=2, head_dim=8, max_context=256)
@@ -367,6 +368,30 @@ class TestDecodeMatchesPrefill:
             fed = prompt.size + n_new - 1
             assert calls["update"] == TINY.n_layers * (fed // block_size)
             assert calls["build"] == TINY.n_layers
+
+
+class TestSequenceLoss:
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_loss_skips_only_the_unread_final_update(self, monkeypatch, name):
+        spec = POLICIES[name]
+        params = model_for(spec)
+        tokens = rand_tokens(np.random.default_rng(21), 14)  # blocks of 4, 4, 4 and 2
+        calls = []
+        update = LayerPolicy.update
+
+        def counted_update(self, *args, **kwargs):
+            calls.append(self)
+            return update(self, *args, **kwargs)
+
+        monkeypatch.setattr(LayerPolicy, "update", counted_update)
+        logits, _ = forward_segmented(params, tokens, spec, 4)
+        segmented_updates = len(calls)
+        calls.clear()
+        loss = sequence_loss(params, tokens, spec, 4)
+        expect = cross_entropy_cols(slice_cols(logits, 0, tokens.size - 1), tokens[1:])
+        assert np.array_equal(loss.data, expect.data)
+        assert segmented_updates == TINY.n_layers * 4
+        assert len(calls) == segmented_updates - TINY.n_layers
 
 
 class TestBlockSizePrecondition:

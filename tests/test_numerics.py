@@ -449,6 +449,34 @@ class TestGradients:
         fd_check(loss, [a, b])
 
 
+class TestFrozenOperandVjp:
+    """A two-operand vjp computes no gradient for an operand that needs none."""
+
+    OPS = {
+        "matmul": (matmul, (3, 4), (4, 5)),
+        "conv1d": (lambda x, w: conv1d(x, ConvKernels(w, c_in=2, k=3)), (2, 6), (4, 6)),
+        "rms_norm_cols": (rms_norm_cols, (3, 5), (3, 1)),
+    }
+
+    @pytest.mark.parametrize("frozen", [0, 1])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_frozen_operand_gets_none_and_the_other_the_same_gradient(self, op, frozen):
+        build, *shapes = self.OPS[op]
+        rng = np.random.default_rng(4)
+        data = [rng.standard_normal(shape) for shape in shapes]
+
+        def vjp_with(trainable):
+            with GradTape() as tape:
+                out = build(*(t2(d, trainable=f) for d, f in zip(data, trainable)))
+            ((_, _, vjp),) = tape._entries
+            return vjp(np.random.default_rng(5).standard_normal(out.shape))
+
+        both = vjp_with((True, True))
+        one = vjp_with(tuple(i != frozen for i in range(2)))
+        assert one[frozen] is None
+        assert np.array_equal(one[1 - frozen], both[1 - frozen])
+
+
 class TestTapeProtocol:
     def test_no_recording_without_trainable(self):
         with GradTape() as tape:

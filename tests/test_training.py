@@ -254,6 +254,67 @@ class TestCalibration:
         assert traces[0] == traces[1]
 
 
+# losses of a 3-step calibration, then kernel entries [0, 0] and [-1, -1] of
+# each layer's head and the sum of both, per merging policy; frozen at the
+# commit before calibration stopped updating the caches after a sequence's
+# last block, which must move none of them
+CALIBRATION_PROBE = {
+    "lococo": [
+        5.524947302214055,
+        5.560609052162849,
+        5.5545247036227945,
+        0.08607453450186457,
+        -0.0869385175503779,
+        -0.12583185918063636,
+        0.035238545275614444,
+        -4.972488130962181,
+    ],
+    "lococo+h2o": [
+        5.524617624640491,
+        5.560640511947426,
+        5.554750603013597,
+        0.0882065734888821,
+        0.009088520860073234,
+        0.028752384136534054,
+        0.09881228705079072,
+        1.2842871227167274,
+    ],
+    "lococo+sink": [
+        5.524910493705878,
+        5.5605812287527545,
+        5.554585074665814,
+        0.08548925162147902,
+        0.08288190728654755,
+        0.061770819885054,
+        0.1320508835801406,
+        0.8273663060715495,
+    ],
+}
+PROBE_MODEL = ModelConfig(d_model=8, n_layers=2, n_heads=2, head_dim=4, max_context=64)
+PROBE_POLICIES = {
+    "lococo": PolicySpec("lococo", capacity=8),
+    "lococo+h2o": PolicySpec("lococo+h2o", capacity=8, reserved=2),
+    "lococo+sink": PolicySpec("lococo+sink", capacity=8, n_sink=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_POLICIES))
+def test_calibration_regression_locked(name):
+    # 4 blocks of 4 per sequence into 8 slots: the last two blocks merge
+    params = ModelParams.init(PROBE_MODEL, seed=7)
+    ids = corpus_to_ids(make_recall_corpus(32, seed=5))
+    trace = calibrate_conv_heads(
+        params, ids, PROBE_POLICIES[name], 4,
+        TrainConfig(steps=3, batch_size=2, context_length=16, seed=11), kernel_size=5,
+    )
+    w0, w1 = (head.kernels.weights.data for head in params.conv_heads)
+    probe = np.array(
+        [loss for _, loss, _ in trace]
+        + [w0[0, 0], w0[-1, -1], w1[0, 0], w1[-1, -1], float(w0.sum() + w1.sum())]
+    )
+    assert np.max(np.abs(probe - CALIBRATION_PROBE[name])) < 1e-10
+
+
 class TestLossTrace:
     def test_csv_round_trip_exact(self, tmp_path):
         trace = [(0, 1.2345678901234567, 0.001), (1, 0.9999999999999999, 0.0005)]
