@@ -7,9 +7,9 @@ tests), which is the core correctness property everything downstream leans
 on. Rotary position embedding (with optional interpolation for context
 extension) lives here too.
 
-Heads ride a leading axis: ``split_heads`` views a (n_heads * head_dim, T)
-projection as (n_heads, head_dim, T) without copying, rotary embedding and
-attention then run every head in one call, and ``merge_heads`` goes back.
+Heads ride a leading axis: ``project_qkv`` makes every head's (head_dim, T)
+rotated q and k, raw k and v with one GEMM and one rotation, ``attend`` runs
+every head in one call, and ``merge_heads`` goes back to (n_heads * head_dim, T).
 """
 
 from __future__ import annotations
@@ -81,11 +81,25 @@ class AttentionParams:
         return [("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v), ("w_o", self.w_o)]
 
 
-def project_qkv(x: Tensor2, params: AttentionParams) -> tuple[Tensor2, Tensor2, Tensor2]:
-    """Linear projections of the input into query/key/value stacks."""
-    if x.rows != params.w_q.cols:
-        raise ShapeError(f"input has {x.rows} rows, projections expect {params.w_q.cols}")
-    return matmul(params.w_q, x), matmul(params.w_k, x), matmul(params.w_v, x)
+def _rope_table(positions: np.ndarray, d: int, t_len: int, cfg: RopeConfig):
+    """cos and sin, (d / 2, T), of ``apply_rope``'s angles for ``d`` rows."""
+    if d % 2 != 0:
+        raise ShapeError(f"rotary embedding needs an even row count, got {d}")
+    pos = np.asarray(positions, dtype=np.float64)
+    if pos.shape != (t_len,):
+        raise ShapeError(f"need {t_len} positions, got shape {pos.shape}")
+    inv_freq = cfg.base ** (-2.0 * np.arange(d // 2) / d)
+    ang = np.outer(inv_freq, pos / cfg.interpolation_scale)
+    return np.cos(ang), np.sin(ang)
+
+
+def _rotate(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Turn row pairs (2i, 2i+1) of (..., d, T) data by one table; (c, -s) turns back."""
+    xe, xo = x[..., 0::2, :], x[..., 1::2, :]
+    out = np.empty_like(x)
+    out[..., 0::2, :] = xe * c - xo * s
+    out[..., 1::2, :] = xe * s + xo * c
+    return out
 
 
 def apply_rope(x: Tensor2, positions: np.ndarray, cfg: RopeConfig) -> Tensor2:
@@ -96,29 +110,37 @@ def apply_rope(x: Tensor2, positions: np.ndarray, cfg: RopeConfig) -> Tensor2:
     head-batched input turns every head by one shared table. Rotation is
     linear, so the backward pass is the same rotation by the negated angle.
     """
-    d, t_len = x.rows, x.cols
-    if d % 2 != 0:
-        raise ShapeError(f"rotary embedding needs an even row count, got {d}")
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape != (t_len,):
-        raise ShapeError(f"need {t_len} positions, got shape {pos.shape}")
-    half = d // 2
-    inv_freq = cfg.base ** (-2.0 * np.arange(half) / d)
-    ang = np.outer(inv_freq, pos / cfg.interpolation_scale)
-    c, s = np.cos(ang), np.sin(ang)
-    xe, xo = x.data[..., 0::2, :], x.data[..., 1::2, :]
-    out = np.empty_like(x.data)
-    out[..., 0::2, :] = xe * c - xo * s
-    out[..., 1::2, :] = xe * s + xo * c
+    c, s = _rope_table(positions, x.rows, x.cols, cfg)
 
     def vjp(g):
-        ge, go = g[..., 0::2, :], g[..., 1::2, :]
-        gx = np.empty_like(g)
-        gx[..., 0::2, :] = ge * c + go * s
-        gx[..., 1::2, :] = -ge * s + go * c
-        return (gx,)
+        return (_rotate(g, c, -s),)
 
-    return custom_op([x], out, vjp)
+    return custom_op([x], _rotate(x.data, c, s), vjp)
+
+
+def project_qkv(x: Tensor2, params: AttentionParams, positions: np.ndarray,
+                rope: RopeConfig) -> tuple[Tensor2, Tensor2, Tensor2, Tensor2]:
+    """A normed chunk's ``(q_rot, k_rot, k, v)``, each (n_heads, head_dim, T), from
+    one GEMM over the stacked weights and one rotation of q and k at ``positions``;
+    ``k`` is the unrotated key a slot-relative policy caches. Each output is its
+    own op, and a frozen operand's gradient is None."""
+    if x.data.ndim != 2 or x.rows != params.w_q.cols:
+        raise ShapeError(f"input of shape {x.shape} does not fit projections of {params.w_q.cols}")
+    c, s = _rope_table(positions, params.head_dim, x.cols, rope)
+    w_qkv = np.concatenate([params.w_q.data, params.w_k.data, params.w_v.data])
+    qkv = (w_qkv @ x.data).reshape(3, params.n_heads, params.head_dim, x.cols)
+    q_rot, k_rot = _rotate(qkv[:2], c, s)
+
+    def output(data: np.ndarray, w: Tensor2, rotated: bool) -> Tensor2:
+        def vjp(g):
+            g = (_rotate(g, c, -s) if rotated else g).reshape(w.rows, x.cols)
+            gx = w.data.swapaxes(-1, -2) @ g if x.requires_grad else None
+            return gx, (g @ x.data.swapaxes(-1, -2) if w.requires_grad else None)
+
+        return custom_op([x, w], data, vjp)
+
+    return (output(q_rot, params.w_q, True), output(k_rot, params.w_k, True),
+            output(qkv[1], params.w_k, False), output(qkv[2], params.w_v, False))
 
 
 def _block_mask(n_cached: int, n_new: int, n_queries: int) -> np.ndarray:

@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .compressor import new_conv_head
+from .compressor import ConvHead
 from .model import ModelConfig, ModelParams
-from .numerics import Tensor2
+from .numerics import ConvKernels, Tensor2
 
 MAGIC = b"CKVC"
 FORMAT_VERSION = 3
@@ -128,14 +128,14 @@ def _read_header(fh) -> dict:
 def _params_from_header(header: dict) -> ModelParams:
     """Params shaped as the header says, their weights still to be filled."""
     config = ModelConfig(**header["config"])
-    params = ModelParams.init(config)
+    params = ModelParams.zeros(config)
     conv_meta = header.get("conv_meta")
     if conv_meta is not None:
-        rng = np.random.default_rng(0)
+        c_in = 2 * config.d_model  # keys over values
         params.conv_heads = [
-            new_conv_head(config.d_model, meta["slots"], meta["kernel_size"], rng,
-                          meta["relu_position"], meta["layer_index"])
-            for meta in conv_meta
+            ConvHead(ConvKernels(Tensor2.zeros(m["slots"], c_in * m["kernel_size"]), c_in,
+                                 m["kernel_size"]), m["layer_index"], m["relu_position"])
+            for m in conv_meta
         ]
         if [head.layer_index for head in params.conv_heads] != list(range(config.n_layers)):
             raise ValueError(f"conv heads must be listed for layers 0..{config.n_layers - 1}")

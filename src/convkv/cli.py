@@ -253,7 +253,8 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out / "model.ckpt"
     save_checkpoint(params, ckpt)
     write_loss_trace(out / "pretrain_trace.csv", trace)
-    print(f"pretrained {cfg.steps} steps, final loss {trace[-1][1]:.4f}, saved {ckpt}")
+    final = trace[-1][1] if trace else float("nan")
+    print(f"pretrained {len(trace)} steps, final loss {final:.4f}, saved {ckpt}")
     return 0
 
 

@@ -104,11 +104,15 @@ class ModelParams:
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "ModelParams":
         rng = np.random.default_rng(seed)
-        scale = 0.02
+        return cls._build(config, lambda rows, cols: Tensor2(rng.normal(0.0, 0.02, (rows, cols))))
 
-        def w(rows, cols):
-            return Tensor2(rng.normal(0.0, scale, size=(rows, cols)))
+    @classmethod
+    def zeros(cls, config: ModelConfig) -> "ModelParams":
+        """The layout of ``init`` with every weight 0 (gains 1), drawing nothing."""
+        return cls._build(config, Tensor2.zeros)
 
+    @classmethod
+    def _build(cls, config: ModelConfig, w) -> "ModelParams":
         def gain(rows):
             return Tensor2(np.ones((rows, 1)))
 
@@ -231,10 +235,11 @@ class LayerStream:
     is one (keys, values) pair of (H, head_dim, n) tensors holding the cache
     + staged columns, keys rotated as attention sees them. Both are views
     into one buffer per tensor of n_cached + B columns, filled from the cache
-    once per flush and extended in place by each chunk, so a decode step
-    copies its own column only. ``mass``, for policies that keep keys by it,
-    is allocated beside the buffers with n_cached + B zeros and sums the
-    attention each context column drew from the staged queries, over heads.
+    once per flush and extended in place by each chunk's ``project_qkv``
+    output, so a decode step copies its own column only. ``mass``, for
+    policies that keep keys by it, is allocated beside the buffers with
+    n_cached + B zeros and sums the attention each context column drew
+    from the staged queries, over heads.
     """
 
     def __init__(self, policy: LayerPolicy, cache: KvCache, block_size: int):
@@ -302,9 +307,9 @@ def _layer_step(
 ) -> tuple[Tensor2, int]:
     """One residual block over one chunk of tokens; returns attn matrix entries.
 
-    The chunk attends to the layer's cache and staged columns, then joins the
-    staged columns; ``flush`` hands them to the policy. Every head runs in
-    the same op calls, on a leading head axis.
+    One ``project_qkv`` (one QKV GEMM, q and k rotated together) and one
+    ``attend`` over cache, staged columns and chunk, on a leading head axis,
+    then the MLP. The chunk joins the staged columns; ``flush`` hands them on.
     """
     n_heads, head_dim = layer.attn.n_heads, layer.attn.head_dim
     policy = stream.policy
@@ -312,25 +317,17 @@ def _layer_step(
     n_cached = stream.cache.live_entries
     n_context = n_cached + stream.n_staged
 
+    # slot-relative policies cache keys unrotated and rotate them by cache slot
+    q_pos = n_context + np.arange(b) if policy.slot_relative_positions else positions
     normed = rms_norm_cols(h, layer.attn_gain)
-    q, k, v = (split_heads(x, n_heads, head_dim) for x in project_qkv(normed, layer.attn))
+    q_rot, k_rot, k, v = project_qkv(normed, layer.attn, q_pos, rope)
+    k_for_cache = k if policy.slot_relative_positions else k_rot
 
     if stream.context is None:
         cached_keys = split_heads(stream.cache.keys, n_heads, head_dim)
         if policy.slot_relative_positions and n_cached:
-            # rolling positions: everything is rotated by its cache slot index
             cached_keys = apply_rope(cached_keys, np.arange(n_cached), rope)
         stream.open_context(cached_keys, split_heads(stream.cache.values, n_heads, head_dim))
-    if policy.slot_relative_positions:
-        q_pos = n_context + np.arange(b)
-        k_rot = apply_rope(k, q_pos, rope)
-        k_for_cache = k  # unrotated; slots get fresh positions every block
-    else:
-        q_pos = positions  # cached keys are already rotated at their absolute positions
-        k_rot = apply_rope(k, positions, rope)
-        k_for_cache = k_rot
-    q_rot = apply_rope(q, q_pos, rope)
-
     context_k, context_v = stream.extend_context(k_rot, v)
     mass = None
     if policy.needs_probs:
@@ -517,9 +514,9 @@ def generate(
     ``forward_segmented``. Queries attend to the cache plus the staged columns,
     so a bounded policy holds at most M + B columns per head, and the logits
     equal those of ``forward_segmented(prompt + generated[:-1], policy,
-    block_size)`` up to summation order. A decode step writes its one key
-    and value column into each layer's context buffer (see ``LayerStream``)
-    and reuses the unembedding made once per call.
+    block_size)`` up to summation order. A decode step runs one
+    ``_layer_step`` per layer, writes one key and value column into each
+    context buffer (see ``LayerStream``) and reuses one unembedding.
 
     Ties in the argmax resolve to the lowest byte, so decoding is
     deterministic. The total context must fit max_context * interpolation_scale.

@@ -198,12 +198,15 @@ def backward(tape: GradTape, output: Tensor2) -> dict[Tensor2, np.ndarray]:
 
 
 def _result(data: np.ndarray, inputs: tuple[Tensor2, ...], vjp: _TapeVjp) -> Tensor2:
-    req = any(t.requires_grad for t in inputs)
-    out = _wrap(data, req)
-    if req:
-        tape = active_tape()
-        if tape is not None:
-            tape._record(inputs, out, vjp)
+    for t in inputs:
+        if t.requires_grad:
+            break
+    else:  # no trainable operand: nothing to record, the common case at inference
+        return _wrap(data, False)
+    out = _wrap(data, True)
+    tape = active_tape()
+    if tape is not None:
+        tape._record(inputs, out, vjp)
     return out
 
 

@@ -1,10 +1,12 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is deliberately written as plain scalar loops over numpy
-arrays, sharing no code with the package under test. The one exception is
-``full_causal_attention``, the whole-sequence reference path that the
-block-wise forward is checked against; it is checked against
-``causal_attention_loops`` in turn.
+arrays, sharing no code with the package under test. There are two
+exceptions. ``full_causal_attention`` is the whole-sequence reference path
+that the block-wise forward is checked against; it is checked against
+``causal_attention_loops`` in turn. ``project_qkv_composed`` is the
+composition of primitives that ``attention.project_qkv`` fuses, which must
+match it bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import math
 
 import numpy as np
 
-from convkv.attention import attend
-from convkv.numerics import ShapeError, Tensor2
+from convkv.attention import apply_rope, attend, split_heads
+from convkv.numerics import ShapeError, Tensor2, matmul
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,6 +81,16 @@ def full_causal_attention(q: Tensor2, k: Tensor2, v: Tensor2) -> Tensor2:
     if q.cols != k.cols:
         raise ShapeError(f"full attention expects square layout, got {q.cols} queries vs {k.cols} keys")
     return attend(q, k, v, n_cached=0)
+
+
+def project_qkv_composed(x: Tensor2, params, positions: np.ndarray, rope):
+    """``project_qkv`` from primitives: three ``matmul``s, ``split_heads`` on
+    each, then ``apply_rope`` on q and k; returns (q_rot, k_rot, k, v)."""
+    q, k, v = (
+        split_heads(matmul(w, x), params.n_heads, params.head_dim)
+        for w in (params.w_q, params.w_k, params.w_v)
+    )
+    return apply_rope(q, positions, rope), apply_rope(k, positions, rope), k, v
 
 
 def rope_scalar(x: np.ndarray, positions: np.ndarray, base: float, scale: float) -> np.ndarray:

@@ -49,26 +49,64 @@ class TestProjectQkv:
         x = t2(np.arange(6.0).reshape(2, 3))
         eye = Tensor2(np.eye(2))
         params = AttentionParams(eye, eye, eye, Tensor2(np.eye(2)), n_heads=1, head_dim=2)
-        q, k, v = project_qkv(x, params)
-        assert np.array_equal(k.data, x.data)
+        outs = project_qkv(x, params, np.zeros(3), RopeConfig())
+        for out in outs:  # position 0 turns nothing
+            assert out.shape == (1, 2, 3)
+            assert np.array_equal(out.data[0], x.data)
 
     def test_zero_input(self):
         rng = np.random.default_rng(0)
         params = rand_params(rng, 4)
-        q, k, v = project_qkv(Tensor2.zeros(4, 5), params)
-        assert not q.data.any() and not k.data.any() and not v.data.any()
+        outs = project_qkv(Tensor2.zeros(4, 5), params, np.arange(5), RopeConfig())
+        assert not any(out.data.any() for out in outs)
 
     def test_matches_matmul_oracle(self):
         rng = np.random.default_rng(1)
-        params = rand_params(rng, 4)
+        params = rand_params(rng, 4, n_heads=2)
         x = t2(rng.standard_normal((4, 6)))
-        q, _, _ = project_qkv(x, params)
-        assert np.max(np.abs(q.data - oracles.matmul_loops(params.w_q.data, x.data))) < 1e-12
+        positions = np.arange(6) + 3
+        q_rot, k_rot, k, v = project_qkv(x, params, positions, RopeConfig())
+        q_loops, k_loops = (oracles.matmul_loops(w.data, x.data) for w in (params.w_q, params.w_k))
+        expect = {
+            "k": (k, k_loops),
+            "v": (v, oracles.matmul_loops(params.w_v.data, x.data)),
+            "q_rot": (q_rot, q_loops),
+            "k_rot": (k_rot, k_loops),
+        }
+        for name, (out, loops) in expect.items():
+            for h in range(2):
+                want = loops[2 * h:2 * h + 2]
+                if name.endswith("_rot"):
+                    want = oracles.rope_scalar(want, positions, base=10000.0, scale=1.0)
+                assert np.max(np.abs(out.data[h] - want)) < 1e-12, name
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(2)
+        params = rand_params(rng, 4)
         with pytest.raises(ShapeError):
-            project_qkv(Tensor2.zeros(3, 5), rand_params(rng, 4))
+            project_qkv(Tensor2.zeros(3, 5), params, np.arange(5), RopeConfig())
+        with pytest.raises(ShapeError, match="positions"):
+            project_qkv(Tensor2.zeros(4, 5), params, np.arange(4), RopeConfig())
+
+    @pytest.mark.parametrize("positions", ["absolute", "slot_relative", "decode_step"])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_equals_composed_primitives(self, n_heads, positions):
+        # a prefill block at absolute positions, a chunk rotated past 7 cache
+        # slots, and one decode token
+        pos = {
+            "absolute": np.arange(48, 64),
+            "slot_relative": 7 + np.arange(3),
+            "decode_step": np.array([300]),
+        }[positions]
+        rng = np.random.default_rng(n_heads)
+        params = rand_params(rng, 8, n_heads)
+        x = t2(rng.standard_normal((8, pos.size)))
+        rope = RopeConfig(base=500.0, interpolation_scale=2.0)
+        fused = project_qkv(x, params, pos, rope)
+        composed = oracles.project_qkv_composed(x, params, pos, rope)
+        for out, ref in zip(fused, composed, strict=True):
+            assert out.shape == ref.shape == (n_heads, 8 // n_heads, pos.size)
+            assert np.array_equal(out.data, ref.data)
 
 
 class TestRope:
@@ -185,13 +223,18 @@ def per_head(x, cfg):
     return [t2(x.data[h * d:(h + 1) * d]) for h in range(cfg.n_heads)]
 
 
+def projections(x, attn):
+    """q, k and v as three separate matmuls, before any head split."""
+    return [matmul(w, x) for w in (attn.w_q, attn.w_k, attn.w_v)]
+
+
 def full_forward(params, tokens):
     """One-layer model over the whole sequence, head by head, through
     full_causal_attention."""
     layer, cfg = params.layers[0], params.config
     positions = np.arange(len(tokens))
     h = select_cols(params.embed, tokens)
-    q, k, v = project_qkv(rms_norm_cols(h, layer.attn_gain), layer.attn)
+    q, k, v = projections(rms_norm_cols(h, layer.attn_gain), layer.attn)
     heads = [
         full_causal_attention(
             apply_rope(hq, positions, cfg.rope), apply_rope(hk, positions, cfg.rope), hv
@@ -245,7 +288,7 @@ class TestSegmentAttention:
         _, cache = run_segment(params, tokens, 3)
         layer, cfg = params.layers[0], params.config
         h = rms_norm_cols(select_cols(params.embed, tokens), layer.attn_gain)
-        _, k, _ = project_qkv(h, layer.attn)
+        _, k, _ = projections(h, layer.attn)
         expect = vstack([apply_rope(hk, np.arange(6), cfg.rope) for hk in per_head(k, cfg)])
         assert cache.live_entries == 6
         assert np.max(np.abs(cache.keys.data - expect.data)) < 1e-12
@@ -260,7 +303,7 @@ class TestSegmentAttention:
         positions = np.arange(6)
         h = rms_norm_cols(select_cols(params.embed, tokens), layer.attn_gain)
         expect = np.zeros(6)
-        for hq, hk, hv in zip(*(per_head(x, cfg) for x in project_qkv(h, layer.attn))):
+        for hq, hk, hv in zip(*(per_head(x, cfg) for x in projections(h, layer.attn))):
             _, probs = attend(apply_rope(hq, positions, cfg.rope),
                               apply_rope(hk, positions, cfg.rope), hv, return_probs=True)
             expect += probs.data.sum(axis=1)

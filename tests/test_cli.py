@@ -78,6 +78,18 @@ class TestPretrainCommand:
     def test_nonexistent_corpus_path(self, tmp_path):
         assert main(["pretrain", "--corpus", "/nope.txt", "--out-dir", str(tmp_path)]) == 1
 
+    def test_zero_steps_saves_init_and_reports_nan_loss(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main([
+            "pretrain", "--corpus", corpus_file, "--out-dir", str(out),
+            "--steps", "0", "--batch-size", "2", "--context-length", "16", *TINY_ARGS,
+        ])
+        assert code == 0
+        assert "pretrained 0 steps, final loss nan" in capsys.readouterr().out
+        config = ModelConfig(d_model=8, n_layers=1, n_heads=1, head_dim=8, max_context=256)
+        loaded = load_checkpoint(out / "model.ckpt")
+        assert loaded.base_fingerprint() == ModelParams.init(config, seed=0).base_fingerprint()
+
 
 class TestCalibrateCommand:
     def test_produces_calibrated_checkpoint(self, corpus_file, base_ckpt, tmp_path):

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convkv.attention import RopeConfig, apply_rope, attend, merge_heads, split_heads
+from convkv.attention import (
+    AttentionParams,
+    RopeConfig,
+    apply_rope,
+    attend,
+    merge_heads,
+    project_qkv,
+    split_heads,
+)
 from convkv.cache import KvCache
 from convkv.model import LayerStream
 from convkv.numerics import (
@@ -436,6 +444,24 @@ class TestGradients:
 
         fd_check(loss, [k_cached, v_cached, *qs, *ks, *vs])
 
+    @pytest.mark.parametrize("output", ["q_rot", "k_rot", "k", "v"])
+    def test_project_qkv_output(self, output):
+        rng = np.random.default_rng(7)
+        x = rand(rng, 8, 3, trainable=True)
+        w_q, w_k, w_v, w_o = (rand(rng, 8, 8, trainable=True) for _ in range(4))
+        params = AttentionParams(w_q, w_k, w_v, w_o, n_heads=2, head_dim=4)
+        index = ("q_rot", "k_rot", "k", "v").index(output)
+        weight = (w_q, w_k, w_k, w_v)[index]
+
+        def loss():
+            out = project_qkv(x, params, np.array([3, 4, 5]), RopeConfig())[index]
+            return cross_entropy_cols(merge_heads(out), np.array([1, 6, 3]))
+
+        fd_check(loss, [x, weight])
+        with GradTape() as tape:
+            value = loss()
+        assert set(backward(tape, value)) == {x, weight}
+
     def test_relu_vstack_select(self):
         rng = np.random.default_rng(4)
         a = rand(rng, 2, 5, trainable=True)
@@ -475,6 +501,32 @@ class TestFrozenOperandVjp:
         one = vjp_with(tuple(i != frozen for i in range(2)))
         assert one[frozen] is None
         assert np.array_equal(one[1 - frozen], both[1 - frozen])
+
+
+    @pytest.mark.parametrize("frozen", ["x", "w_q", "w_k", "w_v"])
+    def test_project_qkv_frozen_operand_gets_none(self, frozen):
+        rng = np.random.default_rng(4)
+        tensors = {name: rand(rng, 8, 8) for name in ("w_q", "w_k", "w_v")}
+        tensors["x"] = rand(rng, 8, 3)
+        params = AttentionParams(tensors["w_q"], tensors["w_k"], tensors["w_v"],
+                                 rand(rng, 8, 8), n_heads=2, head_dim=4)
+
+        def vjps_with(frozen_name):
+            for name, t in tensors.items():
+                t.requires_grad = name != frozen_name
+            with GradTape() as tape:
+                project_qkv(tensors["x"], params, np.array([3, 4, 5]), RopeConfig())
+            g = np.random.default_rng(5).standard_normal((2, 4, 3))
+            return [(inputs, vjp(g)) for inputs, _, vjp in tape._entries]
+
+        both, one = vjps_with(None), vjps_with(frozen)
+        assert len(both) == len(one) == 4
+        for (inputs, grads), (_, ref) in zip(one, both):
+            for t, gt, gref in zip(inputs, grads, ref, strict=True):
+                if t is tensors[frozen]:
+                    assert gt is None
+                else:
+                    assert np.array_equal(gt, gref)
 
 
 class TestTapeProtocol:

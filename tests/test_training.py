@@ -73,6 +73,23 @@ def small_cfg(**kw):
     return TrainConfig(**base)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0),
+        ("batch_size", -2),
+        ("steps", -1),
+        ("context_length", 1),
+        ("learning_rate_base", 0.0),
+        ("learning_rate_conv", -1e-3),
+    ])
+    def test_bad_size_raises_value_error_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_steps_and_smallest_sizes_are_valid(self):
+        TrainConfig(steps=0, batch_size=1, context_length=2)
+
+
 class TestPretrain:
     def test_default_lr_ratio_is_one_thousand(self):
         cfg = TrainConfig()
