@@ -92,7 +92,6 @@ class KvCache:
     values: Tensor2
     capacity: int | None = None
     rule: KeepRule = KeepRule()
-    total_seen: int = 0
 
     def __post_init__(self):
         if self.keys.cols != self.values.cols:
@@ -125,13 +124,8 @@ def _check_block(cache: KvCache, k_new: Tensor2, v_new: Tensor2) -> int:
 
 def update_concat(cache: KvCache, k_new: Tensor2, v_new: Tensor2) -> KvCache:
     """Append the block; the cache grows without bound."""
-    b = _check_block(cache, k_new, v_new)
-    return replace(
-        cache,
-        keys=hstack([cache.keys, k_new]),
-        values=hstack([cache.values, v_new]),
-        total_seen=cache.total_seen + b,
-    )
+    _check_block(cache, k_new, v_new)
+    return replace(cache, keys=hstack([cache.keys, k_new]), values=hstack([cache.values, v_new]))
 
 
 def bounded_update(cache: KvCache, k_new: Tensor2, v_new: Tensor2,
@@ -168,8 +162,7 @@ def bounded_update(cache: KvCache, k_new: Tensor2, v_new: Tensor2,
         values = hstack([values, merged_values]) if len(kept) else merged_values
     if scores is not None:
         scores = scores[kept] if merge is None else np.concatenate([scores[kept], merged_scores])
-    return replace(cache, keys=keys, values=values, rule=replace(rule, scores=scores),
-                   total_seen=cache.total_seen + b)
+    return replace(cache, keys=keys, values=values, rule=replace(rule, scores=scores))
 
 
 def update_h2o(cache: KvCache, k_new: Tensor2, v_new: Tensor2, attn_probs: np.ndarray) -> KvCache:

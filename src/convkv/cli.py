@@ -22,10 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
+from .compressor import RELU_POSITIONS
 from .corpus import load_corpus
 from .instrumentation import compare_policies, write_reports_json
 from .model import ModelConfig, generate, perplexity
-from .policies import POLICY_NAMES, PolicySpec
+from .policies import PolicySpec
 from .training import TrainConfig, calibrate_conv_heads, pretrain, write_loss_trace
 
 ABLATE_AXES = ("kernel_size", "memory_size", "policy")
@@ -33,6 +34,15 @@ ABLATE_AXES = ("kernel_size", "memory_size", "policy")
 
 class ConfigError(ValueError):
     """Bad flags, config keys, or inconsistent settings; exits with code 1."""
+
+
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, raising the ValueError of a setting that
+    cannot work as a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -83,13 +93,19 @@ class RunConfig:
     axis: str = "memory_size"
     values: str = ""
 
+    # these raise ConfigError for settings that cannot work; commands call them first
+
     def model_config(self) -> ModelConfig:
         """The architecture knobs, each named as its ModelConfig field."""
         names = [f.name for f in dataclasses.fields(ModelConfig) if f.name in _FIELD_TYPES]
-        return ModelConfig(**{name: getattr(self, name) for name in names})
+        return _checked(ModelConfig, **{name: getattr(self, name) for name in names})
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(
+        """The training knobs; also checks the conv heads' ``relu_position``."""
+        if self.relu_position not in RELU_POSITIONS:
+            raise ConfigError(f"relu_position must be one of {RELU_POSITIONS}")
+        return _checked(
+            TrainConfig,
             learning_rate_base=self.learning_rate_base,
             learning_rate_conv=self.learning_rate_conv,
             steps=self.steps,
@@ -100,11 +116,10 @@ class RunConfig:
         )
 
     def policy_spec(self, name: str | None = None, capacity: int | None = None) -> PolicySpec:
-        name = self.policy if name is None else name
-        if name not in POLICY_NAMES:
-            raise ConfigError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
-        return PolicySpec(
-            name=name,
+        """The named policy, checked against ``block_size``."""
+        spec = _checked(
+            PolicySpec,
+            name=self.policy if name is None else name,
             capacity=self.capacity if capacity is None else capacity,
             n_sink=self.n_sink,
             window=self.window,
@@ -112,6 +127,8 @@ class RunConfig:
             heavy_budget=self.heavy_budget,
             reserved=self.reserved,
         )
+        _checked(spec.check_block_size, self.block_size)
+        return spec
 
 
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -246,10 +263,11 @@ def _write_rows_csv(path: Path, rows: list[dict]) -> None:
 
 def cmd_pretrain(cfg: RunConfig) -> int:
     _require(cfg, "corpus")
+    model_config, train_config = cfg.model_config(), cfg.train_config()
     out = _out_dir(cfg)
     _echo_config(cfg, out, "pretrain")
     ids = load_corpus(cfg.corpus)
-    params, trace = pretrain(ids, cfg.model_config(), cfg.train_config())
+    params, trace = pretrain(ids, model_config, train_config)
     ckpt = Path(cfg.checkpoint) if cfg.checkpoint else out / "model.ckpt"
     save_checkpoint(params, ckpt)
     write_loss_trace(out / "pretrain_trace.csv", trace)
@@ -260,15 +278,15 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 def cmd_calibrate(cfg: RunConfig) -> int:
     _require(cfg, "corpus", "checkpoint")
-    out = _out_dir(cfg)
-    _echo_config(cfg, out, "calibrate")
-    spec = cfg.policy_spec()
+    spec, train_config = cfg.policy_spec(), cfg.train_config()
     if not spec.needs_conv_head:
         raise ConfigError(f"policy {spec.name!r} has no compression heads to calibrate")
+    out = _out_dir(cfg)
+    _echo_config(cfg, out, "calibrate")
     params = load_checkpoint(cfg.checkpoint)
     ids = load_corpus(cfg.corpus)
     trace = calibrate_conv_heads(
-        params, ids, spec, cfg.block_size, cfg.train_config(),
+        params, ids, spec, cfg.block_size, train_config,
         kernel_size=cfg.kernel_size, relu_position=cfg.relu_position,
     )
     ckpt = out / "calibrated.ckpt"
@@ -281,14 +299,14 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "corpus", "checkpoint")
-    out = _out_dir(cfg)
-    _echo_config(cfg, out, "eval")
-    params = load_checkpoint(cfg.checkpoint)
-    ids = load_corpus(cfg.corpus)
     names = _parse_list(cfg.policies, str, "policy") if cfg.policies else [cfg.policy]
     caps = _parse_list(cfg.capacities, int, "capacity") if cfg.capacities else [cfg.capacity]
     combos = [(n, c) for n in names for c in caps]
     specs = [cfg.policy_spec(n, c) for n, c in combos]
+    out = _out_dir(cfg)
+    _echo_config(cfg, out, "eval")
+    params = load_checkpoint(cfg.checkpoint)
+    ids = load_corpus(cfg.corpus)
     reports = compare_policies(
         params, ids, specs, cfg.eval_context_length, cfg.block_size,
         config_echo={"seed": cfg.seed},
@@ -318,6 +336,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_generate(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint")
+    spec = cfg.policy_spec()
     if cfg.prompt_file:
         _require(cfg, "prompt_file")
         prompt_bytes = Path(cfg.prompt_file).read_bytes()
@@ -328,7 +347,6 @@ def cmd_generate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     _echo_config(cfg, out, "generate")
     params = load_checkpoint(cfg.checkpoint)
-    spec = cfg.policy_spec()
     tokens = np.frombuffer(prompt_bytes, dtype=np.uint8).astype(np.int64)
     result = generate(params, tokens, cfg.n_new, spec, cfg.block_size)
     text = bytes(int(t) for t in result)
@@ -345,21 +363,19 @@ def cmd_ablate(cfg: RunConfig) -> int:
     if not cfg.values.strip():
         raise ConfigError("ablation needs a non-empty --values list")
     values = _parse_list(cfg.values, str if cfg.axis == "policy" else int, "ablation")
+    cfg.train_config()
+    runs = []  # (value, policy, kernel size)
+    for value in values:
+        spec = cfg.policy_spec(value if cfg.axis == "policy" else None,
+                               value if cfg.axis == "memory_size" else None)
+        runs.append((value, spec, value if cfg.axis == "kernel_size" else cfg.kernel_size))
     out = _out_dir(cfg)
     _echo_config(cfg, out, "ablate")
     ids = load_corpus(cfg.corpus)
 
     rows = []
-    for index, value in enumerate(values):
+    for index, (value, spec, kernel) in enumerate(runs):
         run_seed = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1)[0])
-        name, capacity, kernel = cfg.policy, cfg.capacity, cfg.kernel_size
-        if cfg.axis == "kernel_size":
-            kernel = value
-        elif cfg.axis == "memory_size":
-            capacity = value
-        else:
-            name = value
-        spec = cfg.policy_spec(name, capacity)
         params = load_checkpoint(cfg.checkpoint)
         if spec.needs_conv_head:
             calibrate_conv_heads(

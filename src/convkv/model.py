@@ -1,10 +1,12 @@
 """Tiny byte-level decoder-only transformer that hosts the cache policies.
 
 Pre-norm residual blocks with rotary attention and a ReLU MLP, a byte
-vocabulary of 256, and a tied input/output embedding. Long inputs are
-processed block by block against per-layer KV caches, so the attention
-working set stays at block x (cache + block) regardless of sequence length;
-which cache columns survive between blocks is entirely the policy's call.
+vocabulary of 256, and a tied input/output embedding. Long inputs stream
+block by block through per-layer KV caches, so the attention working set
+stays at block x (cache + block) regardless of sequence length; which cache
+columns survive between blocks is the policy's call. Prefill, the training
+loss and decoding all feed one ``_Streams``: a full block reaches the
+policies when the next token arrives, or when the caller flushes.
 """
 
 from __future__ import annotations
@@ -228,8 +230,9 @@ class LayerStream:
     """One layer's streaming state: the policy's cache plus staged columns.
 
     Up to B raw key/value columns wait in the staging buffer, head-batched as
-    (H, head_dim, b) chunks, until a flush hands them to the policy as one
-    (H * head_dim, B) block, so the cache changes once per block however the
+    (H, head_dim, b) chunks, until ``flush`` hands them to the policy as one
+    (H * head_dim, b) block; ``_Streams`` flushes when the next token arrives
+    after a full block, so the cache changes once per block however the
     tokens arrive. Queries attend to cache + staged columns + their own
     chunk: at most M + B columns per head for a bounded policy. ``context``
     is one (keys, values) pair of (H, head_dim, n) tensors holding the cache
@@ -302,14 +305,12 @@ def _layer_step(
     stream: LayerStream,
     positions: np.ndarray,
     rope: RopeConfig,
-    flush: bool,
-    detach_cache: bool,
 ) -> tuple[Tensor2, int]:
     """One residual block over one chunk of tokens; returns attn matrix entries.
 
     One ``project_qkv`` (one QKV GEMM, q and k rotated together) and one
     ``attend`` over cache, staged columns and chunk, on a leading head axis,
-    then the MLP. The chunk joins the staged columns; ``flush`` hands them on.
+    then the MLP. The chunk joins the staged columns.
     """
     n_heads, head_dim = layer.attn.n_heads, layer.attn.head_dim
     policy = stream.policy
@@ -341,8 +342,6 @@ def _layer_step(
     h = add(h, matmul(layer.mlp_out, relu(matmul(layer.mlp_in, mlp_normed))))
 
     stream.stage(k_for_cache, v, mass)
-    if flush:
-        stream.flush(detach_cache)
     return h, (n_context + b) * b
 
 
@@ -352,14 +351,10 @@ def _forward_chunk(
     tokens: np.ndarray,
     positions: np.ndarray,
     block: int,
-    flush: bool,
-    detach_cache: bool = False,
-    unembed: Tensor2 | None = None,
 ) -> tuple[Tensor2, list[int]]:
-    """Logits of one chunk that stays within ``block``, plus attn entries per layer.
+    """Normed final hidden state of one chunk within ``block``, plus attn entries per layer.
 
-    ``unembed`` is ``transpose(params.embed)`` when the caller already made
-    it. A NonFiniteError inside a layer, or a layer output that overflows, is
+    A NonFiniteError inside a layer, or a layer output that overflows, is
     raised again naming the block and the layer.
     """
     rope = params.config.rope
@@ -367,7 +362,7 @@ def _forward_chunk(
     attn_entries = []
     for index, (layer, stream) in enumerate(zip(params.layers, streams)):
         try:
-            h, entries = _layer_step(layer, h, stream, positions, rope, flush, detach_cache)
+            h, entries = _layer_step(layer, h, stream, positions, rope)
             # NaN/inf, or an entry whose square overflows (the next RMS norm would
             # silently zero its column), makes the sum of squares non-finite
             if not np.isfinite(np.vdot(h.data, h.data)):
@@ -375,17 +370,68 @@ def _forward_chunk(
         except NonFiniteError as exc:
             raise NonFiniteError(f"{exc} at block {block}, layer {index}") from exc
         attn_entries.append(entries)
-    final = rms_norm_cols(h, params.final_gain)
-    if unembed is None:
-        unembed = transpose(params.embed)
-    return matmul(unembed, final), attn_entries
+    return rms_norm_cols(h, params.final_gain), attn_entries
 
 
-def _open_streams(params: ModelParams, policy: PolicySpec, block_size: int) -> list[LayerStream]:
-    return [
-        LayerStream(lp, lp.empty_cache(params.config.d_model), block_size)
-        for lp in build_layer_policies(params, policy, block_size)
-    ]
+class _Streams:
+    """One call's stream through every layer: feed tokens, get their logits.
+
+    Staged columns go to the policies when the next token arrives, or when
+    the caller flushes: ``feed`` cuts its tokens at block boundaries and
+    flushes every layer before a chunk that starts a new block, so the last
+    block fed stays staged until ``flush``. The unembedding is made at its
+    first use and reused. ``detach_cache`` cuts the gradient graph at each
+    flush; ``trace`` gets one ``record_block`` per flush, with the attention
+    entries of the block's last chunk and blocks counted from ``block_offset``.
+    """
+
+    def __init__(self, params: ModelParams, policy: PolicySpec, block_size: int, *,
+                 detach_cache: bool = False, trace=None, block_offset: int = 0):
+        self.params = params
+        self.layers = [
+            LayerStream(lp, lp.empty_cache(params.config.d_model), block_size)
+            for lp in build_layer_policies(params, policy, block_size)
+        ]
+        self.position = 0
+        self.block_size = block_size
+        self.detach_cache = detach_cache
+        self.trace = trace
+        self.block_offset = block_offset
+        self.unembed: Tensor2 | None = None
+        self._attn_entries: list[int] = []
+
+    def feed(self, tokens: np.ndarray) -> Tensor2:
+        """Logits of ``tokens``, which continue the tokens fed so far."""
+        logits = []
+        start = 0
+        while start < tokens.size:
+            offset = self.position % self.block_size
+            if offset == 0 and self.layers[0].staged_k:
+                self.flush()
+            stop = min(start + self.block_size - offset, tokens.size)
+            positions = np.arange(self.position, self.position + stop - start)
+            block = self.block_offset + self.position // self.block_size
+            final, self._attn_entries = _forward_chunk(
+                self.params, self.layers, tokens[start:stop], positions, block
+            )
+            if self.unembed is None:
+                self.unembed = transpose(self.params.embed)
+            logits.append(matmul(self.unembed, final))
+            self.position, start = self.position + stop - start, stop
+        return logits[0] if len(logits) == 1 else hstack(logits)
+
+    def flush(self) -> None:
+        """Hand every layer's staged columns to its policy; a NonFiniteError is
+        raised again naming the block and the layer, as in ``_forward_chunk``."""
+        block = self.block_offset + (self.position - 1) // self.block_size
+        for index, stream in enumerate(self.layers):
+            try:
+                stream.flush(self.detach_cache)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"{exc} at block {block}, layer {index}") from exc
+        if self.trace is not None:
+            caches = [s.cache for s in self.layers]
+            self.trace.record_block(block, caches, self._attn_entries, self.position)
 
 
 def _token_ids(params: ModelParams, tokens: np.ndarray, what: str) -> np.ndarray:
@@ -401,56 +447,6 @@ def _token_ids(params: ModelParams, tokens: np.ndarray, what: str) -> np.ndarray
     return tokens
 
 
-def _blocks(n_tokens: int, block_size: int):
-    """(start, stop, absolute positions) of each block of ``block_size`` tokens.
-
-    The last block may come up short. Checks run on the call.
-    """
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-
-    def blocks():
-        for start in range(0, n_tokens, block_size):
-            stop = min(start + block_size, n_tokens)
-            yield start, stop, np.arange(start, stop)
-
-    return blocks()
-
-
-def _run_blocks(
-    params: ModelParams,
-    tokens: np.ndarray,
-    policy: PolicySpec,
-    block_size: int,
-    flush_last: bool,
-    trace=None,
-    block_offset: int = 0,
-    detach_cache: bool = False,
-) -> tuple[Tensor2, list[LayerStream]]:
-    """The block loop of ``forward_segmented`` and ``sequence_loss``.
-
-    Every block but the last goes through the policy once it has been
-    attended to; the last does too when ``flush_last`` is set, and otherwise
-    stays staged in the returned streams.
-    """
-    tokens = _token_ids(params, tokens, "token sequence")
-    blocks = _blocks(tokens.size, block_size)
-    streams = _open_streams(params, policy, block_size)
-    logit_blocks = []
-    for block_index, (start, stop, positions) in enumerate(blocks):
-        block = block_offset + block_index
-        flush = flush_last or stop < tokens.size
-        logits, attn_entries = _forward_chunk(
-            params, streams, tokens[start:stop], positions, block, flush, detach_cache
-        )
-        logit_blocks.append(logits)
-        if trace is not None:
-            caches = [s.cache for s in streams]
-            trace.record_block(block, caches, attn_entries, stop)
-    logits = logit_blocks[0] if len(logit_blocks) == 1 else hstack(logit_blocks)
-    return logits, streams
-
-
 def forward_segmented(
     params: ModelParams,
     tokens: np.ndarray,
@@ -459,23 +455,22 @@ def forward_segmented(
     *,
     trace=None,
     block_offset: int = 0,
-    detach_cache: bool = False,
 ) -> tuple[Tensor2, list[KvCache]]:
     """Run the model over ``tokens`` in blocks, returning logits per position.
 
-    Every block, a short final one included, goes through the policy once it
-    has been attended to; the returned caches hold the whole sequence. When
-    ``trace`` is given, one record per (block, layer) of live cache entries
-    and allocated attention-score entries is appended via its
-    ``record_block`` hook. ``detach_cache`` cuts the gradient graph at block
-    boundaries during calibration. A layer output that overflows raises
-    NonFiniteError naming the block (counted from ``block_offset``, as in the
-    trace) and the layer.
+    One stream is fed the whole sequence and then flushed, so every block,
+    a short final one included, goes through the policy once it has been
+    attended to; the returned caches hold the whole sequence. When ``trace``
+    is given, one record per (block, layer) of live cache entries and
+    allocated attention-score entries is appended via its ``record_block``
+    hook. A layer output that overflows raises NonFiniteError naming the
+    block (counted from ``block_offset``, as in the trace) and the layer.
     """
-    logits, streams = _run_blocks(
-        params, tokens, policy, block_size, True, trace, block_offset, detach_cache
-    )
-    return logits, [s.cache for s in streams]
+    tokens = _token_ids(params, tokens, "token sequence")
+    streams = _Streams(params, policy, block_size, trace=trace, block_offset=block_offset)
+    logits = streams.feed(tokens)
+    streams.flush()
+    return logits, [s.cache for s in streams.layers]
 
 
 def sequence_loss(
@@ -488,14 +483,15 @@ def sequence_loss(
 ) -> Tensor2:
     """Mean next-token cross entropy over one sequence.
 
-    The logits are ``forward_segmented``'s, but the caches are not updated
-    after the last block: nothing reads them, so that merge or eviction, and
-    its entries on an active gradient tape, would be dead work.
+    The logits are ``forward_segmented``'s, from a stream that is fed the
+    sequence but never flushed: the last block does not reach the policy, as
+    nothing reads the caches after it, so that merge or eviction, and its
+    entries on an active gradient tape, would be dead work.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.size < 2:
+    if np.size(tokens) < 2:
         raise ValueError("need at least two tokens for a next-token loss")
-    logits, _ = _run_blocks(params, tokens, policy, block_size, False, detach_cache=detach_cache)
+    tokens = _token_ids(params, tokens, "token sequence")
+    logits = _Streams(params, policy, block_size, detach_cache=detach_cache).feed(tokens)
     return cross_entropy_cols(slice_cols(logits, 0, tokens.size - 1), tokens[1:])
 
 
@@ -508,15 +504,15 @@ def generate(
 ) -> np.ndarray:
     """Greedy block-buffered decoding.
 
-    The layer policies are built once. The prompt's full blocks are
-    pre-filled; its ragged tail and then each new token are staged, and every
-    layer's cache is updated once per ``block_size`` tokens, as in
-    ``forward_segmented``. Queries attend to the cache plus the staged columns,
-    so a bounded policy holds at most M + B columns per head, and the logits
-    equal those of ``forward_segmented(prompt + generated[:-1], policy,
-    block_size)`` up to summation order. A decode step runs one
-    ``_layer_step`` per layer, writes one key and value column into each
-    context buffer (see ``LayerStream``) and reuses one unembedding.
+    One stream is fed the prompt, then each new token but the last, so every
+    layer's cache is updated once per ``block_size`` tokens, when the token
+    after a full block arrives, as in ``forward_segmented``. Queries attend
+    to the cache plus the staged columns, so a bounded policy holds at most
+    M + B columns per head, and the logits equal those of
+    ``forward_segmented(prompt + generated[:-1], policy, block_size)`` up to
+    summation order. A decode step runs one ``_layer_step`` per layer,
+    writes one key and value column into each context buffer (see
+    ``LayerStream``) and reuses the stream's one unembedding.
 
     Ties in the argmax resolve to the lowest byte, so decoding is
     deterministic. The total context must fit max_context * interpolation_scale.
@@ -528,24 +524,11 @@ def generate(
         raise ValueError(
             f"context {prompt.size + n_new} exceeds limit {params.config.context_limit}"
         )
-    if n_new == 0:
-        return prompt.copy()
-    blocks = _blocks(prompt.size, block_size)
-    streams = _open_streams(params, policy, block_size)
-    unembed = transpose(params.embed)
-    for start, stop, positions in blocks:
-        logits, _ = _forward_chunk(
-            params, streams, prompt[start:stop], positions, start // block_size,
-            stop % block_size == 0, unembed=unembed,
-        )
-    out = list(prompt)
-    out.append(int(np.argmax(logits.data[:, -1])))
-    for position in range(prompt.size, prompt.size + n_new - 1):
-        logits, _ = _forward_chunk(
-            params, streams, np.array([out[-1]]), np.array([position]),
-            position // block_size, (position + 1) % block_size == 0, unembed=unembed,
-        )
-        out.append(int(np.argmax(logits.data[:, -1])))
+    streams = _Streams(params, policy, block_size)
+    out, fed = list(prompt), prompt
+    for _ in range(n_new):
+        out.append(int(np.argmax(streams.feed(fed).data[:, -1])))
+        fed = np.array(out[-1:])
     return np.array(out, dtype=np.int64)
 
 

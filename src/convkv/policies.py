@@ -104,12 +104,14 @@ class PolicySpec:
         return self.capacity - self.rule.budget if self.needs_conv_head else None
 
     def check_block_size(self, block_size: int) -> None:
-        """Reject a block size whose blocks cannot enter the cache whole.
+        """Reject a block size that is below 1 or whose blocks cannot enter the cache whole.
 
         A merging policy keeps ``rule.budget`` columns verbatim, so at most
         ``merge_slots`` columns of one block fit; an eviction policy takes up
         to ``capacity``.
         """
+        if block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {block_size}")
         if self.capacity is None:
             return
         room = self.merge_slots or self.capacity

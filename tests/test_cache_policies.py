@@ -50,7 +50,6 @@ class TestConcat:
         k = token_block(3, 0, 4)
         out = update_concat(cache, k, paired_values(k))
         assert np.array_equal(out.keys.data, k.data)
-        assert out.total_seen == 4
 
     def test_two_updates_preserve_order(self):
         cache = KvCache.empty(2)
@@ -172,7 +171,7 @@ class TestH2O:
             scores0 = rng.random(n_old) * 3
             cache = KvCache(
                 token_block(2, 0, n_old), paired_values(token_block(2, 0, n_old)),
-                m, KeepRule(0, recent, heavy, scores0), n_old,
+                m, KeepRule(0, recent, heavy, scores0),
             )
             k = token_block(2, n_old, b)
             probs = rng.random((n_old + b, b))
@@ -186,7 +185,7 @@ class TestH2O:
         scores0 = np.array([1.0, 1.0, 1.0, 1.0])
         cache = KvCache(
             token_block(2, 0, 4), paired_values(token_block(2, 0, 4)),
-            4, KeepRule(0, 2, 2, scores0), 4,
+            4, KeepRule(0, 2, 2, scores0),
         )
         k = token_block(2, 4, 1)
         probs = np.zeros((5, 1))
@@ -268,7 +267,6 @@ class TestInvariants:
             cache = layer.update(cache, k, v, attn_probs=probs)
             total += b
             assert cache.live_entries == min(total, m)
-        assert cache.total_seen == total
 
     def test_eviction_applies_identically_to_keys_and_values(self):
         rng = np.random.default_rng(3)
@@ -295,7 +293,7 @@ class TestH2OAsFusionOperator:
         scores0 = rng.random(n_old)
         old_k = t2(rng.standard_normal((d, n_old)))
         old_v = t2(rng.standard_normal((d, n_old)))
-        cache = KvCache(old_k, old_v, m, KeepRule(0, recent, heavy, scores0), n_old)
+        cache = KvCache(old_k, old_v, m, KeepRule(0, recent, heavy, scores0))
         k_new = t2(rng.standard_normal((d, b)))
         v_new = t2(rng.standard_normal((d, b)))
         probs = rng.random((n_old + b, b))
@@ -361,7 +359,7 @@ class TestHybrids:
         head = new_conv_head(d, m - reserved, kernel_size=3, rng=rng)
         scores0 = rng.random(n_old) * 2
         old_k, old_v = t2(rng.standard_normal((d, n_old))), t2(rng.standard_normal((d, n_old)))
-        cache = KvCache(old_k, old_v, m, KeepRule(heavy=reserved, scores=scores0), n_old)
+        cache = KvCache(old_k, old_v, m, KeepRule(heavy=reserved, scores=scores0))
         k_new, v_new = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b)))
         probs = rng.random((n_old + b, b))
 

@@ -58,6 +58,32 @@ class TestConfigParsing:
         assert main(["eval", "--seed", "not-a-number"]) == 1
 
 
+# settings that cannot work, each rejected before any file is read
+UNWORKABLE = {
+    "eval_capacity_0": ["eval", "--capacity", "0", "--policy", "lococo"],
+    "eval_block_size_0": ["eval", "--block-size", "0"],
+    "eval_block_beyond_capacity": ["eval", "--block-size", "40", "--policy", "h2o"],
+    "eval_heavy_budget_99": ["eval", "--policy", "h2o", "--heavy-budget", "99"],
+    "calibrate_relu_position_bogus": ["calibrate", "--relu-position", "bogus"],
+    "calibrate_batch_size_0": ["calibrate", "--batch-size", "0"],
+    "generate_block_size_0": ["generate", "--block-size", "0", "--prompt", "ab"],
+    "pretrain_odd_head_dim": ["pretrain", "--d-model", "6", "--n-heads", "2", "--head-dim", "3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWORKABLE))
+def test_unworkable_setting_exits_1_before_reading_files(case, tmp_path, capsys):
+    # a garbage checkpoint would exit 2 if it were read
+    garbage = tmp_path / "garbage"
+    garbage.write_bytes(b"not a checkpoint")
+    out = tmp_path / "out"
+    code = main([*UNWORKABLE[case], "--corpus", str(garbage), "--checkpoint", str(garbage),
+                 "--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 class TestPretrainCommand:
     def test_writes_checkpoint_trace_and_config_echo(self, corpus_file, tmp_path):
         out = tmp_path / "run"

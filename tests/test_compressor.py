@@ -276,7 +276,7 @@ class TestCompressStep:
         head = new_conv_head(d, m - heavy, kernel_size=3, rng=rng)
         k_cache, v_cache = t2(rng.standard_normal((d, m))), t2(rng.standard_normal((d, m)))
         cache = KvCache(k_cache, v_cache, capacity=m,
-                        rule=KeepRule(heavy=heavy, scores=np.zeros(m)), total_seen=m)
+                        rule=KeepRule(heavy=heavy, scores=np.zeros(m)))
         k_new, v_new = t2(rng.standard_normal((d, 1))), t2(rng.standard_normal((d, 1)))
         probs = np.zeros((m + 1, 1))
         probs[m, 0] = 1.0

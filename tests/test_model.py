@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convkv.cache import CacheError
 from convkv.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -324,21 +326,21 @@ class TestDecodeMatchesPrefill:
     def test_decode_logits_equal_prefill(self, monkeypatch, name, prompt_len, block_size):
         spec = POLICIES[name]
         params = model_for(spec)
-        chunk_logits = []
-        forward_chunk = model._forward_chunk
+        fed_logits = []
+        feed = model._Streams.feed
 
-        def spy(*args, **kwargs):
-            logits, entries = forward_chunk(*args, **kwargs)
-            chunk_logits.append(logits.data)
-            return logits, entries
+        def spy(self, tokens):
+            logits = feed(self, tokens)
+            fed_logits.append(logits.data)
+            return logits
 
-        monkeypatch.setattr(model, "_forward_chunk", spy)
+        monkeypatch.setattr(model._Streams, "feed", spy)
         prompt = rand_tokens(np.random.default_rng(prompt_len), prompt_len)
         n_new = 20
         out = generate(params, prompt, n_new, spec, block_size)
         monkeypatch.undo()
 
-        decoded = np.hstack(chunk_logits)
+        decoded = np.hstack(fed_logits)
         ref = logits_for(params, out[:-1], spec, block_size)
         assert decoded.shape == ref.shape == (256, prompt_len + n_new - 1)
         assert np.max(np.abs(decoded - ref)) < 1e-10
@@ -365,17 +367,22 @@ class TestDecodeMatchesPrefill:
         for n_new in (1, 7, 30):
             calls.update(update=0, build=0)
             generate(params, prompt, n_new, spec, block_size)
+            # a full block reaches the policy when the next token arrives
             fed = prompt.size + n_new - 1
-            assert calls["update"] == TINY.n_layers * (fed // block_size)
+            assert calls["update"] == TINY.n_layers * ((fed - 1) // block_size)
             assert calls["build"] == TINY.n_layers
 
 
 class TestSequenceLoss:
-    @pytest.mark.parametrize("name", list(POLICIES))
-    def test_loss_skips_only_the_unread_final_update(self, monkeypatch, name):
+    # blocks of 4, 4, 4 and 2 tokens, or four full blocks of 4
+    @pytest.mark.parametrize("name,n_tokens", [
+        *(pytest.param(name, 14, id=name) for name in POLICIES),
+        *(pytest.param(name, 16, id=f"{name}-full_last_block") for name in POLICIES),
+    ])
+    def test_loss_skips_only_the_unread_final_update(self, monkeypatch, name, n_tokens):
         spec = POLICIES[name]
         params = model_for(spec)
-        tokens = rand_tokens(np.random.default_rng(21), 14)  # blocks of 4, 4, 4 and 2
+        tokens = rand_tokens(np.random.default_rng(21), n_tokens)
         calls = []
         update = LayerPolicy.update
 
@@ -407,6 +414,48 @@ class TestBlockSizePrecondition:
             forward_segmented(params, tokens, spec, room + 1)
         with pytest.raises(CacheError, match="block size"):
             generate(params, tokens[:5], 3, spec, room + 1)
+
+    @pytest.mark.parametrize("entry", ["forward_segmented", "sequence_loss", "generate"])
+    @pytest.mark.parametrize("name", ["concat", "lococo"])
+    def test_block_size_below_one_rejected(self, name, entry):
+        spec = POLICIES[name]
+        params = model_for(spec)
+        tokens = rand_tokens(np.random.default_rng(2), 8)
+        calls = {
+            "forward_segmented": lambda: forward_segmented(params, tokens, spec, 0),
+            "sequence_loss": lambda: sequence_loss(params, tokens, spec, 0),
+            "generate": lambda: generate(params, tokens[:5], 3, spec, 0),
+        }
+        with pytest.raises(ValueError, match="block_size must be >= 1, got 0"):
+            calls[entry]()
+
+
+class TestStreamSplits:
+    """However a sequence is cut into ``feed`` calls, one stream sees the same blocks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(list(POLICIES)),
+        block_size=st.integers(1, 4),
+        cuts=st.lists(st.integers(1, 17), max_size=6),
+        seed=st.integers(0, 1000),
+    )
+    def test_any_split_gives_segmented_logits_and_caches(self, name, block_size, cuts, seed):
+        spec = POLICIES[name]
+        params = model_for(spec)
+        tokens = rand_tokens(np.random.default_rng(seed), 18)
+        ref, ref_caches = forward_segmented(params, tokens, spec, block_size)
+        streams = model._Streams(params, spec, block_size)
+        bounds = [0, *sorted(set(cuts)), tokens.size]
+        logits = np.hstack([streams.feed(tokens[a:b]).data for a, b in zip(bounds, bounds[1:])])
+        assert np.max(np.abs(logits - ref.data)) < 1e-10
+        streams.flush()
+        for stream, cache in zip(streams.layers, ref_caches):
+            assert stream.cache.live_entries == cache.live_entries
+            for got, want in ((stream.cache.keys, cache.keys), (stream.cache.values, cache.values)):
+                assert np.max(np.abs(got.data - want.data), initial=0.0) < 1e-10
+            if cache.rule.scores is not None:
+                assert np.max(np.abs(stream.cache.rule.scores - cache.rule.scores)) < 1e-10
 
 
 class TestConvHeadCount:
