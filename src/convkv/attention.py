@@ -19,17 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    NonFiniteError,
-    ShapeError,
-    Tensor2,
-    add_mask,
-    custom_op,
-    matmul,
-    scale,
-    softmax_cols,
-    transpose,
-)
+from .numerics import ShapeError, Tensor2, custom_op, matmul, softmax_cols, transpose
 
 
 @dataclass(frozen=True)
@@ -156,28 +146,23 @@ def attend(q: Tensor2, k: Tensor2, v: Tensor2, n_cached: int = 0,
     """Scaled dot-product attention of queries against cached + fresh keys.
 
     The first ``n_cached`` key columns are past context and fully visible;
-    the remaining columns pair off causally with the query columns. Scores
-    are scaled by 1/sqrt(d) with d the query row count. Head-batched
-    operands (H, d, .) attend per head under one shared mask. At most one
-    fresh key (a decode step) leaves nothing to mask, so no mask op runs.
-    Scores that overflow raise NonFiniteError.
+    the remaining columns pair off causally with the query columns. Head-batched
+    operands (H, d, .) attend per head. ``softmax_cols`` scales the scores by
+    1/sqrt(d), with d the query row count, raises NonFiniteError when they
+    overflow and applies the one causal mask shared by every head; at most one
+    fresh key (a decode step) leaves nothing to mask, so it gets none.
     """
     if k.cols != v.cols:
         raise ShapeError(f"key/value column mismatch: {k.cols} vs {v.cols}")
     if not (0 <= n_cached <= k.cols):
         raise ShapeError(f"n_cached={n_cached} out of range for {k.cols} keys")
-    # scores that overflow raise NonFiniteError below, so numpy's overflow
-    # warning for them would only say it first
+    # scores that overflow raise NonFiniteError in softmax_cols, so numpy's
+    # overflow warning for them would only say it first
     with np.errstate(over="ignore", invalid="ignore"):
         scores = matmul(transpose(k), q)
-    logits = scale(scores, 1.0 / math.sqrt(q.rows))
     n_new = k.cols - n_cached
-    if n_new > 1:
-        logits = add_mask(logits, _block_mask(n_cached, n_new, q.cols))  # checks the scores
-    elif not np.isfinite(logits.data).all():
-        # unmasked, an overflowed -inf would pass for a masked entry in softmax_cols
-        raise NonFiniteError("attend: NaN or inf in the scores")
-    probs = softmax_cols(logits)
+    mask = _block_mask(n_cached, n_new, q.cols) if n_new > 1 else None
+    probs = softmax_cols(scores, 1.0 / math.sqrt(q.rows), mask)
     out = matmul(v, probs)
     if return_probs:
         return out, probs

@@ -115,6 +115,15 @@ class RunConfig:
             detach_cache_between_blocks=self.detach_cache,
         )
 
+    def calibration_config(self, seed: int | None = None) -> TrainConfig:
+        """``train_config`` for calibration, whose context must split into whole blocks;
+        call it after ``policy_spec``, which checks the block size."""
+        if self.context_length % self.block_size != 0:
+            raise ConfigError(
+                f"context {self.context_length} must be a multiple of block size {self.block_size}"
+            )
+        return self.train_config(seed)
+
     def policy_spec(self, name: str | None = None, capacity: int | None = None) -> PolicySpec:
         """The named policy, checked against ``block_size``."""
         spec = _checked(
@@ -231,6 +240,11 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise ConfigError(f"{name} file not found: {value}")
 
 
+def _require_at_least(cfg: RunConfig, name: str, low: int) -> None:
+    if getattr(cfg, name) < low:
+        raise ConfigError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -278,7 +292,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 def cmd_calibrate(cfg: RunConfig) -> int:
     _require(cfg, "corpus", "checkpoint")
-    spec, train_config = cfg.policy_spec(), cfg.train_config()
+    spec, train_config = cfg.policy_spec(), cfg.calibration_config()
     if not spec.needs_conv_head:
         raise ConfigError(f"policy {spec.name!r} has no compression heads to calibrate")
     out = _out_dir(cfg)
@@ -303,6 +317,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     caps = _parse_list(cfg.capacities, int, "capacity") if cfg.capacities else [cfg.capacity]
     combos = [(n, c) for n in names for c in caps]
     specs = [cfg.policy_spec(n, c) for n, c in combos]
+    _require_at_least(cfg, "eval_context_length", 2)
     out = _out_dir(cfg)
     _echo_config(cfg, out, "eval")
     params = load_checkpoint(cfg.checkpoint)
@@ -337,6 +352,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_generate(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint")
     spec = cfg.policy_spec()
+    _require_at_least(cfg, "n_new", 0)
     if cfg.prompt_file:
         _require(cfg, "prompt_file")
         prompt_bytes = Path(cfg.prompt_file).read_bytes()
@@ -364,10 +380,13 @@ def cmd_ablate(cfg: RunConfig) -> int:
         raise ConfigError("ablation needs a non-empty --values list")
     values = _parse_list(cfg.values, str if cfg.axis == "policy" else int, "ablation")
     cfg.train_config()
+    _require_at_least(cfg, "eval_context_length", 2)
     runs = []  # (value, policy, kernel size)
     for value in values:
         spec = cfg.policy_spec(value if cfg.axis == "policy" else None,
                                value if cfg.axis == "memory_size" else None)
+        if spec.needs_conv_head:
+            cfg.calibration_config()
         runs.append((value, spec, value if cfg.axis == "kernel_size" else cfg.kernel_size))
     out = _out_dir(cfg)
     _echo_config(cfg, out, "ablate")

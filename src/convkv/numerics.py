@@ -13,10 +13,10 @@ gradients; this is deliberately not a general autodiff system.
 Op results may carry one leading head axis, shape (H, rows, cols), so one
 call serves every attention head. ``rows`` and ``cols`` are then the last
 two axes. ``matmul`` (equal leading dims), ``transpose`` (swaps the last two
-axes), ``add``, ``scale``, ``relu``, ``softmax_cols``, ``add_mask`` (one
-(rows, cols) mask for every head) and ``hstack`` (along the last axis) take
-such operands; every other primitive requires 2-D operands and raises
-ShapeError on anything else.
+axes), ``add``, ``scale``, ``relu``, ``softmax_cols`` (one (rows, cols) mask
+for every head) and ``hstack`` (along the last axis) take such operands;
+every other primitive requires 2-D operands and raises ShapeError on
+anything else.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ class Tensor2:
     which ``rows`` and ``cols`` describe each matrix.
 
     Entries must be finite: NaN or +/-inf anywhere is a contract violation
-    and raises NonFiniteError at construction. The one sanctioned exception
-    is the -inf masking sentinel consumed by ``softmax_cols``, which only
-    ``add_mask`` may introduce (op results skip re-validation).
+    and raises NonFiniteError at construction. Op results skip re-validation;
+    no op makes an infinite entry on purpose, as attention's -inf causal mask
+    lives only inside ``softmax_cols``.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -281,48 +281,38 @@ def relu(a: Tensor2) -> Tensor2:
     return _result(np.where(mask, a.data, 0.0), (a,), vjp)
 
 
-def softmax_cols(x: Tensor2) -> Tensor2:
-    """Column-wise softmax with per-column max subtraction (per head, if any).
+def softmax_cols(x: Tensor2, c: float = 1.0, mask: np.ndarray | None = None) -> Tensor2:
+    """Column-wise softmax of ``x * c`` plus ``mask`` (per head, if any).
 
-    -inf entries are masking sentinels and map to exactly 0. A column that is
-    entirely -inf has no attention context left and is rejected.
+    The scaled scores must be finite: an overflowed one would turn into NaN
+    or pass for a masked entry. ``mask`` is a constant (rows, cols) array of
+    0 and -inf shared by every head; its -inf entries map to exactly 0, and a
+    column that is entirely -inf has no attention context left and is
+    rejected. Each column is normalised after subtracting its max.
     """
-    d = x.data
-    if d.size == 0:
+    if x.data.size == 0:
         raise ShapeError("softmax_cols: empty input")
-    if np.isnan(d).any() or np.isposinf(d).any():
-        raise NonFiniteError("softmax_cols: NaN or +inf in logits")
-    col_max = d.max(axis=-2, keepdims=True)
-    if np.isneginf(col_max).any():
-        raise NumericsError("softmax_cols: column with every entry masked")
-    e = np.exp(d - col_max)  # exp(-inf) == 0.0 exactly
+    c = float(c)
+    d = x.data * c
+    if not np.isfinite(d).all():
+        raise NonFiniteError("softmax_cols: NaN or inf in the scores")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != x.shape[-2:]:
+            raise ShapeError(f"softmax_cols: mask shape {mask.shape} != input shape {x.shape}")
+        masked = np.isneginf(mask)
+        if not np.all(masked | (mask == 0.0)):
+            raise NumericsError("softmax_cols: mask entries must be 0 or -inf")
+        if masked.all(axis=0).any():
+            raise NumericsError("softmax_cols: column with every entry masked")
+        d += mask
+    e = np.exp(d - d.max(axis=-2, keepdims=True))  # exp(-inf) == 0.0 exactly
     p = e / e.sum(axis=-2, keepdims=True)
 
     def vjp(g):
-        return (p * (g - (g * p).sum(axis=-2, keepdims=True)),)
+        return (p * (g - (g * p).sum(axis=-2, keepdims=True)) * c,)
 
     return _result(p, (x,), vjp)
-
-
-def add_mask(x: Tensor2, mask: np.ndarray) -> Tensor2:
-    """Add a constant 0 / -inf mask; the only sanctioned source of -inf.
-
-    The (rows, cols) mask applies to every head of a head-batched input. The
-    input must be finite: an overflowed score would turn into NaN or pass for
-    a masked entry once the mask is added.
-    """
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != x.shape[-2:]:
-        raise ShapeError(f"add_mask: mask shape {mask.shape} != input shape {x.shape}")
-    if not np.all((mask == 0.0) | np.isneginf(mask)):
-        raise NumericsError("add_mask: mask entries must be 0 or -inf")
-    if not np.isfinite(x.data).all():
-        raise NonFiniteError("add_mask: NaN or inf in the scores")
-
-    def vjp(g):
-        return (g,)  # -inf rows carry zero probability, so g is 0 there already
-
-    return _result(x.data + mask, (x,), vjp)
 
 
 @dataclass(frozen=True)
@@ -362,16 +352,12 @@ def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
     _require_2d("conv1d", x, kernels.weights)
     if x.rows != kernels.c_in:
         raise ShapeError(f"conv1d: input has {x.rows} channels, kernels expect {kernels.c_in}")
+    if x.cols == 0:
+        raise ShapeError("conv1d: no columns to convolve")
     c_in, k = kernels.c_in, kernels.k
     pad = (k - 1) // 2
     t_len = x.cols
     w = kernels.weights
-    if t_len == 0:
-        def vjp_empty(g):
-            return np.zeros((c_in, 0)), np.zeros_like(w.data)
-
-        return _result(np.zeros((w.rows, 0)), (x, w), vjp_empty)
-
     xp = np.zeros((c_in, t_len + 2 * pad))
     xp[:, pad:pad + t_len] = x.data
     # im2col: row c*k + j of `cols` is input channel c shifted by tap j
@@ -398,7 +384,8 @@ def row_normalize(x: Tensor2) -> Tensor2:
 
     Rows whose sum falls below ``MIN_ROW_SUM`` first get ``MIN_ROW_SUM`` added
     uniformly, so a dead row normalizes to near-uniform weights instead of
-    blowing up.
+    blowing up. A row sum that is NaN or overflows raises NonFiniteError, as
+    its row would no longer sum to 1.
     """
     _require_2d("row_normalize", x)
     d = x.data
@@ -406,7 +393,11 @@ def row_normalize(x: Tensor2) -> Tensor2:
         raise ShapeError("row_normalize: no columns to normalize over")
     if (d < 0.0).any():
         raise NumericsError("row_normalize: negative entries")
-    sums = d.sum(axis=1, keepdims=True)
+    # an overflowed sum raises NonFiniteError below, so numpy's warning would only say it first
+    with np.errstate(over="ignore"):
+        sums = d.sum(axis=1, keepdims=True)
+    if not np.isfinite(sums).all():
+        raise NonFiniteError("row_normalize: a row sum is not finite")
     dead = sums < MIN_ROW_SUM
     adj = np.where(dead, d + MIN_ROW_SUM, d)
     r = adj.sum(axis=1, keepdims=True)

@@ -5,8 +5,9 @@ arrays, sharing no code with the package under test. There are two
 exceptions. ``full_causal_attention`` is the whole-sequence reference path
 that the block-wise forward is checked against; it is checked against
 ``causal_attention_loops`` in turn. ``project_qkv_composed`` is the
-composition of primitives that ``attention.project_qkv`` fuses, which must
-match it bit for bit.
+composition of primitives that ``attention.project_qkv`` fuses, and
+``attend_numpy`` is ``attention.attend``'s arithmetic in plain numpy; both
+must match the package bit for bit.
 """
 
 from __future__ import annotations
@@ -91,6 +92,19 @@ def project_qkv_composed(x: Tensor2, params, positions: np.ndarray, rope):
         for w in (params.w_q, params.w_k, params.w_v)
     )
     return apply_rope(q, positions, rope), apply_rope(k, positions, rope), k, v
+
+
+def attend_numpy(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_cached: int):
+    """``attend``'s (out, probs) step by step: contiguous k^T @ q, times
+    1/sqrt(d), plus the block's causal mask, column softmax, v @ p."""
+    n_new, n_queries = k.shape[-1] - n_cached, q.shape[-1]
+    scores = np.ascontiguousarray(k.swapaxes(-1, -2)) @ q
+    mask = np.zeros((k.shape[-1], n_queries))
+    mask[n_cached:][np.arange(n_new)[:, None] > np.arange(n_queries)[None, :]] = -np.inf
+    logits = scores * (1.0 / math.sqrt(q.shape[-2])) + mask
+    e = np.exp(logits - logits.max(axis=-2, keepdims=True))
+    probs = e / e.sum(axis=-2, keepdims=True)
+    return v @ probs, probs
 
 
 def rope_scalar(x: np.ndarray, positions: np.ndarray, base: float, scale: float) -> np.ndarray:

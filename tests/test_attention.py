@@ -325,9 +325,9 @@ class TestSegmentAttention:
         seen = []
         orig = softmax_cols
 
-        def spy(x):
+        def spy(x, c, mask):
             seen.append(x.shape[-2] * x.shape[-1])
-            return orig(x)
+            return orig(x, c, mask)
 
         monkeypatch.setattr(attention_mod, "softmax_cols", spy)
         rng = np.random.default_rng(17)

@@ -22,7 +22,7 @@ from convkv.compressor import (
     new_conv_head,
     synthesize_weights,
 )
-from convkv.numerics import Tensor2
+from convkv.numerics import ShapeError, Tensor2
 from convkv.policies import PolicySpec
 
 import oracles
@@ -132,6 +132,34 @@ class TestPolicySpecRejects:
     def test_rejected_with_cache_error(self, kwargs):
         with pytest.raises(CacheError):
             PolicySpec(**kwargs)
+
+
+class TestUpdateRejects:
+    """Typed errors of a cache update handed what its rule cannot use."""
+
+    def test_heavy_hitters_need_probs_covering_every_key(self):
+        cache = h2o_cache(2, 4)
+        k = token_block(2, 0, 2)
+        with pytest.raises(CacheError, match="attention probabilities"):
+            update_h2o(cache, k, paired_values(k), None)
+        with pytest.raises(ShapeError, match="cover 3 keys, expected 2"):
+            update_h2o(cache, k, paired_values(k), np.full((3, 2), 0.5))
+
+    def test_eviction_needs_a_bounded_cache_whose_rule_keeps_its_capacity(self):
+        k = token_block(2, 0, 2)
+        with pytest.raises(CacheError, match="bounded cache"):
+            update_sink_window(KvCache.empty(2), k, paired_values(k))
+        short = KvCache.empty(2, capacity=4, rule=KeepRule(1, 2))
+        with pytest.raises(CacheError, match="keeps 3 columns but capacity is 4"):
+            update_sink_window(short, k, paired_values(k))
+
+    def test_merging_policy_needs_a_head_with_its_slot_count(self):
+        spec = PolicySpec("lococo+sink", capacity=8, n_sink=2)
+        with pytest.raises(CacheError, match="needs a conv head"):
+            spec.build()
+        head = new_conv_head(2, 5, 3, np.random.default_rng(0))
+        with pytest.raises(CacheError, match="needs a head with 6 slots, got 5"):
+            spec.build(head)
 
 
 def h2o_cache(d, capacity, recent=None, heavy=None):

@@ -68,6 +68,12 @@ UNWORKABLE = {
     "calibrate_batch_size_0": ["calibrate", "--batch-size", "0"],
     "generate_block_size_0": ["generate", "--block-size", "0", "--prompt", "ab"],
     "pretrain_odd_head_dim": ["pretrain", "--d-model", "6", "--n-heads", "2", "--head-dim", "3"],
+    "generate_n_new_negative": ["generate", "--n-new", "-1", "--prompt", "ab"],
+    "calibrate_context_not_block_multiple": ["calibrate", "--context-length", "20",
+                                             "--block-size", "8"],
+    "eval_context_length_1": ["eval", "--eval-context-length", "1"],
+    "ablate_context_not_block_multiple": ["ablate", "--values", "16", "--context-length", "20"],
+    "ablate_eval_context_length_1": ["ablate", "--values", "16", "--eval-context-length", "1"],
 }
 
 

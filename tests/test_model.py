@@ -24,6 +24,8 @@ from convkv.model import (
 from convkv.numerics import NonFiniteError, Tensor2, cross_entropy_cols, slice_cols
 from convkv.policies import LayerPolicy, PolicySpec
 
+import oracles
+
 TINY = ModelConfig(d_model=16, n_layers=2, n_heads=2, head_dim=8, max_context=256)
 
 # logit fingerprint of the seed-3 lococo run, frozen once the equivalence and
@@ -507,26 +509,30 @@ class TestOpBudget:
                 counts.append(calls[0])
             per_layer_token.append((counts[1] - counts[0]) / (config.n_layers * block_size))
         assert per_layer_token[0] == per_layer_token[1] == per_layer_token[2]
-        assert per_layer_token[0] <= 23.5
+        assert per_layer_token[0] <= 22.5
 
     @pytest.mark.parametrize("n_cached", [0, 3])
     def test_lone_fresh_key_needs_no_mask_op(self, monkeypatch, n_cached):
         rng = np.random.default_rng(n_cached)
-        q, k, v = (
-            split_heads(Tensor2(rng.standard_normal((8, cols))), 2, 4)
-            for cols in (1, n_cached + 1, n_cached + 1)
-        )
         masks = []
-        monkeypatch.setattr(attention, "add_mask", lambda x, mask: masks.append(mask) or x)
-        out, probs = attention.attend(q, k, v, n_cached, return_probs=True)
-        monkeypatch.undo()
-        assert masks == []
-        scores = numerics.scale(numerics.matmul(numerics.transpose(k), q), 0.5)
-        masked = numerics.softmax_cols(
-            numerics.add_mask(scores, attention._block_mask(n_cached, 1, 1))
-        )
-        assert np.array_equal(probs.data, masked.data)
-        assert np.array_equal(out.data, numerics.matmul(v, masked).data)
+        softmax_cols = numerics.softmax_cols
+
+        def spy(x, c, mask):
+            masks.append(mask)
+            return softmax_cols(x, c, mask)
+
+        monkeypatch.setattr(attention, "softmax_cols", spy)
+        for n_heads in (1, 2):
+            for n_new in (1, 3):
+                q, k, v = (
+                    split_heads(Tensor2(rng.standard_normal((4 * n_heads, cols))), n_heads, 4)
+                    for cols in (n_new, n_cached + n_new, n_cached + n_new)
+                )
+                out, probs = attention.attend(q, k, v, n_cached, return_probs=True)
+                assert (masks.pop() is None) == (n_new == 1)
+                want_out, want_probs = oracles.attend_numpy(q.data, k.data, v.data, n_cached)
+                assert np.array_equal(probs.data, want_probs)
+                assert np.array_equal(out.data, want_out)
 
 
 class TestNonFiniteResidual:
@@ -572,6 +578,25 @@ class TestNonFiniteResidual:
         attn.w_k.data = -attn.w_q.data
         with pytest.raises(NonFiniteError, match=f"block 0, layer {layer}"):
             generate(params, np.array([65]), 3, spec, 4)
+
+    @pytest.mark.parametrize("name", ["lococo", "lococo+h2o", "lococo+sink"])
+    def test_overflowing_merge_weights_named_by_block_and_layer(self, name):
+        spec = POLICIES[name]
+        params = ModelParams.init(TINY, seed=13)
+        # equal taps over rectified inputs: every conv score is finite, but a
+        # slot's scores sum past the float64 range, so its weights cannot sum to 1
+        params.install_conv_heads(slots=spec.merge_slots, kernel_size=5, seed=13,
+                                  relu_position="pre")
+        kernels = params.conv_heads[1].kernels.weights
+        kernels.data = np.full_like(kernels.data, 1e307)
+        tokens = rand_tokens(np.random.default_rng(3), 12)
+        calls = (
+            lambda: forward_segmented(params, tokens, spec, 4),
+            lambda: generate(params, tokens[:5], 9, spec, 4),
+        )
+        for call in calls:
+            with pytest.raises(NonFiniteError, match="row_normalize: .* at block 2, layer 1"):
+                call()
 
 
 class TestContextBuffer:

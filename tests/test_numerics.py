@@ -25,7 +25,6 @@ from convkv.numerics import (
     TapeError,
     Tensor2,
     add,
-    add_mask,
     backward,
     conv1d,
     cross_entropy_cols,
@@ -123,8 +122,7 @@ class TestSoftmaxCols:
         assert np.array_equal(out.data, [[0.5], [0.5]])
 
     def test_masked_entry_is_exact_zero(self):
-        x = add_mask(t2([[0.0], [0.0]]), np.array([[-np.inf], [0.0]]))
-        out = softmax_cols(x)
+        out = softmax_cols(t2([[0.0], [0.0]]), mask=np.array([[-np.inf], [0.0]]))
         assert out.data[0, 0] == 0.0
         assert out.data[1, 0] == 1.0
 
@@ -133,16 +131,33 @@ class TestSoftmaxCols:
         out = softmax_cols(t2(col.reshape(3, 1)))
         assert np.max(np.abs(out.data[:, 0] - oracles.softmax_scalar(col))) < 1e-15
 
+    def test_scale_is_applied_before_the_softmax(self):
+        rng = np.random.default_rng(4)
+        x = head_batched(rng, 2, 5, 3)
+        mask = np.zeros((5, 3))
+        mask[4, 0] = -np.inf
+        out = softmax_cols(x, 0.25, mask)
+        col = x.data[1, :, 0] * 0.25
+        assert np.max(np.abs(out.data[1, :4, 0] - oracles.softmax_scalar(col[:4]))) < 1e-15
+        assert out.data[0, 4, 0] == out.data[1, 4, 0] == 0.0
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_add_mask_rejects_non_finite_scores(self, bad):
+    def test_rejects_non_finite_scores(self, bad):
         scores = custom_op([], np.array([[bad], [0.0]]), lambda g: ())
-        with pytest.raises(NonFiniteError, match="add_mask"):
-            add_mask(scores, np.zeros((2, 1)))
+        for mask in (None, np.zeros((2, 1))):
+            with pytest.raises(NonFiniteError, match="softmax_cols"):
+                softmax_cols(scores, mask=mask)
 
     def test_fully_masked_column_rejected(self):
-        x = add_mask(t2([[0.0], [0.0]]), np.full((2, 1), -np.inf))
-        with pytest.raises(NumericsError):
-            softmax_cols(x)
+        with pytest.raises(NumericsError, match="every entry masked"):
+            softmax_cols(t2([[0.0], [0.0]]), mask=np.full((2, 1), -np.inf))
+
+    def test_mask_must_match_the_scores_and_hold_only_0_or_neg_inf(self):
+        x = t2(np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match="mask shape"):
+            softmax_cols(x, mask=np.zeros((3, 2)))
+        with pytest.raises(NumericsError, match="0 or -inf"):
+            softmax_cols(x, mask=np.full((2, 3), -1.0))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -183,6 +198,11 @@ class TestConv1d:
         kern = self.make([[[0.0, 1.0, 0.0]]])
         with pytest.raises(ShapeError):
             conv1d(t2(np.zeros((2, 4))), kern)
+
+    def test_no_columns_rejected(self):
+        kern = self.make([[[0.0, 1.0, 0.0]]])
+        with pytest.raises(ShapeError, match="no columns"):
+            conv1d(t2(np.zeros((1, 0))), kern)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError):
@@ -277,6 +297,13 @@ class TestRowNormalize:
     def test_negative_rejected(self):
         with pytest.raises(NumericsError):
             row_normalize(t2([[-1.0, 2.0]]))
+
+    @pytest.mark.parametrize("row", [[1e308, 1e308], [np.inf, 1.0], [np.nan, 1.0]])
+    def test_non_finite_row_sum_rejected(self, row):
+        # a row that sums past the float64 range would normalize to 0 or NaN
+        x = custom_op([], np.array([[1.0, 3.0], row]), lambda g: ())
+        with pytest.raises(NonFiniteError, match="row_normalize: a row sum is not finite"):
+            row_normalize(x)
 
 
 class TestCrossEntropy:
@@ -398,27 +425,30 @@ class TestGradients:
 
     @pytest.mark.parametrize("n_cached", [0, 3])
     def test_head_batched_attention(self, n_cached):
-        # the layer step's path: cached keys/values plus a rotated new block
+        # the layer step's path: cached keys/values plus a rotated new block,
+        # which is masked when it has several columns and unmasked with one
         rng = np.random.default_rng(5)
-        n_heads, head_dim, b = 2, 4, 3
+        n_heads, head_dim = 2, 4
         d, rope = n_heads * head_dim, RopeConfig()
-        q, k_new, v_new = (rand(rng, d, b, trainable=True) for _ in range(3))
-        k_cached, v_cached = (rand(rng, d, n_cached, trainable=True) for _ in range(2))
-        positions = n_cached + np.arange(b)
+        for b in (3, 1):
+            q, k_new, v_new = (rand(rng, d, b, trainable=True) for _ in range(3))
+            k_cached, v_cached = (rand(rng, d, n_cached, trainable=True) for _ in range(2))
+            positions = n_cached + np.arange(b)
 
-        def loss():
-            qh, kc, kn, vc, vn = (
-                split_heads(x, n_heads, head_dim) for x in (q, k_cached, k_new, v_cached, v_new)
-            )
-            out = attend(
-                apply_rope(qh, positions, rope),
-                hstack([kc, apply_rope(kn, positions, rope)]),
-                hstack([vc, vn]),
-                n_cached,
-            )
-            return cross_entropy_cols(merge_heads(out), np.array([1, 6, 3]))
+            def loss():
+                qh, kc, kn, vc, vn = (
+                    split_heads(x, n_heads, head_dim)
+                    for x in (q, k_cached, k_new, v_cached, v_new)
+                )
+                out = attend(
+                    apply_rope(qh, positions, rope),
+                    hstack([kc, apply_rope(kn, positions, rope)]),
+                    hstack([vc, vn]),
+                    n_cached,
+                )
+                return cross_entropy_cols(merge_heads(out), np.array([1, 6, 3])[:b])
 
-        fd_check(loss, [q, k_new, v_new, k_cached, v_cached])
+            fd_check(loss, [q, k_new, v_new, k_cached, v_cached])
 
     @pytest.mark.parametrize("n_cached", [0, 3])
     def test_context_buffer_extension(self, n_cached):
