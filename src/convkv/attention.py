@@ -35,9 +35,9 @@ class RopeConfig:
     interpolation_scale: float = 1.0
 
     def __post_init__(self):
-        if self.base <= 0:
+        if not self.base > 0:  # NaN fails too
             raise ValueError(f"rope base must be positive, got {self.base}")
-        if self.interpolation_scale < 1.0:
+        if not self.interpolation_scale >= 1.0:
             raise ValueError(
                 f"interpolation_scale must be >= 1, got {self.interpolation_scale}"
             )
@@ -141,9 +141,9 @@ def _block_mask(n_cached: int, n_new: int, n_queries: int) -> np.ndarray:
     return mask
 
 
-def attend(q: Tensor2, k: Tensor2, v: Tensor2, n_cached: int = 0,
-           return_probs: bool = False):
-    """Scaled dot-product attention of queries against cached + fresh keys.
+def attend(q: Tensor2, k: Tensor2, v: Tensor2, n_cached: int = 0) -> tuple[Tensor2, Tensor2]:
+    """Scaled dot-product attention of queries against cached + fresh keys;
+    returns the output and the attention probabilities (keys x queries).
 
     The first ``n_cached`` key columns are past context and fully visible;
     the remaining columns pair off causally with the query columns. Head-batched
@@ -163,10 +163,7 @@ def attend(q: Tensor2, k: Tensor2, v: Tensor2, n_cached: int = 0,
     n_new = k.cols - n_cached
     mask = _block_mask(n_cached, n_new, q.cols) if n_new > 1 else None
     probs = softmax_cols(scores, 1.0 / math.sqrt(q.rows), mask)
-    out = matmul(v, probs)
-    if return_probs:
-        return out, probs
-    return out
+    return matmul(v, probs), probs
 
 
 def split_heads(x: Tensor2, n_heads: int, head_dim: int) -> Tensor2:

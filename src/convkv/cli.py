@@ -427,8 +427,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit:
-        raise
     except Exception as exc:  # runtime failure: report and exit 2
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

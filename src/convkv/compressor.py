@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,23 +96,18 @@ def new_conv_head(
     return ConvHead(kernels, layer_index=layer_index, relu_position=relu_position)
 
 
-@dataclass(frozen=True)
-class FusionWeights:
-    """Blending weights for one cache update.
+class FusionWeights(NamedTuple):
+    """Blending weights for one cache update, one row per slot.
 
     ``new_weights[i, j]`` is the contribution of block column j to slot i;
     ``cache_weights[i, j]`` the contribution of existing cache column j.
-    Entries are nonnegative and every row of [new_weights | cache_weights]
-    sums to 1 (dead rows are rescued by a uniform epsilon before
-    normalization).
+    From ``synthesize_weights``, entries are nonnegative and every row of
+    [new_weights | cache_weights] sums to 1 (dead rows are rescued by a
+    uniform epsilon before normalization).
     """
 
     new_weights: Tensor2
     cache_weights: Tensor2
-
-    def __post_init__(self):
-        if self.new_weights.rows != self.cache_weights.rows:
-            raise ShapeError("weight halves disagree on slot count")
 
 
 def synthesize_weights(
@@ -127,7 +123,8 @@ def synthesize_weights(
     cache columns after; the first B output columns therefore become the
     new-token weights and the rest the cache weights. Either side may have
     no columns, as when a hybrid keeps every column of a block verbatim and
-    only unkept cache columns are left to merge.
+    only unkept cache columns are left to merge; ``conv1d`` rejects inputs
+    with no columns at all, or with other than the head's 2*d rows.
     """
     d = k_new.rows
     for name, t in (("v_new", v_new), ("k_cache", k_cache), ("v_cache", v_cache)):
@@ -135,12 +132,6 @@ def synthesize_weights(
             raise ShapeError(f"{name} has {t.rows} rows, expected {d}")
     if k_new.cols != v_new.cols or k_cache.cols != v_cache.cols:
         raise ShapeError("key/value column counts disagree")
-    if k_new.cols + k_cache.cols < 1:
-        raise ShapeError("nothing to merge: block and cache have no columns")
-    if 2 * d != head.kernels.c_in:
-        raise ShapeError(
-            f"head expects {head.kernels.c_in} input channels, inputs provide {2 * d}"
-        )
     b = k_new.cols
     stacked = vstack([hstack([k_new, k_cache]), hstack([v_new, v_cache])])
     if head.relu_position == "pre":
@@ -163,16 +154,9 @@ def fuse(
     """Blend columns into slots, same weights for keys and values.
 
     Slot i of the fused keys is sum_j new_weights[i,j]*k_new[:,j] +
-    sum_j cache_weights[i,j]*k_cache[:,j]; values identically.
+    sum_j cache_weights[i,j]*k_cache[:,j]; values identically. ``matmul``
+    raises ShapeError when the weights do not cover the block or the cache.
     """
-    if weights.new_weights.cols != k_new.cols:
-        raise ShapeError(
-            f"weights cover {weights.new_weights.cols} block columns, block has {k_new.cols}"
-        )
-    if weights.cache_weights.cols != k_cache.cols:
-        raise ShapeError(
-            f"weights cover {weights.cache_weights.cols} cache columns, cache has {k_cache.cols}"
-        )
     wn_t = transpose(weights.new_weights)
     wc_t = transpose(weights.cache_weights)
     k_fused = add(matmul(k_new, wn_t), matmul(k_cache, wc_t))

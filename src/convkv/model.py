@@ -72,8 +72,7 @@ class ModelConfig:
             raise ValueError("head_dim must be even for rotary embedding")
         if min(self.n_layers, self.max_context, self.mlp_ratio) < 1:
             raise ValueError("n_layers, max_context and mlp_ratio must be positive")
-        if self.interpolation_scale < 1.0:
-            raise ValueError("interpolation_scale must be >= 1")
+        self.rope  # RopeConfig checks the rotary settings
 
     @property
     def rope(self) -> RopeConfig:
@@ -152,25 +151,6 @@ class ModelParams:
 
     def base_fingerprint(self) -> bytes:
         return b"".join(t.data.tobytes() for _, t in self.named_base())
-
-    def set_trainable(self, which: str) -> list[tuple[str, Tensor2]]:
-        """Mark 'base', 'conv', or 'none' tensors trainable; returns that set."""
-        for _, t in self.named_base():
-            t.requires_grad = False
-        for _, t in self.named_conv():
-            t.requires_grad = False
-        chosen: list[tuple[str, Tensor2]] = []
-        if which == "base":
-            chosen = self.named_base()
-        elif which == "conv":
-            if self.conv_heads is None:
-                raise CacheError("no conv heads to train")
-            chosen = self.named_conv()
-        elif which != "none":
-            raise ValueError(f"unknown trainable set {which!r}")
-        for _, t in chosen:
-            t.requires_grad = True
-        return chosen
 
     def install_conv_heads(
         self,
@@ -330,18 +310,13 @@ def _layer_step(
             cached_keys = apply_rope(cached_keys, np.arange(n_cached), rope)
         stream.open_context(cached_keys, split_heads(stream.cache.values, n_heads, head_dim))
     context_k, context_v = stream.extend_context(k_rot, v)
-    mass = None
-    if policy.needs_probs:
-        out, probs = attend(q_rot, context_k, context_v, n_context, return_probs=True)
-        mass = probs.data.sum(axis=0)
-    else:
-        out = attend(q_rot, context_k, context_v, n_context)
+    out, probs = attend(q_rot, context_k, context_v, n_context)
     h = add(h, matmul(layer.attn.w_o, merge_heads(out)))
 
     mlp_normed = rms_norm_cols(h, layer.mlp_gain)
     h = add(h, matmul(layer.mlp_out, relu(matmul(layer.mlp_in, mlp_normed))))
 
-    stream.stage(k_for_cache, v, mass)
+    stream.stage(k_for_cache, v, probs.data.sum(axis=0) if policy.needs_probs else None)
     return h, (n_context + b) * b
 
 
@@ -352,7 +327,7 @@ def _forward_chunk(
     positions: np.ndarray,
     block: int,
 ) -> tuple[Tensor2, list[int]]:
-    """Normed final hidden state of one chunk within ``block``, plus attn entries per layer.
+    """Final residual stream of one chunk within ``block``, plus attn entries per layer.
 
     A NonFiniteError inside a layer, or a layer output that overflows, is
     raised again naming the block and the layer.
@@ -370,7 +345,7 @@ def _forward_chunk(
         except NonFiniteError as exc:
             raise NonFiniteError(f"{exc} at block {block}, layer {index}") from exc
         attn_entries.append(entries)
-    return rms_norm_cols(h, params.final_gain), attn_entries
+    return h, attn_entries
 
 
 class _Streams:
@@ -380,9 +355,10 @@ class _Streams:
     the caller flushes: ``feed`` cuts its tokens at block boundaries and
     flushes every layer before a chunk that starts a new block, so the last
     block fed stays staged until ``flush``. The unembedding is made at its
-    first use and reused. ``detach_cache`` cuts the gradient graph at each
-    flush; ``trace`` gets one ``record_block`` per flush, with the attention
-    entries of the block's last chunk and blocks counted from ``block_offset``.
+    first use and reused; logits that overflow raise NonFiniteError naming
+    the block. ``detach_cache`` cuts the gradient graph at each flush;
+    ``trace`` gets one ``record_block`` per flush, with the attention entries
+    of the block's last chunk and blocks counted from ``block_offset``.
     """
 
     def __init__(self, params: ModelParams, policy: PolicySpec, block_size: int, *,
@@ -411,12 +387,17 @@ class _Streams:
             stop = min(start + self.block_size - offset, tokens.size)
             positions = np.arange(self.position, self.position + stop - start)
             block = self.block_offset + self.position // self.block_size
-            final, self._attn_entries = _forward_chunk(
+            h, self._attn_entries = _forward_chunk(
                 self.params, self.layers, tokens[start:stop], positions, block
             )
             if self.unembed is None:
                 self.unembed = transpose(self.params.embed)
-            logits.append(matmul(self.unembed, final))
+            # the final norm or the unembedding may overflow, which the check below reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                chunk = matmul(self.unembed, rms_norm_cols(h, self.params.final_gain))
+            if not np.isfinite(chunk.data).all():
+                raise NonFiniteError(f"logits overflowed at block {block}")
+            logits.append(chunk)
             self.position, start = self.position + stop - start, stop
         return logits[0] if len(logits) == 1 else hstack(logits)
 

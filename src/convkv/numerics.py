@@ -93,10 +93,6 @@ class Tensor2:
         """Same values, cut off from gradient tracking."""
         return _wrap(self.data, False)
 
-    def __repr__(self) -> str:
-        flag = ", trainable" if self.requires_grad else ""
-        return f"Tensor2({'x'.join(map(str, self.shape))}{flag})"
-
 
 def _wrap(arr: np.ndarray, requires_grad: bool) -> Tensor2:
     """Internal constructor: wrap an array the ops already vouch for."""

@@ -1,11 +1,12 @@
 """Pretraining and drop-in calibration of the compression heads.
 
 Two regimes share one loop: (a) pretrain the base weights on a toy corpus
-with the unbounded concat policy; (b) calibrate, which freezes every base
-weight and trains only the per-layer conv kernels while the merging policy
-is live, so gradients flow through weight synthesis, fusion, and attention
-across all blocks of each training sequence (optionally detached at block
-boundaries).
+with the unbounded concat policy; (b) calibrate, which keeps every base
+weight frozen and trains only the per-layer conv kernels while the
+merging policy is live. Gradients flow through weight synthesis, fusion
+and attention across all blocks of each training sequence, or within one
+block when ``detach_cache_between_blocks`` is set. A regime marks the
+tensors it trains ``requires_grad`` only while its loop runs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss went NaN; aborts with the offending step in the message."""
+    """The forward pass hit non-finite values; names the offending step."""
 
 
 @dataclass
@@ -111,40 +112,40 @@ def _train_loop(
     trainable: list[tuple[str, Tensor2]],
     base_lr: float,
 ) -> list[tuple[int, float, float]]:
+    """Adam on the ``trainable`` (name, tensor) pairs, marked ``requires_grad`` until the
+    loop ends or raises, other tensors left as they are; returns (step, loss, lr) rows."""
     rng = np.random.default_rng(cfg.seed)
     state = AdamState()
     trace: list[tuple[int, float, float]] = []
     by_tensor = {id(t): name for name, t in trainable}
-    for step in range(cfg.steps):
-        lr = base_lr * (1.0 - step / cfg.steps)  # linear decay to 0
-        starts = _sample_starts(rng, corpus_ids.size, cfg)
-        try:
-            with GradTape() as tape:
-                total = None
-                for s in starts:
-                    window = corpus_ids[s:s + cfg.context_length]
-                    loss = sequence_loss(
-                        params, window, policy, block_size,
-                        detach_cache=cfg.detach_cache_between_blocks,
-                    )
-                    total = loss if total is None else add(total, loss)
-                mean_loss = scale(total, 1.0 / cfg.batch_size)
-        except NonFiniteError as exc:
-            raise TrainingDivergedError(
-                f"non-finite values in the forward pass at step {step} (lr={lr:.3g}): {exc}"
-            ) from exc
-        loss_value = float(mean_loss.data[0, 0])
-        if np.isnan(loss_value):
-            raise TrainingDivergedError(
-                f"loss is NaN at step {step} (lr={lr:.3g}); "
-                "lower the learning rate or check the corpus"
-            )
-        grads = backward(tape, mean_loss)
-        named_grads = {
-            by_tensor[id(t)]: g for t, g in grads.items() if id(t) in by_tensor
-        }
-        adam_step(trainable, named_grads, state, lr)
-        trace.append((step, loss_value, lr))
+    for _, t in trainable:
+        t.requires_grad = True
+    try:
+        for step in range(cfg.steps):
+            lr = base_lr * (1.0 - step / cfg.steps)  # linear decay to 0
+            starts = _sample_starts(rng, corpus_ids.size, cfg)
+            try:
+                with GradTape() as tape:
+                    total = None
+                    for s in starts:
+                        window = corpus_ids[s:s + cfg.context_length]
+                        loss = sequence_loss(
+                            params, window, policy, block_size,
+                            detach_cache=cfg.detach_cache_between_blocks,
+                        )
+                        total = loss if total is None else add(total, loss)
+                    mean_loss = scale(total, 1.0 / cfg.batch_size)
+            except NonFiniteError as exc:
+                raise TrainingDivergedError(
+                    f"non-finite values in the forward pass at step {step} (lr={lr:.3g}): {exc}"
+                ) from exc
+            grads = backward(tape, mean_loss)
+            named_grads = {by_tensor[id(t)]: g for t, g in grads.items() if id(t) in by_tensor}
+            adam_step(trainable, named_grads, state, lr)
+            trace.append((step, float(mean_loss.data[0, 0]), lr))
+    finally:
+        for _, t in trainable:
+            t.requires_grad = False
     return trace
 
 
@@ -157,13 +158,10 @@ def pretrain(
     if corpus_ids.size == 0:
         raise ValueError("empty corpus")
     params = ModelParams.init(model_config, seed=cfg.seed)
-    trainable = params.set_trainable("base")
-    trace = _train_loop(
+    return params, _train_loop(
         params, corpus_ids, PolicySpec("concat"), cfg.context_length, cfg,
-        trainable, cfg.learning_rate_base,
+        params.named_base(), cfg.learning_rate_base,
     )
-    params.set_trainable("none")
-    return params, trace
 
 
 def calibrate_conv_heads(
@@ -175,7 +173,7 @@ def calibrate_conv_heads(
     kernel_size: int = 21,
     relu_position: str = "post",
 ) -> list[tuple[int, float, float]]:
-    """Freeze the base model, drop in conv heads, train only their kernels.
+    """Drop in conv heads and train only their kernels; the base weights stay frozen.
 
     The policy must be one of the merging family; heads are installed at a
     seeded init when the model has none yet, so a 0-step run leaves them at
@@ -193,12 +191,9 @@ def calibrate_conv_heads(
             slots=policy.merge_slots, kernel_size=kernel_size,
             seed=cfg.seed, relu_position=relu_position,
         )
-    trainable = params.set_trainable("conv")
-    trace = _train_loop(
-        params, corpus_ids, policy, block_size, cfg, trainable, cfg.learning_rate_conv
+    return _train_loop(
+        params, corpus_ids, policy, block_size, cfg, params.named_conv(), cfg.learning_rate_conv
     )
-    params.set_trainable("none")
-    return trace
 
 
 def write_loss_trace(path: str | Path, trace: list[tuple[int, float, float]]) -> None:

@@ -81,7 +81,7 @@ def full_causal_attention(q: Tensor2, k: Tensor2, v: Tensor2) -> Tensor2:
     """Reference quadratic path: output column t attends to key columns <= t."""
     if q.cols != k.cols:
         raise ShapeError(f"full attention expects square layout, got {q.cols} queries vs {k.cols} keys")
-    return attend(q, k, v, n_cached=0)
+    return attend(q, k, v, n_cached=0)[0]
 
 
 def project_qkv_composed(x: Tensor2, params, positions: np.ndarray, rope):

@@ -190,16 +190,37 @@ class TestHeadBatched:
         rope, q_pos, k_pos = RopeConfig(), n_cached + np.arange(b), np.arange(n_cached + b)
         qh, kh, vh = (split_heads(x, n_heads, head_dim) for x in (q, k, v))
         out, probs = attend(apply_rope(qh, q_pos, rope), apply_rope(kh, k_pos, rope), vh,
-                            n_cached, return_probs=True)
+                            n_cached)
         for h in range(n_heads):
             rows = slice(h * head_dim, (h + 1) * head_dim)
             one_out, one_probs = attend(
                 apply_rope(t2(q.data[rows]), q_pos, rope),
                 apply_rope(t2(k.data[rows]), k_pos, rope),
-                t2(v.data[rows]), n_cached, return_probs=True,
+                t2(v.data[rows]), n_cached,
             )
             assert np.array_equal(out.data[h], one_out.data)
             assert np.array_equal(probs.data[h], one_probs.data)
+
+
+class TestBadShapes:
+    def test_projections_must_fit_the_heads(self):
+        w = Tensor2.zeros(4, 4)
+        with pytest.raises(ShapeError, match="w_k has 3 rows, expected n_heads\\*head_dim=4"):
+            AttentionParams(w, Tensor2.zeros(3, 4), w, w, n_heads=2, head_dim=2)
+        with pytest.raises(ShapeError, match="w_o has 3 cols, expected 4"):
+            AttentionParams(w, w, w, Tensor2.zeros(4, 3), n_heads=2, head_dim=2)
+
+    def test_attend_needs_paired_keys_and_n_cached_within_them(self):
+        q, k = Tensor2.zeros(2, 1), Tensor2.zeros(2, 3)
+        with pytest.raises(ShapeError, match="key/value column mismatch: 3 vs 2"):
+            attend(q, k, Tensor2.zeros(2, 2))
+        for n_cached in (-1, 4):
+            with pytest.raises(ShapeError, match=f"n_cached={n_cached} out of range for 3 keys"):
+                attend(q, k, k, n_cached)
+
+    def test_merge_heads_needs_a_head_axis(self):
+        with pytest.raises(ShapeError, match="merge_heads needs a head-batched"):
+            merge_heads(Tensor2.zeros(4, 2))
 
 
 def one_layer(d_model, n_heads=1, seed=0):
@@ -305,7 +326,7 @@ class TestSegmentAttention:
         expect = np.zeros(6)
         for hq, hk, hv in zip(*(per_head(x, cfg) for x in projections(h, layer.attn))):
             _, probs = attend(apply_rope(hq, positions, cfg.rope),
-                              apply_rope(hk, positions, cfg.rope), hv, return_probs=True)
+                              apply_rope(hk, positions, cfg.rope), hv)
             expect += probs.data.sum(axis=1)
         assert np.max(np.abs(caches[0].rule.scores - expect)) < 1e-12
 

@@ -153,6 +153,17 @@ class TestUpdateRejects:
         with pytest.raises(CacheError, match="keeps 3 columns but capacity is 4"):
             update_sink_window(short, k, paired_values(k))
 
+    def test_keys_and_values_must_pair_up_and_fit_the_cache(self):
+        with pytest.raises(ShapeError, match="key/value column mismatch: 1 vs 0"):
+            KvCache(Tensor2.zeros(2, 1), Tensor2.zeros(2, 0))
+        with pytest.raises(CacheError, match="capacity must be positive, got 0"):
+            KvCache.empty(2, capacity=0)
+        k = token_block(2, 0, 2)
+        with pytest.raises(ShapeError, match="block key/value mismatch: 2 vs 1"):
+            update_concat(KvCache.empty(2), k, t2(k.data[:, :1]))
+        with pytest.raises(ShapeError, match="feature dimension differs"):
+            update_concat(KvCache.empty(3), k, paired_values(k))
+
     def test_merging_policy_needs_a_head_with_its_slot_count(self):
         spec = PolicySpec("lococo+sink", capacity=8, n_sink=2)
         with pytest.raises(CacheError, match="needs a conv head"):

@@ -51,6 +51,30 @@ class TestConfigParsing:
         cfg = resolve_config(args)
         assert cfg.seed == 9 and cfg.capacity == 32
 
+    def test_bool_none_and_float_values(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("detach_cache=yes\nwindow=none\nheavy_budget=\nrope_base=500\n")
+        assert read_config_file(p) == {
+            "detach_cache": True, "window": None, "heavy_budget": None, "rope_base": 500.0,
+        }
+        p.write_text("detach_cache=False\n")
+        assert read_config_file(p) == {"detach_cache": False}
+
+    @pytest.mark.parametrize("line, match", [
+        ("detach_cache=maybe", "expects a boolean"),
+        ("rope_base=big", "expects a number"),
+        ("seed 7", "run.cfg:1: expected key=value"),
+    ], ids=["bool", "float", "no-equals"])
+    def test_bad_line_rejected(self, tmp_path, line, match):
+        p = tmp_path / "run.cfg"
+        p.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=match):
+            read_config_file(p)
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            read_config_file(tmp_path / "missing.cfg")
+
     def test_unknown_flag_rejected(self):
         assert main(["eval", "--no-such-flag", "1"]) == 1
 
@@ -74,6 +98,12 @@ UNWORKABLE = {
     "eval_context_length_1": ["eval", "--eval-context-length", "1"],
     "ablate_context_not_block_multiple": ["ablate", "--values", "16", "--context-length", "20"],
     "ablate_eval_context_length_1": ["ablate", "--values", "16", "--eval-context-length", "1"],
+    "pretrain_rope_base_negative": ["pretrain", "--rope-base", "-1"],
+    "pretrain_rope_base_nan": ["pretrain", "--rope-base", "nan"],
+    "pretrain_interpolation_scale_nan": ["pretrain", "--interpolation-scale", "nan"],
+    "eval_policies_empty": ["eval", "--policies", ","],
+    "eval_capacities_bad": ["eval", "--capacities", "8,x"],
+    "generate_empty_prompt": ["generate", "--prompt", ""],
 }
 
 
@@ -245,6 +275,16 @@ class TestGenerateCommand:
         assert code == 0
         assert capsys.readouterr().out == "K:ABCD|\n"
         assert (out / "generated.txt").read_bytes() == b"K:ABCD|"
+
+    def test_prompt_file(self, calibrated_ckpt, tmp_path, capsys):
+        prompt = tmp_path / "prompt.txt"
+        prompt.write_bytes(b"K:AB")
+        args = ["generate", "--checkpoint", calibrated_ckpt, "--out-dir", str(tmp_path / "gen"),
+                "--n-new", "0", "--policy", "concat"]
+        assert main([*args, "--prompt-file", str(prompt)]) == 0
+        assert capsys.readouterr().out == "K:AB\n"
+        assert main([*args, "--prompt-file", str(tmp_path / "missing.txt")]) == 1
+        assert "prompt_file file not found" in capsys.readouterr().err
 
     def test_generates_requested_count(self, calibrated_ckpt, tmp_path, capsys):
         out = tmp_path / "gen2"

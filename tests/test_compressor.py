@@ -111,6 +111,21 @@ class TestSynthesizeWeights:
         with pytest.raises(ShapeError):
             synthesize_weights(bad, bad, Tensor2.zeros(2, 0), Tensor2.zeros(2, 0), head)
 
+    @pytest.mark.parametrize("shapes, match", [
+        ([(2, 2), (2, 2), (3, 1), (2, 1)], "k_cache has 3 rows, expected 2"),
+        ([(2, 2), (2, 3), (2, 1), (2, 1)], "key/value column counts disagree"),
+        ([(2, 2), (2, 2), (2, 1), (2, 0)], "key/value column counts disagree"),
+        ([(2, 0), (2, 0), (2, 0), (2, 0)], "conv1d: no columns to convolve"),
+    ], ids=["rows", "block-columns", "cache-columns", "no-columns"])
+    def test_inputs_that_do_not_stack_rejected(self, shapes, match):
+        parts = [Tensor2.zeros(*shape) for shape in shapes]
+        with pytest.raises(ShapeError, match=match):
+            synthesize_weights(*parts, center_tap_head(2, 2))
+
+    def test_head_needs_keys_over_values(self):
+        with pytest.raises(ShapeError, match="2\\*d \\(keys over values\\)"):
+            ConvHead(ConvKernels(Tensor2.zeros(2, 3), c_in=3, k=1))
+
     @pytest.mark.parametrize("relu_position", ["post", "pre"])
     def test_rows_are_stochastic_in_both_relu_modes(self, relu_position):
         rng = np.random.default_rng(3)
@@ -210,6 +225,15 @@ class TestFuse:
         assert (k_f.data >= all_k.min(axis=1, keepdims=True) - eps).all()
         assert np.abs(k_f.data).max() <= np.abs(all_k).max() + eps
         assert (v_f.data <= all_v.max(axis=1, keepdims=True) + eps).all()
+
+
+    def test_weights_must_cover_the_block_and_the_cache(self):
+        k = Tensor2.zeros(2, 3)
+        weights = FusionWeights(Tensor2.zeros(4, 2), Tensor2.zeros(4, 3))
+        with pytest.raises(ShapeError, match="inner dims differ"):
+            fuse(weights, k, k, k, k)
+        with pytest.raises(ShapeError, match="inner dims differ"):
+            fuse(weights._replace(new_weights=Tensor2.zeros(4, 3)), k, k, k, Tensor2.zeros(2, 2))
 
 
 class TestCompressStep:

@@ -92,6 +92,11 @@ class TestMemoryTrace:
         first = lines[1].split(",")
         assert [int(x) for x in first] == [0, 0, 8, 64, 8]
 
+    def test_write_csv_writes_the_csv_text(self, params, tmp_path):
+        trace = run_traced(params, 32, PolicySpec("concat"), 8)
+        trace.write_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == trace.to_csv_text().encode()
+
 
 class TestPolicyReport:
     def sample(self):

@@ -21,8 +21,9 @@ from convkv.model import (
     perplexity,
     sequence_loss,
 )
-from convkv.numerics import NonFiniteError, Tensor2, cross_entropy_cols, slice_cols
+from convkv.numerics import NonFiniteError, ShapeError, Tensor2, cross_entropy_cols, slice_cols
 from convkv.policies import LayerPolicy, PolicySpec
+from convkv.training import TrainConfig, TrainingDivergedError, calibrate_conv_heads
 
 import oracles
 
@@ -63,6 +64,25 @@ BOUNDED = {
     "lococo+sink": PolicySpec("lococo+sink", capacity=8, n_sink=2),
 }
 POLICIES = {"concat": PolicySpec("concat"), **BOUNDED}
+
+
+class TestModelConfig:
+    # the rotary settings are RopeConfig's checks; NaN fails them too
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(vocab_size=128), "vocab is byte-level"),
+        (dict(d_model=48), "d_model \\(48\\) must equal n_heads\\*head_dim"),
+        (dict(d_model=6, n_heads=2, head_dim=3), "head_dim must be even"),
+        (dict(n_layers=0), "must be positive"),
+        (dict(mlp_ratio=0), "must be positive"),
+        (dict(rope_base=-1.0), "rope base must be positive"),
+        (dict(rope_base=float("nan")), "rope base must be positive"),
+        (dict(interpolation_scale=0.5), "interpolation_scale must be >= 1"),
+        (dict(interpolation_scale=float("nan")), "interpolation_scale must be >= 1"),
+    ], ids=["vocab", "d_model", "odd-head_dim", "n_layers-0", "mlp_ratio-0", "rope_base-neg",
+            "rope_base-nan", "interpolation-0.5", "interpolation-nan"])
+    def test_rejected_with_value_error(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ModelConfig(**kwargs)
 
 
 def model_for(spec, seed=13):
@@ -214,6 +234,9 @@ CORRUPTIONS = {
     # self-consistent edits that load as a different model unless checksummed
     "every_relu_position_pre": lambda raw: _rewrite_header(raw, _every_relu_position_pre),
     "rope_base_500": _header_edit("config", "rope_base", value=500.0),
+    "version_4": lambda raw: raw[:4] + struct.pack("<I", 4) + raw[8:],
+    "header_not_json": lambda raw: raw[:16] + b"x" + raw[17:],
+    "header_not_utf8": lambda raw: raw[:16] + b"\xff" + raw[17:],
 }
 
 
@@ -318,6 +341,17 @@ class TestGenerate:
         with pytest.raises(ValueError, match="token sequence must not be empty"):
             forward_segmented(tiny_params, np.array([], dtype=np.int64), PolicySpec("concat"), 4)
 
+    def test_token_ids_must_be_a_nonnegative_1d_sequence(self, tiny_params):
+        with pytest.raises(ShapeError, match="token sequence must be a 1-D sequence"):
+            forward_segmented(tiny_params, np.zeros((2, 2), dtype=np.int64),
+                              PolicySpec("concat"), 4)
+        with pytest.raises(ValueError, match="negative token id"):
+            generate(tiny_params, np.array([3, -1]), 1, PolicySpec("concat"), 4)
+
+    def test_negative_n_new_rejected(self, tiny_params):
+        with pytest.raises(ValueError, match="n_new must be nonnegative"):
+            generate(tiny_params, np.array([3]), -1, PolicySpec("concat"), 4)
+
 
 class TestDecodeMatchesPrefill:
     """Block-buffered decode reproduces the teacher-forced segmented prefill."""
@@ -401,6 +435,11 @@ class TestSequenceLoss:
         assert np.array_equal(loss.data, expect.data)
         assert segmented_updates == TINY.n_layers * 4
         assert len(calls) == segmented_updates - TINY.n_layers
+
+
+    def test_one_token_has_nothing_to_predict(self, tiny_params):
+        with pytest.raises(ValueError, match="at least two tokens"):
+            sequence_loss(tiny_params, np.array([7]), PolicySpec("concat"), 4)
 
 
 class TestBlockSizePrecondition:
@@ -528,7 +567,7 @@ class TestOpBudget:
                     split_heads(Tensor2(rng.standard_normal((4 * n_heads, cols))), n_heads, 4)
                     for cols in (n_new, n_cached + n_new, n_cached + n_new)
                 )
-                out, probs = attention.attend(q, k, v, n_cached, return_probs=True)
+                out, probs = attention.attend(q, k, v, n_cached)
                 assert (masks.pop() is None) == (n_new == 1)
                 want_out, want_probs = oracles.attend_numpy(q.data, k.data, v.data, n_cached)
                 assert np.array_equal(probs.data, want_probs)
@@ -597,6 +636,30 @@ class TestNonFiniteResidual:
         for call in calls:
             with pytest.raises(NonFiniteError, match="row_normalize: .* at block 2, layer 1"):
                 call()
+
+
+    def test_overflowing_logits_named_by_block(self):
+        # a finite final gain whose norm overflows: without the check the logits are
+        # NaN, so perplexity is NaN, decode emits byte 0 and calibration sees a NaN loss
+        params = ModelParams.init(TINY, seed=13)
+        params.final_gain.data = np.full_like(params.final_gain.data, 1e308)
+        tokens = rand_tokens(np.random.default_rng(3), 12)
+        spec = PolicySpec("concat")
+        calls = (
+            lambda: forward_segmented(params, tokens, spec, 4),
+            lambda: generate(params, tokens[:5], 3, spec, 4),
+            lambda: perplexity(params, tokens, spec, 12, 4),
+        )
+        for call in calls:
+            with pytest.raises(NonFiniteError, match="logits overflowed at block 0"):
+                call()
+        cfg = TrainConfig(steps=1, batch_size=1, context_length=12)
+        with pytest.raises(TrainingDivergedError,
+                           match="forward pass at step 0 .*logits overflowed at block 0"):
+            calibrate_conv_heads(params, tokens, PolicySpec("lococo", capacity=8), 4, cfg,
+                                 kernel_size=5)
+        # the run that raised leaves no weight marked trainable
+        assert not any(t.requires_grad for _, t in params.named_base() + params.named_conv())
 
 
 class TestContextBuffer:
@@ -676,6 +739,15 @@ class TestPerplexity:
     def test_empty_corpus_rejected(self, tiny_params):
         with pytest.raises(ValueError, match="empty"):
             perplexity(tiny_params, np.array([], dtype=np.int64), PolicySpec("concat"), 8, 4)
+
+    @pytest.mark.parametrize("n_ids, window, match", [
+        (32, 1, "eval_context_length must be at least 2"),
+        (10, 16, "corpus of 10 tokens is shorter than one window of 16"),
+    ], ids=["window-1", "corpus-shorter"])
+    def test_window_that_does_not_fit_rejected(self, tiny_params, n_ids, window, match):
+        ids = rand_tokens(np.random.default_rng(9), n_ids)
+        with pytest.raises(ValueError, match=match):
+            perplexity(tiny_params, ids, PolicySpec("concat"), window, 4)
 
     def test_missing_conv_heads_rejected(self, tiny_params):
         rng = np.random.default_rng(9)

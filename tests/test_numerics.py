@@ -284,6 +284,44 @@ class TestRankGuard:
             TWO_D_ONLY[op](x)
 
 
+# one call per shape or range error of a primitive, with the start of its message
+BAD_OPERANDS = {
+    "add_shapes_differ": (lambda: add(t2([[1.0]]), t2([[1.0, 2.0]])), "add: shapes differ"),
+    "softmax_cols_empty": (lambda: softmax_cols(Tensor2.zeros(0, 2)), "softmax_cols: empty"),
+    "conv_kernels_columns": (lambda: ConvKernels(Tensor2.zeros(1, 5), c_in=2, k=3),
+                             "kernel bank has 5 columns, expected c_in\\*k = 6"),
+    "row_normalize_no_columns": (lambda: row_normalize(Tensor2.zeros(2, 0)),
+                                 "row_normalize: no columns"),
+    "hstack_nothing": (lambda: hstack([]), "hstack: nothing"),
+    "vstack_nothing": (lambda: vstack([]), "vstack: nothing"),
+    "vstack_columns_differ": (lambda: vstack([t2([[1.0]]), t2([[1.0, 2.0]])]),
+                              "vstack: column counts differ"),
+    "slice_cols_range": (lambda: slice_cols(t2([[1.0, 2.0]]), 1, 3), "slice_cols: \\[1:3\\]"),
+    "slice_cols_reversed": (lambda: slice_cols(t2([[1.0, 2.0]]), 2, 1), "slice_cols: \\[2:1\\]"),
+    "select_cols_2d_indices": (lambda: select_cols(t2([[1.0]]), np.zeros((1, 1))),
+                               "select_cols: indices must be 1-D"),
+    "select_cols_range": (lambda: select_cols(t2([[1.0, 2.0]]), np.array([2])),
+                          "select_cols: index out of range"),
+    "select_cols_negative": (lambda: select_cols(t2([[1.0, 2.0]]), np.array([-1])),
+                             "select_cols: index out of range"),
+    "rms_norm_cols_gain": (lambda: rms_norm_cols(t2([[1.0], [2.0]]), t2([[1.0]])),
+                           "rms_norm_cols: gain must be 2x1"),
+    "cross_entropy_target_count": (lambda: cross_entropy_cols(t2([[1.0, 2.0]]), np.array([0])),
+                                   "cross_entropy_cols: need 2 targets"),
+    "cross_entropy_no_targets": (lambda: cross_entropy_cols(Tensor2.zeros(2, 0), np.zeros(0)),
+                                 "cross_entropy_cols: empty targets"),
+    "cross_entropy_target_range": (lambda: cross_entropy_cols(t2([[1.0]]), np.array([1])),
+                                   "cross_entropy_cols: target id out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPERANDS))
+def test_bad_operands_raise_shape_error(case):
+    call, match = BAD_OPERANDS[case]
+    with pytest.raises(ShapeError, match=match):
+        call()
+
+
 class TestRowNormalize:
     def test_plain_rows(self):
         out = row_normalize(t2([[1.0, 3.0]]))
@@ -440,7 +478,7 @@ class TestGradients:
                     split_heads(x, n_heads, head_dim)
                     for x in (q, k_cached, k_new, v_cached, v_new)
                 )
-                out = attend(
+                out, _ = attend(
                     apply_rope(qh, positions, rope),
                     hstack([kc, apply_rope(kn, positions, rope)]),
                     hstack([vc, vn]),
@@ -468,7 +506,7 @@ class TestGradients:
                     split_heads(k, n_heads, head_dim), split_heads(v, n_heads, head_dim)
                 )
                 outs.append(attend(split_heads(q, n_heads, head_dim), context_k, context_v,
-                                   n_context))
+                                   n_context)[0])
                 n_context += q.cols
             return cross_entropy_cols(merge_heads(hstack(outs)), np.array([1, 6, 3]))
 
@@ -596,6 +634,20 @@ class TestTapeProtocol:
             loss = cross_entropy_cols(vstack([out, Tensor2.zeros(1, 1)]), np.array([1]))
         grads = backward(tape, loss)
         assert grads[w].shape == (1, 1)
+
+    def test_empty_tape_cannot_be_replayed(self):
+        with GradTape() as tape:
+            out = t2([[1.0]], trainable=True)
+        with pytest.raises(TapeError, match="tape is empty"):
+            backward(tape, out)
+
+    def test_tape_exited_out_of_order(self):
+        outer, inner = GradTape(), GradTape()
+        with outer:
+            inner.__enter__()
+            with pytest.raises(TapeError, match="out of order"):
+                outer.__exit__(None, None, None)
+            inner.__exit__(None, None, None)
 
     def test_scalar_seed_needs_scalar_output(self):
         w = t2([[1.0, 2.0]], trainable=True)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from convkv.cache import CacheError
-from convkv.corpus import corpus_to_ids, make_recall_corpus, make_repeated_byte_corpus
+from convkv.corpus import (
+    corpus_to_ids,
+    load_corpus,
+    make_recall_corpus,
+    make_repeated_byte_corpus,
+)
 from convkv.model import ModelConfig, ModelParams, sequence_loss
 from convkv.numerics import GradTape, Tensor2, backward
 from convkv.policies import PolicySpec
@@ -126,6 +131,14 @@ class TestPretrain:
         with pytest.raises(TrainingDivergedError, match="step"):
             pretrain(ids, SMALL, cfg)
 
+    @pytest.mark.parametrize("n_ids, match", [
+        (0, "empty corpus"),
+        (10, "corpus of 10 tokens is shorter than context 16"),
+    ], ids=["empty", "shorter-than-context"])
+    def test_corpus_too_short_rejected(self, n_ids, match):
+        with pytest.raises(ValueError, match=match):
+            pretrain(np.zeros(n_ids, dtype=np.int64), SMALL, small_cfg())
+
     def test_linear_decay_schedule(self):
         ids = corpus_to_ids(make_recall_corpus(16, seed=3))
         _, trace = pretrain(ids, SMALL, small_cfg(steps=4, learning_rate_base=1e-3))
@@ -191,10 +204,21 @@ class TestCalibration:
                 params, ids, PolicySpec("lococo", capacity=2), 4, self.cal_cfg()
             )
 
+    def test_eviction_policy_and_ragged_context_rejected(self):
+        params = self.make_base()
+        ids = corpus_to_ids(make_recall_corpus(16, seed=6))
+        with pytest.raises(CacheError, match="needs a merging policy, got 'h2o'"):
+            calibrate_conv_heads(params, ids, PolicySpec("h2o", capacity=8), 4, self.cal_cfg())
+        with pytest.raises(ValueError, match="context 18 must be a multiple of block size 4"):
+            calibrate_conv_heads(params, ids, PolicySpec("lococo", capacity=8), 4,
+                                 self.cal_cfg(context_length=18))
+
     def test_every_conv_parameter_gets_gradient_somewhere(self):
         params = self.make_base()
         params.install_conv_heads(slots=8, kernel_size=5, seed=3)
-        trainable = params.set_trainable("conv")
+        trainable = params.named_conv()
+        for _, t in trainable:
+            t.requires_grad = True
         rng = np.random.default_rng(12)
         spec = PolicySpec("lococo", capacity=8)
         touched = {name: np.zeros_like(t.data, dtype=bool) for name, t in trainable}
@@ -206,7 +230,6 @@ class TestCalibration:
             for name, t in trainable:
                 if t in grads:
                     touched[name] |= grads[t] != 0.0
-        params.set_trainable("none")
         for name, hits in touched.items():
             assert hits.all(), f"{name}: {(~hits).sum()} parameters never saw a gradient"
 
@@ -215,7 +238,9 @@ class TestCalibration:
         config = ModelConfig(d_model=4, n_layers=2, n_heads=1, head_dim=4, max_context=64)
         params = ModelParams.init(config, seed=5)
         params.install_conv_heads(slots=4, kernel_size=5, seed=6)
-        trainable = params.set_trainable("conv")
+        trainable = params.named_conv()
+        for _, t in trainable:
+            t.requires_grad = True
         spec = PolicySpec("lococo", capacity=4)
         tokens = np.random.default_rng(8).integers(0, 256, size=12)
 
@@ -240,7 +265,6 @@ class TestCalibration:
             fd = (hi - lo) / (2 * h)
             rel = abs(g[idx] - fd) / (abs(g[idx]) + 1e-8)
             assert rel < 1e-4, f"{name}{idx}: analytic={g[idx]}, fd={fd}"
-        params.set_trainable("none")
 
     def test_detach_flag_changes_gradients_but_trains(self):
         params = self.make_base()
@@ -330,6 +354,18 @@ def test_calibration_regression_locked(name):
         + [w0[0, 0], w0[-1, -1], w1[0, 0], w1[-1, -1], float(w0.sum() + w1.sum())]
     )
     assert np.max(np.abs(probe - CALIBRATION_PROBE[name])) < 1e-10
+
+
+class TestCorpus:
+    def test_recall_document_needs_room_for_filler(self):
+        with pytest.raises(ValueError, match="doc_len 23 too small for key_len 8"):
+            make_recall_corpus(2, doc_len=23)
+
+    def test_empty_corpus_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="is empty"):
+            load_corpus(path)
 
 
 class TestLossTrace:
