@@ -14,6 +14,7 @@ every head in one call, and ``merge_heads`` goes back to (n_heads * head_dim, T)
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,9 +79,11 @@ def _rope_table(positions: np.ndarray, d: int, t_len: int, cfg: RopeConfig):
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape != (t_len,):
         raise ShapeError(f"need {t_len} positions, got shape {pos.shape}")
-    inv_freq = cfg.base ** (-2.0 * np.arange(d // 2) / d)
-    ang = np.outer(inv_freq, pos / cfg.interpolation_scale)
+    ang = np.outer(_inv_freq(d, cfg.base), pos / cfg.interpolation_scale)
     return np.cos(ang), np.sin(ang)
+
+
+_inv_freq = functools.cache(lambda d, base: base ** (-2.0 * np.arange(d // 2) / d))
 
 
 def _rotate(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -109,28 +112,35 @@ def apply_rope(x: Tensor2, positions: np.ndarray, cfg: RopeConfig) -> Tensor2:
 
 
 def project_qkv(x: Tensor2, params: AttentionParams, positions: np.ndarray,
-                rope: RopeConfig) -> tuple[Tensor2, Tensor2, Tensor2, Tensor2]:
-    """A normed chunk's ``(q_rot, k_rot, k, v)``, each (n_heads, head_dim, T), from
+                rope: RopeConfig, raw_k: bool = True) -> tuple[Tensor2, ...]:
+    """A normed chunk's ``(q_rot, k_rot, k, v)``, each (n * n_heads, head_dim, T), from
     one GEMM over the stacked weights and one rotation of q and k at ``positions``;
-    ``k`` is the unrotated key a slot-relative policy caches. Each output is its
-    own op, and a frozen operand's gradient is None."""
+    ``x`` holds n sequences of T = len(positions) columns, one after another, and
+    entry i * n_heads + h is head h of sequence i. ``k`` is the unrotated key a
+    slot-relative policy caches, None unless ``raw_k``. Each output is its own op,
+    and a frozen operand's gradient is None."""
     if x.data.ndim != 2 or x.rows != params.w_q.cols:
         raise ShapeError(f"input of shape {x.shape} does not fit projections of {params.w_q.cols}")
-    c, s = _rope_table(positions, params.head_dim, x.cols, rope)
+    t_len = np.size(positions)
+    n_seq = x.cols // t_len if t_len and x.cols % t_len == 0 else 1
+    t_len = x.cols // n_seq
+    c, s = _rope_table(positions, params.head_dim, t_len, rope)
     w_qkv = np.concatenate([params.w_q.data, params.w_k.data, params.w_v.data])
-    qkv = (w_qkv @ x.data).reshape(3, params.n_heads, params.head_dim, x.cols)
+    qkv = ((w_qkv @ x.data).reshape(3, params.n_heads, params.head_dim, n_seq, t_len)
+           .transpose(0, 3, 1, 2, 4).reshape(3, n_seq * params.n_heads, params.head_dim, t_len))
     q_rot, k_rot = _rotate(qkv[:2], c, s)
 
     def output(data: np.ndarray, w: Tensor2, rotated: bool) -> Tensor2:
         def vjp(g):
-            g = (_rotate(g, c, -s) if rotated else g).reshape(w.rows, x.cols)
+            g = (_rotate(g, c, -s) if rotated else g).reshape(n_seq, w.rows, t_len)
+            g = g.swapaxes(0, 1).reshape(w.rows, x.cols)
             gx = w.data.swapaxes(-1, -2) @ g if x.requires_grad else None
             return gx, (g @ x.data.swapaxes(-1, -2) if w.requires_grad else None)
 
         return custom_op([x, w], data, vjp)
 
     return (output(q_rot, params.w_q, True), output(k_rot, params.w_k, True),
-            output(qkv[1], params.w_k, False), output(qkv[2], params.w_v, False))
+            output(qkv[1], params.w_k, False) if raw_k else None, output(qkv[2], params.w_v, False))
 
 
 def _block_mask(n_cached: int, n_new: int, n_queries: int) -> np.ndarray:
@@ -169,25 +179,28 @@ def attend(q: Tensor2, k: Tensor2, v: Tensor2, n_cached: int = 0) -> tuple[Tenso
 def split_heads(x: Tensor2, n_heads: int, head_dim: int) -> Tensor2:
     """View (n_heads * head_dim, T) as (n_heads, head_dim, T), without a copy.
 
-    Head h is rows h * head_dim .. (h + 1) * head_dim of ``x``.
+    Head h is rows h * head_dim .. (h + 1) * head_dim of ``x``; an
+    (n, n_heads * head_dim, T) input gives (n * n_heads, head_dim, T).
     """
-    if x.data.ndim != 2 or x.rows != n_heads * head_dim:
+    if x.rows != n_heads * head_dim:
         raise ShapeError(f"cannot split shape {x.shape} into {n_heads} heads of {head_dim}")
-    t_len = x.cols
-
-    def vjp(g):
-        return (g.reshape(n_heads * head_dim, t_len),)
-
-    return custom_op([x], x.data.reshape(n_heads, head_dim, t_len), vjp)
-
-
-def merge_heads(x: Tensor2) -> Tensor2:
-    """Inverse of ``split_heads``: (n_heads, head_dim, T) -> (n_heads * head_dim, T)."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"merge_heads needs a head-batched (H, d, T) input, got {x.shape}")
     shape = x.shape
 
     def vjp(g):
         return (g.reshape(shape),)
 
-    return custom_op([x], x.data.reshape(shape[0] * shape[1], shape[2]), vjp)
+    return custom_op([x], x.data.reshape(math.prod(shape[:-1]) // head_dim, head_dim, -1), vjp)
+
+
+def merge_heads(x: Tensor2, n_seq: int = 1) -> Tensor2:
+    """Inverse of ``split_heads``: (n_heads, head_dim, T) -> (n_heads * head_dim, T),
+    or (n_seq * n_heads, head_dim, T) -> (n_seq, n_heads * head_dim, T)."""
+    if x.data.ndim != 3:
+        raise ShapeError(f"merge_heads needs a head-batched (H, d, T) input, got {x.shape}")
+    shape = x.shape
+    merged = (shape[0] // n_seq * shape[1], shape[2])
+
+    def vjp(g):
+        return (g.reshape(shape),)
+
+    return custom_op([x], x.data.reshape(merged if n_seq == 1 else (n_seq,) + merged), vjp)

@@ -31,8 +31,8 @@ class KeepRule:
     merged, so they stay the oldest tokens), the newest ``recent`` and the
     ``heavy`` top-scored of the columns in between. A column's score is the
     attention mass it has received across all queries so far; equal scores
-    favour the newer column. ``scores`` holds one score per cache column and
-    is tracked only when ``heavy > 0``.
+    favour the newer column. ``scores`` holds one score per cache column, a
+    row per sequence of a batch, and is tracked only when ``heavy > 0``.
     """
 
     n_sink: int = 0
@@ -55,26 +55,32 @@ class KeepRule:
     def accumulate(self, attn_probs: np.ndarray | None, n_new: int) -> np.ndarray | None:
         """Scores of the cached plus ``n_new`` incoming columns after one block.
 
-        ``attn_probs`` are the block's softmax probabilities (rows = cached +
-        new keys, columns = queries); each key column gains its row sum.
+        ``attn_probs`` are the block's softmax probabilities (rows = cached + new
+        keys, columns = queries, per sequence); each key column gains its row sum.
         """
         if not self.heavy:
             return None
         if attn_probs is None:
             raise CacheError("heavy-hitter updates need the block's attention probabilities")
         probs = np.asarray(attn_probs)
-        n_total = len(self.scores) + n_new
-        if probs.shape[0] != n_total:
-            raise ShapeError(f"attention probs cover {probs.shape[0]} keys, expected {n_total}")
-        return np.concatenate([self.scores, np.zeros(n_new)]) + probs.sum(axis=1)
+        n_total = self.scores.shape[-1] + n_new
+        if probs.shape[-2] != n_total:
+            raise ShapeError(f"attention probs cover {probs.shape[-2]} keys, expected {n_total}")
+        fresh = np.zeros(self.scores.shape[:-1] + (n_new,))
+        return np.concatenate([self.scores, fresh], axis=-1) + probs.sum(axis=-1)
 
     def keep(self, n: int, scores: np.ndarray | None = None) -> np.ndarray:
-        """Sorted indices of the kept columns among ``n`` > ``budget``."""
+        """Sorted indices of the kept columns among ``n`` > ``budget``: a row per
+        sequence for (n_seq, n) ``scores``, else the same columns for every sequence."""
         lo, hi = self.n_sink, n - self.recent
-        rest = np.arange(lo, hi)
-        # lexsort: primary key last; -index makes equal scores favor newer tokens
-        heavy = rest[np.lexsort((-rest, -scores[lo:hi]))][:self.heavy] if self.heavy else rest[:0]
-        return np.concatenate([np.arange(lo), np.sort(heavy), np.arange(hi, n)])
+        sinks, recent = np.arange(lo), np.arange(hi, n)
+        if not self.heavy:
+            return np.concatenate([sinks, recent])
+        # top scores first and the newer column on ties: a stable sort of the reversed scores
+        top = np.sort(hi - 1 - np.argsort(-scores[..., lo:hi][..., ::-1], kind="stable")[..., :self.heavy])
+        if top.ndim > 1:
+            sinks, recent = (np.broadcast_to(c, top.shape[:-1] + c.shape) for c in (sinks, recent))
+        return np.concatenate([sinks, top, recent], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ class KvCache:
     token(s). ``capacity`` is None for the unbounded concat policy; a bounded
     cache is kept within it by ``rule``, which also carries the heavy-hitter
     scores. ``live_entries`` is the instrumentation hook: KV entries currently
-    held per attention head.
+    held per attention head and sequence; n sequences hold (n, d, columns).
     """
 
     keys: Tensor2
@@ -102,9 +108,13 @@ class KvCache:
             raise CacheError(f"capacity must be positive, got {self.capacity}")
 
     @classmethod
-    def empty(cls, d: int, capacity: int | None = None, rule: KeepRule = KeepRule()) -> "KvCache":
-        """No columns yet; keys and values both have ``d`` rows."""
-        return cls(Tensor2.zeros(d, 0), Tensor2.zeros(d, 0), capacity, rule)
+    def empty(cls, d: int, capacity: int | None = None, rule: KeepRule = KeepRule(),
+              n_seq: int = 1) -> "KvCache":
+        """No columns yet; keys and values both have ``d`` rows, per sequence when
+        ``n_seq`` > 1."""
+        lead = (n_seq,) if n_seq > 1 else ()
+        rule = replace(rule, scores=np.zeros(lead + (0,))) if lead and rule.heavy else rule
+        return cls(Tensor2.zeros(*lead, d, 0), Tensor2.zeros(*lead, d, 0), capacity, rule)
 
     @property
     def live_entries(self) -> int:
@@ -137,8 +147,9 @@ def bounded_update(cache: KvCache, k_new: Tensor2, v_new: Tensor2,
     ``cache.rule.keep`` names stay verbatim, in token order, and the rest is
     dropped; given ``merge``, the rest is instead blended into slots that
     follow them. ``merge(cache, k_new, v_new, rest, scores)`` gets the mask
-    of the columns not kept (cache first, then block) and returns the keys,
-    values and scores (None when untracked) of its slots.
+    of the columns not kept (cache first, then block; a row per sequence
+    when heavy hitters make the kept columns differ between sequences) and
+    returns the keys, values and scores (None when untracked) of its slots.
     """
     b = _check_block(cache, k_new, v_new)
     rule, m = cache.rule, cache.capacity
@@ -151,17 +162,18 @@ def bounded_update(cache: KvCache, k_new: Tensor2, v_new: Tensor2,
     if n <= m:
         return replace(update_concat(cache, k_new, v_new), rule=replace(rule, scores=scores))
     kept = rule.keep(n, scores)
-    if len(kept):
+    at = (np.arange(len(kept))[:, None], kept) if kept.ndim > 1 else kept
+    if kept.size:
         keys = select_cols(hstack([cache.keys, k_new]), kept)
         values = select_cols(hstack([cache.values, v_new]), kept)
     if merge is not None:
-        rest = np.ones(n, dtype=bool)
-        rest[kept] = False
+        rest = np.ones(kept.shape[:-1] + (n,), dtype=bool)
+        rest[at] = False
         merged_keys, merged_values, merged_scores = merge(cache, k_new, v_new, rest, scores)
-        keys = hstack([keys, merged_keys]) if len(kept) else merged_keys
-        values = hstack([values, merged_values]) if len(kept) else merged_values
+        keys = hstack([keys, merged_keys]) if kept.size else merged_keys
+        values = hstack([values, merged_values]) if kept.size else merged_values
     if scores is not None:
-        scores = scores[kept] if merge is None else np.concatenate([scores[kept], merged_scores])
+        scores = scores[at] if merge is None else np.concatenate([scores[at], merged_scores], -1)
     return replace(cache, keys=keys, values=values, rule=replace(rule, scores=scores))
 
 

@@ -27,7 +27,7 @@ from .corpus import load_corpus
 from .instrumentation import compare_policies, write_reports_json
 from .model import ModelConfig, generate, perplexity
 from .policies import PolicySpec
-from .training import TrainConfig, calibrate_conv_heads, pretrain, write_loss_trace
+from .training import TrainConfig, calibrate_conv_heads, check_calibration, pretrain, write_loss_trace
 
 ABLATE_AXES = ("kernel_size", "memory_size", "policy")
 
@@ -115,14 +115,10 @@ class RunConfig:
             detach_cache_between_blocks=self.detach_cache,
         )
 
-    def calibration_config(self, seed: int | None = None) -> TrainConfig:
-        """``train_config`` for calibration, whose context must split into whole blocks;
-        call it after ``policy_spec``, which checks the block size."""
-        if self.context_length % self.block_size != 0:
-            raise ConfigError(
-                f"context {self.context_length} must be a multiple of block size {self.block_size}"
-            )
-        return self.train_config(seed)
+    def calibration_config(self, spec: PolicySpec) -> TrainConfig:
+        """``train_config`` for calibrating ``spec``, rejecting a setting that cannot train."""
+        _checked(check_calibration, spec, self.block_size, self.context_length)
+        return self.train_config()
 
     def policy_spec(self, name: str | None = None, capacity: int | None = None) -> PolicySpec:
         """The named policy, checked against ``block_size``."""
@@ -292,9 +288,8 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 def cmd_calibrate(cfg: RunConfig) -> int:
     _require(cfg, "corpus", "checkpoint")
-    spec, train_config = cfg.policy_spec(), cfg.calibration_config()
-    if not spec.needs_conv_head:
-        raise ConfigError(f"policy {spec.name!r} has no compression heads to calibrate")
+    spec = cfg.policy_spec()
+    train_config = cfg.calibration_config(spec)
     out = _out_dir(cfg)
     _echo_config(cfg, out, "calibrate")
     params = load_checkpoint(cfg.checkpoint)
@@ -386,7 +381,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
         spec = cfg.policy_spec(value if cfg.axis == "policy" else None,
                                value if cfg.axis == "memory_size" else None)
         if spec.needs_conv_head:
-            cfg.calibration_config()
+            cfg.calibration_config(spec)
         runs.append((value, spec, value if cfg.axis == "kernel_size" else cfg.kernel_size))
     out = _out_dir(cfg)
     _echo_config(cfg, out, "ablate")

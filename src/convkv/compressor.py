@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .attention import merge_heads, split_heads
 from .cache import CacheError, KvCache, bounded_update
 from .numerics import (
     ConvKernels,
@@ -28,6 +29,7 @@ from .numerics import (
     Tensor2,
     add,
     conv1d,
+    custom_op,
     hstack,
     matmul,
     relu,
@@ -116,6 +118,7 @@ def synthesize_weights(
     k_cache: Tensor2,
     v_cache: Tensor2,
     head: ConvHead,
+    merged: np.ndarray | None = None,
 ) -> FusionWeights:
     """Score every (incoming + cached) column for every slot, then normalize.
 
@@ -125,6 +128,10 @@ def synthesize_weights(
     no columns, as when a hybrid keeps every column of a block verbatim and
     only unkept cache columns are left to merge; ``conv1d`` rejects inputs
     with no columns at all, or with other than the head's 2*d rows.
+
+    Sequence i of (n, d, columns) operands owns weight rows i * slots ..
+    (i + 1) * slots; ``merged`` (n, block + cache) names each one's columns to
+    convolve, in order, and gives every other column weight 0.
     """
     d = k_new.rows
     for name, t in (("v_new", v_new), ("k_cache", k_cache), ("v_cache", v_cache)):
@@ -134,10 +141,19 @@ def synthesize_weights(
         raise ShapeError("key/value column counts disagree")
     b = k_new.cols
     stacked = vstack([hstack([k_new, k_cache]), hstack([v_new, v_cache])])
+    if merged is not None:
+        picked = np.nonzero(merged)[1].reshape(len(merged), -1)
+        stacked = select_cols(stacked, picked)
     if head.relu_position == "pre":
         stacked = relu(stacked)
     raw = relu(conv1d(stacked, head.kernels))
-    weights = row_normalize(raw)
+    weights = row_normalize(merge_heads(raw) if raw.data.ndim == 3 else raw)
+    if merged is not None:  # back to every column, 0 where nothing merges
+        at, shape = picked[:, None, :], (len(picked), head.slots, merged.shape[1])
+        full = np.zeros(shape)
+        np.put_along_axis(full, at, weights.data.reshape(shape[:2] + (-1,)), axis=-1)
+        weights = custom_op([weights], full.reshape(-1, shape[2]), lambda g: (
+            np.take_along_axis(g.reshape(shape), at, -1).reshape(-1, at.shape[-1]),))
     return FusionWeights(
         new_weights=slice_cols(weights, 0, b),
         cache_weights=slice_cols(weights, b, weights.cols),
@@ -154,11 +170,11 @@ def fuse(
     """Blend columns into slots, same weights for keys and values.
 
     Slot i of the fused keys is sum_j new_weights[i,j]*k_new[:,j] +
-    sum_j cache_weights[i,j]*k_cache[:,j]; values identically. ``matmul``
-    raises ShapeError when the weights do not cover the block or the cache.
+    sum_j cache_weights[i,j]*k_cache[:,j]; values identically, and per sequence.
+    ``matmul`` raises ShapeError when the weights do not cover the block or the cache.
     """
-    wn_t = transpose(weights.new_weights)
-    wc_t = transpose(weights.cache_weights)
+    n = len(k_new.data) if k_new.data.ndim == 3 else 1
+    wn_t, wc_t = (transpose(w if n == 1 else split_heads(w, n, w.rows // n)) for w in weights)
     k_fused = add(matmul(k_new, wn_t), matmul(k_cache, wc_t))
     v_fused = add(matmul(v_new, wn_t), matmul(v_cache, wc_t))
     return k_fused, v_fused
@@ -190,16 +206,20 @@ def compress_step(
 
 
 def _merge_rest(head, cache, k_new, v_new, rest, scores):
-    """Blend the columns ``rest`` marks (cache first, then block) into the head's slots."""
+    """Blend the columns ``rest`` marks (cache first, then block, per sequence) into the slots."""
     n_cached = cache.live_entries
-    rest_cache, rest_new = np.flatnonzero(rest[:n_cached]), np.flatnonzero(rest[n_cached:])
     kc, vc, kn, vn = cache.keys, cache.values, k_new, v_new
-    if not rest.all():
+    merged = np.concatenate([rest[:, n_cached:], rest[:, :n_cached]], 1) if rest.ndim > 1 else None
+    if merged is None and not rest.all():
+        rest_cache, rest_new = np.flatnonzero(rest[:n_cached]), np.flatnonzero(rest[n_cached:])
         kc, vc = select_cols(kc, rest_cache), select_cols(vc, rest_cache)
         kn, vn = select_cols(kn, rest_new), select_cols(vn, rest_new)
-    weights = synthesize_weights(kn, vn, kc, vc, head)
+    weights = synthesize_weights(kn, vn, kc, vc, head, merged)
     keys, values = fuse(weights, kn, vn, kc, vc)
-    if scores is not None:
-        scores = (weights.new_weights.data @ scores[n_cached:][rest_new]
-                  + weights.cache_weights.data @ scores[:n_cached][rest_cache])
+    if scores is not None and merged is None:
+        scores = (weights.new_weights.data @ scores[n_cached:][rest[n_cached:]]
+                  + weights.cache_weights.data @ scores[:n_cached][rest[:n_cached]])
+    elif scores is not None:  # weights span block and cache, one block of slot rows per sequence
+        wn, wc = (w.data.reshape(len(rest), -1, w.cols) for w in weights)
+        scores = (wn @ scores[:, n_cached:, None] + wc @ scores[:, :n_cached, None])[..., 0]
     return keys, values, scores

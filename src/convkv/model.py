@@ -5,8 +5,8 @@ vocabulary of 256, and a tied input/output embedding. Long inputs stream
 block by block through per-layer KV caches, so the attention working set
 stays at block x (cache + block) regardless of sequence length; which cache
 columns survive between blocks is the policy's call. Prefill, the training
-loss and decoding all feed one ``_Streams``: a full block reaches the
-policies when the next token arrives, or when the caller flushes.
+loss and decoding all feed one ``_Streams``, the loss a batch of sequences
+side by side: a full block reaches the policies when the next token arrives.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .numerics import (
     relu,
     rms_norm_cols,
     select_cols,
-    slice_cols,
     transpose,
 )
 from .policies import LayerPolicy, PolicySpec
@@ -210,25 +209,26 @@ class LayerStream:
     """One layer's streaming state: the policy's cache plus staged columns.
 
     Up to B raw key/value columns wait in the staging buffer, head-batched as
-    (H, head_dim, b) chunks, until ``flush`` hands them to the policy as one
-    (H * head_dim, b) block; ``_Streams`` flushes when the next token arrives
-    after a full block, so the cache changes once per block however the
-    tokens arrive. Queries attend to cache + staged columns + their own
-    chunk: at most M + B columns per head for a bounded policy. ``context``
-    is one (keys, values) pair of (H, head_dim, n) tensors holding the cache
-    + staged columns, keys rotated as attention sees them. Both are views
-    into one buffer per tensor of n_cached + B columns, filled from the cache
-    once per flush and extended in place by each chunk's ``project_qkv``
-    output, so a decode step copies its own column only. ``mass``, for
-    policies that keep keys by it, is allocated beside the buffers with
-    n_cached + B zeros and sums the attention each context column drew
-    from the staged queries, over heads.
+    (n_seq * H, head_dim, b) chunks, until ``flush`` hands them to the policy
+    as one block, (H * head_dim, b) per sequence; ``_Streams`` flushes when
+    the next token arrives after a full block, so the cache changes once per
+    block however the tokens arrive. Queries attend to cache + staged columns
+    + their own chunk: at most M + B columns per head for a bounded policy.
+    ``context`` is one (keys, values) pair of (n_seq * H, head_dim, n) tensors
+    holding the cache + staged columns, keys rotated as attention sees them.
+    Both are views into one buffer per tensor of n_cached + B columns, filled
+    from the cache once per flush and extended in place by each chunk's
+    ``project_qkv`` output, so a decode step copies its own column only.
+    ``mass``, for policies that keep keys by it, is allocated beside the
+    buffers with n_cached + B zeros per sequence and sums the attention each
+    context column drew from the staged queries, over heads.
     """
 
     def __init__(self, policy: LayerPolicy, cache: KvCache, block_size: int):
         self.policy = policy
         self.cache = cache
         self.block_size = block_size
+        self.n_seq = len(cache.keys.data) if cache.keys.data.ndim == 3 else 1
         self.staged_k: list[Tensor2] = []
         self.staged_v: list[Tensor2] = []
         self.mass: np.ndarray | None = None
@@ -248,7 +248,7 @@ class LayerStream:
         for buffer, c in zip(self._buffers, self.context):
             buffer[..., :c.cols] = c.data
         if self.policy.needs_probs:
-            self.mass = np.zeros(keys.cols + self.block_size)
+            self.mass = np.zeros(self.cache.keys.shape[:-2] + (keys.cols + self.block_size,))
 
     def extend_context(self, keys: Tensor2, values: Tensor2) -> tuple[Tensor2, Tensor2]:
         """Append a chunk's keys (rotated) and values to the context, in place."""
@@ -264,15 +264,15 @@ class LayerStream:
         self.staged_k.append(k)
         self.staged_v.append(v)
         if attn_probs is not None:
-            self.mass[:len(attn_probs)] += attn_probs.sum(axis=1)
+            self.mass[..., :attn_probs.shape[-2]] += attn_probs.sum(axis=-1)
 
     def flush(self, detach_cache: bool) -> None:
         """Hand the staged columns to the policy as one block."""
         k, v = (
-            merge_heads(parts[0] if len(parts) == 1 else hstack(parts))
+            merge_heads(parts[0] if len(parts) == 1 else hstack(parts), self.n_seq)
             for parts in (self.staged_k, self.staged_v)
         )
-        probs = None if self.mass is None else self.mass[:self.context[0].cols, None]
+        probs = None if self.mass is None else self.mass[..., :self.context[0].cols, None]
         cache = self.policy.update(self.cache, k, v, attn_probs=probs)
         self.cache = cache.detach() if detach_cache else cache
         self.staged_k, self.staged_v, self.mass = [], [], None
@@ -294,15 +294,16 @@ def _layer_step(
     """
     n_heads, head_dim = layer.attn.n_heads, layer.attn.head_dim
     policy = stream.policy
-    b = h.cols
+    b = positions.size
     n_cached = stream.cache.live_entries
     n_context = n_cached + stream.n_staged
 
     # slot-relative policies cache keys unrotated and rotate them by cache slot
-    q_pos = n_context + np.arange(b) if policy.slot_relative_positions else positions
-    normed = rms_norm_cols(h, layer.attn_gain)
-    q_rot, k_rot, k, v = project_qkv(normed, layer.attn, q_pos, rope)
-    k_for_cache = k if policy.slot_relative_positions else k_rot
+    relative = policy.slot_relative_positions
+    q_pos = n_context + np.arange(b) if relative else positions
+    q_rot, k_rot, k, v = project_qkv(rms_norm_cols(h, layer.attn_gain), layer.attn, q_pos, rope,
+                                     raw_k=relative)
+    k_for_cache = k if relative else k_rot
 
     if stream.context is None:
         cached_keys = split_heads(stream.cache.keys, n_heads, head_dim)
@@ -311,13 +312,25 @@ def _layer_step(
         stream.open_context(cached_keys, split_heads(stream.cache.values, n_heads, head_dim))
     context_k, context_v = stream.extend_context(k_rot, v)
     out, probs = attend(q_rot, context_k, context_v, n_context)
-    h = add(h, matmul(layer.attn.w_o, merge_heads(out)))
+    h = add(h, matmul(layer.attn.w_o, _merge_to_cols(out, stream.n_seq)))
 
     mlp_normed = rms_norm_cols(h, layer.mlp_gain)
     h = add(h, matmul(layer.mlp_out, relu(matmul(layer.mlp_in, mlp_normed))))
 
-    stream.stage(k_for_cache, v, probs.data.sum(axis=0) if policy.needs_probs else None)
+    drawn = (probs.data.reshape(stream.mass.shape[:-1] + (n_heads,) + probs.shape[-2:])
+             .sum(axis=-3) if policy.needs_probs else None)  # over heads, per sequence
+    stream.stage(k_for_cache, v, drawn)
     return h, (n_context + b) * b
+
+
+def _merge_to_cols(x: Tensor2, n_seq: int) -> Tensor2:
+    """(n_seq * n_heads, head_dim, T) attention outputs as (n_heads * head_dim, n_seq * T)
+    residual columns, one sequence after another."""
+    if n_seq == 1:
+        return merge_heads(x)
+    (n, hd, t), d = x.shape, x.shape[0] // n_seq * x.shape[1]
+    return custom_op([x], x.data.reshape(n_seq, d, t).swapaxes(0, 1).reshape(d, n_seq * t),
+                     lambda g: (g.reshape(d, n_seq, t).swapaxes(0, 1).reshape(n, hd, t),))
 
 
 def _forward_chunk(
@@ -349,7 +362,8 @@ def _forward_chunk(
 
 
 class _Streams:
-    """One call's stream through every layer: feed tokens, get their logits.
+    """One call's stream of ``n_seq`` sequences, side by side, through every layer:
+    feed tokens, get their logits; each op and policy update serves every sequence.
 
     Staged columns go to the policies when the next token arrives, or when
     the caller flushes: ``feed`` cuts its tokens at block boundaries and
@@ -362,10 +376,10 @@ class _Streams:
     """
 
     def __init__(self, params: ModelParams, policy: PolicySpec, block_size: int, *,
-                 detach_cache: bool = False, trace=None, block_offset: int = 0):
+                 n_seq: int = 1, detach_cache: bool = False, trace=None, block_offset: int = 0):
         self.params = params
         self.layers = [
-            LayerStream(lp, lp.empty_cache(params.config.d_model), block_size)
+            LayerStream(lp, lp.empty_cache(params.config.d_model, n_seq), block_size)
             for lp in build_layer_policies(params, policy, block_size)
         ]
         self.position = 0
@@ -377,18 +391,20 @@ class _Streams:
         self._attn_entries: list[int] = []
 
     def feed(self, tokens: np.ndarray) -> Tensor2:
-        """Logits of ``tokens``, which continue the tokens fed so far."""
+        """Logits of ``tokens``, (n_seq, T) or (T,), which continue the tokens fed so
+        far: chunk after chunk, each chunk's columns one sequence after another."""
+        tokens = np.atleast_2d(tokens)
         logits = []
-        start = 0
-        while start < tokens.size:
+        start, t_len = 0, tokens.shape[1]
+        while start < t_len:
             offset = self.position % self.block_size
             if offset == 0 and self.layers[0].staged_k:
                 self.flush()
-            stop = min(start + self.block_size - offset, tokens.size)
+            stop = min(start + self.block_size - offset, t_len)
             positions = np.arange(self.position, self.position + stop - start)
             block = self.block_offset + self.position // self.block_size
             h, self._attn_entries = _forward_chunk(
-                self.params, self.layers, tokens[start:stop], positions, block
+                self.params, self.layers, tokens[:, start:stop].ravel(), positions, block
             )
             if self.unembed is None:
                 self.unembed = transpose(self.params.embed)
@@ -415,10 +431,10 @@ class _Streams:
             self.trace.record_block(block, caches, self._attn_entries, self.position)
 
 
-def _token_ids(params: ModelParams, tokens: np.ndarray, what: str) -> np.ndarray:
+def _token_ids(params: ModelParams, tokens: np.ndarray, what: str, ndim: int = 1) -> np.ndarray:
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1:
-        raise ShapeError(f"{what} must be a 1-D sequence of token ids")
+    if tokens.ndim != ndim:
+        raise ShapeError(f"{what} must be a {ndim}-D sequence of token ids")
     if tokens.size == 0:
         raise ValueError(f"{what} must not be empty")
     if tokens.max() >= params.config.vocab_size:
@@ -462,18 +478,25 @@ def sequence_loss(
     *,
     detach_cache: bool = False,
 ) -> Tensor2:
-    """Mean next-token cross entropy over one sequence.
+    """Mean next-token cross entropy over one sequence, or over every
+    prediction of an (n, T) batch of sequences that run side by side.
 
     The logits are ``forward_segmented``'s, from a stream that is fed the
-    sequence but never flushed: the last block does not reach the policy, as
+    sequences but never flushed: the last block does not reach the policy, as
     nothing reads the caches after it, so that merge or eviction, and its
     entries on an active gradient tape, would be dead work.
     """
-    if np.size(tokens) < 2:
+    batch = _token_ids(params, np.atleast_2d(tokens), "token batch", ndim=2)
+    if batch.shape[1] < 2:
         raise ValueError("need at least two tokens for a next-token loss")
-    tokens = _token_ids(params, tokens, "token sequence")
-    logits = _Streams(params, policy, block_size, detach_cache=detach_cache).feed(tokens)
-    return cross_entropy_cols(slice_cols(logits, 0, tokens.size - 1), tokens[1:])
+    logits = _Streams(params, policy, block_size, n_seq=len(batch),
+                      detach_cache=detach_cache).feed(batch)
+    # the flat (sequence, position) index of each logits column, as ``feed`` orders them
+    flat = np.arange(batch.size).reshape(batch.shape)
+    order = np.concatenate([flat[:, a:a + block_size].ravel()
+                            for a in range(0, batch.shape[1], block_size)])
+    cols = np.flatnonzero(order % batch.shape[1] != batch.shape[1] - 1)  # a next token follows
+    return cross_entropy_cols(select_cols(logits, cols), batch.ravel()[order[cols] + 1])
 
 
 def generate(

@@ -10,13 +10,12 @@ reverse.
 Only the operations needed on the compressor calibration path carry
 gradients; this is deliberately not a general autodiff system.
 
-Op results may carry one leading head axis, shape (H, rows, cols), so one
-call serves every attention head. ``rows`` and ``cols`` are then the last
-two axes. ``matmul`` (equal leading dims), ``transpose`` (swaps the last two
-axes), ``add``, ``scale``, ``relu``, ``softmax_cols`` (one (rows, cols) mask
-for every head) and ``hstack`` (along the last axis) take such operands;
-every other primitive requires 2-D operands and raises ShapeError on
-anything else.
+Op results may carry one leading axis, of heads or sequences, so one call
+serves them all; ``rows`` and ``cols`` are then the last two axes.
+``matmul`` (equal leading dims), ``transpose``, ``add``, ``scale``, ``relu``,
+``softmax_cols`` (one mask for all), ``hstack``, ``vstack``, ``select_cols``
+and ``conv1d`` (each sequence padded alone) take such operands; every other
+primitive requires 2-D operands and raises ShapeError on anything else.
 """
 
 from __future__ import annotations
@@ -74,8 +73,8 @@ class Tensor2:
         self.grad: np.ndarray | None = None
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Tensor2":
-        return _wrap(np.zeros((rows, cols)), False)
+    def zeros(cls, *shape: int) -> "Tensor2":
+        return _wrap(np.zeros(shape), False)
 
     @property
     def rows(self) -> int:
@@ -341,36 +340,38 @@ def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
 
     Input is (c_in, T); output is (c_out, T) under zero padding of (k-1)/2 on
     both ends, so output column t depends only on input columns
-    t-(k-1)/2 .. t+(k-1)/2. The vjp skips the input gradient (a GEMM and a
-    k-tap col2im loop) when the input is frozen, and the kernel gradient
-    when the kernels are; either comes back as None.
+    t-(k-1)/2 .. t+(k-1)/2; an (n, c_in, T) input is n sequences, padded one
+    by one and convolved by one GEMM. The vjp skips the input gradient (the
+    gradient convolved by the tap-flipped kernels) when the input is frozen,
+    and the kernel gradient when the kernels are; either comes back as None.
     """
-    _require_2d("conv1d", x, kernels.weights)
+    _require_2d("conv1d", kernels.weights)
     if x.rows != kernels.c_in:
         raise ShapeError(f"conv1d: input has {x.rows} channels, kernels expect {kernels.c_in}")
     if x.cols == 0:
         raise ShapeError("conv1d: no columns to convolve")
-    c_in, k = kernels.c_in, kernels.k
+    c_in, c_out, k = kernels.c_in, kernels.c_out, kernels.k
     pad = (k - 1) // 2
-    t_len = x.cols
+    t_len, n = x.cols, x.data.size // (c_in * x.cols)
     w = kernels.weights
-    xp = np.zeros((c_in, t_len + 2 * pad))
-    xp[:, pad:pad + t_len] = x.data
-    # im2col: row c*k + j of `cols` is input channel c shifted by tap j
+    xp = np.zeros((n, c_in, t_len + 2 * pad))
+    xp[..., pad:pad + t_len] = x.data
+    # im2col: row c*k + j of `cols` is input channel c shifted by tap j, sequence by sequence
     cols = np.ascontiguousarray(
-        sliding_window_view(xp, k, axis=1).transpose(0, 2, 1).reshape(c_in * k, t_len)
+        sliding_window_view(xp, k, axis=2).transpose(1, 3, 0, 2).reshape(c_in * k, n * t_len)
     )
-    out = w.data @ cols
+    out = (w.data @ cols).reshape(c_out, n, t_len).swapaxes(0, 1).reshape(x.shape[:-2] + (c_out, t_len))
 
     def vjp(g):
+        g = g.reshape(n, c_out, t_len).swapaxes(0, 1).reshape(c_out, n * t_len)
         gw = g @ cols.T if w.requires_grad else None
         if not x.requires_grad:
             return None, gw
-        tmp = (w.data.T @ g).reshape(c_in, k, t_len)
-        gxp = np.zeros_like(xp)
-        for j in range(k):
-            gxp[:, j:j + t_len] += tmp[:, j, :]
-        return gxp[:, pad:pad + t_len], gw
+        gp = np.zeros((c_out, n, t_len + 2 * pad))
+        gp[..., pad:pad + t_len] = g.reshape(c_out, n, t_len)
+        gcols = sliding_window_view(gp, k, axis=2).transpose(0, 3, 1, 2).reshape(c_out * k, -1)
+        flipped = w.data.reshape(c_out, c_in, k)[..., ::-1].transpose(1, 0, 2).reshape(c_in, -1)
+        return (flipped @ gcols).reshape(c_in, n, t_len).swapaxes(0, 1).reshape(x.shape), gw
 
     return _result(out, (x, w), vjp)
 
@@ -425,22 +426,21 @@ def hstack(parts: Sequence[Tensor2]) -> Tensor2:
 
 
 def vstack(parts: Sequence[Tensor2]) -> Tensor2:
-    """Concatenate rows."""
+    """Concatenate rows (per sequence, for operands with a leading axis)."""
     parts = tuple(parts)
     if not parts:
         raise ShapeError("vstack: nothing to concatenate")
-    _require_2d("vstack", *parts)
-    cols = parts[0].cols
+    lead, cols = parts[0].shape[:-2], parts[0].cols
     for p in parts:
-        if p.cols != cols:
-            raise ShapeError(f"vstack: column counts differ ({cols} vs {p.cols})")
+        if p.shape[:-2] != lead or p.cols != cols:
+            raise ShapeError(f"vstack: column counts differ ({parts[0].shape} vs {p.shape})")
     heights = [p.rows for p in parts]
     offsets = np.cumsum([0] + heights)
 
     def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1], :] for i in range(len(parts)))
+        return tuple(g[..., offsets[i]:offsets[i + 1], :] for i in range(len(parts)))
 
-    return _result(np.concatenate([p.data for p in parts], axis=0), parts, vjp)
+    return _result(np.concatenate([p.data for p in parts], axis=-2), parts, vjp)
 
 
 def slice_cols(x: Tensor2, start: int, stop: int) -> Tensor2:
@@ -461,21 +461,28 @@ def select_cols(x: Tensor2, indices: np.ndarray) -> Tensor2:
     """Gather columns by index (duplicates allowed); grads scatter-add back.
 
     Also the embedding lookup: the columns of the table are the token ids.
+    1-D indices pick the same columns of every sequence of an (n, rows, cols)
+    operand; (n, k) indices pick row i's columns from sequence i.
     """
-    _require_2d("select_cols", x)
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("select_cols: indices must be 1-D")
+    lead = x.shape[:-2]
+    if idx.ndim != 1 and (idx.ndim != 2 or idx.shape[:-1] != lead):
+        raise ShapeError(f"select_cols: indices must be 1-D or (n, k) for {x.shape}, got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.cols):
         raise ShapeError(f"select_cols: index out of range for {x.cols} columns")
-    rows, cols = x.shape
+    rows, cols = x.shape[-2:]
 
     def vjp(g):
-        gx = np.zeros((cols, rows))
-        np.add.at(gx, idx, g.T)
-        return (np.ascontiguousarray(gx.T),)
+        gx = np.zeros(lead + (cols, rows))
+        at = (slice(None),) * len(lead) + (idx,) if idx.ndim == 1 else (np.arange(len(idx))[:, None], idx)
+        if (np.diff(idx) > 0).all():  # no column repeats, so nothing adds up
+            gx[at] = g.swapaxes(-1, -2)
+        else:
+            np.add.at(gx, at, g.swapaxes(-1, -2))
+        return (np.ascontiguousarray(gx.swapaxes(-1, -2)),)
 
-    return _result(x.data[:, idx].copy(), (x,), vjp)
+    data = x.data.take(idx, axis=-1) if idx.ndim == 1 else np.take_along_axis(x.data, idx[:, None, :], -1)
+    return _result(data, (x,), vjp)
 
 
 def rms_norm_cols(x: Tensor2, gain: Tensor2) -> Tensor2:

@@ -150,8 +150,8 @@ class LayerPolicy:
         """Rolling position embeddings: rotate by cache slot, not absolute index."""
         return _RULES[self.spec.name][2]
 
-    def empty_cache(self, d: int) -> KvCache:
-        return KvCache.empty(d, self.spec.capacity, self.spec.rule)
+    def empty_cache(self, d: int, n_seq: int = 1) -> KvCache:
+        return KvCache.empty(d, self.spec.capacity, self.spec.rule, n_seq)
 
     def update(
         self,

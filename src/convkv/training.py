@@ -3,10 +3,11 @@
 Two regimes share one loop: (a) pretrain the base weights on a toy corpus
 with the unbounded concat policy; (b) calibrate, which keeps every base
 weight frozen and trains only the per-layer conv kernels while the
-merging policy is live. Gradients flow through weight synthesis, fusion
-and attention across all blocks of each training sequence, or within one
-block when ``detach_cache_between_blocks`` is set. A regime marks the
-tensors it trains ``requires_grad`` only while its loop runs.
+merging policy is live. A step's ``batch_size`` windows run side by side
+through one ``sequence_loss``; gradients flow through weight synthesis,
+fusion and attention across all blocks of each window, or within one block
+when ``detach_cache_between_blocks`` is set. A regime marks the tensors it
+trains ``requires_grad`` only while its loop runs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .cache import CacheError
 from .model import ModelConfig, ModelParams, sequence_loss
-from .numerics import GradTape, NonFiniteError, Tensor2, add, backward, scale
+from .numerics import GradTape, NonFiniteError, Tensor2, backward
 from .policies import PolicySpec
 
 ADAM_BETAS = (0.9, 0.999)
@@ -69,7 +70,8 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> AdamState:
-    """One bias-corrected Adam update, in place on the parameter tensors."""
+    """One bias-corrected Adam update, in place on the parameter tensors; an overflowed
+    second moment raises TrainingDivergedError (steps count from 0, as in the trace)."""
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     state.t += 1
@@ -89,18 +91,22 @@ def adam_step(
         m *= b1
         m += (1 - b1) * g
         v *= b2
-        v += (1 - b2) * g * g
-        tensor.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        with np.errstate(over="ignore"):  # raised below, where numpy would only warn
+            v += (1 - b2) * g * g
+            v_hat = v / bias2
+        if not np.isfinite(v_hat).all():
+            raise TrainingDivergedError(f"{name}: Adam's second moment overflowed at step {state.t - 1}")
+        tensor.data -= lr * (m / bias1) / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 
-def _sample_starts(rng, corpus_len: int, cfg: TrainConfig) -> np.ndarray:
+def _sample_windows(rng, corpus_len: int, cfg: TrainConfig) -> np.ndarray:
     span = corpus_len - cfg.context_length
     if span < 0:
         raise ValueError(
             f"corpus of {corpus_len} tokens is shorter than context {cfg.context_length}"
         )
-    return rng.integers(0, span + 1, size=cfg.batch_size)
+    return rng.integers(0, span + 1, size=cfg.batch_size)[:, None] + np.arange(cfg.context_length)
 
 
 def _train_loop(
@@ -123,18 +129,13 @@ def _train_loop(
     try:
         for step in range(cfg.steps):
             lr = base_lr * (1.0 - step / cfg.steps)  # linear decay to 0
-            starts = _sample_starts(rng, corpus_ids.size, cfg)
+            windows = corpus_ids[_sample_windows(rng, corpus_ids.size, cfg)]
             try:
                 with GradTape() as tape:
-                    total = None
-                    for s in starts:
-                        window = corpus_ids[s:s + cfg.context_length]
-                        loss = sequence_loss(
-                            params, window, policy, block_size,
-                            detach_cache=cfg.detach_cache_between_blocks,
-                        )
-                        total = loss if total is None else add(total, loss)
-                    mean_loss = scale(total, 1.0 / cfg.batch_size)
+                    mean_loss = sequence_loss(
+                        params, windows, policy, block_size,
+                        detach_cache=cfg.detach_cache_between_blocks,
+                    )
             except NonFiniteError as exc:
                 raise TrainingDivergedError(
                     f"non-finite values in the forward pass at step {step} (lr={lr:.3g}): {exc}"
@@ -164,6 +165,21 @@ def pretrain(
     )
 
 
+def check_calibration(policy: PolicySpec, block_size: int, context_length: int) -> None:
+    """Reject a calibration that cannot train: the policy must merge and take the
+    block size, the context must split into whole blocks and exceed capacity +
+    block size, as the last block never reaches the cache and a shorter
+    context never merges."""
+    if not policy.needs_conv_head:
+        raise CacheError(f"calibration needs a merging policy, got {policy.name!r}")
+    policy.check_block_size(block_size)
+    if context_length % block_size != 0:
+        raise ValueError(f"context {context_length} must be a multiple of block size {block_size}")
+    if context_length <= policy.capacity + block_size:
+        raise CacheError(f"context {context_length} never merges: it must exceed capacity "
+                         f"{policy.capacity} + block size {block_size}")
+
+
 def calibrate_conv_heads(
     params: ModelParams,
     corpus_ids: np.ndarray,
@@ -175,17 +191,11 @@ def calibrate_conv_heads(
 ) -> list[tuple[int, float, float]]:
     """Drop in conv heads and train only their kernels; the base weights stay frozen.
 
-    The policy must be one of the merging family; heads are installed at a
-    seeded init when the model has none yet, so a 0-step run leaves them at
-    initialization. Block size must divide the context and fit the budget.
+    Heads are installed at a seeded init when the model has none yet, so a
+    0-step run leaves them at initialization; ``check_calibration`` first
+    rejects a setting that cannot train.
     """
-    if not policy.needs_conv_head:
-        raise CacheError(f"calibration needs a merging policy, got {policy.name!r}")
-    policy.check_block_size(block_size)
-    if cfg.context_length % block_size != 0:
-        raise ValueError(
-            f"context {cfg.context_length} must be a multiple of block size {block_size}"
-        )
+    check_calibration(policy, block_size, cfg.context_length)
     if params.conv_heads is None:
         params.install_conv_heads(
             slots=policy.merge_slots, kernel_size=kernel_size,

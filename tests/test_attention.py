@@ -80,6 +80,25 @@ class TestProjectQkv:
                     want = oracles.rope_scalar(want, positions, base=10000.0, scale=1.0)
                 assert np.max(np.abs(out.data[h] - want)) < 1e-12, name
 
+    def test_sequences_side_by_side_equal_one_call_each(self):
+        # two sequences of 5 columns, one after another: one rotary table, one head
+        # axis entry per (sequence, head), and no unrotated k unless asked for
+        rng = np.random.default_rng(3)
+        params = rand_params(rng, 4, n_heads=2)
+        x = t2(rng.standard_normal((4, 10)))
+        pos = np.arange(5) + 7
+        both = project_qkv(x, params, pos, RopeConfig())
+        alone = [project_qkv(t2(x.data[:, i * 5:(i + 1) * 5]), params, pos, RopeConfig())
+                 for i in range(2)]
+        for out, parts in zip(both, zip(*alone), strict=True):
+            assert out.shape == (4, 2, 5)
+            np.testing.assert_allclose(out.data, np.concatenate([p.data for p in parts]),
+                                       rtol=0, atol=1e-12)
+        q_rot, k_rot, k, v = project_qkv(x, params, pos, RopeConfig(), raw_k=False)
+        assert k is None
+        for out, ref in zip((q_rot, k_rot, v), (both[0], both[1], both[3])):
+            assert np.array_equal(out.data, ref.data)
+
     def test_shape_mismatch(self):
         rng = np.random.default_rng(2)
         params = rand_params(rng, 4)

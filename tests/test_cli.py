@@ -104,6 +104,8 @@ UNWORKABLE = {
     "eval_policies_empty": ["eval", "--policies", ","],
     "eval_capacities_bad": ["eval", "--capacities", "8,x"],
     "generate_empty_prompt": ["generate", "--prompt", ""],
+    "calibrate_context_never_merges": ["calibrate", "--context-length", "24"],
+    "ablate_context_never_merges": ["ablate", "--values", "16", "--context-length", "24"],
 }
 
 

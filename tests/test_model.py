@@ -409,6 +409,67 @@ class TestDecodeMatchesPrefill:
             assert calls["build"] == TINY.n_layers
 
 
+class TestBatchedSequences:
+    """n sequences side by side in one stream give what n runs of one sequence give."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(list(POLICIES)),
+        n_seq=st.integers(2, 3),
+        t_len=st.integers(2, 21),
+        block_size=st.integers(1, 4),
+        detach=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    def test_batch_equals_single_runs(self, name, n_seq, t_len, block_size, detach, seed):
+        spec = POLICIES[name]
+        params = model_for(spec, seed=seed)
+        batch = np.random.default_rng(seed).integers(0, 256, size=(n_seq, t_len))
+        trainable = params.named_base() + params.named_conv()
+
+        def run(tokens):
+            streams = model._Streams(params, spec, block_size, n_seq=len(tokens))
+            logits = streams.feed(tokens).data
+            with numerics.GradTape() as tape:
+                loss = sequence_loss(params, tokens, spec, block_size, detach_cache=detach)
+            grads = numerics.backward(tape, loss)
+            return logits, loss.data[0, 0], [grads.get(t, np.zeros_like(t.data)) for _, t in trainable]
+
+        for _, t in trainable:
+            t.requires_grad = True
+        try:
+            logits, loss, grads = run(batch)
+            alone = [run(tokens[None]) for tokens in batch]
+        finally:
+            for _, t in trainable:
+                t.requires_grad = False
+        # the batch's logits run chunk by chunk, each chunk one sequence after another
+        chunks = range(0, t_len, block_size)
+        want = np.hstack([one[0][:, a:a + block_size] for a in chunks for one in alone])
+        np.testing.assert_allclose(logits, want, rtol=0, atol=1e-12)
+        assert abs(loss - np.mean([one[1] for one in alone])) < 1e-12
+        for (name_, _), g, *singles in zip(trainable, grads, *(one[2] for one in alone)):
+            np.testing.assert_allclose(g, np.mean(singles, axis=0), rtol=0, atol=1e-12,
+                                       err_msg=name_)
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_one_sequence_keeps_todays_shapes(self, name):
+        # a (1, T) batch is the one-sequence path: 2-D caches and 1-D heavy-hitter scores
+        spec = POLICIES[name]
+        params = model_for(spec)
+        tokens = rand_tokens(np.random.default_rng(4), 20)
+        streams = model._Streams(params, spec, 4)
+        streams.feed(tokens)
+        streams.flush()
+        logits, caches = forward_segmented(params, tokens, spec, 4)
+        for layer, cache in zip(streams.layers, caches):
+            assert layer.cache.keys.shape == cache.keys.shape == (TINY.d_model, cache.live_entries)
+            if spec.rule.heavy:
+                assert cache.rule.scores.shape == (cache.live_entries,)
+        assert np.array_equal(sequence_loss(params, tokens, spec, 4).data,
+                              sequence_loss(params, tokens[None], spec, 4).data)
+
+
 class TestSequenceLoss:
     # blocks of 4, 4, 4 and 2 tokens, or four full blocks of 4
     @pytest.mark.parametrize("name,n_tokens", [
@@ -653,11 +714,12 @@ class TestNonFiniteResidual:
         for call in calls:
             with pytest.raises(NonFiniteError, match="logits overflowed at block 0"):
                 call()
-        cfg = TrainConfig(steps=1, batch_size=1, context_length=12)
+        # 16 tokens in blocks of 4: the smallest context that merges into 8 slots
+        cfg = TrainConfig(steps=1, batch_size=1, context_length=16)
         with pytest.raises(TrainingDivergedError,
                            match="forward pass at step 0 .*logits overflowed at block 0"):
-            calibrate_conv_heads(params, tokens, PolicySpec("lococo", capacity=8), 4, cfg,
-                                 kernel_size=5)
+            calibrate_conv_heads(params, rand_tokens(np.random.default_rng(3), 16),
+                                 PolicySpec("lococo", capacity=8), 4, cfg, kernel_size=5)
         # the run that raised leaves no weight marked trainable
         assert not any(t.requires_grad for _, t in params.named_base() + params.named_conv())
 

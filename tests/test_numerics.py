@@ -267,9 +267,6 @@ class TestStackingAndSlicing:
 # primitives without a head axis; each gets a (2, 2, 3) head-batched operand
 TWO_D_ONLY = {
     "slice_cols": lambda x: slice_cols(x, 0, 1),
-    "vstack": lambda x: vstack([x, x]),
-    "select_cols": lambda x: select_cols(x, np.array([0])),
-    "conv1d": lambda x: conv1d(x, ConvKernels(Tensor2(np.ones((1, 6))), c_in=2, k=3)),
     "row_normalize": lambda x: row_normalize(relu(x)),
     "rms_norm_cols": lambda x: rms_norm_cols(x, Tensor2(np.ones((2, 1)))),
     "cross_entropy_cols": lambda x: cross_entropy_cols(x, np.zeros(3, dtype=int)),
@@ -282,6 +279,55 @@ class TestRankGuard:
         x = head_batched(np.random.default_rng(13), 2, 2, 3)
         with pytest.raises(ShapeError, match=f"{op}: needs 2-D"):
             TWO_D_ONLY[op](x)
+
+
+# primitives that take (n, rows, cols) as n sequences: op(batch)[i] == op(batch[i])
+PER_SEQUENCE = {
+    "vstack": lambda x: vstack([x, x]),
+    "select_cols": lambda x: select_cols(x, np.array([2, 0, 2])),
+    "conv1d": lambda x: conv1d(x, ConvKernels(Tensor2(np.arange(6.0).reshape(1, 6)), c_in=2, k=3)),
+}
+
+
+def weighted_sum(out: Tensor2, weights: np.ndarray) -> Tensor2:
+    """sum(out * weights) as a 1x1 op, to pull a gradient through ``out``."""
+    return custom_op([out], np.array([[np.sum(out.data * weights)]]), lambda g: (g[0, 0] * weights,))
+
+
+class TestSequenceAxis:
+    @pytest.mark.parametrize("op", sorted(PER_SEQUENCE))
+    def test_each_sequence_runs_as_if_alone(self, op):
+        rng = np.random.default_rng(14)
+        batch = head_batched(rng, 3, 2, 4, trainable=True)
+        weights = rng.standard_normal(PER_SEQUENCE[op](batch).shape)
+        with GradTape() as tape:
+            out = PER_SEQUENCE[op](batch)
+            loss = weighted_sum(out, weights)
+        grad = backward(tape, loss)[batch]
+        for i in range(3):
+            alone = t2(batch.data[i], trainable=True)
+            with GradTape() as tape:
+                one = PER_SEQUENCE[op](alone)
+                loss = weighted_sum(one, weights[i])
+            assert np.array_equal(one.data, out.data[i])
+            np.testing.assert_allclose(backward(tape, loss)[alone], grad[i], rtol=1e-12, atol=1e-12)
+
+    def test_select_cols_picks_a_row_of_indices_per_sequence(self):
+        rng = np.random.default_rng(15)
+        batch = head_batched(rng, 2, 3, 4, trainable=True)
+        picks = np.array([[3, 1], [0, 0]])
+        weights = rng.standard_normal((2, 3, 2))
+        with GradTape() as tape:
+            out = select_cols(batch, picks)
+            loss = weighted_sum(out, weights)
+        grad = backward(tape, loss)[batch]
+        for i in range(2):
+            assert np.array_equal(out.data[i], batch.data[i][:, picks[i]])
+            want = np.zeros((3, 4))
+            np.add.at(want.T, picks[i], weights[i].T)
+            assert np.array_equal(grad[i], want)
+        with pytest.raises(ShapeError, match="select_cols: indices must be 1-D or \\(n, k\\)"):
+            select_cols(batch, np.zeros((3, 1), dtype=int))
 
 
 # one call per shape or range error of a primitive, with the start of its message

@@ -32,6 +32,15 @@ def one_param(value=0.0):
 
 
 class TestAdam:
+    @pytest.mark.parametrize("grad", [1e300, 1e155])
+    def test_overflowing_second_moment_raises(self, grad):
+        # 1e300 squares to inf in the moment; 1e155 leaves it finite, but not v / (1 - b2)
+        t = Tensor2(np.ones((2, 2)), requires_grad=True)
+        state = AdamState()
+        adam_step([("w", t)], {"w": np.ones((2, 2))}, state, lr=0.1)
+        with pytest.raises(TrainingDivergedError, match="w: Adam's second moment overflowed at step 1"):
+            adam_step([("w", t)], {"w": np.full((2, 2), grad)}, state, lr=0.1)
+
     def test_zero_gradient_leaves_params_unchanged(self):
         params, t = one_param(1.5)
         state = AdamState()
@@ -203,6 +212,30 @@ class TestCalibration:
             calibrate_conv_heads(
                 params, ids, PolicySpec("lococo", capacity=2), 4, self.cal_cfg()
             )
+
+    def test_context_that_never_merges_rejected(self):
+        # the last of 4 blocks of 8 never reaches the cache, and 24 columns fit in 24
+        params = self.make_base()
+        ids = corpus_to_ids(make_recall_corpus(16, seed=6))
+        with pytest.raises(CacheError, match="context 32 never merges: it must exceed "
+                                             "capacity 24 \\+ block size 8"):
+            calibrate_conv_heads(params, ids, PolicySpec("lococo", capacity=24), 8,
+                                 self.cal_cfg(context_length=32))
+        assert params.conv_heads is None
+        trace = calibrate_conv_heads(params, ids, PolicySpec("lococo", capacity=24), 8,
+                                     self.cal_cfg(context_length=40, steps=1))
+        assert len(trace) == 1
+
+    def test_overflowing_gradient_named_by_parameter_and_step(self):
+        # a finite forward pass whose loss gradient squares past float64 in Adam
+        config = ModelConfig(d_model=16, n_layers=2, n_heads=2, head_dim=8, max_context=64)
+        params = ModelParams.init(config, seed=7)
+        params.final_gain.data[:] = 1e306
+        ids = corpus_to_ids(make_recall_corpus(16, seed=6))
+        with pytest.raises(TrainingDivergedError,
+                           match="conv_heads.0.kernels: Adam's second moment overflowed at step 0"):
+            calibrate_conv_heads(params, ids, PolicySpec("lococo", capacity=8), 4,
+                                 self.cal_cfg(steps=2), kernel_size=5)
 
     def test_eviction_policy_and_ragged_context_rejected(self):
         params = self.make_base()

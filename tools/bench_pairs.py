@@ -1,0 +1,144 @@
+"""Run the benchmark as parent/change pairs and write the figures to one JSON file.
+
+    python tools/bench_pairs.py --parent <commit> [--change HEAD] [--pairs 10]
+        [--seconds 33] [--first-seed 1] [--workloads calibrate,...] [--out BENCH_13.json]
+
+Each side is the committed tree of its commit, unpacked with ``git archive``
+into a temporary directory, so files that are not committed never reach a
+run and the repository's ``.git`` is left as it is. For every workload the
+script runs ``benchmarks/run.py --trace 0`` once per side for each of
+``--pairs`` seeds, alternating which side goes first, then one
+``--trace 1`` run per side. The output, written at the repository root,
+holds every result line, each side's median and q1-q3 of every end-to-end
+metric in ``BENCHMARK.json``, the pairs the change won on each, the traced
+result lines, the ``environment`` line and both commit ids. It needs only
+the standard library and git; a 33 s run takes about 40 s.
+"""
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("prefill_long", "decode_stream", "calibrate")
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def unpack(commit: str, into: Path) -> None:
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as tar:
+        tar.extractall(into, filter="data")
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run: its result JSON, its report lines by name and its environment."""
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    out = {"seed": seed, "returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
+    if proc.returncode == 0 and lines:
+        out["result"] = json.loads(lines[-1])
+        out["report"] = {
+            parts[0]: float(parts[1])
+            for parts in (line.split() for line in lines if line.startswith("  "))
+            if len(parts) >= 2
+        }
+        env = [line for line in lines if line.startswith("environment ")]
+        out["environment"] = json.loads(env[0][len("environment "):]) if env else None
+    return out
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric: each side's spread, the change's wins and the
+    median difference against the parent's q1-q3 width."""
+    summary = {}
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        values = {
+            side: [p[side]["result"]["metrics"][name]["value"] for p in pairs if "result" in p[side]]
+            for side in ("parent", "change")
+        }
+        if not all(values.values()):
+            continue
+        parent, change = spread(values["parent"]), spread(values["change"])
+        wins = sum(
+            (c > p) if higher else (c < p)
+            for p, c in zip(values["parent"], values["change"])
+        )
+        summary[name] = {
+            "parent": parent,
+            "change": change,
+            "values": values,
+            "ratio_of_medians": change["median"] / parent["median"] if parent["median"] else None,
+            "change_wins": wins,
+            "pairs": min(len(v) for v in values.values()),
+            "median_gap_exceeds_parent_iqr":
+                abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", default="HEAD")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=33.0)
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--out", default="BENCH.json")
+    args = parser.parse_args(argv)
+
+    commits = {side: git("rev-parse", ref).decode().strip()
+               for side, ref in (("parent", args.parent), ("change", args.change))}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    report = {"commits": commits, "pairs": args.pairs, "seconds": args.seconds,
+              "environment": None, "workloads": {}}
+    try:
+        trees = {side: tmp / side for side in commits}
+        for side, commit in commits.items():
+            unpack(commit, trees[side])
+        for workload in args.workloads.split(","):
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.first_seed + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run(trees[side], workload, seed, args.seconds, 0)
+                    report["environment"] = report["environment"] or pair[side].get("environment")
+                    tok_s = pair[side].get("report", {}).get("tok_s")
+                    print(f"{workload} seed {seed} {side}: tok_s {tok_s}", file=sys.stderr)
+                pairs.append(pair)
+            traced = {side: run(trees[side], workload, args.first_seed, args.seconds, 1)
+                      for side in commits}
+            report["workloads"][workload] = {
+                "summary": summarize(pairs, metrics),
+                "pairs": pairs,
+                "trace": traced,
+            }
+            (ROOT / args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    print(f"wrote {ROOT / args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
