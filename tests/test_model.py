@@ -453,7 +453,7 @@ class TestBatchedSequences:
                                        err_msg=name_)
 
     @pytest.mark.parametrize("name", list(POLICIES))
-    def test_one_sequence_keeps_todays_shapes(self, name):
+    def test_one_sequence_keeps_two_dimensional_caches(self, name):
         # a (1, T) batch is the one-sequence path: 2-D caches and 1-D heavy-hitter scores
         spec = POLICIES[name]
         params = model_for(spec)
@@ -461,7 +461,7 @@ class TestBatchedSequences:
         streams = model._Streams(params, spec, 4)
         streams.feed(tokens)
         streams.flush()
-        logits, caches = forward_segmented(params, tokens, spec, 4)
+        _, caches = forward_segmented(params, tokens, spec, 4)
         for layer, cache in zip(streams.layers, caches):
             assert layer.cache.keys.shape == cache.keys.shape == (TINY.d_model, cache.live_entries)
             if spec.rule.heavy:
