@@ -8,7 +8,10 @@ vector-Jacobian product so ``backward`` can replay the computation in
 reverse.
 
 Only the operations needed on the compressor calibration path carry
-gradients; this is deliberately not a general autodiff system.
+gradients; this is deliberately not a general autodiff system. A vjp keeps
+what its gradients need and no more: a recorded ``conv1d`` keeps its
+zero-padded input, not the k times larger im2col, which the kernel gradient
+rebuilds.
 
 Op results may carry one leading axis, of heads or sequences, so one call
 serves them all; ``rows`` and ``cols`` are then the last two axes.
@@ -335,15 +338,30 @@ class ConvKernels:
         return self.weights.rows
 
 
+def _pad_seqs(x: np.ndarray, pad: int) -> np.ndarray:
+    """(C, n, T) -> (C, n, T + 2 pad): each sequence zero-padded alone on both ends."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 2 * pad,))
+    out[..., pad:pad + x.shape[-1]] = x
+    return out
+
+
+def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
+    """(C, n, T + k - 1) -> (C * k, n * T): row c*k + j is channel c shifted by tap j."""
+    return sliding_window_view(padded, k, axis=2).transpose(0, 3, 1, 2).reshape(padded.shape[0] * k, -1)
+
+
 def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
     """Length-preserving multi-channel 1-D convolution along columns.
 
     Input is (c_in, T); output is (c_out, T) under zero padding of (k-1)/2 on
     both ends, so output column t depends only on input columns
     t-(k-1)/2 .. t+(k-1)/2; an (n, c_in, T) input is n sequences, padded one
-    by one and convolved by one GEMM. The vjp skips the input gradient (the
-    gradient convolved by the tap-flipped kernels) when the input is frozen,
-    and the kernel gradient when the kernels are; either comes back as None.
+    by one and convolved by one GEMM over their im2col. A recorded conv keeps
+    only the padded input, (c_in, n, T + k - 1), not its k times larger
+    im2col: the kernel gradient rebuilds the im2col, which is freed again
+    when the vjp returns. The vjp skips the input gradient (the gradient
+    convolved by the tap-flipped kernels) when the input is frozen, and the
+    kernel gradient when the kernels are; either comes back as None.
     """
     _require_2d("conv1d", kernels.weights)
     if x.rows != kernels.c_in:
@@ -354,22 +372,15 @@ def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
     pad = (k - 1) // 2
     t_len, n = x.cols, x.data.size // (c_in * x.cols)
     w = kernels.weights
-    xp = np.zeros((n, c_in, t_len + 2 * pad))
-    xp[..., pad:pad + t_len] = x.data
-    # im2col: row c*k + j of `cols` is input channel c shifted by tap j, sequence by sequence
-    cols = np.ascontiguousarray(
-        sliding_window_view(xp, k, axis=2).transpose(1, 3, 0, 2).reshape(c_in * k, n * t_len)
-    )
-    out = (w.data @ cols).reshape(c_out, n, t_len).swapaxes(0, 1).reshape(x.shape[:-2] + (c_out, t_len))
+    xp = _pad_seqs(x.data.reshape(n, c_in, t_len).swapaxes(0, 1), pad)
+    out = (w.data @ _im2col(xp, k)).reshape(c_out, n, t_len).swapaxes(0, 1).reshape(x.shape[:-2] + (c_out, t_len))
 
     def vjp(g):
         g = g.reshape(n, c_out, t_len).swapaxes(0, 1).reshape(c_out, n * t_len)
-        gw = g @ cols.T if w.requires_grad else None
+        gw = g @ _im2col(xp, k).T if w.requires_grad else None
         if not x.requires_grad:
             return None, gw
-        gp = np.zeros((c_out, n, t_len + 2 * pad))
-        gp[..., pad:pad + t_len] = g.reshape(c_out, n, t_len)
-        gcols = sliding_window_view(gp, k, axis=2).transpose(0, 3, 1, 2).reshape(c_out * k, -1)
+        gcols = _im2col(_pad_seqs(g.reshape(c_out, n, t_len), pad), k)
         flipped = w.data.reshape(c_out, c_in, k)[..., ::-1].transpose(1, 0, 2).reshape(c_in, -1)
         return (flipped @ gcols).reshape(c_in, n, t_len).swapaxes(0, 1).reshape(x.shape), gw
 

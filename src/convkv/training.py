@@ -88,15 +88,24 @@ def adam_step(
             state.m[name] = m
             state.v[name] = np.zeros_like(tensor.data)
         v = state.v[name]
+        # in place, two temporaries, each product in the order of the textbook formula
+        a = np.multiply(g, 1 - b1)
         m *= b1
-        m += (1 - b1) * g
+        m += a
         v *= b2
         with np.errstate(over="ignore"):  # raised below, where numpy would only warn
-            v += (1 - b2) * g * g
-            v_hat = v / bias2
-        if not np.isfinite(v_hat).all():
+            np.multiply(g, 1 - b2, out=a)
+            a *= g
+            v += a
+            np.divide(v, bias2, out=a)  # v_hat
+        if not np.isfinite(a.max()):  # v_hat >= 0, so its max is inf or NaN when any entry is
             raise TrainingDivergedError(f"{name}: Adam's second moment overflowed at step {state.t - 1}")
-        tensor.data -= lr * (m / bias1) / (np.sqrt(v_hat) + ADAM_EPS)
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        step = np.divide(m, bias1)
+        step *= lr
+        step /= a
+        tensor.data -= step
     return state
 
 

@@ -7,7 +7,9 @@ that the block-wise forward is checked against; it is checked against
 ``causal_attention_loops`` in turn. ``project_qkv_composed`` is the
 composition of primitives that ``attention.project_qkv`` fuses, and
 ``attend_numpy`` is ``attention.attend``'s arithmetic in plain numpy; both
-must match the package bit for bit.
+must match the package bit for bit. So must ``conv1d_vjp_stored_im2col``, the
+conv gradients formed from a stored im2col, and ``adam_arrays``, the
+textbook Adam formula that ``training.adam_step`` evaluates in place.
 """
 
 from __future__ import annotations
@@ -155,6 +157,44 @@ def adam_scalar(grads: list[float], lr: float, beta1=0.9, beta2=0.999, eps=1e-8)
         vhat = v / (1 - beta2 ** t)
         theta -= lr * mhat / (math.sqrt(vhat) + eps)
     return theta
+
+
+def adam_arrays(theta: np.ndarray, grads: list, lr: float, beta1=0.9, beta2=0.999,
+                eps=1e-8) -> np.ndarray:
+    """Adam trajectory of one array parameter from zero moments, one whole-array
+    expression per quantity; a None gradient counts as zeros."""
+    theta, m, v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
+    for t, g in enumerate(grads, start=1):
+        if g is None:
+            g = np.zeros_like(theta)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        v_hat = v / (1 - beta2 ** t)
+        theta -= lr * (m / (1 - beta1 ** t)) / (np.sqrt(v_hat) + eps)
+    return theta
+
+
+def conv1d_vjp_stored_im2col(x: np.ndarray, w: np.ndarray, k: int, g: np.ndarray):
+    """(kernel gradient, input gradient) of conv1d from one whole im2col of the
+    padded input and one of the padded upstream gradient: ``g @ cols.T`` and
+    ``flipped @ gcols``. ``x`` is (n, c_in, T), ``w`` (c_out, c_in * k) and
+    ``g`` (n, c_out, T)."""
+    n, c_in, t_len = x.shape
+    c_out, pad = w.shape[0], (k - 1) // 2
+
+    def im2col(a):  # (n, c, T) -> (c * k, n * T), row c*k + j is channel c shifted by tap j
+        padded = np.zeros(a.shape[:2] + (t_len + 2 * pad,))
+        padded[..., pad:pad + t_len] = a
+        cols = np.empty((a.shape[1], k, n, t_len))
+        for j in range(k):
+            cols[:, j] = padded[..., j:j + t_len].swapaxes(0, 1)
+        return cols.reshape(-1, n * t_len)
+
+    g_flat = g.swapaxes(0, 1).reshape(c_out, n * t_len)
+    gw = g_flat @ im2col(x).T
+    flipped = w.reshape(c_out, c_in, k)[..., ::-1].transpose(1, 0, 2).reshape(c_in, -1)
+    gx = (flipped @ im2col(g)).reshape(c_in, n, t_len).swapaxes(0, 1)
+    return gw, gx
 
 
 def finite_difference(f, x0: float, h: float = 1e-5) -> float:

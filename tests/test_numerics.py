@@ -1,5 +1,7 @@
 """Unit tests for the tensor type, primitives, and the gradient tape."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from convkv.attention import (
     split_heads,
 )
 from convkv.cache import KvCache
-from convkv.model import LayerStream
+from convkv.model import LayerStream, ModelConfig, ModelParams, sequence_loss
 from convkv.numerics import (
     ConvKernels,
     GradTape,
@@ -641,6 +643,91 @@ class TestFrozenOperandVjp:
                     assert gt is None
                 else:
                     assert np.array_equal(gt, gref)
+
+
+class TestConv1dVjp:
+    """The kernel gradient, rebuilt from the padded input a few channels at a time,
+    and the input gradient equal the formulas over one stored im2col bit for bit."""
+
+    @staticmethod
+    def vjp_of_conv(x, w, k, g):
+        with GradTape() as tape:
+            conv1d(x, ConvKernels(w, c_in=x.rows, k=k))
+        ((_, _, vjp),) = tape._entries
+        return vjp(g)
+
+    @pytest.mark.parametrize("k", [1, 21])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("c_out", [64, 60])
+    @pytest.mark.parametrize("c_in", [128, 20])
+    def test_gradients_equal_the_stored_im2col_formulas(self, c_in, c_out, n, k):
+        rng = np.random.default_rng(c_in + c_out + n + k)
+        t_len = 80
+
+        def inputs(x_trainable, w_trainable):
+            x = head_batched(rng, n, c_in, t_len, x_trainable) if n > 1 else rand(rng, c_in, t_len, x_trainable)
+            return x, rand(rng, c_out, c_in * k, w_trainable)
+
+        x, w = inputs(True, True)
+        g = rng.standard_normal(x.shape[:-2] + (c_out, t_len))
+        gx, gw = self.vjp_of_conv(x, w, k, g)
+        want_gw, want_gx = oracles.conv1d_vjp_stored_im2col(
+            x.data.reshape(n, c_in, t_len), w.data, k, g.reshape(n, c_out, t_len))
+        assert np.array_equal(gw, want_gw)
+        assert np.array_equal(gx, want_gx.reshape(x.shape))
+        x, w = inputs(False, True)
+        assert self.vjp_of_conv(x, w, k, g)[0] is None
+        x, w = inputs(True, False)
+        assert self.vjp_of_conv(x, w, k, g)[1] is None
+
+
+def traced_allocation(build):
+    """(result of ``build()``, bytes it still holds, bytes at its peak), as tracemalloc
+    counts them; numpy reports its buffers, so the counts do not depend on timing."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, held - base, peak - base
+
+
+class TestTapeMemory:
+    MIB = 2 ** 20
+
+    def test_recorded_conv_keeps_the_padded_input_not_its_im2col(self):
+        # the (c_in * k, n * T) im2col alone is 6.6 MiB; input, padded input and output 0.9 MiB
+        rng = np.random.default_rng(16)
+        x = head_batched(rng, 4, 128, 80)
+        kernels = ConvKernels(rand(rng, 64, 128 * 21, trainable=True), c_in=128, k=21)
+        with GradTape() as tape:
+            out, held, _ = traced_allocation(lambda: conv1d(x, kernels))
+        assert len(tape) == 1 and out.shape == (4, 64, 80)
+        assert held <= 1 * self.MIB
+
+    def test_calibration_step_peak(self):
+        # one lococo step of 4 x 128 tokens, B = 16, M = 64, k = 21, forward and backward
+        params = ModelParams.init(ModelConfig(), seed=0)
+        policy = PolicySpec("lococo", capacity=64)
+        params.install_conv_heads(slots=policy.merge_slots, kernel_size=21, seed=0)
+        for _, t in params.named_conv():
+            t.requires_grad = True
+        tokens = np.random.default_rng(17).integers(0, 256, size=(4, 128))
+
+        def step():
+            with GradTape() as tape:
+                loss = sequence_loss(params, tokens, policy, 16)
+            return backward(tape, loss)
+
+        grads, _, peak = traced_allocation(step)
+        assert {id(t) for t in grads} == {id(t) for _, t in params.named_conv()}
+        assert peak <= 45 * self.MIB
 
 
 class TestTapeProtocol:

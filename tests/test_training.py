@@ -69,6 +69,20 @@ class TestAdam:
             adam_step(params, {"p": np.array([[g]])}, state, lr=0.05)
         assert abs(t.data[0, 0] - oracles.adam_scalar(grads, lr=0.05)) < 1e-12
 
+    def test_in_place_update_equals_the_array_formula(self):
+        # b gets no gradient from step 2 on, so its None path runs on moments that are not 0
+        rng = np.random.default_rng(18)
+        start = {name: rng.standard_normal((64, 2688)) for name in ("a", "b")}
+        grads = {name: [rng.standard_normal((64, 2688)) * 10.0 ** -i for i in range(5)] for name in start}
+        grads["b"][2:] = [None] * 3
+        params = [(name, Tensor2(value, requires_grad=True)) for name, value in start.items()]
+        state = AdamState()
+        for step in range(5):
+            given = {name: grads[name][step] for name in start if grads[name][step] is not None}
+            adam_step(params, given, state, lr=0.05)
+        for name, t in params:
+            assert np.array_equal(t.data, oracles.adam_arrays(start[name], grads[name], lr=0.05))
+
     def test_nonpositive_lr_rejected(self):
         params, _ = one_param()
         with pytest.raises(ValueError):
