@@ -9,9 +9,9 @@ reverse.
 
 Only the operations needed on the compressor calibration path carry
 gradients; this is deliberately not a general autodiff system. A vjp keeps
-what its gradients need and no more: a recorded ``conv1d`` keeps its
-zero-padded input, not the k times larger im2col, which the kernel gradient
-rebuilds.
+what its gradients need and no more: a recorded ``conv1d`` keeps no im2col,
+k shifted copies of its input; the kernel gradient rebuilds it from the
+input, which the tape holds anyway.
 
 Op results may carry one leading axis, of heads or sequences, so one call
 serves them all; ``rows`` and ``cols`` are then the last two axes.
@@ -338,16 +338,13 @@ class ConvKernels:
         return self.weights.rows
 
 
-def _pad_seqs(x: np.ndarray, pad: int) -> np.ndarray:
-    """(C, n, T) -> (C, n, T + 2 pad): each sequence zero-padded alone on both ends."""
-    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 2 * pad,))
-    out[..., pad:pad + x.shape[-1]] = x
-    return out
-
-
-def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
-    """(C, n, T + k - 1) -> (C * k, n * T): row c*k + j is channel c shifted by tap j."""
-    return sliding_window_view(padded, k, axis=2).transpose(0, 3, 1, 2).reshape(padded.shape[0] * k, -1)
+def _im2col(seqs: np.ndarray, k: int) -> np.ndarray:
+    """(C, n, T) -> (C * k, n * T), each sequence zero-padded alone by (k-1)/2 on
+    both ends: row c*k + j is channel c shifted by tap j, sequence by sequence."""
+    pad = (k - 1) // 2
+    padded = np.zeros(seqs.shape[:-1] + (seqs.shape[-1] + 2 * pad,))
+    padded[..., pad:pad + seqs.shape[-1]] = seqs
+    return sliding_window_view(padded, k, axis=2).transpose(0, 3, 1, 2).reshape(seqs.shape[0] * k, -1)
 
 
 def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
@@ -357,9 +354,9 @@ def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
     both ends, so output column t depends only on input columns
     t-(k-1)/2 .. t+(k-1)/2; an (n, c_in, T) input is n sequences, padded one
     by one and convolved by one GEMM over their im2col. A recorded conv keeps
-    only the padded input, (c_in, n, T + k - 1), not its k times larger
-    im2col: the kernel gradient rebuilds the im2col, which is freed again
-    when the vjp returns. The vjp skips the input gradient (the gradient
+    no array of its own beyond the output: not the k times larger im2col,
+    which the kernel gradient rebuilds from the input that the tape holds
+    anyway and frees again when the vjp returns. The vjp skips the input gradient (the gradient
     convolved by the tap-flipped kernels) when the input is frozen, and the
     kernel gradient when the kernels are; either comes back as None.
     """
@@ -369,18 +366,17 @@ def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
     if x.cols == 0:
         raise ShapeError("conv1d: no columns to convolve")
     c_in, c_out, k = kernels.c_in, kernels.c_out, kernels.k
-    pad = (k - 1) // 2
     t_len, n = x.cols, x.data.size // (c_in * x.cols)
     w = kernels.weights
-    xp = _pad_seqs(x.data.reshape(n, c_in, t_len).swapaxes(0, 1), pad)
-    out = (w.data @ _im2col(xp, k)).reshape(c_out, n, t_len).swapaxes(0, 1).reshape(x.shape[:-2] + (c_out, t_len))
+    seqs = x.data.reshape(n, c_in, t_len).swapaxes(0, 1)  # (c_in, n, T), a view
+    out = (w.data @ _im2col(seqs, k)).reshape(c_out, n, t_len).swapaxes(0, 1).reshape(x.shape[:-2] + (c_out, t_len))
 
     def vjp(g):
         g = g.reshape(n, c_out, t_len).swapaxes(0, 1).reshape(c_out, n * t_len)
-        gw = g @ _im2col(xp, k).T if w.requires_grad else None
+        gw = g @ _im2col(seqs, k).T if w.requires_grad else None
         if not x.requires_grad:
             return None, gw
-        gcols = _im2col(_pad_seqs(g.reshape(c_out, n, t_len), pad), k)
+        gcols = _im2col(g.reshape(c_out, n, t_len), k)
         flipped = w.data.reshape(c_out, c_in, k)[..., ::-1].transpose(1, 0, 2).reshape(c_in, -1)
         return (flipped @ gcols).reshape(c_in, n, t_len).swapaxes(0, 1).reshape(x.shape), gw
 

@@ -646,8 +646,8 @@ class TestFrozenOperandVjp:
 
 
 class TestConv1dVjp:
-    """The kernel gradient, rebuilt from the padded input a few channels at a time,
-    and the input gradient equal the formulas over one stored im2col bit for bit."""
+    """The kernel gradient, from an im2col rebuilt in the backward pass, and the
+    input gradient equal the formulas over one stored im2col bit for bit."""
 
     @staticmethod
     def vjp_of_conv(x, w, k, g):
@@ -701,8 +701,8 @@ def traced_allocation(build):
 class TestTapeMemory:
     MIB = 2 ** 20
 
-    def test_recorded_conv_keeps_the_padded_input_not_its_im2col(self):
-        # the (c_in * k, n * T) im2col alone is 6.6 MiB; input, padded input and output 0.9 MiB
+    def test_recorded_conv_keeps_no_im2col(self):
+        # the (c_in * k, n * T) im2col is 6.6 MiB, the output 0.16 MiB; the input is made outside
         rng = np.random.default_rng(16)
         x = head_batched(rng, 4, 128, 80)
         kernels = ConvKernels(rand(rng, 64, 128 * 21, trainable=True), c_in=128, k=21)
