@@ -354,11 +354,11 @@ def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
     both ends, so output column t depends only on input columns
     t-(k-1)/2 .. t+(k-1)/2; an (n, c_in, T) input is n sequences, padded one
     by one and convolved by one GEMM over their im2col. A recorded conv keeps
-    no array of its own beyond the output: not the k times larger im2col,
-    which the kernel gradient rebuilds from the input that the tape holds
-    anyway and frees again when the vjp returns. The vjp skips the input gradient (the gradient
-    convolved by the tap-flipped kernels) when the input is frozen, and the
-    kernel gradient when the kernels are; either comes back as None.
+    no array beyond its output: not the k times larger im2col, which the
+    kernel gradient rebuilds from the input (the tape holds it anyway) and
+    frees when the vjp returns. The vjp skips the input gradient (the
+    gradient convolved by the tap-flipped kernels) when the input is frozen,
+    and the kernel gradient when the kernels are; either comes back as None.
     """
     _require_2d("conv1d", kernels.weights)
     if x.rows != kernels.c_in:
