@@ -9,7 +9,8 @@ extension) lives here too.
 
 Heads ride a leading axis: ``project_qkv`` makes every head's (head_dim, T)
 rotated q and k, raw k and v with one GEMM and one rotation, ``attend`` runs
-every head in one call, and ``merge_heads`` goes back to (n_heads * head_dim, T).
+every head in one call, and ``merge_heads`` goes back to (1, n_heads * head_dim, T)
+per sequence.
 """
 
 from __future__ import annotations
@@ -193,14 +194,13 @@ def split_heads(x: Tensor2, n_heads: int, head_dim: int) -> Tensor2:
 
 
 def merge_heads(x: Tensor2, n_seq: int = 1) -> Tensor2:
-    """Inverse of ``split_heads``: (n_heads, head_dim, T) -> (n_heads * head_dim, T),
-    or (n_seq * n_heads, head_dim, T) -> (n_seq, n_heads * head_dim, T)."""
+    """Inverse of ``split_heads``: (n_seq * n_heads, head_dim, T) ->
+    (n_seq, n_heads * head_dim, T), one sequence being a batch of one."""
     if x.data.ndim != 3:
         raise ShapeError(f"merge_heads needs a head-batched (H, d, T) input, got {x.shape}")
     shape = x.shape
-    merged = (shape[0] // n_seq * shape[1], shape[2])
 
     def vjp(g):
         return (g.reshape(shape),)
 
-    return custom_op([x], x.data.reshape(merged if n_seq == 1 else (n_seq,) + merged), vjp)
+    return custom_op([x], x.data.reshape(n_seq, shape[0] // n_seq * shape[1], shape[2]), vjp)

@@ -31,8 +31,8 @@ class KeepRule:
     merged, so they stay the oldest tokens), the newest ``recent`` and the
     ``heavy`` top-scored of the columns in between. A column's score is the
     attention mass it has received across all queries so far; equal scores
-    favour the newer column. ``scores`` holds one score per cache column, a
-    row per sequence of a batch, and is tracked only when ``heavy > 0``.
+    favour the newer column. ``scores`` holds one score per cache column and
+    one row per sequence, (n, cols), and is tracked only when ``heavy > 0``.
     """
 
     n_sink: int = 0
@@ -46,7 +46,7 @@ class KeepRule:
                 f"keep budgets must be nonnegative, got {self.n_sink}/{self.recent}/{self.heavy}"
             )
         if self.heavy and self.scores is None:
-            object.__setattr__(self, "scores", np.zeros(0))
+            object.__setattr__(self, "scores", np.zeros((1, 0)))
 
     @property
     def budget(self) -> int:
@@ -55,8 +55,8 @@ class KeepRule:
     def accumulate(self, attn_probs: np.ndarray | None, n_new: int) -> np.ndarray | None:
         """Scores of the cached plus ``n_new`` incoming columns after one block.
 
-        ``attn_probs`` are the block's softmax probabilities (rows = cached + new
-        keys, columns = queries, per sequence); each key column gains its row sum.
+        ``attn_probs`` are the block's softmax probabilities, (n, cached + new
+        keys, queries); each key column gains its row sum.
         """
         if not self.heavy:
             return None
@@ -70,28 +70,30 @@ class KeepRule:
         return np.concatenate([self.scores, fresh], axis=-1) + probs.sum(axis=-1)
 
     def keep(self, n: int, scores: np.ndarray | None = None) -> np.ndarray:
-        """Sorted indices of the kept columns among ``n`` > ``budget``: a row per
-        sequence for (n_seq, n) ``scores``, else the same columns for every sequence."""
-        lo, hi = self.n_sink, n - self.recent
-        sinks, recent = np.arange(lo), np.arange(hi, n)
-        if not self.heavy:
-            return np.concatenate([sinks, recent])
-        # top scores first and the newer column on ties: a stable sort of the reversed scores
-        top = np.sort(hi - 1 - np.argsort(-scores[..., lo:hi][..., ::-1], kind="stable")[..., :self.heavy])
-        if top.ndim > 1:
-            sinks, recent = (np.broadcast_to(c, top.shape[:-1] + c.shape) for c in (sinks, recent))
-        return np.concatenate([sinks, top, recent], axis=-1)
+        """Sorted indices of the kept columns among ``n`` > ``budget``: one row per
+        sequence of (n_seq, n) ``scores``, or for a rule without heavy hitters one
+        (1, k) row that every sequence shares."""
+        lo, hi, heavy = self.n_sink, n - self.recent, self.heavy
+        kept = np.empty((len(scores) if heavy else 1, self.budget), dtype=np.int64)
+        kept[:, :lo], kept[:, lo + heavy:] = np.arange(lo), np.arange(hi, n)
+        if heavy:  # top scores first, the newer column on ties: a stable sort of reversed scores
+            top = np.argsort(-scores[:, lo:hi][:, ::-1], kind="stable")[:, :heavy]
+            kept[:, lo:lo + heavy] = np.sort(hi - 1 - top)
+        return kept
 
 
 @dataclass(frozen=True)
 class KvCache:
     """Per-layer store of key/value columns, at most ``capacity`` of them.
 
-    Column j of keys and values always describes the same (possibly merged)
-    token(s). ``capacity`` is None for the unbounded concat policy; a bounded
-    cache is kept within it by ``rule``, which also carries the heavy-hitter
-    scores. ``live_entries`` is the instrumentation hook: KV entries currently
-    held per attention head and sequence; n sequences hold (n, d, columns).
+    Keys and values are (n, d, cols): n sequences side by side, one sequence
+    being a batch of one, with ``__post_init__`` raising ShapeError on any
+    other layout. Column j of keys and values always describes the same
+    (possibly merged) token(s). ``capacity`` is None for the unbounded concat
+    policy; a bounded cache is kept within it by ``rule``, which also carries
+    the (n, cols) heavy-hitter scores. ``live_entries`` is the
+    instrumentation hook: KV entries currently held per attention head and
+    sequence.
     """
 
     keys: Tensor2
@@ -100,21 +102,20 @@ class KvCache:
     rule: KeepRule = KeepRule()
 
     def __post_init__(self):
-        if self.keys.cols != self.values.cols:
-            raise ShapeError(
-                f"key/value column mismatch: {self.keys.cols} vs {self.values.cols}"
-            )
+        k, v = self.keys.shape, self.values.shape
+        if len(k) != 3 or len(v) != 3 or k[0] != v[0]:
+            raise ShapeError(f"cache keys and values must be (n, d, cols) of one n, got {k}, {v}")
+        if k[-1] != v[-1]:
+            raise ShapeError(f"key/value column mismatch: {k[-1]} vs {v[-1]}")
         if self.capacity is not None and self.capacity < 1:
             raise CacheError(f"capacity must be positive, got {self.capacity}")
 
     @classmethod
     def empty(cls, d: int, capacity: int | None = None, rule: KeepRule = KeepRule(),
               n_seq: int = 1) -> "KvCache":
-        """No columns yet; keys and values both have ``d`` rows, per sequence when
-        ``n_seq`` > 1."""
-        lead = (n_seq,) if n_seq > 1 else ()
-        rule = replace(rule, scores=np.zeros(lead + (0,))) if lead and rule.heavy else rule
-        return cls(Tensor2.zeros(*lead, d, 0), Tensor2.zeros(*lead, d, 0), capacity, rule)
+        """No columns yet: keys and values of (n_seq, d, 0), scores of (n_seq, 0)."""
+        rule = replace(rule, scores=np.zeros((n_seq, 0))) if rule.heavy else rule
+        return cls(Tensor2.zeros(n_seq, d, 0), Tensor2.zeros(n_seq, d, 0), capacity, rule)
 
     @property
     def live_entries(self) -> int:
@@ -142,13 +143,13 @@ def bounded_update(cache: KvCache, k_new: Tensor2, v_new: Tensor2,
                    attn_probs: np.ndarray | None = None, merge=None) -> KvCache:
     """Append the block while it fits; past the capacity, keep what the rule names.
 
-    ``attn_probs`` (rows = cached + new keys, columns = queries) feed the
-    heavy-hitter scores. Once cache + block would overflow, the columns
+    ``attn_probs`` (n, cached + new keys, queries) feed the heavy-hitter
+    scores. Once cache + block would overflow, the columns
     ``cache.rule.keep`` names stay verbatim, in token order, and the rest is
     dropped; given ``merge``, the rest is instead blended into slots that
     follow them. ``merge(cache, k_new, v_new, rest, scores)`` gets the mask
-    of the columns not kept (cache first, then block; a row per sequence
-    when heavy hitters make the kept columns differ between sequences) and
+    of the columns not kept, cache first, then block: a row per sequence, or
+    one row every sequence shares when the rule keeps by position only. It
     returns the keys, values and scores (None when untracked) of its slots.
     """
     b = _check_block(cache, k_new, v_new)
@@ -162,12 +163,12 @@ def bounded_update(cache: KvCache, k_new: Tensor2, v_new: Tensor2,
     if n <= m:
         return replace(update_concat(cache, k_new, v_new), rule=replace(rule, scores=scores))
     kept = rule.keep(n, scores)
-    at = (np.arange(len(kept))[:, None], kept) if kept.ndim > 1 else kept
+    at = (np.arange(len(kept))[:, None], kept)
     if kept.size:
         keys = select_cols(hstack([cache.keys, k_new]), kept)
         values = select_cols(hstack([cache.values, v_new]), kept)
     if merge is not None:
-        rest = np.ones(kept.shape[:-1] + (n,), dtype=bool)
+        rest = np.ones((len(kept), n), dtype=bool)
         rest[at] = False
         merged_keys, merged_values, merged_scores = merge(cache, k_new, v_new, rest, scores)
         keys = hstack([keys, merged_keys]) if kept.size else merged_keys

@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attention import merge_heads, split_heads
 from .cache import CacheError, KvCache, bounded_update
 from .numerics import (
     ConvKernels,
@@ -36,7 +35,6 @@ from .numerics import (
     row_normalize,
     select_cols,
     slice_cols,
-    transpose,
     vstack,
 )
 
@@ -120,18 +118,17 @@ def synthesize_weights(
     head: ConvHead,
     merged: np.ndarray | None = None,
 ) -> FusionWeights:
-    """Score every (incoming + cached) column for every slot, then normalize.
+    """Score the merged (incoming + cached) columns for every slot, then normalize.
 
-    The conv input stacks keys over values, incoming block columns first,
-    cache columns after; the first B output columns therefore become the
-    new-token weights and the rest the cache weights. Either side may have
-    no columns, as when a hybrid keeps every column of a block verbatim and
-    only unkept cache columns are left to merge; ``conv1d`` rejects inputs
-    with no columns at all, or with other than the head's 2*d rows.
-
-    Sequence i of (n, d, columns) operands owns weight rows i * slots ..
-    (i + 1) * slots; ``merged`` (n, block + cache) names each one's columns to
-    convolve, in order, and gives every other column weight 0.
+    Operands are (n, d, columns), one sequence being a batch of one. The conv
+    input stacks keys over values, incoming block columns first, cache
+    columns after; ``merged`` (1 or n, block + cache) names each sequence's
+    columns to convolve, in that order, one row per sequence or one row every
+    sequence shares (default: every column). A column left out, as when a
+    hybrid keeps it verbatim, gets weight 0 in every slot; either side may
+    have no columns, but ``conv1d`` rejects a convolution of no columns at
+    all, or of other than the head's 2*d rows. Sequence i owns weight rows
+    i * slots .. (i + 1) * slots; the first B weight columns are the block's.
     """
     d = k_new.rows
     for name, t in (("v_new", v_new), ("k_cache", k_cache), ("v_cache", v_cache)):
@@ -139,21 +136,19 @@ def synthesize_weights(
             raise ShapeError(f"{name} has {t.rows} rows, expected {d}")
     if k_new.cols != v_new.cols or k_cache.cols != v_cache.cols:
         raise ShapeError("key/value column counts disagree")
-    b = k_new.cols
-    stacked = vstack([hstack([k_new, k_cache]), hstack([v_new, v_cache])])
-    if merged is not None:
-        picked = np.nonzero(merged)[1].reshape(len(merged), -1)
-        stacked = select_cols(stacked, picked)
+    b, n, width = k_new.cols, len(k_new.data), k_new.cols + k_cache.cols
+    merged = np.ones((1, width), dtype=bool) if merged is None else merged
+    picked = np.nonzero(merged)[1].reshape(len(merged), -1)
+    stacked = select_cols(vstack([hstack([k_new, k_cache]), hstack([v_new, v_cache])]), picked)
     if head.relu_position == "pre":
         stacked = relu(stacked)
-    raw = relu(conv1d(stacked, head.kernels))
-    weights = row_normalize(merge_heads(raw) if raw.data.ndim == 3 else raw)
-    if merged is not None:  # back to every column, 0 where nothing merges
-        at, shape = picked[:, None, :], (len(picked), head.slots, merged.shape[1])
-        full = np.zeros(shape)
-        np.put_along_axis(full, at, weights.data.reshape(shape[:2] + (-1,)), axis=-1)
-        weights = custom_op([weights], full.reshape(-1, shape[2]), lambda g: (
-            np.take_along_axis(g.reshape(shape), at, -1).reshape(-1, at.shape[-1]),))
+    weights = row_normalize(relu(conv1d(stacked, head.kernels)))
+    # back to every column, 0 where nothing merges: (n, slots, width) as (n * slots, width)
+    at = (np.arange(n)[:, None], slice(None), picked)  # indexes an (n, picked, slots) view
+    full = np.zeros((n, head.slots, width))
+    full[at] = weights.data.swapaxes(-1, -2)
+    weights = custom_op([weights], full.reshape(-1, width), lambda g: (
+        np.ascontiguousarray(g.reshape(full.shape)[at].swapaxes(-1, -2)),))
     return FusionWeights(
         new_weights=slice_cols(weights, 0, b),
         cache_weights=slice_cols(weights, b, weights.cols),
@@ -169,12 +164,18 @@ def fuse(
 ) -> tuple[Tensor2, Tensor2]:
     """Blend columns into slots, same weights for keys and values.
 
-    Slot i of the fused keys is sum_j new_weights[i,j]*k_new[:,j] +
-    sum_j cache_weights[i,j]*k_cache[:,j]; values identically, and per sequence.
-    ``matmul`` raises ShapeError when the weights do not cover the block or the cache.
+    Slot i of sequence s's fused keys is sum_j new_weights[i,j]*k_new[s,:,j] +
+    sum_j cache_weights[i,j]*k_cache[s,:,j], with the weight rows of sequence
+    s (see ``synthesize_weights``); values identically. ``matmul`` raises
+    ShapeError when the weights do not cover the block or the cache.
     """
-    n = len(k_new.data) if k_new.data.ndim == 3 else 1
-    wn_t, wc_t = (transpose(w if n == 1 else split_heads(w, n, w.rows // n)) for w in weights)
+    n = len(k_new.data)
+
+    def per_sequence_t(w: Tensor2) -> Tensor2:  # (n * slots, cols) -> (n, cols, slots), one op
+        return custom_op([w], np.ascontiguousarray(w.data.reshape(n, -1, w.cols).swapaxes(-1, -2)),
+                         lambda g: (g.swapaxes(-1, -2).reshape(w.shape),))
+
+    wn_t, wc_t = (per_sequence_t(w) for w in weights)
     k_fused = add(matmul(k_new, wn_t), matmul(k_cache, wc_t))
     v_fused = add(matmul(v_new, wn_t), matmul(v_cache, wc_t))
     return k_fused, v_fused
@@ -206,20 +207,13 @@ def compress_step(
 
 
 def _merge_rest(head, cache, k_new, v_new, rest, scores):
-    """Blend the columns ``rest`` marks (cache first, then block, per sequence) into the slots."""
+    """Blend the columns ``rest`` marks (cache first, then block; a row per sequence
+    or one for all) into the slots."""
     n_cached = cache.live_entries
-    kc, vc, kn, vn = cache.keys, cache.values, k_new, v_new
-    merged = np.concatenate([rest[:, n_cached:], rest[:, :n_cached]], 1) if rest.ndim > 1 else None
-    if merged is None and not rest.all():
-        rest_cache, rest_new = np.flatnonzero(rest[:n_cached]), np.flatnonzero(rest[n_cached:])
-        kc, vc = select_cols(kc, rest_cache), select_cols(vc, rest_cache)
-        kn, vn = select_cols(kn, rest_new), select_cols(vn, rest_new)
-    weights = synthesize_weights(kn, vn, kc, vc, head, merged)
-    keys, values = fuse(weights, kn, vn, kc, vc)
-    if scores is not None and merged is None:
-        scores = (weights.new_weights.data @ scores[n_cached:][rest[n_cached:]]
-                  + weights.cache_weights.data @ scores[:n_cached][rest[:n_cached]])
-    elif scores is not None:  # weights span block and cache, one block of slot rows per sequence
-        wn, wc = (w.data.reshape(len(rest), -1, w.cols) for w in weights)
+    merged = np.concatenate([rest[:, n_cached:], rest[:, :n_cached]], 1)
+    weights = synthesize_weights(k_new, v_new, cache.keys, cache.values, head, merged)
+    keys, values = fuse(weights, k_new, v_new, cache.keys, cache.values)
+    if scores is not None:  # one block of slot rows per sequence
+        wn, wc = (w.data.reshape(len(scores), -1, w.cols) for w in weights)
         scores = (wn @ scores[:, n_cached:, None] + wc @ scores[:, :n_cached, None])[..., 0]
     return keys, values, scores

@@ -7,6 +7,8 @@ stays at block x (cache + block) regardless of sequence length; which cache
 columns survive between blocks is the policy's call. Prefill, the training
 loss and decoding all feed one ``_Streams``, the loss a batch of sequences
 side by side: a full block reaches the policies when the next token arrives.
+Every cache holds (n, d, cols) keys and values, one sequence being a batch
+of one, so a single sequence and a batch share every op and update.
 """
 
 from __future__ import annotations
@@ -210,7 +212,8 @@ class LayerStream:
 
     Up to B raw key/value columns wait in the staging buffer, head-batched as
     (n_seq * H, head_dim, b) chunks, until ``flush`` hands them to the policy
-    as one block, (H * head_dim, b) per sequence; ``_Streams`` flushes when
+    as one (n_seq, H * head_dim, b) block, the layout of the cache's keys and
+    values (n_seq = 1 for one sequence); ``_Streams`` flushes when
     the next token arrives after a full block, so the cache changes once per
     block however the tokens arrive. Queries attend to cache + staged columns
     + their own chunk: at most M + B columns per head for a bounded policy.
@@ -228,7 +231,7 @@ class LayerStream:
         self.policy = policy
         self.cache = cache
         self.block_size = block_size
-        self.n_seq = len(cache.keys.data) if cache.keys.data.ndim == 3 else 1
+        self.n_seq = len(cache.keys.data)
         self.staged_k: list[Tensor2] = []
         self.staged_v: list[Tensor2] = []
         self.mass: np.ndarray | None = None
@@ -326,8 +329,6 @@ def _layer_step(
 def _merge_to_cols(x: Tensor2, n_seq: int) -> Tensor2:
     """(n_seq * n_heads, head_dim, T) attention outputs as (n_heads * head_dim, n_seq * T)
     residual columns, one sequence after another."""
-    if n_seq == 1:
-        return merge_heads(x)
     (n, hd, t), d = x.shape, x.shape[0] // n_seq * x.shape[1]
     return custom_op([x], x.data.reshape(n_seq, d, t).swapaxes(0, 1).reshape(d, n_seq * t),
                      lambda g: (g.reshape(d, n_seq, t).swapaxes(0, 1).reshape(n, hd, t),))
@@ -457,7 +458,8 @@ def forward_segmented(
 
     One stream is fed the whole sequence and then flushed, so every block,
     a short final one included, goes through the policy once it has been
-    attended to; the returned caches hold the whole sequence. When ``trace``
+    attended to; the returned caches, (1, d, cols) per layer, hold the whole
+    sequence. When ``trace``
     is given, one record per (block, layer) of live cache entries and
     allocated attention-score entries is appended via its ``record_block``
     hook. A layer output that overflows raises NonFiniteError naming the

@@ -13,12 +13,13 @@ what its gradients need and no more: a recorded ``conv1d`` keeps no im2col,
 k shifted copies of its input; the kernel gradient rebuilds it from the
 input, which the tape holds anyway.
 
-Op results may carry one leading axis, of heads or sequences, so one call
+A tensor may carry one leading axis, of heads or sequences, so one call
 serves them all; ``rows`` and ``cols`` are then the last two axes.
-``matmul`` (equal leading dims), ``transpose``, ``add``, ``scale``, ``relu``,
-``softmax_cols`` (one mask for all), ``hstack``, ``vstack``, ``select_cols``
-and ``conv1d`` (each sequence padded alone) take such operands; every other
-primitive requires 2-D operands and raises ShapeError on anything else.
+``matmul`` (equal leading dims), ``transpose``, ``add``, ``relu``,
+``softmax_cols`` (one mask for all), ``row_normalize``, ``hstack``,
+``vstack``, ``select_cols`` (a row of indices per sequence) and ``conv1d``
+(each sequence padded alone) take such operands; every other primitive
+requires 2-D operands and raises ShapeError on anything else.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ class TapeError(NumericsError):
 
 
 class Tensor2:
-    """Dense rows x cols matrix of 64-bit reals, row-major.
+    """Dense rows x cols matrix of 64-bit reals, stored row-major by the constructor.
 
-    The constructor takes 2-D data only. Op results may add one leading head
-    axis, shape (H, rows, cols): a stack of H matrices of the same size, for
-    which ``rows`` and ``cols`` describe each matrix.
+    Data is (rows, cols) or, with one leading axis of heads or sequences,
+    (n, rows, cols): a stack of n matrices of the same size, for which
+    ``rows`` and ``cols`` describe each matrix. Other ranks raise ShapeError.
 
     Entries must be finite: NaN or +/-inf anywhere is a contract violation
     and raises NonFiniteError at construction. Op results skip re-validation;
@@ -67,8 +68,8 @@ class Tensor2:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C", copy=True)
-        if arr.ndim != 2:
-            raise ShapeError(f"Tensor2 requires a 2-D array, got ndim={arr.ndim}")
+        if arr.ndim not in (2, 3):
+            raise ShapeError(f"Tensor2 needs (rows, cols) or (n, rows, cols) data, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise NonFiniteError("Tensor2 entries must be finite (found NaN/Inf)")
         self.data = arr
@@ -260,15 +261,6 @@ def add(a: Tensor2, b: Tensor2) -> Tensor2:
     return _result(a.data + b.data, (a, b), vjp)
 
 
-def scale(a: Tensor2, c: float) -> Tensor2:
-    c = float(c)
-
-    def vjp(g):
-        return (g * c,)
-
-    return _result(a.data * c, (a,), vjp)
-
-
 def relu(a: Tensor2) -> Tensor2:
     """Elementwise max(0, x)."""
     mask = a.data > 0.0
@@ -384,31 +376,31 @@ def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
 
 
 def row_normalize(x: Tensor2) -> Tensor2:
-    """Divide each row by its sum; entries must be nonnegative.
+    """Divide each row by its sum (per sequence, with a leading axis); entries
+    must be nonnegative.
 
     Rows whose sum falls below ``MIN_ROW_SUM`` first get ``MIN_ROW_SUM`` added
     uniformly, so a dead row normalizes to near-uniform weights instead of
     blowing up. A row sum that is NaN or overflows raises NonFiniteError, as
     its row would no longer sum to 1.
     """
-    _require_2d("row_normalize", x)
     d = x.data
-    if d.shape[1] == 0:
+    if x.cols == 0:
         raise ShapeError("row_normalize: no columns to normalize over")
     if (d < 0.0).any():
         raise NumericsError("row_normalize: negative entries")
     # an overflowed sum raises NonFiniteError below, so numpy's warning would only say it first
     with np.errstate(over="ignore"):
-        sums = d.sum(axis=1, keepdims=True)
+        sums = d.sum(axis=-1, keepdims=True)
     if not np.isfinite(sums).all():
         raise NonFiniteError("row_normalize: a row sum is not finite")
     dead = sums < MIN_ROW_SUM
     adj = np.where(dead, d + MIN_ROW_SUM, d)
-    r = adj.sum(axis=1, keepdims=True)
+    r = adj.sum(axis=-1, keepdims=True)
     y = adj / r
 
     def vjp(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return ((g - dot) / r,)
 
     return _result(y, (x,), vjp)
@@ -423,11 +415,10 @@ def hstack(parts: Sequence[Tensor2]) -> Tensor2:
     for p in parts:
         if p.shape[:-1] != lead:
             raise ShapeError(f"hstack: shapes differ before the last axis ({lead} vs {p.shape})")
-    widths = [p.cols for p in parts]
-    offsets = np.cumsum([0] + widths)
 
     def vjp(g):
-        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        offsets = np.cumsum([0] + [p.cols for p in parts])
+        return tuple(g[..., a:b] for a, b in zip(offsets[:-1], offsets[1:]))
 
     return _result(np.concatenate([p.data for p in parts], axis=-1), parts, vjp)
 
@@ -468,27 +459,30 @@ def select_cols(x: Tensor2, indices: np.ndarray) -> Tensor2:
     """Gather columns by index (duplicates allowed); grads scatter-add back.
 
     Also the embedding lookup: the columns of the table are the token ids.
-    1-D indices pick the same columns of every sequence of an (n, rows, cols)
-    operand; (n, k) indices pick row i's columns from sequence i.
+    A 2-D operand takes 1-D indices. An (n, rows, cols) operand takes (n, k)
+    indices, row i picking sequence i's columns, or one (1, k) row that every
+    sequence shares; its result is a strided view of one fancy-indexed copy.
     """
     idx = np.asarray(indices, dtype=np.int64)
     lead = x.shape[:-2]
-    if idx.ndim != 1 and (idx.ndim != 2 or idx.shape[:-1] != lead):
-        raise ShapeError(f"select_cols: indices must be 1-D or (n, k) for {x.shape}, got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.cols):
-        raise ShapeError(f"select_cols: index out of range for {x.cols} columns")
+    if idx.ndim != 1 + len(lead) or lead and len(idx) not in (1, lead[0]):
+        raise ShapeError(f"select_cols: indices must be 1-D or (n, k) for a 2-D or (n, rows, cols) "
+                         f"operand, got {idx.shape} for {x.shape}")
     rows, cols = x.shape[-2:]
+    if idx.size and idx.view(np.uint64).max() >= cols:  # a negative index reads as huge
+        raise ShapeError(f"select_cols: index out of range for {cols} columns")
+    at = (np.arange(lead[0])[:, None], idx) if lead else idx  # into the (..., cols, rows) transpose
 
     def vjp(g):
         gx = np.zeros(lead + (cols, rows))
-        at = (slice(None),) * len(lead) + (idx,) if idx.ndim == 1 else (np.arange(len(idx))[:, None], idx)
         if (np.diff(idx) > 0).all():  # no column repeats, so nothing adds up
             gx[at] = g.swapaxes(-1, -2)
         else:
             np.add.at(gx, at, g.swapaxes(-1, -2))
         return (np.ascontiguousarray(gx.swapaxes(-1, -2)),)
 
-    data = x.data.take(idx, axis=-1) if idx.ndim == 1 else np.take_along_axis(x.data, idx[:, None, :], -1)
+    # a table lookup stays row-major, as the column reductions that follow expect
+    data = x.data.swapaxes(-1, -2)[at].swapaxes(-1, -2) if lead else x.data.take(idx, axis=-1)
     return _result(data, (x,), vjp)
 
 

@@ -194,7 +194,7 @@ class TestHeadBatched:
         assert heads.shape == (3, 2, 5)
         assert np.shares_memory(heads.data, x.data)
         assert np.array_equal(heads.data[1], x.data[2:4])
-        assert np.array_equal(merge_heads(heads).data, x.data)
+        assert np.array_equal(merge_heads(heads).data, x.data[None])
         with pytest.raises(ShapeError):
             split_heads(x, 4, 2)
 

@@ -33,11 +33,11 @@ def t2(arr):
 
 
 def token_block(d, start, count):
-    """Columns whose first row encodes the token index; row 1 pairs values."""
+    """One sequence's columns whose first row encodes the token index; row 1 pairs values."""
     k = np.zeros((d, count))
     k[0, :] = np.arange(start, start + count)
     k[1:, :] = np.random.default_rng(start).standard_normal((d - 1, count))
-    return t2(k)
+    return t2(k[None])
 
 
 def paired_values(keys: Tensor2) -> Tensor2:
@@ -57,15 +57,15 @@ class TestConcat:
         cache = update_concat(cache, a, paired_values(a))
         cache = update_concat(cache, b, paired_values(b))
         assert cache.live_entries == 4
-        assert np.array_equal(cache.keys.data[0], [0, 1, 2, 3])
+        assert np.array_equal(cache.keys.data[0, 0], [0, 1, 2, 3])
 
     def test_matches_concatenation_oracle(self):
         rng = np.random.default_rng(0)
         blocks = [rng.standard_normal((3, rng.integers(1, 5))) for _ in range(6)]
         cache = KvCache.empty(3)
         for blk in blocks:
-            cache = update_concat(cache, t2(blk), t2(blk + 1))
-        assert np.array_equal(cache.keys.data, np.concatenate(blocks, axis=1))
+            cache = update_concat(cache, t2(blk[None]), t2(blk[None] + 1))
+        assert np.array_equal(cache.keys.data, np.concatenate(blocks, axis=1)[None])
 
 
 def rule_of(policy, capacity, knob):
@@ -94,8 +94,8 @@ class TestKeepRule:
         # few distinct values, so equal scores are common
         values = st.sampled_from([0.0, 0.5, 1.0])
         scores = np.array(data.draw(st.lists(values, min_size=n, max_size=n), label="scores"))
-        kept = rule.keep(n, scores)
-        assert kept.tolist() == oracles.keep_indices(scores, rule.n_sink, rule.recent, rule.heavy)
+        kept = rule.keep(n, scores[None])
+        assert kept.tolist() == [oracles.keep_indices(scores, rule.n_sink, rule.recent, rule.heavy)]
 
     @pytest.mark.parametrize("policy, knob, budgets, tracks_scores", [
         ("h2o", 3, (0, 3, 5), True),
@@ -143,7 +143,7 @@ class TestUpdateRejects:
         with pytest.raises(CacheError, match="attention probabilities"):
             update_h2o(cache, k, paired_values(k), None)
         with pytest.raises(ShapeError, match="cover 3 keys, expected 2"):
-            update_h2o(cache, k, paired_values(k), np.full((3, 2), 0.5))
+            update_h2o(cache, k, paired_values(k), np.full((1, 3, 2), 0.5))
 
     def test_eviction_needs_a_bounded_cache_whose_rule_keeps_its_capacity(self):
         k = token_block(2, 0, 2)
@@ -155,14 +155,20 @@ class TestUpdateRejects:
 
     def test_keys_and_values_must_pair_up_and_fit_the_cache(self):
         with pytest.raises(ShapeError, match="key/value column mismatch: 1 vs 0"):
-            KvCache(Tensor2.zeros(2, 1), Tensor2.zeros(2, 0))
+            KvCache(Tensor2.zeros(1, 2, 1), Tensor2.zeros(1, 2, 0))
         with pytest.raises(CacheError, match="capacity must be positive, got 0"):
             KvCache.empty(2, capacity=0)
         k = token_block(2, 0, 2)
         with pytest.raises(ShapeError, match="block key/value mismatch: 2 vs 1"):
-            update_concat(KvCache.empty(2), k, t2(k.data[:, :1]))
+            update_concat(KvCache.empty(2), k, t2(k.data[..., :1]))
         with pytest.raises(ShapeError, match="feature dimension differs"):
             update_concat(KvCache.empty(3), k, paired_values(k))
+
+    def test_cache_is_a_batch_of_sequences_of_keys_and_values(self):
+        # one sequence is a batch of one: a bare (d, cols) matrix is no cache
+        for keys, values in (((2, 4, 3), (3, 4, 3)), ((4, 3), (4, 3)), ((1, 4, 3), (4, 3))):
+            with pytest.raises(ShapeError, match="must be \\(n, d, cols\\) of one n"):
+                KvCache(Tensor2.zeros(*keys), Tensor2.zeros(*values), 4, KeepRule(0, 2, 2))
 
     def test_merging_policy_needs_a_head_with_its_slot_count(self):
         spec = PolicySpec("lococo+sink", capacity=8, n_sink=2)
@@ -183,23 +189,23 @@ class TestH2O:
     def test_under_budget_identical_to_concat(self):
         cache = h2o_cache(2, 8)
         k = token_block(2, 0, 3)
-        probs = np.full((3, 3), 1 / 3)
+        probs = np.full((1, 3, 3), 1 / 3)
         out = update_h2o(cache, k, paired_values(k), probs)
         assert np.array_equal(out.keys.data, k.data)
-        assert np.allclose(out.rule.scores, probs.sum(axis=1))
+        assert np.allclose(out.rule.scores, probs.sum(axis=-1))
 
     def test_unique_zero_score_column_evicted(self):
         cache = h2o_cache(2, 4, recent=2, heavy=2)
         k = token_block(2, 0, 4)
-        cache = update_h2o(cache, k, paired_values(k), np.eye(4) * 0.5 + 0.1)
+        cache = update_h2o(cache, k, paired_values(k), (np.eye(4) * 0.5 + 0.1)[None])
         nxt = token_block(2, 4, 1)
         # column 1 of the cache gets no mass this round and had the least before
         probs = np.array([[0.3], [0.0], [0.25], [0.25], [0.2]])
         probs[1, 0] = 0.0
-        cache = replace(cache, rule=KeepRule(0, 2, 2, np.array([0.6, 0.0, 0.6, 0.6])))
-        cache2 = update_h2o(cache, nxt, paired_values(nxt), probs)
+        cache = replace(cache, rule=KeepRule(0, 2, 2, np.array([[0.6, 0.0, 0.6, 0.6]])))
+        cache2 = update_h2o(cache, nxt, paired_values(nxt), probs[None])
         assert cache2.live_entries == 4
-        assert 1.0 not in cache2.keys.data[0]
+        assert 1.0 not in cache2.keys.data[0, 0]
 
     def test_random_case_matches_exhaustive_sort_oracle(self):
         rng = np.random.default_rng(1)
@@ -210,27 +216,27 @@ class TestH2O:
             scores0 = rng.random(n_old) * 3
             cache = KvCache(
                 token_block(2, 0, n_old), paired_values(token_block(2, 0, n_old)),
-                m, KeepRule(0, recent, heavy, scores0),
+                m, KeepRule(0, recent, heavy, scores0[None]),
             )
             k = token_block(2, n_old, b)
             probs = rng.random((n_old + b, b))
-            out = update_h2o(cache, k, paired_values(k), probs)
+            out = update_h2o(cache, k, paired_values(k), probs[None])
             scores = np.concatenate([scores0, np.zeros(b)]) + probs.sum(axis=1)
             kept = oracles.keep_indices(scores, 0, recent, heavy)
-            assert list(out.keys.data[0]) == [float(i) for i in kept]
-            assert np.allclose(out.rule.scores, scores[kept])
+            assert list(out.keys.data[0, 0]) == [float(i) for i in kept]
+            assert np.allclose(out.rule.scores, scores[kept][None])
 
     def test_tie_breaks_toward_newer(self):
         scores0 = np.array([1.0, 1.0, 1.0, 1.0])
         cache = KvCache(
             token_block(2, 0, 4), paired_values(token_block(2, 0, 4)),
-            4, KeepRule(0, 2, 2, scores0),
+            4, KeepRule(0, 2, 2, scores0[None]),
         )
         k = token_block(2, 4, 1)
-        probs = np.zeros((5, 1))
+        probs = np.zeros((1, 5, 1))
         out = update_h2o(cache, k, paired_values(k), probs)
         # newest two (3, 4) kept by recency; heavy picks 1 and 2 over 0 on ties
-        assert list(out.keys.data[0]) == [1.0, 2.0, 3.0, 4.0]
+        assert list(out.keys.data[0, 0]) == [1.0, 2.0, 3.0, 4.0]
 
 
 class TestSinkWindow:
@@ -248,7 +254,7 @@ class TestSinkWindow:
         for t in range(6):
             k = token_block(2, t, 1)
             cache = update_sink_window(cache, k, paired_values(k))
-        assert list(cache.keys.data[0]) == [0.0, 1.0, 4.0, 5.0]
+        assert list(cache.keys.data[0, 0]) == [0.0, 1.0, 4.0, 5.0]
 
     def test_random_lengths_match_set_oracle(self):
         rng = np.random.default_rng(2)
@@ -263,7 +269,7 @@ class TestSinkWindow:
                 cache = update_sink_window(cache, k, paired_values(k))
                 total += b
             kept = oracles.keep_indices(np.zeros(total), n_sink, window, 0)
-            assert list(cache.keys.data[0]) == [float(i) for i in kept]
+            assert list(cache.keys.data[0, 0]) == [float(i) for i in kept]
 
 
 class TestInvariants:
@@ -300,9 +306,9 @@ class TestInvariants:
         cache = layer.empty_cache(d)
         total = 0
         for _ in range(n_blocks):
-            k = t2(rng.standard_normal((d, b)))
-            v = t2(rng.standard_normal((d, b)))
-            probs = rng.random((cache.live_entries + b, b))
+            k = t2(rng.standard_normal((1, d, b)))
+            v = t2(rng.standard_normal((1, d, b)))
+            probs = rng.random((1, cache.live_entries + b, b))
             cache = layer.update(cache, k, v, attn_probs=probs)
             total += b
             assert cache.live_entries == min(total, m)
@@ -315,7 +321,7 @@ class TestInvariants:
             cache = layer.empty_cache(3)
             for t in range(4):
                 k = token_block(3, 3 * t, 3)
-                probs = rng.random((cache.live_entries + 3, 3))
+                probs = rng.random((1, cache.live_entries + 3, 3))
                 cache = layer.update(cache, k, paired_values(k), attn_probs=probs)
             assert np.array_equal(cache.values.data, cache.keys.data * 2.0 + 1.0)
 
@@ -330,14 +336,14 @@ class TestH2OAsFusionOperator:
         recent = int(rng.integers(1, m))
         heavy = m - recent
         scores0 = rng.random(n_old)
-        old_k = t2(rng.standard_normal((d, n_old)))
-        old_v = t2(rng.standard_normal((d, n_old)))
-        cache = KvCache(old_k, old_v, m, KeepRule(0, recent, heavy, scores0))
-        k_new = t2(rng.standard_normal((d, b)))
-        v_new = t2(rng.standard_normal((d, b)))
+        old_k = t2(rng.standard_normal((1, d, n_old)))
+        old_v = t2(rng.standard_normal((1, d, n_old)))
+        cache = KvCache(old_k, old_v, m, KeepRule(0, recent, heavy, scores0[None]))
+        k_new = t2(rng.standard_normal((1, d, b)))
+        v_new = t2(rng.standard_normal((1, d, b)))
         probs = rng.random((n_old + b, b))
 
-        evicted = update_h2o(cache, k_new, v_new, probs)
+        evicted = update_h2o(cache, k_new, v_new, probs[None])
 
         scores = np.concatenate([scores0, np.zeros(b)]) + probs.sum(axis=1)
         kept = oracles.keep_indices(scores, 0, recent, heavy)
@@ -362,16 +368,16 @@ class TestHybrids:
         rng = np.random.default_rng(4)
         d, m, b = 4, 6, 3
         head = new_conv_head(d, m, kernel_size=3, rng=rng)
-        k1, v1 = t2(rng.standard_normal((d, 4))), t2(rng.standard_normal((d, 4)))
-        k2, v2 = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b)))
+        k1, v1 = t2(rng.standard_normal((1, d, 4))), t2(rng.standard_normal((1, d, 4)))
+        k2, v2 = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
 
         plain = compress_step(KvCache.empty(d, capacity=m), k1, v1, head)
         plain = compress_step(plain, k2, v2, head)
 
         rule = PolicySpec("lococo+h2o", capacity=m, reserved=0).rule
         heavy = KvCache.empty(d, capacity=m, rule=rule)
-        heavy = compress_step(heavy, k1, v1, head, rng.random((4, 4)))
-        heavy = compress_step(heavy, k2, v2, head, rng.random((4 + b, b)))
+        heavy = compress_step(heavy, k1, v1, head, rng.random((1, 4, 4)))
+        heavy = compress_step(heavy, k2, v2, head, rng.random((1, 4 + b, b)))
 
         assert np.array_equal(heavy.keys.data, plain.keys.data)
         assert np.array_equal(heavy.values.data, plain.values.data)
@@ -389,38 +395,39 @@ class TestHybrids:
             k = token_block(d, 4 * t, 4)
             cache = compress_step(cache, k, paired_values(k), head)
         assert cache.live_entries == m
-        assert np.array_equal(cache.keys.data[:, :n_sink], first.data)
-        assert np.array_equal(cache.values.data[:, :n_sink], first_v.data)
+        assert np.array_equal(cache.keys.data[..., :n_sink], first.data)
+        assert np.array_equal(cache.values.data[..., :n_sink], first_v.data)
 
     def test_heavy_hybrid_matches_composed_oracles(self):
         rng = np.random.default_rng(6)
         d, m, reserved, n_old, b = 3, 6, 2, 6, 3
         head = new_conv_head(d, m - reserved, kernel_size=3, rng=rng)
         scores0 = rng.random(n_old) * 2
-        old_k, old_v = t2(rng.standard_normal((d, n_old))), t2(rng.standard_normal((d, n_old)))
-        cache = KvCache(old_k, old_v, m, KeepRule(heavy=reserved, scores=scores0))
-        k_new, v_new = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b)))
+        old_k = t2(rng.standard_normal((1, d, n_old)))
+        old_v = t2(rng.standard_normal((1, d, n_old)))
+        cache = KvCache(old_k, old_v, m, KeepRule(heavy=reserved, scores=scores0[None]))
+        k_new, v_new = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
         probs = rng.random((n_old + b, b))
 
-        out = compress_step(cache, k_new, v_new, head, probs)
+        out = compress_step(cache, k_new, v_new, head, probs[None])
 
         scores = np.concatenate([scores0, np.zeros(b)]) + probs.sum(axis=1)
         idx = np.arange(len(scores))
         pinned = np.sort(idx[np.lexsort((-idx, -scores))][:reserved])
-        all_k = np.concatenate([old_k.data, k_new.data], axis=1)
-        all_v = np.concatenate([old_v.data, v_new.data], axis=1)
-        assert np.array_equal(out.keys.data[:, :reserved], all_k[:, pinned])
-        assert np.array_equal(out.values.data[:, :reserved], all_v[:, pinned])
+        all_k = np.concatenate([old_k.data, k_new.data], axis=-1)
+        all_v = np.concatenate([old_v.data, v_new.data], axis=-1)
+        assert np.array_equal(out.keys.data[..., :reserved], all_k[..., pinned])
+        assert np.array_equal(out.values.data[..., :reserved], all_v[..., pinned])
 
         comp = np.setdiff1d(idx, pinned)
         comp_cache = comp[comp < n_old]
         comp_new = comp[comp >= n_old] - n_old
-        kc, vc = t2(old_k.data[:, comp_cache]), t2(old_v.data[:, comp_cache])
-        kn, vn = t2(k_new.data[:, comp_new]), t2(v_new.data[:, comp_new])
+        kc, vc = t2(old_k.data[..., comp_cache]), t2(old_v.data[..., comp_cache])
+        kn, vn = t2(k_new.data[..., comp_new]), t2(v_new.data[..., comp_new])
         weights = synthesize_weights(kn, vn, kc, vc, head)
         k_ref, v_ref = fuse(weights, kn, vn, kc, vc)
-        assert np.max(np.abs(out.keys.data[:, reserved:] - k_ref.data)) == 0.0
-        assert np.max(np.abs(out.values.data[:, reserved:] - v_ref.data)) == 0.0
+        assert np.max(np.abs(out.keys.data[..., reserved:] - k_ref.data)) == 0.0
+        assert np.max(np.abs(out.values.data[..., reserved:] - v_ref.data)) == 0.0
 
     def test_reserve_must_stay_below_capacity(self):
         with pytest.raises(CacheError):
@@ -437,7 +444,7 @@ class TestHybrids:
         cache = compress_step(cache, k, paired_values(k), head)
         big = token_block(d, 3, 5)
         cache = compress_step(cache, big, paired_values(big), head)
-        first = t2(np.concatenate([k.data, big.data], axis=1)[:, :n_sink])
+        first = t2(np.concatenate([k.data, big.data], axis=-1)[..., :n_sink])
         assert cache.live_entries == m
-        assert np.array_equal(cache.keys.data[:, :n_sink], first.data)
-        assert np.array_equal(cache.values.data[:, :n_sink], paired_values(first).data)
+        assert np.array_equal(cache.keys.data[..., :n_sink], first.data)
+        assert np.array_equal(cache.values.data[..., :n_sink], paired_values(first).data)

@@ -19,6 +19,7 @@ from convkv.numerics import (
     Tensor2,
     backward,
     cross_entropy_cols,
+    custom_op,
     matmul,
     softmax_cols,
     transpose,
@@ -55,9 +56,9 @@ class TestSynthesizeWeights:
     def test_constant_scores_normalize_to_uniform(self):
         d, b, cache_len, slots = 2, 3, 5, 4
         head = center_tap_head(d, slots)
-        col = np.abs(np.random.default_rng(0).standard_normal((d, 1))) + 0.5
-        k_new = t2(np.repeat(col, b, axis=1))
-        k_cache = t2(np.repeat(col, cache_len, axis=1))
+        col = np.abs(np.random.default_rng(0).standard_normal((1, d, 1))) + 0.5
+        k_new = t2(np.repeat(col, b, axis=-1))
+        k_cache = t2(np.repeat(col, cache_len, axis=-1))
         w = synthesize_weights(k_new, k_new, k_cache, k_cache, head)
         full = weights_matrix(w)
         assert np.max(np.abs(full - 1.0 / (b + cache_len))) < 1e-12
@@ -65,8 +66,8 @@ class TestSynthesizeWeights:
     def test_single_source_rows_are_one(self):
         d, slots = 2, 3
         head = center_tap_head(d, slots)
-        k_new = t2(np.abs(np.random.default_rng(1).standard_normal((d, 1))) + 0.1)
-        empty = Tensor2.zeros(d, 0)
+        k_new = t2(np.abs(np.random.default_rng(1).standard_normal((1, d, 1))) + 0.1)
+        empty = Tensor2.zeros(1, d, 0)
         w = synthesize_weights(k_new, k_new, empty, empty, head)
         assert w.new_weights.shape == (slots, 1)
         assert np.max(np.abs(w.new_weights.data - 1.0)) < 1e-12
@@ -82,10 +83,10 @@ class TestSynthesizeWeights:
             ]
         )
         head = head_from_3d(k3)
-        k_new = t2([[1.0, -2.0]])
-        v_new = t2([[0.5, 1.5]])
-        k_cache = t2([[3.0, -1.0]])
-        v_cache = t2([[-0.5, 2.0]])
+        k_new = t2([[[1.0, -2.0]]])
+        v_new = t2([[[0.5, 1.5]]])
+        k_cache = t2([[[3.0, -1.0]]])
+        v_cache = t2([[[-0.5, 2.0]]])
         stacked = np.array([[1.0, -2.0, 3.0, -1.0], [0.5, 1.5, -0.5, 2.0]])
         raw = np.maximum(oracles.conv1d_loops(stacked, k3), 0.0)
         sums = raw.sum(axis=1, keepdims=True)
@@ -98,8 +99,8 @@ class TestSynthesizeWeights:
         rng = np.random.default_rng(2)
         d, b, m = 3, 2, 4
         head = new_conv_head(d, m, kernel_size=3, rng=rng)
-        k_new, k_cache = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, m)))
-        v1, vc1 = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, m)))
+        k_new, k_cache = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, m)))
+        v1, vc1 = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, m)))
         v2 = t2(v1.data + 1.0)
         w1 = weights_matrix(synthesize_weights(k_new, v1, k_cache, vc1, head))
         w2 = weights_matrix(synthesize_weights(k_new, v2, k_cache, vc1, head))
@@ -107,9 +108,9 @@ class TestSynthesizeWeights:
 
     def test_feature_dim_mismatch_rejected(self):
         head = center_tap_head(3, 2)
-        bad = Tensor2.zeros(2, 2)
+        bad = Tensor2.zeros(1, 2, 2)
         with pytest.raises(ShapeError):
-            synthesize_weights(bad, bad, Tensor2.zeros(2, 0), Tensor2.zeros(2, 0), head)
+            synthesize_weights(bad, bad, Tensor2.zeros(1, 2, 0), Tensor2.zeros(1, 2, 0), head)
 
     @pytest.mark.parametrize("shapes, match", [
         ([(2, 2), (2, 2), (3, 1), (2, 1)], "k_cache has 3 rows, expected 2"),
@@ -118,7 +119,7 @@ class TestSynthesizeWeights:
         ([(2, 0), (2, 0), (2, 0), (2, 0)], "conv1d: no columns to convolve"),
     ], ids=["rows", "block-columns", "cache-columns", "no-columns"])
     def test_inputs_that_do_not_stack_rejected(self, shapes, match):
-        parts = [Tensor2.zeros(*shape) for shape in shapes]
+        parts = [Tensor2.zeros(1, *shape) for shape in shapes]
         with pytest.raises(ShapeError, match=match):
             synthesize_weights(*parts, center_tap_head(2, 2))
 
@@ -133,10 +134,10 @@ class TestSynthesizeWeights:
         head = new_conv_head(d, slots, kernel_size=5, rng=rng, relu_position=relu_position)
         w = weights_matrix(
             synthesize_weights(
-                t2(rng.standard_normal((d, b))),
-                t2(rng.standard_normal((d, b))),
-                t2(rng.standard_normal((d, cache_len))),
-                t2(rng.standard_normal((d, cache_len))),
+                t2(rng.standard_normal((1, d, b))),
+                t2(rng.standard_normal((1, d, b))),
+                t2(rng.standard_normal((1, d, cache_len))),
+                t2(rng.standard_normal((1, d, cache_len))),
                 head,
             )
         )
@@ -146,8 +147,8 @@ class TestSynthesizeWeights:
     def test_dead_rows_fall_back_to_uniform(self):
         d, b, cache_len, slots = 2, 2, 2, 3
         head = center_tap_head(d, slots, value=-1.0)  # negative scores everywhere
-        pos = t2(np.ones((d, b)))
-        posc = t2(np.ones((d, cache_len)))
+        pos = t2(np.ones((1, d, b)))
+        posc = t2(np.ones((1, d, cache_len)))
         w = weights_matrix(synthesize_weights(pos, pos, posc, posc, head))
         assert np.max(np.abs(w - 0.25)) < 1e-12
 
@@ -156,27 +157,29 @@ class TestFuse:
     def test_one_hot_selection(self):
         rng = np.random.default_rng(4)
         d, b, cache_len, slots = 3, 2, 3, 4
-        k_new, v_new = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b)))
-        k_cache, v_cache = t2(rng.standard_normal((d, cache_len))), t2(rng.standard_normal((d, cache_len)))
+        k_new, v_new = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
+        k_cache = t2(rng.standard_normal((1, d, cache_len)))
+        v_cache = t2(rng.standard_normal((1, d, cache_len)))
         w_new = np.zeros((slots, b))
         w_cache = np.zeros((slots, cache_len))
         w_cache[:, 1] = 1.0  # every slot selects cache column 1
         k_f, v_f = fuse(FusionWeights(t2(w_new), t2(w_cache)), k_new, v_new, k_cache, v_cache)
         for i in range(slots):
-            assert np.array_equal(k_f.data[:, i], k_cache.data[:, 1])
-            assert np.array_equal(v_f.data[:, i], v_cache.data[:, 1])
+            assert np.array_equal(k_f.data[..., i], k_cache.data[..., 1])
+            assert np.array_equal(v_f.data[..., i], v_cache.data[..., 1])
 
     def test_uniform_weights_average_all_columns(self):
         rng = np.random.default_rng(5)
         d, b, cache_len, slots = 3, 2, 4, 2
-        k_new, v_new = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b)))
-        k_cache, v_cache = t2(rng.standard_normal((d, cache_len))), t2(rng.standard_normal((d, cache_len)))
+        k_new, v_new = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
+        k_cache = t2(rng.standard_normal((1, d, cache_len)))
+        v_cache = t2(rng.standard_normal((1, d, cache_len)))
         u = 1.0 / (b + cache_len)
         weights = FusionWeights(t2(np.full((slots, b), u)), t2(np.full((slots, cache_len), u)))
         k_f, _ = fuse(weights, k_new, v_new, k_cache, v_cache)
-        mean = np.concatenate([k_new.data, k_cache.data], axis=1).mean(axis=1)
+        mean = np.concatenate([k_new.data, k_cache.data], axis=-1).mean(axis=-1)
         for i in range(slots):
-            assert np.max(np.abs(k_f.data[:, i] - mean)) < 1e-12
+            assert np.max(np.abs(k_f.data[..., i] - mean)) < 1e-12
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(6)
@@ -184,9 +187,8 @@ class TestFuse:
         k_new, v_new = rng.standard_normal((d, b)), rng.standard_normal((d, b))
         k_cache, v_cache = rng.standard_normal((d, cache_len)), rng.standard_normal((d, cache_len))
         w_new, w_cache = rng.random((m, b)), rng.random((m, cache_len))
-        k_f, v_f = fuse(
-            FusionWeights(t2(w_new), t2(w_cache)), t2(k_new), t2(v_new), t2(k_cache), t2(v_cache)
-        )
+        k_f, v_f = fuse(FusionWeights(t2(w_new), t2(w_cache)),
+                        *(t2(x[None]) for x in (k_new, v_new, k_cache, v_cache)))
         for i in range(m):
             ks = sum(w_new[i, j] * k_new[:, j] for j in range(b)) + sum(
                 w_cache[i, j] * k_cache[:, j] for j in range(cache_len)
@@ -194,15 +196,15 @@ class TestFuse:
             vs = sum(w_new[i, j] * v_new[:, j] for j in range(b)) + sum(
                 w_cache[i, j] * v_cache[:, j] for j in range(cache_len)
             )
-            assert np.max(np.abs(k_f.data[:, i] - ks)) < 1e-12
-            assert np.max(np.abs(v_f.data[:, i] - vs)) < 1e-12
+            assert np.max(np.abs(k_f.data[0, :, i] - ks)) < 1e-12
+            assert np.max(np.abs(v_f.data[0, :, i] - vs)) < 1e-12
 
     def test_same_weights_hit_keys_and_values(self):
         rng = np.random.default_rng(7)
         d, b, m = 3, 2, 4
         head = new_conv_head(d, m, kernel_size=3, rng=rng)
-        k_new, v_new = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b)))
-        k_cache, v_cache = t2(rng.standard_normal((d, m))), t2(rng.standard_normal((d, m)))
+        k_new, v_new = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
+        k_cache, v_cache = t2(rng.standard_normal((1, d, m))), t2(rng.standard_normal((1, d, m)))
         w = synthesize_weights(k_new, v_new, k_cache, v_cache, head)
         k_f, v_f = fuse(w, k_new, v_new, k_cache, v_cache)
         k_manual = k_new.data @ w.new_weights.data.T + k_cache.data @ w.cache_weights.data.T
@@ -214,26 +216,26 @@ class TestFuse:
         rng = np.random.default_rng(8)
         d, b, m = 4, 3, 5
         head = new_conv_head(d, m, kernel_size=5, rng=rng)
-        k_new, v_new = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b)))
-        k_cache, v_cache = t2(rng.standard_normal((d, m))), t2(rng.standard_normal((d, m)))
+        k_new, v_new = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
+        k_cache, v_cache = t2(rng.standard_normal((1, d, m))), t2(rng.standard_normal((1, d, m)))
         w = synthesize_weights(k_new, v_new, k_cache, v_cache, head)
         k_f, v_f = fuse(w, k_new, v_new, k_cache, v_cache)
-        all_k = np.concatenate([k_new.data, k_cache.data], axis=1)
-        all_v = np.concatenate([v_new.data, v_cache.data], axis=1)
+        all_k = np.concatenate([k_new.data, k_cache.data], axis=-1)
+        all_v = np.concatenate([v_new.data, v_cache.data], axis=-1)
         eps = 1e-12
-        assert (k_f.data <= all_k.max(axis=1, keepdims=True) + eps).all()
-        assert (k_f.data >= all_k.min(axis=1, keepdims=True) - eps).all()
+        assert (k_f.data <= all_k.max(axis=-1, keepdims=True) + eps).all()
+        assert (k_f.data >= all_k.min(axis=-1, keepdims=True) - eps).all()
         assert np.abs(k_f.data).max() <= np.abs(all_k).max() + eps
-        assert (v_f.data <= all_v.max(axis=1, keepdims=True) + eps).all()
+        assert (v_f.data <= all_v.max(axis=-1, keepdims=True) + eps).all()
 
 
     def test_weights_must_cover_the_block_and_the_cache(self):
-        k = Tensor2.zeros(2, 3)
+        k = Tensor2.zeros(1, 2, 3)
         weights = FusionWeights(Tensor2.zeros(4, 2), Tensor2.zeros(4, 3))
         with pytest.raises(ShapeError, match="inner dims differ"):
             fuse(weights, k, k, k, k)
         with pytest.raises(ShapeError, match="inner dims differ"):
-            fuse(weights._replace(new_weights=Tensor2.zeros(4, 3)), k, k, k, Tensor2.zeros(2, 2))
+            fuse(weights._replace(new_weights=Tensor2.zeros(4, 3)), k, k, k, Tensor2.zeros(1, 2, 2))
 
 
 class TestCompressStep:
@@ -242,9 +244,9 @@ class TestCompressStep:
         d, m = 3, 8
         head = new_conv_head(d, m, kernel_size=3, rng=rng)
         cache = KvCache.empty(d, capacity=m)
-        k1, v1 = t2(rng.standard_normal((d, 4))), t2(rng.standard_normal((d, 4)))
+        k1, v1 = t2(rng.standard_normal((1, d, 4))), t2(rng.standard_normal((1, d, 4)))
         cache = compress_step(cache, k1, v1, head)
-        k2, v2 = t2(rng.standard_normal((d, 2))), t2(rng.standard_normal((d, 2)))
+        k2, v2 = t2(rng.standard_normal((1, d, 2))), t2(rng.standard_normal((1, d, 2)))
         stepped = compress_step(cache, k2, v2, head)
         concat = update_concat(cache, k2, v2)
         assert stepped.live_entries == 6
@@ -256,9 +258,9 @@ class TestCompressStep:
         d, m = 3, 4
         head = new_conv_head(d, m, kernel_size=3, rng=rng)
         cache = KvCache.empty(d, capacity=m)
-        k1, v1 = t2(rng.standard_normal((d, 4))), t2(rng.standard_normal((d, 4)))
+        k1, v1 = t2(rng.standard_normal((1, d, 4))), t2(rng.standard_normal((1, d, 4)))
         cache = compress_step(cache, k1, v1, head)
-        k2, v2 = t2(rng.standard_normal((d, 2))), t2(rng.standard_normal((d, 2)))
+        k2, v2 = t2(rng.standard_normal((1, d, 2))), t2(rng.standard_normal((1, d, 2)))
         cache = compress_step(cache, k2, v2, head)
         assert cache.live_entries == m
 
@@ -267,7 +269,7 @@ class TestCompressStep:
         d, m, b = 2, 4, 2
         head = new_conv_head(d, m, kernel_size=3, rng=rng)
         blocks = [
-            (t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b))))
+            (t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b))))
             for _ in range(3)
         ]
         cache = KvCache.empty(d, capacity=m)
@@ -275,8 +277,8 @@ class TestCompressStep:
             cache = compress_step(cache, k, v, head)
 
         # independent composition: concat, concat, then synthesize+fuse
-        ref_k = np.concatenate([blocks[0][0].data, blocks[1][0].data], axis=1)
-        ref_v = np.concatenate([blocks[0][1].data, blocks[1][1].data], axis=1)
+        ref_k = np.concatenate([blocks[0][0].data, blocks[1][0].data], axis=-1)
+        ref_v = np.concatenate([blocks[0][1].data, blocks[1][1].data], axis=-1)
         w = synthesize_weights(blocks[2][0], blocks[2][1], t2(ref_k), t2(ref_v), head)
         k_ref, v_ref = fuse(w, blocks[2][0], blocks[2][1], t2(ref_k), t2(ref_v))
         assert np.array_equal(cache.keys.data, k_ref.data)
@@ -288,7 +290,7 @@ class TestCompressStep:
         head = new_conv_head(d, m, kernel_size=3, rng=rng)
         cache = KvCache.empty(d, capacity=m)
         for i in range(5):
-            k, v = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b)))
+            k, v = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
             cache = compress_step(cache, k, v, head)
             assert cache.live_entries == min((i + 1) * b, m)
 
@@ -298,23 +300,23 @@ class TestCompressStep:
         rng = np.random.default_rng(15)
         d, m, heavy = 3, 4, 2
         head = new_conv_head(d, m - heavy, kernel_size=3, rng=rng)
-        k_cache, v_cache = t2(rng.standard_normal((d, m))), t2(rng.standard_normal((d, m)))
+        k_cache, v_cache = t2(rng.standard_normal((1, d, m))), t2(rng.standard_normal((1, d, m)))
         cache = KvCache(k_cache, v_cache, capacity=m,
-                        rule=KeepRule(heavy=heavy, scores=np.zeros(m)))
-        k_new, v_new = t2(rng.standard_normal((d, 1))), t2(rng.standard_normal((d, 1)))
-        probs = np.zeros((m + 1, 1))
-        probs[m, 0] = 1.0
+                        rule=KeepRule(heavy=heavy, scores=np.zeros((1, m))))
+        k_new, v_new = t2(rng.standard_normal((1, d, 1))), t2(rng.standard_normal((1, d, 1)))
+        probs = np.zeros((1, m + 1, 1))
+        probs[0, m, 0] = 1.0
         out = compress_step(cache, k_new, v_new, head, probs)
         assert out.live_entries == m
         # kept verbatim: the newest cache column (ties favour newer) and the block
-        kept = np.hstack([k_cache.data[:, -1:], k_new.data])
-        assert np.array_equal(out.keys.data[:, :heavy], kept)
-        assert np.array_equal(out.rule.scores, [0.0, 1.0, 0.0, 0.0])
+        kept = np.concatenate([k_cache.data[..., -1:], k_new.data], axis=-1)
+        assert np.array_equal(out.keys.data[..., :heavy], kept)
+        assert np.array_equal(out.rule.scores, [[0.0, 1.0, 0.0, 0.0]])
         eps = 1e-12
         for merged, sources in ((out.keys, k_cache), (out.values, v_cache)):
-            slots, src = merged.data[:, heavy:], sources.data[:, :m - 1]
-            assert (slots <= src.max(axis=1, keepdims=True) + eps).all()
-            assert (slots >= src.min(axis=1, keepdims=True) - eps).all()
+            slots, src = merged.data[..., heavy:], sources.data[..., :m - 1]
+            assert (slots <= src.max(axis=-1, keepdims=True) + eps).all()
+            assert (slots >= src.min(axis=-1, keepdims=True) - eps).all()
 
     def test_slot_capacity_mismatch_rejected(self):
         rng = np.random.default_rng(13)
@@ -334,17 +336,17 @@ class TestCompressorGradients:
         d, b, m, t_q = 3, 2, 4, 3
         head = new_conv_head(d, m, kernel_size=3, rng=rng)
         head.kernels.weights.requires_grad = True
-        k_new, v_new = t2(rng.standard_normal((d, b))), t2(rng.standard_normal((d, b)))
-        k_cache, v_cache = t2(rng.standard_normal((d, m))), t2(rng.standard_normal((d, m)))
-        q = t2(rng.standard_normal((d, t_q)))
+        k_new, v_new = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
+        k_cache, v_cache = t2(rng.standard_normal((1, d, m))), t2(rng.standard_normal((1, d, m)))
+        q = t2(rng.standard_normal((1, d, t_q)))
         targets = np.array([0, 2, 1])
 
         def loss():
             w = synthesize_weights(k_new, v_new, k_cache, v_cache, head)
             k_f, v_f = fuse(w, k_new, v_new, k_cache, v_cache)
             probs = softmax_cols(matmul(transpose(k_f), q))
-            out = matmul(v_f, probs)
-            return cross_entropy_cols(out, targets)
+            out = matmul(v_f, probs)  # (1, d, t_q): the loss reads the one sequence
+            return cross_entropy_cols(custom_op([out], out.data[0], lambda g: (g[None],)), targets)
 
         with GradTape() as tape:
             value = loss()

@@ -453,8 +453,8 @@ class TestBatchedSequences:
                                        err_msg=name_)
 
     @pytest.mark.parametrize("name", list(POLICIES))
-    def test_one_sequence_keeps_two_dimensional_caches(self, name):
-        # a (1, T) batch is the one-sequence path: 2-D caches and 1-D heavy-hitter scores
+    def test_one_sequence_is_a_batch_of_one(self, name):
+        # one sequence runs the batch's layout: (1, d, cols) caches, (1, cols) scores
         spec = POLICIES[name]
         params = model_for(spec)
         tokens = rand_tokens(np.random.default_rng(4), 20)
@@ -463,9 +463,11 @@ class TestBatchedSequences:
         streams.flush()
         _, caches = forward_segmented(params, tokens, spec, 4)
         for layer, cache in zip(streams.layers, caches):
-            assert layer.cache.keys.shape == cache.keys.shape == (TINY.d_model, cache.live_entries)
+            live = cache.live_entries
+            assert layer.cache.keys.shape == cache.keys.shape == (1, TINY.d_model, live)
+            assert cache.values.shape == (1, TINY.d_model, live)
             if spec.rule.heavy:
-                assert cache.rule.scores.shape == (cache.live_entries,)
+                assert cache.rule.scores.shape == (1, live)
         assert np.array_equal(sequence_loss(params, tokens, spec, 4).data,
                               sequence_loss(params, tokens[None], spec, 4).data)
 

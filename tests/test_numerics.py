@@ -36,7 +36,6 @@ from convkv.numerics import (
     relu,
     rms_norm_cols,
     row_normalize,
-    scale,
     select_cols,
     slice_cols,
     softmax_cols,
@@ -65,6 +64,17 @@ class TestTensor2:
     def test_rejects_non_2d(self):
         with pytest.raises(ShapeError):
             Tensor2(np.zeros(3))
+
+    def test_takes_matrices_or_one_leading_axis_of_them(self):
+        for shape in ((2, 3), (1, 2, 3), (4, 2, 3)):
+            t = Tensor2(np.ones(shape))
+            assert t.shape == shape and (t.rows, t.cols) == (2, 3)
+            assert t.data.flags["C_CONTIGUOUS"]
+        for shape in ((3,), (1, 1, 2, 3)):
+            with pytest.raises(ShapeError, match="\\(rows, cols\\) or \\(n, rows, cols\\)"):
+                Tensor2(np.zeros(shape))
+        with pytest.raises(NonFiniteError):
+            Tensor2(np.array([[[0.0, np.nan]]]))
 
     def test_rejects_nan_and_inf(self):
         with pytest.raises(NonFiniteError):
@@ -269,7 +279,6 @@ class TestStackingAndSlicing:
 # primitives without a head axis; each gets a (2, 2, 3) head-batched operand
 TWO_D_ONLY = {
     "slice_cols": lambda x: slice_cols(x, 0, 1),
-    "row_normalize": lambda x: row_normalize(relu(x)),
     "rms_norm_cols": lambda x: rms_norm_cols(x, Tensor2(np.ones((2, 1)))),
     "cross_entropy_cols": lambda x: cross_entropy_cols(x, np.zeros(3, dtype=int)),
 }
@@ -286,9 +295,16 @@ class TestRankGuard:
 # primitives that take (n, rows, cols) as n sequences: op(batch)[i] == op(batch[i])
 PER_SEQUENCE = {
     "vstack": lambda x: vstack([x, x]),
-    "select_cols": lambda x: select_cols(x, np.array([2, 0, 2])),
+    "row_normalize": lambda x: row_normalize(relu(x)),
+    # one row of indices that every sequence shares; a lone sequence takes it 1-D
+    "select_cols": lambda x: select_cols(x, np.array([2, 0, 2])[(None,) * (x.data.ndim - 2)]),
     "conv1d": lambda x: conv1d(x, ConvKernels(Tensor2(np.arange(6.0).reshape(1, 6)), c_in=2, k=3)),
 }
+
+
+def only_sequence(x: Tensor2) -> Tensor2:
+    """The (rows, cols) matrix of a (1, rows, cols) batch of one, as an op."""
+    return custom_op([x], x.data[0], lambda g: (g[None],))
 
 
 def weighted_sum(out: Tensor2, weights: np.ndarray) -> Tensor2:
@@ -328,8 +344,9 @@ class TestSequenceAxis:
             want = np.zeros((3, 4))
             np.add.at(want.T, picks[i], weights[i].T)
             assert np.array_equal(grad[i], want)
-        with pytest.raises(ShapeError, match="select_cols: indices must be 1-D or \\(n, k\\)"):
-            select_cols(batch, np.zeros((3, 1), dtype=int))
+        for bad in (np.zeros((3, 1), dtype=int), np.zeros(1, dtype=int)):
+            with pytest.raises(ShapeError, match="select_cols: indices must be 1-D or \\(n, k\\)"):
+                select_cols(batch, bad)
 
 
 # one call per shape or range error of a primitive, with the start of its message
@@ -476,7 +493,7 @@ class TestGradients:
 
         def loss():
             q = matmul(wq, x)
-            probs = softmax_cols(scale(matmul(transpose(k), q), 0.5))
+            probs = softmax_cols(matmul(transpose(k), q), 0.5)
             out = matmul(v, probs)
             return cross_entropy_cols(out, np.array([1, 0, 3, 2, 1, 0]))
 
@@ -532,7 +549,7 @@ class TestGradients:
                     hstack([vc, vn]),
                     n_cached,
                 )
-                return cross_entropy_cols(merge_heads(out), np.array([1, 6, 3])[:b])
+                return cross_entropy_cols(only_sequence(merge_heads(out)), np.array([1, 6, 3])[:b])
 
             fd_check(loss, [q, k_new, v_new, k_cached, v_cached])
 
@@ -556,7 +573,7 @@ class TestGradients:
                 outs.append(attend(split_heads(q, n_heads, head_dim), context_k, context_v,
                                    n_context)[0])
                 n_context += q.cols
-            return cross_entropy_cols(merge_heads(hstack(outs)), np.array([1, 6, 3]))
+            return cross_entropy_cols(only_sequence(merge_heads(hstack(outs))), np.array([1, 6, 3]))
 
         fd_check(loss, [k_cached, v_cached, *qs, *ks, *vs])
 
@@ -571,7 +588,7 @@ class TestGradients:
 
         def loss():
             out = project_qkv(x, params, np.array([3, 4, 5]), RopeConfig())[index]
-            return cross_entropy_cols(merge_heads(out), np.array([1, 6, 3]))
+            return cross_entropy_cols(only_sequence(merge_heads(out)), np.array([1, 6, 3]))
 
         fd_check(loss, [x, weight])
         with GradTape() as tape:
@@ -744,7 +761,7 @@ class TestTapeProtocol:
     def test_replay_twice_without_reset(self):
         w = t2([[1.0]], trainable=True)
         with GradTape() as tape:
-            out = scale(w, 2.0)
+            out = matmul(w, t2([[2.0]]))
         backward(tape, out)
         with pytest.raises(TapeError):
             backward(tape, out)
@@ -754,16 +771,16 @@ class TestTapeProtocol:
     def test_zero_upstream_contributes_zero(self):
         w = t2([[1.0]], trainable=True)
         with GradTape() as tape:
-            used = scale(w, 3.0)
-            scale(used, 10.0)  # dangling op, never reaches the loss
-            loss = cross_entropy_cols(vstack([used, scale(used, 0.0)]), np.array([0]))
+            used = matmul(w, t2([[3.0]]))
+            matmul(used, t2([[10.0]]))  # dangling op, never reaches the loss
+            loss = cross_entropy_cols(vstack([used, matmul(used, t2([[0.0]]))]), np.array([0]))
         grads = backward(tape, loss)
         assert w in grads
 
     def test_gradient_accumulates_across_uses(self):
         w = t2([[2.0]], trainable=True)
         with GradTape() as tape:
-            out = add(scale(w, 1.0), scale(w, 1.0))
+            out = add(relu(w), relu(w))
             loss = cross_entropy_cols(vstack([out, Tensor2.zeros(1, 1)]), np.array([1]))
         grads = backward(tape, loss)
         assert grads[w].shape == (1, 1)
@@ -785,6 +802,6 @@ class TestTapeProtocol:
     def test_scalar_seed_needs_scalar_output(self):
         w = t2([[1.0, 2.0]], trainable=True)
         with GradTape() as tape:
-            out = scale(w, 2.0)
+            out = relu(w)
         with pytest.raises(ShapeError):
             backward(tape, out)
