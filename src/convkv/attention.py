@@ -9,8 +9,7 @@ extension) lives here too.
 
 Heads ride a leading axis: ``project_qkv`` makes every head's (head_dim, T)
 rotated q and k, raw k and v with one GEMM and one rotation, ``attend`` runs
-every head in one call, and ``merge_heads`` goes back to (1, n_heads * head_dim, T)
-per sequence.
+every head in one call, and ``merge_heads`` goes back to (n_seq, n_heads * head_dim, T).
 """
 
 from __future__ import annotations

@@ -170,6 +170,8 @@ def fuse(
     ShapeError when the weights do not cover the block or the cache.
     """
     n = len(k_new.data)
+    if any(w.rows % n for w in weights):
+        raise ShapeError(f"fuse: weight rows {weights[0].rows} do not split into {n} sequences")
 
     def per_sequence_t(w: Tensor2) -> Tensor2:  # (n * slots, cols) -> (n, cols, slots), one op
         return custom_op([w], np.ascontiguousarray(w.data.reshape(n, -1, w.cols).swapaxes(-1, -2)),

@@ -213,9 +213,9 @@ class LayerStream:
     Up to B raw key/value columns wait in the staging buffer, head-batched as
     (n_seq * H, head_dim, b) chunks, until ``flush`` hands them to the policy
     as one (n_seq, H * head_dim, b) block, the layout of the cache's keys and
-    values (n_seq = 1 for one sequence); ``_Streams`` flushes when
-    the next token arrives after a full block, so the cache changes once per
-    block however the tokens arrive. Queries attend to cache + staged columns
+    values (n_seq = 1 for one sequence); ``_Streams`` flushes when the next
+    token arrives after a full block, so the cache changes once per block
+    however the tokens arrive. Queries attend to cache + staged columns
     + their own chunk: at most M + B columns per head for a bounded policy.
     ``context`` is one (keys, values) pair of (n_seq * H, head_dim, n) tensors
     holding the cache + staged columns, keys rotated as attention sees them.
@@ -459,10 +459,9 @@ def forward_segmented(
     One stream is fed the whole sequence and then flushed, so every block,
     a short final one included, goes through the policy once it has been
     attended to; the returned caches, (1, d, cols) per layer, hold the whole
-    sequence. When ``trace``
-    is given, one record per (block, layer) of live cache entries and
-    allocated attention-score entries is appended via its ``record_block``
-    hook. A layer output that overflows raises NonFiniteError naming the
+    sequence. When ``trace`` is given, one record per (block, layer) of live
+    cache entries and allocated attention-score entries is appended via its
+    ``record_block`` hook. A layer output that overflows raises NonFiniteError naming the
     block (counted from ``block_offset``, as in the trace) and the layer.
     """
     tokens = _token_ids(params, tokens, "token sequence")

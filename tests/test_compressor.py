@@ -236,6 +236,9 @@ class TestFuse:
             fuse(weights, k, k, k, k)
         with pytest.raises(ShapeError, match="inner dims differ"):
             fuse(weights._replace(new_weights=Tensor2.zeros(4, 3)), k, k, k, Tensor2.zeros(1, 2, 2))
+        with pytest.raises(ShapeError, match="weight rows 3 do not split into 2 sequences"):
+            pair = Tensor2.zeros(2, 2, 3)
+            fuse(FusionWeights(Tensor2.zeros(3, 3), Tensor2.zeros(3, 3)), pair, pair, pair, pair)
 
 
 class TestCompressStep:
