@@ -129,13 +129,17 @@ def project_qkv(x: Tensor2, params: AttentionParams, positions: np.ndarray,
     qkv = ((w_qkv @ x.data).reshape(3, params.n_heads, params.head_dim, n_seq, t_len)
            .transpose(0, 3, 1, 2, 4).reshape(3, n_seq * params.n_heads, params.head_dim, t_len))
     q_rot, k_rot = _rotate(qkv[:2], c, s)
+    n_cols = x.cols
 
     def output(data: np.ndarray, w: Tensor2, rotated: bool) -> Tensor2:
+        rows = w.rows
+        wt = w.data.swapaxes(-1, -2) if x.requires_grad else None
+        xt = x.data.swapaxes(-1, -2) if w.requires_grad else None
+
         def vjp(g):
-            g = (_rotate(g, c, -s) if rotated else g).reshape(n_seq, w.rows, t_len)
-            g = g.swapaxes(0, 1).reshape(w.rows, x.cols)
-            gx = w.data.swapaxes(-1, -2) @ g if x.requires_grad else None
-            return gx, (g @ x.data.swapaxes(-1, -2) if w.requires_grad else None)
+            g = (_rotate(g, c, -s) if rotated else g).reshape(n_seq, rows, t_len)
+            g = g.swapaxes(0, 1).reshape(rows, n_cols)
+            return None if wt is None else wt @ g, None if xt is None else g @ xt
 
         return custom_op([x, w], data, vjp)
 

@@ -147,8 +147,9 @@ def synthesize_weights(
     at = (np.arange(n)[:, None], slice(None), picked)  # indexes an (n, picked, slots) view
     full = np.zeros((n, head.slots, width))
     full[at] = weights.data.swapaxes(-1, -2)
+    shape = full.shape
     weights = custom_op([weights], full.reshape(-1, width), lambda g: (
-        np.ascontiguousarray(g.reshape(full.shape)[at].swapaxes(-1, -2)),))
+        np.ascontiguousarray(g.reshape(shape)[at].swapaxes(-1, -2)),))
     return FusionWeights(
         new_weights=slice_cols(weights, 0, b),
         cache_weights=slice_cols(weights, b, weights.cols),
@@ -174,8 +175,9 @@ def fuse(
         raise ShapeError(f"fuse: weight rows {weights[0].rows} do not split into {n} sequences")
 
     def per_sequence_t(w: Tensor2) -> Tensor2:  # (n * slots, cols) -> (n, cols, slots), one op
+        shape = w.shape
         return custom_op([w], np.ascontiguousarray(w.data.reshape(n, -1, w.cols).swapaxes(-1, -2)),
-                         lambda g: (g.swapaxes(-1, -2).reshape(w.shape),))
+                         lambda g: (g.swapaxes(-1, -2).reshape(shape),))
 
     wn_t, wc_t = (per_sequence_t(w) for w in weights)
     k_fused = add(matmul(k_new, wn_t), matmul(k_cache, wc_t))

@@ -9,9 +9,13 @@ reverse.
 
 Only the operations needed on the compressor calibration path carry
 gradients; this is deliberately not a general autodiff system. A vjp keeps
-what its gradients need and no more: a recorded ``conv1d`` keeps no im2col,
-k shifted copies of its input; the kernel gradient rebuilds it from the
-input, which the tape holds anyway.
+what its gradients need and no more: arrays and flags, never an operand
+tensor, and an operand's data only when the other operand's gradient reads
+it. The tape keys op results by node id rather than holding them, so an
+output that no vjp reads is freed while the tape still records. A recorded
+``conv1d`` keeps no im2col, k shifted copies of its input: the kernel
+gradient rebuilds it from the input, which it keeps only when the kernels
+are trainable.
 
 A tensor may carry one leading axis, of heads or sequences, so one call
 serves them all; ``rows`` and ``cols`` are then the last two axes.
@@ -24,6 +28,7 @@ requires 2-D operands and raises ShapeError on anything else.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -62,9 +67,12 @@ class Tensor2:
     and raises NonFiniteError at construction. Op results skip re-validation;
     no op makes an infinite entry on purpose, as attention's -inf causal mask
     lives only inside ``softmax_cols``.
+
+    ``node`` is the id a ``GradTape`` gave the op result when it recorded the
+    op, None for a tensor no tape recorded; ``backward`` keys gradients by it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C", copy=True)
@@ -75,6 +83,7 @@ class Tensor2:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.node: int | None = None
 
     @classmethod
     def zeros(cls, *shape: int) -> "Tensor2":
@@ -103,6 +112,7 @@ def _wrap(arr: np.ndarray, requires_grad: bool) -> Tensor2:
     t.data = arr
     t.requires_grad = requires_grad
     t.grad = None
+    t.node = None
     return t
 
 
@@ -111,6 +121,7 @@ def _wrap(arr: np.ndarray, requires_grad: bool) -> Tensor2:
 _TapeVjp = Callable[[np.ndarray], tuple]
 
 _LOCAL = threading.local()
+_NODE_IDS = itertools.count()  # one id per recorded op result, unique in the process
 
 
 def _tape_stack() -> list:
@@ -132,10 +143,18 @@ class GradTape:
     One tape per training step, single writer. Entering the context makes the
     tape active for the current thread; ops then record themselves whenever
     an operand (transitively) requires gradients.
+
+    An entry holds what its vjp reads and no more: one key per input, the
+    output's node id and the vjp. An input this tape produced since its last
+    ``reset`` is keyed by its node id; any other input is a leaf, keyed by its
+    ``Tensor2`` when it requires gradients and by None when it does not. So
+    the tape pins no op output and no frozen operand, only the arrays its
+    vjps keep.
     """
 
     def __init__(self):
-        self._entries: list[tuple[tuple[Tensor2, ...], Tensor2, _TapeVjp]] = []
+        self._entries: list[tuple[tuple[int | Tensor2 | None, ...], int, _TapeVjp]] = []
+        self._nodes: set[int] = set()
         self._consumed = False
 
     def __enter__(self) -> "GradTape":
@@ -149,10 +168,15 @@ class GradTape:
         stack.pop()
 
     def _record(self, inputs: tuple[Tensor2, ...], output: Tensor2, vjp: _TapeVjp) -> None:
-        self._entries.append((inputs, output, vjp))
+        nodes = self._nodes
+        keys = tuple(t.node if t.node in nodes else t if t.requires_grad else None for t in inputs)
+        output.node = next(_NODE_IDS)
+        nodes.add(output.node)
+        self._entries.append((keys, output.node, vjp))
 
     def reset(self) -> None:
         self._entries.clear()
+        self._nodes.clear()
         self._consumed = False
 
     def __len__(self) -> int:
@@ -163,11 +187,12 @@ def backward(tape: GradTape, output: Tensor2) -> dict[Tensor2, np.ndarray]:
     """Replay ``tape`` in reverse from the 1x1 ``output``, returning gradients
     for trainable leaves.
 
-    Gradients are accumulated per tensor; ops whose result never received an
-    upstream gradient contribute nothing. A vjp may return None for an
-    operand that needs no gradient (``requires_grad`` False), and ops with
-    several operands do, so a frozen weight costs no gradient work. The tape
-    must be ``reset()`` before it can be replayed again.
+    Gradients are accumulated per node id, or per tensor for a leaf; ops whose
+    result never received an upstream gradient contribute nothing. A vjp may
+    return None for an operand that needs no gradient (``requires_grad``
+    False when the op ran), and ops with several operands do, so a frozen
+    weight costs no gradient work. Each leaf's gradient is also stored as its
+    ``.grad``. The tape must be ``reset()`` before it can be replayed again.
     """
     if tape._consumed:
         raise TapeError("tape already replayed; call reset() before reuse")
@@ -176,21 +201,21 @@ def backward(tape: GradTape, output: Tensor2) -> dict[Tensor2, np.ndarray]:
     if output.shape != (1, 1):
         raise ShapeError(f"backward needs a 1x1 output, got {output.shape}")
 
-    grads: dict[Tensor2, np.ndarray] = {output: np.ones((1, 1))}
-    produced = {id(entry[1]) for entry in tape._entries}
-    for inputs, out, vjp in reversed(tape._entries):
+    root = output.node if output.node in tape._nodes else output
+    grads: dict[int | Tensor2, np.ndarray] = {root: np.ones((1, 1))}
+    for keys, out, vjp in reversed(tape._entries):
         g = grads.pop(out, None)
         if g is None:
             continue  # zero upstream gradient: contributes zero
-        for tensor, gt in zip(inputs, vjp(g)):
-            if gt is None or not tensor.requires_grad:
+        for key, gt in zip(keys, vjp(g)):
+            if gt is None or key is None:
                 continue
-            if tensor in grads:
-                grads[tensor] = grads[tensor] + gt
+            if key in grads:
+                grads[key] = grads[key] + gt
             else:
-                grads[tensor] = gt
+                grads[key] = gt
     tape._consumed = True
-    leaves = {t: g for t, g in grads.items() if id(t) not in produced}
+    leaves = {t: g for t, g in grads.items() if isinstance(t, Tensor2)}
     for t, g in leaves.items():
         t.grad = g
     return leaves
@@ -226,21 +251,20 @@ def _require_2d(op: str, *tensors: Tensor2) -> None:
 def matmul(a: Tensor2, b: Tensor2) -> Tensor2:
     """Matrix product a @ b, per head when both carry the same head axis.
 
-    The vjp computes the gradient of a frozen operand as None.
+    The vjp computes the gradient of a frozen operand as None, and keeps an
+    operand's data only when the other operand's gradient reads it.
     """
     if a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul: leading dims differ ({a.shape} @ {b.shape})")
     if a.cols != b.rows:
         raise ShapeError(f"matmul: inner dims differ ({a.shape} @ {b.shape})")
-    ad, bd = a.data, b.data
+    at = a.data.swapaxes(-1, -2) if b.requires_grad else None
+    bt = b.data.swapaxes(-1, -2) if a.requires_grad else None
 
     def vjp(g):
-        return (
-            g @ bd.swapaxes(-1, -2) if a.requires_grad else None,
-            ad.swapaxes(-1, -2) @ g if b.requires_grad else None,
-        )
+        return (None if bt is None else g @ bt, None if at is None else at @ g)
 
-    return _result(ad @ bd, (a, b), vjp)
+    return _result(a.data @ b.data, (a, b), vjp)
 
 
 def transpose(a: Tensor2) -> Tensor2:
@@ -346,11 +370,12 @@ def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
     both ends, so output column t depends only on input columns
     t-(k-1)/2 .. t+(k-1)/2; an (n, c_in, T) input is n sequences, padded one
     by one and convolved by one GEMM over their im2col. A recorded conv keeps
-    no array beyond its output: not the k times larger im2col, which the
-    kernel gradient rebuilds from the input (the tape holds it anyway) and
-    frees when the vjp returns. The vjp skips the input gradient (the
-    gradient convolved by the tap-flipped kernels) when the input is frozen,
-    and the kernel gradient when the kernels are; either comes back as None.
+    no im2col, k times the size of its input: the kernel gradient rebuilds it
+    from the input and frees it when the vjp returns. The vjp skips the input
+    gradient (the gradient convolved by the tap-flipped kernels) when the
+    input is frozen, and the kernel gradient when the kernels are; either
+    comes back as None. It keeps the input only for the kernel gradient and
+    the kernels only for the input gradient.
     """
     _require_2d("conv1d", kernels.weights)
     if x.rows != kernels.c_in:
@@ -362,15 +387,18 @@ def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
     w = kernels.weights
     seqs = x.data.reshape(n, c_in, t_len).swapaxes(0, 1)  # (c_in, n, T), a view
     out = (w.data @ _im2col(seqs, k)).reshape(c_out, n, t_len).swapaxes(0, 1).reshape(x.shape[:-2] + (c_out, t_len))
+    x_shape = x.shape
+    wd = w.data if x.requires_grad else None  # read by the input gradient only
+    seqs = seqs if w.requires_grad else None  # read by the kernel gradient only
 
     def vjp(g):
         g = g.reshape(n, c_out, t_len).swapaxes(0, 1).reshape(c_out, n * t_len)
-        gw = g @ _im2col(seqs, k).T if w.requires_grad else None
-        if not x.requires_grad:
+        gw = None if seqs is None else g @ _im2col(seqs, k).T
+        if wd is None:
             return None, gw
         gcols = _im2col(g.reshape(c_out, n, t_len), k)
-        flipped = w.data.reshape(c_out, c_in, k)[..., ::-1].transpose(1, 0, 2).reshape(c_in, -1)
-        return (flipped @ gcols).reshape(c_in, n, t_len).swapaxes(0, 1).reshape(x.shape), gw
+        flipped = wd.reshape(c_out, c_in, k)[..., ::-1].transpose(1, 0, 2).reshape(c_in, -1)
+        return (flipped @ gcols).reshape(c_in, n, t_len).swapaxes(0, 1).reshape(x_shape), gw
 
     return _result(out, (x, w), vjp)
 
@@ -416,8 +444,10 @@ def hstack(parts: Sequence[Tensor2]) -> Tensor2:
         if p.shape[:-1] != lead:
             raise ShapeError(f"hstack: shapes differ before the last axis ({lead} vs {p.shape})")
 
+    widths = [p.cols for p in parts]
+
     def vjp(g):
-        offsets = np.cumsum([0] + [p.cols for p in parts])
+        offsets = np.cumsum([0] + widths)
         return tuple(g[..., a:b] for a, b in zip(offsets[:-1], offsets[1:]))
 
     return _result(np.concatenate([p.data for p in parts], axis=-1), parts, vjp)
@@ -436,7 +466,7 @@ def vstack(parts: Sequence[Tensor2]) -> Tensor2:
     offsets = np.cumsum([0] + heights)
 
     def vjp(g):
-        return tuple(g[..., offsets[i]:offsets[i + 1], :] for i in range(len(parts)))
+        return tuple(g[..., a:b, :] for a, b in zip(offsets[:-1], offsets[1:]))
 
     return _result(np.concatenate([p.data for p in parts], axis=-2), parts, vjp)
 
@@ -498,17 +528,18 @@ def rms_norm_cols(x: Tensor2, gain: Tensor2) -> Tensor2:
     # the column mean as numpy's .mean computes it, without its Python wrapper
     r = np.sqrt(np.add.reduce(x.data ** 2, axis=0) / rows + RMS_EPS)
     u = x.data / r
-    gd = gain.data
+    gain_grad = gain.requires_grad
+    gd = gain.data if x.requires_grad else None  # read by the input gradient only
 
     def vjp(g):
-        ggain = (g * u).sum(axis=1, keepdims=True) if gain.requires_grad else None
-        if not x.requires_grad:
+        ggain = (g * u).sum(axis=1, keepdims=True) if gain_grad else None
+        if gd is None:
             return None, ggain
         gg = g * gd
         gx = gg / r - u * ((np.add.reduce(gg * u, axis=0) / rows) / r)
         return gx, ggain
 
-    return _result(gd * u, (x, gain), vjp)
+    return _result(gain.data * u, (x, gain), vjp)
 
 
 def cross_entropy_cols(logits: Tensor2, targets: np.ndarray) -> Tensor2:

@@ -8,16 +8,20 @@ into a temporary directory, so files that are not committed never reach a
 run and the repository's ``.git`` is left as it is. For every workload the
 script runs ``benchmarks/run.py --trace 0`` once per side for each of
 ``--pairs`` seeds, alternating which side goes first, then one
-``--trace 1`` run per side. The output, written at the repository root,
-holds every result line, each side's median and q1-q3 of every end-to-end
-metric in ``BENCHMARK.json``, the pairs the change won on each, the traced
-result lines, the ``environment`` line and both commit ids. It needs only
-the standard library and git; a 33 s run takes about 40 s.
+``--trace 1`` run per side. Each run also records the minor page faults
+and CPU seconds of its process, from ``getrusage(RUSAGE_CHILDREN)`` taken
+before and after it. The output, written at the repository root, holds
+every result line, each side's median and q1-q3 of every end-to-end metric
+in ``BENCHMARK.json`` and of the page faults and CPU seconds, the pairs the
+change won on each, the traced result lines, the ``environment`` line and
+both commit ids. It needs only the standard library and git; a 33 s run
+takes about 40 s.
 """
 
 import argparse
 import io
 import json
+import resource
 import shutil
 import statistics
 import subprocess
@@ -28,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("prefill_long", "decode_stream", "calibrate")
+RUSAGE = [{"name": "minflt", "better": "lower"}, {"name": "cpu_s", "better": "lower"}]
 
 
 def git(*args: str) -> bytes:
@@ -40,12 +45,17 @@ def unpack(commit: str, into: Path) -> None:
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run: its result JSON, its report lines by name and its environment."""
+    """One benchmark run: its result JSON, its report lines by name, its environment,
+    and the minor page faults and CPU seconds of its process."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.splitlines()
-    out = {"seed": seed, "returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
+    out = {"seed": seed, "returncode": proc.returncode, "stderr": proc.stderr[-2000:],
+           "minflt": after.ru_minflt - before.ru_minflt,
+           "cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)}
     if proc.returncode == 0 and lines:
         out["result"] = json.loads(lines[-1])
         out["report"] = {
@@ -64,13 +74,15 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: each side's spread, the change's wins and the
-    median difference against the parent's q1-q3 width."""
+    """Per end-to-end metric, and per ``RUSAGE`` count of a run: each side's
+    spread, the change's wins and the median difference against the parent's
+    q1-q3 width."""
     summary = {}
-    for metric in metrics:
+    for metric in metrics + RUSAGE:
         name, higher = metric["name"], metric["better"] == "higher"
         values = {
-            side: [p[side]["result"]["metrics"][name]["value"] for p in pairs if "result" in p[side]]
+            side: [p[side][name] if metric in RUSAGE else p[side]["result"]["metrics"][name]["value"]
+                   for p in pairs if "result" in p[side]]
             for side in ("parent", "change")
         }
         if not all(values.values()):
@@ -124,7 +136,8 @@ def main(argv=None) -> int:
                     pair[side] = run(trees[side], workload, seed, args.seconds, 0)
                     report["environment"] = report["environment"] or pair[side].get("environment")
                     tok_s = pair[side].get("report", {}).get("tok_s")
-                    print(f"{workload} seed {seed} {side}: tok_s {tok_s}", file=sys.stderr)
+                    print(f"{workload} seed {seed} {side}: tok_s {tok_s} minflt {pair[side]['minflt']} "
+                          f"cpu_s {pair[side]['cpu_s']:.1f}", file=sys.stderr)
                 pairs.append(pair)
             traced = {side: run(trees[side], workload, args.first_seed, args.seconds, 1)
                       for side in commits}
