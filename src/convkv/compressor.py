@@ -145,9 +145,9 @@ def synthesize_weights(
     weights = row_normalize(relu(conv1d(stacked, head.kernels)))
     # back to every column, 0 where nothing merges: (n, slots, width) as (n * slots, width)
     at = (np.arange(n)[:, None], slice(None), picked)  # indexes an (n, picked, slots) view
-    full = np.zeros((n, head.slots, width))
+    shape = (n, head.slots, width)
+    full = np.zeros(shape)
     full[at] = weights.data.swapaxes(-1, -2)
-    shape = full.shape
     weights = custom_op([weights], full.reshape(-1, width), lambda g: (
         np.ascontiguousarray(g.reshape(shape)[at].swapaxes(-1, -2)),))
     return FusionWeights(
