@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -100,10 +101,9 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():  # fh.read(n) would allocate n first
         raise CheckpointError(f"checkpoint truncated in its {what}")
-    return data
+    return fh.read(n)
 
 
 def _read_header(fh) -> dict:

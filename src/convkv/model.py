@@ -5,10 +5,11 @@ vocabulary of 256, and a tied input/output embedding. Long inputs stream
 block by block through per-layer KV caches, so the attention working set
 stays at block x (cache + block) regardless of sequence length; which cache
 columns survive between blocks is the policy's call. Prefill, the training
-loss and decoding all feed one ``_Streams``, the loss a batch of sequences
-side by side: a full block reaches the policies when the next token arrives.
-Every cache holds (n, d, cols) keys and values, one sequence being a batch
-of one, so a single sequence and a batch share every op and update.
+loss and decoding all feed one ``_Streams``; prefill, perplexity's windows and
+the loss run a batch of sequences side by side, one sequence being a batch of
+one, so every cache holds (n, d, cols) keys and values and a batch shares
+every op and update. A full block reaches the policies when the next token
+arrives. Perplexity and the loss share one next-token cross entropy.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .numerics import (
 from .policies import LayerPolicy, PolicySpec
 
 BYTE_VOCAB = 256
+_EVAL_GROUP_TOKENS = 4096  # see ``perplexity``
 
 
 @dataclass(frozen=True)
@@ -373,11 +375,11 @@ class _Streams:
     first use and reused; logits that overflow raise NonFiniteError naming
     the block. ``detach_cache`` cuts the gradient graph at each flush;
     ``trace`` gets one ``record_block`` per flush, with the attention entries
-    of the block's last chunk and blocks counted from ``block_offset``.
+    of the block's last chunk: one record per (block, layer) of all sequences.
     """
 
     def __init__(self, params: ModelParams, policy: PolicySpec, block_size: int, *,
-                 n_seq: int = 1, detach_cache: bool = False, trace=None, block_offset: int = 0):
+                 n_seq: int = 1, detach_cache: bool = False, trace=None):
         self.params = params
         self.layers = [
             LayerStream(lp, lp.empty_cache(params.config.d_model, n_seq), block_size)
@@ -387,7 +389,6 @@ class _Streams:
         self.block_size = block_size
         self.detach_cache = detach_cache
         self.trace = trace
-        self.block_offset = block_offset
         self.unembed: Tensor2 | None = None
         self._attn_entries: list[int] = []
 
@@ -403,7 +404,7 @@ class _Streams:
                 self.flush()
             stop = min(start + self.block_size - offset, t_len)
             positions = np.arange(self.position, self.position + stop - start)
-            block = self.block_offset + self.position // self.block_size
+            block = self.position // self.block_size
             h, self._attn_entries = _forward_chunk(
                 self.params, self.layers, tokens[:, start:stop].ravel(), positions, block
             )
@@ -421,7 +422,7 @@ class _Streams:
     def flush(self) -> None:
         """Hand every layer's staged columns to its policy; a NonFiniteError is
         raised again naming the block and the layer, as in ``_forward_chunk``."""
-        block = self.block_offset + (self.position - 1) // self.block_size
+        block = (self.position - 1) // self.block_size
         for index, stream in enumerate(self.layers):
             try:
                 stream.flush(self.detach_cache)
@@ -452,23 +453,32 @@ def forward_segmented(
     block_size: int,
     *,
     trace=None,
-    block_offset: int = 0,
 ) -> tuple[Tensor2, list[KvCache]]:
-    """Run the model over ``tokens`` in blocks, returning logits per position.
+    """Run the model over ``tokens``, (T,) or (n, T), in blocks, returning
+    logits per position in ``_Streams.feed``'s column order.
 
-    One stream is fed the whole sequence and then flushed, so every block,
+    One stream is fed the sequences side by side and then flushed, so every block,
     a short final one included, goes through the policy once it has been
-    attended to; the returned caches, (1, d, cols) per layer, hold the whole
-    sequence. When ``trace`` is given, one record per (block, layer) of live
+    attended to; the returned caches, (n, d, cols) per layer, hold the whole
+    sequences. When ``trace`` is given, one record per (block, layer) of live
     cache entries and allocated attention-score entries is appended via its
-    ``record_block`` hook. A layer output that overflows raises NonFiniteError naming the
-    block (counted from ``block_offset``, as in the trace) and the layer.
+    ``record_block`` hook. A layer output that overflows raises NonFiniteError
+    naming the block (counted within the sequence, as in the trace) and the layer.
     """
-    tokens = _token_ids(params, tokens, "token sequence")
-    streams = _Streams(params, policy, block_size, trace=trace, block_offset=block_offset)
-    logits = streams.feed(tokens)
+    batch = _token_ids(params, np.atleast_2d(tokens), "token sequence", ndim=2)
+    streams = _Streams(params, policy, block_size, n_seq=len(batch), trace=trace)
+    logits = streams.feed(batch)
     streams.flush()
     return logits, [s.cache for s in streams.layers]
+
+
+def _next_token_nll(logits: Tensor2, batch: np.ndarray, block_size: int) -> Tensor2:
+    """Mean next-token cross entropy of an (n, T) ``batch`` from logits in ``feed``'s order."""
+    # the flat (sequence, position) index of each logits column: block after block
+    order = np.argsort(np.broadcast_to(np.arange(batch.shape[1]) // block_size, batch.shape),
+                       axis=None, kind="stable")
+    cols = np.flatnonzero(order % batch.shape[1] != batch.shape[1] - 1)  # a next token follows
+    return cross_entropy_cols(select_cols(logits, cols), batch.ravel()[order[cols] + 1])
 
 
 def sequence_loss(
@@ -490,14 +500,8 @@ def sequence_loss(
     batch = _token_ids(params, np.atleast_2d(tokens), "token batch", ndim=2)
     if batch.shape[1] < 2:
         raise ValueError("need at least two tokens for a next-token loss")
-    logits = _Streams(params, policy, block_size, n_seq=len(batch),
-                      detach_cache=detach_cache).feed(batch)
-    # the flat (sequence, position) index of each logits column, as ``feed`` orders them
-    flat = np.arange(batch.size).reshape(batch.shape)
-    order = np.concatenate([flat[:, a:a + block_size].ravel()
-                            for a in range(0, batch.shape[1], block_size)])
-    cols = np.flatnonzero(order % batch.shape[1] != batch.shape[1] - 1)  # a next token follows
-    return cross_entropy_cols(select_cols(logits, cols), batch.ravel()[order[cols] + 1])
+    streams = _Streams(params, policy, block_size, n_seq=len(batch), detach_cache=detach_cache)
+    return _next_token_nll(streams.feed(batch), batch, block_size)
 
 
 def generate(
@@ -546,10 +550,13 @@ def perplexity(
     *,
     trace=None,
 ) -> float:
-    """exp(mean next-token NLL) over non-overlapping windows of the corpus."""
-    ids = np.asarray(corpus_ids, dtype=np.int64)
-    if ids.size == 0:
-        raise ValueError("empty corpus")
+    """exp(mean next-token NLL) over non-overlapping windows of a 1-D corpus,
+    dropping a ragged tail. ``max(1, _EVAL_GROUP_TOKENS // eval_context_length)``
+    windows run side by side per ``forward_segmented`` call, so ``trace`` gets one
+    record per (block, layer) of a group, blocks counted within the window. The
+    constant bounds memory: concat holds every window's keys, the logits 2 KiB a token.
+    """
+    ids = _token_ids(params, corpus_ids, "corpus")
     if eval_context_length < 2:
         raise ValueError("eval_context_length must be at least 2")
     n_windows = ids.size // eval_context_length
@@ -557,19 +564,10 @@ def perplexity(
         raise ValueError(
             f"corpus of {ids.size} tokens is shorter than one window of {eval_context_length}"
         )
-    total_nll = 0.0
-    total_predictions = 0
-    block_offset = 0
-    for w in range(n_windows):
-        window = ids[w * eval_context_length:(w + 1) * eval_context_length]
-        logits, _ = forward_segmented(
-            params, window, policy, block_size, trace=trace, block_offset=block_offset
-        )
-        block_offset += -(-window.size // block_size)
-        d = logits.data[:, :-1]
-        targets = window[1:]
-        m = d.max(axis=0)
-        nll = np.log(np.exp(d - m).sum(axis=0)) + m - d[targets, np.arange(targets.size)]
-        total_nll += nll.sum()
-        total_predictions += targets.size
-    return float(np.exp(total_nll / total_predictions))
+    windows = ids[:n_windows * eval_context_length].reshape(n_windows, eval_context_length)
+    per_group = max(1, _EVAL_GROUP_TOKENS // eval_context_length)
+    nll = 0.0
+    for group in np.split(windows, np.arange(per_group, n_windows, per_group)):
+        logits, _ = forward_segmented(params, group, policy, block_size, trace=trace)
+        nll += _next_token_nll(logits, group, block_size).data.item() * (len(group) / n_windows)
+    return float(np.exp(nll))

@@ -554,9 +554,10 @@ def cross_entropy_cols(logits: Tensor2, targets: np.ndarray) -> Tensor2:
         raise ShapeError(f"cross_entropy_cols: target id out of range for {logits.rows} classes")
     d = logits.data
     m = d.max(axis=0)
-    e = np.exp(d - m)
-    z = e.sum(axis=0)
-    p = e / z
+    p = d - m
+    np.exp(p, out=p)
+    z = p.sum(axis=0)
+    p /= z  # in place: the one (rows, cols) array beside the logits
     n = t.size
     nll = (np.log(z) + m - d[t, np.arange(n)]).mean()
 

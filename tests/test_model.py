@@ -13,6 +13,7 @@ from convkv.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from convkv import attention, model, numerics
 from convkv.attention import split_heads
 from convkv.corpus import corpus_to_ids, make_recall_corpus
+from convkv.instrumentation import MemoryTrace, compare_policies
 from convkv.model import (
     ModelConfig,
     ModelParams,
@@ -216,6 +217,8 @@ LAYER_0_META = {"kernel_size": 5, "layer_index": 0, "relu_position": "post", "sl
 CORRUPTIONS = {
     "truncated_header": lambda raw: raw[:26],
     "truncated_length_field": lambda raw: raw[:12],
+    "header_length_2**62": lambda raw: raw[:8] + struct.pack("<Q", 2**62) + b"{}",
+    "header_length_2**64-1": lambda raw: raw[:8] + struct.pack("<Q", 2**64 - 1) + b"{}",
     "payload_not_multiple_of_8": lambda raw: raw[:-3],
     "trailing_bytes": lambda raw: raw + bytes(8),
     "tensor_shape_mismatch": lambda raw: _rewrite_header(raw, _transpose_first_gain),
@@ -341,9 +344,9 @@ class TestGenerate:
         with pytest.raises(ValueError, match="token sequence must not be empty"):
             forward_segmented(tiny_params, np.array([], dtype=np.int64), PolicySpec("concat"), 4)
 
-    def test_token_ids_must_be_a_nonnegative_1d_sequence(self, tiny_params):
-        with pytest.raises(ShapeError, match="token sequence must be a 1-D sequence"):
-            forward_segmented(tiny_params, np.zeros((2, 2), dtype=np.int64),
+    def test_token_ids_must_be_a_nonnegative_sequence_or_batch(self, tiny_params):
+        with pytest.raises(ShapeError, match="token sequence must be a 2-D sequence"):
+            forward_segmented(tiny_params, np.zeros((2, 2, 2), dtype=np.int64),
                               PolicySpec("concat"), 4)
         with pytest.raises(ValueError, match="negative token id"):
             generate(tiny_params, np.array([3, -1]), 1, PolicySpec("concat"), 4)
@@ -817,3 +820,76 @@ class TestPerplexity:
         rng = np.random.default_rng(9)
         with pytest.raises(CacheError, match="conv heads"):
             perplexity(tiny_params, rand_tokens(rng, 32), PolicySpec("lococo", capacity=8), 16, 4)
+
+    @pytest.mark.parametrize("budget, groups", [(None, [5]), (2 * 24, [2, 2, 1])],
+                             ids=["one_group", "two_windows_a_group"])
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_equals_mean_of_window_nlls(self, monkeypatch, name, budget, groups):
+        # 5 windows of 24 tokens, blocks of 5 (the last one ragged), and a tail of 7
+        spec = POLICIES[name]
+        params = model_for(spec)
+        ids = rand_tokens(np.random.default_rng(21), 5 * 24 + 7)
+        nlls = [np.log(perplexity(params, w, spec, 24, 5)) for w in ids[:120].reshape(5, 24)]
+        if budget is not None:
+            monkeypatch.setattr(model, "_EVAL_GROUP_TOKENS", budget)
+        fed = []
+        segmented = model.forward_segmented
+
+        def spy(params, tokens, *args, **kwargs):
+            fed.append(len(tokens))
+            return segmented(params, tokens, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_segmented", spy)
+        got = perplexity(params, ids, spec, 24, 5)
+        assert fed == groups
+        assert abs(np.log(got) - np.mean(nlls)) < 1e-12
+
+    # One GEMM over n windows' columns rounds as n GEMMs do when each window
+    # brings a multiple of 8 columns to it: blocks of 8, merges of 16 + 8 - 8
+    # columns (other widths agree to 1e-12, see TestBatchedSequences).
+    EIGHTS = {
+        "concat": PolicySpec("concat"),
+        "lococo": PolicySpec("lococo", capacity=16),
+        "h2o": PolicySpec("h2o", capacity=16),
+        "sink_window": PolicySpec("sink_window", capacity=16, n_sink=2),
+        "lococo+h2o": PolicySpec("lococo+h2o", capacity=16, reserved=8),
+        "lococo+sink": PolicySpec("lococo+sink", capacity=16, n_sink=8),
+    }
+
+    @pytest.mark.parametrize("name", list(EIGHTS))
+    def test_batched_windows_equal_their_own_runs(self, name):
+        spec = self.EIGHTS[name]
+        params = model_for(spec)
+        n, t, b = 3, 48, 8
+        batch = rand_tokens(np.random.default_rng(22), n * t).reshape(n, t)
+        logits, caches = forward_segmented(params, batch, spec, b)
+        for i, window in enumerate(batch):
+            # block after block, each block's columns one window after another
+            cols = (np.arange(0, n * t, n * b)[:, None] + i * b + np.arange(b)).ravel()
+            own, own_caches = forward_segmented(params, window, spec, b)
+            assert np.array_equal(logits.data[:, cols], own.data)
+            for cache, own_cache in zip(caches, own_caches):
+                assert np.array_equal(cache.keys.data[i], own_cache.keys.data[0])
+                assert np.array_equal(cache.values.data[i], own_cache.values.data[0])
+
+    def test_typed_errors_survive_the_reshape(self, tiny_params):
+        ids = rand_tokens(np.random.default_rng(23), 64)
+        with pytest.raises(ShapeError, match="corpus must be a 1-D sequence"):
+            perplexity(tiny_params, ids.reshape(4, 16), PolicySpec("concat"), 16, 4)
+        ids[40] = 256
+        with pytest.raises(ValueError, match="token id 256 out of range"):
+            perplexity(tiny_params, ids, PolicySpec("concat"), 16, 4)
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_a_group_traces_as_one_window(self, name):
+        # every window of a group is flushed at once, so the trace of 3 windows
+        # side by side equals one window's, record for record
+        spec = POLICIES[name]
+        params = model_for(spec)
+        ids = rand_tokens(np.random.default_rng(24), 3 * 24)
+        [report] = compare_policies(params, ids, [spec], 24, 4)
+        assert report.peak_live_entries == (spec.capacity or 24)
+        grouped, single = MemoryTrace(), MemoryTrace()
+        perplexity(params, ids, spec, 24, 4, trace=grouped)
+        perplexity(params, ids[:24], spec, 24, 4, trace=single)
+        assert grouped.records == single.records

@@ -1,7 +1,7 @@
 """Run the benchmark as parent/change pairs and write the figures to one JSON file.
 
     python tools/bench_pairs.py --parent <commit> [--change HEAD] [--pairs 10]
-        [--seconds 33] [--first-seed 1] [--workloads calibrate,...] [--out BENCH_13.json]
+        [--seconds 33] [--first-seed 1] [--workloads calibrate,eval,...] [--out BENCH_17.json]
 
 Each side is the committed tree of its commit, unpacked with ``git archive``
 into a temporary directory, so files that are not committed never reach a
@@ -16,11 +16,23 @@ in ``BENCHMARK.json`` and of the page faults and CPU seconds, the pairs the
 change won on each, the traced result lines, the ``environment`` line and
 both commit ids. It needs only the standard library and git; a 33 s run
 takes about 40 s.
+
+The ``eval`` workload is not one of ``benchmarks/run.py``'s: each of its runs
+is a fresh process of this script (``--eval-once <seed>``) in the side's tree.
+It builds the benchmark's set-up model, warms up, then times
+``compare_policies`` over ``EVAL_WINDOWS`` held-out windows of 1024 tokens for
+each of the six policies at the benchmark's capacity and block size, and
+reports the seconds per policy and their sum (``eval_s``), each scaled by
+``benchmarks/workloads.py::reference_seconds`` as the benchmark scales its
+operations. ``--seconds`` and ``--trace`` do not apply to it; a run takes
+about 20 s.
 """
 
 import argparse
+import gc
 import io
 import json
+import os
 import resource
 import shutil
 import statistics
@@ -28,10 +40,12 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("prefill_long", "decode_stream", "calibrate")
+WORKLOADS = ("prefill_long", "decode_stream", "calibrate", "eval")
+EVAL_WINDOWS = 8
 RUSAGE = [{"name": "minflt", "better": "lower"}, {"name": "cpu_s", "better": "lower"}]
 
 
@@ -49,6 +63,8 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     and the minor page faults and CPU seconds of its process."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    if workload == "eval":
+        cmd = [sys.executable, str(Path(__file__).resolve()), "--eval-once", str(seed)]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -105,16 +121,60 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def eval_once(seed: int) -> dict:
+    """One ``eval`` run in the current directory, a benchmark tree: the scaled
+    seconds of ``compare_policies`` per policy and in all, and what it reported."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # as benchmarks/run.py pins them, before numpy loads
+    sys.path[:0] = ["src", "benchmarks"]
+    import numpy as np
+
+    import convkv
+    import inputs
+    from metrics import POLICY_NAMES
+    from workloads import BLOCK, REFERENCE_SECONDS, reference_seconds, set_up
+
+    with tempfile.TemporaryDirectory() as workdir:
+        model = set_up(seed, Path(workdir))
+    docs = EVAL_WINDOWS * inputs.WINDOW // inputs.DOC_LEN
+    text = inputs.recall_bytes(np.random.default_rng([seed, EVAL_WINDOWS]), docs)
+    corpus = np.frombuffer(text, dtype=np.uint8).astype(np.int64)
+    for policy in POLICY_NAMES:  # warm-up, as the benchmark's prefill_long does
+        convkv.compare_policies(model.params, corpus[:8 * BLOCK], [model.bind(policy)],
+                                8 * BLOCK, BLOCK)
+    metrics, reports = {}, {}
+    for policy in POLICY_NAMES:
+        spec = model.bind(policy)
+        gc.collect()
+        before = reference_seconds()
+        started = time.perf_counter()
+        [report] = convkv.compare_policies(model.params, corpus, [spec], inputs.WINDOW, BLOCK)
+        seconds = time.perf_counter() - started
+        reference = (before + reference_seconds()) / 2
+        metrics[f"eval_s.{policy}"] = {"value": seconds * REFERENCE_SECONDS / reference, "unit": "s"}
+        reports[policy] = {"perplexity": report.perplexity,
+                           "peak_live_entries": report.peak_live_entries}
+    metrics["eval_s"] = {"value": sum(m["value"] for m in metrics.values()), "unit": "s"}
+    return {"metrics": metrics, "reports": reports}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True)
+    parser.add_argument("--parent")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=33.0)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--out", default="BENCH.json")
+    parser.add_argument("--eval-once", type=int, metavar="SEED",
+                        help="print one eval run's JSON line (see the module docstring)")
     args = parser.parse_args(argv)
+    if args.eval_once is not None:
+        print(json.dumps(eval_once(args.eval_once), sort_keys=True))
+        return 0
+    if args.parent is None:
+        parser.error("--parent is required")
 
     commits = {side: git("rev-parse", ref).decode().strip()
                for side, ref in (("parent", args.parent), ("change", args.change))}
@@ -135,14 +195,23 @@ def main(argv=None) -> int:
                 for side in order:
                     pair[side] = run(trees[side], workload, seed, args.seconds, 0)
                     report["environment"] = report["environment"] or pair[side].get("environment")
-                    tok_s = pair[side].get("report", {}).get("tok_s")
-                    print(f"{workload} seed {seed} {side}: tok_s {tok_s} minflt {pair[side]['minflt']} "
-                          f"cpu_s {pair[side]['cpu_s']:.1f}", file=sys.stderr)
+                    figures = pair[side].get("result", {}).get("metrics", {})
+                    figure = figures.get("eval_s" if workload == "eval" else "tok_s", {})
+                    print(f"{workload} seed {seed} {side}: {figure.get('value')} "
+                          f"minflt {pair[side]['minflt']} cpu_s {pair[side]['cpu_s']:.1f}",
+                          file=sys.stderr)
                 pairs.append(pair)
-            traced = {side: run(trees[side], workload, args.first_seed, args.seconds, 1)
-                      for side in commits}
+            if workload == "eval":
+                traced = None
+                names = sorted({name for p in pairs for side in commits
+                                for name in p[side].get("result", {}).get("metrics", {})})
+                measured = [{"name": name, "better": "lower"} for name in names]
+            else:
+                traced = {side: run(trees[side], workload, args.first_seed, args.seconds, 1)
+                          for side in commits}
+                measured = metrics
             report["workloads"][workload] = {
-                "summary": summarize(pairs, metrics),
+                "summary": summarize(pairs, measured),
                 "pairs": pairs,
                 "trace": traced,
             }
