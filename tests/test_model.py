@@ -845,8 +845,9 @@ class TestPerplexity:
         assert abs(np.log(got) - np.mean(nlls)) < 1e-12
 
     # One GEMM over n windows' columns rounds as n GEMMs do when each window
-    # brings a multiple of 8 columns to it: blocks of 8, merges of 16 + 8 - 8
-    # columns (other widths agree to 1e-12, see TestBatchedSequences).
+    # brings a multiple of 8 columns to it: blocks of 8, and merges over 24
+    # columns, or 16 beside 8 pinned (other widths agree to 1e-12, see
+    # TestBatchedSequences).
     EIGHTS = {
         "concat": PolicySpec("concat"),
         "lococo": PolicySpec("lococo", capacity=16),
