@@ -1,11 +1,12 @@
 """Convolutional token merging: squeeze cache + incoming block into M slots.
 
-A per-layer 1-D convolution scores every column of the stacked key/value
-matrix (incoming block first, then the existing cache) for every output slot.
-Rows of the score matrix are clamped nonnegative and normalized to sum to 1,
-so each updated slot is a convex combination of the columns it was built
-from, with the same blending weights applied to keys and values to preserve
-token correspondence.
+A merge stacks the keys over the values of the columns it merges, incoming
+block first, then the existing cache: one (n, 2d, p) operand. A per-layer
+1-D convolution scores its every column for every output slot. Rows of the
+score matrix are clamped nonnegative and normalized to sum to 1, so each
+updated slot is a convex combination of the columns it was built from, and
+one GEMM of the operand by those weights blends keys and values alike,
+which preserves token correspondence.
 
 ``compress_step`` is the merging half of ``cache.bounded_update``: the
 cache's ``KeepRule`` picks the columns kept verbatim (none for plain LoCoCo,
@@ -26,7 +27,6 @@ from .numerics import (
     ConvKernels,
     ShapeError,
     Tensor2,
-    add,
     conv1d,
     custom_op,
     hstack,
@@ -34,7 +34,7 @@ from .numerics import (
     relu,
     row_normalize,
     select_cols,
-    slice_cols,
+    transpose,
     vstack,
 )
 
@@ -97,17 +97,35 @@ def new_conv_head(
 
 
 class FusionWeights(NamedTuple):
-    """Blending weights for one cache update, one row per slot.
+    """Blending weights for one merge, over the columns it merges.
 
-    ``new_weights[i, j]`` is the contribution of block column j to slot i;
-    ``cache_weights[i, j]`` the contribution of existing cache column j.
-    From ``synthesize_weights``, entries are nonnegative and every row of
-    [new_weights | cache_weights] sums to 1 (dead rows are rescued by a
-    uniform epsilon before normalization).
+    ``weights`` is (n, slots, p): row i of sequence s holds slot i's weights
+    on the p columns that s merges. ``picked`` is the (n, 2d, p) operand
+    they blend and the conv scored: those columns' keys over their values,
+    the block's columns first. ``from_block`` (1 or n, p) marks the block's
+    columns. From ``synthesize_weights``, entries are nonnegative and every
+    row sums to 1 (dead rows are rescued by a uniform epsilon before
+    normalization). ``new_weights`` and ``cache_weights`` split the weights
+    by side for the merge statistics that observers read.
     """
 
-    new_weights: Tensor2
-    cache_weights: Tensor2
+    weights: Tensor2
+    picked: Tensor2
+    from_block: np.ndarray
+
+    @property
+    def new_weights(self) -> Tensor2:
+        """(n * slots, p), no gradient: each slot's weights on the block's columns, 0 elsewhere."""
+        return self._on(self.from_block)
+
+    @property
+    def cache_weights(self) -> Tensor2:
+        """(n * slots, p), no gradient: each slot's weights on the cache's columns, 0 elsewhere."""
+        return self._on(~self.from_block)
+
+    def _on(self, side: np.ndarray) -> Tensor2:
+        w = self.weights.data
+        return Tensor2(np.where(side[:, None], w, 0.0).reshape(-1, w.shape[-1]))
 
 
 def synthesize_weights(
@@ -120,15 +138,15 @@ def synthesize_weights(
 ) -> FusionWeights:
     """Score the merged (incoming + cached) columns for every slot, then normalize.
 
-    Operands are (n, d, columns), one sequence being a batch of one. The conv
-    input stacks keys over values, incoming block columns first, cache
-    columns after; ``merged`` (1 or n, block + cache) names each sequence's
-    columns to convolve, in that order, one row per sequence or one row every
-    sequence shares (default: every column). A column left out, as when a
-    hybrid keeps it verbatim, gets weight 0 in every slot; either side may
-    have no columns, but ``conv1d`` rejects a convolution of no columns at
-    all, or of other than the head's 2*d rows. Sequence i owns weight rows
-    i * slots .. (i + 1) * slots; the first B weight columns are the block's.
+    Operands are (n, d, columns), one sequence being a batch of one. The
+    picked operand stacks keys over values of the columns ``merged`` (1 or
+    n, block + cache) names, incoming block columns first, cache columns
+    after: one row per sequence or one row every sequence shares (default:
+    every column). A column left out, as when a hybrid keeps it verbatim,
+    is in no slot. Either side may have no columns, but ``conv1d`` rejects
+    a convolution of no columns at all, or of other than the head's 2*d
+    rows. The weights are the row-normalized conv output over the picked
+    columns, (n, slots, p).
     """
     d = k_new.rows
     for name, t in (("v_new", v_new), ("k_cache", k_cache), ("v_cache", v_cache)):
@@ -136,53 +154,36 @@ def synthesize_weights(
             raise ShapeError(f"{name} has {t.rows} rows, expected {d}")
     if k_new.cols != v_new.cols or k_cache.cols != v_cache.cols:
         raise ShapeError("key/value column counts disagree")
-    b, n, width = k_new.cols, len(k_new.data), k_new.cols + k_cache.cols
+    b, width = k_new.cols, k_new.cols + k_cache.cols
     merged = np.ones((1, width), dtype=bool) if merged is None else merged
-    picked = np.nonzero(merged)[1].reshape(len(merged), -1)
-    stacked = select_cols(vstack([hstack([k_new, k_cache]), hstack([v_new, v_cache])]), picked)
-    if head.relu_position == "pre":
-        stacked = relu(stacked)
-    weights = row_normalize(relu(conv1d(stacked, head.kernels)))
-    # back to every column, 0 where nothing merges: (n, slots, width) as (n * slots, width)
-    at = (np.arange(n)[:, None], slice(None), picked)  # indexes an (n, picked, slots) view
-    shape = (n, head.slots, width)
-    full = np.zeros(shape)
-    full[at] = weights.data.swapaxes(-1, -2)
-    weights = custom_op([weights], full.reshape(-1, width), lambda g: (
-        np.ascontiguousarray(g.reshape(shape)[at].swapaxes(-1, -2)),))
-    return FusionWeights(
-        new_weights=slice_cols(weights, 0, b),
-        cache_weights=slice_cols(weights, b, weights.cols),
-    )
+    cols = np.nonzero(merged)[1].reshape(len(merged), -1)
+    picked = select_cols(vstack([hstack([k_new, k_cache]), hstack([v_new, v_cache])]), cols)
+    conv_in = relu(picked) if head.relu_position == "pre" else picked
+    weights = row_normalize(relu(conv1d(conv_in, head.kernels)))
+    return FusionWeights(weights, picked, cols < b)
 
 
-def fuse(
-    weights: FusionWeights,
-    k_new: Tensor2,
-    v_new: Tensor2,
-    k_cache: Tensor2,
-    v_cache: Tensor2,
-) -> tuple[Tensor2, Tensor2]:
-    """Blend columns into slots, same weights for keys and values.
+def fuse(weights: FusionWeights) -> tuple[Tensor2, Tensor2]:
+    """Blend the picked columns into slots, same weights for keys and values.
 
-    Slot i of sequence s's fused keys is sum_j new_weights[i,j]*k_new[s,:,j] +
-    sum_j cache_weights[i,j]*k_cache[s,:,j], with the weight rows of sequence
-    s (see ``synthesize_weights``); values identically. ``matmul`` raises
-    ShapeError when the weights do not cover the block or the cache.
+    One GEMM: picked (n, 2d, p) times the transposed weights gives (n, 2d,
+    slots), slot i of sequence s being sum_j weights[s, i, j] * picked[s, :, j].
+    Its first d rows are the fused keys, the rest the fused values.
+    ``matmul`` raises ShapeError when the weights do not cover the picked
+    columns or the sequences.
     """
-    n = len(k_new.data)
-    if any(w.rows % n for w in weights):
-        raise ShapeError(f"fuse: weight rows {weights[0].rows} do not split into {n} sequences")
+    both = matmul(weights.picked, transpose(weights.weights))
+    shape, d = both.shape, both.rows // 2
 
-    def per_sequence_t(w: Tensor2) -> Tensor2:  # (n * slots, cols) -> (n, cols, slots), one op
-        shape = w.shape
-        return custom_op([w], np.ascontiguousarray(w.data.reshape(n, -1, w.cols).swapaxes(-1, -2)),
-                         lambda g: (g.swapaxes(-1, -2).reshape(shape),))
+    def rows(at: slice) -> Tensor2:  # keys or values, a view of the GEMM result
+        def vjp(g):
+            full = np.zeros(shape)
+            full[..., at, :] = g
+            return (full,)
 
-    wn_t, wc_t = (per_sequence_t(w) for w in weights)
-    k_fused = add(matmul(k_new, wn_t), matmul(k_cache, wc_t))
-    v_fused = add(matmul(v_new, wn_t), matmul(v_cache, wc_t))
-    return k_fused, v_fused
+        return custom_op([both], both.data[..., at, :], vjp)
+
+    return rows(slice(None, d)), rows(slice(d, None))
 
 
 def compress_step(
@@ -212,12 +213,13 @@ def compress_step(
 
 def _merge_rest(head, cache, k_new, v_new, rest, scores):
     """Blend the columns ``rest`` marks (cache first, then block; a row per sequence
-    or one for all) into the slots."""
+    or one for all) into the slots; a slot's score is its weights times the
+    scores of the columns it merges."""
     n_cached = cache.live_entries
     merged = np.concatenate([rest[:, n_cached:], rest[:, :n_cached]], 1)
     weights = synthesize_weights(k_new, v_new, cache.keys, cache.values, head, merged)
-    keys, values = fuse(weights, k_new, v_new, cache.keys, cache.values)
-    if scores is not None:  # one block of slot rows per sequence
-        wn, wc = (w.data.reshape(len(scores), -1, w.cols) for w in weights)
-        scores = (wn @ scores[:, n_cached:, None] + wc @ scores[:, :n_cached, None])[..., 0]
+    keys, values = fuse(weights)
+    if scores is not None:  # heavy hitters: ``merged`` has a row per sequence
+        sources = np.concatenate([scores[:, n_cached:], scores[:, :n_cached]], 1)[merged]
+        scores = (weights.weights.data @ sources.reshape(len(scores), -1, 1))[..., 0]
     return keys, values, scores

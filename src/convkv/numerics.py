@@ -471,20 +471,6 @@ def vstack(parts: Sequence[Tensor2]) -> Tensor2:
     return _result(np.concatenate([p.data for p in parts], axis=-2), parts, vjp)
 
 
-def slice_cols(x: Tensor2, start: int, stop: int) -> Tensor2:
-    _require_2d("slice_cols", x)
-    if not (0 <= start <= stop <= x.cols):
-        raise ShapeError(f"slice_cols: [{start}:{stop}] out of range for {x.cols} columns")
-    rows, cols = x.shape
-
-    def vjp(g):
-        gx = np.zeros((rows, cols))
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return _result(x.data[:, start:stop].copy(), (x,), vjp)
-
-
 def select_cols(x: Tensor2, indices: np.ndarray) -> Tensor2:
     """Gather columns by index (duplicates allowed); grads scatter-add back.
 

@@ -85,6 +85,38 @@ def test_calibration_runs_under_the_spans_the_benchmark_traces(monkeypatch):
     assert calls["compressor.synthesize_weights"] == 2
 
 
+def test_merge_statistics_match_a_full_width_scatter(monkeypatch):
+    # a lococo+h2o merge of two sequences: the first keeps two cache columns,
+    # the second two block columns, so the block/cache split differs by row
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    rng = np.random.default_rng(0)
+    n, d, cached, b, heavy = 2, 4, 6, 3, 2
+    scores = np.zeros((n, cached + b))
+    scores[0, [1, 3]] = scores[1, [cached, cached + 2]] = 1.0
+    kept = convkv.KeepRule(heavy=heavy, scores=scores).keep(cached + b, scores)
+    rest = np.ones_like(scores, dtype=bool)
+    rest[np.arange(n)[:, None], kept] = False
+    merged = np.concatenate([rest[:, cached:], rest[:, :cached]], 1)  # block first
+    head = convkv.new_conv_head(d, cached - heavy, kernel_size=3, rng=rng)
+    k_new, v_new, k_cache, v_cache = (convkv.Tensor2(rng.standard_normal((n, d, cols)))
+                                      for cols in (b, b, cached, cached))
+    result = convkv.synthesize_weights(k_new, v_new, k_cache, v_cache, head, merged)
+    assert result.from_block.sum(axis=1).tolist() == [3, 1]
+    rec = tracing.SpanRecorder()
+    tracing._observe_weights(rec, convkv.synthesize_weights, (), {}, result)
+
+    full = np.zeros((n, head.slots, b + cached))
+    for s in range(n):
+        full[s][:, merged[s]] = result.weights.data[s]
+    rows = full.reshape(-1, b + cached)
+    logs = np.log(rows, out=np.zeros_like(rows), where=rows > 0)
+    assert rec.stats["slot_rows"] == n * head.slots
+    assert abs(rec.stats["new_share_sum"] - rows[:, :b].sum()) < 1e-12
+    assert abs(rec.stats["entropy_exp_sum"] - np.exp(-(rows * logs).sum(axis=1)).sum()) < 1e-12
+
+
 def test_every_name_the_benchmark_uses_exists():
     tree = ast.parse((BENCHMARKS / "workloads.py").read_text())
     imported = {

@@ -22,7 +22,7 @@ from convkv.compressor import (
     new_conv_head,
     synthesize_weights,
 )
-from convkv.numerics import ShapeError, Tensor2
+from convkv.numerics import ShapeError, Tensor2, hstack, vstack
 from convkv.policies import PolicySpec
 
 import oracles
@@ -347,15 +347,13 @@ class TestH2OAsFusionOperator:
 
         scores = np.concatenate([scores0, np.zeros(b)]) + probs.sum(axis=1)
         kept = oracles.keep_indices(scores, 0, recent, heavy)
-        w_new = np.zeros((m, b))
-        w_cache = np.zeros((m, n_old))
+        # one-hot rows over the stacked [block | cache] operand
+        w = np.zeros((1, m, b + n_old))
         for slot, col in enumerate(kept):
-            if col < n_old:
-                w_cache[slot, col] = 1.0
-            else:
-                w_new[slot, col - n_old] = 1.0
-        weights = FusionWeights(t2(w_new), t2(w_cache))
-        k_fused, v_fused = fuse(weights, k_new, v_new, old_k, old_v)
+            w[0, slot, col + b if col < n_old else col - n_old] = 1.0
+        picked = vstack([hstack([k_new, old_k]), hstack([v_new, old_v])])
+        weights = FusionWeights(t2(w), picked, np.arange(b + n_old)[None] < b)
+        k_fused, v_fused = fuse(weights)
 
         assert np.array_equal(k_fused.data, evicted.keys.data)
         assert np.array_equal(v_fused.data, evicted.values.data)
@@ -425,9 +423,15 @@ class TestHybrids:
         kc, vc = t2(old_k.data[..., comp_cache]), t2(old_v.data[..., comp_cache])
         kn, vn = t2(k_new.data[..., comp_new]), t2(v_new.data[..., comp_new])
         weights = synthesize_weights(kn, vn, kc, vc, head)
-        k_ref, v_ref = fuse(weights, kn, vn, kc, vc)
+        k_ref, v_ref = fuse(weights)
         assert np.max(np.abs(out.keys.data[..., reserved:] - k_ref.data)) == 0.0
         assert np.max(np.abs(out.values.data[..., reserved:] - v_ref.data)) == 0.0
+        # a merged slot's score is the weighted sum of its sources' scores
+        w = weights.weights.data[0]
+        merged = (w[:, :comp_new.size] @ scores[n_old + comp_new]
+                  + w[:, comp_new.size:] @ scores[comp_cache])
+        assert np.array_equal(out.rule.scores[0, :reserved], scores[pinned])
+        assert np.max(np.abs(out.rule.scores[0, reserved:] - merged)) < 1e-12
 
     def test_reserve_must_stay_below_capacity(self):
         with pytest.raises(CacheError):

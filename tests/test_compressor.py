@@ -5,6 +5,7 @@ import pytest
 
 from convkv.cache import CacheError, KeepRule, KvCache, update_concat
 from convkv.compressor import (
+    RELU_POSITIONS,
     ConvHead,
     FusionWeights,
     compress_step,
@@ -20,9 +21,11 @@ from convkv.numerics import (
     backward,
     cross_entropy_cols,
     custom_op,
+    hstack,
     matmul,
     softmax_cols,
     transpose,
+    vstack,
 )
 
 import oracles
@@ -49,7 +52,15 @@ def center_tap_head(d, slots, value=1.0):
 
 
 def weights_matrix(weights: FusionWeights) -> np.ndarray:
-    return np.concatenate([weights.new_weights.data, weights.cache_weights.data], axis=1)
+    """(n * slots, p) weights, here over every column: [block | cache]."""
+    return weights.weights.data.reshape(-1, weights.weights.cols)
+
+
+def given_weights(w_new, w_cache, k_new, v_new, k_cache, v_cache):
+    """(slots, B) and (slots, cache) weights of one sequence over every column."""
+    picked = vstack([hstack([k_new, k_cache]), hstack([v_new, v_cache])])
+    w = np.concatenate([w_new, w_cache], axis=1)[None]
+    return FusionWeights(t2(w), picked, np.arange(w.shape[-1])[None] < k_new.cols)
 
 
 class TestSynthesizeWeights:
@@ -69,9 +80,10 @@ class TestSynthesizeWeights:
         k_new = t2(np.abs(np.random.default_rng(1).standard_normal((1, d, 1))) + 0.1)
         empty = Tensor2.zeros(1, d, 0)
         w = synthesize_weights(k_new, k_new, empty, empty, head)
-        assert w.new_weights.shape == (slots, 1)
+        assert w.weights.shape == (1, slots, 1) and w.from_block.tolist() == [[True]]
+        assert w.new_weights.shape == w.cache_weights.shape == (slots, 1)
         assert np.max(np.abs(w.new_weights.data - 1.0)) < 1e-12
-        assert w.cache_weights.shape == (slots, 0)
+        assert not w.cache_weights.data.any()
 
     def test_hand_set_instance_matches_precomputed_oracle(self):
         # d=1, B=2, M=2, k=3: scalar sliding window + row normalization
@@ -163,7 +175,7 @@ class TestFuse:
         w_new = np.zeros((slots, b))
         w_cache = np.zeros((slots, cache_len))
         w_cache[:, 1] = 1.0  # every slot selects cache column 1
-        k_f, v_f = fuse(FusionWeights(t2(w_new), t2(w_cache)), k_new, v_new, k_cache, v_cache)
+        k_f, v_f = fuse(given_weights(w_new, w_cache, k_new, v_new, k_cache, v_cache))
         for i in range(slots):
             assert np.array_equal(k_f.data[..., i], k_cache.data[..., 1])
             assert np.array_equal(v_f.data[..., i], v_cache.data[..., 1])
@@ -175,8 +187,9 @@ class TestFuse:
         k_cache = t2(rng.standard_normal((1, d, cache_len)))
         v_cache = t2(rng.standard_normal((1, d, cache_len)))
         u = 1.0 / (b + cache_len)
-        weights = FusionWeights(t2(np.full((slots, b), u)), t2(np.full((slots, cache_len), u)))
-        k_f, _ = fuse(weights, k_new, v_new, k_cache, v_cache)
+        weights = given_weights(np.full((slots, b), u), np.full((slots, cache_len), u),
+                                k_new, v_new, k_cache, v_cache)
+        k_f, _ = fuse(weights)
         mean = np.concatenate([k_new.data, k_cache.data], axis=-1).mean(axis=-1)
         for i in range(slots):
             assert np.max(np.abs(k_f.data[..., i] - mean)) < 1e-12
@@ -187,8 +200,8 @@ class TestFuse:
         k_new, v_new = rng.standard_normal((d, b)), rng.standard_normal((d, b))
         k_cache, v_cache = rng.standard_normal((d, cache_len)), rng.standard_normal((d, cache_len))
         w_new, w_cache = rng.random((m, b)), rng.random((m, cache_len))
-        k_f, v_f = fuse(FusionWeights(t2(w_new), t2(w_cache)),
-                        *(t2(x[None]) for x in (k_new, v_new, k_cache, v_cache)))
+        k_f, v_f = fuse(given_weights(w_new, w_cache,
+                                      *(t2(x[None]) for x in (k_new, v_new, k_cache, v_cache))))
         for i in range(m):
             ks = sum(w_new[i, j] * k_new[:, j] for j in range(b)) + sum(
                 w_cache[i, j] * k_cache[:, j] for j in range(cache_len)
@@ -202,15 +215,17 @@ class TestFuse:
     def test_same_weights_hit_keys_and_values(self):
         rng = np.random.default_rng(7)
         d, b, m = 3, 2, 4
-        head = new_conv_head(d, m, kernel_size=3, rng=rng)
         k_new, v_new = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
         k_cache, v_cache = t2(rng.standard_normal((1, d, m))), t2(rng.standard_normal((1, d, m)))
-        w = synthesize_weights(k_new, v_new, k_cache, v_cache, head)
-        k_f, v_f = fuse(w, k_new, v_new, k_cache, v_cache)
-        k_manual = k_new.data @ w.new_weights.data.T + k_cache.data @ w.cache_weights.data.T
-        v_manual = v_new.data @ w.new_weights.data.T + v_cache.data @ w.cache_weights.data.T
-        assert np.array_equal(k_f.data, k_manual)
-        assert np.array_equal(v_f.data, v_manual)
+        stacked = np.concatenate([np.concatenate([k_new.data, k_cache.data], axis=-1),
+                                  np.concatenate([v_new.data, v_cache.data], axis=-1)], axis=-2)
+        for relu_position in RELU_POSITIONS:  # "pre" rectifies the conv input, not what is blended
+            head = new_conv_head(d, m, kernel_size=3, rng=rng, relu_position=relu_position)
+            w = synthesize_weights(k_new, v_new, k_cache, v_cache, head)
+            k_f, v_f = fuse(w)
+            manual = stacked @ w.weights.data.swapaxes(-1, -2)
+            assert np.array_equal(k_f.data, manual[:, :d])
+            assert np.array_equal(v_f.data, manual[:, d:])
 
     def test_fused_slots_stay_in_convex_hull(self):
         rng = np.random.default_rng(8)
@@ -219,7 +234,7 @@ class TestFuse:
         k_new, v_new = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
         k_cache, v_cache = t2(rng.standard_normal((1, d, m))), t2(rng.standard_normal((1, d, m)))
         w = synthesize_weights(k_new, v_new, k_cache, v_cache, head)
-        k_f, v_f = fuse(w, k_new, v_new, k_cache, v_cache)
+        k_f, v_f = fuse(w)
         all_k = np.concatenate([k_new.data, k_cache.data], axis=-1)
         all_v = np.concatenate([v_new.data, v_cache.data], axis=-1)
         eps = 1e-12
@@ -230,15 +245,11 @@ class TestFuse:
 
 
     def test_weights_must_cover_the_block_and_the_cache(self):
-        k = Tensor2.zeros(1, 2, 3)
-        weights = FusionWeights(Tensor2.zeros(4, 2), Tensor2.zeros(4, 3))
+        picked, block = Tensor2.zeros(1, 4, 5), np.arange(5)[None] < 2
         with pytest.raises(ShapeError, match="inner dims differ"):
-            fuse(weights, k, k, k, k)
-        with pytest.raises(ShapeError, match="inner dims differ"):
-            fuse(weights._replace(new_weights=Tensor2.zeros(4, 3)), k, k, k, Tensor2.zeros(1, 2, 2))
-        with pytest.raises(ShapeError, match="weight rows 3 do not split into 2 sequences"):
-            pair = Tensor2.zeros(2, 2, 3)
-            fuse(FusionWeights(Tensor2.zeros(3, 3), Tensor2.zeros(3, 3)), pair, pair, pair, pair)
+            fuse(FusionWeights(Tensor2.zeros(1, 3, 4), picked, block))
+        with pytest.raises(ShapeError, match="leading dims differ"):
+            fuse(FusionWeights(Tensor2.zeros(2, 3, 5), picked, block))
 
 
 class TestCompressStep:
@@ -283,7 +294,7 @@ class TestCompressStep:
         ref_k = np.concatenate([blocks[0][0].data, blocks[1][0].data], axis=-1)
         ref_v = np.concatenate([blocks[0][1].data, blocks[1][1].data], axis=-1)
         w = synthesize_weights(blocks[2][0], blocks[2][1], t2(ref_k), t2(ref_v), head)
-        k_ref, v_ref = fuse(w, blocks[2][0], blocks[2][1], t2(ref_k), t2(ref_v))
+        k_ref, v_ref = fuse(w)
         assert np.array_equal(cache.keys.data, k_ref.data)
         assert np.array_equal(cache.values.data, v_ref.data)
 
@@ -333,6 +344,28 @@ class TestCompressStep:
             )
 
 
+class TestTapePerMerge:
+    # conv, relu and row_normalize make the weights; transpose, one matmul and the
+    # key and value rows of its result fuse them; a hybrid hstacks what it keeps
+    @pytest.mark.parametrize("rule, entries", [
+        (KeepRule(), 7),
+        (KeepRule(heavy=2, scores=np.arange(12.0).reshape(2, 6) % 5), 9),
+        (KeepRule(n_sink=2), 9),
+    ], ids=["lococo", "lococo+h2o", "lococo+sink"])
+    def test_one_merge_records_its_entries(self, rule, entries):
+        rng = np.random.default_rng(16)
+        n, d, m, b = 2, 8, 6, 3
+        head = new_conv_head(d, m - rule.budget, kernel_size=3, rng=rng)
+        head.kernels.weights.requires_grad = True
+        cache = KvCache(t2(rng.standard_normal((n, d, m))), t2(rng.standard_normal((n, d, m))),
+                        capacity=m, rule=rule)
+        k_new, v_new = t2(rng.standard_normal((n, d, b))), t2(rng.standard_normal((n, d, b)))
+        with GradTape() as tape:
+            out = compress_step(cache, k_new, v_new, head, rng.random((n, m + b, b)))
+        assert out.live_entries == m
+        assert len(tape) == entries
+
+
 class TestCompressorGradients:
     def test_gradient_through_weights_fuse_and_attention(self):
         rng = np.random.default_rng(14)
@@ -345,8 +378,7 @@ class TestCompressorGradients:
         targets = np.array([0, 2, 1])
 
         def loss():
-            w = synthesize_weights(k_new, v_new, k_cache, v_cache, head)
-            k_f, v_f = fuse(w, k_new, v_new, k_cache, v_cache)
+            k_f, v_f = fuse(synthesize_weights(k_new, v_new, k_cache, v_cache, head))
             probs = softmax_cols(matmul(transpose(k_f), q))
             out = matmul(v_f, probs)  # (1, d, t_q): the loss reads the one sequence
             return cross_entropy_cols(custom_op([out], out.data[0], lambda g: (g[None],)), targets)

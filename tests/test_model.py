@@ -22,7 +22,7 @@ from convkv.model import (
     perplexity,
     sequence_loss,
 )
-from convkv.numerics import NonFiniteError, ShapeError, Tensor2, cross_entropy_cols, slice_cols
+from convkv.numerics import NonFiniteError, ShapeError, Tensor2, cross_entropy_cols, select_cols
 from convkv.policies import LayerPolicy, PolicySpec
 from convkv.training import TrainConfig, TrainingDivergedError, calibrate_conv_heads
 
@@ -497,7 +497,7 @@ class TestSequenceLoss:
         segmented_updates = len(calls)
         calls.clear()
         loss = sequence_loss(params, tokens, spec, 4)
-        expect = cross_entropy_cols(slice_cols(logits, 0, tokens.size - 1), tokens[1:])
+        expect = cross_entropy_cols(select_cols(logits, np.arange(tokens.size - 1)), tokens[1:])
         assert np.array_equal(loss.data, expect.data)
         assert segmented_updates == TINY.n_layers * 4
         assert len(calls) == segmented_updates - TINY.n_layers

@@ -38,7 +38,6 @@ from convkv.numerics import (
     rms_norm_cols,
     row_normalize,
     select_cols,
-    slice_cols,
     softmax_cols,
     transpose,
     vstack,
@@ -256,7 +255,7 @@ class TestStackingAndSlicing:
         a, b = t2([[1.0], [2.0]]), t2([[3.0, 4.0], [5.0, 6.0]])
         cat = hstack([a, b])
         assert cat.shape == (2, 3)
-        assert np.array_equal(slice_cols(cat, 1, 3).data, b.data)
+        assert np.array_equal(select_cols(cat, np.arange(1, 3)).data, b.data)
 
     def test_hstack_with_empty(self):
         empty = Tensor2.zeros(2, 0)
@@ -279,7 +278,6 @@ class TestStackingAndSlicing:
 
 # primitives without a head axis; each gets a (2, 2, 3) head-batched operand
 TWO_D_ONLY = {
-    "slice_cols": lambda x: slice_cols(x, 0, 1),
     "rms_norm_cols": lambda x: rms_norm_cols(x, Tensor2(np.ones((2, 1)))),
     "cross_entropy_cols": lambda x: cross_entropy_cols(x, np.zeros(3, dtype=int)),
 }
@@ -362,8 +360,6 @@ BAD_OPERANDS = {
     "vstack_nothing": (lambda: vstack([]), "vstack: nothing"),
     "vstack_columns_differ": (lambda: vstack([t2([[1.0]]), t2([[1.0, 2.0]])]),
                               "vstack: column counts differ"),
-    "slice_cols_range": (lambda: slice_cols(t2([[1.0, 2.0]]), 1, 3), "slice_cols: \\[1:3\\]"),
-    "slice_cols_reversed": (lambda: slice_cols(t2([[1.0, 2.0]]), 2, 1), "slice_cols: \\[2:1\\]"),
     "select_cols_2d_indices": (lambda: select_cols(t2([[1.0]]), np.zeros((1, 1))),
                                "select_cols: indices must be 1-D"),
     "select_cols_range": (lambda: select_cols(t2([[1.0, 2.0]]), np.array([2])),
