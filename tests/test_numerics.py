@@ -747,7 +747,7 @@ class TestTapeMemory:
 
     @pytest.mark.parametrize("step, bound_mib", [("calibration_step", 12), ("pretrain_step", 11)])
     def test_forward_holds_what_the_vjps_read(self, step, bound_mib):
-        # 9.7 and 9.4 MiB; 28.0 and 19.2 MiB with a tape that pins every op output
+        # 7.5 and 9.4 MiB; 28.0 and 19.2 MiB with a tape that pins every op output
         params, tokens, policy, block = getattr(self, step)()
         tape = GradTape()
 
@@ -772,7 +772,7 @@ class TestTapeMemory:
                 assert not any(isinstance(t, Tensor2) for t in kept), vjp.__qualname__
 
     def test_calibration_step_peak(self):
-        # forward and backward: 22.1 MiB; 40.4 MiB with a tape that pins every op output
+        # forward and backward: 20.1 MiB; 40.4 MiB with a tape that pins every op output
         params, tokens, policy, block = self.calibration_step()
 
         def step():
