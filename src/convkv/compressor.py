@@ -12,13 +12,19 @@ which preserves token correspondence.
 cache's ``KeepRule`` picks the columns kept verbatim (none for plain LoCoCo,
 attention sinks or heavy hitters for the hybrids) and the head merges the
 rest, where the eviction policies would drop it.
+
+A merge takes one head, or one head per equal group of the leading axis:
+the model stacks every layer's sequences layer after layer and merges them
+all in one step, each layer's rows scored by its own head in one grouped
+``conv1d``. Such heads must agree on slot count, kernel size and
+``relu_position``; ``PolicySpec.build`` checks that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -96,6 +102,11 @@ def new_conv_head(
     return ConvHead(kernels, layer_index=layer_index, relu_position=relu_position)
 
 
+def _heads(head: ConvHead | Sequence[ConvHead]) -> tuple[ConvHead, ...]:
+    """One head, or one per equal group of the leading axis, as a tuple."""
+    return (head,) if isinstance(head, ConvHead) else tuple(head)
+
+
 class FusionWeights(NamedTuple):
     """Blending weights for one merge, over the columns it merges.
 
@@ -133,7 +144,7 @@ def synthesize_weights(
     v_new: Tensor2,
     k_cache: Tensor2,
     v_cache: Tensor2,
-    head: ConvHead,
+    head: ConvHead | Sequence[ConvHead],
     merged: np.ndarray | None = None,
 ) -> FusionWeights:
     """Score the merged (incoming + cached) columns for every slot, then normalize.
@@ -145,8 +156,9 @@ def synthesize_weights(
     every column). A column left out, as when a hybrid keeps it verbatim,
     is in no slot. Either side may have no columns, but ``conv1d`` rejects
     a convolution of no columns at all, or of other than the head's 2*d
-    rows. The weights are the row-normalized conv output over the picked
-    columns, (n, slots, p).
+    rows. With a head per group, head g scores group g's sequences. The
+    weights are the row-normalized conv output over the picked columns,
+    (n, slots, p).
     """
     d = k_new.rows
     for name, t in (("v_new", v_new), ("k_cache", k_cache), ("v_cache", v_cache)):
@@ -158,8 +170,9 @@ def synthesize_weights(
     merged = np.ones((1, width), dtype=bool) if merged is None else merged
     cols = np.nonzero(merged)[1].reshape(len(merged), -1)
     picked = select_cols(vstack([hstack([k_new, k_cache]), hstack([v_new, v_cache])]), cols)
-    conv_in = relu(picked) if head.relu_position == "pre" else picked
-    weights = row_normalize(relu(conv1d(conv_in, head.kernels)))
+    heads = _heads(head)
+    conv_in = relu(picked) if heads[0].relu_position == "pre" else picked
+    weights = row_normalize(relu(conv1d(conv_in, [h.kernels for h in heads])))
     return FusionWeights(weights, picked, cols < b)
 
 
@@ -190,7 +203,7 @@ def compress_step(
     cache: KvCache,
     k_new: Tensor2,
     v_new: Tensor2,
-    head: ConvHead,
+    head: ConvHead | Sequence[ConvHead],
     attn_probs: np.ndarray | None = None,
 ) -> KvCache:
     """One merging update: concatenate while the budget allows, merge after.
@@ -201,23 +214,25 @@ def compress_step(
     in front, and the rest, incoming block plus unkept cache, is blended
     into the remaining capacity - ``rule.budget`` slots, which the head must
     produce. A rule with heavy hitters needs the block's ``attn_probs``;
-    merged slots inherit the weighted sum of their sources' scores.
+    merged slots inherit the weighted sum of their sources' scores. With a
+    head per group, head g merges group g's sequences.
     """
-    if cache.capacity is not None and head.slots != cache.capacity - cache.rule.budget:
+    heads = _heads(head)
+    if cache.capacity is not None and heads[0].slots != cache.capacity - cache.rule.budget:
         raise CacheError(
-            f"head produces {head.slots} slots but capacity - kept is "
+            f"head produces {heads[0].slots} slots but capacity - kept is "
             f"{cache.capacity - cache.rule.budget}"
         )
-    return bounded_update(cache, k_new, v_new, attn_probs, partial(_merge_rest, head))
+    return bounded_update(cache, k_new, v_new, attn_probs, partial(_merge_rest, heads))
 
 
-def _merge_rest(head, cache, k_new, v_new, rest, scores):
+def _merge_rest(heads, cache, k_new, v_new, rest, scores):
     """Blend the columns ``rest`` marks (cache first, then block; a row per sequence
     or one for all) into the slots; a slot's score is its weights times the
     scores of the columns it merges."""
     n_cached = cache.live_entries
     merged = np.concatenate([rest[:, n_cached:], rest[:, :n_cached]], 1)
-    weights = synthesize_weights(k_new, v_new, cache.keys, cache.values, head, merged)
+    weights = synthesize_weights(k_new, v_new, cache.keys, cache.values, heads, merged)
     keys, values = fuse(weights)
     if scores is not None:  # heavy hitters: ``merged`` has a row per sequence
         sources = np.concatenate([scores[:, n_cached:], scores[:, :n_cached]], 1)[merged]

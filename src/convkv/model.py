@@ -8,13 +8,16 @@ columns survive between blocks is the policy's call. Prefill, the training
 loss and decoding all feed one ``_Streams``; prefill, perplexity's windows and
 the loss run a batch of sequences side by side, one sequence being a batch of
 one, so every cache holds (n, d, cols) keys and values and a batch shares
-every op and update. A full block reaches the policies when the next token
-arrives. Perplexity and the loss share one next-token cross entropy.
+every op and update. The layers' caches are stacked too, layer after layer,
+so one policy update per block serves every layer, and a merging policy's
+convs run one GEMM per layer side by side on two threads. A full block
+reaches the policy when the next token arrives. Perplexity and the loss
+share one next-token cross entropy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,9 +26,7 @@ from .attention import (
     RopeConfig,
     apply_rope,
     attend,
-    merge_heads,
     project_qkv,
-    split_heads,
 )
 from .cache import CacheError, KvCache
 from .compressor import ConvHead, new_conv_head
@@ -177,7 +178,9 @@ class ModelParams:
 
 def build_layer_policies(
     params: ModelParams, spec: PolicySpec, block_size: int
-) -> list[LayerPolicy]:
+) -> LayerPolicy:
+    """The one policy that updates every layer's cache, stacked layer after layer;
+    a merging policy gets the model's heads, head l for layer l's rows."""
     spec.check_block_size(block_size)
     if spec.needs_conv_head:
         if params.conv_heads is None:
@@ -190,8 +193,8 @@ def build_layer_policies(
                 f"policy {spec.name!r} needs one conv head per layer: the model has "
                 f"{params.config.n_layers} layers and {len(params.conv_heads)} heads"
             )
-        return [spec.build(head) for head in params.conv_heads]
-    return [spec.build() for _ in range(params.config.n_layers)]
+        return spec.build(*params.conv_heads)
+    return spec.build()
 
 
 def _extend_cols(context: Tensor2, buffer: np.ndarray, x: Tensor2) -> Tensor2:
@@ -209,36 +212,84 @@ def _extend_cols(context: Tensor2, buffer: np.ndarray, x: Tensor2) -> Tensor2:
     return custom_op([context, x], buffer[..., :n + b], vjp)
 
 
-class LayerStream:
-    """One layer's streaming state: the policy's cache plus staged columns.
+def _rows(x: Tensor2, rows: slice, shape: tuple[int, ...]) -> Tensor2:
+    """Rows ``rows`` of a stacked (L * n, d, cols) tensor, one layer's, viewed as
+    ``shape``; the vjp puts the gradient back in those rows."""
+    full = x.shape
 
-    Up to B raw key/value columns wait in the staging buffer, head-batched as
-    (n_seq * H, head_dim, b) chunks, until ``flush`` hands them to the policy
-    as one (n_seq, H * head_dim, b) block, the layout of the cache's keys and
-    values (n_seq = 1 for one sequence); ``_Streams`` flushes when the next
-    token arrives after a full block, so the cache changes once per block
-    however the tokens arrive. Queries attend to cache + staged columns
-    + their own chunk: at most M + B columns per head for a bounded policy.
-    ``context`` is one (keys, values) pair of (n_seq * H, head_dim, n) tensors
-    holding the cache + staged columns, keys rotated as attention sees them.
-    Both are views into one buffer per tensor of n_cached + B columns, filled
-    from the cache once per flush and extended in place by each chunk's
-    ``project_qkv`` output, so a decode step copies its own column only.
-    ``mass``, for policies that keep keys by it, is allocated beside the
-    buffers with n_cached + B zeros per sequence and sums the attention each
-    context column drew from the staged queries, over heads.
+    def vjp(g):
+        gx = np.zeros(full)
+        gx[rows] = g.reshape(gx[rows].shape)
+        return (gx,)
+
+    return custom_op([x], x.data[rows].reshape(shape), vjp)
+
+
+def _stack_blocks(chunks: list[list[Tensor2]], n_rows: int) -> Tensor2:
+    """Every layer's staged (n * H, head_dim, b_i) chunks as one (L * n, d, b) block:
+    a layer's chunks side by side, layer after layer. The vjp gives each chunk
+    its part of the gradient."""
+    n_layers, first = len(chunks), chunks[0]
+    edges = np.cumsum([0] + [c.cols for c in first])
+    data = np.empty((n_layers,) + first[0].shape[:-1] + (edges[-1],))
+    for layer, parts in zip(data, chunks):
+        np.concatenate([c.data for c in parts], axis=-1, out=layer)
+
+    def vjp(g):
+        g = g.reshape(data.shape)
+        return tuple(g[i, ..., a:b] for i in range(n_layers) for a, b in zip(edges[:-1], edges[1:]))
+
+    return custom_op([c for parts in chunks for c in parts], data.reshape(n_rows, -1, edges[-1]), vjp)
+
+
+class LayerStream:
+    """One layer's streaming state: its rows of the stacked cache plus staged columns.
+
+    ``stacked`` is every layer's cache, (L * n_seq, d, cols) keys and values,
+    layer after layer; this layer's are ``rows``, and ``cache`` shows them as
+    one (n_seq, d, cols) ``KvCache`` (n_seq = 1 for one sequence). Up to B raw
+    key/value columns wait in the staging buffer, head-batched as (n_seq * H,
+    head_dim, b) chunks, until ``_Streams.flush`` hands every layer's chunks
+    to the policy as one stacked block, (L * n_seq, H * head_dim, b); the
+    stream flushes when the next token arrives after a full block, so the
+    cache changes once per block however the tokens arrive. Queries attend to
+    cache + staged columns + their own chunk: at most M + B columns per head
+    for a bounded policy. ``context`` is one (keys, values) pair of
+    (n_seq * H, head_dim, n) tensors holding the cache + staged columns, keys
+    rotated as attention sees them. Both are views into one buffer per tensor
+    of n_cached + B columns, filled from the cache once per flush and
+    extended in place by each chunk's ``project_qkv`` output, so a decode
+    step copies its own column only. ``mass``, for policies that keep keys by
+    it, is allocated beside the buffers with n_cached + B zeros per sequence
+    and sums the attention each context column drew from the staged queries,
+    over heads.
     """
 
-    def __init__(self, policy: LayerPolicy, cache: KvCache, block_size: int):
+    def __init__(self, policy: LayerPolicy, stacked: KvCache, rows: slice, block_size: int):
         self.policy = policy
-        self.cache = cache
+        self.rows = rows
         self.block_size = block_size
-        self.n_seq = len(cache.keys.data)
+        self.n_seq = rows.stop - rows.start
+        self.reset(stacked)
+
+    def reset(self, stacked: KvCache) -> None:
+        """Start a flush cycle over the stacked cache, with nothing staged."""
+        self.stacked = stacked
         self.staged_k: list[Tensor2] = []
         self.staged_v: list[Tensor2] = []
         self.mass: np.ndarray | None = None
         self.context: tuple[Tensor2, Tensor2] | None = None
         self._buffers: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def cache(self) -> KvCache:
+        """This layer's rows of the stacked cache, as views."""
+        stacked = self.stacked
+        keys, values = (_rows(t, self.rows, (self.n_seq,) + t.shape[1:])
+                        for t in (stacked.keys, stacked.values))
+        scores = stacked.rule.scores
+        rule = stacked.rule if scores is None else replace(stacked.rule, scores=scores[self.rows])
+        return KvCache(keys, values, stacked.capacity, rule)
 
     @property
     def n_staged(self) -> int:
@@ -253,7 +304,7 @@ class LayerStream:
         for buffer, c in zip(self._buffers, self.context):
             buffer[..., :c.cols] = c.data
         if self.policy.needs_probs:
-            self.mass = np.zeros(self.cache.keys.shape[:-2] + (keys.cols + self.block_size,))
+            self.mass = np.zeros((self.n_seq, keys.cols + self.block_size))
 
     def extend_context(self, keys: Tensor2, values: Tensor2) -> tuple[Tensor2, Tensor2]:
         """Append a chunk's keys (rotated) and values to the context, in place."""
@@ -271,18 +322,6 @@ class LayerStream:
         if attn_probs is not None:
             self.mass[..., :attn_probs.shape[-2]] += attn_probs.sum(axis=-1)
 
-    def flush(self, detach_cache: bool) -> None:
-        """Hand the staged columns to the policy as one block."""
-        k, v = (
-            merge_heads(parts[0] if len(parts) == 1 else hstack(parts), self.n_seq)
-            for parts in (self.staged_k, self.staged_v)
-        )
-        probs = None if self.mass is None else self.mass[..., :self.context[0].cols, None]
-        cache = self.policy.update(self.cache, k, v, attn_probs=probs)
-        self.cache = cache.detach() if detach_cache else cache
-        self.staged_k, self.staged_v, self.mass = [], [], None
-        self.context = self._buffers = None
-
 
 def _layer_step(
     layer: LayerParams,
@@ -298,9 +337,9 @@ def _layer_step(
     then the MLP. The chunk joins the staged columns.
     """
     n_heads, head_dim = layer.attn.n_heads, layer.attn.head_dim
-    policy = stream.policy
+    policy, stacked = stream.policy, stream.stacked
     b = positions.size
-    n_cached = stream.cache.live_entries
+    n_cached = stacked.live_entries
     n_context = n_cached + stream.n_staged
 
     # slot-relative policies cache keys unrotated and rotate them by cache slot
@@ -310,11 +349,12 @@ def _layer_step(
                                      raw_k=relative)
     k_for_cache = k if relative else k_rot
 
-    if stream.context is None:
-        cached_keys = split_heads(stream.cache.keys, n_heads, head_dim)
+    if stream.context is None:  # this layer's rows of the cache, split into heads
+        cached_keys, cached_values = (_rows(t, stream.rows, (stream.n_seq * n_heads, head_dim, n_cached))
+                                      for t in (stacked.keys, stacked.values))
         if policy.slot_relative_positions and n_cached:
             cached_keys = apply_rope(cached_keys, np.arange(n_cached), rope)
-        stream.open_context(cached_keys, split_heads(stream.cache.values, n_heads, head_dim))
+        stream.open_context(cached_keys, cached_values)
     context_k, context_v = stream.extend_context(k_rot, v)
     out, probs = attend(q_rot, context_k, context_v, n_context)
     h = add(h, matmul(layer.attn.w_o, _merge_to_cols(out, stream.n_seq)))
@@ -366,24 +406,30 @@ def _forward_chunk(
 
 class _Streams:
     """One call's stream of ``n_seq`` sequences, side by side, through every layer:
-    feed tokens, get their logits; each op and policy update serves every sequence.
+    feed tokens, get their logits; each op serves every sequence, and each
+    policy update every sequence of every layer.
 
-    Staged columns go to the policies when the next token arrives, or when
-    the caller flushes: ``feed`` cuts its tokens at block boundaries and
-    flushes every layer before a chunk that starts a new block, so the last
-    block fed stays staged until ``flush``. The unembedding is made at its
-    first use and reused; logits that overflow raise NonFiniteError naming
-    the block. ``detach_cache`` cuts the gradient graph at each flush;
-    ``trace`` gets one ``record_block`` per flush, with the attention entries
-    of the block's last chunk: one record per (block, layer) of all sequences.
+    ``cache`` stacks every layer's cache, (n_layers * n_seq, d, cols), layer
+    after layer, and is kept across flushes; each ``LayerStream`` reads its
+    rows. Staged columns go to the policy when the next token arrives, or
+    when the caller flushes: ``feed`` cuts its tokens at block boundaries and
+    flushes before a chunk that starts a new block, so the last block fed
+    stays staged until ``flush``. The unembedding is made at its first use
+    and reused; logits that overflow raise NonFiniteError naming the block.
+    ``detach_cache`` cuts the gradient graph at each flush; ``trace`` gets
+    one ``record_block`` per flush, with the attention entries of the
+    block's last chunk: one record per (block, layer) of all sequences.
     """
 
     def __init__(self, params: ModelParams, policy: PolicySpec, block_size: int, *,
                  n_seq: int = 1, detach_cache: bool = False, trace=None):
         self.params = params
+        self.policy = build_layer_policies(params, policy, block_size)
+        self.n_seq, n_layers = n_seq, params.config.n_layers
+        self.cache = self.policy.empty_cache(params.config.d_model, n_layers * n_seq)
         self.layers = [
-            LayerStream(lp, lp.empty_cache(params.config.d_model, n_seq), block_size)
-            for lp in build_layer_policies(params, policy, block_size)
+            LayerStream(self.policy, self.cache, slice(i * n_seq, (i + 1) * n_seq), block_size)
+            for i in range(n_layers)
         ]
         self.position = 0
         self.block_size = block_size
@@ -420,16 +466,31 @@ class _Streams:
         return logits[0] if len(logits) == 1 else hstack(logits)
 
     def flush(self) -> None:
-        """Hand every layer's staged columns to its policy; a NonFiniteError is
-        raised again naming the block and the layer, as in ``_forward_chunk``."""
+        """Hand every layer's staged columns to the policy in one stacked update.
+
+        The block's keys and values and, for policies that keep keys by it,
+        the attention mass are stacked as the cache is, layer after layer. A
+        NonFiniteError is raised again naming the block and, from the row at
+        fault, the layer, as in ``_forward_chunk``.
+        """
         block = (self.position - 1) // self.block_size
-        for index, stream in enumerate(self.layers):
-            try:
-                stream.flush(self.detach_cache)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"{exc} at block {block}, layer {index}") from exc
+        layers, n_rows = self.layers, len(self.cache.keys.data)
+        k, v = (_stack_blocks([getattr(s, name) for s in layers], n_rows)
+                for name in ("staged_k", "staged_v"))
+        probs = None
+        if self.policy.needs_probs:
+            cols = layers[0].context[0].cols
+            probs = np.concatenate([s.mass[:, :cols] for s in layers])[..., None]
+        try:
+            cache = self.policy.update(self.cache, k, v, attn_probs=probs)
+        except NonFiniteError as exc:
+            layer = "" if exc.index is None else f", layer {exc.index // self.n_seq}"
+            raise NonFiniteError(f"{exc} at block {block}{layer}") from exc
+        self.cache = cache.detach() if self.detach_cache else cache
+        for stream in layers:
+            stream.reset(self.cache)
         if self.trace is not None:
-            caches = [s.cache for s in self.layers]
+            caches = [s.cache for s in layers]
             self.trace.record_block(block, caches, self._attn_entries, self.position)
 
 

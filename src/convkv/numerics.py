@@ -24,13 +24,21 @@ serves them all; ``rows`` and ``cols`` are then the last two axes.
 ``vstack``, ``select_cols`` (a row of indices per sequence) and ``conv1d``
 (each sequence padded alone) take such operands; every other primitive
 requires 2-D operands and raises ShapeError on anything else.
+
+``conv1d`` also takes one kernel bank per equal group of that axis, as the
+model stacks every layer's caches and merges them in one update. Its groups'
+GEMMs, each of the shape a lone call would have, run side by side on the
+calling thread and one pool worker; everything else runs on the calling
+thread, which alone records on a tape.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,7 +57,15 @@ class ShapeError(NumericsError):
 
 
 class NonFiniteError(NumericsError):
-    """NaN or infinity where finite values are required."""
+    """NaN or infinity where finite values are required.
+
+    ``index`` is the position along the leading axis of the first matrix found
+    at fault, when the op that raised knows it, else None.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class TapeError(NumericsError):
@@ -354,53 +370,144 @@ class ConvKernels:
         return self.weights.rows
 
 
-def _im2col(seqs: np.ndarray, k: int) -> np.ndarray:
-    """(C, n, T) -> (C * k, n * T), each sequence zero-padded alone by (k-1)/2 on
-    both ends: row c*k + j is channel c shifted by tap j, sequence by sequence."""
+def _im2col(seqs: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """(C, n, T) -> (C * k, n * T), written into ``out``, each sequence zero-padded
+    alone by (k-1)/2 on both ends: row c*k + j is channel c shifted by tap j,
+    sequence by sequence."""
+    c, n, t_len = seqs.shape
     pad = (k - 1) // 2
-    padded = np.zeros(seqs.shape[:-1] + (seqs.shape[-1] + 2 * pad,))
-    padded[..., pad:pad + seqs.shape[-1]] = seqs
-    return sliding_window_view(padded, k, axis=2).transpose(0, 3, 1, 2).reshape(seqs.shape[0] * k, -1)
+    padded = np.zeros((c, n, t_len + 2 * pad))
+    padded[..., pad:pad + t_len] = seqs
+    out.reshape(c, k, n, t_len)[...] = sliding_window_view(padded, k, axis=2).transpose(0, 3, 1, 2)
+    return out
 
 
-def conv1d(x: Tensor2, kernels: ConvKernels) -> Tensor2:
+# one worker beside the calling thread; its thread starts at the first grouped conv
+_POOL = ThreadPoolExecutor(max_workers=1)
+
+
+def _alternate(tasks: Sequence[tuple[Callable[..., None], Callable[[int], tuple]]],
+               side_by_side: bool) -> None:
+    """Run each task's ``work(*args(slot))``, in order. Side by side, the first,
+    third, ... go to the pool's worker (slot 0) while the calling thread runs
+    the others (slot 1); otherwise all run here, in slot 1.
+
+    ``args`` runs on the calling thread, just before its task starts or is
+    queued, so the arrays it makes stay in the caller's heap and are made no
+    earlier than needed. Once every task has stopped, the exception of a task
+    that failed is raised here, so no task still writes when the caller sees
+    it. Tasks call only private helpers and numpy: no public op, and nothing
+    that records on a tape.
+    """
+    futures = []
+    try:
+        for i, (work, args) in enumerate(tasks):
+            if side_by_side and i % 2 == 0:
+                futures.append(_POOL.submit(work, *args(0)))
+            else:
+                work(*args(1))
+    finally:
+        for future in futures:
+            future.result()
+
+
+def _buffers(width: int) -> Callable[[int, int], np.ndarray]:
+    """``get(rows, slot)``: an im2col buffer of (rows, width) for the tasks of one
+    slot, which run one after another; remade when the slot needs another height."""
+    made: dict[int, np.ndarray] = {}
+
+    def get(rows: int, slot: int) -> np.ndarray:
+        buffer = made.get(slot)
+        if buffer is None or len(buffer) != rows:
+            buffer = made[slot] = np.empty((rows, width))
+        return buffer
+
+    return get
+
+
+def conv1d(x: Tensor2, kernels: ConvKernels | Sequence[ConvKernels]) -> Tensor2:
     """Length-preserving multi-channel 1-D convolution along columns.
 
     Input is (c_in, T); output is (c_out, T) under zero padding of (k-1)/2 on
     both ends, so output column t depends only on input columns
     t-(k-1)/2 .. t+(k-1)/2; an (n, c_in, T) input is n sequences, padded one
-    by one and convolved by one GEMM over their im2col. A recorded conv keeps
-    no im2col, k times the size of its input: the kernel gradient rebuilds it
-    from the input and frees it when the vjp returns. The vjp skips the input
-    gradient (the gradient convolved by the tap-flipped kernels) when the
-    input is frozen, and the kernel gradient when the kernels are; either
-    comes back as None. It keeps the input only for the kernel gradient and
-    the kernels only for the input gradient.
+    by one and convolved by one GEMM over their im2col.
+
+    ``kernels`` is one bank, or a sequence of G banks of one shape, one per
+    equal group of the leading axis: bank g convolves sequences g * n/G ..
+    (g + 1) * n/G - 1 by that group's own GEMM, of the shape one bank's call
+    on the group alone has, so each group's output is bit for bit that call's.
+    Groups run side by side, every other one on a pool worker beside the
+    calling thread; one bank runs inline. Each bank's weights are an input of
+    their own.
+
+    A recorded conv keeps no im2col, k times the size of its input: the kernel
+    gradient rebuilds it from the input and frees it when it is done. The vjp
+    skips the input gradient (the gradient convolved by the tap-flipped
+    kernels) when the input is frozen, and a bank's kernel gradient when its
+    weights are; either comes back as None. It keeps the input only for the
+    kernel gradients and the kernels only for the input gradient. With groups,
+    the worker takes every kernel gradient and the calling thread every input
+    gradient, or, when only one kind is needed, every other group each.
     """
-    _require_2d("conv1d", kernels.weights)
-    if x.rows != kernels.c_in:
-        raise ShapeError(f"conv1d: input has {x.rows} channels, kernels expect {kernels.c_in}")
+    banks = (kernels,) if isinstance(kernels, ConvKernels) else tuple(kernels)
+    c_in, c_out, k = banks[0].c_in, banks[0].c_out, banks[0].k
+    for bank in banks:
+        _require_2d("conv1d", bank.weights)
+        if (bank.c_in, bank.c_out, bank.k) != (c_in, c_out, k):
+            raise ShapeError(f"conv1d: kernel banks differ in shape ({bank.weights.shape}, k={bank.k} "
+                             f"vs {banks[0].weights.shape}, k={k})")
+    if x.rows != c_in:
+        raise ShapeError(f"conv1d: input has {x.rows} channels, kernels expect {c_in}")
     if x.cols == 0:
         raise ShapeError("conv1d: no columns to convolve")
-    c_in, c_out, k = kernels.c_in, kernels.c_out, kernels.k
-    t_len, n = x.cols, x.data.size // (c_in * x.cols)
-    w = kernels.weights
-    seqs = x.data.reshape(n, c_in, t_len).swapaxes(0, 1)  # (c_in, n, T), a view
-    out = (w.data @ _im2col(seqs, k)).reshape(c_out, n, t_len).swapaxes(0, 1).reshape(x.shape[:-2] + (c_out, t_len))
+    groups, t_len, n_all = len(banks), x.cols, x.data.size // (c_in * x.cols)
+    if n_all % groups:
+        raise ShapeError(f"conv1d: {n_all} sequences do not split into {groups} equal groups")
+    n = n_all // groups
+    side_by_side = groups > 1
+    seqs = x.data.reshape(groups, n, c_in, t_len).swapaxes(1, 2)  # (G, c_in, n, T), a view
+    out = np.empty((groups, n, c_out, t_len))
+    w = [bank.weights.data for bank in banks]
+    cols = _buffers(n * t_len)
+
+    def forward(g, cols_g):
+        out[g] = (w[g] @ _im2col(seqs[g], k, cols_g)).reshape(c_out, n, t_len).swapaxes(0, 1)
+
+    _alternate([(forward, lambda slot, g=g: (g, cols(c_in * k, slot))) for g in range(groups)],
+               side_by_side)
     x_shape = x.shape
-    wd = w.data if x.requires_grad else None  # read by the input gradient only
-    seqs = seqs if w.requires_grad else None  # read by the kernel gradient only
+    trainable = [bank.weights.requires_grad for bank in banks]
+    wd = w if x.requires_grad else None  # read by the input gradients only
+    seqs = seqs if any(trainable) else None  # read by the kernel gradients only
 
     def vjp(g):
-        g = g.reshape(n, c_out, t_len).swapaxes(0, 1).reshape(c_out, n * t_len)
-        gw = None if seqs is None else g @ _im2col(seqs, k).T
-        if wd is None:
-            return None, gw
-        gcols = _im2col(g.reshape(c_out, n, t_len), k)
-        flipped = wd.reshape(c_out, c_in, k)[..., ::-1].transpose(1, 0, 2).reshape(c_in, -1)
-        return (flipped @ gcols).reshape(c_in, n, t_len).swapaxes(0, 1).reshape(x_shape), gw
+        g = g.reshape(groups, n, c_out, t_len).swapaxes(1, 2)  # (G, c_out, n, T)
+        gw = [None] * groups
+        gx = None if wd is None else np.empty((groups, n, c_in, t_len))
+        cols = _buffers(n * t_len)
 
-    return _result(out, (x, w), vjp)
+        def kernel_args(j, slot):
+            gw[j] = np.empty((c_out, c_in * k))  # made here, filled by the task
+            return j, cols(c_in * k, slot)
+
+        def kernel_grad(j, cols_j):
+            np.matmul(g[j].reshape(c_out, n * t_len), _im2col(seqs[j], k, cols_j).T, out=gw[j])
+
+        def input_grad(j, cols_j):
+            flipped = wd[j].reshape(c_out, c_in, k)[..., ::-1].transpose(1, 0, 2).reshape(c_in, -1)
+            gx[j] = (flipped @ _im2col(g[j], k, cols_j)).reshape(c_in, n, t_len).swapaxes(0, 1)
+
+        tasks = []  # group by group: its kernel gradient, then its input gradient
+        for j in range(groups):
+            if seqs is not None and trainable[j]:
+                tasks.append((kernel_grad, partial(kernel_args, j)))
+            if gx is not None:
+                tasks.append((input_grad, lambda slot, j=j: (j, cols(c_out * k, slot))))
+        _alternate(tasks, side_by_side)
+        return (None if gx is None else gx.reshape(x_shape), *gw)
+
+    return _result(out.reshape(x_shape[:-2] + (c_out, t_len)), (x, *(bank.weights for bank in banks)), vjp)
 
 
 def row_normalize(x: Tensor2) -> Tensor2:
@@ -410,7 +517,8 @@ def row_normalize(x: Tensor2) -> Tensor2:
     Rows whose sum falls below ``MIN_ROW_SUM`` first get ``MIN_ROW_SUM`` added
     uniformly, so a dead row normalizes to near-uniform weights instead of
     blowing up. A row sum that is NaN or overflows raises NonFiniteError, as
-    its row would no longer sum to 1.
+    its row would no longer sum to 1; its ``index`` is the sequence of the
+    first such row (0 for a 2-D input).
     """
     d = x.data
     if x.cols == 0:
@@ -420,8 +528,10 @@ def row_normalize(x: Tensor2) -> Tensor2:
     # an overflowed sum raises NonFiniteError below, so numpy's warning would only say it first
     with np.errstate(over="ignore"):
         sums = d.sum(axis=-1, keepdims=True)
-    if not np.isfinite(sums).all():
-        raise NonFiniteError("row_normalize: a row sum is not finite")
+    finite = np.isfinite(sums)
+    if not finite.all():
+        raise NonFiniteError("row_normalize: a row sum is not finite",
+                             index=int(np.argmin(finite)) // x.rows)
     dead = sums < MIN_ROW_SUM
     adj = np.where(dead, d + MIN_ROW_SUM, d)
     r = adj.sum(axis=-1, keepdims=True)

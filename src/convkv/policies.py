@@ -8,6 +8,11 @@ the rule a fresh cache starts from, whether the rest is merged by the
 convolutional head or dropped, and whether keys rotate by cache slot. The
 merge+pin hybrids pin attention sinks or heavy hitters and merge the
 complement, so the total stays exactly at the slot budget.
+
+One ``LayerPolicy`` serves every layer of a model: the model stacks the
+layers' caches and blocks on the leading axis, layer after layer, and makes
+one ``update`` per flush. A merging policy holds one conv head per layer,
+head l scoring layer l's rows.
 """
 
 from __future__ import annotations
@@ -122,24 +127,41 @@ class PolicySpec:
                 f"{self.capacity - room} pinned)"
             )
 
-    def build(self, conv_head: ConvHead | None = None) -> "LayerPolicy":
+    def build(self, *conv_heads: ConvHead) -> "LayerPolicy":
+        """The policy over caches stacked in as many equal groups as ``conv_heads``,
+        head l merging group l (layer l of a model); an eviction policy takes none.
+
+        A merging policy needs at least one head, every head with ``merge_slots``
+        slots, and all of them of one kernel size and ``relu_position``, as one
+        grouped conv scores every group; CacheError names the first layer that
+        differs.
+        """
         if self.needs_conv_head:
-            if conv_head is None:
+            if not conv_heads:
                 raise CacheError(f"policy {self.name!r} needs a conv head")
-            if conv_head.slots != self.merge_slots:
-                raise CacheError(
-                    f"policy {self.name!r} needs a head with {self.merge_slots} slots, "
-                    f"got {conv_head.slots}"
-                )
-        return LayerPolicy(self, conv_head)
+            first = conv_heads[0]
+            for layer, head in enumerate(conv_heads):
+                if head.slots != self.merge_slots:
+                    raise CacheError(
+                        f"policy {self.name!r} needs a head with {self.merge_slots} slots, "
+                        f"got {head.slots} at layer {layer}"
+                    )
+                if (head.kernel_size, head.relu_position) != (first.kernel_size, first.relu_position):
+                    raise CacheError(
+                        f"conv heads must agree on kernel size and relu_position: layer {layer} "
+                        f"has {head.kernel_size} and {head.relu_position!r}, layer 0 has "
+                        f"{first.kernel_size} and {first.relu_position!r}"
+                    )
+        return LayerPolicy(self, conv_heads)
 
 
 class LayerPolicy:
-    """A policy bound to one layer's conv head (when it needs one)."""
+    """A policy bound to the conv heads of the layers whose stacked caches it
+    updates (when it needs them), one per equal group of the leading axis."""
 
-    def __init__(self, spec: PolicySpec, conv_head: ConvHead | None = None):
+    def __init__(self, spec: PolicySpec, conv_heads: tuple[ConvHead, ...] = ()):
         self.spec = spec
-        self.conv_head = conv_head
+        self.conv_heads = conv_heads
 
     @property
     def needs_probs(self) -> bool:
@@ -163,7 +185,7 @@ class LayerPolicy:
         # evictions run through two named entry points, which the benchmark
         # traces apart: with heavy hitters (h2o) or by position only (sink_window)
         if self.spec.needs_conv_head:
-            return compress_step(cache, k_new, v_new, self.conv_head, attn_probs)
+            return compress_step(cache, k_new, v_new, self.conv_heads, attn_probs)
         if self.spec.capacity is None:
             return update_concat(cache, k_new, v_new)
         if self.needs_probs:

@@ -80,9 +80,9 @@ def test_calibration_runs_under_the_spans_the_benchmark_traces(monkeypatch):
         convkv.calibrate_conv_heads(params, np.arange(64), spec, 4, cfg, kernel_size=3)
     calls = Counter(rec.names[i] for i in rec.name)
     assert CALIBRATION_SPANS <= set(calls)
-    # 2 layers, each merging once for both sequences of the batch: of the merges
+    # one merge serves both layers and both sequences of the batch: of the merges
     # after blocks 3 and 4 of 4, the last is never read and is not run
-    assert calls["compressor.synthesize_weights"] == 2
+    assert calls["compressor.synthesize_weights"] == 1
 
 
 def test_merge_statistics_match_a_full_width_scatter(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convkv.cache import CacheError
+from convkv.compressor import new_conv_head
 from convkv.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from convkv import attention, model, numerics
 from convkv.attention import split_heads
@@ -29,6 +30,8 @@ from convkv.training import TrainConfig, TrainingDivergedError, calibrate_conv_h
 import oracles
 
 TINY = ModelConfig(d_model=16, n_layers=2, n_heads=2, head_dim=8, max_context=256)
+# an odd layer count gives the two threads of a grouped conv unequal shares
+TINY3 = ModelConfig(d_model=16, n_layers=3, n_heads=2, head_dim=8, max_context=256)
 
 # logit fingerprint of the seed-3 lococo run, frozen once the equivalence and
 # bound invariants above/below were green (see test_lococo_regression_locked_logits)
@@ -86,8 +89,8 @@ class TestModelConfig:
             ModelConfig(**kwargs)
 
 
-def model_for(spec, seed=13):
-    params = ModelParams.init(TINY, seed=seed)
+def model_for(spec, seed=13, config=TINY):
+    params = ModelParams.init(config, seed=seed)
     if spec.needs_conv_head:
         params.install_conv_heads(slots=spec.merge_slots, kernel_size=5, seed=seed)
     return params
@@ -359,12 +362,13 @@ class TestGenerate:
 class TestDecodeMatchesPrefill:
     """Block-buffered decode reproduces the teacher-forced segmented prefill."""
 
+    @pytest.mark.parametrize("config", [TINY, TINY3], ids=["2_layers", "3_layers"])
     @pytest.mark.parametrize("prompt_len,block_size", [(8, 4), (10, 4), (3, 4), (5, 1)],
                              ids=["whole_blocks", "ragged_tail", "shorter_than_block", "block_1"])
     @pytest.mark.parametrize("name", list(POLICIES))
-    def test_decode_logits_equal_prefill(self, monkeypatch, name, prompt_len, block_size):
+    def test_decode_logits_equal_prefill(self, monkeypatch, name, prompt_len, block_size, config):
         spec = POLICIES[name]
-        params = model_for(spec)
+        params = model_for(spec, config=config)
         fed_logits = []
         feed = model._Streams.feed
 
@@ -406,10 +410,11 @@ class TestDecodeMatchesPrefill:
         for n_new in (1, 7, 30):
             calls.update(update=0, build=0)
             generate(params, prompt, n_new, spec, block_size)
-            # a full block reaches the policy when the next token arrives
+            # a full block reaches the policy when the next token arrives, and
+            # one update per flush serves every layer
             fed = prompt.size + n_new - 1
-            assert calls["update"] == TINY.n_layers * ((fed - 1) // block_size)
-            assert calls["build"] == TINY.n_layers
+            assert calls["update"] == (fed - 1) // block_size
+            assert calls["build"] == 1
 
 
 class TestBatchedSequences:
@@ -499,8 +504,9 @@ class TestSequenceLoss:
         loss = sequence_loss(params, tokens, spec, 4)
         expect = cross_entropy_cols(select_cols(logits, np.arange(tokens.size - 1)), tokens[1:])
         assert np.array_equal(loss.data, expect.data)
-        assert segmented_updates == TINY.n_layers * 4
-        assert len(calls) == segmented_updates - TINY.n_layers
+        # one update per flush serves every layer: 4 flushes, the last one unread
+        assert segmented_updates == 4
+        assert len(calls) == segmented_updates - 1
 
 
     def test_one_token_has_nothing_to_predict(self, tiny_params):
@@ -579,6 +585,27 @@ class TestConvHeadCount:
             forward_segmented(params, tokens, spec, 4)
         with pytest.raises(CacheError, match="one conv head per layer"):
             generate(params, tokens, 3, spec, 4)
+
+
+class TestHeadAgreement:
+    """One grouped conv scores every layer, so the layers' heads must agree."""
+
+    @pytest.mark.parametrize("change, match", [
+        (dict(kernel_size=3), "agree on kernel size and relu_position: layer 2 has 3 and 'post'"),
+        (dict(relu_position="pre"), "agree on kernel size and relu_position: layer 2 has 5 and 'pre'"),
+        (dict(slots=5), "needs a head with [68] slots, got 5 at layer 2"),
+    ], ids=["kernel_size", "relu_position", "slots"])
+    @pytest.mark.parametrize("name", ["lococo", "lococo+h2o", "lococo+sink"])
+    def test_disagreeing_head_named_at_build_time(self, name, change, match):
+        spec = BOUNDED[name]
+        params = model_for(spec, config=TINY3)
+        head = dict(slots=spec.merge_slots, kernel_size=5, relu_position="post") | change
+        params.conv_heads[2] = new_conv_head(TINY3.d_model, head["slots"], head["kernel_size"],
+                                             np.random.default_rng(0), head["relu_position"], 2)
+        with pytest.raises(CacheError, match=match):
+            model.build_layer_policies(params, spec, 4)
+        with pytest.raises(CacheError, match=match):
+            forward_segmented(params, rand_tokens(np.random.default_rng(3), 12), spec, 4)
 
 
 class TestOpBudget:

@@ -280,9 +280,11 @@ class TestCalibration:
         for name, hits in touched.items():
             assert hits.all(), f"{name}: {(~hits).sum()} parameters never saw a gradient"
 
-    def test_end_to_end_gradcheck_small_instance(self):
+    # 3 layers give the two threads of the grouped conv unequal shares
+    @pytest.mark.parametrize("n_layers", [2, 3])
+    def test_end_to_end_gradcheck_small_instance(self, n_layers):
         # d=4, capacity=4, block=2, 12 tokens; probes 5 random conv parameters
-        config = ModelConfig(d_model=4, n_layers=2, n_heads=1, head_dim=4, max_context=64)
+        config = ModelConfig(d_model=4, n_layers=n_layers, n_heads=1, head_dim=4, max_context=64)
         params = ModelParams.init(config, seed=5)
         params.install_conv_heads(slots=4, kernel_size=5, seed=6)
         trainable = params.named_conv()
