@@ -28,8 +28,9 @@ requires 2-D operands and raises ShapeError on anything else.
 ``conv1d`` also takes one kernel bank per equal group of that axis, as the
 model stacks every layer's caches and merges them in one update. Its groups'
 GEMMs, each of the shape a lone call would have, run side by side on the
-calling thread and one pool worker; everything else runs on the calling
-thread, which alone records on a tape.
+calling thread and one pool worker when they are large enough to gain from
+it; everything else runs on the calling thread, which alone records on a
+tape.
 """
 
 from __future__ import annotations
@@ -384,6 +385,11 @@ def _im2col(seqs: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
 
 # one worker beside the calling thread; its thread starts at the first grouped conv
 _POOL = ThreadPoolExecutor(max_workers=1)
+# multiply-adds of one group's GEMM below which the groups run inline. Merges of
+# one sequence (c_out 64, c_in 128, k = 21, 80 columns: 13.8M a layer) made a
+# decode stream, whose worker sleeps between merges, about 8% slower side by
+# side than inline; batches of 4 sequences (55M) gain in training and eval
+_MIN_SIDE_BY_SIDE_WORK = 2 ** 25
 
 
 def _alternate(tasks: Sequence[tuple[Callable[..., None], Callable[[int], tuple]]],
@@ -438,8 +444,9 @@ def conv1d(x: Tensor2, kernels: ConvKernels | Sequence[ConvKernels]) -> Tensor2:
     (g + 1) * n/G - 1 by that group's own GEMM, of the shape one bank's call
     on the group alone has, so each group's output is bit for bit that call's.
     Groups run side by side, every other one on a pool worker beside the
-    calling thread; one bank runs inline. Each bank's weights are an input of
-    their own.
+    calling thread, when each group's GEMM has at least
+    ``_MIN_SIDE_BY_SIDE_WORK`` multiply-adds; one bank, or smaller groups, run
+    inline. Each bank's weights are an input of their own.
 
     A recorded conv keeps no im2col, k times the size of its input: the kernel
     gradient rebuilds it from the input and frees it when it is done. The vjp
@@ -465,7 +472,7 @@ def conv1d(x: Tensor2, kernels: ConvKernels | Sequence[ConvKernels]) -> Tensor2:
     if n_all % groups:
         raise ShapeError(f"conv1d: {n_all} sequences do not split into {groups} equal groups")
     n = n_all // groups
-    side_by_side = groups > 1
+    side_by_side = groups > 1 and c_out * c_in * k * n * t_len >= _MIN_SIDE_BY_SIDE_WORK
     seqs = x.data.reshape(groups, n, c_in, t_len).swapaxes(1, 2)  # (G, c_in, n, T), a view
     out = np.empty((groups, n, c_out, t_len))
     w = [bank.weights.data for bank in banks]

@@ -701,6 +701,13 @@ class TestConv1dVjp:
         assert self.vjp_of_conv(x, w, k, g)[1] is None
 
 
+@pytest.fixture
+def side_by_side(monkeypatch):
+    """Groups of any size run on both threads, as large ones do."""
+    monkeypatch.setattr(numerics, "_MIN_SIDE_BY_SIDE_WORK", 0)
+
+
+@pytest.mark.usefixtures("side_by_side")
 class TestGroupedConv1d:
     """One kernel bank per equal group of the leading axis gives, bit for bit, what
     each group's own call and the stored-im2col vjp formulas give."""
@@ -778,6 +785,23 @@ class TestConvThreads:
         off_main = {name for name, ids in threads.items() if ids != {threading.get_ident()}}
         assert off_main == {"_im2col"} and len(threads["_im2col"]) == 2
 
+    @pytest.mark.parametrize("n_seq, on_worker", [(1, False), (4, True)])
+    def test_only_large_groups_run_side_by_side(self, monkeypatch, n_seq, on_worker):
+        # the merge shape of the benchmark model: 13.8M multiply-adds per sequence
+        rng = np.random.default_rng(3)
+        x = head_batched(rng, 2 * n_seq, 128, 80)
+        banks = [ConvKernels(rand(rng, 64, 128 * 21), c_in=128, k=21) for _ in range(2)]
+        threads, im2col = set(), numerics._im2col
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return im2col(*args)
+
+        monkeypatch.setattr(numerics, "_im2col", spy)
+        conv1d(x, banks)
+        assert len(threads) == (2 if on_worker else 1)
+
+    @pytest.mark.usefixtures("side_by_side")
     def test_pool_task_error_comes_out_of_conv1d_as_itself(self, monkeypatch):
         rng = np.random.default_rng(2)
         x = head_batched(rng, 4, 6, 7)

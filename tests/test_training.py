@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from convkv import numerics
 from convkv.cache import CacheError
 from convkv.corpus import (
     corpus_to_ids,
@@ -282,8 +283,10 @@ class TestCalibration:
 
     # 3 layers give the two threads of the grouped conv unequal shares
     @pytest.mark.parametrize("n_layers", [2, 3])
-    def test_end_to_end_gradcheck_small_instance(self, n_layers):
-        # d=4, capacity=4, block=2, 12 tokens; probes 5 random conv parameters
+    def test_end_to_end_gradcheck_small_instance(self, monkeypatch, n_layers):
+        # d=4, capacity=4, block=2, 12 tokens; probes 5 random conv parameters, with
+        # the conv groups on both threads, as full-size ones run
+        monkeypatch.setattr(numerics, "_MIN_SIDE_BY_SIDE_WORK", 0)
         config = ModelConfig(d_model=4, n_layers=n_layers, n_heads=1, head_dim=4, max_context=64)
         params = ModelParams.init(config, seed=5)
         params.install_conv_heads(slots=4, kernel_size=5, seed=6)
