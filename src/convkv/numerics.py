@@ -383,7 +383,7 @@ def _im2col(seqs: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# one worker beside the calling thread; its thread starts at the first grouped conv
+# one worker beside the calling thread; its thread starts at the first conv run side by side
 _POOL = ThreadPoolExecutor(max_workers=1)
 # multiply-adds of one group's GEMM below which the groups run inline. Merges of
 # one sequence (c_out 64, c_in 128, k = 21, 80 columns: 13.8M a layer) made a
