@@ -10,9 +10,12 @@ the loss run a batch of sequences side by side, one sequence being a batch of
 one, so every cache holds (n, d, cols) keys and values and a batch shares
 every op and update. The layers' caches are stacked too, layer after layer,
 so one policy update per block serves every layer, and a merging policy's
-convs run one GEMM per layer side by side on two threads. A full block
-reaches the policy when the next token arrives. Perplexity and the loss
-share one next-token cross entropy.
+convs run one GEMM per layer. A full block reaches the policy when the next
+token arrives. When it arrives in a feed of more than one token per sequence
+(prefill, a decode prompt, eval windows, calibration), the merges come back
+to back and the layers' GEMMs run side by side on two threads; in a one-token
+feed, a decode step, they run inline. Perplexity and the loss share one
+next-token cross entropy.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .numerics import (
     NonFiniteError,
     ShapeError,
     Tensor2,
+    _side_by_side,
     add,
     cross_entropy_cols,
     custom_op,
@@ -252,7 +256,10 @@ class LayerStream:
     head_dim, b) chunks, until ``_Streams.flush`` hands every layer's chunks
     to the policy as one stacked block, (L * n_seq, H * head_dim, b); the
     stream flushes when the next token arrives after a full block, so the
-    cache changes once per block however the tokens arrive. Queries attend to
+    cache changes once per block however the tokens arrive. A flush made in a
+    feed of more than one token per sequence runs a merging policy's per-layer
+    convs side by side on two threads; one made in a one-token feed, a decode
+    step, or by the caller outside ``feed`` runs them inline. Queries attend to
     cache + staged columns + their own chunk: at most M + B columns per head
     for a bounded policy. ``context`` is one (keys, values) pair of
     (n_seq * H, head_dim, n) tensors holding the cache + staged columns, keys
@@ -447,7 +454,10 @@ class _Streams:
         while start < t_len:
             offset = self.position % self.block_size
             if offset == 0 and self.layers[0].staged_k:
-                self.flush()
+                # merges come back to back in a multi-token feed, so the conv
+                # pool's worker is awake; a decode step's would wait for it to wake
+                with _side_by_side(t_len > 1):
+                    self.flush()
             stop = min(start + self.block_size - offset, t_len)
             positions = np.arange(self.position, self.position + stop - start)
             block = self.position // self.block_size
@@ -521,8 +531,10 @@ def forward_segmented(
     One stream is fed the sequences side by side and then flushed, so every block,
     a short final one included, goes through the policy once it has been
     attended to; the returned caches, (n, d, cols) per layer, hold the whole
-    sequences. When ``trace`` is given, one record per (block, layer) of live
-    cache entries and allocated attention-score entries is appended via its
+    sequences. The final flush is made outside ``feed``, so its merges run
+    inline (see ``LayerStream``). When ``trace`` is given, one record per
+    (block, layer) of live cache entries and allocated attention-score entries
+    is appended via its
     ``record_block`` hook. A layer output that overflows raises NonFiniteError
     naming the block (counted within the sequence, as in the trace) and the layer.
     """

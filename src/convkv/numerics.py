@@ -28,16 +28,21 @@ requires 2-D operands and raises ShapeError on anything else.
 ``conv1d`` also takes one kernel bank per equal group of that axis, as the
 model stacks every layer's caches and merges them in one update. Its groups'
 GEMMs, each of the shape a lone call would have, run side by side on the
-calling thread and one pool worker when they are large enough to gain from
-it; everything else runs on the calling thread, which alone records on a
-tape.
+calling thread and one pool worker when the call is made inside the calling
+thread's ``_side_by_side`` context, which the model enters while it feeds a
+stream more than one token per sequence: merges then come back to back and
+keep the worker busy, where a decode step's merge would wait for an idle
+worker to wake. Everything else runs on the calling thread, which alone
+records on a tape.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -383,20 +388,38 @@ def _im2col(seqs: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# one worker beside the calling thread; its thread starts at the first conv run side by side
-_POOL = ThreadPoolExecutor(max_workers=1)
-# multiply-adds of one group's GEMM below which the groups run inline. Merges of
-# one sequence (c_out 64, c_in 128, k = 21, 80 columns: 13.8M a layer) made a
-# decode stream, whose worker sleeps between merges, about 8% slower side by
-# side than inline; batches of 4 sequences (55M) gain in training and eval
-_MIN_SIDE_BY_SIDE_WORK = 2 ** 25
+def _new_pool() -> None:
+    """One worker beside the calling thread; its thread starts at the first conv run
+    side by side. A forked child inherits the pool but not its thread, so it makes
+    its own pool, or its first side-by-side conv would wait for that thread forever."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=1)
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+@contextmanager
+def _side_by_side(on: bool):
+    """Within the context, a grouped ``conv1d`` that this thread calls runs its
+    groups side by side when ``on``, inline otherwise; each conv's vjp keeps the
+    choice its forward made."""
+    before = getattr(_LOCAL, "side_by_side", False)
+    _LOCAL.side_by_side = on
+    try:
+        yield
+    finally:
+        _LOCAL.side_by_side = before
 
 
 def _alternate(tasks: Sequence[tuple[Callable[..., None], Callable[[int], tuple]]],
                side_by_side: bool) -> None:
-    """Run each task's ``work(*args(slot))``, in order. Side by side, the first,
-    third, ... go to the pool's worker (slot 0) while the calling thread runs
-    the others (slot 1); otherwise all run here, in slot 1.
+    """Run each task's ``work(*args(slot))``, in order. Side by side (inside a
+    multi-token feed, see ``_side_by_side``), the first, third, ... go to the
+    pool's worker (slot 0) while the calling thread runs the others (slot 1);
+    otherwise, as in a decode step, all run here, in slot 1.
 
     ``args`` runs on the calling thread, just before its task starts or is
     queued, so the arrays it makes stay in the caller's heap and are made no
@@ -444,9 +467,11 @@ def conv1d(x: Tensor2, kernels: ConvKernels | Sequence[ConvKernels]) -> Tensor2:
     (g + 1) * n/G - 1 by that group's own GEMM, of the shape one bank's call
     on the group alone has, so each group's output is bit for bit that call's.
     Groups run side by side, every other one on a pool worker beside the
-    calling thread, when each group's GEMM has at least
-    ``_MIN_SIDE_BY_SIDE_WORK`` multiply-adds; one bank, or smaller groups, run
-    inline. Each bank's weights are an input of their own.
+    calling thread, when the call is made inside this thread's
+    ``_side_by_side`` context: the model's prefill, decode prompt, eval windows
+    and calibration, whose feeds run merges back to back. One bank, or a call
+    outside the context, such as a decode step's merge, runs inline. Each
+    bank's weights are an input of their own.
 
     A recorded conv keeps no im2col, k times the size of its input: the kernel
     gradient rebuilds it from the input and frees it when it is done. The vjp
@@ -472,7 +497,7 @@ def conv1d(x: Tensor2, kernels: ConvKernels | Sequence[ConvKernels]) -> Tensor2:
     if n_all % groups:
         raise ShapeError(f"conv1d: {n_all} sequences do not split into {groups} equal groups")
     n = n_all // groups
-    side_by_side = groups > 1 and c_out * c_in * k * n * t_len >= _MIN_SIDE_BY_SIDE_WORK
+    side_by_side = groups > 1 and getattr(_LOCAL, "side_by_side", False)
     seqs = x.data.reshape(groups, n, c_in, t_len).swapaxes(1, 2)  # (G, c_in, n, T), a view
     out = np.empty((groups, n, c_out, t_len))
     w = [bank.weights.data for bank in banks]

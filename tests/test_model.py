@@ -367,8 +367,7 @@ class TestDecodeMatchesPrefill:
                              ids=["whole_blocks", "ragged_tail", "shorter_than_block", "block_1"])
     @pytest.mark.parametrize("name", list(POLICIES))
     def test_decode_logits_equal_prefill(self, monkeypatch, name, prompt_len, block_size, config):
-        # the tiny model's conv groups run on both threads, as full-size ones do
-        monkeypatch.setattr(numerics, "_MIN_SIDE_BY_SIDE_WORK", 0)
+        # decode steps merge inline; the prefill's multi-token feed merges side by side
         spec = POLICIES[name]
         params = model_for(spec, config=config)
         fed_logits = []

@@ -1,6 +1,7 @@
 """Unit tests for the tensor type, primitives, and the gradient tape."""
 
 import inspect
+import multiprocessing
 import sys
 import threading
 import tracemalloc
@@ -20,9 +21,9 @@ from convkv.attention import (
     project_qkv,
     split_heads,
 )
-from convkv import numerics
+from convkv import model, numerics
 from convkv.cache import KvCache
-from convkv.model import LayerStream, ModelConfig, ModelParams, sequence_loss
+from convkv.model import LayerStream, ModelConfig, ModelParams, forward_segmented, sequence_loss
 from convkv.numerics import (
     ConvKernels,
     GradTape,
@@ -701,31 +702,41 @@ class TestConv1dVjp:
         assert self.vjp_of_conv(x, w, k, g)[1] is None
 
 
-@pytest.fixture
-def side_by_side(monkeypatch):
-    """Groups of any size run on both threads, as large ones do."""
-    monkeypatch.setattr(numerics, "_MIN_SIDE_BY_SIDE_WORK", 0)
+def im2col_threads(monkeypatch) -> set[int]:
+    """The ids of the threads that run ``_im2col`` from now on (cleared by the caller)."""
+    threads, im2col = set(), numerics._im2col
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return im2col(*args)
+
+    monkeypatch.setattr(numerics, "_im2col", spy)
+    return threads
 
 
-@pytest.mark.usefixtures("side_by_side")
 class TestGroupedConv1d:
     """One kernel bank per equal group of the leading axis gives, bit for bit, what
-    each group's own call and the stored-im2col vjp formulas give."""
+    each group's own call and the stored-im2col vjp formulas give, inline and
+    side by side."""
 
+    @pytest.mark.parametrize("side_by_side", [False, True], ids=["inline", "side_by_side"])
     @pytest.mark.parametrize("frozen", [None, "input", "kernels"])
     @pytest.mark.parametrize("groups", [1, 2, 3])
-    def test_groups_equal_per_group_calls(self, groups, frozen):
+    def test_groups_equal_per_group_calls(self, monkeypatch, groups, frozen, side_by_side):
         rng = np.random.default_rng(groups)
         n, c_in, c_out, k, t_len = 2, 6, 4, 5, 9
         x = head_batched(rng, groups * n, c_in, t_len, trainable=frozen != "input")
         banks = [ConvKernels(rand(rng, c_out, c_in * k, trainable=frozen != "kernels"), c_in=c_in, k=k)
                  for _ in range(groups)]
         g = rng.standard_normal((groups * n, c_out, t_len))
-        with GradTape() as tape:
+        with GradTape() as tape, numerics._side_by_side(side_by_side):
             out = conv1d(x, banks)
         ((keys, _, vjp),) = tape._entries
         assert len(keys) == 1 + groups  # the input, then each bank's weights
-        gx, *gw = vjp(g)
+        threads = im2col_threads(monkeypatch)
+        gx, *gw = vjp(g)  # outside the context: the vjp keeps the forward's choice
+        monkeypatch.undo()
+        assert len(threads) == (2 if side_by_side and groups > 1 else 1)
         if frozen == "input":
             assert gx is None
         for j, bank in enumerate(banks):
@@ -785,23 +796,21 @@ class TestConvThreads:
         off_main = {name for name, ids in threads.items() if ids != {threading.get_ident()}}
         assert off_main == {"_im2col"} and len(threads["_im2col"]) == 2
 
-    @pytest.mark.parametrize("n_seq, on_worker", [(1, False), (4, True)])
-    def test_only_large_groups_run_side_by_side(self, monkeypatch, n_seq, on_worker):
-        # the merge shape of the benchmark model: 13.8M multiply-adds per sequence
-        rng = np.random.default_rng(3)
-        x = head_batched(rng, 2 * n_seq, 128, 80)
-        banks = [ConvKernels(rand(rng, 64, 128 * 21), c_in=128, k=21) for _ in range(2)]
-        threads, im2col = set(), numerics._im2col
+    def test_multi_token_feeds_merge_side_by_side(self, monkeypatch):
+        # a one-sequence prefill's flushes run the layers' convs on two threads; a
+        # flush in a one-token feed, a decode step, keeps them on the caller
+        params = ModelParams.init(ModelConfig(d_model=16, n_heads=2, head_dim=8), seed=0)
+        policy = PolicySpec("lococo", capacity=8)
+        params.install_conv_heads(slots=policy.merge_slots, kernel_size=5, seed=0)
+        tokens = np.random.default_rng(3).integers(0, 256, size=33)
+        threads = im2col_threads(monkeypatch)
+        streams = model._Streams(params, policy, 4)
+        streams.feed(tokens[:32])  # 7 flushes, the last block staged
+        assert len(threads) == 2
+        threads.clear()
+        streams.feed(tokens[32:])  # flushes that block
+        assert threads == {threading.get_ident()}
 
-        def spy(*args):
-            threads.add(threading.get_ident())
-            return im2col(*args)
-
-        monkeypatch.setattr(numerics, "_im2col", spy)
-        conv1d(x, banks)
-        assert len(threads) == (2 if on_worker else 1)
-
-    @pytest.mark.usefixtures("side_by_side")
     def test_pool_task_error_comes_out_of_conv1d_as_itself(self, monkeypatch):
         rng = np.random.default_rng(2)
         x = head_batched(rng, 4, 6, 7)
@@ -815,13 +824,58 @@ class TestConvThreads:
             return im2col(*args)
 
         monkeypatch.setattr(numerics, "_im2col", failing_off_main)
-        with pytest.raises(RuntimeError) as info:
+        with pytest.raises(RuntimeError) as info, numerics._side_by_side(True):
             conv1d(x, banks)
         assert len(raised) == 1 and info.value is raised[0]
         monkeypatch.undo()
-        out = conv1d(x, banks)
+        with numerics._side_by_side(True):
+            out = conv1d(x, banks)
         for j, bank in enumerate(banks):
             assert np.array_equal(out.data[2 * j:2 * j + 2], conv1d(t2(x.data[2 * j:2 * j + 2]), bank).data)
+
+
+def lococo_prefills() -> list[np.ndarray]:
+    """Logits and caches of a 4 x 128 lococo prefill at the benchmark model's merge
+    shape (M = 64, B = 16, k = 21: 55M multiply-adds a layer's GEMM), whose grouped
+    convs run side by side, then of a one-sequence prefill."""
+    params = ModelParams.init(ModelConfig(), seed=0)
+    policy = PolicySpec("lococo", capacity=64)
+    params.install_conv_heads(slots=policy.merge_slots, kernel_size=21, seed=0)
+    rng, out = np.random.default_rng(19), []
+    for tokens in (rng.integers(0, 256, size=(4, 128)), rng.integers(0, 256, size=160)):
+        logits, caches = forward_segmented(params, tokens, policy, 16)
+        out += [logits.data, *(t.data for c in caches for t in (c.keys, c.values))]
+    return out
+
+
+def send_lococo_prefills(conn) -> None:
+    conn.send(lococo_prefills())
+    conn.close()
+
+
+class TestForkedChild:
+    TIMEOUT_S = 60  # the child's prefills take about a second
+
+    def test_forked_child_runs_side_by_side_convs(self):
+        # the parent's worker thread does not survive fork; the child's pool must not wait for it
+        want = lococo_prefills()
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=send_lococo_prefills, args=(send,))
+        child.start()
+        send.close()
+        try:
+            got = receive.recv() if receive.poll(self.TIMEOUT_S) else None
+            if got is not None:
+                child.join(self.TIMEOUT_S)
+        finally:
+            if child.is_alive():
+                child.terminate()
+                child.join()
+            receive.close()
+        assert got is not None, f"the forked child's prefills did not finish in {self.TIMEOUT_S} s"
+        assert child.exitcode == 0
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def traced_allocation(build):

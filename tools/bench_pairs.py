@@ -10,12 +10,16 @@ script runs ``benchmarks/run.py --trace 0`` once per side for each of
 ``--pairs`` seeds, alternating which side goes first, then one
 ``--trace 1`` run per side. Each run also records the minor page faults
 and CPU seconds of its process, from ``getrusage(RUSAGE_CHILDREN)`` taken
-before and after it. The output, written at the repository root, holds
-every result line, each side's median and q1-q3 of every end-to-end metric
-in ``BENCHMARK.json`` and of the page faults and CPU seconds, the pairs the
-change won on each, the traced result lines, the ``environment`` line and
-both commit ids. It needs only the standard library and git; a 33 s run
-takes about 40 s.
+before and after it, its wall seconds, and their ratio ``cpu_per_wall``,
+the mean number of busy threads: a second thread that gets no CPU shows as
+a lower ratio, which the scaled figures, timed against a one-thread
+reference kernel, do not correct for. The output, written at the
+repository root, holds every result line, each side's median and q1-q3 of
+every end-to-end metric in ``BENCHMARK.json`` and of those four run
+figures, the pairs the change won on each, each side's operations
+attempted and failed and its runs that exited nonzero, the traced result
+lines, the ``environment`` line and both commit ids. It needs only the
+standard library and git; a 33 s run takes about 40 s.
 
 The ``eval`` workload is not one of ``benchmarks/run.py``'s: each of its runs
 is a fresh process of this script (``--eval-once <seed>``) in the side's tree.
@@ -46,7 +50,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("prefill_long", "decode_stream", "calibrate", "eval")
 EVAL_WINDOWS = 8
-RUSAGE = [{"name": "minflt", "better": "lower"}, {"name": "cpu_s", "better": "lower"}]
+# figures of each run's process; more busy threads per wall second reads as better
+RUN_FIGURES = [{"name": "minflt", "better": "lower"}, {"name": "cpu_s", "better": "lower"},
+               {"name": "wall_s", "better": "lower"}, {"name": "cpu_per_wall", "better": "higher"}]
 
 
 def git(*args: str) -> bytes:
@@ -60,18 +66,19 @@ def unpack(commit: str, into: Path) -> None:
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run: its result JSON, its report lines by name, its environment,
-    and the minor page faults and CPU seconds of its process."""
+    and the minor page faults, CPU seconds and wall seconds of its process."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     if workload == "eval":
         cmd = [sys.executable, str(Path(__file__).resolve()), "--eval-once", str(seed)]
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    before, started = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    wall_s, after = time.perf_counter() - started, resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.splitlines()
+    cpu_s = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
     out = {"seed": seed, "returncode": proc.returncode, "stderr": proc.stderr[-2000:],
-           "minflt": after.ru_minflt - before.ru_minflt,
-           "cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)}
+           "minflt": after.ru_minflt - before.ru_minflt, "cpu_s": cpu_s, "wall_s": wall_s,
+           "cpu_per_wall": cpu_s / wall_s}
     if proc.returncode == 0 and lines:
         out["result"] = json.loads(lines[-1])
         out["report"] = {
@@ -90,14 +97,14 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric, and per ``RUSAGE`` count of a run: each side's
+    """Per end-to-end metric, and per ``RUN_FIGURES`` figure of a run: each side's
     spread, the change's wins and the median difference against the parent's
     q1-q3 width."""
     summary = {}
-    for metric in metrics + RUSAGE:
+    for metric in metrics + RUN_FIGURES:
         name, higher = metric["name"], metric["better"] == "higher"
         values = {
-            side: [p[side][name] if metric in RUSAGE else p[side]["result"]["metrics"][name]["value"]
+            side: [p[side][name] if metric in RUN_FIGURES else p[side]["result"]["metrics"][name]["value"]
                    for p in pairs if "result" in p[side]]
             for side in ("parent", "change")
         }
@@ -119,6 +126,19 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
                 abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
         }
     return summary
+
+
+def outcomes(pairs: list[dict]) -> dict:
+    """Per side, over its paired runs: the operations they attempted and failed (the
+    ``eval`` workload reports none) and how many runs exited nonzero."""
+    return {
+        side: {
+            "attempted": sum(p[side].get("result", {}).get("attempted", 0) for p in pairs),
+            "failed": sum(p[side].get("result", {}).get("failed", 0) for p in pairs),
+            "nonzero_exits": sum(p[side]["returncode"] != 0 for p in pairs),
+        }
+        for side in ("parent", "change")
+    }
 
 
 def eval_once(seed: int) -> dict:
@@ -198,8 +218,10 @@ def main(argv=None) -> int:
                     figures = pair[side].get("result", {}).get("metrics", {})
                     figure = figures.get("eval_s" if workload == "eval" else "tok_s", {})
                     print(f"{workload} seed {seed} {side}: {figure.get('value')} "
-                          f"minflt {pair[side]['minflt']} cpu_s {pair[side]['cpu_s']:.1f}",
-                          file=sys.stderr)
+                          f"minflt {pair[side]['minflt']} cpu_s {pair[side]['cpu_s']:.1f} "
+                          f"wall_s {pair[side]['wall_s']:.1f} "
+                          f"failed {pair[side].get('result', {}).get('failed')} "
+                          f"exit {pair[side]['returncode']}", file=sys.stderr)
                 pairs.append(pair)
             if workload == "eval":
                 traced = None
@@ -212,6 +234,7 @@ def main(argv=None) -> int:
                 measured = metrics
             report["workloads"][workload] = {
                 "summary": summarize(pairs, measured),
+                "outcomes": outcomes(pairs),
                 "pairs": pairs,
                 "trace": traced,
             }
