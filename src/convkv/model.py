@@ -454,8 +454,9 @@ class _Streams:
         while start < t_len:
             offset = self.position % self.block_size
             if offset == 0 and self.layers[0].staged_k:
-                # merges come back to back in a multi-token feed, so the conv
-                # pool's worker is awake; a decode step's would wait for it to wake
+                # a multi-token feed flushes its blocks close together, and a second
+                # thread gains; a decode step flushes B feeds after the last flush,
+                # when waking the idle conv worker costs more than it saves
                 with _side_by_side(t_len > 1):
                     self.flush()
             stop = min(start + self.block_size - offset, t_len)

@@ -30,10 +30,10 @@ model stacks every layer's caches and merges them in one update. Its groups'
 GEMMs, each of the shape a lone call would have, run side by side on the
 calling thread and one pool worker when the call is made inside the calling
 thread's ``_side_by_side`` context, which the model enters while it feeds a
-stream more than one token per sequence: merges then come back to back and
-keep the worker busy, where a decode step's merge would wait for an idle
-worker to wake. Everything else runs on the calling thread, which alone
-records on a tape.
+stream more than one token per sequence: merges then come close together,
+where a decode step's merge comes so long after the last that waking the
+idle worker costs more than it saves. Everything else runs on the calling
+thread, which alone records on a tape.
 """
 
 from __future__ import annotations
