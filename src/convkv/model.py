@@ -12,8 +12,8 @@ every op and update. The layers' caches are stacked too, layer after layer,
 so one policy update per block serves every layer, and a merging policy's
 convs run one GEMM per layer. A full block reaches the policy when the next
 token arrives. When it arrives in a feed of more than one token per sequence
-(prefill, a decode prompt, eval windows, calibration), the merges come back
-to back and the layers' GEMMs run side by side on two threads; in a one-token
+(prefill, a decode prompt, eval windows, calibration), the merges come close
+together and the layers' GEMMs run side by side on two threads; in a one-token
 feed, a decode step, they run inline. Perplexity and the loss share one
 next-token cross entropy.
 """
@@ -535,9 +535,9 @@ def forward_segmented(
     sequences. The final flush is made outside ``feed``, so its merges run
     inline (see ``LayerStream``). When ``trace`` is given, one record per
     (block, layer) of live cache entries and allocated attention-score entries
-    is appended via its
-    ``record_block`` hook. A layer output that overflows raises NonFiniteError
-    naming the block (counted within the sequence, as in the trace) and the layer.
+    is appended via its ``record_block`` hook. A layer output that overflows
+    raises NonFiniteError naming the block (counted within the sequence, as in
+    the trace) and the layer.
     """
     batch = _token_ids(params, np.atleast_2d(tokens), "token sequence", ndim=2)
     streams = _Streams(params, policy, block_size, n_seq=len(batch), trace=trace)

@@ -469,7 +469,7 @@ def conv1d(x: Tensor2, kernels: ConvKernels | Sequence[ConvKernels]) -> Tensor2:
     Groups run side by side, every other one on a pool worker beside the
     calling thread, when the call is made inside this thread's
     ``_side_by_side`` context: the model's prefill, decode prompt, eval windows
-    and calibration, whose feeds run merges back to back. One bank, or a call
+    and calibration, whose feeds make merges close together. One bank, or a call
     outside the context, such as a decode step's merge, runs inline. Each
     bank's weights are an input of their own.
 
