@@ -8,8 +8,8 @@ on. Rotary position embedding (with optional interpolation for context
 extension) lives here too.
 
 Heads ride a leading axis: ``project_qkv`` makes every head's (head_dim, T)
-rotated q and k, raw k and v with one GEMM and one rotation, ``attend`` runs
-every head in one call, and ``merge_heads`` goes back to (n_seq, n_heads * head_dim, T).
+rotated q and k, raw k and v with one GEMM and one rotation, and ``attend`` runs
+every head in one call.
 """
 
 from __future__ import annotations
@@ -179,31 +179,3 @@ def attend(q: Tensor2, k: Tensor2, v: Tensor2, n_cached: int = 0) -> tuple[Tenso
     probs = softmax_cols(scores, 1.0 / math.sqrt(q.rows), mask)
     return matmul(v, probs), probs
 
-
-def split_heads(x: Tensor2, n_heads: int, head_dim: int) -> Tensor2:
-    """View (n_heads * head_dim, T) as (n_heads, head_dim, T), without a copy.
-
-    Head h is rows h * head_dim .. (h + 1) * head_dim of ``x``; an
-    (n, n_heads * head_dim, T) input gives (n * n_heads, head_dim, T).
-    """
-    if x.rows != n_heads * head_dim:
-        raise ShapeError(f"cannot split shape {x.shape} into {n_heads} heads of {head_dim}")
-    shape = x.shape
-
-    def vjp(g):
-        return (g.reshape(shape),)
-
-    return custom_op([x], x.data.reshape(math.prod(shape[:-1]) // head_dim, head_dim, -1), vjp)
-
-
-def merge_heads(x: Tensor2, n_seq: int = 1) -> Tensor2:
-    """Inverse of ``split_heads``: (n_seq * n_heads, head_dim, T) ->
-    (n_seq, n_heads * head_dim, T), one sequence being a batch of one."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"merge_heads needs a head-batched (H, d, T) input, got {x.shape}")
-    shape = x.shape
-
-    def vjp(g):
-        return (g.reshape(shape),)
-
-    return custom_op([x], x.data.reshape(n_seq, shape[0] // n_seq * shape[1], shape[2]), vjp)

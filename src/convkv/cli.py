@@ -23,7 +23,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .compressor import RELU_POSITIONS
-from .corpus import load_corpus
+from .corpus import corpus_to_ids, load_corpus
 from .instrumentation import compare_policies, write_reports_json
 from .model import ModelConfig, generate, perplexity
 from .policies import PolicySpec
@@ -358,8 +358,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     _echo_config(cfg, out, "generate")
     params = load_checkpoint(cfg.checkpoint)
-    tokens = np.frombuffer(prompt_bytes, dtype=np.uint8).astype(np.int64)
-    result = generate(params, tokens, cfg.n_new, spec, cfg.block_size)
+    result = generate(params, corpus_to_ids(prompt_bytes), cfg.n_new, spec, cfg.block_size)
     text = bytes(int(t) for t in result)
     (out / "generated.txt").write_bytes(text)
     sys.stdout.write(text.decode("latin-1"))

@@ -13,10 +13,10 @@ cache's ``KeepRule`` picks the columns kept verbatim (none for plain LoCoCo,
 attention sinks or heavy hitters for the hybrids) and the head merges the
 rest, where the eviction policies would drop it.
 
-A merge takes one head, or one head per equal group of the leading axis:
-the model stacks every layer's sequences layer after layer and merges them
-all in one step, each layer's rows scored by its own head in one grouped
-``conv1d``. Such heads must agree on slot count, kernel size and
+A merge takes one head per equal group of the leading axis: the model
+stacks every layer's sequences layer after layer and merges them all in one
+step, each layer's rows scored by its own head in one grouped ``conv1d``.
+The heads must agree on slot count, kernel size and
 ``relu_position``; ``PolicySpec.build`` checks that.
 """
 
@@ -102,11 +102,6 @@ def new_conv_head(
     return ConvHead(kernels, layer_index=layer_index, relu_position=relu_position)
 
 
-def _heads(head: ConvHead | Sequence[ConvHead]) -> tuple[ConvHead, ...]:
-    """One head, or one per equal group of the leading axis, as a tuple."""
-    return (head,) if isinstance(head, ConvHead) else tuple(head)
-
-
 class FusionWeights(NamedTuple):
     """Blending weights for one merge, over the columns it merges.
 
@@ -144,21 +139,20 @@ def synthesize_weights(
     v_new: Tensor2,
     k_cache: Tensor2,
     v_cache: Tensor2,
-    head: ConvHead | Sequence[ConvHead],
-    merged: np.ndarray | None = None,
+    heads: Sequence[ConvHead],
+    merged: np.ndarray,
 ) -> FusionWeights:
     """Score the merged (incoming + cached) columns for every slot, then normalize.
 
     Operands are (n, d, columns), one sequence being a batch of one. The
     picked operand stacks keys over values of the columns ``merged`` (1 or
     n, block + cache) names, incoming block columns first, cache columns
-    after: one row per sequence or one row every sequence shares (default:
-    every column). A column left out, as when a hybrid keeps it verbatim,
-    is in no slot. Either side may have no columns, but ``conv1d`` rejects
-    a convolution of no columns at all, or of other than the head's 2*d
-    rows. With a head per group, head g scores group g's sequences. The
-    weights are the row-normalized conv output over the picked columns,
-    (n, slots, p).
+    after: one row per sequence or one row every sequence shares. A column
+    left out, as when a hybrid keeps it verbatim, is in no slot. Either side
+    may have no columns, but ``conv1d`` rejects a convolution of no columns
+    at all, or of other than the heads' 2*d rows. Head g scores the
+    sequences of group g of ``len(heads)`` equal groups. The weights are the
+    row-normalized conv output over the picked columns, (n, slots, p).
     """
     d = k_new.rows
     for name, t in (("v_new", v_new), ("k_cache", k_cache), ("v_cache", v_cache)):
@@ -166,11 +160,9 @@ def synthesize_weights(
             raise ShapeError(f"{name} has {t.rows} rows, expected {d}")
     if k_new.cols != v_new.cols or k_cache.cols != v_cache.cols:
         raise ShapeError("key/value column counts disagree")
-    b, width = k_new.cols, k_new.cols + k_cache.cols
-    merged = np.ones((1, width), dtype=bool) if merged is None else merged
+    b = k_new.cols
     cols = np.nonzero(merged)[1].reshape(len(merged), -1)
     picked = select_cols(vstack([hstack([k_new, k_cache]), hstack([v_new, v_cache])]), cols)
-    heads = _heads(head)
     conv_in = relu(picked) if heads[0].relu_position == "pre" else picked
     weights = row_normalize(relu(conv1d(conv_in, [h.kernels for h in heads])))
     return FusionWeights(weights, picked, cols < b)
@@ -203,7 +195,7 @@ def compress_step(
     cache: KvCache,
     k_new: Tensor2,
     v_new: Tensor2,
-    head: ConvHead | Sequence[ConvHead],
+    heads: Sequence[ConvHead],
     attn_probs: np.ndarray | None = None,
 ) -> KvCache:
     """One merging update: concatenate while the budget allows, merge after.
@@ -214,10 +206,9 @@ def compress_step(
     in front, and the rest, incoming block plus unkept cache, is blended
     into the remaining capacity - ``rule.budget`` slots, which the head must
     produce. A rule with heavy hitters needs the block's ``attn_probs``;
-    merged slots inherit the weighted sum of their sources' scores. With a
-    head per group, head g merges group g's sequences.
+    merged slots inherit the weighted sum of their sources' scores. Head g
+    merges the sequences of group g of ``len(heads)`` equal groups.
     """
-    heads = _heads(head)
     if cache.capacity is not None and heads[0].slots != cache.capacity - cache.rule.budget:
         raise CacheError(
             f"head produces {heads[0].slots} slots but capacity - kept is "

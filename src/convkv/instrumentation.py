@@ -100,7 +100,6 @@ def compare_policies(
     timestamp are wall-clock observations and vary run to run.
     """
     reports = []
-    n_tokens = (corpus_ids.size // eval_context_length) * eval_context_length
     for spec in specs:
         trace = MemoryTrace()
         started = time.perf_counter()
@@ -108,6 +107,8 @@ def compare_policies(
             params, corpus_ids, spec, eval_context_length, block_size, trace=trace
         )
         elapsed = max(time.perf_counter() - started, 1e-9)
+        # counted once perplexity has checked the window length
+        n_tokens = (corpus_ids.size // eval_context_length) * eval_context_length
         echo = {"eval_context_length": eval_context_length, "block_size": block_size}
         if spec.capacity is not None:
             echo["capacity"] = spec.capacity

@@ -25,15 +25,15 @@ serves them all; ``rows`` and ``cols`` are then the last two axes.
 (each sequence padded alone) take such operands; every other primitive
 requires 2-D operands and raises ShapeError on anything else.
 
-``conv1d`` also takes one kernel bank per equal group of that axis, as the
-model stacks every layer's caches and merges them in one update. Its groups'
-GEMMs, each of the shape a lone call would have, run side by side on the
-calling thread and one pool worker when the call is made inside the calling
-thread's ``_side_by_side`` context, which the model enters while it feeds a
-stream more than one token per sequence: merges then come close together,
-where a decode step's merge comes so long after the last that waking the
-idle worker costs more than it saves. Everything else runs on the calling
-thread, which alone records on a tape.
+``conv1d`` takes one kernel bank per equal group of that axis, as the model
+stacks every layer's caches and merges them in one update. Its groups'
+GEMMs, each of the shape a one-group call would have, run side by side on
+the calling thread and one pool worker when the call is made inside the
+calling thread's ``_side_by_side`` context, which the model enters while it
+feeds a stream more than one token per sequence: merges then come close
+together, where a decode step's merge comes so long after the last that
+waking the idle worker costs more than it saves. Everything else runs on the
+calling thread, which alone records on a tape.
 """
 
 from __future__ import annotations
@@ -423,7 +423,9 @@ def _alternate(tasks: Sequence[tuple[Callable[..., None], Callable[[int], tuple]
 
     ``args`` runs on the calling thread, just before its task starts or is
     queued, so the arrays it makes stay in the caller's heap and are made no
-    earlier than needed. Once every task has stopped, the exception of a task
+    earlier than needed. A task's own temporaries are made on the thread that
+    runs it: ``_im2col``'s zero-padded copy of its input is made on the worker
+    for the worker's tasks. Once every task has stopped, the exception of a task
     that failed is raised here, so no task still writes when the caller sees
     it. Tasks call only private helpers and numpy: no public op, and nothing
     that records on a tape.
@@ -454,7 +456,7 @@ def _buffers(width: int) -> Callable[[int, int], np.ndarray]:
     return get
 
 
-def conv1d(x: Tensor2, kernels: ConvKernels | Sequence[ConvKernels]) -> Tensor2:
+def conv1d(x: Tensor2, kernels: Sequence[ConvKernels]) -> Tensor2:
     """Length-preserving multi-channel 1-D convolution along columns.
 
     Input is (c_in, T); output is (c_out, T) under zero padding of (k-1)/2 on
@@ -462,10 +464,10 @@ def conv1d(x: Tensor2, kernels: ConvKernels | Sequence[ConvKernels]) -> Tensor2:
     t-(k-1)/2 .. t+(k-1)/2; an (n, c_in, T) input is n sequences, padded one
     by one and convolved by one GEMM over their im2col.
 
-    ``kernels`` is one bank, or a sequence of G banks of one shape, one per
-    equal group of the leading axis: bank g convolves sequences g * n/G ..
-    (g + 1) * n/G - 1 by that group's own GEMM, of the shape one bank's call
-    on the group alone has, so each group's output is bit for bit that call's.
+    ``kernels`` is a sequence of G banks of one shape, one per equal group of
+    the leading axis: bank g convolves sequences g * n/G .. (g + 1) * n/G - 1
+    by that group's own GEMM, of the shape a one-bank call on the group alone
+    has, so each group's output is bit for bit that call's.
     Groups run side by side, every other one on a pool worker beside the
     calling thread, when the call is made inside this thread's
     ``_side_by_side`` context: the model's prefill, decode prompt, eval windows
@@ -482,7 +484,7 @@ def conv1d(x: Tensor2, kernels: ConvKernels | Sequence[ConvKernels]) -> Tensor2:
     the worker takes every kernel gradient and the calling thread every input
     gradient, or, when only one kind is needed, every other group each.
     """
-    banks = (kernels,) if isinstance(kernels, ConvKernels) else tuple(kernels)
+    banks = tuple(kernels)
     c_in, c_out, k = banks[0].c_in, banks[0].c_out, banks[0].k
     for bank in banks:
         _require_2d("conv1d", bank.weights)

@@ -10,6 +10,9 @@ composition of primitives that ``attention.project_qkv`` fuses, and
 must match the package bit for bit. So must ``conv1d_vjp_stored_im2col``, the
 conv gradients formed from a stored im2col, and ``adam_arrays``, the
 textbook Adam formula that ``training.adam_step`` evaluates in place.
+``split_heads`` and ``merge_heads`` are differentiable reshapes between the
+stacked (n_heads * head_dim, T) layout and the head-batched one, for tests
+that build head-batched operands or take gradients through them.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import math
 
 import numpy as np
 
-from convkv.attention import apply_rope, attend, split_heads
-from convkv.numerics import ShapeError, Tensor2, matmul
+from convkv.attention import apply_rope, attend
+from convkv.numerics import ShapeError, Tensor2, custom_op, matmul
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,6 +87,35 @@ def full_causal_attention(q: Tensor2, k: Tensor2, v: Tensor2) -> Tensor2:
     if q.cols != k.cols:
         raise ShapeError(f"full attention expects square layout, got {q.cols} queries vs {k.cols} keys")
     return attend(q, k, v, n_cached=0)[0]
+
+
+def split_heads(x: Tensor2, n_heads: int, head_dim: int) -> Tensor2:
+    """View (n_heads * head_dim, T) as (n_heads, head_dim, T), without a copy.
+
+    Head h is rows h * head_dim .. (h + 1) * head_dim of ``x``; an
+    (n, n_heads * head_dim, T) input gives (n * n_heads, head_dim, T).
+    """
+    if x.rows != n_heads * head_dim:
+        raise ShapeError(f"cannot split shape {x.shape} into {n_heads} heads of {head_dim}")
+    shape = x.shape
+
+    def vjp(g):
+        return (g.reshape(shape),)
+
+    return custom_op([x], x.data.reshape(math.prod(shape[:-1]) // head_dim, head_dim, -1), vjp)
+
+
+def merge_heads(x: Tensor2, n_seq: int = 1) -> Tensor2:
+    """Inverse of ``split_heads``: (n_seq * n_heads, head_dim, T) ->
+    (n_seq, n_heads * head_dim, T), one sequence being a batch of one."""
+    if x.data.ndim != 3:
+        raise ShapeError(f"merge_heads needs a head-batched (H, d, T) input, got {x.shape}")
+    shape = x.shape
+
+    def vjp(g):
+        return (g.reshape(shape),)
+
+    return custom_op([x], x.data.reshape(n_seq, shape[0] // n_seq * shape[1], shape[2]), vjp)
 
 
 def project_qkv_composed(x: Tensor2, params, positions: np.ndarray, rope):

@@ -102,7 +102,7 @@ def test_merge_statistics_match_a_full_width_scatter(monkeypatch):
     head = convkv.new_conv_head(d, cached - heavy, kernel_size=3, rng=rng)
     k_new, v_new, k_cache, v_cache = (convkv.Tensor2(rng.standard_normal((n, d, cols)))
                                       for cols in (b, b, cached, cached))
-    result = convkv.synthesize_weights(k_new, v_new, k_cache, v_cache, head, merged)
+    result = convkv.synthesize_weights(k_new, v_new, k_cache, v_cache, [head], merged)
     assert result.from_block.sum(axis=1).tolist() == [3, 1]
     rec = tracing.SpanRecorder()
     tracing._observe_weights(rec, convkv.synthesize_weights, (), {}, result)
@@ -161,3 +161,52 @@ def test_no_module_imports_a_name_it_never_uses(module):
 def test_unused_import_scan_sees_an_unused_name():
     source = "from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: 'B'\n"
     assert _unused_imports(source) == ["field"]
+
+
+# defined for ROADMAP item 2 (the eval trace CSV and the attention peak), which
+# gives them their program callers
+AWAITING_CALLERS = {"write_csv", "peak_attn_entries"}
+
+
+def _defined_names(source: str) -> set[str]:
+    """Every function and class a module defines, nested ones too; dunders are
+    called by the language, not by name."""
+    return {
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("__")
+    }
+
+
+def _referenced_names(source: str) -> set[str]:
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def _uncalled(defined: set[str], sources: list[str], dotted: list[str]) -> list[str]:
+    refs = set().union(*map(_referenced_names, sources), *(path.split(".") for path in dotted))
+    return sorted(defined - refs)
+
+
+def test_every_name_src_defines_has_a_program_caller(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    defined = set().union(*(_defined_names(p.read_text()) for p in PACKAGE.glob("*.py")))
+    # a re-export in the package's __init__ is not a caller
+    callers = [p for d in ("src", "benchmarks", "tools") for p in sorted((ROOT / d).rglob("*.py"))
+               if p != PACKAGE / "__init__.py"]
+    dotted = [path for _, _, path, _ in tracing.TARGETS]
+    assert _uncalled(defined, [p.read_text() for p in callers], dotted) == sorted(AWAITING_CALLERS)
+
+
+def test_caller_scan_sees_an_unused_def():
+    defined = _defined_names("def used():\n    pass\n\n\nclass Planted:\n    def method(self):\n        pass\n")
+    caller = "used()\nobj.method()\n"
+    assert _uncalled(defined, [caller], []) == ["Planted"]
+    assert _uncalled(defined, [caller], ["module.Planted.run"]) == []

@@ -9,9 +9,7 @@ from convkv.attention import (
     RopeConfig,
     apply_rope,
     attend,
-    merge_heads,
     project_qkv,
-    split_heads,
 )
 from convkv.instrumentation import MemoryTrace
 from convkv.model import ModelConfig, ModelParams, forward_segmented
@@ -30,7 +28,7 @@ from convkv.numerics import (
 from convkv.policies import PolicySpec
 
 import oracles
-from oracles import full_causal_attention
+from oracles import full_causal_attention, merge_heads, split_heads
 
 
 def t2(arr):

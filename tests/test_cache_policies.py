@@ -369,13 +369,13 @@ class TestHybrids:
         k1, v1 = t2(rng.standard_normal((1, d, 4))), t2(rng.standard_normal((1, d, 4)))
         k2, v2 = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
 
-        plain = compress_step(KvCache.empty(d, capacity=m), k1, v1, head)
-        plain = compress_step(plain, k2, v2, head)
+        plain = compress_step(KvCache.empty(d, capacity=m), k1, v1, [head])
+        plain = compress_step(plain, k2, v2, [head])
 
         rule = PolicySpec("lococo+h2o", capacity=m, reserved=0).rule
         heavy = KvCache.empty(d, capacity=m, rule=rule)
-        heavy = compress_step(heavy, k1, v1, head, rng.random((1, 4, 4)))
-        heavy = compress_step(heavy, k2, v2, head, rng.random((1, 4 + b, b)))
+        heavy = compress_step(heavy, k1, v1, [head], rng.random((1, 4, 4)))
+        heavy = compress_step(heavy, k2, v2, [head], rng.random((1, 4 + b, b)))
 
         assert np.array_equal(heavy.keys.data, plain.keys.data)
         assert np.array_equal(heavy.values.data, plain.values.data)
@@ -388,10 +388,10 @@ class TestHybrids:
         cache = KvCache.empty(d, capacity=m, rule=KeepRule(n_sink))
         first = token_block(d, 0, 4)
         first_v = paired_values(first)
-        cache = compress_step(cache, first, first_v, head)
+        cache = compress_step(cache, first, first_v, [head])
         for t in range(1, 4):
             k = token_block(d, 4 * t, 4)
-            cache = compress_step(cache, k, paired_values(k), head)
+            cache = compress_step(cache, k, paired_values(k), [head])
         assert cache.live_entries == m
         assert np.array_equal(cache.keys.data[..., :n_sink], first.data)
         assert np.array_equal(cache.values.data[..., :n_sink], first_v.data)
@@ -407,7 +407,7 @@ class TestHybrids:
         k_new, v_new = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
         probs = rng.random((n_old + b, b))
 
-        out = compress_step(cache, k_new, v_new, head, probs[None])
+        out = compress_step(cache, k_new, v_new, [head], probs[None])
 
         scores = np.concatenate([scores0, np.zeros(b)]) + probs.sum(axis=1)
         idx = np.arange(len(scores))
@@ -422,7 +422,8 @@ class TestHybrids:
         comp_new = comp[comp >= n_old] - n_old
         kc, vc = t2(old_k.data[..., comp_cache]), t2(old_v.data[..., comp_cache])
         kn, vn = t2(k_new.data[..., comp_new]), t2(v_new.data[..., comp_new])
-        weights = synthesize_weights(kn, vn, kc, vc, head)
+        every = np.ones((1, kn.cols + kc.cols), dtype=bool)
+        weights = synthesize_weights(kn, vn, kc, vc, [head], every)
         k_ref, v_ref = fuse(weights)
         assert np.max(np.abs(out.keys.data[..., reserved:] - k_ref.data)) == 0.0
         assert np.max(np.abs(out.values.data[..., reserved:] - v_ref.data)) == 0.0
@@ -445,9 +446,9 @@ class TestHybrids:
         head = new_conv_head(d, m - n_sink, kernel_size=3, rng=rng)
         cache = KvCache.empty(d, capacity=m, rule=KeepRule(n_sink))
         k = token_block(d, 0, 3)
-        cache = compress_step(cache, k, paired_values(k), head)
+        cache = compress_step(cache, k, paired_values(k), [head])
         big = token_block(d, 3, 5)
-        cache = compress_step(cache, big, paired_values(big), head)
+        cache = compress_step(cache, big, paired_values(big), [head])
         first = t2(np.concatenate([k.data, big.data], axis=-1)[..., :n_sink])
         assert cache.live_entries == m
         assert np.array_equal(cache.keys.data[..., :n_sink], first.data)

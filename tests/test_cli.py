@@ -7,8 +7,9 @@ import pytest
 
 from convkv.checkpoint import load_checkpoint, save_checkpoint
 from convkv.cli import ConfigError, main, read_config_file, resolve_config, build_parser
-from convkv.corpus import make_recall_corpus, write_corpus
 from convkv.model import ModelConfig, ModelParams
+
+from corpora import make_recall_corpus, write_corpus
 
 TINY_ARGS = [
     "--d-model", "8", "--n-layers", "1", "--n-heads", "1", "--head-dim", "8",

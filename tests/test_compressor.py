@@ -51,6 +51,12 @@ def center_tap_head(d, slots, value=1.0):
     return head_from_3d(k3)
 
 
+def synthesize_all(k_new, v_new, k_cache, v_cache, head):
+    """``synthesize_weights`` of one head over every column, block and cache."""
+    every = np.ones((1, k_new.cols + k_cache.cols), dtype=bool)
+    return synthesize_weights(k_new, v_new, k_cache, v_cache, [head], every)
+
+
 def weights_matrix(weights: FusionWeights) -> np.ndarray:
     """(n * slots, p) weights, here over every column: [block | cache]."""
     return weights.weights.data.reshape(-1, weights.weights.cols)
@@ -70,7 +76,7 @@ class TestSynthesizeWeights:
         col = np.abs(np.random.default_rng(0).standard_normal((1, d, 1))) + 0.5
         k_new = t2(np.repeat(col, b, axis=-1))
         k_cache = t2(np.repeat(col, cache_len, axis=-1))
-        w = synthesize_weights(k_new, k_new, k_cache, k_cache, head)
+        w = synthesize_all(k_new, k_new, k_cache, k_cache, head)
         full = weights_matrix(w)
         assert np.max(np.abs(full - 1.0 / (b + cache_len))) < 1e-12
 
@@ -79,7 +85,7 @@ class TestSynthesizeWeights:
         head = center_tap_head(d, slots)
         k_new = t2(np.abs(np.random.default_rng(1).standard_normal((1, d, 1))) + 0.1)
         empty = Tensor2.zeros(1, d, 0)
-        w = synthesize_weights(k_new, k_new, empty, empty, head)
+        w = synthesize_all(k_new, k_new, empty, empty, head)
         assert w.weights.shape == (1, slots, 1) and w.from_block.tolist() == [[True]]
         assert w.new_weights.shape == w.cache_weights.shape == (slots, 1)
         assert np.max(np.abs(w.new_weights.data - 1.0)) < 1e-12
@@ -104,7 +110,7 @@ class TestSynthesizeWeights:
         sums = raw.sum(axis=1, keepdims=True)
         adj = np.where(sums < 1e-8, raw + 1e-8, raw)
         expect = adj / adj.sum(axis=1, keepdims=True)
-        got = weights_matrix(synthesize_weights(k_new, v_new, k_cache, v_cache, head))
+        got = weights_matrix(synthesize_all(k_new, v_new, k_cache, v_cache, head))
         assert np.max(np.abs(got - expect)) < 1e-12
 
     def test_weights_depend_on_values_too(self):
@@ -114,15 +120,15 @@ class TestSynthesizeWeights:
         k_new, k_cache = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, m)))
         v1, vc1 = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, m)))
         v2 = t2(v1.data + 1.0)
-        w1 = weights_matrix(synthesize_weights(k_new, v1, k_cache, vc1, head))
-        w2 = weights_matrix(synthesize_weights(k_new, v2, k_cache, vc1, head))
+        w1 = weights_matrix(synthesize_all(k_new, v1, k_cache, vc1, head))
+        w2 = weights_matrix(synthesize_all(k_new, v2, k_cache, vc1, head))
         assert np.abs(w1 - w2).max() > 0
 
     def test_feature_dim_mismatch_rejected(self):
         head = center_tap_head(3, 2)
         bad = Tensor2.zeros(1, 2, 2)
         with pytest.raises(ShapeError):
-            synthesize_weights(bad, bad, Tensor2.zeros(1, 2, 0), Tensor2.zeros(1, 2, 0), head)
+            synthesize_all(bad, bad, Tensor2.zeros(1, 2, 0), Tensor2.zeros(1, 2, 0), head)
 
     @pytest.mark.parametrize("shapes, match", [
         ([(2, 2), (2, 2), (3, 1), (2, 1)], "k_cache has 3 rows, expected 2"),
@@ -133,7 +139,7 @@ class TestSynthesizeWeights:
     def test_inputs_that_do_not_stack_rejected(self, shapes, match):
         parts = [Tensor2.zeros(1, *shape) for shape in shapes]
         with pytest.raises(ShapeError, match=match):
-            synthesize_weights(*parts, center_tap_head(2, 2))
+            synthesize_all(*parts, center_tap_head(2, 2))
 
     def test_head_needs_keys_over_values(self):
         with pytest.raises(ShapeError, match="2\\*d \\(keys over values\\)"):
@@ -145,7 +151,7 @@ class TestSynthesizeWeights:
         d, b, cache_len, slots = 4, 3, 6, 5
         head = new_conv_head(d, slots, kernel_size=5, rng=rng, relu_position=relu_position)
         w = weights_matrix(
-            synthesize_weights(
+            synthesize_all(
                 t2(rng.standard_normal((1, d, b))),
                 t2(rng.standard_normal((1, d, b))),
                 t2(rng.standard_normal((1, d, cache_len))),
@@ -161,7 +167,7 @@ class TestSynthesizeWeights:
         head = center_tap_head(d, slots, value=-1.0)  # negative scores everywhere
         pos = t2(np.ones((1, d, b)))
         posc = t2(np.ones((1, d, cache_len)))
-        w = weights_matrix(synthesize_weights(pos, pos, posc, posc, head))
+        w = weights_matrix(synthesize_all(pos, pos, posc, posc, head))
         assert np.max(np.abs(w - 0.25)) < 1e-12
 
 
@@ -221,7 +227,7 @@ class TestFuse:
                                   np.concatenate([v_new.data, v_cache.data], axis=-1)], axis=-2)
         for relu_position in RELU_POSITIONS:  # "pre" rectifies the conv input, not what is blended
             head = new_conv_head(d, m, kernel_size=3, rng=rng, relu_position=relu_position)
-            w = synthesize_weights(k_new, v_new, k_cache, v_cache, head)
+            w = synthesize_all(k_new, v_new, k_cache, v_cache, head)
             k_f, v_f = fuse(w)
             manual = stacked @ w.weights.data.swapaxes(-1, -2)
             assert np.array_equal(k_f.data, manual[:, :d])
@@ -233,7 +239,7 @@ class TestFuse:
         head = new_conv_head(d, m, kernel_size=5, rng=rng)
         k_new, v_new = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
         k_cache, v_cache = t2(rng.standard_normal((1, d, m))), t2(rng.standard_normal((1, d, m)))
-        w = synthesize_weights(k_new, v_new, k_cache, v_cache, head)
+        w = synthesize_all(k_new, v_new, k_cache, v_cache, head)
         k_f, v_f = fuse(w)
         all_k = np.concatenate([k_new.data, k_cache.data], axis=-1)
         all_v = np.concatenate([v_new.data, v_cache.data], axis=-1)
@@ -259,9 +265,9 @@ class TestCompressStep:
         head = new_conv_head(d, m, kernel_size=3, rng=rng)
         cache = KvCache.empty(d, capacity=m)
         k1, v1 = t2(rng.standard_normal((1, d, 4))), t2(rng.standard_normal((1, d, 4)))
-        cache = compress_step(cache, k1, v1, head)
+        cache = compress_step(cache, k1, v1, [head])
         k2, v2 = t2(rng.standard_normal((1, d, 2))), t2(rng.standard_normal((1, d, 2)))
-        stepped = compress_step(cache, k2, v2, head)
+        stepped = compress_step(cache, k2, v2, [head])
         concat = update_concat(cache, k2, v2)
         assert stepped.live_entries == 6
         assert np.array_equal(stepped.keys.data, concat.keys.data)
@@ -273,9 +279,9 @@ class TestCompressStep:
         head = new_conv_head(d, m, kernel_size=3, rng=rng)
         cache = KvCache.empty(d, capacity=m)
         k1, v1 = t2(rng.standard_normal((1, d, 4))), t2(rng.standard_normal((1, d, 4)))
-        cache = compress_step(cache, k1, v1, head)
+        cache = compress_step(cache, k1, v1, [head])
         k2, v2 = t2(rng.standard_normal((1, d, 2))), t2(rng.standard_normal((1, d, 2)))
-        cache = compress_step(cache, k2, v2, head)
+        cache = compress_step(cache, k2, v2, [head])
         assert cache.live_entries == m
 
     def test_three_blocks_match_sequential_oracle_composition(self):
@@ -288,12 +294,12 @@ class TestCompressStep:
         ]
         cache = KvCache.empty(d, capacity=m)
         for k, v in blocks:
-            cache = compress_step(cache, k, v, head)
+            cache = compress_step(cache, k, v, [head])
 
         # independent composition: concat, concat, then synthesize+fuse
         ref_k = np.concatenate([blocks[0][0].data, blocks[1][0].data], axis=-1)
         ref_v = np.concatenate([blocks[0][1].data, blocks[1][1].data], axis=-1)
-        w = synthesize_weights(blocks[2][0], blocks[2][1], t2(ref_k), t2(ref_v), head)
+        w = synthesize_all(blocks[2][0], blocks[2][1], t2(ref_k), t2(ref_v), head)
         k_ref, v_ref = fuse(w)
         assert np.array_equal(cache.keys.data, k_ref.data)
         assert np.array_equal(cache.values.data, v_ref.data)
@@ -305,7 +311,7 @@ class TestCompressStep:
         cache = KvCache.empty(d, capacity=m)
         for i in range(5):
             k, v = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
-            cache = compress_step(cache, k, v, head)
+            cache = compress_step(cache, k, v, [head])
             assert cache.live_entries == min((i + 1) * b, m)
 
     def test_block_kept_whole_merges_the_unkept_cache_columns(self):
@@ -320,7 +326,7 @@ class TestCompressStep:
         k_new, v_new = t2(rng.standard_normal((1, d, 1))), t2(rng.standard_normal((1, d, 1)))
         probs = np.zeros((1, m + 1, 1))
         probs[0, m, 0] = 1.0
-        out = compress_step(cache, k_new, v_new, head, probs)
+        out = compress_step(cache, k_new, v_new, [head], probs)
         assert out.live_entries == m
         # kept verbatim: the newest cache column (ties favour newer) and the block
         kept = np.concatenate([k_cache.data[..., -1:], k_new.data], axis=-1)
@@ -340,7 +346,7 @@ class TestCompressStep:
                 KvCache.empty(3, capacity=8),
                 t2(rng.standard_normal((3, 2))),
                 t2(rng.standard_normal((3, 2))),
-                head,
+                [head],
             )
 
 
@@ -361,7 +367,7 @@ class TestTapePerMerge:
                         capacity=m, rule=rule)
         k_new, v_new = t2(rng.standard_normal((n, d, b))), t2(rng.standard_normal((n, d, b)))
         with GradTape() as tape:
-            out = compress_step(cache, k_new, v_new, head, rng.random((n, m + b, b)))
+            out = compress_step(cache, k_new, v_new, [head], rng.random((n, m + b, b)))
         assert out.live_entries == m
         assert len(tape) == entries
 
@@ -378,7 +384,7 @@ class TestCompressorGradients:
         targets = np.array([0, 2, 1])
 
         def loss():
-            k_f, v_f = fuse(synthesize_weights(k_new, v_new, k_cache, v_cache, head))
+            k_f, v_f = fuse(synthesize_all(k_new, v_new, k_cache, v_cache, head))
             probs = softmax_cols(matmul(transpose(k_f), q))
             out = matmul(v_f, probs)  # (1, d, t_q): the loss reads the one sequence
             return cross_entropy_cols(custom_op([out], out.data[0], lambda g: (g[None],)), targets)

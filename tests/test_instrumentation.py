@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from convkv import model
 from convkv.cache import CacheError
-from convkv.corpus import corpus_to_ids, make_recall_corpus
+from convkv.corpus import corpus_to_ids
 from convkv.instrumentation import (
     MemoryTrace,
     PolicyReport,
@@ -15,6 +16,8 @@ from convkv.instrumentation import (
 )
 from convkv.model import ModelConfig, ModelParams, forward_segmented
 from convkv.policies import PolicySpec
+
+from corpora import make_recall_corpus
 
 CFG = ModelConfig(d_model=16, n_layers=2, n_heads=2, head_dim=8, max_context=1024)
 
@@ -140,3 +143,13 @@ class TestComparePolicies:
         ids = corpus_to_ids(make_recall_corpus(4, seed=3))
         with pytest.raises(CacheError, match="conv heads"):
             compare_policies(params, ids, [PolicySpec("lococo", capacity=16)], 64, 8)
+
+    @pytest.mark.parametrize("length", [0, 1])
+    def test_short_window_is_a_value_error_before_any_forward(self, monkeypatch, params, length):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran before the window length was checked")
+
+        monkeypatch.setattr(model, "forward_segmented", no_forward)
+        ids = corpus_to_ids(make_recall_corpus(4, seed=3))
+        with pytest.raises(ValueError, match="eval_context_length must be at least 2"):
+            compare_policies(params, ids, [PolicySpec("concat")], length, 4)

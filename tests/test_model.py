@@ -12,8 +12,7 @@ from convkv.cache import CacheError
 from convkv.compressor import new_conv_head
 from convkv.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from convkv import attention, model, numerics
-from convkv.attention import split_heads
-from convkv.corpus import corpus_to_ids, make_recall_corpus
+from convkv.corpus import corpus_to_ids
 from convkv.instrumentation import MemoryTrace, compare_policies
 from convkv.model import (
     ModelConfig,
@@ -28,6 +27,8 @@ from convkv.policies import LayerPolicy, PolicySpec
 from convkv.training import TrainConfig, TrainingDivergedError, calibrate_conv_heads
 
 import oracles
+from corpora import make_recall_corpus
+from oracles import split_heads
 
 TINY = ModelConfig(d_model=16, n_layers=2, n_heads=2, head_dim=8, max_context=256)
 # an odd layer count gives the two threads of a grouped conv unequal shares

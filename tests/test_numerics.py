@@ -17,9 +17,7 @@ from convkv.attention import (
     RopeConfig,
     apply_rope,
     attend,
-    merge_heads,
     project_qkv,
-    split_heads,
 )
 from convkv import model, numerics
 from convkv.cache import KvCache
@@ -50,6 +48,7 @@ from convkv.numerics import (
 from convkv.policies import PolicySpec
 
 import oracles
+from oracles import merge_heads, split_heads
 
 
 def t2(arr, trainable=False):
@@ -196,30 +195,30 @@ class TestConv1d:
 
     def test_delta_kernel_identity(self):
         kern = self.make([[[0.0, 1.0, 0.0]]])
-        out = conv1d(t2([[5.0, -2.0, 7.0]]), kern)
+        out = conv1d(t2([[5.0, -2.0, 7.0]]), [kern])
         assert np.array_equal(out.data, [[5.0, -2.0, 7.0]])
 
     def test_box_kernel_zero_padding_edges(self):
         kern = self.make([[[1.0, 1.0, 1.0]]])
-        out = conv1d(t2([[1.0, 1.0, 1.0, 1.0]]), kern)
+        out = conv1d(t2([[1.0, 1.0, 1.0, 1.0]]), [kern])
         assert np.array_equal(out.data, [[2.0, 3.0, 3.0, 2.0]])
 
     def test_matches_sliding_window_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 9))
         k3 = rng.standard_normal((3, 2, 5))
-        out = conv1d(t2(x), self.make(k3))
+        out = conv1d(t2(x), [self.make(k3)])
         assert np.max(np.abs(out.data - oracles.conv1d_loops(x, k3))) < 1e-12
 
     def test_channel_mismatch(self):
         kern = self.make([[[0.0, 1.0, 0.0]]])
         with pytest.raises(ShapeError):
-            conv1d(t2(np.zeros((2, 4))), kern)
+            conv1d(t2(np.zeros((2, 4))), [kern])
 
     def test_no_columns_rejected(self):
         kern = self.make([[[0.0, 1.0, 0.0]]])
         with pytest.raises(ShapeError, match="no columns"):
-            conv1d(t2(np.zeros((1, 0))), kern)
+            conv1d(t2(np.zeros((1, 0))), [kern])
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError):
@@ -235,8 +234,8 @@ class TestConv1d:
         k3 = rng.standard_normal((3, 2, k))
         shifted = np.zeros_like(x)
         shifted[:, shift:] = x[:, :-shift]
-        base = conv1d(t2(x), self.make(k3)).data
-        moved = conv1d(t2(shifted), self.make(k3)).data
+        base = conv1d(t2(x), [self.make(k3)]).data
+        moved = conv1d(t2(shifted), [self.make(k3)]).data
         for t in range(shift + half, t_len - half):
             assert np.max(np.abs(moved[:, t] - base[:, t - shift])) < 1e-12
 
@@ -302,7 +301,7 @@ PER_SEQUENCE = {
     "row_normalize": lambda x: row_normalize(relu(x)),
     # one row of indices that every sequence shares; a lone sequence takes it 1-D
     "select_cols": lambda x: select_cols(x, np.array([2, 0, 2])[(None,) * (x.data.ndim - 2)]),
-    "conv1d": lambda x: conv1d(x, ConvKernels(Tensor2(np.arange(6.0).reshape(1, 6)), c_in=2, k=3)),
+    "conv1d": lambda x: conv1d(x, [ConvKernels(Tensor2(np.arange(6.0).reshape(1, 6)), c_in=2, k=3)]),
 }
 
 
@@ -509,7 +508,7 @@ class TestGradients:
         x = rand(rng, 2, 7)
 
         def loss():
-            raw = relu(conv1d(x, kern))
+            raw = relu(conv1d(x, [kern]))
             weights = row_normalize(raw)
             return cross_entropy_cols(weights, np.array([0, 1, 2, 0, 1, 2, 0]))
 
@@ -616,7 +615,7 @@ class TestFrozenOperandVjp:
 
     OPS = {
         "matmul": (matmul, (3, 4), (4, 5)),
-        "conv1d": (lambda x, w: conv1d(x, ConvKernels(w, c_in=2, k=3)), (2, 6), (4, 6)),
+        "conv1d": (lambda x, w: conv1d(x, [ConvKernels(w, c_in=2, k=3)]), (2, 6), (4, 6)),
         "rms_norm_cols": (rms_norm_cols, (3, 5), (3, 1)),
     }
 
@@ -673,7 +672,7 @@ class TestConv1dVjp:
     @staticmethod
     def vjp_of_conv(x, w, k, g):
         with GradTape() as tape:
-            conv1d(x, ConvKernels(w, c_in=x.rows, k=k))
+            conv1d(x, [ConvKernels(w, c_in=x.rows, k=k)])
         ((_, _, vjp),) = tape._entries
         return vjp(g)
 
@@ -741,7 +740,7 @@ class TestGroupedConv1d:
             assert gx is None
         for j, bank in enumerate(banks):
             rows = slice(j * n, (j + 1) * n)
-            alone = conv1d(t2(x.data[rows]), ConvKernels(t2(bank.weights.data), c_in=c_in, k=k))
+            alone = conv1d(t2(x.data[rows]), [ConvKernels(t2(bank.weights.data), c_in=c_in, k=k)])
             assert np.array_equal(out.data[rows], alone.data)
             want_gw, want_gx = oracles.conv1d_vjp_stored_im2col(x.data[rows], bank.weights.data, k, g[rows])
             if frozen == "kernels":
@@ -831,7 +830,7 @@ class TestConvThreads:
         with numerics._side_by_side(True):
             out = conv1d(x, banks)
         for j, bank in enumerate(banks):
-            assert np.array_equal(out.data[2 * j:2 * j + 2], conv1d(t2(x.data[2 * j:2 * j + 2]), bank).data)
+            assert np.array_equal(out.data[2 * j:2 * j + 2], conv1d(t2(x.data[2 * j:2 * j + 2]), [bank]).data)
 
 
 def lococo_prefills() -> list[np.ndarray]:
@@ -904,7 +903,7 @@ class TestTapeMemory:
         x = head_batched(rng, 4, 128, 80)
         kernels = ConvKernels(rand(rng, 64, 128 * 21, trainable=True), c_in=128, k=21)
         with GradTape() as tape:
-            out, held, _ = traced_allocation(lambda: conv1d(x, kernels))
+            out, held, _ = traced_allocation(lambda: conv1d(x, [kernels]))
         assert len(tape) == 1 and out.shape == (4, 64, 80)
         assert held <= 1 * self.MIB
 

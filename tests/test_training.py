@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from convkv.cache import CacheError
-from convkv.corpus import (
-    corpus_to_ids,
-    load_corpus,
-    make_recall_corpus,
-    make_repeated_byte_corpus,
-)
+from convkv.corpus import corpus_to_ids, load_corpus
 from convkv.model import ModelConfig, ModelParams, sequence_loss
 from convkv.numerics import GradTape, Tensor2, backward
 from convkv.policies import PolicySpec
@@ -24,6 +19,7 @@ from convkv.training import (
 )
 
 import oracles
+from corpora import make_recall_corpus, make_repeated_byte_corpus
 
 
 def one_param(value=0.0):

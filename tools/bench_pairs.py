@@ -28,8 +28,9 @@ It builds the benchmark's set-up model, warms up, then times
 each of the six policies at the benchmark's capacity and block size, and
 reports the seconds per policy and their sum (``eval_s``), each scaled by
 ``benchmarks/workloads.py::reference_seconds`` as the benchmark scales its
-operations. ``--seconds`` and ``--trace`` do not apply to it; a run takes
-about 20 s.
+operations. Each policy is one operation of the run's ``attempted`` and
+``failed`` counts, checked by ``benchmarks/checks.py``. ``--seconds`` and
+``--trace`` do not apply to it; a run takes about 20 s.
 """
 
 import argparse
@@ -129,8 +130,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def outcomes(pairs: list[dict]) -> dict:
-    """Per side, over its paired runs: the operations they attempted and failed (the
-    ``eval`` workload reports none) and how many runs exited nonzero."""
+    """Per side, over its paired runs: the operations they attempted and failed (one
+    per policy for the ``eval`` workload) and how many runs exited nonzero."""
     return {
         side: {
             "attempted": sum(p[side].get("result", {}).get("attempted", 0) for p in pairs),
@@ -143,12 +144,15 @@ def outcomes(pairs: list[dict]) -> dict:
 
 def eval_once(seed: int) -> dict:
     """One ``eval`` run in the current directory, a benchmark tree: the scaled
-    seconds of ``compare_policies`` per policy and in all, and what it reported."""
+    seconds of ``compare_policies`` per policy and in all, and what it reported.
+    Each policy is one attempted operation, failed when its perplexity is not
+    finite or a bounded policy's cache held more than its capacity."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # as benchmarks/run.py pins them, before numpy loads
     sys.path[:0] = ["src", "benchmarks"]
     import numpy as np
 
+    import checks
     import convkv
     import inputs
     from metrics import POLICY_NAMES
@@ -162,7 +166,7 @@ def eval_once(seed: int) -> dict:
     for policy in POLICY_NAMES:  # warm-up, as the benchmark's prefill_long does
         convkv.compare_policies(model.params, corpus[:8 * BLOCK], [model.bind(policy)],
                                 8 * BLOCK, BLOCK)
-    metrics, reports = {}, {}
+    metrics, reports, failures = {}, {}, []
     for policy in POLICY_NAMES:
         spec = model.bind(policy)
         gc.collect()
@@ -174,8 +178,14 @@ def eval_once(seed: int) -> dict:
         metrics[f"eval_s.{policy}"] = {"value": seconds * REFERENCE_SECONDS / reference, "unit": "s"}
         reports[policy] = {"perplexity": report.perplexity,
                            "peak_live_entries": report.peak_live_entries}
+        reason = checks.perplexity_finite(report.perplexity) or (
+            spec.capacity is not None
+            and checks.live_entries_bounded(report.peak_live_entries, spec.capacity))
+        if reason:
+            failures.append(f"eval {policy}: {reason}")
     metrics["eval_s"] = {"value": sum(m["value"] for m in metrics.values()), "unit": "s"}
-    return {"metrics": metrics, "reports": reports}
+    return {"metrics": metrics, "reports": reports, "attempted": len(POLICY_NAMES),
+            "failed": len(failures), "failures": failures}
 
 
 def main(argv=None) -> int:
