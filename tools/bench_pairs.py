@@ -30,7 +30,7 @@ reports the seconds per policy and their sum (``eval_s``), each scaled by
 ``benchmarks/workloads.py::reference_seconds`` as the benchmark scales its
 operations. Each policy is one operation of the run's ``attempted`` and
 ``failed`` counts, checked by ``benchmarks/checks.py``. ``--seconds`` and
-``--trace`` do not apply to it; a run takes about 20 s.
+``--trace`` do not apply to it; a run takes about 7 s.
 """
 
 import argparse
