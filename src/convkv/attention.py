@@ -36,11 +36,11 @@ class RopeConfig:
     interpolation_scale: float = 1.0
 
     def __post_init__(self):
-        if not self.base > 0:  # NaN fails too
-            raise ValueError(f"rope base must be positive, got {self.base}")
-        if not self.interpolation_scale >= 1.0:
+        if not 0 < self.base < math.inf:  # NaN fails too
+            raise ValueError(f"rope base must be positive and finite, got {self.base}")
+        if not 1.0 <= self.interpolation_scale < math.inf:
             raise ValueError(
-                f"interpolation_scale must be >= 1, got {self.interpolation_scale}"
+                f"interpolation_scale must be >= 1 and finite, got {self.interpolation_scale}"
             )
 
 

@@ -115,8 +115,12 @@ class RunConfig:
             detach_cache_between_blocks=self.detach_cache,
         )
 
-    def calibration_config(self, spec: PolicySpec) -> TrainConfig:
-        """``train_config`` for calibrating ``spec``, rejecting a setting that cannot train."""
+    def calibration_config(self, spec: PolicySpec, kernel_size: int | None = None) -> TrainConfig:
+        """``train_config`` for calibrating ``spec`` with heads of ``kernel_size`` taps
+        (default ``self.kernel_size``), rejecting a setting that cannot train."""
+        kernel_size = self.kernel_size if kernel_size is None else kernel_size
+        if kernel_size < 1 or kernel_size % 2 == 0:
+            raise ConfigError(f"kernel_size must be odd and positive, got {kernel_size}")
         _checked(check_calibration, spec, self.block_size, self.context_length)
         return self.train_config()
 
@@ -379,9 +383,10 @@ def cmd_ablate(cfg: RunConfig) -> int:
     for value in values:
         spec = cfg.policy_spec(value if cfg.axis == "policy" else None,
                                value if cfg.axis == "memory_size" else None)
+        kernel = value if cfg.axis == "kernel_size" else cfg.kernel_size
         if spec.needs_conv_head:
-            cfg.calibration_config(spec)
-        runs.append((value, spec, value if cfg.axis == "kernel_size" else cfg.kernel_size))
+            cfg.calibration_config(spec, kernel)
+        runs.append((value, spec, kernel))
     out = _out_dir(cfg)
     _echo_config(cfg, out, "ablate")
     ids = load_corpus(cfg.corpus)

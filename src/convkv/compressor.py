@@ -94,6 +94,8 @@ def new_conv_head(
     that survive the clamp (averaging-like behavior before calibration) while
     leaving every kernel parameter a live gradient path.
     """
+    if kernel_size < 1 or kernel_size % 2 == 0:
+        raise ShapeError(f"kernel size must be odd and positive, got {kernel_size}")
     c_in = 2 * feature_dim
     w = rng.normal(0.0, INIT_SCALE, size=(slots, c_in * kernel_size))
     center = (kernel_size - 1) // 2

@@ -10,8 +10,10 @@ the loss run a batch of sequences side by side, one sequence being a batch of
 one, so every cache holds (n, d, cols) keys and values and a batch shares
 every op and update. The layers' caches are stacked too, layer after layer,
 so one policy update per block serves every layer, and a merging policy's
-convs run one GEMM per layer. A full block reaches the policy when the next
-token arrives. When it arrives in a feed of more than one token per sequence
+convs run one GEMM per layer. Between two updates every layer's context
+(cache plus the block so far) lives in one key and one value buffer, and the
+block the policy gets is a view of them. A full block reaches the policy when
+the next token arrives. When it arrives in a feed of more than one token per sequence
 (prefill, a decode prompt, eval windows, calibration), the merges come close
 together and the layers' GEMMs run side by side on two threads; in a one-token
 feed, a decode step, they run inline. Perplexity and the loss share one
@@ -229,149 +231,52 @@ def _rows(x: Tensor2, rows: slice, shape: tuple[int, ...]) -> Tensor2:
     return custom_op([x], x.data[rows].reshape(shape), vjp)
 
 
-def _stack_blocks(chunks: list[list[Tensor2]], n_rows: int) -> Tensor2:
-    """Every layer's staged (n * H, head_dim, b_i) chunks as one (L * n, d, b) block:
-    a layer's chunks side by side, layer after layer. The vjp gives each chunk
-    its part of the gradient."""
+def _stack_blocks(chunks: list[list[Tensor2]], data: np.ndarray) -> Tensor2:
+    """Every layer's staged (n * H, head_dim, b_i) chunks as the one (L * n, d, b)
+    block ``data``, which already holds them: a layer's chunks side by side,
+    layer after layer. The vjp gives each chunk its part of the gradient."""
     n_layers, first = len(chunks), chunks[0]
     edges = np.cumsum([0] + [c.cols for c in first])
-    data = np.empty((n_layers,) + first[0].shape[:-1] + (edges[-1],))
-    for layer, parts in zip(data, chunks):
-        np.concatenate([c.data for c in parts], axis=-1, out=layer)
+    shape = (n_layers,) + first[0].shape[:-1] + (edges[-1],)
 
     def vjp(g):
-        g = g.reshape(data.shape)
+        g = g.reshape(shape)
         return tuple(g[i, ..., a:b] for i in range(n_layers) for a, b in zip(edges[:-1], edges[1:]))
 
-    return custom_op([c for parts in chunks for c in parts], data.reshape(n_rows, -1, edges[-1]), vjp)
-
-
-class LayerStream:
-    """One layer's streaming state: its rows of the stacked cache plus staged columns.
-
-    ``stacked`` is every layer's cache, (L * n_seq, d, cols) keys and values,
-    layer after layer; this layer's are ``rows``, and ``cache`` shows them as
-    one (n_seq, d, cols) ``KvCache`` (n_seq = 1 for one sequence). Up to B raw
-    key/value columns wait in the staging buffer, head-batched as (n_seq * H,
-    head_dim, b) chunks, until ``_Streams.flush`` hands every layer's chunks
-    to the policy as one stacked block, (L * n_seq, H * head_dim, b); the
-    stream flushes when the next token arrives after a full block, so the
-    cache changes once per block however the tokens arrive. A flush made in a
-    feed of more than one token per sequence runs a merging policy's per-layer
-    convs side by side on two threads; one made in a one-token feed, a decode
-    step, or by the caller outside ``feed`` runs them inline. Queries attend to
-    cache + staged columns + their own chunk: at most M + B columns per head
-    for a bounded policy. ``context`` is one (keys, values) pair of
-    (n_seq * H, head_dim, n) tensors holding the cache + staged columns, keys
-    rotated as attention sees them. Both are views into one buffer per tensor
-    of n_cached + B columns, filled from the cache once per flush and
-    extended in place by each chunk's ``project_qkv`` output, so a decode
-    step copies its own column only. ``mass``, for policies that keep keys by
-    it, is allocated beside the buffers with n_cached + B zeros per sequence
-    and sums the attention each context column drew from the staged queries,
-    over heads.
-    """
-
-    def __init__(self, policy: LayerPolicy, stacked: KvCache, rows: slice, block_size: int):
-        self.policy = policy
-        self.rows = rows
-        self.block_size = block_size
-        self.n_seq = rows.stop - rows.start
-        self.reset(stacked)
-
-    def reset(self, stacked: KvCache) -> None:
-        """Start a flush cycle over the stacked cache, with nothing staged."""
-        self.stacked = stacked
-        self.staged_k: list[Tensor2] = []
-        self.staged_v: list[Tensor2] = []
-        self.mass: np.ndarray | None = None
-        self.context: tuple[Tensor2, Tensor2] | None = None
-        self._buffers: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def cache(self) -> KvCache:
-        """This layer's rows of the stacked cache, as views."""
-        stacked = self.stacked
-        keys, values = (_rows(t, self.rows, (self.n_seq,) + t.shape[1:])
-                        for t in (stacked.keys, stacked.values))
-        scores = stacked.rule.scores
-        rule = stacked.rule if scores is None else replace(stacked.rule, scores=scores[self.rows])
-        return KvCache(keys, values, stacked.capacity, rule)
-
-    @property
-    def n_staged(self) -> int:
-        return sum(k.cols for k in self.staged_k)
-
-    def open_context(self, keys: Tensor2, values: Tensor2) -> None:
-        """Start a flush cycle's context from the cache's (H, head_dim, n) columns."""
-        self.context = (keys, values)
-        self._buffers = tuple(
-            np.empty(c.shape[:-1] + (c.cols + self.block_size,)) for c in self.context
-        )
-        for buffer, c in zip(self._buffers, self.context):
-            buffer[..., :c.cols] = c.data
-        if self.policy.needs_probs:
-            self.mass = np.zeros((self.n_seq, keys.cols + self.block_size))
-
-    def extend_context(self, keys: Tensor2, values: Tensor2) -> tuple[Tensor2, Tensor2]:
-        """Append a chunk's keys (rotated) and values to the context, in place."""
-        self.context = tuple(
-            _extend_cols(c, buffer, x)
-            for c, buffer, x in zip(self.context, self._buffers, (keys, values))
-        )
-        return self.context
-
-    def stage(self, k: Tensor2, v: Tensor2, attn_probs: np.ndarray | None) -> None:
-        """Add one chunk; the rows of ``attn_probs`` span cache + staged + chunk
-        columns."""
-        self.staged_k.append(k)
-        self.staged_v.append(v)
-        if attn_probs is not None:
-            self.mass[..., :attn_probs.shape[-2]] += attn_probs.sum(axis=-1)
+    return custom_op([c for parts in chunks for c in parts], data, vjp)
 
 
 def _layer_step(
     layer: LayerParams,
     h: Tensor2,
-    stream: LayerStream,
+    stream: "_Streams",
+    index: int,
     positions: np.ndarray,
     rope: RopeConfig,
 ) -> tuple[Tensor2, int]:
-    """One residual block over one chunk of tokens; returns attn matrix entries.
+    """One residual block, layer ``index``, over one chunk of tokens; returns attn
+    matrix entries.
 
     One ``project_qkv`` (one QKV GEMM, q and k rotated together) and one
     ``attend`` over cache, staged columns and chunk, on a leading head axis,
     then the MLP. The chunk joins the staged columns.
     """
-    n_heads, head_dim = layer.attn.n_heads, layer.attn.head_dim
-    policy, stacked = stream.policy, stream.stacked
     b = positions.size
-    n_cached = stacked.live_entries
-    n_context = n_cached + stream.n_staged
+    n_context = stream.cache.live_entries + stream.n_staged
 
     # slot-relative policies cache keys unrotated and rotate them by cache slot
-    relative = policy.slot_relative_positions
+    relative = stream.policy.slot_relative_positions
     q_pos = n_context + np.arange(b) if relative else positions
     q_rot, k_rot, k, v = project_qkv(rms_norm_cols(h, layer.attn_gain), layer.attn, q_pos, rope,
                                      raw_k=relative)
-    k_for_cache = k if relative else k_rot
-
-    if stream.context is None:  # this layer's rows of the cache, split into heads
-        cached_keys, cached_values = (_rows(t, stream.rows, (stream.n_seq * n_heads, head_dim, n_cached))
-                                      for t in (stacked.keys, stacked.values))
-        if policy.slot_relative_positions and n_cached:
-            cached_keys = apply_rope(cached_keys, np.arange(n_cached), rope)
-        stream.open_context(cached_keys, cached_values)
-    context_k, context_v = stream.extend_context(k_rot, v)
+    context_k, context_v = stream.extend_context(index, k_rot, v)
     out, probs = attend(q_rot, context_k, context_v, n_context)
     h = add(h, matmul(layer.attn.w_o, _merge_to_cols(out, stream.n_seq)))
 
     mlp_normed = rms_norm_cols(h, layer.mlp_gain)
     h = add(h, matmul(layer.mlp_out, relu(matmul(layer.mlp_in, mlp_normed))))
 
-    drawn = (probs.data.reshape(stream.mass.shape[:-1] + (n_heads,) + probs.shape[-2:])
-             .sum(axis=-3) if policy.needs_probs else None)  # over heads, per sequence
-    stream.stage(k_for_cache, v, drawn)
+    stream.stage(index, k if relative else k_rot, v, probs)
     return h, (n_context + b) * b
 
 
@@ -385,7 +290,7 @@ def _merge_to_cols(x: Tensor2, n_seq: int) -> Tensor2:
 
 def _forward_chunk(
     params: ModelParams,
-    streams: list[LayerStream],
+    stream: "_Streams",
     tokens: np.ndarray,
     positions: np.ndarray,
     block: int,
@@ -398,9 +303,9 @@ def _forward_chunk(
     rope = params.config.rope
     h = select_cols(params.embed, tokens)
     attn_entries = []
-    for index, (layer, stream) in enumerate(zip(params.layers, streams)):
+    for index, layer in enumerate(params.layers):
         try:
-            h, entries = _layer_step(layer, h, stream, positions, rope)
+            h, entries = _layer_step(layer, h, stream, index, positions, rope)
             # NaN/inf, or an entry whose square overflows (the next RMS norm would
             # silently zero its column), makes the sum of squares non-finite
             if not np.isfinite(np.vdot(h.data, h.data)):
@@ -417,33 +322,117 @@ class _Streams:
     policy update every sequence of every layer.
 
     ``cache`` stacks every layer's cache, (n_layers * n_seq, d, cols), layer
-    after layer, and is kept across flushes; each ``LayerStream`` reads its
-    rows. Staged columns go to the policy when the next token arrives, or
-    when the caller flushes: ``feed`` cuts its tokens at block boundaries and
-    flushes before a chunk that starts a new block, so the last block fed
-    stays staged until ``flush``. The unembedding is made at its first use
-    and reused; logits that overflow raise NonFiniteError naming the block.
-    ``detach_cache`` cuts the gradient graph at each flush; ``trace`` gets
-    one ``record_block`` per flush, with the attention entries of the
-    block's last chunk: one record per (block, layer) of all sequences.
+    after layer, and is kept across flushes; ``layer_caches`` shows each
+    layer's rows as an (n_seq, d, cols) ``KvCache``. Up to B staged columns
+    wait between flushes: they go to the policy when the next token arrives,
+    or when the caller flushes. ``feed`` cuts its tokens at block boundaries
+    and flushes before a chunk that starts a new block, so the cache changes
+    once per block however the tokens arrive, and the last block fed stays
+    staged until ``flush``. A flush made in a feed of more than one token per
+    sequence runs a merging policy's per-layer convs side by side on two
+    threads; one made in a one-token feed, a decode step, or by the caller
+    outside ``feed`` runs them inline.
+
+    A flush cycle has one key buffer and one value buffer of (n_layers *
+    n_seq * H, head_dim, n_cached + B), made when its first chunk arrives.
+    Layer l's context, the (n_seq * H, head_dim, n) keys (rotated as
+    attention sees them) and values its queries attend to, is a view of its
+    rows: filled from the cache at the layer's first chunk, then extended in
+    place by each chunk's ``project_qkv`` output, so a decode step copies its
+    own column only. At flush the block the policy gets is a view of the
+    buffers' staged columns, (n_layers * n_seq, H * head_dim, b); a
+    slot-relative policy's block keys, unrotated, are a view of one more
+    (n_layers * n_seq * H, head_dim, B) buffer. ``mass``, for policies that
+    keep keys by it, is (n_layers * n_seq, n_cached + B) and sums the
+    attention each context column drew from the staged queries, over heads.
+    Queries attend to cache + staged columns + their own chunk: at most M + B
+    columns per head for a bounded policy.
+
+    The unembedding is made at its first use and reused; logits that overflow
+    raise NonFiniteError naming the block. ``detach_cache`` cuts the gradient
+    graph at each flush; ``trace`` gets one ``record_block`` per flush, with
+    the attention entries of the block's last chunk: one record per (block,
+    layer) of all sequences.
     """
 
     def __init__(self, params: ModelParams, policy: PolicySpec, block_size: int, *,
                  n_seq: int = 1, detach_cache: bool = False, trace=None):
         self.params = params
         self.policy = build_layer_policies(params, policy, block_size)
-        self.n_seq, n_layers = n_seq, params.config.n_layers
-        self.cache = self.policy.empty_cache(params.config.d_model, n_layers * n_seq)
-        self.layers = [
-            LayerStream(self.policy, self.cache, slice(i * n_seq, (i + 1) * n_seq), block_size)
-            for i in range(n_layers)
-        ]
+        self.n_seq, self.n_layers = n_seq, params.config.n_layers
+        self.cache = self.policy.empty_cache(params.config.d_model, self.n_layers * n_seq)
         self.position = 0
         self.block_size = block_size
         self.detach_cache = detach_cache
         self.trace = trace
         self.unembed: Tensor2 | None = None
         self._attn_entries: list[int] = []
+        self._start_cycle()
+
+    def _start_cycle(self) -> None:
+        """Nothing staged, and no buffer until the cycle's first chunk."""
+        self.n_staged = 0
+        self.staged_k: list[list[Tensor2]] = [[] for _ in range(self.n_layers)]
+        self.staged_v: list[list[Tensor2]] = [[] for _ in range(self.n_layers)]
+        self.contexts: list[tuple[Tensor2, Tensor2] | None] = [None] * self.n_layers
+        self.buffers: tuple[np.ndarray, np.ndarray] | None = None
+        self.raw_keys: np.ndarray | None = None
+        self.mass: np.ndarray | None = None
+
+    def layer_caches(self) -> list[KvCache]:
+        """Every layer's rows of the stacked cache, as views: one (n_seq, d, cols)
+        ``KvCache`` per layer."""
+        stacked, n = self.cache, self.n_seq
+        caches = []
+        for rows in (slice(i * n, (i + 1) * n) for i in range(self.n_layers)):
+            keys, values = (_rows(t, rows, (n,) + t.shape[1:]) for t in (stacked.keys, stacked.values))
+            scores = stacked.rule.scores
+            rule = stacked.rule if scores is None else replace(stacked.rule, scores=scores[rows])
+            caches.append(KvCache(keys, values, stacked.capacity, rule))
+        return caches
+
+    def extend_context(self, index: int, keys: Tensor2, values: Tensor2) -> tuple[Tensor2, Tensor2]:
+        """Layer ``index``'s context with a chunk's keys (rotated) and values
+        appended in place; the layer's first chunk of a cycle opens it from
+        the layer's rows of the cache."""
+        n_cached, n_heads = self.cache.live_entries, self.params.config.n_heads
+        if self.buffers is None:
+            n_rows, d = self.cache.keys.shape[:2]
+            shape = (n_rows * n_heads, d // n_heads, n_cached + self.block_size)
+            self.buffers = (np.empty(shape), np.empty(shape))
+            if self.policy.slot_relative_positions:
+                self.raw_keys = np.empty(shape[:-1] + (self.block_size,))
+            if self.policy.needs_probs:
+                self.mass = np.zeros((n_rows, shape[-1]))
+        heads = self.n_seq * n_heads
+        buffers = [b[index * heads:(index + 1) * heads] for b in self.buffers]
+        context = self.contexts[index]
+        if context is None:  # this layer's rows of the cache, split into heads
+            rows = slice(index * self.n_seq, (index + 1) * self.n_seq)
+            context = [_rows(t, rows, buffers[0].shape[:-1] + (n_cached,))
+                       for t in (self.cache.keys, self.cache.values)]
+            if self.policy.slot_relative_positions and n_cached:
+                context[0] = apply_rope(context[0], np.arange(n_cached), self.params.config.rope)
+            for buffer, c in zip(buffers, context):
+                buffer[..., :n_cached] = c.data
+        self.contexts[index] = context = tuple(
+            _extend_cols(c, buffer, x) for c, buffer, x in zip(context, buffers, (keys, values))
+        )
+        return context
+
+    def stage(self, index: int, k: Tensor2, v: Tensor2, probs: Tensor2) -> None:
+        """Add layer ``index``'s chunk, keys as the cache holds them; ``probs``, its
+        (n_seq * H, context, queries) attention, adds to the mass when kept."""
+        self.staged_k[index].append(k)
+        self.staged_v[index].append(v)
+        if self.raw_keys is not None:
+            heads = self.n_seq * self.params.config.n_heads
+            self.raw_keys[index * heads:(index + 1) * heads, :,
+                          self.n_staged:self.n_staged + k.cols] = k.data
+        if self.mass is not None:
+            n = self.n_seq
+            drawn = probs.data.reshape((n, -1) + probs.shape[-2:]).sum(axis=-3)  # over heads
+            self.mass[index * n:(index + 1) * n, :drawn.shape[-2]] += drawn.sum(axis=-1)
 
     def feed(self, tokens: np.ndarray) -> Tensor2:
         """Logits of ``tokens``, (n_seq, T) or (T,), which continue the tokens fed so
@@ -453,7 +442,7 @@ class _Streams:
         start, t_len = 0, tokens.shape[1]
         while start < t_len:
             offset = self.position % self.block_size
-            if offset == 0 and self.layers[0].staged_k:
+            if offset == 0 and self.n_staged:
                 # a multi-token feed flushes its blocks close together, and a second
                 # thread gains; a decode step flushes B feeds after the last flush,
                 # when waking the idle conv worker costs more than it saves
@@ -463,8 +452,9 @@ class _Streams:
             positions = np.arange(self.position, self.position + stop - start)
             block = self.position // self.block_size
             h, self._attn_entries = _forward_chunk(
-                self.params, self.layers, tokens[:, start:stop].ravel(), positions, block
+                self.params, self, tokens[:, start:stop].ravel(), positions, block
             )
+            self.n_staged += stop - start
             if self.unembed is None:
                 self.unembed = transpose(self.params.embed)
             # the final norm or the unembedding may overflow, which the check below reports
@@ -479,38 +469,40 @@ class _Streams:
     def flush(self) -> None:
         """Hand every layer's staged columns to the policy in one stacked update.
 
-        The block's keys and values and, for policies that keep keys by it,
-        the attention mass are stacked as the cache is, layer after layer. A
-        NonFiniteError is raised again naming the block and, from the row at
-        fault, the layer, as in ``_forward_chunk``.
+        The block's keys and values, views of the cycle's buffers, and for
+        policies that keep keys by it the attention mass are stacked as the
+        cache is, layer after layer. A NonFiniteError is raised again naming
+        the block and, from the row at fault, the layer, as in ``_forward_chunk``.
         """
         block = (self.position - 1) // self.block_size
-        layers, n_rows = self.layers, len(self.cache.keys.data)
-        k, v = (_stack_blocks([getattr(s, name) for s in layers], n_rows)
-                for name in ("staged_k", "staged_v"))
-        probs = None
-        if self.policy.needs_probs:
-            cols = layers[0].context[0].cols
-            probs = np.concatenate([s.mass[:, :cols] for s in layers])[..., None]
+        n_cached, b = self.cache.live_entries, self.n_staged
+        staged = slice(n_cached, n_cached + b)
+        keys = self.buffers[0][..., staged] if self.raw_keys is None else self.raw_keys[..., :b]
+        values = self.buffers[1][..., staged]
+        shape = (len(self.cache.keys.data), -1, b)
+        k, v = (_stack_blocks(chunks, data.reshape(shape))
+                for chunks, data in ((self.staged_k, keys), (self.staged_v, values)))
+        probs = None if self.mass is None else self.mass[:, :n_cached + b, None]
         try:
             cache = self.policy.update(self.cache, k, v, attn_probs=probs)
         except NonFiniteError as exc:
             layer = "" if exc.index is None else f", layer {exc.index // self.n_seq}"
             raise NonFiniteError(f"{exc} at block {block}{layer}") from exc
         self.cache = cache.detach() if self.detach_cache else cache
-        for stream in layers:
-            stream.reset(self.cache)
+        self._start_cycle()
         if self.trace is not None:
-            caches = [s.cache for s in layers]
-            self.trace.record_block(block, caches, self._attn_entries, self.position)
+            self.trace.record_block(block, self.layer_caches(), self._attn_entries, self.position)
 
 
 def _token_ids(params: ModelParams, tokens: np.ndarray, what: str, ndim: int = 1) -> np.ndarray:
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = np.asarray(tokens)
     if tokens.ndim != ndim:
         raise ShapeError(f"{what} must be a {ndim}-D sequence of token ids")
     if tokens.size == 0:
         raise ValueError(f"{what} must not be empty")
+    if tokens.dtype.kind not in "iu":  # a float or bool array is no byte sequence
+        raise ValueError(f"{what} must hold integer token ids, got dtype {tokens.dtype}")
+    tokens = tokens.astype(np.int64, copy=False)
     if tokens.max() >= params.config.vocab_size:
         raise ValueError(f"token id {tokens.max()} out of range for byte vocab")
     if tokens.min() < 0:
@@ -533,7 +525,7 @@ def forward_segmented(
     a short final one included, goes through the policy once it has been
     attended to; the returned caches, (n, d, cols) per layer, hold the whole
     sequences. The final flush is made outside ``feed``, so its merges run
-    inline (see ``LayerStream``). When ``trace`` is given, one record per
+    inline (see ``_Streams``). When ``trace`` is given, one record per
     (block, layer) of live cache entries and allocated attention-score entries
     is appended via its ``record_block`` hook. A layer output that overflows
     raises NonFiniteError naming the block (counted within the sequence, as in
@@ -543,7 +535,7 @@ def forward_segmented(
     streams = _Streams(params, policy, block_size, n_seq=len(batch), trace=trace)
     logits = streams.feed(batch)
     streams.flush()
-    return logits, [s.cache for s in streams.layers]
+    return logits, streams.layer_caches()
 
 
 def _next_token_nll(logits: Tensor2, batch: np.ndarray, block_size: int) -> Tensor2:
@@ -594,8 +586,8 @@ def generate(
     M + B columns per head, and the logits equal those of
     ``forward_segmented(prompt + generated[:-1], policy, block_size)`` up to
     summation order. A decode step runs one ``_layer_step`` per layer,
-    writes one key and value column into each context buffer (see
-    ``LayerStream``) and reuses the stream's one unembedding.
+    writes one key and value column per layer into the flush cycle's buffers
+    (see ``_Streams``) and reuses the stream's one unembedding.
 
     Ties in the argmax resolve to the lowest byte, so decoding is
     deterministic. The total context must fit max_context * interpolation_scale.

@@ -75,7 +75,7 @@ class NonFiniteError(NumericsError):
 
 
 class TapeError(NumericsError):
-    """Gradient tape used out of protocol (e.g. replayed without reset)."""
+    """Gradient tape used out of protocol (e.g. replayed twice)."""
 
 
 class Tensor2:
@@ -167,11 +167,10 @@ class GradTape:
     an operand (transitively) requires gradients.
 
     An entry holds what its vjp reads and no more: one key per input, the
-    output's node id and the vjp. An input this tape produced since its last
-    ``reset`` is keyed by its node id; any other input is a leaf, keyed by its
-    ``Tensor2`` when it requires gradients and by None when it does not. So
-    the tape pins no op output and no frozen operand, only the arrays its
-    vjps keep.
+    output's node id and the vjp. An input this tape produced is keyed by its
+    node id; any other input is a leaf, keyed by its ``Tensor2`` when it
+    requires gradients and by None when it does not. So the tape pins no op
+    output and no frozen operand, only the arrays its vjps keep.
     """
 
     def __init__(self):
@@ -196,11 +195,6 @@ class GradTape:
         nodes.add(output.node)
         self._entries.append((keys, output.node, vjp))
 
-    def reset(self) -> None:
-        self._entries.clear()
-        self._nodes.clear()
-        self._consumed = False
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -214,10 +208,10 @@ def backward(tape: GradTape, output: Tensor2) -> dict[Tensor2, np.ndarray]:
     return None for an operand that needs no gradient (``requires_grad``
     False when the op ran), and ops with several operands do, so a frozen
     weight costs no gradient work. Each leaf's gradient is also stored as its
-    ``.grad``. The tape must be ``reset()`` before it can be replayed again.
+    ``.grad``. A tape is replayed once; record a new one for the next pass.
     """
     if tape._consumed:
-        raise TapeError("tape already replayed; call reset() before reuse")
+        raise TapeError("tape already replayed; record a new tape for the next pass")
     if not tape._entries:
         raise TapeError("tape is empty; no forward pass was recorded")
     if output.shape != (1, 1):

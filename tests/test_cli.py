@@ -102,6 +102,11 @@ UNWORKABLE = {
     "pretrain_rope_base_negative": ["pretrain", "--rope-base", "-1"],
     "pretrain_rope_base_nan": ["pretrain", "--rope-base", "nan"],
     "pretrain_interpolation_scale_nan": ["pretrain", "--interpolation-scale", "nan"],
+    "pretrain_rope_base_inf": ["pretrain", "--rope-base", "inf"],
+    "pretrain_interpolation_scale_inf": ["pretrain", "--interpolation-scale", "inf"],
+    "calibrate_kernel_size_4": ["calibrate", "--kernel-size", "4"],
+    "calibrate_kernel_size_0": ["calibrate", "--kernel-size", "0"],
+    "ablate_kernel_size_4_after_3": ["ablate", "--axis", "kernel_size", "--values", "3,4"],
     "eval_policies_empty": ["eval", "--policies", ","],
     "eval_capacities_bad": ["eval", "--capacities", "8,x"],
     "generate_empty_prompt": ["generate", "--prompt", ""],

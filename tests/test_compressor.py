@@ -141,6 +141,11 @@ class TestSynthesizeWeights:
         with pytest.raises(ShapeError, match=match):
             synthesize_all(*parts, center_tap_head(2, 2))
 
+    @pytest.mark.parametrize("kernel_size", [4, 0, -3])
+    def test_new_head_needs_an_odd_positive_kernel_size(self, kernel_size):
+        with pytest.raises(ShapeError, match=f"kernel size must be odd and positive, got {kernel_size}"):
+            new_conv_head(2, 3, kernel_size, rng=np.random.default_rng(0))
+
     def test_head_needs_keys_over_values(self):
         with pytest.raises(ShapeError, match="2\\*d \\(keys over values\\)"):
             ConvHead(ConvKernels(Tensor2.zeros(2, 3), c_in=3, k=1))

@@ -83,8 +83,11 @@ class TestModelConfig:
         (dict(rope_base=float("nan")), "rope base must be positive"),
         (dict(interpolation_scale=0.5), "interpolation_scale must be >= 1"),
         (dict(interpolation_scale=float("nan")), "interpolation_scale must be >= 1"),
+        (dict(rope_base=float("inf")), "rope base must be positive and finite"),
+        (dict(interpolation_scale=float("inf")), "interpolation_scale must be >= 1 and finite"),
     ], ids=["vocab", "d_model", "odd-head_dim", "n_layers-0", "mlp_ratio-0", "rope_base-neg",
-            "rope_base-nan", "interpolation-0.5", "interpolation-nan"])
+            "rope_base-nan", "interpolation-0.5", "interpolation-nan", "rope_base-inf",
+            "interpolation-inf"])
     def test_rejected_with_value_error(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ModelConfig(**kwargs)
@@ -299,6 +302,15 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["rope_base", "interpolation_scale"])
+    def test_infinite_rotary_setting_is_a_malformed_header(self, tiny_params, tmp_path, key):
+        # the config is checked before the checksum, so the header is named as the fault
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_params, path)
+        path.write_bytes(_header_edit("config", key, value=float("inf"))(path.read_bytes()))
+        with pytest.raises(CheckpointError, match="malformed checkpoint header.*finite"):
+            load_checkpoint(path)
+
     def test_format_version_1_rejected_by_name(self, tiny_params, tmp_path):
         # version 2, whose checksum skips the header, is rejected the same way
         path = tmp_path / "a.ckpt"
@@ -354,6 +366,21 @@ class TestGenerate:
                               PolicySpec("concat"), 4)
         with pytest.raises(ValueError, match="negative token id"):
             generate(tiny_params, np.array([3, -1]), 1, PolicySpec("concat"), 4)
+
+    @pytest.mark.parametrize("what", ["prompt", "corpus", "token batch"])
+    def test_token_ids_must_be_integers(self, tiny_params, what):
+        # a float array would decode from its truncated ids, a bool one from bytes 0 and 1
+        spec = PolicySpec("concat")
+        calls = {
+            "prompt": lambda t: generate(tiny_params, t, 1, spec, 4),
+            "corpus": lambda t: perplexity(tiny_params, t, spec, 2, 4),
+            "token batch": lambda t: sequence_loss(tiny_params, t, spec, 4),
+        }
+        for tokens in (np.array([1.9, 2.2, 0.0, 1.0]), np.array([True, False, True, True])):
+            with pytest.raises(ValueError, match=f"{what} must hold integer token ids, "
+                                                 f"got dtype {tokens.dtype}"):
+                calls[what](tokens)
+        calls[what](np.array([1, 2, 0, 1], dtype=np.uint8))
 
     def test_negative_n_new_rejected(self, tiny_params):
         with pytest.raises(ValueError, match="n_new must be nonnegative"):
@@ -472,9 +499,9 @@ class TestBatchedSequences:
         streams.feed(tokens)
         streams.flush()
         _, caches = forward_segmented(params, tokens, spec, 4)
-        for layer, cache in zip(streams.layers, caches):
+        for layer_cache, cache in zip(streams.layer_caches(), caches):
             live = cache.live_entries
-            assert layer.cache.keys.shape == cache.keys.shape == (1, TINY.d_model, live)
+            assert layer_cache.keys.shape == cache.keys.shape == (1, TINY.d_model, live)
             assert cache.values.shape == (1, TINY.d_model, live)
             if spec.rule.heavy:
                 assert cache.rule.scores.shape == (1, live)
@@ -565,12 +592,12 @@ class TestStreamSplits:
         logits = np.hstack([streams.feed(tokens[a:b]).data for a, b in zip(bounds, bounds[1:])])
         assert np.max(np.abs(logits - ref.data)) < 1e-10
         streams.flush()
-        for stream, cache in zip(streams.layers, ref_caches):
-            assert stream.cache.live_entries == cache.live_entries
-            for got, want in ((stream.cache.keys, cache.keys), (stream.cache.values, cache.values)):
+        for layer_cache, cache in zip(streams.layer_caches(), ref_caches):
+            assert layer_cache.live_entries == cache.live_entries
+            for got, want in ((layer_cache.keys, cache.keys), (layer_cache.values, cache.values)):
                 assert np.max(np.abs(got.data - want.data), initial=0.0) < 1e-10
             if cache.rule.scores is not None:
-                assert np.max(np.abs(stream.cache.rule.scores - cache.rule.scores)) < 1e-10
+                assert np.max(np.abs(layer_cache.rule.scores - cache.rule.scores)) < 1e-10
 
 
 class TestConvHeadCount:
@@ -759,54 +786,99 @@ class TestNonFiniteResidual:
 
 
 class TestContextBuffer:
-    """Decode steps between two flushes extend one context buffer in place."""
+    """One key and one value buffer per flush cycle serve every layer: decode steps
+    extend them in place, and the block the policy gets is a view of them."""
 
     @pytest.mark.parametrize("name", list(POLICIES))
     def test_decode_steps_share_one_buffer_per_flush(self, monkeypatch, name):
         spec = POLICIES[name]
         params = model_for(spec)
-        steps = []  # (stream, cache columns, context before, chunk keys/values, context after)
-        extend = model.LayerStream.extend_context
+        steps = []  # (cache columns, context before, chunk keys/values, context after, buffers)
+        extend = model._Streams.extend_context
 
-        def spy(self, keys, values):
-            before = self.context
+        def spy(self, index, keys, values):
+            before = self.contexts[index]
+            cache = self.layer_caches()[index]
             cached = tuple(c.data.reshape(TINY.n_heads, TINY.head_dim, -1).copy()
-                           for c in (self.cache.keys, self.cache.values))
-            after = extend(self, keys, values)
-            steps.append((self, cached, before, keys.data.copy(), values.data.copy(), after))
+                           for c in (cache.keys, cache.values))
+            after = extend(self, index, keys, values)
+            steps.append((cached, before, keys.data.copy(), values.data.copy(), after, self.buffers))
             return after
 
-        monkeypatch.setattr(model.LayerStream, "extend_context", spy)
+        monkeypatch.setattr(model._Streams, "extend_context", spy)
         block_size = 4
         generate(params, rand_tokens(np.random.default_rng(6), 6), 15, spec, block_size)
         monkeypatch.undo()
 
-        expected = {}  # (stream, context after) -> concatenation built from the recorded parts
+        expected = {}  # id(context after) -> concatenation built from the recorded parts
+        cycles = []  # the buffers of each flush cycle, in order
         shared = fresh = 0
-        for stream, cached, before, keys, values, after in steps:
-            base = expected.get((id(stream), id(before)))
-            if base is None and stream.policy.slot_relative_positions:
-                # cached keys are rotated by their slot index when a cycle starts
-                cached = (before[0].data, cached[1])
-            parts = cached if base is None else base
-            expected[(id(stream), id(after))] = want = tuple(
+        for cached, before, keys, values, after, buffers in steps:
+            if before is None:  # the layer's first chunk since a flush: its cache columns
+                if spec.name == "sink_window":  # rotated by their slot index
+                    slots = np.arange(cached[0].shape[-1])
+                    cached = (attention.apply_rope(Tensor2(cached[0]), slots, TINY.rope).data,
+                              cached[1])
+                parts = cached
+            else:
+                parts = expected[id(before)]
+            expected[id(after)] = want = tuple(
                 np.concatenate([p, x], axis=-1) for p, x in zip(parts, (keys, values))
             )
-            for got, prev, w in zip(after, before, want):
+            if not cycles or buffers is not cycles[-1]:  # a flush was made: new buffers
+                assert before is None
+                assert not any(np.shares_memory(new, old) for old in cycles for new in buffers)
+                cycles.append(buffers)
+            for got, prev, w, buffer in zip(after, before or (None, None), want, buffers):
                 assert np.array_equal(got.data, w)
-                if base is None:  # first chunk since a flush: a new buffer
-                    assert not np.shares_memory(got.data, prev.data)
+                assert np.shares_memory(got.data, buffer)
+                if before is None:
                     fresh += 1
                 else:
                     assert np.shares_memory(got.data, prev.data)
                     shared += 1
         # writing later columns changed no earlier context
-        for stream, _, before, keys, values, after in steps:
-            for got, w in zip(after, expected[(id(stream), id(after))]):
+        for _, _, _, _, after, _ in steps:
+            for got, w in zip(after, expected[id(after)]):
                 assert np.array_equal(got.data, w)
         # 6 prompt tokens + 14 fed ones at B = 4: 5 flush cycles, 16 chunks per layer
+        assert len(cycles) == 5
         assert fresh == 2 * TINY.n_layers * 5
         assert shared == 2 * TINY.n_layers * 11
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_policy_gets_views_of_the_cycle_buffers(self, monkeypatch, name):
+        spec = POLICIES[name]
+        params = model_for(spec)
+        flushed = []  # per flush: the cycle's buffers and their bytes when it was made
+        views = []  # per flush: the buffers the block's keys, values and mass must view
+        flush, update = model._Streams.flush, LayerPolicy.update
+
+        def spy_flush(self):
+            buffers = [b for b in (*self.buffers, self.raw_keys, self.mass) if b is not None]
+            flushed.append((buffers, [b.tobytes() for b in buffers]))
+            keys = self.buffers[0] if self.raw_keys is None else self.raw_keys
+            views.append((keys, self.buffers[1], self.mass))
+            flush(self)
+
+        def spy_update(self, cache, k_new, v_new, attn_probs=None):
+            keys, values, mass = views[-1]
+            assert np.shares_memory(k_new.data, keys) and np.shares_memory(v_new.data, values)
+            assert (attn_probs is None) == (mass is None)
+            assert attn_probs is None or np.shares_memory(attn_probs, mass)
+            return update(self, cache, k_new, v_new, attn_probs)
+
+        monkeypatch.setattr(model._Streams, "flush", spy_flush)
+        monkeypatch.setattr(LayerPolicy, "update", spy_update)
+        tokens = rand_tokens(np.random.default_rng(8), 22)
+        generate(params, tokens[:6], 15, spec, 4)
+        forward_segmented(params, tokens.reshape(2, 11), spec, 4)
+        monkeypatch.undo()
+        # 4 flushes in decode (its fifth block is never flushed), 3 in prefill;
+        # no buffer was written after its flush
+        assert len(flushed) == 7
+        for buffers, at_flush in flushed:
+            assert [b.tobytes() for b in buffers] == at_flush
 
 
 class TestPerplexity:

@@ -21,7 +21,7 @@ from convkv.attention import (
 )
 from convkv import model, numerics
 from convkv.cache import KvCache
-from convkv.model import LayerStream, ModelConfig, ModelParams, forward_segmented, sequence_loss
+from convkv.model import ModelConfig, ModelParams, forward_segmented, sequence_loss
 from convkv.numerics import (
     ConvKernels,
     GradTape,
@@ -556,21 +556,23 @@ class TestGradients:
 
     @pytest.mark.parametrize("n_cached", [0, 3])
     def test_context_buffer_extension(self, n_cached):
-        # the decode path: two chunks extend one in-place context buffer
+        # the decode path: two chunks extend layer 1's rows of one in-place cycle buffer
         rng = np.random.default_rng(6)
         n_heads, head_dim, chunks = 2, 4, (2, 1)
         d = n_heads * head_dim
-        k_cached, v_cached = (rand(rng, d, n_cached, trainable=True) for _ in range(2))
+        params = ModelParams.zeros(ModelConfig(d_model=d, n_layers=2, n_heads=n_heads,
+                                               head_dim=head_dim))
+        k_cached, v_cached = (Tensor2(rng.standard_normal((2, d, n_cached)), requires_grad=True)
+                              for _ in range(2))
         qs, ks, vs = ([rand(rng, d, b, trainable=True) for b in chunks] for _ in range(3))
 
         def loss():
-            stream = LayerStream(PolicySpec("concat").build(), KvCache.empty(d), slice(0, 1),
-                                 sum(chunks))
-            stream.open_context(*(split_heads(x, n_heads, head_dim) for x in (k_cached, v_cached)))
+            stream = model._Streams(params, PolicySpec("concat"), sum(chunks))
+            stream.cache = KvCache(k_cached, v_cached)
             outs, n_context = [], n_cached
             for q, k, v in zip(qs, ks, vs):
                 context_k, context_v = stream.extend_context(
-                    split_heads(k, n_heads, head_dim), split_heads(v, n_heads, head_dim)
+                    1, split_heads(k, n_heads, head_dim), split_heads(v, n_heads, head_dim)
                 )
                 outs.append(attend(split_heads(q, n_heads, head_dim), context_k, context_v,
                                    n_context)[0])
@@ -983,10 +985,8 @@ class TestTapeProtocol:
         with GradTape() as tape:
             out = matmul(w, t2([[2.0]]))
         backward(tape, out)
-        with pytest.raises(TapeError):
+        with pytest.raises(TapeError, match="record a new tape"):
             backward(tape, out)
-        tape.reset()
-        assert len(tape) == 0
 
     def test_zero_upstream_contributes_zero(self):
         w = t2([[1.0]], trainable=True)
@@ -1023,15 +1023,11 @@ class TestTapeProtocol:
             assert outputs[0]() is None
         fd_check(loss, [w])
 
-    @pytest.mark.parametrize("same_tape_after_reset", [False, True])
-    def test_result_of_an_earlier_tape_is_a_leaf(self, same_tape_after_reset):
+    def test_result_of_an_earlier_tape_is_a_leaf(self):
         w = t2([[2.0, -1.0]], trainable=True)
-        earlier = GradTape()
-        with earlier:
+        with GradTape():
             h = relu(w)
-        tape = earlier if same_tape_after_reset else GradTape()
-        tape.reset()
-        with tape:
+        with GradTape() as tape:
             loss = cross_entropy_cols(vstack([h, Tensor2.zeros(1, 2)]), np.array([1, 1]))
         grads = backward(tape, loss)
         assert set(grads) == {h}
