@@ -289,7 +289,6 @@ def _merge_to_cols(x: Tensor2, n_seq: int) -> Tensor2:
 
 
 def _forward_chunk(
-    params: ModelParams,
     stream: "_Streams",
     tokens: np.ndarray,
     positions: np.ndarray,
@@ -300,6 +299,7 @@ def _forward_chunk(
     A NonFiniteError inside a layer, or a layer output that overflows, is
     raised again naming the block and the layer.
     """
+    params = stream.params
     rope = params.config.rope
     h = select_cols(params.embed, tokens)
     attn_entries = []
@@ -451,9 +451,8 @@ class _Streams:
             stop = min(start + self.block_size - offset, t_len)
             positions = np.arange(self.position, self.position + stop - start)
             block = self.position // self.block_size
-            h, self._attn_entries = _forward_chunk(
-                self.params, self, tokens[:, start:stop].ravel(), positions, block
-            )
+            h, self._attn_entries = _forward_chunk(self, tokens[:, start:stop].ravel(),
+                                                   positions, block)
             self.n_staged += stop - start
             if self.unembed is None:
                 self.unembed = transpose(self.params.embed)
