@@ -60,9 +60,7 @@ class RunConfig:
     kernel_size: int = 21
     relu_position: str = "post"
     n_sink: int = 4
-    window: int | None = None
     recent_budget: int | None = None
-    heavy_budget: int | None = None
     reserved: int = 4
     # training
     seed: int = 0
@@ -131,9 +129,7 @@ class RunConfig:
             name=self.policy if name is None else name,
             capacity=self.capacity if capacity is None else capacity,
             n_sink=self.n_sink,
-            window=self.window,
             recent_budget=self.recent_budget,
-            heavy_budget=self.heavy_budget,
             reserved=self.reserved,
         )
         _checked(spec.check_block_size, self.block_size)
@@ -236,7 +232,7 @@ def _require(cfg: RunConfig, *names: str) -> None:
         value = getattr(cfg, name)
         if not value:
             raise ConfigError(f"this command requires --{name.replace('_', '-')}")
-        if name in ("corpus", "checkpoint", "prompt_file") and not Path(value).exists():
+        if name in ("corpus", "checkpoint", "prompt_file") and not Path(value).is_file():
             raise ConfigError(f"{name} file not found: {value}")
 
 

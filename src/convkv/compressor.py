@@ -11,7 +11,8 @@ which preserves token correspondence.
 ``compress_step`` is the merging half of ``cache.bounded_update``: the
 cache's ``KeepRule`` picks the columns kept verbatim (none for plain LoCoCo,
 attention sinks or heavy hitters for the hybrids) and the head merges the
-rest, where the eviction policies would drop it.
+rest, where the eviction policies would drop it. Every sequence names its
+own merged columns.
 
 A merge takes one head per equal group of the leading axis: the model
 stacks every layer's sequences layer after layer and merges them all in one
@@ -110,7 +111,7 @@ class FusionWeights(NamedTuple):
     ``weights`` is (n, slots, p): row i of sequence s holds slot i's weights
     on the p columns that s merges. ``picked`` is the (n, 2d, p) operand
     they blend and the conv scored: those columns' keys over their values,
-    the block's columns first. ``from_block`` (1 or n, p) marks the block's
+    the block's columns first. ``from_block`` (n, p) marks the block's
     columns. From ``synthesize_weights``, entries are nonnegative and every
     row sums to 1 (dead rows are rescued by a uniform epsilon before
     normalization). ``new_weights`` and ``cache_weights`` split the weights
@@ -147,14 +148,14 @@ def synthesize_weights(
     """Score the merged (incoming + cached) columns for every slot, then normalize.
 
     Operands are (n, d, columns), one sequence being a batch of one. The
-    picked operand stacks keys over values of the columns ``merged`` (1 or
-    n, block + cache) names, incoming block columns first, cache columns
-    after: one row per sequence or one row every sequence shares. A column
-    left out, as when a hybrid keeps it verbatim, is in no slot. Either side
-    may have no columns, but ``conv1d`` rejects a convolution of no columns
-    at all, or of other than the heads' 2*d rows. Head g scores the
-    sequences of group g of ``len(heads)`` equal groups. The weights are the
-    row-normalized conv output over the picked columns, (n, slots, p).
+    picked operand stacks keys over values of the columns ``merged`` (n,
+    block + cache) names, incoming block columns first, cache columns after,
+    as many for every sequence. A column left out, as when a hybrid keeps it
+    verbatim, is in no slot. Either side may have no columns, but ``conv1d``
+    rejects a convolution of no columns at all, or of other than the heads'
+    2*d rows. Head g scores the sequences of group g of ``len(heads)`` equal
+    groups. The weights are the row-normalized conv output over the picked
+    columns, (n, slots, p).
     """
     d = k_new.rows
     for name, t in (("v_new", v_new), ("k_cache", k_cache), ("v_cache", v_cache)):
@@ -198,7 +199,7 @@ def compress_step(
     k_new: Tensor2,
     v_new: Tensor2,
     heads: Sequence[ConvHead],
-    attn_probs: np.ndarray | None = None,
+    attn_mass: np.ndarray | None = None,
 ) -> KvCache:
     """One merging update: concatenate while the budget allows, merge after.
 
@@ -207,27 +208,28 @@ def compress_step(
     (attention sinks or heavy hitters, none for plain LoCoCo) stay verbatim
     in front, and the rest, incoming block plus unkept cache, is blended
     into the remaining capacity - ``rule.budget`` slots, which the head must
-    produce. A rule with heavy hitters needs the block's ``attn_probs``;
-    merged slots inherit the weighted sum of their sources' scores. Head g
-    merges the sequences of group g of ``len(heads)`` equal groups.
+    produce. A rule with heavy hitters needs the block's ``attn_mass`` (see
+    ``bounded_update``); merged slots inherit the weighted sum of their
+    sources' scores. Head g merges the sequences of group g of
+    ``len(heads)`` equal groups.
     """
     if cache.capacity is not None and heads[0].slots != cache.capacity - cache.rule.budget:
         raise CacheError(
             f"head produces {heads[0].slots} slots but capacity - kept is "
             f"{cache.capacity - cache.rule.budget}"
         )
-    return bounded_update(cache, k_new, v_new, attn_probs, partial(_merge_rest, heads))
+    return bounded_update(cache, k_new, v_new, attn_mass, partial(_merge_rest, heads))
 
 
 def _merge_rest(heads, cache, k_new, v_new, rest, scores):
-    """Blend the columns ``rest`` marks (cache first, then block; a row per sequence
-    or one for all) into the slots; a slot's score is its weights times the
-    scores of the columns it merges."""
+    """Blend the columns ``rest`` marks (cache first, then block; a row per
+    sequence) into the slots; a slot's score is its weights times the scores
+    of the columns it merges."""
     n_cached = cache.live_entries
     merged = np.concatenate([rest[:, n_cached:], rest[:, :n_cached]], 1)
     weights = synthesize_weights(k_new, v_new, cache.keys, cache.values, heads, merged)
     keys, values = fuse(weights)
-    if scores is not None:  # heavy hitters: ``merged`` has a row per sequence
+    if scores is not None:
         sources = np.concatenate([scores[:, n_cached:], scores[:, :n_cached]], 1)[merged]
         scores = (weights.weights.data @ sources.reshape(len(scores), -1, 1))[..., 0]
     return keys, values, scores

@@ -22,7 +22,7 @@ next-token cross entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,8 +80,8 @@ class ModelConfig:
             )
         if self.head_dim % 2 != 0:
             raise ValueError("head_dim must be even for rotary embedding")
-        if min(self.n_layers, self.max_context, self.mlp_ratio) < 1:
-            raise ValueError("n_layers, max_context and mlp_ratio must be positive")
+        if min(self.n_layers, self.n_heads, self.head_dim, self.max_context, self.mlp_ratio) < 1:
+            raise ValueError("n_layers, n_heads, head_dim, max_context, mlp_ratio must be positive")
         self.rope  # RopeConfig checks the rotary settings
 
     @property
@@ -265,7 +265,7 @@ def _layer_step(
     n_context = stream.cache.live_entries + stream.n_staged
 
     # slot-relative policies cache keys unrotated and rotate them by cache slot
-    relative = stream.policy.slot_relative_positions
+    relative = stream.policy.spec.slot_relative
     q_pos = n_context + np.arange(b) if relative else positions
     q_rot, k_rot, k, v = project_qkv(rms_norm_cols(h, layer.attn_gain), layer.attn, q_pos, rope,
                                      raw_k=relative)
@@ -323,9 +323,10 @@ class _Streams:
 
     ``cache`` stacks every layer's cache, (n_layers * n_seq, d, cols), layer
     after layer, and is kept across flushes; ``layer_caches`` shows each
-    layer's rows as an (n_seq, d, cols) ``KvCache``. Up to B staged columns
-    wait between flushes: they go to the policy when the next token arrives,
-    or when the caller flushes. ``feed`` cuts its tokens at block boundaries
+    layer's rows, keys, values and heavy-hitter scores, as an (n_seq, d,
+    cols) ``KvCache``. Up to B staged columns wait between flushes: they go
+    to the policy when the next token arrives, or when the caller flushes.
+    ``feed`` cuts its tokens at block boundaries
     and flushes before a chunk that starts a new block, so the cache changes
     once per block however the tokens arrive, and the last block fed stays
     staged until ``flush``. A flush made in a feed of more than one token per
@@ -344,7 +345,8 @@ class _Streams:
     slot-relative policy's block keys, unrotated, are a view of one more
     (n_layers * n_seq * H, head_dim, B) buffer. ``mass``, for policies that
     keep keys by it, is (n_layers * n_seq, n_cached + B) and sums the
-    attention each context column drew from the staged queries, over heads.
+    attention each context column drew from the staged queries, over heads;
+    its first n_cached + b columns are the policy's ``attn_mass``.
     Queries attend to cache + staged columns + their own chunk: at most M + B
     columns per head for a bounded policy.
 
@@ -386,9 +388,8 @@ class _Streams:
         caches = []
         for rows in (slice(i * n, (i + 1) * n) for i in range(self.n_layers)):
             keys, values = (_rows(t, rows, (n,) + t.shape[1:]) for t in (stacked.keys, stacked.values))
-            scores = stacked.rule.scores
-            rule = stacked.rule if scores is None else replace(stacked.rule, scores=scores[rows])
-            caches.append(KvCache(keys, values, stacked.capacity, rule))
+            scores = None if stacked.scores is None else stacked.scores[rows]
+            caches.append(KvCache(keys, values, stacked.capacity, stacked.rule, scores))
         return caches
 
     def extend_context(self, index: int, keys: Tensor2, values: Tensor2) -> tuple[Tensor2, Tensor2]:
@@ -400,9 +401,9 @@ class _Streams:
             n_rows, d = self.cache.keys.shape[:2]
             shape = (n_rows * n_heads, d // n_heads, n_cached + self.block_size)
             self.buffers = (np.empty(shape), np.empty(shape))
-            if self.policy.slot_relative_positions:
+            if self.policy.spec.slot_relative:
                 self.raw_keys = np.empty(shape[:-1] + (self.block_size,))
-            if self.policy.needs_probs:
+            if self.policy.needs_mass:
                 self.mass = np.zeros((n_rows, shape[-1]))
         heads = self.n_seq * n_heads
         buffers = [b[index * heads:(index + 1) * heads] for b in self.buffers]
@@ -411,7 +412,7 @@ class _Streams:
             rows = slice(index * self.n_seq, (index + 1) * self.n_seq)
             context = [_rows(t, rows, buffers[0].shape[:-1] + (n_cached,))
                        for t in (self.cache.keys, self.cache.values)]
-            if self.policy.slot_relative_positions and n_cached:
+            if self.policy.spec.slot_relative and n_cached:
                 context[0] = apply_rope(context[0], np.arange(n_cached), self.params.config.rope)
             for buffer, c in zip(buffers, context):
                 buffer[..., :n_cached] = c.data
@@ -481,9 +482,9 @@ class _Streams:
         shape = (len(self.cache.keys.data), -1, b)
         k, v = (_stack_blocks(chunks, data.reshape(shape))
                 for chunks, data in ((self.staged_k, keys), (self.staged_v, values)))
-        probs = None if self.mass is None else self.mass[:, :n_cached + b, None]
+        mass = None if self.mass is None else self.mass[:, :n_cached + b]
         try:
-            cache = self.policy.update(self.cache, k, v, attn_probs=probs)
+            cache = self.policy.update(self.cache, k, v, attn_mass=mass)
         except NonFiniteError as exc:
             layer = "" if exc.index is None else f", layer {exc.index // self.n_seq}"
             raise NonFiniteError(f"{exc} at block {block}{layer}") from exc

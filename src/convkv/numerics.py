@@ -614,12 +614,12 @@ def select_cols(x: Tensor2, indices: np.ndarray) -> Tensor2:
 
     Also the embedding lookup: the columns of the table are the token ids.
     A 2-D operand takes 1-D indices. An (n, rows, cols) operand takes (n, k)
-    indices, row i picking sequence i's columns, or one (1, k) row that every
-    sequence shares; its result is a strided view of one fancy-indexed copy.
+    indices, row i picking sequence i's columns; its result is a strided view
+    of one fancy-indexed copy.
     """
     idx = np.asarray(indices, dtype=np.int64)
     lead = x.shape[:-2]
-    if idx.ndim != 1 + len(lead) or lead and len(idx) not in (1, lead[0]):
+    if idx.ndim != 1 + len(lead) or lead and len(idx) != lead[0]:
         raise ShapeError(f"select_cols: indices must be 1-D or (n, k) for a 2-D or (n, rows, cols) "
                          f"operand, got {idx.shape} for {x.shape}")
     rows, cols = x.shape[-2:]

@@ -49,7 +49,7 @@ class TrainConfig:
     detach_cache_between_blocks: bool = False
 
     def __post_init__(self):
-        for name, above in (("batch_size", 0), ("steps", -1), ("context_length", 1),
+        for name, above in (("batch_size", 0), ("steps", -1), ("seed", -1), ("context_length", 1),
                             ("learning_rate_base", 0), ("learning_rate_conv", 0)):
             if not getattr(self, name) > above:  # NaN fails too
                 raise ValueError(f"{name} must be > {above}, got {getattr(self, name)}")

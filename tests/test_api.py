@@ -7,6 +7,7 @@ per-policy figures.
 """
 
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -95,7 +96,7 @@ def test_merge_statistics_match_a_full_width_scatter(monkeypatch):
     n, d, cached, b, heavy = 2, 4, 6, 3, 2
     scores = np.zeros((n, cached + b))
     scores[0, [1, 3]] = scores[1, [cached, cached + 2]] = 1.0
-    kept = convkv.KeepRule(heavy=heavy, scores=scores).keep(cached + b, scores)
+    kept = convkv.KeepRule(heavy=heavy).keep(cached + b, n, scores)
     rest = np.ones_like(scores, dtype=bool)
     rest[np.arange(n)[:, None], kept] = False
     merged = np.concatenate([rest[:, cached:], rest[:, :cached]], 1)  # block first
@@ -115,6 +116,28 @@ def test_merge_statistics_match_a_full_width_scatter(monkeypatch):
     assert rec.stats["slot_rows"] == n * head.slots
     assert abs(rec.stats["new_share_sum"] - rows[:, :b].sum()) < 1e-12
     assert abs(rec.stats["entropy_exp_sum"] - np.exp(-(rows * logs).sum(axis=1)).sum()) < 1e-12
+
+
+def _rules(policy: str, knob: str, values) -> set[tuple[int, int, int]]:
+    """The budgets of every rule ``policy`` accepts at capacity 8 with ``knob`` set to a value."""
+    budgets = set()
+    for value in values:
+        try:
+            rule = convkv.PolicySpec(policy, **{"capacity": 8, knob: value}).rule
+        except convkv.CacheError:
+            continue
+        budgets.add((rule.n_sink, rule.recent, rule.heavy))
+    return budgets
+
+
+def test_every_policy_knob_can_change_a_rule():
+    # a field that one value alone passes, or whose values all give one rule,
+    # is no knob: its value follows from the others
+    for field in dataclasses.fields(convkv.PolicySpec):
+        if field.init and field.name != "name":
+            values = (field.default, 1, 2, 3, 4, 6)
+            changed = [p for p in convkv.POLICY_NAMES if len(_rules(p, field.name, values)) > 1]
+            assert changed, field.name
 
 
 def test_every_name_the_benchmark_uses_exists():

@@ -345,7 +345,7 @@ class TestSegmentAttention:
             _, probs = attend(apply_rope(hq, positions, cfg.rope),
                               apply_rope(hk, positions, cfg.rope), hv)
             expect += probs.data.sum(axis=1)
-        assert np.max(np.abs(caches[0].rule.scores - expect)) < 1e-12
+        assert np.max(np.abs(caches[0].scores - expect)) < 1e-12
 
     def test_causality_perturbing_a_token_leaves_earlier_outputs_alone(self):
         rng = np.random.default_rng(15)

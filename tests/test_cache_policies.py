@@ -23,7 +23,7 @@ from convkv.compressor import (
     synthesize_weights,
 )
 from convkv.numerics import ShapeError, Tensor2, hstack, vstack
-from convkv.policies import PolicySpec
+from convkv.policies import POLICY_NAMES, PolicySpec
 
 import oracles
 
@@ -94,7 +94,7 @@ class TestKeepRule:
         # few distinct values, so equal scores are common
         values = st.sampled_from([0.0, 0.5, 1.0])
         scores = np.array(data.draw(st.lists(values, min_size=n, max_size=n), label="scores"))
-        kept = rule.keep(n, scores[None])
+        kept = rule.keep(n, 1, scores[None])
         assert kept.tolist() == [oracles.keep_indices(scores, rule.n_sink, rule.recent, rule.heavy)]
 
     @pytest.mark.parametrize("policy, knob, budgets, tracks_scores", [
@@ -107,7 +107,31 @@ class TestKeepRule:
     def test_each_policy_maps_to_its_rule(self, policy, knob, budgets, tracks_scores):
         rule = rule_of(policy, 8, knob)
         assert (rule.n_sink, rule.recent, rule.heavy) == budgets
-        assert (rule.scores is not None) == tracks_scores
+        assert (KvCache.empty(2, capacity=8, rule=rule).scores is not None) == tracks_scores
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        policy=st.sampled_from(POLICY_NAMES),
+        capacity=st.integers(1, 10),
+        n_sink=st.integers(0, 10),
+        recent_budget=st.none() | st.integers(0, 10),
+        reserved=st.integers(0, 10),
+        n_seq=st.integers(1, 3),
+        extra=st.integers(1, 4),
+    )
+    def test_every_accepted_rule_keeps_a_row_per_sequence(
+        self, policy, capacity, n_sink, recent_budget, reserved, n_seq, extra
+    ):
+        try:
+            spec = PolicySpec(policy, capacity, n_sink, recent_budget, reserved)
+        except CacheError:
+            return
+        rule = spec.rule
+        if spec.capacity is not None and not spec.needs_conv_head:
+            assert rule.budget == capacity  # an eviction rule fills the cache
+        n = rule.budget + extra
+        scores = np.random.default_rng(n).random((n_seq, n))
+        assert rule.keep(n, n_seq, scores).shape == (n_seq, rule.budget)
 
 
 class TestPolicySpecRejects:
@@ -115,17 +139,17 @@ class TestPolicySpecRejects:
         dict(name="lru", capacity=8),
         dict(name="lococo"),
         dict(name="h2o", capacity=0),
-        dict(name="h2o", capacity=8, recent_budget=3, heavy_budget=3),
-        dict(name="h2o", capacity=8, recent_budget=-1, heavy_budget=9),
-        dict(name="sink_window", capacity=8, n_sink=2, window=5),
+        dict(name="h2o", capacity=8, recent_budget=-1),
+        dict(name="h2o", capacity=8, recent_budget=9),
+        dict(name="sink_window", capacity=4, n_sink=5),
         dict(name="sink_window", capacity=4, n_sink=4),
         dict(name="lococo+h2o", capacity=4, reserved=4),
         dict(name="lococo+h2o", capacity=4, reserved=5),
         dict(name="lococo+sink", capacity=4, n_sink=-1),
         dict(name="lococo+sink", capacity=4, n_sink=4),
     ], ids=[
-        "unknown-name", "missing-capacity", "zero-capacity", "h2o-budgets-short",
-        "h2o-negative-budget", "sink-window-budgets-short", "sink-window-empty-window",
+        "unknown-name", "missing-capacity", "zero-capacity", "h2o-negative-budget",
+        "h2o-recent-over-capacity", "sink-window-sinks-over-capacity", "sink-window-empty-window",
         "reserved-at-capacity", "reserved-over-capacity", "negative-sinks",
         "sinks-at-capacity",
     ])
@@ -137,13 +161,13 @@ class TestPolicySpecRejects:
 class TestUpdateRejects:
     """Typed errors of a cache update handed what its rule cannot use."""
 
-    def test_heavy_hitters_need_probs_covering_every_key(self):
+    def test_heavy_hitters_need_mass_covering_every_key(self):
         cache = h2o_cache(2, 4)
         k = token_block(2, 0, 2)
-        with pytest.raises(CacheError, match="attention probabilities"):
+        with pytest.raises(CacheError, match="attention mass"):
             update_h2o(cache, k, paired_values(k), None)
-        with pytest.raises(ShapeError, match="cover 3 keys, expected 2"):
-            update_h2o(cache, k, paired_values(k), np.full((1, 3, 2), 0.5))
+        with pytest.raises(ShapeError, match="covers 3 keys, expected 2"):
+            update_h2o(cache, k, paired_values(k), np.full((1, 3), 0.5))
 
     def test_eviction_needs_a_bounded_cache_whose_rule_keeps_its_capacity(self):
         k = token_block(2, 0, 2)
@@ -189,21 +213,20 @@ class TestH2O:
     def test_under_budget_identical_to_concat(self):
         cache = h2o_cache(2, 8)
         k = token_block(2, 0, 3)
-        probs = np.full((1, 3, 3), 1 / 3)
-        out = update_h2o(cache, k, paired_values(k), probs)
+        mass = np.full((1, 3), 1.0)
+        out = update_h2o(cache, k, paired_values(k), mass)
         assert np.array_equal(out.keys.data, k.data)
-        assert np.allclose(out.rule.scores, probs.sum(axis=-1))
+        assert np.array_equal(out.scores, mass)
 
     def test_unique_zero_score_column_evicted(self):
         cache = h2o_cache(2, 4, recent=2, heavy=2)
         k = token_block(2, 0, 4)
-        cache = update_h2o(cache, k, paired_values(k), (np.eye(4) * 0.5 + 0.1)[None])
+        cache = update_h2o(cache, k, paired_values(k), (np.eye(4) * 0.5 + 0.1).sum(axis=-1)[None])
         nxt = token_block(2, 4, 1)
         # column 1 of the cache gets no mass this round and had the least before
-        probs = np.array([[0.3], [0.0], [0.25], [0.25], [0.2]])
-        probs[1, 0] = 0.0
-        cache = replace(cache, rule=KeepRule(0, 2, 2, np.array([[0.6, 0.0, 0.6, 0.6]])))
-        cache2 = update_h2o(cache, nxt, paired_values(nxt), probs[None])
+        mass = np.array([0.3, 0.0, 0.25, 0.25, 0.2])
+        cache = replace(cache, scores=np.array([[0.6, 0.0, 0.6, 0.6]]))
+        cache2 = update_h2o(cache, nxt, paired_values(nxt), mass[None])
         assert cache2.live_entries == 4
         assert 1.0 not in cache2.keys.data[0, 0]
 
@@ -216,25 +239,24 @@ class TestH2O:
             scores0 = rng.random(n_old) * 3
             cache = KvCache(
                 token_block(2, 0, n_old), paired_values(token_block(2, 0, n_old)),
-                m, KeepRule(0, recent, heavy, scores0[None]),
+                m, KeepRule(0, recent, heavy), scores0[None],
             )
             k = token_block(2, n_old, b)
             probs = rng.random((n_old + b, b))
-            out = update_h2o(cache, k, paired_values(k), probs[None])
+            out = update_h2o(cache, k, paired_values(k), probs.sum(axis=1)[None])
             scores = np.concatenate([scores0, np.zeros(b)]) + probs.sum(axis=1)
             kept = oracles.keep_indices(scores, 0, recent, heavy)
             assert list(out.keys.data[0, 0]) == [float(i) for i in kept]
-            assert np.allclose(out.rule.scores, scores[kept][None])
+            assert np.allclose(out.scores, scores[kept][None])
 
     def test_tie_breaks_toward_newer(self):
         scores0 = np.array([1.0, 1.0, 1.0, 1.0])
         cache = KvCache(
             token_block(2, 0, 4), paired_values(token_block(2, 0, 4)),
-            4, KeepRule(0, 2, 2, scores0[None]),
+            4, KeepRule(0, 2, 2), scores0[None],
         )
         k = token_block(2, 4, 1)
-        probs = np.zeros((1, 5, 1))
-        out = update_h2o(cache, k, paired_values(k), probs)
+        out = update_h2o(cache, k, paired_values(k), np.zeros((1, 5)))
         # newest two (3, 4) kept by recency; heavy picks 1 and 2 over 0 on ties
         assert list(out.keys.data[0, 0]) == [1.0, 2.0, 3.0, 4.0]
 
@@ -289,7 +311,7 @@ class TestInvariants:
         if policy == "sink_window":
             if m < 2:
                 m = 2
-            spec_kwargs.update(capacity=m, n_sink=1, window=m - 1)
+            spec_kwargs.update(capacity=m, n_sink=1)
         if policy == "lococo+sink":
             spec_kwargs.update(n_sink=min(1, m - 1) if m > 1 else 0)
             if m - spec_kwargs["n_sink"] < b:  # fill phase must cover the sinks
@@ -308,21 +330,21 @@ class TestInvariants:
         for _ in range(n_blocks):
             k = t2(rng.standard_normal((1, d, b)))
             v = t2(rng.standard_normal((1, d, b)))
-            probs = rng.random((1, cache.live_entries + b, b))
-            cache = layer.update(cache, k, v, attn_probs=probs)
+            mass = rng.random((1, cache.live_entries + b))
+            cache = layer.update(cache, k, v, attn_mass=mass)
             total += b
             assert cache.live_entries == min(total, m)
 
     def test_eviction_applies_identically_to_keys_and_values(self):
         rng = np.random.default_rng(3)
         for policy in ("h2o", "sink_window"):
-            spec = PolicySpec(policy, capacity=4, n_sink=2, window=2)
+            spec = PolicySpec(policy, capacity=4, n_sink=2)
             layer = spec.build()
             cache = layer.empty_cache(3)
             for t in range(4):
                 k = token_block(3, 3 * t, 3)
-                probs = rng.random((1, cache.live_entries + 3, 3))
-                cache = layer.update(cache, k, paired_values(k), attn_probs=probs)
+                mass = rng.random((1, cache.live_entries + 3))
+                cache = layer.update(cache, k, paired_values(k), attn_mass=mass)
             assert np.array_equal(cache.values.data, cache.keys.data * 2.0 + 1.0)
 
 
@@ -338,12 +360,12 @@ class TestH2OAsFusionOperator:
         scores0 = rng.random(n_old)
         old_k = t2(rng.standard_normal((1, d, n_old)))
         old_v = t2(rng.standard_normal((1, d, n_old)))
-        cache = KvCache(old_k, old_v, m, KeepRule(0, recent, heavy, scores0[None]))
+        cache = KvCache(old_k, old_v, m, KeepRule(0, recent, heavy), scores0[None])
         k_new = t2(rng.standard_normal((1, d, b)))
         v_new = t2(rng.standard_normal((1, d, b)))
         probs = rng.random((n_old + b, b))
 
-        evicted = update_h2o(cache, k_new, v_new, probs[None])
+        evicted = update_h2o(cache, k_new, v_new, probs.sum(axis=1)[None])
 
         scores = np.concatenate([scores0, np.zeros(b)]) + probs.sum(axis=1)
         kept = oracles.keep_indices(scores, 0, recent, heavy)
@@ -374,12 +396,12 @@ class TestHybrids:
 
         rule = PolicySpec("lococo+h2o", capacity=m, reserved=0).rule
         heavy = KvCache.empty(d, capacity=m, rule=rule)
-        heavy = compress_step(heavy, k1, v1, [head], rng.random((1, 4, 4)))
-        heavy = compress_step(heavy, k2, v2, [head], rng.random((1, 4 + b, b)))
+        heavy = compress_step(heavy, k1, v1, [head], rng.random((1, 4)))
+        heavy = compress_step(heavy, k2, v2, [head], rng.random((1, 4 + b)))
 
         assert np.array_equal(heavy.keys.data, plain.keys.data)
         assert np.array_equal(heavy.values.data, plain.values.data)
-        assert heavy.rule.scores is None
+        assert heavy.scores is None
 
     def test_sink_hybrid_pins_first_tokens_verbatim(self):
         rng = np.random.default_rng(5)
@@ -403,11 +425,11 @@ class TestHybrids:
         scores0 = rng.random(n_old) * 2
         old_k = t2(rng.standard_normal((1, d, n_old)))
         old_v = t2(rng.standard_normal((1, d, n_old)))
-        cache = KvCache(old_k, old_v, m, KeepRule(heavy=reserved, scores=scores0[None]))
+        cache = KvCache(old_k, old_v, m, KeepRule(heavy=reserved), scores0[None])
         k_new, v_new = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
         probs = rng.random((n_old + b, b))
 
-        out = compress_step(cache, k_new, v_new, [head], probs[None])
+        out = compress_step(cache, k_new, v_new, [head], probs.sum(axis=1)[None])
 
         scores = np.concatenate([scores0, np.zeros(b)]) + probs.sum(axis=1)
         idx = np.arange(len(scores))
@@ -431,8 +453,8 @@ class TestHybrids:
         w = weights.weights.data[0]
         merged = (w[:, :comp_new.size] @ scores[n_old + comp_new]
                   + w[:, comp_new.size:] @ scores[comp_cache])
-        assert np.array_equal(out.rule.scores[0, :reserved], scores[pinned])
-        assert np.max(np.abs(out.rule.scores[0, reserved:] - merged)) < 1e-12
+        assert np.array_equal(out.scores[0, :reserved], scores[pinned])
+        assert np.max(np.abs(out.scores[0, reserved:] - merged)) < 1e-12
 
     def test_reserve_must_stay_below_capacity(self):
         with pytest.raises(CacheError):

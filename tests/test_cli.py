@@ -54,9 +54,9 @@ class TestConfigParsing:
 
     def test_bool_none_and_float_values(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("detach_cache=yes\nwindow=none\nheavy_budget=\nrope_base=500\n")
+        p.write_text("detach_cache=yes\nrecent_budget=none\ncheckpoint=\nrope_base=500\n")
         assert read_config_file(p) == {
-            "detach_cache": True, "window": None, "heavy_budget": None, "rope_base": 500.0,
+            "detach_cache": True, "recent_budget": None, "checkpoint": None, "rope_base": 500.0,
         }
         p.write_text("detach_cache=False\n")
         assert read_config_file(p) == {"detach_cache": False}
@@ -88,11 +88,15 @@ UNWORKABLE = {
     "eval_capacity_0": ["eval", "--capacity", "0", "--policy", "lococo"],
     "eval_block_size_0": ["eval", "--block-size", "0"],
     "eval_block_beyond_capacity": ["eval", "--block-size", "40", "--policy", "h2o"],
-    "eval_heavy_budget_99": ["eval", "--policy", "h2o", "--heavy-budget", "99"],
+    "eval_recent_budget_99": ["eval", "--policy", "h2o", "--recent-budget", "99"],
     "calibrate_relu_position_bogus": ["calibrate", "--relu-position", "bogus"],
     "calibrate_batch_size_0": ["calibrate", "--batch-size", "0"],
     "generate_block_size_0": ["generate", "--block-size", "0", "--prompt", "ab"],
     "pretrain_odd_head_dim": ["pretrain", "--d-model", "6", "--n-heads", "2", "--head-dim", "3"],
+    "pretrain_heads_negative": ["pretrain", "--n-heads", "-2", "--head-dim", "-32"],
+    "pretrain_heads_0": ["pretrain", "--d-model", "0", "--n-heads", "0", "--head-dim", "0"],
+    "pretrain_seed_negative": ["pretrain", "--seed", "-1"],
+    "calibrate_seed_negative": ["calibrate", "--seed", "-1"],
     "generate_n_new_negative": ["generate", "--n-new", "-1", "--prompt", "ab"],
     "calibrate_context_not_block_multiple": ["calibrate", "--context-length", "20",
                                              "--block-size", "8"],
@@ -147,6 +151,18 @@ class TestPretrainCommand:
 
     def test_nonexistent_corpus_path(self, tmp_path):
         assert main(["pretrain", "--corpus", "/nope.txt", "--out-dir", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["pretrain", "--corpus", "{dir}"],
+        ["generate", "--checkpoint", "{dir}", "--prompt", "ab"],
+        ["generate", "--checkpoint", "{ckpt}", "--prompt-file", "{dir}"],
+    ], ids=["corpus", "checkpoint", "prompt_file"])
+    def test_directory_for_a_file_is_validation_error(self, base_ckpt, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        args = [a.format(dir=tmp_path, ckpt=base_ckpt) for a in args]
+        assert main([*args, "--out-dir", str(out)]) == 1
+        assert "file not found" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_steps_saves_init_and_reports_nan_loss(self, corpus_file, tmp_path, capsys):
         out = tmp_path / "run"

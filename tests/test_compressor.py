@@ -326,17 +326,17 @@ class TestCompressStep:
         d, m, heavy = 3, 4, 2
         head = new_conv_head(d, m - heavy, kernel_size=3, rng=rng)
         k_cache, v_cache = t2(rng.standard_normal((1, d, m))), t2(rng.standard_normal((1, d, m)))
-        cache = KvCache(k_cache, v_cache, capacity=m,
-                        rule=KeepRule(heavy=heavy, scores=np.zeros((1, m))))
+        cache = KvCache(k_cache, v_cache, capacity=m, rule=KeepRule(heavy=heavy),
+                        scores=np.zeros((1, m)))
         k_new, v_new = t2(rng.standard_normal((1, d, 1))), t2(rng.standard_normal((1, d, 1)))
-        probs = np.zeros((1, m + 1, 1))
-        probs[0, m, 0] = 1.0
-        out = compress_step(cache, k_new, v_new, [head], probs)
+        mass = np.zeros((1, m + 1))
+        mass[0, m] = 1.0
+        out = compress_step(cache, k_new, v_new, [head], mass)
         assert out.live_entries == m
         # kept verbatim: the newest cache column (ties favour newer) and the block
         kept = np.concatenate([k_cache.data[..., -1:], k_new.data], axis=-1)
         assert np.array_equal(out.keys.data[..., :heavy], kept)
-        assert np.array_equal(out.rule.scores, [[0.0, 1.0, 0.0, 0.0]])
+        assert np.array_equal(out.scores, [[0.0, 1.0, 0.0, 0.0]])
         eps = 1e-12
         for merged, sources in ((out.keys, k_cache), (out.values, v_cache)):
             slots, src = merged.data[..., heavy:], sources.data[..., :m - 1]
@@ -360,7 +360,7 @@ class TestTapePerMerge:
     # key and value rows of its result fuse them; a hybrid hstacks what it keeps
     @pytest.mark.parametrize("rule, entries", [
         (KeepRule(), 7),
-        (KeepRule(heavy=2, scores=np.arange(12.0).reshape(2, 6) % 5), 9),
+        (KeepRule(heavy=2), 9),
         (KeepRule(n_sink=2), 9),
     ], ids=["lococo", "lococo+h2o", "lococo+sink"])
     def test_one_merge_records_its_entries(self, rule, entries):
@@ -368,11 +368,12 @@ class TestTapePerMerge:
         n, d, m, b = 2, 8, 6, 3
         head = new_conv_head(d, m - rule.budget, kernel_size=3, rng=rng)
         head.kernels.weights.requires_grad = True
+        scores = np.arange(12.0).reshape(2, 6) % 5 if rule.heavy else None
         cache = KvCache(t2(rng.standard_normal((n, d, m))), t2(rng.standard_normal((n, d, m))),
-                        capacity=m, rule=rule)
+                        capacity=m, rule=rule, scores=scores)
         k_new, v_new = t2(rng.standard_normal((n, d, b))), t2(rng.standard_normal((n, d, b)))
         with GradTape() as tape:
-            out = compress_step(cache, k_new, v_new, [head], rng.random((n, m + b, b)))
+            out = compress_step(cache, k_new, v_new, [head], rng.random((n, m + b)))
         assert out.live_entries == m
         assert len(tape) == entries
 

@@ -66,7 +66,7 @@ class TestMemoryTrace:
         m, b = 16, 16
         for spec in [
             PolicySpec("h2o", capacity=m),
-            PolicySpec("sink_window", capacity=m, n_sink=4, window=12),
+            PolicySpec("sink_window", capacity=m, n_sink=4),
             PolicySpec("lococo", capacity=m),
         ]:
             p = with_heads(m) if spec.needs_conv_head else ModelParams.init(CFG, seed=0)

@@ -79,13 +79,16 @@ class TestModelConfig:
         (dict(d_model=6, n_heads=2, head_dim=3), "head_dim must be even"),
         (dict(n_layers=0), "must be positive"),
         (dict(mlp_ratio=0), "must be positive"),
+        (dict(n_heads=-2, head_dim=-32), "must be positive"),
+        (dict(d_model=0, n_heads=0, head_dim=0), "must be positive"),
         (dict(rope_base=-1.0), "rope base must be positive"),
         (dict(rope_base=float("nan")), "rope base must be positive"),
         (dict(interpolation_scale=0.5), "interpolation_scale must be >= 1"),
         (dict(interpolation_scale=float("nan")), "interpolation_scale must be >= 1"),
         (dict(rope_base=float("inf")), "rope base must be positive and finite"),
         (dict(interpolation_scale=float("inf")), "interpolation_scale must be >= 1 and finite"),
-    ], ids=["vocab", "d_model", "odd-head_dim", "n_layers-0", "mlp_ratio-0", "rope_base-neg",
+    ], ids=["vocab", "d_model", "odd-head_dim", "n_layers-0", "mlp_ratio-0", "heads-negative",
+            "heads-0", "rope_base-neg",
             "rope_base-nan", "interpolation-0.5", "interpolation-nan", "rope_base-inf",
             "interpolation-inf"])
     def test_rejected_with_value_error(self, kwargs, match):
@@ -168,7 +171,7 @@ class TestCausality:
     @pytest.mark.parametrize("policy_kwargs", [
         dict(name="concat"),
         dict(name="h2o", capacity=8),
-        dict(name="sink_window", capacity=8, n_sink=2, window=6),
+        dict(name="sink_window", capacity=8, n_sink=2),
         dict(name="lococo", capacity=8),
         dict(name="lococo+sink", capacity=8, n_sink=2),
         dict(name="lococo+h2o", capacity=8, reserved=2),
@@ -309,6 +312,16 @@ class TestCheckpoints:
         save_checkpoint(tiny_params, path)
         path.write_bytes(_header_edit("config", key, value=float("inf"))(path.read_bytes()))
         with pytest.raises(CheckpointError, match="malformed checkpoint header.*finite"):
+            load_checkpoint(path)
+
+    def test_negative_heads_are_a_malformed_header(self, tiny_params, tmp_path):
+        # n_heads * head_dim still equals d_model
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_params, path)
+        edit = _header_edit("config", "n_heads", value=-TINY.n_heads)
+        edit_too = _header_edit("config", "head_dim", value=-TINY.head_dim)
+        path.write_bytes(edit_too(edit(path.read_bytes())))
+        with pytest.raises(CheckpointError, match="malformed checkpoint header.*must be positive"):
             load_checkpoint(path)
 
     def test_format_version_1_rejected_by_name(self, tiny_params, tmp_path):
@@ -504,7 +517,7 @@ class TestBatchedSequences:
             assert layer_cache.keys.shape == cache.keys.shape == (1, TINY.d_model, live)
             assert cache.values.shape == (1, TINY.d_model, live)
             if spec.rule.heavy:
-                assert cache.rule.scores.shape == (1, live)
+                assert cache.scores.shape == (1, live)
         assert np.array_equal(sequence_loss(params, tokens, spec, 4).data,
                               sequence_loss(params, tokens[None], spec, 4).data)
 
@@ -596,8 +609,8 @@ class TestStreamSplits:
             assert layer_cache.live_entries == cache.live_entries
             for got, want in ((layer_cache.keys, cache.keys), (layer_cache.values, cache.values)):
                 assert np.max(np.abs(got.data - want.data), initial=0.0) < 1e-10
-            if cache.rule.scores is not None:
-                assert np.max(np.abs(layer_cache.rule.scores - cache.rule.scores)) < 1e-10
+            if cache.scores is not None:
+                assert np.max(np.abs(layer_cache.scores - cache.scores)) < 1e-10
 
 
 class TestConvHeadCount:
@@ -861,12 +874,12 @@ class TestContextBuffer:
             views.append((keys, self.buffers[1], self.mass))
             flush(self)
 
-        def spy_update(self, cache, k_new, v_new, attn_probs=None):
+        def spy_update(self, cache, k_new, v_new, attn_mass=None):
             keys, values, mass = views[-1]
             assert np.shares_memory(k_new.data, keys) and np.shares_memory(v_new.data, values)
-            assert (attn_probs is None) == (mass is None)
-            assert attn_probs is None or np.shares_memory(attn_probs, mass)
-            return update(self, cache, k_new, v_new, attn_probs)
+            assert (attn_mass is None) == (mass is None)
+            assert attn_mass is None or np.shares_memory(attn_mass, mass)
+            return update(self, cache, k_new, v_new, attn_mass)
 
         monkeypatch.setattr(model._Streams, "flush", spy_flush)
         monkeypatch.setattr(LayerPolicy, "update", spy_update)

@@ -299,8 +299,8 @@ class TestRankGuard:
 PER_SEQUENCE = {
     "vstack": lambda x: vstack([x, x]),
     "row_normalize": lambda x: row_normalize(relu(x)),
-    # one row of indices that every sequence shares; a lone sequence takes it 1-D
-    "select_cols": lambda x: select_cols(x, np.array([2, 0, 2])[(None,) * (x.data.ndim - 2)]),
+    # the same row of indices for every sequence; a lone sequence takes it 1-D
+    "select_cols": lambda x: select_cols(x, np.tile([2, 0, 2], x.shape[:-2] + (1,))),
     "conv1d": lambda x: conv1d(x, [ConvKernels(Tensor2(np.arange(6.0).reshape(1, 6)), c_in=2, k=3)]),
 }
 
@@ -347,7 +347,9 @@ class TestSequenceAxis:
             want = np.zeros((3, 4))
             np.add.at(want.T, picks[i], weights[i].T)
             assert np.array_equal(grad[i], want)
-        for bad in (np.zeros((3, 1), dtype=int), np.zeros(1, dtype=int)):
+        # a row for each sequence: one row that every sequence would share is rejected
+        for bad in (np.zeros((3, 1), dtype=int), np.zeros((1, 2), dtype=int),
+                    np.zeros(1, dtype=int)):
             with pytest.raises(ShapeError, match="select_cols: indices must be 1-D or \\(n, k\\)"):
                 select_cols(batch, bad)
 

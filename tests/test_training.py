@@ -102,6 +102,7 @@ class TestTrainConfig:
         ("batch_size", 0),
         ("batch_size", -2),
         ("steps", -1),
+        ("seed", -1),
         ("context_length", 1),
         ("learning_rate_base", 0.0),
         ("learning_rate_conv", -1e-3),
