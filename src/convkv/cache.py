@@ -139,16 +139,18 @@ def bounded_update(cache: KvCache, k_new: Tensor2, v_new: Tensor2,
         raise CacheError("a bounded update needs a bounded cache")
     if merge is None and rule.budget != m:
         raise CacheError(f"eviction keeps {rule.budget} columns but capacity is {m}")
-    n = cache.live_entries + b
+    n_seq, n = cache.keys.shape[0], cache.live_entries + b
     if rule.heavy:
         if attn_mass is None:
             raise CacheError("heavy-hitter updates need the block's attention mass")
         if attn_mass.shape[-1] != n:
             raise ShapeError(f"attention mass covers {attn_mass.shape[-1]} keys, expected {n}")
+        if np.shape(scores) != (n_seq, n - b):
+            raise ShapeError(f"heavy-hitter scores are {np.shape(scores)}, expected {(n_seq, n - b)}")
         scores = np.concatenate([scores, np.zeros(scores.shape[:-1] + (b,))], -1) + attn_mass
     if n <= m:
         return replace(update_concat(cache, k_new, v_new), scores=scores)
-    kept = rule.keep(n, cache.keys.shape[0], scores)
+    kept = rule.keep(n, n_seq, scores)
     at = (np.arange(len(kept))[:, None], kept)
     if kept.size:
         keys = select_cols(hstack([cache.keys, k_new]), kept)

@@ -168,6 +168,11 @@ class TestUpdateRejects:
             update_h2o(cache, k, paired_values(k), None)
         with pytest.raises(ShapeError, match="covers 3 keys, expected 2"):
             update_h2o(cache, k, paired_values(k), np.full((1, 3), 0.5))
+        # a cache made without ``KvCache.empty`` must bring one score per column
+        for scores in (None, np.zeros((1, 1))):
+            unscored = KvCache(k, paired_values(k), 4, cache.rule, scores)
+            with pytest.raises(ShapeError, match="scores are .*, expected \\(1, 2\\)"):
+                update_h2o(unscored, k, paired_values(k), np.full((1, 4), 0.5))
 
     def test_eviction_needs_a_bounded_cache_whose_rule_keeps_its_capacity(self):
         k = token_block(2, 0, 2)
