@@ -3,12 +3,17 @@
 A cache update is a pure transition: (cache, new keys, new values, extras)
 -> new cache. Plain concatenation grows without bound. Every bounded policy
 runs ``bounded_update``: append the block while the cache has room; once it
-would overflow, keep the columns the cache's ``KeepRule`` names verbatim and
-drop the rest (heavy-hitter and sink+window eviction) or hand the rest to a
-merge (``compressor.compress_step`` blends it into slots with the
-convolutional head). A policy differs from another only in its rule and in
+would overflow, gather the cache's and the block's columns once, keys over
+values, and pick from that: the columns the cache's ``KeepRule`` names stay
+verbatim and the rest is dropped (heavy-hitter and sink+window eviction) or
+merged (``compressor.compress_step`` blends it into slots with the
+convolutional head). ``bounded_update`` is the one place that knows that
+layout: it puts the merged columns in the block-first order the head scores
+them in, and splits keys from values once, after the kept and merged
+columns are joined. A policy differs from another only in its rule and in
 whether the rest is dropped or merged. A rule is only the policy's budgets;
-the heavy-hitter scores it ranks by are per-sequence state, kept on the cache.
+the heavy-hitter scores it ranks by are per-sequence state, kept on the
+cache.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import ShapeError, Tensor2, hstack, select_cols
+from .numerics import ShapeError, Tensor2, custom_op, hstack, select_cols
 
 
 class CacheError(ValueError):
@@ -109,8 +114,10 @@ class KvCache:
 def _check_block(cache: KvCache, k_new: Tensor2, v_new: Tensor2) -> int:
     if k_new.cols != v_new.cols:
         raise ShapeError(f"block key/value mismatch: {k_new.cols} vs {v_new.cols}")
-    if k_new.rows != cache.keys.rows or v_new.rows != cache.values.rows:
-        raise ShapeError("block feature dimension differs from the cache")
+    lead = cache.keys.shape[:-1]
+    if k_new.shape[:-1] != lead or v_new.shape[:-1] != lead:
+        raise ShapeError(f"block keys {k_new.shape} and values {v_new.shape} do not fit a cache of "
+                         f"(n, d) = {lead}: sequence count or feature dimension differs")
     return k_new.cols
 
 
@@ -120,18 +127,48 @@ def update_concat(cache: KvCache, k_new: Tensor2, v_new: Tensor2) -> KvCache:
     return replace(cache, keys=hstack([cache.keys, k_new]), values=hstack([cache.values, v_new]))
 
 
+def _keys_over_values(cache: KvCache, k_new: Tensor2, v_new: Tensor2) -> Tensor2:
+    """(n, 2d, cached + b) in one copy: keys over values, the cache's columns then the block's."""
+    d, c = cache.keys.rows, cache.live_entries
+    parts = (cache.keys, k_new, cache.values, v_new)
+    quarters = [(..., rows, cols) for rows in (slice(None, d), slice(d, None))
+                for cols in (slice(None, c), slice(c, None))]
+    data = np.empty(k_new.shape[:-2] + (2 * d, c + k_new.cols))
+    for part, at in zip(parts, quarters):
+        data[at] = part.data
+    return custom_op(parts, data, lambda g: tuple(g[at] for at in quarters))
+
+
+def _split(both: Tensor2) -> tuple[Tensor2, Tensor2]:
+    """The keys and the values of an (n, 2d, cols) tensor of keys over values, as views."""
+    shape, d = both.shape, both.rows // 2
+
+    def rows(at: slice) -> Tensor2:
+        def vjp(g):
+            full = np.zeros(shape)
+            full[..., at, :] = g
+            return (full,)
+
+        return custom_op([both], both.data[..., at, :], vjp)
+
+    return rows(slice(None, d)), rows(slice(d, None))
+
+
 def bounded_update(cache: KvCache, k_new: Tensor2, v_new: Tensor2,
                    attn_mass: np.ndarray | None = None, merge=None) -> KvCache:
     """Append the block while it fits; past the capacity, keep what the rule names.
 
     ``attn_mass`` (n, cached + new keys), the attention each key drew from the
     block's queries, adds to the heavy-hitter scores. Once cache + block would
-    overflow, the columns ``cache.rule.keep`` names stay verbatim, in token
-    order, and the rest is dropped; given ``merge``, the rest is instead
-    blended into slots that follow them. ``merge(cache, k_new, v_new, rest,
-    scores)`` gets the (n, cached + new) mask of the columns not kept, cache
-    first, then block, and returns the keys, values and scores (None when
-    untracked) of its slots.
+    overflow, the cache's and the block's columns are gathered once, keys
+    over values, and every column taken is picked from that: the columns
+    ``cache.rule.keep`` names stay verbatim, in token order, and the rest is
+    dropped; given ``merge``, the rest is instead picked too, a row of
+    columns per sequence with the block's first, and blended into slots that
+    follow the kept columns. ``merge(picked, from_block)`` gets those (n, 2d,
+    p) columns and the (n, p) mask of the block's among them, and returns
+    the (n, 2d, slots) slots and the (n, slots, p) weights that made them; a
+    slot's score is its weights times the scores of the columns it merges.
     """
     b = _check_block(cache, k_new, v_new)
     rule, m, scores = cache.rule, cache.capacity, cache.scores
@@ -151,18 +188,23 @@ def bounded_update(cache: KvCache, k_new: Tensor2, v_new: Tensor2,
     if n <= m:
         return replace(update_concat(cache, k_new, v_new), scores=scores)
     kept = rule.keep(n, n_seq, scores)
-    at = (np.arange(len(kept))[:, None], kept)
-    if kept.size:
-        keys = select_cols(hstack([cache.keys, k_new]), kept)
-        values = select_cols(hstack([cache.values, v_new]), kept)
+    at = (np.arange(n_seq)[:, None], kept)
+    both = _keys_over_values(cache, k_new, v_new)
+    taken = [select_cols(both, kept)] if kept.size else []
+    taken_scores = None if scores is None else [scores[at]]
     if merge is not None:
-        rest = np.ones((len(kept), n), dtype=bool)
+        rest = np.ones((n_seq, n), dtype=bool)
         rest[at] = False
-        merged_keys, merged_values, merged_scores = merge(cache, k_new, v_new, rest, scores)
-        keys = hstack([keys, merged_keys]) if kept.size else merged_keys
-        values = hstack([values, merged_values]) if kept.size else merged_values
+        order = np.roll(np.arange(n), b)  # the block's columns, then the cache's
+        cols = order[np.nonzero(rest[:, order])[1]].reshape(n_seq, -1)
+        slots, weights = merge(select_cols(both, cols), cols >= n - b)
+        taken.append(slots)
+        if scores is not None:
+            sources = np.take_along_axis(scores, cols, -1)
+            taken_scores.append((weights @ sources[..., None])[..., 0])
+    keys, values = _split(hstack(taken) if len(taken) > 1 else taken[0])
     if scores is not None:
-        scores = scores[at] if merge is None else np.concatenate([scores[at], merged_scores], -1)
+        scores = np.concatenate(taken_scores, -1)
     return replace(cache, keys=keys, values=values, scores=scores)
 
 

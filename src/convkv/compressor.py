@@ -1,15 +1,18 @@
 """Convolutional token merging: squeeze cache + incoming block into M slots.
 
-A merge stacks the keys over the values of the columns it merges, incoming
-block first, then the existing cache: one (n, 2d, p) operand. A per-layer
-1-D convolution scores its every column for every output slot. Rows of the
+A merge blends the (n, 2d, p) operand of the p columns each sequence
+merges, keys over values, that ``cache.bounded_update`` picks from its one
+gather of the cache and the block; that function alone lays the columns
+out, the block's first. A per-layer 1-D convolution scores every column of
+the operand for every output slot (``synthesize_weights``). Rows of the
 score matrix are clamped nonnegative and normalized to sum to 1, so each
 updated slot is a convex combination of the columns it was built from, and
-one GEMM of the operand by those weights blends keys and values alike,
-which preserves token correspondence.
+one GEMM of the operand by those weights (``fuse``) blends keys and values
+alike, which preserves token correspondence; its result stays keys over
+values until ``bounded_update`` splits it.
 
-``compress_step`` is the merging half of ``cache.bounded_update``: the
-cache's ``KeepRule`` picks the columns kept verbatim (none for plain LoCoCo,
+``compress_step`` is the merging half of ``bounded_update``: the cache's
+``KeepRule`` picks the columns kept verbatim (none for plain LoCoCo,
 attention sinks or heavy hitters for the hybrids) and the head merges the
 rest, where the eviction policies would drop it. Every sequence names its
 own merged columns.
@@ -24,7 +27,6 @@ The heads must agree on slot count, kernel size and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,14 +37,10 @@ from .numerics import (
     ShapeError,
     Tensor2,
     conv1d,
-    custom_op,
-    hstack,
     matmul,
     relu,
     row_normalize,
-    select_cols,
     transpose,
-    vstack,
 )
 
 RELU_POSITIONS = ("post", "pre")
@@ -111,10 +109,10 @@ class FusionWeights(NamedTuple):
     ``weights`` is (n, slots, p): row i of sequence s holds slot i's weights
     on the p columns that s merges. ``picked`` is the (n, 2d, p) operand
     they blend and the conv scored: those columns' keys over their values,
-    the block's columns first. ``from_block`` (n, p) marks the block's
-    columns. From ``synthesize_weights``, entries are nonnegative and every
-    row sums to 1 (dead rows are rescued by a uniform epsilon before
-    normalization). ``new_weights`` and ``cache_weights`` split the weights
+    in the order ``cache.bounded_update`` picked them. ``from_block`` (n, p)
+    marks the block's columns. From ``synthesize_weights``, entries are
+    nonnegative and every row sums to 1 (dead rows are rescued by a uniform
+    epsilon before normalization). ``new_weights`` and ``cache_weights`` split the weights
     by side for the merge statistics that observers read.
     """
 
@@ -138,60 +136,35 @@ class FusionWeights(NamedTuple):
 
 
 def synthesize_weights(
-    k_new: Tensor2,
-    v_new: Tensor2,
-    k_cache: Tensor2,
-    v_cache: Tensor2,
+    picked: Tensor2,
+    from_block: np.ndarray,
     heads: Sequence[ConvHead],
-    merged: np.ndarray,
 ) -> FusionWeights:
-    """Score the merged (incoming + cached) columns for every slot, then normalize.
+    """Score a merge's columns for every slot, then normalize.
 
-    Operands are (n, d, columns), one sequence being a batch of one. The
-    picked operand stacks keys over values of the columns ``merged`` (n,
-    block + cache) names, incoming block columns first, cache columns after,
-    as many for every sequence. A column left out, as when a hybrid keeps it
-    verbatim, is in no slot. Either side may have no columns, but ``conv1d``
-    rejects a convolution of no columns at all, or of other than the heads'
-    2*d rows. Head g scores the sequences of group g of ``len(heads)`` equal
-    groups. The weights are the row-normalized conv output over the picked
-    columns, (n, slots, p).
+    ``picked`` is the (n, 2d, p) operand, keys over values of the p columns
+    each sequence merges, and ``from_block`` (n, p) marks the block's among
+    them. ``conv1d`` rejects an operand of no columns, or of other than the
+    heads' 2*d rows. Head g scores the sequences of group g of
+    ``len(heads)`` equal groups. The weights are the row-normalized conv
+    output over the picked columns, (n, slots, p).
     """
-    d = k_new.rows
-    for name, t in (("v_new", v_new), ("k_cache", k_cache), ("v_cache", v_cache)):
-        if t.rows != d:
-            raise ShapeError(f"{name} has {t.rows} rows, expected {d}")
-    if k_new.cols != v_new.cols or k_cache.cols != v_cache.cols:
-        raise ShapeError("key/value column counts disagree")
-    b = k_new.cols
-    cols = np.nonzero(merged)[1].reshape(len(merged), -1)
-    picked = select_cols(vstack([hstack([k_new, k_cache]), hstack([v_new, v_cache])]), cols)
+    if np.shape(from_block) != picked.shape[:1] + picked.shape[2:]:
+        raise ShapeError(f"from_block is {np.shape(from_block)}, expected (n, p) of {picked.shape}")
     conv_in = relu(picked) if heads[0].relu_position == "pre" else picked
     weights = row_normalize(relu(conv1d(conv_in, [h.kernels for h in heads])))
-    return FusionWeights(weights, picked, cols < b)
+    return FusionWeights(weights, picked, from_block)
 
 
-def fuse(weights: FusionWeights) -> tuple[Tensor2, Tensor2]:
+def fuse(weights: FusionWeights) -> Tensor2:
     """Blend the picked columns into slots, same weights for keys and values.
 
     One GEMM: picked (n, 2d, p) times the transposed weights gives (n, 2d,
-    slots), slot i of sequence s being sum_j weights[s, i, j] * picked[s, :, j].
-    Its first d rows are the fused keys, the rest the fused values.
-    ``matmul`` raises ShapeError when the weights do not cover the picked
-    columns or the sequences.
+    slots), slot i of sequence s being sum_j weights[s, i, j] * picked[s, :, j],
+    the fused keys over the fused values. ``matmul`` raises ShapeError when
+    the weights do not cover the picked columns or the sequences.
     """
-    both = matmul(weights.picked, transpose(weights.weights))
-    shape, d = both.shape, both.rows // 2
-
-    def rows(at: slice) -> Tensor2:  # keys or values, a view of the GEMM result
-        def vjp(g):
-            full = np.zeros(shape)
-            full[..., at, :] = g
-            return (full,)
-
-        return custom_op([both], both.data[..., at, :], vjp)
-
-    return rows(slice(None, d)), rows(slice(d, None))
+    return matmul(weights.picked, transpose(weights.weights))
 
 
 def compress_step(
@@ -218,18 +191,9 @@ def compress_step(
             f"head produces {heads[0].slots} slots but capacity - kept is "
             f"{cache.capacity - cache.rule.budget}"
         )
-    return bounded_update(cache, k_new, v_new, attn_mass, partial(_merge_rest, heads))
 
+    def merge(picked: Tensor2, from_block: np.ndarray) -> tuple[Tensor2, np.ndarray]:
+        weights = synthesize_weights(picked, from_block, heads)
+        return fuse(weights), weights.weights.data
 
-def _merge_rest(heads, cache, k_new, v_new, rest, scores):
-    """Blend the columns ``rest`` marks (cache first, then block; a row per
-    sequence) into the slots; a slot's score is its weights times the scores
-    of the columns it merges."""
-    n_cached = cache.live_entries
-    merged = np.concatenate([rest[:, n_cached:], rest[:, :n_cached]], 1)
-    weights = synthesize_weights(k_new, v_new, cache.keys, cache.values, heads, merged)
-    keys, values = fuse(weights)
-    if scores is not None:
-        sources = np.concatenate([scores[:, n_cached:], scores[:, :n_cached]], 1)[merged]
-        scores = (weights.weights.data @ sources.reshape(len(scores), -1, 1))[..., 0]
-    return keys, values, scores
+    return bounded_update(cache, k_new, v_new, attn_mass, merge)

@@ -21,7 +21,7 @@ A tensor may carry one leading axis, of heads or sequences, so one call
 serves them all; ``rows`` and ``cols`` are then the last two axes.
 ``matmul`` (equal leading dims), ``transpose``, ``add``, ``relu``,
 ``softmax_cols`` (one mask for all), ``row_normalize``, ``hstack``,
-``vstack``, ``select_cols`` (a row of indices per sequence) and ``conv1d``
+``select_cols`` (a row of indices per sequence) and ``conv1d``
 (each sequence padded alone) take such operands; every other primitive
 requires 2-D operands and raises ShapeError on anything else.
 
@@ -589,24 +589,6 @@ def hstack(parts: Sequence[Tensor2]) -> Tensor2:
         return tuple(g[..., a:b] for a, b in zip(offsets[:-1], offsets[1:]))
 
     return _result(np.concatenate([p.data for p in parts], axis=-1), parts, vjp)
-
-
-def vstack(parts: Sequence[Tensor2]) -> Tensor2:
-    """Concatenate rows (per sequence, for operands with a leading axis)."""
-    parts = tuple(parts)
-    if not parts:
-        raise ShapeError("vstack: nothing to concatenate")
-    lead, cols = parts[0].shape[:-2], parts[0].cols
-    for p in parts:
-        if p.shape[:-2] != lead or p.cols != cols:
-            raise ShapeError(f"vstack: column counts differ ({parts[0].shape} vs {p.shape})")
-    heights = [p.rows for p in parts]
-    offsets = np.cumsum([0] + heights)
-
-    def vjp(g):
-        return tuple(g[..., a:b, :] for a, b in zip(offsets[:-1], offsets[1:]))
-
-    return _result(np.concatenate([p.data for p in parts], axis=-2), parts, vjp)
 
 
 def select_cols(x: Tensor2, indices: np.ndarray) -> Tensor2:

@@ -32,16 +32,16 @@ from .cache import (
 from .compressor import ConvHead, compress_step
 from .numerics import Tensor2
 
-# name -> (keep rule, merge the rest (else drop it),
+# name -> (the knob that sets its keep rule's budgets, or None; the rule at
+#          capacity c and knob value k; merge the rest (else drop it);
 #          rotate keys by cache slot rather than by absolute position)
 _RULES = {
-    "concat": (lambda spec: KeepRule(), False, False),
-    "lococo": (lambda spec: KeepRule(), True, False),
-    "h2o": (lambda spec: KeepRule(0, recent := spec.capacity // 2 if spec.recent_budget is None
-                                  else spec.recent_budget, spec.capacity - recent), False, False),
-    "sink_window": (lambda spec: KeepRule(spec.n_sink, spec.capacity - spec.n_sink), False, True),
-    "lococo+h2o": (lambda spec: KeepRule(heavy=spec.reserved), True, False),
-    "lococo+sink": (lambda spec: KeepRule(spec.n_sink), True, False),
+    "concat": (None, lambda c, k: KeepRule(), False, False),
+    "lococo": (None, lambda c, k: KeepRule(), True, False),
+    "h2o": ("recent_budget", lambda c, k: KeepRule(0, k, c - k), False, False),
+    "sink_window": ("n_sink", lambda c, k: KeepRule(k, c - k), False, True),
+    "lococo+h2o": ("reserved", lambda c, k: KeepRule(heavy=k), True, False),
+    "lococo+sink": ("n_sink", lambda c, k: KeepRule(k), True, False),
 }
 POLICY_NAMES = tuple(_RULES)
 
@@ -60,9 +60,11 @@ class PolicySpec:
     The policy is resolved once, at construction: ``rule`` is the
     ``KeepRule`` of its caches, ``needs_conv_head`` whether the columns it
     does not keep are merged rather than dropped, and ``slot_relative``
-    whether keys rotate by cache slot rather than by absolute position. An
-    eviction rule keeps exactly ``capacity`` columns, at least one of them
-    past the sinks; a merging rule keeps fewer, and the head fills the rest.
+    whether keys rotate by cache slot rather than by absolute position. A
+    policy's knob must lie in [0, capacity), so the rest of the capacity is
+    never empty: an eviction rule keeps exactly ``capacity`` columns, at
+    least one heavy hitter (h2o) or window column (sink_window) among them;
+    a merging rule keeps fewer, and the head fills the rest.
     """
 
     name: str
@@ -81,19 +83,14 @@ class PolicySpec:
             object.__setattr__(self, "capacity", None)
         elif self.capacity is None or self.capacity < 1:
             raise CacheError(f"policy {self.name!r} needs a positive capacity")
-        make_rule, merges, relative = _RULES[self.name]
-        rule = make_rule(self)
-        if self.capacity is not None:
-            if merges and rule.budget >= self.capacity:
-                raise CacheError(
-                    f"pinned slots must be in [0, capacity), got {rule.budget} vs {self.capacity}"
-                )
-            if not merges and rule.n_sink == rule.budget:
-                raise CacheError(
-                    f"policy {self.name!r} keeps {rule.n_sink} sinks at capacity "
-                    f"{self.capacity}; it needs one column past the sinks"
-                )
-        object.__setattr__(self, "rule", rule)
+        knob, make_rule, merges, relative = _RULES[self.name]
+        value = getattr(self, knob) if knob else 0
+        if value is None:  # recent_budget's default
+            value = self.capacity // 2
+        if knob and not 0 <= value < self.capacity:
+            raise CacheError(f"policy {self.name!r} needs 0 <= {knob} < capacity {self.capacity}, "
+                             f"got {value}")
+        object.__setattr__(self, "rule", make_rule(self.capacity, value))
         object.__setattr__(self, "needs_conv_head", merges)
         object.__setattr__(self, "slot_relative", relative)
 

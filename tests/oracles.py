@@ -12,7 +12,9 @@ conv gradients formed from a stored im2col, and ``adam_arrays``, the
 textbook Adam formula that ``training.adam_step`` evaluates in place.
 ``split_heads`` and ``merge_heads`` are differentiable reshapes between the
 stacked (n_heads * head_dim, T) layout and the head-batched one, for tests
-that build head-batched operands or take gradients through them.
+that build head-batched operands or take gradients through them, and
+``vstack`` is a differentiable row concatenation, for tests that stack
+keys over values or take gradients through stacked rows.
 """
 
 from __future__ import annotations
@@ -103,6 +105,24 @@ def split_heads(x: Tensor2, n_heads: int, head_dim: int) -> Tensor2:
         return (g.reshape(shape),)
 
     return custom_op([x], x.data.reshape(math.prod(shape[:-1]) // head_dim, head_dim, -1), vjp)
+
+
+def vstack(parts: list[Tensor2]) -> Tensor2:
+    """Concatenate rows (per sequence, for operands with a leading axis)."""
+    parts = tuple(parts)
+    if not parts:
+        raise ShapeError("vstack: nothing to concatenate")
+    lead, cols = parts[0].shape[:-2], parts[0].cols
+    for p in parts:
+        if p.shape[:-2] != lead or p.cols != cols:
+            raise ShapeError(f"vstack: column counts differ ({parts[0].shape} vs {p.shape})")
+    heights = [p.rows for p in parts]
+    offsets = np.cumsum([0] + heights)
+
+    def vjp(g):
+        return tuple(g[..., a:b, :] for a, b in zip(offsets[:-1], offsets[1:]))
+
+    return custom_op(parts, np.concatenate([p.data for p in parts], axis=-2), vjp)
 
 
 def merge_heads(x: Tensor2, n_seq: int = 1) -> Tensor2:

@@ -101,9 +101,10 @@ def test_merge_statistics_match_a_full_width_scatter(monkeypatch):
     rest[np.arange(n)[:, None], kept] = False
     merged = np.concatenate([rest[:, cached:], rest[:, :cached]], 1)  # block first
     head = convkv.new_conv_head(d, cached - heavy, kernel_size=3, rng=rng)
-    k_new, v_new, k_cache, v_cache = (convkv.Tensor2(rng.standard_normal((n, d, cols)))
-                                      for cols in (b, b, cached, cached))
-    result = convkv.synthesize_weights(k_new, v_new, k_cache, v_cache, [head], merged)
+    both = rng.standard_normal((n, 2 * d, b + cached))  # keys over values, block first
+    cols = np.nonzero(merged)[1].reshape(n, -1)
+    picked = convkv.Tensor2(np.take_along_axis(both, cols[:, None], -1))
+    result = convkv.synthesize_weights(picked, cols < b, [head])
     assert result.from_block.sum(axis=1).tolist() == [3, 1]
     rec = tracing.SpanRecorder()
     tracing._observe_weights(rec, convkv.synthesize_weights, (), {}, result)

@@ -23,12 +23,11 @@ from convkv.numerics import (
     select_cols,
     softmax_cols,
     transpose,
-    vstack,
 )
 from convkv.policies import PolicySpec
 
 import oracles
-from oracles import full_causal_attention, merge_heads, split_heads
+from oracles import full_causal_attention, merge_heads, split_heads, vstack
 
 
 def t2(arr):

@@ -1,5 +1,6 @@
 """Cache update rules: concat, the keep rule, eviction, hybrids and policy specs."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from convkv.compressor import (
     new_conv_head,
     synthesize_weights,
 )
-from convkv.numerics import ShapeError, Tensor2, hstack, vstack
+from convkv.numerics import ShapeError, Tensor2, hstack
 from convkv.policies import POLICY_NAMES, PolicySpec
 
 import oracles
@@ -81,6 +82,12 @@ def rule_of(policy, capacity, knob):
 
 
 class TestKeepRule:
+    @pytest.mark.parametrize("budgets", [(-1, 2, 0), (0, -2, 3), (0, 0, -1)])
+    def test_negative_budget_rejected(self, budgets):
+        with pytest.raises(CacheError, match="keep budgets must be nonnegative, got "
+                                             + "/".join(map(str, budgets))):
+            KeepRule(*budgets)
+
     @settings(max_examples=150, deadline=None)
     @given(
         policy=st.sampled_from(["h2o", "sink_window", "lococo", "lococo+h2o", "lococo+sink"]),
@@ -157,6 +164,22 @@ class TestPolicySpecRejects:
         with pytest.raises(CacheError):
             PolicySpec(**kwargs)
 
+    @pytest.mark.parametrize("name, knob, value", [
+        ("sink_window", "n_sink", 20),
+        ("sink_window", "n_sink", 16),
+        ("h2o", "recent_budget", 20),
+        ("h2o", "recent_budget", 16),
+        ("h2o", "recent_budget", -1),
+        ("lococo+h2o", "reserved", 20),
+        ("lococo+sink", "n_sink", -1),
+    ])
+    def test_knob_outside_the_capacity_is_named(self, name, knob, value):
+        # the knob, not the budgets derived from it; h2o at recent_budget 16 would
+        # keep no heavy hitter, so it would evict as sink_window does
+        message = f"policy '{name}' needs 0 <= {knob} < capacity 16, got {value}"
+        with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
+            PolicySpec(name, capacity=16, **{knob: value})
+
 
 class TestUpdateRejects:
     """Typed errors of a cache update handed what its rule cannot use."""
@@ -181,6 +204,26 @@ class TestUpdateRejects:
         short = KvCache.empty(2, capacity=4, rule=KeepRule(1, 2))
         with pytest.raises(CacheError, match="keeps 3 columns but capacity is 4"):
             update_sink_window(short, k, paired_values(k))
+
+    @pytest.mark.parametrize("cols", [0, 4], ids=["filling", "full"])
+    @pytest.mark.parametrize("cached, block", [(1, 2), (2, 1)])
+    def test_block_of_another_sequence_count_rejected(self, cols, cached, block):
+        rng = np.random.default_rng(17)
+        d, m, b = 3, 4, 2
+        head = new_conv_head(d, m - 1, kernel_size=3, rng=rng)
+        k_new, v_new = (t2(rng.standard_normal((block, d, b))) for _ in range(2))
+        keys, values = (t2(rng.standard_normal((cached, d, cols))) for _ in range(2))
+        h2o = KvCache(keys, values, m, KeepRule(0, 2, 2), np.zeros((cached, cols)))
+        mass = np.ones((cached, cols + b))
+        calls = (
+            lambda: update_concat(KvCache(keys, values), k_new, v_new),
+            lambda: update_h2o(h2o, k_new, v_new, mass),
+            lambda: update_sink_window(KvCache(keys, values, m, KeepRule(1, 3)), k_new, v_new),
+            lambda: compress_step(KvCache(keys, values, m, KeepRule(1)), k_new, v_new, [head]),
+        )
+        for call in calls:
+            with pytest.raises(ShapeError, match="sequence count or feature dimension differs"):
+                call()
 
     def test_keys_and_values_must_pair_up_and_fit_the_cache(self):
         with pytest.raises(ShapeError, match="key/value column mismatch: 1 vs 0"):
@@ -378,12 +421,12 @@ class TestH2OAsFusionOperator:
         w = np.zeros((1, m, b + n_old))
         for slot, col in enumerate(kept):
             w[0, slot, col + b if col < n_old else col - n_old] = 1.0
-        picked = vstack([hstack([k_new, old_k]), hstack([v_new, old_v])])
+        picked = oracles.vstack([hstack([k_new, old_k]), hstack([v_new, old_v])])
         weights = FusionWeights(t2(w), picked, np.arange(b + n_old)[None] < b)
-        k_fused, v_fused = fuse(weights)
+        fused = fuse(weights).data  # keys over values
 
-        assert np.array_equal(k_fused.data, evicted.keys.data)
-        assert np.array_equal(v_fused.data, evicted.values.data)
+        assert np.array_equal(fused[:, :d], evicted.keys.data)
+        assert np.array_equal(fused[:, d:], evicted.values.data)
 
 
 class TestHybrids:
@@ -444,20 +487,16 @@ class TestHybrids:
         assert np.array_equal(out.keys.data[..., :reserved], all_k[..., pinned])
         assert np.array_equal(out.values.data[..., :reserved], all_v[..., pinned])
 
+        # the unpinned columns, keys over values, the block's first
         comp = np.setdiff1d(idx, pinned)
-        comp_cache = comp[comp < n_old]
-        comp_new = comp[comp >= n_old] - n_old
-        kc, vc = t2(old_k.data[..., comp_cache]), t2(old_v.data[..., comp_cache])
-        kn, vn = t2(k_new.data[..., comp_new]), t2(v_new.data[..., comp_new])
-        every = np.ones((1, kn.cols + kc.cols), dtype=bool)
-        weights = synthesize_weights(kn, vn, kc, vc, [head], every)
-        k_ref, v_ref = fuse(weights)
-        assert np.max(np.abs(out.keys.data[..., reserved:] - k_ref.data)) == 0.0
-        assert np.max(np.abs(out.values.data[..., reserved:] - v_ref.data)) == 0.0
+        cols = np.concatenate([comp[comp >= n_old], comp[comp < n_old]])
+        picked = t2(np.concatenate([all_k, all_v], axis=-2)[..., cols])
+        weights = synthesize_weights(picked, (cols >= n_old)[None], [head])
+        fused = fuse(weights).data
+        assert np.max(np.abs(out.keys.data[..., reserved:] - fused[:, :d])) == 0.0
+        assert np.max(np.abs(out.values.data[..., reserved:] - fused[:, d:])) == 0.0
         # a merged slot's score is the weighted sum of its sources' scores
-        w = weights.weights.data[0]
-        merged = (w[:, :comp_new.size] @ scores[n_old + comp_new]
-                  + w[:, comp_new.size:] @ scores[comp_cache])
+        merged = weights.weights.data[0] @ scores[cols]
         assert np.array_equal(out.scores[0, :reserved], scores[pinned])
         assert np.max(np.abs(out.scores[0, reserved:] - merged)) < 1e-12
 

@@ -119,6 +119,21 @@ UNWORKABLE = {
 }
 
 
+@pytest.mark.parametrize("args, knob", [
+    (["--policy", "sink_window", "--n-sink", "20"], "n_sink"),
+    (["--policy", "h2o", "--recent-budget", "20"], "recent_budget"),
+    (["--policy", "h2o", "--recent-budget", "16"], "recent_budget"),  # no heavy hitter left
+    (["--policy", "lococo+h2o", "--reserved", "20"], "reserved"),
+], ids=["n_sink", "recent_budget", "recent_budget_at_capacity", "reserved"])
+def test_knob_beyond_capacity_is_named(args, knob, tmp_path, capsys):
+    garbage = tmp_path / "garbage"
+    garbage.write_bytes(b"not a checkpoint")
+    code = main(["eval", "--capacity", "16", *args, "--corpus", str(garbage),
+                 "--checkpoint", str(garbage), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert f"needs 0 <= {knob} < capacity 16" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", sorted(UNWORKABLE))
 def test_unworkable_setting_exits_1_before_reading_files(case, tmp_path, capsys):
     # a garbage checkpoint would exit 2 if it were read

@@ -25,7 +25,6 @@ from convkv.numerics import (
     matmul,
     softmax_cols,
     transpose,
-    vstack,
 )
 
 import oracles
@@ -51,10 +50,17 @@ def center_tap_head(d, slots, value=1.0):
     return head_from_3d(k3)
 
 
+def merge_operand(k_new, v_new, k_cache, v_cache):
+    """A merge of every column: the (n, 2d, B + cache) keys over values, block
+    first, and the (n, B + cache) mask of the block's columns."""
+    picked = oracles.vstack([hstack([k_new, k_cache]), hstack([v_new, v_cache])])
+    n, p = picked.shape[0], picked.cols
+    return picked, np.broadcast_to(np.arange(p) < k_new.cols, (n, p))
+
+
 def synthesize_all(k_new, v_new, k_cache, v_cache, head):
     """``synthesize_weights`` of one head over every column, block and cache."""
-    every = np.ones((1, k_new.cols + k_cache.cols), dtype=bool)
-    return synthesize_weights(k_new, v_new, k_cache, v_cache, [head], every)
+    return synthesize_weights(*merge_operand(k_new, v_new, k_cache, v_cache), [head])
 
 
 def weights_matrix(weights: FusionWeights) -> np.ndarray:
@@ -64,9 +70,17 @@ def weights_matrix(weights: FusionWeights) -> np.ndarray:
 
 def given_weights(w_new, w_cache, k_new, v_new, k_cache, v_cache):
     """(slots, B) and (slots, cache) weights of one sequence over every column."""
-    picked = vstack([hstack([k_new, k_cache]), hstack([v_new, v_cache])])
     w = np.concatenate([w_new, w_cache], axis=1)[None]
-    return FusionWeights(t2(w), picked, np.arange(w.shape[-1])[None] < k_new.cols)
+    return FusionWeights(t2(w), *merge_operand(k_new, v_new, k_cache, v_cache))
+
+
+def fuse_split(weights: FusionWeights) -> tuple[Tensor2, Tensor2]:
+    """``fuse``'s (n, 2d, slots) keys over values, as keys and values that carry gradients."""
+    both = fuse(weights)
+    d = both.rows // 2
+    keys = custom_op([both], both.data[..., :d, :], lambda g: (np.concatenate([g, 0 * g], -2),))
+    values = custom_op([both], both.data[..., d:, :], lambda g: (np.concatenate([0 * g, g], -2),))
+    return keys, values
 
 
 class TestSynthesizeWeights:
@@ -130,16 +144,16 @@ class TestSynthesizeWeights:
         with pytest.raises(ShapeError):
             synthesize_all(bad, bad, Tensor2.zeros(1, 2, 0), Tensor2.zeros(1, 2, 0), head)
 
-    @pytest.mark.parametrize("shapes, match", [
-        ([(2, 2), (2, 2), (3, 1), (2, 1)], "k_cache has 3 rows, expected 2"),
-        ([(2, 2), (2, 3), (2, 1), (2, 1)], "key/value column counts disagree"),
-        ([(2, 2), (2, 2), (2, 1), (2, 0)], "key/value column counts disagree"),
-        ([(2, 0), (2, 0), (2, 0), (2, 0)], "conv1d: no columns to convolve"),
-    ], ids=["rows", "block-columns", "cache-columns", "no-columns"])
-    def test_inputs_that_do_not_stack_rejected(self, shapes, match):
-        parts = [Tensor2.zeros(1, *shape) for shape in shapes]
+    @pytest.mark.parametrize("picked, from_block, match", [
+        ((1, 5, 3), (1, 3), "conv1d: input has 5 channels, kernels expect 4"),
+        ((2, 4, 3), (1, 3), "from_block is \\(1, 3\\), expected \\(n, p\\) of \\(2, 4, 3\\)"),
+        ((1, 4, 3), (1, 2), "from_block is \\(1, 2\\)"),
+        ((1, 4, 0), (1, 0), "conv1d: no columns to convolve"),
+    ], ids=["rows", "from-block-sequences", "from-block-columns", "no-columns"])
+    def test_operands_that_do_not_fit_rejected(self, picked, from_block, match):
         with pytest.raises(ShapeError, match=match):
-            synthesize_all(*parts, center_tap_head(2, 2))
+            synthesize_weights(Tensor2.zeros(*picked), np.zeros(from_block, dtype=bool),
+                               [center_tap_head(2, 2)])
 
     @pytest.mark.parametrize("kernel_size", [4, 0, -3])
     def test_new_head_needs_an_odd_positive_kernel_size(self, kernel_size):
@@ -186,7 +200,7 @@ class TestFuse:
         w_new = np.zeros((slots, b))
         w_cache = np.zeros((slots, cache_len))
         w_cache[:, 1] = 1.0  # every slot selects cache column 1
-        k_f, v_f = fuse(given_weights(w_new, w_cache, k_new, v_new, k_cache, v_cache))
+        k_f, v_f = fuse_split(given_weights(w_new, w_cache, k_new, v_new, k_cache, v_cache))
         for i in range(slots):
             assert np.array_equal(k_f.data[..., i], k_cache.data[..., 1])
             assert np.array_equal(v_f.data[..., i], v_cache.data[..., 1])
@@ -200,7 +214,7 @@ class TestFuse:
         u = 1.0 / (b + cache_len)
         weights = given_weights(np.full((slots, b), u), np.full((slots, cache_len), u),
                                 k_new, v_new, k_cache, v_cache)
-        k_f, _ = fuse(weights)
+        k_f, _ = fuse_split(weights)
         mean = np.concatenate([k_new.data, k_cache.data], axis=-1).mean(axis=-1)
         for i in range(slots):
             assert np.max(np.abs(k_f.data[..., i] - mean)) < 1e-12
@@ -211,7 +225,7 @@ class TestFuse:
         k_new, v_new = rng.standard_normal((d, b)), rng.standard_normal((d, b))
         k_cache, v_cache = rng.standard_normal((d, cache_len)), rng.standard_normal((d, cache_len))
         w_new, w_cache = rng.random((m, b)), rng.random((m, cache_len))
-        k_f, v_f = fuse(given_weights(w_new, w_cache,
+        k_f, v_f = fuse_split(given_weights(w_new, w_cache,
                                       *(t2(x[None]) for x in (k_new, v_new, k_cache, v_cache))))
         for i in range(m):
             ks = sum(w_new[i, j] * k_new[:, j] for j in range(b)) + sum(
@@ -233,10 +247,8 @@ class TestFuse:
         for relu_position in RELU_POSITIONS:  # "pre" rectifies the conv input, not what is blended
             head = new_conv_head(d, m, kernel_size=3, rng=rng, relu_position=relu_position)
             w = synthesize_all(k_new, v_new, k_cache, v_cache, head)
-            k_f, v_f = fuse(w)
             manual = stacked @ w.weights.data.swapaxes(-1, -2)
-            assert np.array_equal(k_f.data, manual[:, :d])
-            assert np.array_equal(v_f.data, manual[:, d:])
+            assert np.array_equal(fuse(w).data, manual)  # keys over values, (1, 2d, slots)
 
     def test_fused_slots_stay_in_convex_hull(self):
         rng = np.random.default_rng(8)
@@ -245,7 +257,7 @@ class TestFuse:
         k_new, v_new = t2(rng.standard_normal((1, d, b))), t2(rng.standard_normal((1, d, b)))
         k_cache, v_cache = t2(rng.standard_normal((1, d, m))), t2(rng.standard_normal((1, d, m)))
         w = synthesize_all(k_new, v_new, k_cache, v_cache, head)
-        k_f, v_f = fuse(w)
+        k_f, v_f = fuse_split(w)
         all_k = np.concatenate([k_new.data, k_cache.data], axis=-1)
         all_v = np.concatenate([v_new.data, v_cache.data], axis=-1)
         eps = 1e-12
@@ -305,7 +317,7 @@ class TestCompressStep:
         ref_k = np.concatenate([blocks[0][0].data, blocks[1][0].data], axis=-1)
         ref_v = np.concatenate([blocks[0][1].data, blocks[1][1].data], axis=-1)
         w = synthesize_all(blocks[2][0], blocks[2][1], t2(ref_k), t2(ref_v), head)
-        k_ref, v_ref = fuse(w)
+        k_ref, v_ref = fuse_split(w)
         assert np.array_equal(cache.keys.data, k_ref.data)
         assert np.array_equal(cache.values.data, v_ref.data)
 
@@ -356,12 +368,13 @@ class TestCompressStep:
 
 
 class TestTapePerMerge:
-    # conv, relu and row_normalize make the weights; transpose, one matmul and the
-    # key and value rows of its result fuse them; a hybrid hstacks what it keeps
+    # conv, relu and row_normalize make the weights; transpose and one matmul fuse
+    # them; a hybrid hstacks the slots after what it keeps; the key and value rows
+    # of the result are split once
     @pytest.mark.parametrize("rule, entries", [
         (KeepRule(), 7),
-        (KeepRule(heavy=2), 9),
-        (KeepRule(n_sink=2), 9),
+        (KeepRule(heavy=2), 8),
+        (KeepRule(n_sink=2), 8),
     ], ids=["lococo", "lococo+h2o", "lococo+sink"])
     def test_one_merge_records_its_entries(self, rule, entries):
         rng = np.random.default_rng(16)
@@ -390,7 +403,7 @@ class TestCompressorGradients:
         targets = np.array([0, 2, 1])
 
         def loss():
-            k_f, v_f = fuse(synthesize_all(k_new, v_new, k_cache, v_cache, head))
+            k_f, v_f = fuse_split(synthesize_all(k_new, v_new, k_cache, v_cache, head))
             probs = softmax_cols(matmul(transpose(k_f), q))
             out = matmul(v_f, probs)  # (1, d, t_q): the loss reads the one sequence
             return cross_entropy_cols(custom_op([out], out.data[0], lambda g: (g[None],)), targets)
