@@ -611,7 +611,7 @@ def select_cols(x: Tensor2, indices: np.ndarray) -> Tensor2:
 
     def vjp(g):
         gx = np.zeros(lead + (cols, rows))
-        if (np.diff(idx) > 0).all():  # no column repeats, so nothing adds up
+        if (np.diff(np.sort(idx)) > 0).all():  # no row repeats a column, so nothing adds up
             gx[at] = g.swapaxes(-1, -2)
         else:
             np.add.at(gx, at, g.swapaxes(-1, -2))

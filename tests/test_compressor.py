@@ -225,8 +225,8 @@ class TestFuse:
         k_new, v_new = rng.standard_normal((d, b)), rng.standard_normal((d, b))
         k_cache, v_cache = rng.standard_normal((d, cache_len)), rng.standard_normal((d, cache_len))
         w_new, w_cache = rng.random((m, b)), rng.random((m, cache_len))
-        k_f, v_f = fuse_split(given_weights(w_new, w_cache,
-                                      *(t2(x[None]) for x in (k_new, v_new, k_cache, v_cache))))
+        k_f, v_f = fuse_split(given_weights(
+            w_new, w_cache, *(t2(x[None]) for x in (k_new, v_new, k_cache, v_cache))))
         for i in range(m):
             ks = sum(w_new[i, j] * k_new[:, j] for j in range(b)) + sum(
                 w_cache[i, j] * k_cache[:, j] for j in range(cache_len)
@@ -370,25 +370,28 @@ class TestCompressStep:
 class TestTapePerMerge:
     # conv, relu and row_normalize make the weights; transpose and one matmul fuse
     # them; a hybrid hstacks the slots after what it keeps; the key and value rows
-    # of the result are split once
+    # of the result are split once. Cache and block columns that carry gradients
+    # add the one gather and the select of the merged columns, and for a hybrid
+    # the select of the kept ones
+    @pytest.mark.parametrize("trainable", [False, True], ids=["frozen-columns", "trainable-columns"])
     @pytest.mark.parametrize("rule, entries", [
-        (KeepRule(), 7),
-        (KeepRule(heavy=2), 8),
-        (KeepRule(n_sink=2), 8),
+        (KeepRule(), (7, 9)),
+        (KeepRule(heavy=2), (8, 11)),
+        (KeepRule(n_sink=2), (8, 11)),
     ], ids=["lococo", "lococo+h2o", "lococo+sink"])
-    def test_one_merge_records_its_entries(self, rule, entries):
+    def test_one_merge_records_its_entries(self, rule, entries, trainable):
         rng = np.random.default_rng(16)
         n, d, m, b = 2, 8, 6, 3
         head = new_conv_head(d, m - rule.budget, kernel_size=3, rng=rng)
         head.kernels.weights.requires_grad = True
         scores = np.arange(12.0).reshape(2, 6) % 5 if rule.heavy else None
-        cache = KvCache(t2(rng.standard_normal((n, d, m))), t2(rng.standard_normal((n, d, m))),
-                        capacity=m, rule=rule, scores=scores)
-        k_new, v_new = t2(rng.standard_normal((n, d, b))), t2(rng.standard_normal((n, d, b)))
+        k_cache, v_cache, k_new, v_new = (t2(rng.standard_normal((n, d, cols)), trainable)
+                                          for cols in (m, m, b, b))
+        cache = KvCache(k_cache, v_cache, capacity=m, rule=rule, scores=scores)
         with GradTape() as tape:
             out = compress_step(cache, k_new, v_new, [head], rng.random((n, m + b)))
         assert out.live_entries == m
-        assert len(tape) == entries
+        assert len(tape) == entries[trainable]
 
 
 class TestCompressorGradients:

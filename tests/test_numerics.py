@@ -335,17 +335,19 @@ class TestSequenceAxis:
     def test_select_cols_picks_a_row_of_indices_per_sequence(self):
         rng = np.random.default_rng(15)
         batch = head_batched(rng, 2, 3, 4, trainable=True)
-        picks = np.array([[3, 1], [0, 0]])
         weights = rng.standard_normal((2, 3, 2))
-        with GradTape() as tape:
-            out = select_cols(batch, picks)
-            loss = weighted_sum(out, weights)
-        grad = backward(tape, loss)[batch]
-        for i in range(2):
-            assert np.array_equal(out.data[i], batch.data[i][:, picks[i]])
-            want = np.zeros((3, 4))
-            np.add.at(want.T, picks[i], weights[i].T)
-            assert np.array_equal(grad[i], want)
+        # a repeated column adds up its gradients; rows out of order that repeat
+        # nothing, as a merge's block-first columns, need no adding up
+        for picks in (np.array([[3, 1], [0, 0]]), np.array([[3, 1], [2, 0]])):
+            with GradTape() as tape:
+                out = select_cols(batch, picks)
+                loss = weighted_sum(out, weights)
+            grad = backward(tape, loss)[batch]
+            for i in range(2):
+                assert np.array_equal(out.data[i], batch.data[i][:, picks[i]])
+                want = np.zeros((3, 4))
+                np.add.at(want.T, picks[i], weights[i].T)
+                assert np.array_equal(grad[i], want)
         # a row for each sequence: one row that every sequence would share is rejected
         for bad in (np.zeros((3, 1), dtype=int), np.zeros((1, 2), dtype=int),
                     np.zeros(1, dtype=int)):
