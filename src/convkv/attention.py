@@ -9,7 +9,9 @@ extension) lives here too.
 
 Heads ride a leading axis: ``project_qkv`` makes every head's (head_dim, T)
 rotated q and k, raw k and v with one GEMM and one rotation, and ``attend`` runs
-every head in one call.
+every head in one call. Neither makes what its caller can share: the model
+stacks each layer's w_q/w_k/w_v once per stream, and builds one rotary table
+(``_rope_table``) and one causal mask (``_block_mask``) per chunk for all layers.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeError, Tensor2, custom_op, matmul, softmax_cols, transpose
+from .numerics import ShapeError, Tensor2, custom_op, matmul, softmax_cols
 
 
 @dataclass(frozen=True)
@@ -71,19 +73,30 @@ class AttentionParams:
     def tensors(self):
         return [("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v), ("w_o", self.w_o)]
 
+    def stacked_qkv(self) -> np.ndarray:
+        """w_q over w_k over w_v, ``project_qkv``'s one GEMM operand: a copy of the
+        weights as they are now, so a caller makes it once per stream, as the
+        weights change only between streams (``adam_step`` updates them in place)."""
+        return np.concatenate([self.w_q.data, self.w_k.data, self.w_v.data])
 
-def _rope_table(positions: np.ndarray, d: int, t_len: int, cfg: RopeConfig):
-    """cos and sin, (d / 2, T), of ``apply_rope``'s angles for ``d`` rows."""
+
+def _rope_table(positions: np.ndarray, d: int, cfg: RopeConfig):
+    """cos and sin, (d / 2, T), of ``apply_rope``'s angles for ``d`` rows at T
+    ``positions``; the op that takes the table checks that it fits."""
     if d % 2 != 0:
         raise ShapeError(f"rotary embedding needs an even row count, got {d}")
     pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape != (t_len,):
-        raise ShapeError(f"need {t_len} positions, got shape {pos.shape}")
     ang = np.outer(_inv_freq(d, cfg.base), pos / cfg.interpolation_scale)
     return np.cos(ang), np.sin(ang)
 
 
 _inv_freq = functools.cache(lambda d, base: base ** (-2.0 * np.arange(d // 2) / d))
+
+
+def _check_table(table: tuple[np.ndarray, np.ndarray], d: int, t_len: int) -> None:
+    if table[0].shape != (d // 2, t_len) or d % 2:
+        raise ShapeError(f"a rotary table of shape {table[0].shape} does not fit {d} rows "
+                         f"at {t_len} positions")
 
 
 def _rotate(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -95,15 +108,17 @@ def _rotate(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_rope(x: Tensor2, positions: np.ndarray, cfg: RopeConfig) -> Tensor2:
+def apply_rope(x: Tensor2, table: tuple[np.ndarray, np.ndarray]) -> Tensor2:
     """Rotate adjacent row pairs (2i, 2i+1) of each column by its position.
 
-    Pair i of the column at position p turns by p_eff / base^(2i/d) radians
-    where p_eff = p / interpolation_scale and d is the row count; a
-    head-batched input turns every head by one shared table. Rotation is
-    linear, so the backward pass is the same rotation by the negated angle.
+    ``table`` is ``_rope_table``'s cos and sin for x's rows and positions: pair
+    i of the column at position p turns by p_eff / base^(2i/d) radians where
+    p_eff = p / interpolation_scale and d is the row count; a head-batched
+    input turns every head by the one table. Rotation is linear, so the
+    backward pass is the same rotation by the negated angle.
     """
-    c, s = _rope_table(positions, x.rows, x.cols, cfg)
+    _check_table(table, x.rows, x.cols)
+    c, s = table
 
     def vjp(g):
         return (_rotate(g, c, -s),)
@@ -111,21 +126,28 @@ def apply_rope(x: Tensor2, positions: np.ndarray, cfg: RopeConfig) -> Tensor2:
     return custom_op([x], _rotate(x.data, c, s), vjp)
 
 
-def project_qkv(x: Tensor2, params: AttentionParams, positions: np.ndarray,
-                rope: RopeConfig, raw_k: bool = True) -> tuple[Tensor2, ...]:
+def project_qkv(x: Tensor2, params: AttentionParams, w_qkv: np.ndarray,
+                table: tuple[np.ndarray, np.ndarray], raw_k: bool = True) -> tuple[Tensor2, ...]:
     """A normed chunk's ``(q_rot, k_rot, k, v)``, each (n * n_heads, head_dim, T), from
-    one GEMM over the stacked weights and one rotation of q and k at ``positions``;
-    ``x`` holds n sequences of T = len(positions) columns, one after another, and
-    entry i * n_heads + h is head h of sequence i. ``k`` is the unrotated key a
-    slot-relative policy caches, None unless ``raw_k``. Each output is its own op,
-    and a frozen operand's gradient is None."""
-    if x.data.ndim != 2 or x.rows != params.w_q.cols:
+    one GEMM and one rotation of q and k; ``x`` holds n sequences of T columns, one
+    after another, and entry i * n_heads + h is head h of sequence i. ``k`` is the
+    unrotated key a slot-relative policy caches, None unless ``raw_k``. Each output
+    is its own op, and a frozen operand's gradient is None.
+
+    The op makes per call only what depends on ``x``: ``w_qkv`` is
+    ``params.stacked_qkv()``, made once per stream, and ``table`` is
+    ``_rope_table``'s cos and sin at the chunk's T positions, made once per chunk
+    for every layer. The gradients go to ``params``' own weights.
+    """
+    inner = params.n_heads * params.head_dim
+    if x.data.ndim != 2 or x.rows != params.w_q.cols or w_qkv.shape != (3 * inner, x.rows):
         raise ShapeError(f"input of shape {x.shape} does not fit projections of {params.w_q.cols}")
-    t_len = np.size(positions)
-    n_seq = x.cols // t_len if t_len and x.cols % t_len == 0 else 1
-    t_len = x.cols // n_seq
-    c, s = _rope_table(positions, params.head_dim, t_len, rope)
-    w_qkv = np.concatenate([params.w_q.data, params.w_k.data, params.w_v.data])
+    t_len = table[0].shape[-1]
+    if not t_len or x.cols % t_len:
+        raise ShapeError(f"{x.cols} columns are no whole number of sequences of "
+                         f"{t_len} positions")
+    _check_table(table, params.head_dim, t_len)
+    n_seq, (c, s) = x.cols // t_len, table
     qkv = ((w_qkv @ x.data).reshape(3, params.n_heads, params.head_dim, n_seq, t_len)
            .transpose(0, 3, 1, 2, 4).reshape(3, n_seq * params.n_heads, params.head_dim, t_len))
     q_rot, k_rot = _rotate(qkv[:2], c, s)
@@ -147,35 +169,54 @@ def project_qkv(x: Tensor2, params: AttentionParams, positions: np.ndarray,
             output(qkv[1], params.w_k, False) if raw_k else None, output(qkv[2], params.w_v, False))
 
 
-def _block_mask(n_cached: int, n_new: int, n_queries: int) -> np.ndarray:
-    """Cached keys are visible to every query; same-block keys are causal."""
+def _block_mask(n_cached: int, n_new: int, n_queries: int) -> np.ndarray | None:
+    """Cached keys are visible to every query; same-block keys are causal. At most
+    one fresh key (a decode step) leaves nothing to mask, so it gets None."""
+    if n_new <= 1:
+        return None
     mask = np.zeros((n_cached + n_new, n_queries))
     fresh = np.arange(n_new)[:, None] > np.arange(n_queries)[None, :]
     mask[n_cached:, :][fresh] = -np.inf
     return mask
 
 
-def attend(q: Tensor2, k: Tensor2, v: Tensor2, n_cached: int = 0) -> tuple[Tensor2, Tensor2]:
+def _scores(k: Tensor2, q: Tensor2) -> Tensor2:
+    """kᵀ q per head, read through a transposed view of ``k``, so the key context
+    is not copied; the vjp is (q gᵀ, k g), and a frozen operand's gradient is None."""
+    qd = q.data if k.requires_grad else None
+    kd = k.data if q.requires_grad else None
+
+    def vjp(g):
+        return (None if qd is None else qd @ g.swapaxes(-1, -2), None if kd is None else kd @ g)
+
+    return custom_op([k, q], k.data.swapaxes(-1, -2) @ q.data, vjp)
+
+
+def attend(q: Tensor2, k: Tensor2, v: Tensor2, n_cached: int = 0,
+           mask: np.ndarray | None = None) -> tuple[Tensor2, Tensor2]:
     """Scaled dot-product attention of queries against cached + fresh keys;
     returns the output and the attention probabilities (keys x queries).
 
     The first ``n_cached`` key columns are past context and fully visible;
     the remaining columns pair off causally with the query columns. Head-batched
-    operands (H, d, .) attend per head. ``softmax_cols`` scales the scores by
-    1/sqrt(d), with d the query row count, raises NonFiniteError when they
-    overflow and applies the one causal mask shared by every head; at most one
-    fresh key (a decode step) leaves nothing to mask, so it gets none.
+    operands (H, d, .) attend per head. The scores are one op that reads the
+    keys through a view, so a layer copies no key context. ``softmax_cols``
+    scales them by 1/sqrt(d), with d the query row count, raises
+    NonFiniteError when they overflow and applies the one causal mask shared
+    by every head: ``mask`` when the caller made it once for every layer of a
+    chunk, else ``_block_mask(n_cached, ...)``, which is None for one fresh key.
     """
     if k.cols != v.cols:
         raise ShapeError(f"key/value column mismatch: {k.cols} vs {v.cols}")
+    if k.shape[:-1] != q.shape[:-1]:
+        raise ShapeError(f"keys of shape {k.shape} do not fit queries of shape {q.shape}")
     if not (0 <= n_cached <= k.cols):
         raise ShapeError(f"n_cached={n_cached} out of range for {k.cols} keys")
     # scores that overflow raise NonFiniteError in softmax_cols, so numpy's
     # overflow warning for them would only say it first
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = matmul(transpose(k), q)
-    n_new = k.cols - n_cached
-    mask = _block_mask(n_cached, n_new, q.cols) if n_new > 1 else None
+        scores = _scores(k, q)
+    if mask is None:
+        mask = _block_mask(n_cached, k.cols - n_cached, q.cols)
     probs = softmax_cols(scores, 1.0 / math.sqrt(q.rows), mask)
     return matmul(v, probs), probs
-

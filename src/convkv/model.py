@@ -29,6 +29,8 @@ import numpy as np
 from .attention import (
     AttentionParams,
     RopeConfig,
+    _block_mask,
+    _rope_table,
     apply_rope,
     attend,
     project_qkv,
@@ -218,9 +220,10 @@ def _extend_cols(context: Tensor2, buffer: np.ndarray, x: Tensor2) -> Tensor2:
     return custom_op([context, x], buffer[..., :n + b], vjp)
 
 
-def _rows(x: Tensor2, rows: slice, shape: tuple[int, ...]) -> Tensor2:
-    """Rows ``rows`` of a stacked (L * n, d, cols) tensor, one layer's, viewed as
-    ``shape``; the vjp puts the gradient back in those rows."""
+def _rows(x: Tensor2, rows: slice, data: np.ndarray) -> Tensor2:
+    """Rows ``rows`` of a stacked (L * n, d, cols) tensor, one layer's, as ``data``,
+    which holds them, in that shape or another; the vjp puts the gradient back
+    in those rows."""
     full = x.shape
 
     def vjp(g):
@@ -228,7 +231,7 @@ def _rows(x: Tensor2, rows: slice, shape: tuple[int, ...]) -> Tensor2:
         gx[rows] = g.reshape(gx[rows].shape)
         return (gx,)
 
-    return custom_op([x], x.data[rows].reshape(shape), vjp)
+    return custom_op([x], data, vjp)
 
 
 def _stack_blocks(chunks: list[list[Tensor2]], data: np.ndarray) -> Tensor2:
@@ -251,26 +254,25 @@ def _layer_step(
     h: Tensor2,
     stream: "_Streams",
     index: int,
-    positions: np.ndarray,
-    rope: RopeConfig,
+    table: tuple[np.ndarray, np.ndarray],
+    mask: np.ndarray | None,
 ) -> tuple[Tensor2, int]:
     """One residual block, layer ``index``, over one chunk of tokens; returns attn
     matrix entries.
 
     One ``project_qkv`` (one QKV GEMM, q and k rotated together) and one
     ``attend`` over cache, staged columns and chunk, on a leading head axis,
-    then the MLP. The chunk joins the staged columns.
+    then the MLP. The chunk joins the staged columns. Per layer it makes only
+    what depends on the layer's input: the stacked QKV weights are the
+    stream's, and the rotary ``table`` and causal ``mask`` the chunk's.
     """
-    b = positions.size
+    b = table[0].shape[-1]
     n_context = stream.cache.live_entries + stream.n_staged
-
-    # slot-relative policies cache keys unrotated and rotate them by cache slot
     relative = stream.policy.spec.slot_relative
-    q_pos = n_context + np.arange(b) if relative else positions
-    q_rot, k_rot, k, v = project_qkv(rms_norm_cols(h, layer.attn_gain), layer.attn, q_pos, rope,
-                                     raw_k=relative)
+    q_rot, k_rot, k, v = project_qkv(rms_norm_cols(h, layer.attn_gain), layer.attn,
+                                     stream.w_qkv[index], table, raw_k=relative)
     context_k, context_v = stream.extend_context(index, k_rot, v)
-    out, probs = attend(q_rot, context_k, context_v, n_context)
+    out, probs = attend(q_rot, context_k, context_v, n_context, mask)
     h = add(h, matmul(layer.attn.w_o, _merge_to_cols(out, stream.n_seq)))
 
     mlp_normed = rms_norm_cols(h, layer.mlp_gain)
@@ -296,16 +298,24 @@ def _forward_chunk(
 ) -> tuple[Tensor2, list[int]]:
     """Final residual stream of one chunk within ``block``, plus attn entries per layer.
 
-    A NonFiniteError inside a layer, or a layer output that overflows, is
-    raised again naming the block and the layer.
+    What every layer of the chunk shares is made once here: the rotary table
+    of the queries' and fresh keys' positions, and the causal mask of the
+    chunk against its context (None for one token). A slot-relative policy
+    caches keys unrotated and rotates the chunk by cache slot, not by
+    position. A NonFiniteError inside a layer, or a layer output that
+    overflows, is raised again naming the block and the layer.
     """
-    params = stream.params
-    rope = params.config.rope
+    params, b = stream.params, positions.size
+    n_context = stream.cache.live_entries + stream.n_staged
+    if stream.policy.spec.slot_relative:
+        positions = n_context + np.arange(b)
+    table = _rope_table(positions, params.config.head_dim, params.config.rope)
+    mask = _block_mask(n_context, b, b)
     h = select_cols(params.embed, tokens)
     attn_entries = []
     for index, layer in enumerate(params.layers):
         try:
-            h, entries = _layer_step(layer, h, stream, index, positions, rope)
+            h, entries = _layer_step(layer, h, stream, index, table, mask)
             # NaN/inf, or an entry whose square overflows (the next RMS norm would
             # silently zero its column), makes the sum of squares non-finite
             if not np.isfinite(np.vdot(h.data, h.data)):
@@ -334,12 +344,19 @@ class _Streams:
     threads; one made in a one-token feed, a decode step, or by the caller
     outside ``feed`` runs them inline.
 
+    What depends only on the weights is made once per stream: ``w_qkv``, each
+    layer's stacked w_q/w_k/w_v, which ``project_qkv`` multiplies every chunk
+    by. The weights do not change within a stream; training updates them
+    between streams, and the next stream stacks them again.
+
     A flush cycle has one key buffer and one value buffer of (n_layers *
-    n_seq * H, head_dim, n_cached + B), made when its first chunk arrives.
-    Layer l's context, the (n_seq * H, head_dim, n) keys (rotated as
-    attention sees them) and values its queries attend to, is a view of its
-    rows: filled from the cache at the layer's first chunk, then extended in
-    place by each chunk's ``project_qkv`` output, so a decode step copies its
+    n_seq * H, head_dim, n_cached + B), made when its first chunk arrives,
+    with, for a slot-relative policy, one rotary table of the n_cached cache
+    slots that every layer's cached keys turn by. Layer l's context, the
+    (n_seq * H, head_dim, n) keys (rotated as attention sees them) and values
+    its queries attend to, is a view of its rows: the layer's rows of the
+    cache are copied in once at its first chunk, then each chunk's
+    ``project_qkv`` output extends it in place, so a decode step copies its
     own column only. At flush the block the policy gets is a view of the
     buffers' staged columns, (n_layers * n_seq, H * head_dim, b); a
     slot-relative policy's block keys, unrotated, are a view of one more
@@ -368,6 +385,7 @@ class _Streams:
         self.detach_cache = detach_cache
         self.trace = trace
         self.unembed: Tensor2 | None = None
+        self.w_qkv = [layer.attn.stacked_qkv() for layer in params.layers]
         self._attn_entries: list[int] = []
         self._start_cycle()
 
@@ -378,6 +396,7 @@ class _Streams:
         self.staged_v: list[list[Tensor2]] = [[] for _ in range(self.n_layers)]
         self.contexts: list[tuple[Tensor2, Tensor2] | None] = [None] * self.n_layers
         self.buffers: tuple[np.ndarray, np.ndarray] | None = None
+        self.cached_table: tuple[np.ndarray, np.ndarray] | None = None
         self.raw_keys: np.ndarray | None = None
         self.mass: np.ndarray | None = None
 
@@ -387,7 +406,7 @@ class _Streams:
         stacked, n = self.cache, self.n_seq
         caches = []
         for rows in (slice(i * n, (i + 1) * n) for i in range(self.n_layers)):
-            keys, values = (_rows(t, rows, (n,) + t.shape[1:]) for t in (stacked.keys, stacked.values))
+            keys, values = (_rows(t, rows, t.data[rows]) for t in (stacked.keys, stacked.values))
             scores = None if stacked.scores is None else stacked.scores[rows]
             caches.append(KvCache(keys, values, stacked.capacity, stacked.rule, scores))
         return caches
@@ -395,27 +414,35 @@ class _Streams:
     def extend_context(self, index: int, keys: Tensor2, values: Tensor2) -> tuple[Tensor2, Tensor2]:
         """Layer ``index``'s context with a chunk's keys (rotated) and values
         appended in place; the layer's first chunk of a cycle opens it from
-        the layer's rows of the cache."""
-        n_cached, n_heads = self.cache.live_entries, self.params.config.n_heads
+        the layer's rows of the cache, copied straight into the buffers."""
+        n_cached, config = self.cache.live_entries, self.params.config
         if self.buffers is None:
-            n_rows, d = self.cache.keys.shape[:2]
-            shape = (n_rows * n_heads, d // n_heads, n_cached + self.block_size)
+            n_rows = len(self.cache.keys.data)
+            shape = (n_rows * config.n_heads, config.head_dim, n_cached + self.block_size)
             self.buffers = (np.empty(shape), np.empty(shape))
             if self.policy.spec.slot_relative:
                 self.raw_keys = np.empty(shape[:-1] + (self.block_size,))
+                if n_cached:
+                    self.cached_table = _rope_table(np.arange(n_cached), config.head_dim,
+                                                    config.rope)
             if self.policy.needs_mass:
                 self.mass = np.zeros((n_rows, shape[-1]))
-        heads = self.n_seq * n_heads
+        heads = self.n_seq * config.n_heads
         buffers = [b[index * heads:(index + 1) * heads] for b in self.buffers]
         context = self.contexts[index]
         if context is None:  # this layer's rows of the cache, split into heads
             rows = slice(index * self.n_seq, (index + 1) * self.n_seq)
-            context = [_rows(t, rows, buffers[0].shape[:-1] + (n_cached,))
-                       for t in (self.cache.keys, self.cache.values)]
-            if self.policy.spec.slot_relative and n_cached:
-                context[0] = apply_rope(context[0], np.arange(n_cached), self.params.config.rope)
-            for buffer, c in zip(buffers, context):
-                buffer[..., :n_cached] = c.data
+            context = []
+            for t, buffer, table in zip((self.cache.keys, self.cache.values), buffers,
+                                        (self.cached_table, None)):
+                cached = buffer[..., :n_cached]
+                if table is None:  # one copy, through an (n_seq, d, cols) view of the buffer
+                    buffer.reshape(self.n_seq, config.d_model, -1)[..., :n_cached] = t.data[rows]
+                    context.append(_rows(t, rows, cached))
+                else:  # slot-relative keys turn by cache slot on their way in
+                    rotated = apply_rope(_rows(t, rows, t.data[rows].reshape(cached.shape)), table)
+                    cached[...] = rotated.data
+                    context.append(rotated)
         self.contexts[index] = context = tuple(
             _extend_cols(c, buffer, x) for c, buffer, x in zip(context, buffers, (keys, values))
         )
@@ -587,7 +614,8 @@ def generate(
     ``forward_segmented(prompt + generated[:-1], policy, block_size)`` up to
     summation order. A decode step runs one ``_layer_step`` per layer,
     writes one key and value column per layer into the flush cycle's buffers
-    (see ``_Streams``) and reuses the stream's one unembedding.
+    (see ``_Streams``) and reuses the stream's one unembedding and stacked
+    QKV weights; its one rotary table serves every layer.
 
     Ties in the argmax resolve to the lowest byte, so decoding is
     deterministic. The total context must fit max_context * interpolation_scale.

@@ -10,7 +10,9 @@ composition of primitives that ``attention.project_qkv`` fuses, and
 must match the package bit for bit. So must ``conv1d_vjp_stored_im2col``, the
 conv gradients formed from a stored im2col, and ``adam_arrays``, the
 textbook Adam formula that ``training.adam_step`` evaluates in place.
-``split_heads`` and ``merge_heads`` are differentiable reshapes between the
+``rope_at`` and ``qkv_at`` call ``apply_rope`` and ``project_qkv`` at
+positions, making the rotary table and the stacked weights that the model
+makes once per chunk and once per stream. ``split_heads`` and ``merge_heads`` are differentiable reshapes between the
 stacked (n_heads * head_dim, T) layout and the head-batched one, for tests
 that build head-batched operands or take gradients through them, and
 ``vstack`` is a differentiable row concatenation, for tests that stack
@@ -23,7 +25,7 @@ import math
 
 import numpy as np
 
-from convkv.attention import apply_rope, attend
+from convkv.attention import _rope_table, apply_rope, attend, project_qkv
 from convkv.numerics import ShapeError, Tensor2, custom_op, matmul
 
 
@@ -138,6 +140,17 @@ def merge_heads(x: Tensor2, n_seq: int = 1) -> Tensor2:
     return custom_op([x], x.data.reshape(n_seq, shape[0] // n_seq * shape[1], shape[2]), vjp)
 
 
+def rope_at(x: Tensor2, positions: np.ndarray, rope) -> Tensor2:
+    """``apply_rope`` of ``x`` by the table of its rows at ``positions``."""
+    return apply_rope(x, _rope_table(positions, x.rows, rope))
+
+
+def qkv_at(x: Tensor2, params, positions: np.ndarray, rope, raw_k: bool = True):
+    """``project_qkv`` of ``x`` with the stacked weights and the table at ``positions``."""
+    table = _rope_table(positions, params.head_dim, rope)
+    return project_qkv(x, params, params.stacked_qkv(), table, raw_k)
+
+
 def project_qkv_composed(x: Tensor2, params, positions: np.ndarray, rope):
     """``project_qkv`` from primitives: three ``matmul``s, ``split_heads`` on
     each, then ``apply_rope`` on q and k; returns (q_rot, k_rot, k, v)."""
@@ -145,14 +158,14 @@ def project_qkv_composed(x: Tensor2, params, positions: np.ndarray, rope):
         split_heads(matmul(w, x), params.n_heads, params.head_dim)
         for w in (params.w_q, params.w_k, params.w_v)
     )
-    return apply_rope(q, positions, rope), apply_rope(k, positions, rope), k, v
+    return rope_at(q, positions, rope), rope_at(k, positions, rope), k, v
 
 
 def attend_numpy(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_cached: int):
-    """``attend``'s (out, probs) step by step: contiguous k^T @ q, times
-    1/sqrt(d), plus the block's causal mask, column softmax, v @ p."""
+    """``attend``'s (out, probs) step by step: k^T @ q through a transposed view,
+    times 1/sqrt(d), plus the block's causal mask, column softmax, v @ p."""
     n_new, n_queries = k.shape[-1] - n_cached, q.shape[-1]
-    scores = np.ascontiguousarray(k.swapaxes(-1, -2)) @ q
+    scores = k.swapaxes(-1, -2) @ q
     mask = np.zeros((k.shape[-1], n_queries))
     mask[n_cached:][np.arange(n_new)[:, None] > np.arange(n_queries)[None, :]] = -np.inf
     logits = scores * (1.0 / math.sqrt(q.shape[-2])) + mask

@@ -7,6 +7,7 @@ import convkv.attention as attention_mod
 from convkv.attention import (
     AttentionParams,
     RopeConfig,
+    _rope_table,
     apply_rope,
     attend,
     project_qkv,
@@ -27,7 +28,7 @@ from convkv.numerics import (
 from convkv.policies import PolicySpec
 
 import oracles
-from oracles import full_causal_attention, merge_heads, split_heads, vstack
+from oracles import full_causal_attention, merge_heads, qkv_at, rope_at, split_heads, vstack
 
 
 def t2(arr):
@@ -46,7 +47,7 @@ class TestProjectQkv:
         x = t2(np.arange(6.0).reshape(2, 3))
         eye = Tensor2(np.eye(2))
         params = AttentionParams(eye, eye, eye, Tensor2(np.eye(2)), n_heads=1, head_dim=2)
-        outs = project_qkv(x, params, np.zeros(3), RopeConfig())
+        outs = qkv_at(x, params, np.zeros(3), RopeConfig())
         for out in outs:  # position 0 turns nothing
             assert out.shape == (1, 2, 3)
             assert np.array_equal(out.data[0], x.data)
@@ -54,7 +55,7 @@ class TestProjectQkv:
     def test_zero_input(self):
         rng = np.random.default_rng(0)
         params = rand_params(rng, 4)
-        outs = project_qkv(Tensor2.zeros(4, 5), params, np.arange(5), RopeConfig())
+        outs = qkv_at(Tensor2.zeros(4, 5), params, np.arange(5), RopeConfig())
         assert not any(out.data.any() for out in outs)
 
     def test_matches_matmul_oracle(self):
@@ -62,7 +63,7 @@ class TestProjectQkv:
         params = rand_params(rng, 4, n_heads=2)
         x = t2(rng.standard_normal((4, 6)))
         positions = np.arange(6) + 3
-        q_rot, k_rot, k, v = project_qkv(x, params, positions, RopeConfig())
+        q_rot, k_rot, k, v = qkv_at(x, params, positions, RopeConfig())
         q_loops, k_loops = (oracles.matmul_loops(w.data, x.data) for w in (params.w_q, params.w_k))
         expect = {
             "k": (k, k_loops),
@@ -84,14 +85,14 @@ class TestProjectQkv:
         params = rand_params(rng, 4, n_heads=2)
         x = t2(rng.standard_normal((4, 10)))
         pos = np.arange(5) + 7
-        both = project_qkv(x, params, pos, RopeConfig())
-        alone = [project_qkv(t2(x.data[:, i * 5:(i + 1) * 5]), params, pos, RopeConfig())
+        both = qkv_at(x, params, pos, RopeConfig())
+        alone = [qkv_at(t2(x.data[:, i * 5:(i + 1) * 5]), params, pos, RopeConfig())
                  for i in range(2)]
         for out, parts in zip(both, zip(*alone), strict=True):
             assert out.shape == (4, 2, 5)
             np.testing.assert_allclose(out.data, np.concatenate([p.data for p in parts]),
                                        rtol=0, atol=1e-12)
-        q_rot, k_rot, k, v = project_qkv(x, params, pos, RopeConfig(), raw_k=False)
+        q_rot, k_rot, k, v = qkv_at(x, params, pos, RopeConfig(), raw_k=False)
         assert k is None
         for out, ref in zip((q_rot, k_rot, v), (both[0], both[1], both[3])):
             assert np.array_equal(out.data, ref.data)
@@ -100,9 +101,9 @@ class TestProjectQkv:
         rng = np.random.default_rng(2)
         params = rand_params(rng, 4)
         with pytest.raises(ShapeError):
-            project_qkv(Tensor2.zeros(3, 5), params, np.arange(5), RopeConfig())
+            qkv_at(Tensor2.zeros(3, 5), params, np.arange(5), RopeConfig())
         with pytest.raises(ShapeError, match="positions"):
-            project_qkv(Tensor2.zeros(4, 5), params, np.arange(4), RopeConfig())
+            qkv_at(Tensor2.zeros(4, 5), params, np.arange(4), RopeConfig())
 
     @pytest.mark.parametrize("positions", ["absolute", "slot_relative", "decode_step"])
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
@@ -118,7 +119,7 @@ class TestProjectQkv:
         params = rand_params(rng, 8, n_heads)
         x = t2(rng.standard_normal((8, pos.size)))
         rope = RopeConfig(base=500.0, interpolation_scale=2.0)
-        fused = project_qkv(x, params, pos, rope)
+        fused = qkv_at(x, params, pos, rope)
         composed = oracles.project_qkv_composed(x, params, pos, rope)
         for out, ref in zip(fused, composed, strict=True):
             assert out.shape == ref.shape == (n_heads, 8 // n_heads, pos.size)
@@ -129,31 +130,31 @@ class TestRope:
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(3)
         x = t2(rng.standard_normal((6, 1)))
-        out = apply_rope(x, np.array([0]), RopeConfig())
+        out = rope_at(x, np.array([0]), RopeConfig())
         assert np.array_equal(out.data, x.data)
 
     def test_interpolation_halves_angles(self):
         rng = np.random.default_rng(4)
         x = t2(rng.standard_normal((8, 3)))
-        doubled = apply_rope(x, np.array([2, 4, 10]), RopeConfig(interpolation_scale=2.0))
-        plain = apply_rope(x, np.array([1, 2, 5]), RopeConfig(interpolation_scale=1.0))
+        doubled = rope_at(x, np.array([2, 4, 10]), RopeConfig(interpolation_scale=2.0))
+        plain = rope_at(x, np.array([1, 2, 5]), RopeConfig(interpolation_scale=1.0))
         assert np.max(np.abs(doubled.data - plain.data)) < 1e-12
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 1))
-        out = apply_rope(t2(x), np.array([5]), RopeConfig(base=10000.0))
+        out = rope_at(t2(x), np.array([5]), RopeConfig(base=10000.0))
         expect = oracles.rope_scalar(x, np.array([5]), base=10000.0, scale=1.0)
         assert np.max(np.abs(out.data - expect)) < 1e-12
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ShapeError):
-            apply_rope(Tensor2.zeros(3, 1), np.array([0]), RopeConfig())
+            rope_at(Tensor2.zeros(3, 1), np.array([0]), RopeConfig())
 
     def test_rotation_preserves_norm(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, 4))
-        out = apply_rope(t2(x), np.arange(4) + 7, RopeConfig())
+        out = rope_at(t2(x), np.arange(4) + 7, RopeConfig())
         assert np.max(np.abs(np.linalg.norm(out.data, axis=0) - np.linalg.norm(x, axis=0))) < 1e-12
 
 
@@ -205,13 +206,13 @@ class TestHeadBatched:
         )
         rope, q_pos, k_pos = RopeConfig(), n_cached + np.arange(b), np.arange(n_cached + b)
         qh, kh, vh = (split_heads(x, n_heads, head_dim) for x in (q, k, v))
-        out, probs = attend(apply_rope(qh, q_pos, rope), apply_rope(kh, k_pos, rope), vh,
+        out, probs = attend(rope_at(qh, q_pos, rope), rope_at(kh, k_pos, rope), vh,
                             n_cached)
         for h in range(n_heads):
             rows = slice(h * head_dim, (h + 1) * head_dim)
             one_out, one_probs = attend(
-                apply_rope(t2(q.data[rows]), q_pos, rope),
-                apply_rope(t2(k.data[rows]), k_pos, rope),
+                rope_at(t2(q.data[rows]), q_pos, rope),
+                rope_at(t2(k.data[rows]), k_pos, rope),
                 t2(v.data[rows]), n_cached,
             )
             assert np.array_equal(out.data[h], one_out.data)
@@ -233,6 +234,22 @@ class TestBadShapes:
         for n_cached in (-1, 4):
             with pytest.raises(ShapeError, match=f"n_cached={n_cached} out of range for 3 keys"):
                 attend(q, k, k, n_cached)
+        for other in (Tensor2.zeros(3, 3), Tensor2.zeros(2, 2, 3)):
+            with pytest.raises(ShapeError, match="do not fit queries of shape \\(2, 1\\)"):
+                attend(q, other, other)
+
+    def test_rotary_table_must_fit(self):
+        rope = RopeConfig()
+        x = Tensor2.zeros(4, 3)
+        for positions, rows in ((np.arange(2), 4), (np.arange(3), 6)):
+            with pytest.raises(ShapeError, match="rotary table of shape"):
+                apply_rope(x, _rope_table(positions, rows, rope))
+        params = rand_params(np.random.default_rng(0), 4, n_heads=2)
+        w_qkv = params.stacked_qkv()
+        with pytest.raises(ShapeError, match="rotary table of shape \\(2, 3\\)"):
+            project_qkv(x, params, w_qkv, _rope_table(np.arange(3), 4, rope))
+        with pytest.raises(ShapeError, match="does not fit projections"):
+            project_qkv(x, params, w_qkv[:8], _rope_table(np.arange(3), 2, rope))
 
     def test_merge_heads_needs_a_head_axis(self):
         with pytest.raises(ShapeError, match="merge_heads needs a head-batched"):
@@ -274,7 +291,7 @@ def full_forward(params, tokens):
     q, k, v = projections(rms_norm_cols(h, layer.attn_gain), layer.attn)
     heads = [
         full_causal_attention(
-            apply_rope(hq, positions, cfg.rope), apply_rope(hk, positions, cfg.rope), hv
+            rope_at(hq, positions, cfg.rope), rope_at(hk, positions, cfg.rope), hv
         )
         for hq, hk, hv in zip(*(per_head(x, cfg) for x in (q, k, v)))
     ]
@@ -326,7 +343,7 @@ class TestSegmentAttention:
         layer, cfg = params.layers[0], params.config
         h = rms_norm_cols(select_cols(params.embed, tokens), layer.attn_gain)
         _, k, _ = projections(h, layer.attn)
-        expect = vstack([apply_rope(hk, np.arange(6), cfg.rope) for hk in per_head(k, cfg)])
+        expect = vstack([rope_at(hk, np.arange(6), cfg.rope) for hk in per_head(k, cfg)])
         assert cache.live_entries == 6
         assert np.max(np.abs(cache.keys.data - expect.data)) < 1e-12
 
@@ -341,8 +358,8 @@ class TestSegmentAttention:
         h = rms_norm_cols(select_cols(params.embed, tokens), layer.attn_gain)
         expect = np.zeros(6)
         for hq, hk, hv in zip(*(per_head(x, cfg) for x in projections(h, layer.attn))):
-            _, probs = attend(apply_rope(hq, positions, cfg.rope),
-                              apply_rope(hk, positions, cfg.rope), hv)
+            _, probs = attend(rope_at(hq, positions, cfg.rope),
+                              rope_at(hk, positions, cfg.rope), hv)
             expect += probs.data.sum(axis=1)
         assert np.max(np.abs(caches[0].scores - expect)) < 1e-12
 

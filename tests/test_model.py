@@ -1,5 +1,7 @@
 """Model-level behavior: equivalences, causality, checkpoints, generation."""
 
+import copy
+import dataclasses
 import json
 import struct
 
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convkv.cache import CacheError
+from convkv.attention import AttentionParams
+from convkv.cache import CacheError, KvCache
 from convkv.compressor import new_conv_head
 from convkv.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from convkv import attention, model, numerics
@@ -22,9 +25,23 @@ from convkv.model import (
     perplexity,
     sequence_loss,
 )
-from convkv.numerics import NonFiniteError, ShapeError, Tensor2, cross_entropy_cols, select_cols
-from convkv.policies import LayerPolicy, PolicySpec
-from convkv.training import TrainConfig, TrainingDivergedError, calibrate_conv_heads
+from convkv.numerics import (
+    GradTape,
+    NonFiniteError,
+    ShapeError,
+    Tensor2,
+    backward,
+    cross_entropy_cols,
+    select_cols,
+)
+from convkv.policies import POLICY_NAMES, LayerPolicy, PolicySpec
+from convkv.training import (
+    AdamState,
+    TrainConfig,
+    TrainingDivergedError,
+    adam_step,
+    calibrate_conv_heads,
+)
 
 import oracles
 from corpora import make_recall_corpus
@@ -431,6 +448,34 @@ class TestDecodeMatchesPrefill:
         assert np.max(np.abs(decoded - ref)) < 1e-10
         assert np.array_equal(out[prompt_len:], ref[:, prompt_len - 1:].argmax(axis=0))
 
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_decode_logits_equal_prefill_at_the_benchmark_shape(self, monkeypatch, name):
+        # the default-width model with seeded kernel-21 heads at M = 64, B = 16: a
+        # 64-token prompt, then 100 greedy tokens over full, merging caches
+        spec = PolicySpec(name) if name == "concat" else PolicySpec(name, capacity=64)
+        params = ModelParams.init(ModelConfig(), seed=5)
+        if spec.needs_conv_head:
+            params.install_conv_heads(slots=spec.merge_slots, kernel_size=21, seed=5)
+        fed_logits = []
+        feed = model._Streams.feed
+
+        def spy(self, tokens):
+            logits = feed(self, tokens)
+            fed_logits.append(logits.data[:, -1])
+            return logits
+
+        monkeypatch.setattr(model._Streams, "feed", spy)
+        prompt = rand_tokens(np.random.default_rng(64), 64)
+        out = generate(params, prompt, 100, spec, 16)
+        monkeypatch.undo()
+
+        decoded = np.stack(fed_logits, axis=1)
+        ref = logits_for(params, out[:-1], spec, 16)[:, 63:]
+        assert decoded.shape == ref.shape == (256, 100)
+        assert np.max(np.abs(decoded - ref)) < 1e-10
+        assert np.array_equal(out[64:], ref.argmax(axis=0))
+        assert np.array_equal(out[64:], decoded.argmax(axis=0))
+
     @pytest.mark.parametrize("name", list(POLICIES))
     def test_cache_updates_once_per_block(self, monkeypatch, name):
         spec = POLICIES[name]
@@ -683,7 +728,7 @@ class TestOpBudget:
                 counts.append(calls[0])
             per_layer_token.append((counts[1] - counts[0]) / (config.n_layers * block_size))
         assert per_layer_token[0] == per_layer_token[1] == per_layer_token[2]
-        assert per_layer_token[0] <= 22.5
+        assert per_layer_token[0] <= 21.5
 
     @pytest.mark.parametrize("n_cached", [0, 3])
     def test_lone_fresh_key_needs_no_mask_op(self, monkeypatch, n_cached):
@@ -830,7 +875,7 @@ class TestContextBuffer:
             if before is None:  # the layer's first chunk since a flush: its cache columns
                 if spec.name == "sink_window":  # rotated by their slot index
                     slots = np.arange(cached[0].shape[-1])
-                    cached = (attention.apply_rope(Tensor2(cached[0]), slots, TINY.rope).data,
+                    cached = (oracles.rope_at(Tensor2(cached[0]), slots, TINY.rope).data,
                               cached[1])
                 parts = cached
             else:
@@ -892,6 +937,127 @@ class TestContextBuffer:
         assert len(flushed) == 7
         for buffers, at_flush in flushed:
             assert [b.tobytes() for b in buffers] == at_flush
+
+
+    @pytest.mark.parametrize("name", ["concat", "lococo", "lococo+h2o", "h2o"])
+    def test_cache_rows_reach_the_buffer_in_one_copy(self, monkeypatch, name):
+        # four sequences side by side: once a bounded policy has overflowed, its
+        # keys and values are row views of one [keys; values] tensor, which a
+        # reshape into heads would copy; the layer's rows are copied straight
+        # into the cycle buffer instead, and the context op reads them there
+        spec, n_seq = POLICIES[name], 4
+        params = model_for(spec)
+        tokens = rand_tokens(np.random.default_rng(9), n_seq * 24).reshape(n_seq, 24)
+        made, openings = [], []
+        rows_op, extend, flush = model._rows, model._Streams.extend_context, model._Streams.flush
+
+        def spy_rows(x, rows, data):
+            made.append(data)
+            return rows_op(x, rows, data)
+
+        def spy_extend(self, index, keys, values):
+            made.clear()
+            rows = slice(index * n_seq, (index + 1) * n_seq)
+            cached = [t.data[rows] for t in (self.cache.keys, self.cache.values)]
+            out = extend(self, index, keys, values)
+            if made:  # the layer's first chunk of a cycle
+                heads = n_seq * TINY.n_heads
+                for data, rows_before, buffer in zip(made, cached, self.buffers):
+                    layer = buffer[index * heads:(index + 1) * heads]
+                    n_cached = rows_before.shape[-1]
+                    assert n_cached == 0 or np.shares_memory(data, layer)
+                    assert np.array_equal(layer.reshape(rows_before.shape[:2] + (-1,))
+                                          [..., :n_cached], rows_before)
+                    view = rows_before.reshape(data.shape)  # where the copy used to go
+                    openings.append(n_cached > 0 and not np.shares_memory(view, rows_before))
+            return out
+
+        def contiguous_flush(self):
+            flush(self)
+            self.cache = dataclasses.replace(self.cache, **{
+                name: Tensor2(np.ascontiguousarray(getattr(self.cache, name).data))
+                for name in ("keys", "values")})
+
+        monkeypatch.setattr(model, "_rows", spy_rows)
+        monkeypatch.setattr(model._Streams, "extend_context", spy_extend)
+        logits = logits_for(params, tokens, spec, 4)
+        # a cache whose rows a reshape views gives the same bits
+        monkeypatch.setattr(model._Streams, "flush", contiguous_flush)
+        assert np.array_equal(logits_for(params, tokens, spec, 4), logits)
+        # keys and values of 6 cycles per layer in each of the 2 runs, the first
+        # cycle on an empty cache; a bounded cache's rows would have been
+        # copied twice once merged
+        assert len(openings) == 2 * 2 * 6 * TINY.n_layers
+        assert any(openings) == (name != "concat")
+
+
+class TestSharedWork:
+    """What a stream's chunks share is made once per stream, and what a chunk's
+    layers share once per chunk; a stream made after a weight update sees it."""
+
+    @pytest.mark.parametrize("config", [TINY, TINY3], ids=["2_layers", "3_layers"])
+    @pytest.mark.parametrize("name", ["concat", "sink_window"])
+    def test_one_rotary_table_per_chunk(self, monkeypatch, name, config):
+        spec = PolicySpec(name) if name == "concat" else PolicySpec(name, capacity=32, n_sink=2)
+        params = model_for(spec, config=config)
+        calls = [0]
+        rope_table = model._rope_table
+
+        def counted(*args):
+            calls[0] += 1
+            return rope_table(*args)
+
+        monkeypatch.setattr(model, "_rope_table", counted)
+        rng = np.random.default_rng(10)
+        # sink_window turns its cached keys by slot once per cycle that opens on a cache
+        relative = name == "sink_window"
+        forward_segmented(params, rand_tokens(rng, 128).reshape(2, 64), spec, 16)
+        assert calls[0] == 4 + 3 * relative  # 4 chunks, 3 of them after a flush
+        calls[0] = 0
+        generate(params, rand_tokens(rng, 40), 17, spec, 16)
+        # the prompt's 3 chunks and 16 decode steps; flushes at 16, 32 and 48
+        assert calls[0] == 19 + 3 * relative
+
+    @pytest.mark.parametrize("config", [TINY, TINY3], ids=["2_layers", "3_layers"])
+    def test_qkv_weights_stacked_once_per_stream(self, monkeypatch, config):
+        spec = PolicySpec("lococo", capacity=32)
+        params = model_for(spec, config=config)
+        calls = [0]
+        stacked = AttentionParams.stacked_qkv
+
+        def counted(self):
+            calls[0] += 1
+            return stacked(self)
+
+        monkeypatch.setattr(AttentionParams, "stacked_qkv", counted)
+        rng = np.random.default_rng(11)
+        generate(params, rand_tokens(rng, 40), 17, spec, 16)
+        assert calls[0] == config.n_layers
+        calls[0] = 0
+        sequence_loss(params, rand_tokens(rng, 128).reshape(2, 64), spec, 16)
+        assert calls[0] == config.n_layers
+
+    @pytest.mark.parametrize("name", ["lococo", "sink_window"])
+    def test_a_stream_after_an_in_place_update_projects_with_the_new_weights(self, name):
+        spec = BOUNDED[name]
+        params = model_for(spec)
+        tokens = rand_tokens(np.random.default_rng(12), 48).reshape(2, 24)
+        before = logits_for(params, tokens, spec, 4)
+        # one pretraining step: adam_step writes the new weights into the same arrays
+        named = params.named_base()
+        arrays = [t.data for _, t in named]
+        for _, t in named:
+            t.requires_grad = True
+        with GradTape() as tape:
+            loss = sequence_loss(params, tokens, spec, 4)
+        grads = backward(tape, loss)
+        adam_step(named, {n: grads[t] for n, t in named}, AdamState(), lr=1e-2)
+        for _, t in named:
+            t.requires_grad = False
+        assert all(t.data is a for (_, t), a in zip(named, arrays))
+        after = logits_for(params, tokens, spec, 4)
+        assert np.array_equal(after, logits_for(copy.deepcopy(params), tokens, spec, 4))
+        assert np.max(np.abs(after - before)) > 1e-3
 
 
 class TestPerplexity:

@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 from convkv.attention import (
     AttentionParams,
     RopeConfig,
-    apply_rope,
     attend,
-    project_qkv,
 )
-from convkv import model, numerics
+from convkv import attention, model, numerics
 from convkv.cache import KvCache
 from convkv.model import ModelConfig, ModelParams, forward_segmented, sequence_loss
 from convkv.numerics import (
@@ -47,7 +45,7 @@ from convkv.numerics import (
 from convkv.policies import PolicySpec
 
 import oracles
-from oracles import merge_heads, split_heads, vstack
+from oracles import merge_heads, qkv_at, rope_at, split_heads, vstack
 
 
 def t2(arr, trainable=False):
@@ -548,8 +546,8 @@ class TestGradients:
                     for x in (q, k_cached, k_new, v_cached, v_new)
                 )
                 out, _ = attend(
-                    apply_rope(qh, positions, rope),
-                    hstack([kc, apply_rope(kn, positions, rope)]),
+                    rope_at(qh, positions, rope),
+                    hstack([kc, rope_at(kn, positions, rope)]),
                     hstack([vc, vn]),
                     n_cached,
                 )
@@ -594,7 +592,7 @@ class TestGradients:
         weight = (w_q, w_k, w_k, w_v)[index]
 
         def loss():
-            out = project_qkv(x, params, np.array([3, 4, 5]), RopeConfig())[index]
+            out = qkv_at(x, params, np.array([3, 4, 5]), RopeConfig())[index]
             return cross_entropy_cols(only_sequence(merge_heads(out)), np.array([1, 6, 3]))
 
         fd_check(loss, [x, weight])
@@ -622,6 +620,7 @@ class TestFrozenOperandVjp:
         "matmul": (matmul, (3, 4), (4, 5)),
         "conv1d": (lambda x, w: conv1d(x, [ConvKernels(w, c_in=2, k=3)]), (2, 6), (4, 6)),
         "rms_norm_cols": (rms_norm_cols, (3, 5), (3, 1)),
+        "attention scores": (attention._scores, (2, 4, 5), (2, 4, 3)),
     }
 
     @pytest.mark.parametrize("frozen", [0, 1])
@@ -655,7 +654,7 @@ class TestFrozenOperandVjp:
             for name, t in tensors.items():
                 t.requires_grad = name != frozen_name
             with GradTape() as tape:
-                project_qkv(tensors["x"], params, np.array([3, 4, 5]), RopeConfig())
+                qkv_at(tensors["x"], params, np.array([3, 4, 5]), RopeConfig())
             g = np.random.default_rng(5).standard_normal((2, 4, 3))
             return [(inputs, vjp(g)) for inputs, _, vjp in tape._entries]
 

@@ -8,16 +8,21 @@ seeded 2- and 3-layer default-width models at M = 32, B = 16 and conv
 kernel 5: the prefill logits of a 2 x 200 token batch and every layer's
 keys, values and heavy-hitter scores after it, 40 greedy tokens after a
 40-token prompt, and for the three merging policies the losses and heads
-of a 3-step 4 x 128 calibration. The second line gives the tape entries
-that one 4 x 128 step records for each merging policy on the benchmark's
-shape (default model, M = 64, B = 16, kernel 21). The package is the one
-on ``PYTHONPATH``, so pointing it at another checkout's ``src`` fingerprints
-that checkout. It needs only numpy and takes a few seconds.
+of a 3-step 4 x 128 calibration. The second line is a sha256 over the
+logits that ``generate`` computes for those decodes, feed by feed, so a
+change that moves decode by rounding only, with the same greedy tokens and
+so the same first digest, shows apart from one that moves nothing. The
+third line gives the tape entries that one 4 x 128 step records for each
+merging policy on the benchmark's shape (default model, M = 64, B = 16,
+kernel 21). The package is the one on ``PYTHONPATH``, so pointing it at
+another checkout's ``src`` fingerprints that checkout. It needs only numpy and takes a few seconds.
 """
 
 import hashlib
 
 import numpy as np
+
+from convkv import model as model_module
 
 from convkv import (
     POLICY_NAMES,
@@ -46,12 +51,20 @@ def model(n_layers: int, policy: PolicySpec, kernel_size: int) -> ModelParams:
     return params
 
 
-def digest() -> str:
+def digests() -> tuple[str, str]:
+    """The sha256 over every output, and the one over the decode logits."""
     rng = np.random.default_rng(0)
     batch = rng.integers(0, 256, size=(2, 200))
     prompt = rng.integers(0, 256, size=40)
     corpus = rng.integers(0, 256, size=4096)
-    h = hashlib.sha256()
+    h, decode = hashlib.sha256(), hashlib.sha256()
+    feed = model_module._Streams.feed
+
+    def recording_feed(self, tokens):
+        logits = feed(self, tokens)
+        decode.update(logits.data.tobytes())
+        return logits
+
     for n_layers in (2, 3):
         for name in POLICY_NAMES:
             policy = spec(name, 32)
@@ -63,14 +76,18 @@ def digest() -> str:
                 h.update(cache.values.data.tobytes())
                 if cache.scores is not None:
                     h.update(cache.scores.tobytes())
-            h.update(generate(params, prompt, 40, policy, 16).tobytes())
+            model_module._Streams.feed = recording_feed
+            try:
+                h.update(generate(params, prompt, 40, policy, 16).tobytes())
+            finally:
+                model_module._Streams.feed = feed
             if policy.needs_conv_head:
                 cfg = TrainConfig(steps=3, batch_size=4, context_length=128, seed=n_layers)
                 trace = calibrate_conv_heads(params, corpus, policy, 16, cfg, kernel_size=5)
                 h.update(np.array([loss for _, loss, _ in trace]).tobytes())
                 for head in params.conv_heads:
                     h.update(head.kernels.weights.data.tobytes())
-    return h.hexdigest()
+    return h.hexdigest(), decode.hexdigest()
 
 
 def tape_entries(name: str) -> int:
@@ -85,6 +102,8 @@ def tape_entries(name: str) -> int:
 
 
 if __name__ == "__main__":
-    print(f"sha256 {digest()}")
+    every, decode = digests()
+    print(f"sha256 {every}")
+    print(f"decode logits sha256 {decode}")
     print("tape entries per 4 x 128 step at M = 64: "
           + " / ".join(f"{name} {tape_entries(name)}" for name in MERGING))
