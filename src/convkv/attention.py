@@ -182,9 +182,12 @@ def _block_mask(n_cached: int, n_new: int, n_queries: int) -> np.ndarray | None:
 
 def _scores(k: Tensor2, q: Tensor2) -> Tensor2:
     """kᵀ q per head, read through a transposed view of ``k``, so the key context
-    is not copied; the vjp is (q gᵀ, k g), and a frozen operand's gradient is None."""
+    is not copied; the vjp is (q gᵀ, k g), and a frozen operand's gradient is None.
+
+    When q needs a gradient the vjp keeps its own copy of k: k is a view of a
+    buffer that every layer's keys share, which the view would keep alive."""
     qd = q.data if k.requires_grad else None
-    kd = k.data if q.requires_grad else None
+    kd = k.data.copy() if q.requires_grad else None
 
     def vjp(g):
         return (None if qd is None else qd @ g.swapaxes(-1, -2), None if kd is None else kd @ g)

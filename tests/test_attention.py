@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import convkv.attention as attention_mod
+from convkv import numerics
 from convkv.attention import (
     AttentionParams,
     RopeConfig,
@@ -15,6 +16,7 @@ from convkv.attention import (
 from convkv.instrumentation import MemoryTrace
 from convkv.model import ModelConfig, ModelParams, forward_segmented
 from convkv.numerics import (
+    GradTape,
     ShapeError,
     Tensor2,
     add,
@@ -217,6 +219,23 @@ class TestHeadBatched:
             )
             assert np.array_equal(out.data[h], one_out.data)
             assert np.array_equal(probs.data[h], one_probs.data)
+
+
+class TestScores:
+    def test_vjp_keeps_no_view_of_the_shared_key_buffer(self):
+        # a layer's keys are a view of the cycle buffer that every layer's keys
+        # share; a vjp holding the view would keep them all alive until backward
+        rng = np.random.default_rng(0)
+        buffer = rng.standard_normal((4, 4, 9))
+        k = numerics._wrap(buffer[:2, :, :5], True)  # Tensor2() would copy
+        q = Tensor2(rng.standard_normal((2, 4, 3)), requires_grad=True)
+        with GradTape() as tape:
+            scores = attention_mod._scores(k, q)
+        ((_, _, vjp),) = tape._entries
+        held = [c.cell_contents for c in vjp.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert len(held) == 2 and not any(np.shares_memory(a, buffer) for a in held)
+        assert np.array_equal(scores.data, buffer[:2, :, :5].swapaxes(-1, -2) @ q.data)
 
 
 class TestBadShapes:
