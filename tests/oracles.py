@@ -12,7 +12,8 @@ conv gradients formed from a stored im2col, and ``adam_arrays``, the
 textbook Adam formula that ``training.adam_step`` evaluates in place.
 ``rope_at`` and ``qkv_at`` call ``apply_rope`` and ``project_qkv`` at
 positions, making the rotary table and the stacked weights that the model
-makes once per chunk and once per stream. ``split_heads`` and ``merge_heads`` are differentiable reshapes between the
+makes once per chunk and once per stream. ``split_heads`` and
+``merge_heads`` are differentiable reshapes between the
 stacked (n_heads * head_dim, T) layout and the head-batched one, for tests
 that build head-batched operands or take gradients through them, and
 ``vstack`` is a differentiable row concatenation, for tests that stack
