@@ -170,13 +170,13 @@ def project_qkv(x: Tensor2, params: AttentionParams, w_qkv: np.ndarray,
 
 
 def _block_mask(n_cached: int, n_new: int, n_queries: int) -> np.ndarray | None:
-    """Cached keys are visible to every query; same-block keys are causal. At most
-    one fresh key (a decode step) leaves nothing to mask, so it gets None."""
+    """The masked entries, True, of a (keys, queries) block: cached keys are visible
+    to every query; same-block keys are causal. At most one fresh key (a decode
+    step) leaves nothing to mask, so it gets None."""
     if n_new <= 1:
         return None
-    mask = np.zeros((n_cached + n_new, n_queries))
-    fresh = np.arange(n_new)[:, None] > np.arange(n_queries)[None, :]
-    mask[n_cached:, :][fresh] = -np.inf
+    mask = np.zeros((n_cached + n_new, n_queries), dtype=bool)
+    mask[n_cached:] = np.arange(n_new)[:, None] > np.arange(n_queries)[None, :]
     return mask
 
 

@@ -25,7 +25,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .compressor import RELU_POSITIONS
 from .corpus import corpus_to_ids, load_corpus
 from .instrumentation import compare_policies, write_reports_json
-from .model import ModelConfig, generate, perplexity
+from .model import ModelConfig, ModelParams, build_layer_policies, generate, perplexity
 from .policies import PolicySpec
 from .training import TrainConfig, calibrate_conv_heads, check_calibration, pretrain, write_loss_trace
 
@@ -241,6 +241,13 @@ def _require_at_least(cfg: RunConfig, name: str, low: int) -> None:
         raise ConfigError(f"{name} must be at least {low}, got {getattr(cfg, name)}")
 
 
+def _serving(params: ModelParams, specs: list[PolicySpec], block_size: int) -> ModelParams:
+    """``params``, once its conv heads are checked to serve each of ``specs``."""
+    for spec in specs:
+        _checked(build_layer_policies, params, spec, block_size)
+    return params
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -290,9 +297,11 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     _require(cfg, "corpus", "checkpoint")
     spec = cfg.policy_spec()
     train_config = cfg.calibration_config(spec)
+    params = load_checkpoint(cfg.checkpoint)
+    # heads the checkpoint has are trained on, so they must fit the spec
+    _serving(params, [spec] if params.conv_heads is not None else [], cfg.block_size)
     out = _out_dir(cfg)
     _echo_config(cfg, out, "calibrate")
-    params = load_checkpoint(cfg.checkpoint)
     ids = load_corpus(cfg.corpus)
     trace = calibrate_conv_heads(
         params, ids, spec, cfg.block_size, train_config,
@@ -313,9 +322,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     combos = [(n, c) for n in names for c in caps]
     specs = [cfg.policy_spec(n, c) for n, c in combos]
     _require_at_least(cfg, "eval_context_length", 2)
+    params = _serving(load_checkpoint(cfg.checkpoint), specs, cfg.block_size)
     out = _out_dir(cfg)
     _echo_config(cfg, out, "eval")
-    params = load_checkpoint(cfg.checkpoint)
     ids = load_corpus(cfg.corpus)
     reports = compare_policies(
         params, ids, specs, cfg.eval_context_length, cfg.block_size,
@@ -355,9 +364,9 @@ def cmd_generate(cfg: RunConfig) -> int:
         prompt_bytes = cfg.prompt.encode("utf-8")
     if not prompt_bytes:
         raise ConfigError("empty prompt; pass --prompt or --prompt-file")
+    params = _serving(load_checkpoint(cfg.checkpoint), [spec], cfg.block_size)
     out = _out_dir(cfg)
     _echo_config(cfg, out, "generate")
-    params = load_checkpoint(cfg.checkpoint)
     result = generate(params, corpus_to_ids(prompt_bytes), cfg.n_new, spec, cfg.block_size)
     text = bytes(int(t) for t in result)
     (out / "generated.txt").write_bytes(text)
@@ -383,6 +392,9 @@ def cmd_ablate(cfg: RunConfig) -> int:
         if spec.needs_conv_head:
             cfg.calibration_config(spec, kernel)
         runs.append((value, spec, kernel))
+    params = load_checkpoint(cfg.checkpoint)  # heads it has are calibrated on, as in calibrate
+    _serving(params, [spec for _, spec, _ in runs] if params.conv_heads is not None else [],
+             cfg.block_size)
     out = _out_dir(cfg)
     _echo_config(cfg, out, "ablate")
     ids = load_corpus(cfg.corpus)

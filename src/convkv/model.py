@@ -11,9 +11,10 @@ one, so every cache holds (n, d, cols) keys and values and a batch shares
 every op and update. The layers' caches are stacked too, layer after layer,
 so one policy update per block serves every layer, and a merging policy's
 convs run one GEMM per layer. Between two updates every layer's context
-(cache plus the block so far) lives in one key and one value buffer, and the
-block the policy gets is a view of them. A full block reaches the policy when
-the next token arrives. When it arrives in a feed of more than one token per sequence
+(cache plus the block so far) lives in one key and one value buffer, which the
+cycle's first chunk opens for every layer at once; the block the policy gets is
+joined from the chunks staged since. A full block reaches the policy when the
+next token arrives. When it arrives in a feed of more than one token per sequence
 (prefill, a decode prompt, eval windows, calibration), the merges come close
 together and the layers' GEMMs run side by side on two threads; in a one-token
 feed, a decode step, they run inline. Perplexity and the loss share one
@@ -234,19 +235,23 @@ def _rows(x: Tensor2, rows: slice, data: np.ndarray) -> Tensor2:
     return custom_op([x], data, vjp)
 
 
-def _stack_blocks(chunks: list[list[Tensor2]], data: np.ndarray) -> Tensor2:
-    """Every layer's staged (n * H, head_dim, b_i) chunks as the one (L * n, d, b)
-    block ``data``, which already holds them: a layer's chunks side by side,
-    layer after layer. The vjp gives each chunk its part of the gradient."""
+def _stack_blocks(chunks: list[list[Tensor2]], n_rows: int) -> Tensor2:
+    """Every layer's staged (n * H, head_dim, b_i) chunks joined into the one
+    (n_rows, d, b) block, n_rows = L * n: a layer's chunks side by side, layer
+    after layer. The vjp gives each chunk its part of the gradient."""
     n_layers, first = len(chunks), chunks[0]
     edges = np.cumsum([0] + [c.cols for c in first])
     shape = (n_layers,) + first[0].shape[:-1] + (edges[-1],)
+    data = np.empty(shape)
+    for layer, parts in zip(data, chunks):
+        np.concatenate([c.data for c in parts], axis=-1, out=layer)
 
     def vjp(g):
         g = g.reshape(shape)
         return tuple(g[i, ..., a:b] for i in range(n_layers) for a, b in zip(edges[:-1], edges[1:]))
 
-    return custom_op([c for parts in chunks for c in parts], data, vjp)
+    return custom_op([c for parts in chunks for c in parts], data.reshape(n_rows, -1, edges[-1]),
+                     vjp)
 
 
 def _layer_step(
@@ -256,17 +261,16 @@ def _layer_step(
     index: int,
     table: tuple[np.ndarray, np.ndarray],
     mask: np.ndarray | None,
-) -> tuple[Tensor2, int]:
-    """One residual block, layer ``index``, over one chunk of tokens; returns attn
-    matrix entries.
+) -> Tensor2:
+    """One residual block, layer ``index``, over one chunk of tokens.
 
     One ``project_qkv`` (one QKV GEMM, q and k rotated together) and one
-    ``attend`` over cache, staged columns and chunk, on a leading head axis,
-    then the MLP. The chunk joins the staged columns. Per layer it makes only
-    what depends on the layer's input: the stacked QKV weights are the
-    stream's, and the rotary ``table`` and causal ``mask`` the chunk's.
+    ``attend`` over the layer's context (its cache and staged columns, which the
+    chunk extends), on a leading head axis, then the MLP. The chunk joins the
+    staged columns. Per layer it makes only what depends on the layer's input:
+    the stacked QKV weights and the open context are the stream's, and the
+    rotary ``table`` and causal ``mask`` the chunk's.
     """
-    b = table[0].shape[-1]
     n_context = stream.cache.live_entries + stream.n_staged
     relative = stream.policy.spec.slot_relative
     q_rot, k_rot, k, v = project_qkv(rms_norm_cols(h, layer.attn_gain), layer.attn,
@@ -279,7 +283,7 @@ def _layer_step(
     h = add(h, matmul(layer.mlp_out, relu(matmul(layer.mlp_in, mlp_normed))))
 
     stream.stage(index, k if relative else k_rot, v, probs)
-    return h, (n_context + b) * b
+    return h
 
 
 def _merge_to_cols(x: Tensor2, n_seq: int) -> Tensor2:
@@ -295,35 +299,36 @@ def _forward_chunk(
     tokens: np.ndarray,
     positions: np.ndarray,
     block: int,
-) -> tuple[Tensor2, list[int]]:
-    """Final residual stream of one chunk within ``block``, plus attn entries per layer.
+) -> Tensor2:
+    """Final residual stream of one chunk within ``block``.
 
-    What every layer of the chunk shares is made once here: the rotary table
-    of the queries' and fresh keys' positions, and the causal mask of the
-    chunk against its context (None for one token). A slot-relative policy
-    caches keys unrotated and rotates the chunk by cache slot, not by
-    position. A NonFiniteError inside a layer, or a layer output that
-    overflows, is raised again naming the block and the layer.
+    The cycle's first chunk opens it (``_Streams.open_cycle``). What every
+    layer of the chunk shares is made once here: the rotary table of the
+    queries' and fresh keys' positions, and the causal mask of the chunk
+    against its context (None for one token). A slot-relative policy caches
+    keys unrotated and rotates the chunk by cache slot, not by position. A
+    NonFiniteError inside a layer, or a layer output that overflows, is raised
+    again naming the block and the layer.
     """
     params, b = stream.params, positions.size
     n_context = stream.cache.live_entries + stream.n_staged
+    if not stream.n_staged:
+        stream.open_cycle()
     if stream.policy.spec.slot_relative:
         positions = n_context + np.arange(b)
     table = _rope_table(positions, params.config.head_dim, params.config.rope)
     mask = _block_mask(n_context, b, b)
     h = select_cols(params.embed, tokens)
-    attn_entries = []
     for index, layer in enumerate(params.layers):
         try:
-            h, entries = _layer_step(layer, h, stream, index, table, mask)
+            h = _layer_step(layer, h, stream, index, table, mask)
             # NaN/inf, or an entry whose square overflows (the next RMS norm would
             # silently zero its column), makes the sum of squares non-finite
             if not np.isfinite(np.vdot(h.data, h.data)):
                 raise NonFiniteError("residual stream overflowed")
         except NonFiniteError as exc:
             raise NonFiniteError(f"{exc} at block {block}, layer {index}") from exc
-        attn_entries.append(entries)
-    return h, attn_entries
+    return h
 
 
 class _Streams:
@@ -349,29 +354,21 @@ class _Streams:
     by. The weights do not change within a stream; training updates them
     between streams, and the next stream stacks them again.
 
-    A flush cycle has one key buffer and one value buffer of (n_layers *
-    n_seq * H, head_dim, n_cached + B), made when its first chunk arrives,
-    with, for a slot-relative policy, one rotary table of the n_cached cache
-    slots that every layer's cached keys turn by. Layer l's context, the
-    (n_seq * H, head_dim, n) keys (rotated as attention sees them) and values
-    its queries attend to, is a view of its rows: the layer's rows of the
-    cache are copied in once at its first chunk, then each chunk's
-    ``project_qkv`` output extends it in place, so a decode step copies its
-    own column only. At flush the block the policy gets is a view of the
-    buffers' staged columns, (n_layers * n_seq, H * head_dim, b); a
-    slot-relative policy's block keys, unrotated, are a view of one more
-    (n_layers * n_seq * H, head_dim, B) buffer. ``mass``, for policies that
-    keep keys by it, is (n_layers * n_seq, n_cached + B) and sums the
-    attention each context column drew from the staged queries, over heads;
-    its first n_cached + b columns are the policy's ``attn_mass``.
-    Queries attend to cache + staged columns + their own chunk: at most M + B
-    columns per head for a bounded policy.
+    A flush cycle is opened once, for every layer, by ``open_cycle`` when its
+    first chunk arrives: its key and value buffers hold every layer's context
+    and serve attention only. Each chunk's ``project_qkv`` output then extends
+    layer l's context in place (``extend_context``), so a decode step copies
+    its own column only, and ``stage`` keeps the chunk's keys, as the cache
+    holds them, and values. At flush the staged chunks are joined into the
+    block the policy gets, (n_layers * n_seq, H * head_dim, b). Queries attend
+    to cache + staged columns + their own chunk: at most M + B columns per
+    head for a bounded policy.
 
     The unembedding is made at its first use and reused; logits that overflow
     raise NonFiniteError naming the block. ``detach_cache`` cuts the gradient
     graph at each flush; ``trace`` gets one ``record_block`` per flush, with
-    the attention entries of the block's last chunk: one record per (block,
-    layer) of all sequences.
+    the attention entries of the block's last chunk, the same for every
+    layer: one record per (block, layer) of all sequences.
     """
 
     def __init__(self, params: ModelParams, policy: PolicySpec, block_size: int, *,
@@ -386,19 +383,14 @@ class _Streams:
         self.trace = trace
         self.unembed: Tensor2 | None = None
         self.w_qkv = [layer.attn.stacked_qkv() for layer in params.layers]
-        self._attn_entries: list[int] = []
+        self._attn_entries = 0
         self._start_cycle()
 
     def _start_cycle(self) -> None:
-        """Nothing staged, and no buffer until the cycle's first chunk."""
+        """Nothing staged: the next chunk opens a new cycle."""
         self.n_staged = 0
         self.staged_k: list[list[Tensor2]] = [[] for _ in range(self.n_layers)]
         self.staged_v: list[list[Tensor2]] = [[] for _ in range(self.n_layers)]
-        self.contexts: list[tuple[Tensor2, Tensor2] | None] = [None] * self.n_layers
-        self.buffers: tuple[np.ndarray, np.ndarray] | None = None
-        self.cached_table: tuple[np.ndarray, np.ndarray] | None = None
-        self.raw_keys: np.ndarray | None = None
-        self.mass: np.ndarray | None = None
 
     def layer_caches(self) -> list[KvCache]:
         """Every layer's rows of the stacked cache, as views: one (n_seq, d, cols)
@@ -411,40 +403,45 @@ class _Streams:
             caches.append(KvCache(keys, values, stacked.capacity, stacked.rule, scores))
         return caches
 
+    def open_cycle(self) -> None:
+        """Open a flush cycle for every layer: one key and one value buffer of
+        (n_layers * n_seq * H, head_dim, n_cached + B), and layer l's context,
+        the (n_seq * H, head_dim, n_cached) keys (rotated as attention sees
+        them) and values of its rows, as views of them.
+
+        The stacked cache's keys and values reach the buffers in one assignment
+        each, through an (n_layers * n_seq, d, cols) view; a slot-relative
+        policy's keys first turn by cache slot, every layer's rows in one
+        ``apply_rope``. ``mass``, for policies that keep keys by it, is
+        (n_layers * n_seq, n_cached + B) and sums the attention each context
+        column draws from the staged queries, over heads; its first n_cached + b
+        columns are the policy's ``attn_mass``.
+        """
+        cache, config, layers = self.cache, self.params.config, self.n_layers
+        n_cached, n_rows = cache.live_entries, len(cache.keys.data)
+        shape = (n_rows * config.n_heads, config.head_dim, n_cached + self.block_size)
+        self.buffers = (np.empty(shape), np.empty(shape))
+        self.layer_buffers = list(zip(*(np.split(b, layers) for b in self.buffers)))
+        self.mass = np.zeros((n_rows, shape[-1])) if self.policy.needs_mass else None
+        keys = cache.keys
+        if self.policy.spec.slot_relative and n_cached:
+            table = _rope_table(np.arange(n_cached), config.head_dim, config.rope)
+            keys = apply_rope(_rows(keys, slice(None), keys.data.reshape(shape[:-1] + (-1,))),
+                              table)
+        for t, buffer in zip((keys, cache.values), self.buffers):
+            buffer.reshape(t.shape[:-1] + (-1,))[..., :n_cached] = t.data
+        self.contexts = [  # layer l's rows of keys and values, as views of its buffer rows
+            [_rows(t, slice(i * len(t.data) // layers, (i + 1) * len(t.data) // layers),
+                   b[..., :n_cached]) for t, b in zip((keys, cache.values), buffers)]
+            for i, buffers in enumerate(self.layer_buffers)
+        ]
+
     def extend_context(self, index: int, keys: Tensor2, values: Tensor2) -> tuple[Tensor2, Tensor2]:
         """Layer ``index``'s context with a chunk's keys (rotated) and values
-        appended in place; the layer's first chunk of a cycle opens it from
-        the layer's rows of the cache, copied straight into the buffers."""
-        n_cached, config = self.cache.live_entries, self.params.config
-        if self.buffers is None:
-            n_rows = len(self.cache.keys.data)
-            shape = (n_rows * config.n_heads, config.head_dim, n_cached + self.block_size)
-            self.buffers = (np.empty(shape), np.empty(shape))
-            if self.policy.spec.slot_relative:
-                self.raw_keys = np.empty(shape[:-1] + (self.block_size,))
-                if n_cached:
-                    self.cached_table = _rope_table(np.arange(n_cached), config.head_dim,
-                                                    config.rope)
-            if self.policy.needs_mass:
-                self.mass = np.zeros((n_rows, shape[-1]))
-        heads = self.n_seq * config.n_heads
-        buffers = [b[index * heads:(index + 1) * heads] for b in self.buffers]
-        context = self.contexts[index]
-        if context is None:  # this layer's rows of the cache, split into heads
-            rows = slice(index * self.n_seq, (index + 1) * self.n_seq)
-            context = []
-            for t, buffer, table in zip((self.cache.keys, self.cache.values), buffers,
-                                        (self.cached_table, None)):
-                cached = buffer[..., :n_cached]
-                if table is None:  # one copy, through an (n_seq, d, cols) view of the buffer
-                    buffer.reshape(self.n_seq, config.d_model, -1)[..., :n_cached] = t.data[rows]
-                    context.append(_rows(t, rows, cached))
-                else:  # slot-relative keys turn by cache slot on their way in
-                    rotated = apply_rope(_rows(t, rows, t.data[rows].reshape(cached.shape)), table)
-                    cached[...] = rotated.data
-                    context.append(rotated)
+        appended in place."""
         self.contexts[index] = context = tuple(
-            _extend_cols(c, buffer, x) for c, buffer, x in zip(context, buffers, (keys, values))
+            _extend_cols(c, buffer, x)
+            for c, buffer, x in zip(self.contexts[index], self.layer_buffers[index], (keys, values))
         )
         return context
 
@@ -453,10 +450,6 @@ class _Streams:
         (n_seq * H, context, queries) attention, adds to the mass when kept."""
         self.staged_k[index].append(k)
         self.staged_v[index].append(v)
-        if self.raw_keys is not None:
-            heads = self.n_seq * self.params.config.n_heads
-            self.raw_keys[index * heads:(index + 1) * heads, :,
-                          self.n_staged:self.n_staged + k.cols] = k.data
         if self.mass is not None:
             n = self.n_seq
             drawn = probs.data.reshape((n, -1) + probs.shape[-2:]).sum(axis=-3)  # over heads
@@ -477,11 +470,12 @@ class _Streams:
                 with _side_by_side(t_len > 1):
                     self.flush()
             stop = min(start + self.block_size - offset, t_len)
-            positions = np.arange(self.position, self.position + stop - start)
+            b = stop - start
+            positions = np.arange(self.position, self.position + b)
             block = self.position // self.block_size
-            h, self._attn_entries = _forward_chunk(self, tokens[:, start:stop].ravel(),
-                                                   positions, block)
-            self.n_staged += stop - start
+            h = _forward_chunk(self, tokens[:, start:stop].ravel(), positions, block)
+            self._attn_entries = (self.cache.live_entries + self.n_staged + b) * b
+            self.n_staged += b
             if self.unembed is None:
                 self.unembed = transpose(self.params.embed)
             # the final norm or the unembedding may overflow, which the check below reports
@@ -490,26 +484,20 @@ class _Streams:
             if not np.isfinite(chunk.data).all():
                 raise NonFiniteError(f"logits overflowed at block {block}")
             logits.append(chunk)
-            self.position, start = self.position + stop - start, stop
+            self.position, start = self.position + b, stop
         return logits[0] if len(logits) == 1 else hstack(logits)
 
     def flush(self) -> None:
         """Hand every layer's staged columns to the policy in one stacked update.
 
-        The block's keys and values, views of the cycle's buffers, and for
+        The block's keys and values, joined from the staged chunks, and for
         policies that keep keys by it the attention mass are stacked as the
         cache is, layer after layer. A NonFiniteError is raised again naming
         the block and, from the row at fault, the layer, as in ``_forward_chunk``.
         """
         block = (self.position - 1) // self.block_size
-        n_cached, b = self.cache.live_entries, self.n_staged
-        staged = slice(n_cached, n_cached + b)
-        keys = self.buffers[0][..., staged] if self.raw_keys is None else self.raw_keys[..., :b]
-        values = self.buffers[1][..., staged]
-        shape = (len(self.cache.keys.data), -1, b)
-        k, v = (_stack_blocks(chunks, data.reshape(shape))
-                for chunks, data in ((self.staged_k, keys), (self.staged_v, values)))
-        mass = None if self.mass is None else self.mass[:, :n_cached + b]
+        k, v = (_stack_blocks(c, len(self.cache.keys.data)) for c in (self.staged_k, self.staged_v))
+        mass = None if self.mass is None else self.mass[:, :self.cache.live_entries + self.n_staged]
         try:
             cache = self.policy.update(self.cache, k, v, attn_mass=mass)
         except NonFiniteError as exc:
@@ -518,7 +506,8 @@ class _Streams:
         self.cache = cache.detach() if self.detach_cache else cache
         self._start_cycle()
         if self.trace is not None:
-            self.trace.record_block(block, self.layer_caches(), self._attn_entries, self.position)
+            self.trace.record_block(block, self.layer_caches(),
+                                    [self._attn_entries] * self.n_layers, self.position)
 
 
 def _token_ids(params: ModelParams, tokens: np.ndarray, what: str, ndim: int = 1) -> np.ndarray:

@@ -312,13 +312,14 @@ def relu(a: Tensor2) -> Tensor2:
 
 
 def softmax_cols(x: Tensor2, c: float = 1.0, mask: np.ndarray | None = None) -> Tensor2:
-    """Column-wise softmax of ``x * c`` plus ``mask`` (per head, if any).
+    """Column-wise softmax of ``x * c``, with the entries ``mask`` holds True
+    (per head, if any) masked out.
 
     The scaled scores must be finite: an overflowed one would turn into NaN
-    or pass for a masked entry. ``mask`` is a constant (rows, cols) array of
-    0 and -inf shared by every head; its -inf entries map to exactly 0, and a
-    column that is entirely -inf has no attention context left and is
-    rejected. Each column is normalised after subtracting its max.
+    or pass for a masked entry. ``mask`` is a constant (rows, cols) bool array
+    shared by every head; its masked entries map to exactly 0, and a column
+    that is entirely masked has no attention context left and is rejected.
+    Each column is normalised after subtracting its max.
     """
     if x.data.size == 0:
         raise ShapeError("softmax_cols: empty input")
@@ -327,15 +328,11 @@ def softmax_cols(x: Tensor2, c: float = 1.0, mask: np.ndarray | None = None) -> 
     if not np.isfinite(d).all():
         raise NonFiniteError("softmax_cols: NaN or inf in the scores")
     if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != x.shape[-2:]:
             raise ShapeError(f"softmax_cols: mask shape {mask.shape} != input shape {x.shape}")
-        masked = np.isneginf(mask)
-        if not np.all(masked | (mask == 0.0)):
-            raise NumericsError("softmax_cols: mask entries must be 0 or -inf")
-        if masked.all(axis=0).any():
+        if mask.all(axis=0).any():
             raise NumericsError("softmax_cols: column with every entry masked")
-        d += mask
+        np.copyto(d, -np.inf, where=mask)
     e = np.exp(d - d.max(axis=-2, keepdims=True))  # exp(-inf) == 0.0 exactly
     p = e / e.sum(axis=-2, keepdims=True)
 

@@ -72,7 +72,7 @@ def adam_step(
 ) -> AdamState:
     """One bias-corrected Adam update, in place on the parameter tensors; an overflowed
     second moment raises TrainingDivergedError (steps count from 0, as in the trace)."""
-    if lr <= 0:
+    if not lr > 0:  # NaN fails too
         raise ValueError(f"learning rate must be positive, got {lr}")
     state.t += 1
     b1, b2 = ADAM_BETAS

@@ -375,6 +375,41 @@ class TestAblateCommand:
         assert code == 1
 
 
+# each command with a spec that the 8-slot heads of ``calibrated_ckpt`` cannot serve
+HEADS_MISMATCH = {
+    "eval": ["eval", "--policies", "h2o,lococo", "--capacities", "8,16"],
+    "generate": ["generate", "--policy", "lococo", "--capacity", "16", "--prompt", "ab"],
+    "calibrate": ["calibrate", "--capacity", "12", "--context-length", "32"],
+    "ablate": ["ablate", "--axis", "memory_size", "--values", "8,12", "--context-length", "32"],
+}
+
+
+class TestHeadsThatCannotServe:
+    """A checkpoint whose conv heads cannot serve a requested policy is a validation
+    error found before any artifact is written, not a runtime error after some."""
+
+    @pytest.mark.parametrize("command", sorted(HEADS_MISMATCH))
+    def test_exits_1_and_writes_nothing(self, command, corpus_file, calibrated_ckpt, tmp_path,
+                                        capsys):
+        out = tmp_path / "out"
+        code = main([*HEADS_MISMATCH[command], "--corpus", corpus_file, "--checkpoint",
+                     calibrated_ckpt, "--out-dir", str(out), "--block-size", "4",
+                     "--steps", "1", "--batch-size", "2", "--kernel-size", "5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "got 8" in err
+        assert not out.exists()
+
+    def test_calibrate_trains_heads_that_fit(self, corpus_file, calibrated_ckpt, tmp_path):
+        out = tmp_path / "again"
+        code = main(["calibrate", "--corpus", corpus_file, "--checkpoint", calibrated_ckpt,
+                     "--out-dir", str(out), "--capacity", "8", "--block-size", "4",
+                     "--kernel-size", "5", "--context-length", "16", "--steps", "1",
+                     "--batch-size", "2"])
+        assert code == 0
+        assert load_checkpoint(out / "calibrated.ckpt").conv_heads[0].slots == 8
+
+
 class TestReportCommand:
     def test_reports_csv_and_json(self, corpus_file, calibrated_ckpt, tmp_path, capsys):
         out = tmp_path / "rep"

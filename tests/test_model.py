@@ -843,85 +843,105 @@ class TestNonFiniteResidual:
         assert not any(t.requires_grad for _, t in params.named_base() + params.named_conv())
 
 
+def heads_of(cache_rows: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """(n, d, cols) cache rows as the (n * H, head_dim, cols) heads a context holds."""
+    n, _, cols = cache_rows.shape
+    return cache_rows.reshape(n * config.n_heads, config.head_dim, cols)
+
+
+def as_attended(spec: PolicySpec, keys: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Cached keys, split into heads, as attention sees them: turned by cache slot
+    for a slot-relative policy."""
+    if not spec.slot_relative:
+        return keys
+    return oracles.rope_at(Tensor2(keys), np.arange(keys.shape[-1]), config.rope).data
+
+
 class TestContextBuffer:
-    """One key and one value buffer per flush cycle serve every layer: decode steps
-    extend them in place, and the block the policy gets is a view of them."""
+    """One key and one value buffer per flush cycle serve every layer: the cycle's
+    open fills them from the cache for every layer at once, chunks extend them in
+    place, and the block the policy gets is joined from the staged chunks."""
 
     @pytest.mark.parametrize("name", list(POLICIES))
     def test_decode_steps_share_one_buffer_per_flush(self, monkeypatch, name):
         spec = POLICIES[name]
         params = model_for(spec)
-        steps = []  # (cache columns, context before, chunk keys/values, context after, buffers)
-        extend = model._Streams.extend_context
+        opens = []  # per cycle: its buffers and every layer's context as opened
+        steps = []  # (context before, chunk keys/values, context after, buffers, cycle)
+        expected = {}  # id(context tensor) -> its columns, built from the recorded parts
+        open_cycle, extend = model._Streams.open_cycle, model._Streams.extend_context
 
-        def spy(self, index, keys, values):
-            before = self.contexts[index]
-            cache = self.layer_caches()[index]
-            cached = tuple(c.data.reshape(TINY.n_heads, TINY.head_dim, -1).copy()
-                           for c in (cache.keys, cache.values))
+        def spy_open(self):
+            cached = [heads_of(t.data, TINY) for t in (self.cache.keys, self.cache.values)]
+            open_cycle(self)
+            opens.append((self.buffers, [tuple(c) for c in self.contexts]))
+            heads = len(cached[0]) // TINY.n_layers
+            for index, context in enumerate(self.contexts):
+                rows = slice(index * heads, (index + 1) * heads)
+                parts = as_attended(spec, cached[0][rows], TINY), cached[1][rows]
+                for c, want in zip(context, parts):
+                    expected[id(c)] = want
+
+        def spy_extend(self, index, keys, values):
+            before = tuple(self.contexts[index])
             after = extend(self, index, keys, values)
-            steps.append((cached, before, keys.data.copy(), values.data.copy(), after, self.buffers))
+            steps.append((before, keys.data.copy(), values.data.copy(), after, self.buffers,
+                          len(opens) - 1))
             return after
 
-        monkeypatch.setattr(model._Streams, "extend_context", spy)
-        block_size = 4
-        generate(params, rand_tokens(np.random.default_rng(6), 6), 15, spec, block_size)
+        monkeypatch.setattr(model._Streams, "open_cycle", spy_open)
+        monkeypatch.setattr(model._Streams, "extend_context", spy_extend)
+        generate(params, rand_tokens(np.random.default_rng(6), 6), 15, spec, 4)
         monkeypatch.undo()
 
-        expected = {}  # id(context after) -> concatenation built from the recorded parts
-        cycles = []  # the buffers of each flush cycle, in order
-        shared = fresh = 0
-        for cached, before, keys, values, after, buffers in steps:
-            if before is None:  # the layer's first chunk since a flush: its cache columns
-                if spec.name == "sink_window":  # rotated by their slot index
-                    slots = np.arange(cached[0].shape[-1])
-                    cached = (oracles.rope_at(Tensor2(cached[0]), slots, TINY.rope).data,
-                              cached[1])
-                parts = cached
-            else:
-                parts = expected[id(before)]
-            expected[id(after)] = want = tuple(
-                np.concatenate([p, x], axis=-1) for p, x in zip(parts, (keys, values))
-            )
-            if not cycles or buffers is not cycles[-1]:  # a flush was made: new buffers
-                assert before is None
-                assert not any(np.shares_memory(new, old) for old in cycles for new in buffers)
-                cycles.append(buffers)
-            for got, prev, w, buffer in zip(after, before or (None, None), want, buffers):
-                assert np.array_equal(got.data, w)
+        for i, (buffers, contexts) in enumerate(opens):
+            # each cycle has buffers of its own, and every layer's context is a view of them
+            assert not any(np.shares_memory(new, old) for old, _ in opens[:i] for new in buffers)
+            for context in contexts:
+                for c, buffer in zip(context, buffers):
+                    assert c.cols == 0 or np.shares_memory(c.data, buffer)
+                    assert np.array_equal(c.data, expected[id(c)])
+        for before, keys, values, after, buffers, cycle in steps:
+            assert buffers is opens[cycle][0]
+            for prev, x, got, buffer in zip(before, (keys, values), after, buffers):
+                expected[id(got)] = want = np.concatenate([expected[id(prev)], x], axis=-1)
+                assert np.array_equal(got.data, want)
                 assert np.shares_memory(got.data, buffer)
-                if before is None:
-                    fresh += 1
-                else:
-                    assert np.shares_memory(got.data, prev.data)
-                    shared += 1
-        # writing later columns changed no earlier context
-        for _, _, _, _, after, _ in steps:
-            for got, w in zip(after, expected[id(after)]):
-                assert np.array_equal(got.data, w)
+                assert prev.cols == 0 or np.shares_memory(got.data, prev.data)
+        # writing later columns changed no earlier context, opened or extended
+        for _, contexts in opens:
+            for c in (c for context in contexts for c in context):
+                assert np.array_equal(c.data, expected[id(c)])
+        for _, _, _, after, _, _ in steps:
+            for got in after:
+                assert np.array_equal(got.data, expected[id(got)])
         # 6 prompt tokens + 14 fed ones at B = 4: 5 flush cycles, 16 chunks per layer
-        assert len(cycles) == 5
-        assert fresh == 2 * TINY.n_layers * 5
-        assert shared == 2 * TINY.n_layers * 11
+        assert len(opens) == 5
+        assert len(steps) == TINY.n_layers * 16
 
     @pytest.mark.parametrize("name", list(POLICIES))
-    def test_policy_gets_views_of_the_cycle_buffers(self, monkeypatch, name):
+    def test_block_equals_the_staged_chunks(self, monkeypatch, name):
         spec = POLICIES[name]
         params = model_for(spec)
         flushed = []  # per flush: the cycle's buffers and their bytes when it was made
-        views = []  # per flush: the buffers the block's keys, values and mass must view
+        staged = []  # per flush: the staged columns, as attention saw them, and the mass
         flush, update = model._Streams.flush, LayerPolicy.update
 
         def spy_flush(self):
-            buffers = [b for b in (*self.buffers, self.raw_keys, self.mass) if b is not None]
+            buffers = [b for b in (*self.buffers, self.mass) if b is not None]
             flushed.append((buffers, [b.tobytes() for b in buffers]))
-            keys = self.buffers[0] if self.raw_keys is None else self.raw_keys
-            views.append((keys, self.buffers[1], self.mass))
+            n_cached, b = self.cache.live_entries, self.n_staged
+            columns = [buffer[..., n_cached:n_cached + b] for buffer in self.buffers]
+            staged.append((n_cached, columns, self.mass))
             flush(self)
 
         def spy_update(self, cache, k_new, v_new, attn_mass=None):
-            keys, values, mass = views[-1]
-            assert np.shares_memory(k_new.data, keys) and np.shares_memory(v_new.data, values)
+            n_cached, (keys, values), mass = staged[-1]
+            k, v = (heads_of(x.data, TINY) for x in (k_new, v_new))
+            assert np.array_equal(v, values)
+            if spec.slot_relative:  # the block's keys turn by the slots they were attended at
+                k = oracles.rope_at(Tensor2(k), n_cached + np.arange(k.shape[-1]), TINY.rope).data
+            assert np.array_equal(k, keys)
             assert (attn_mass is None) == (mass is None)
             assert attn_mass is None or np.shares_memory(attn_mass, mass)
             return update(self, cache, k_new, v_new, attn_mass)
@@ -938,39 +958,37 @@ class TestContextBuffer:
         for buffers, at_flush in flushed:
             assert [b.tobytes() for b in buffers] == at_flush
 
-
     @pytest.mark.parametrize("name", ["concat", "lococo", "lococo+h2o", "h2o"])
     def test_cache_rows_reach_the_buffer_in_one_copy(self, monkeypatch, name):
         # four sequences side by side: once a bounded policy has overflowed, its
         # keys and values are row views of one [keys; values] tensor, which a
-        # reshape into heads would copy; the layer's rows are copied straight
-        # into the cycle buffer instead, and the context op reads them there
+        # reshape into heads would copy; the stacked cache is copied straight
+        # into the cycle buffer instead, and each layer's context op reads it there
         spec, n_seq = POLICIES[name], 4
         params = model_for(spec)
         tokens = rand_tokens(np.random.default_rng(9), n_seq * 24).reshape(n_seq, 24)
         made, openings = [], []
-        rows_op, extend, flush = model._rows, model._Streams.extend_context, model._Streams.flush
+        rows_op, open_cycle, flush = model._rows, model._Streams.open_cycle, model._Streams.flush
 
         def spy_rows(x, rows, data):
             made.append(data)
             return rows_op(x, rows, data)
 
-        def spy_extend(self, index, keys, values):
+        def spy_open(self):
             made.clear()
-            rows = slice(index * n_seq, (index + 1) * n_seq)
-            cached = [t.data[rows] for t in (self.cache.keys, self.cache.values)]
-            out = extend(self, index, keys, values)
-            if made:  # the layer's first chunk of a cycle
-                heads = n_seq * TINY.n_heads
-                for data, rows_before, buffer in zip(made, cached, self.buffers):
-                    layer = buffer[index * heads:(index + 1) * heads]
-                    n_cached = rows_before.shape[-1]
-                    assert n_cached == 0 or np.shares_memory(data, layer)
-                    assert np.array_equal(layer.reshape(rows_before.shape[:2] + (-1,))
-                                          [..., :n_cached], rows_before)
-                    view = rows_before.reshape(data.shape)  # where the copy used to go
-                    openings.append(n_cached > 0 and not np.shares_memory(view, rows_before))
-            return out
+            stacked = [t.data for t in (self.cache.keys, self.cache.values)]
+            before = [t.copy() for t in stacked]
+            open_cycle(self)
+            n_cached = before[0].shape[-1]
+            # one context op per layer and tensor, each on its rows of a cycle buffer
+            assert len(made) == 2 * TINY.n_layers
+            for data in made:
+                assert n_cached == 0 or any(np.shares_memory(data, b) for b in self.buffers)
+            for rows, buffer in zip(before, self.buffers):
+                assert np.array_equal(buffer.reshape(rows.shape[:2] + (-1,))[..., :n_cached], rows)
+            # whether a reshape into heads would have copied the keys
+            openings.append(n_cached > 0 and not np.shares_memory(
+                heads_of(stacked[0], TINY), stacked[0]))
 
         def contiguous_flush(self):
             flush(self)
@@ -979,16 +997,39 @@ class TestContextBuffer:
                 for name in ("keys", "values")})
 
         monkeypatch.setattr(model, "_rows", spy_rows)
-        monkeypatch.setattr(model._Streams, "extend_context", spy_extend)
+        monkeypatch.setattr(model._Streams, "open_cycle", spy_open)
         logits = logits_for(params, tokens, spec, 4)
         # a cache whose rows a reshape views gives the same bits
         monkeypatch.setattr(model._Streams, "flush", contiguous_flush)
         assert np.array_equal(logits_for(params, tokens, spec, 4), logits)
-        # keys and values of 6 cycles per layer in each of the 2 runs, the first
-        # cycle on an empty cache; a bounded cache's rows would have been
-        # copied twice once merged
-        assert len(openings) == 2 * 2 * 6 * TINY.n_layers
+        # 6 cycles in each of the 2 runs, the first on an empty cache; a bounded
+        # cache's rows would have been copied twice once merged
+        assert len(openings) == 2 * 6
         assert any(openings) == (name != "concat")
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_each_layer_opens_on_its_cache_rows(self, monkeypatch, name):
+        # three layers of two sequences: layer l's context at the open is layer l's
+        # rows of the cache, keys turned by slot for a slot-relative policy
+        spec, n_opened = POLICIES[name], []
+        params = model_for(spec, config=TINY3)
+        open_cycle = model._Streams.open_cycle
+
+        def spy_open(self):
+            open_cycle(self)
+            caches = self.layer_caches()
+            assert len(self.contexts) == len(caches) == TINY3.n_layers
+            for (keys, values), cache in zip(self.contexts, caches):
+                want_k = as_attended(spec, heads_of(cache.keys.data, TINY3), TINY3)
+                assert np.array_equal(keys.data, want_k)
+                assert np.array_equal(values.data, heads_of(cache.values.data, TINY3))
+            n_opened.append(self.cache.live_entries)
+
+        monkeypatch.setattr(model._Streams, "open_cycle", spy_open)
+        forward_segmented(params, rand_tokens(np.random.default_rng(10), 44).reshape(2, 22),
+                          spec, 4)
+        assert n_opened[0] == 0 and n_opened[-1] == (20 if name == "concat" else 8)
+        assert len(n_opened) == 6
 
 
 class TestSharedWork:

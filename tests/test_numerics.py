@@ -135,7 +135,7 @@ class TestSoftmaxCols:
         assert np.array_equal(out.data, [[0.5], [0.5]])
 
     def test_masked_entry_is_exact_zero(self):
-        out = softmax_cols(t2([[0.0], [0.0]]), mask=np.array([[-np.inf], [0.0]]))
+        out = softmax_cols(t2([[0.0], [0.0]]), mask=np.array([[True], [False]]))
         assert out.data[0, 0] == 0.0
         assert out.data[1, 0] == 1.0
 
@@ -147,8 +147,8 @@ class TestSoftmaxCols:
     def test_scale_is_applied_before_the_softmax(self):
         rng = np.random.default_rng(4)
         x = head_batched(rng, 2, 5, 3)
-        mask = np.zeros((5, 3))
-        mask[4, 0] = -np.inf
+        mask = np.zeros((5, 3), dtype=bool)
+        mask[4, 0] = True
         out = softmax_cols(x, 0.25, mask)
         col = x.data[1, :, 0] * 0.25
         assert np.max(np.abs(out.data[1, :4, 0] - oracles.softmax_scalar(col[:4]))) < 1e-15
@@ -157,20 +157,18 @@ class TestSoftmaxCols:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_scores(self, bad):
         scores = custom_op([], np.array([[bad], [0.0]]), lambda g: ())
-        for mask in (None, np.zeros((2, 1))):
+        for mask in (None, np.zeros((2, 1), dtype=bool)):
             with pytest.raises(NonFiniteError, match="softmax_cols"):
                 softmax_cols(scores, mask=mask)
 
     def test_fully_masked_column_rejected(self):
         with pytest.raises(NumericsError, match="every entry masked"):
-            softmax_cols(t2([[0.0], [0.0]]), mask=np.full((2, 1), -np.inf))
+            softmax_cols(t2([[0.0], [0.0]]), mask=np.ones((2, 1), dtype=bool))
 
-    def test_mask_must_match_the_scores_and_hold_only_0_or_neg_inf(self):
+    def test_mask_must_match_the_scores(self):
         x = t2(np.zeros((2, 3)))
         with pytest.raises(ShapeError, match="mask shape"):
-            softmax_cols(x, mask=np.zeros((3, 2)))
-        with pytest.raises(NumericsError, match="0 or -inf"):
-            softmax_cols(x, mask=np.full((2, 3), -1.0))
+            softmax_cols(x, mask=np.zeros((3, 2), dtype=bool))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -557,7 +555,8 @@ class TestGradients:
 
     @pytest.mark.parametrize("n_cached", [0, 3])
     def test_context_buffer_extension(self, n_cached):
-        # the decode path: two chunks extend layer 1's rows of one in-place cycle buffer
+        # the decode path: the cycle's open, then two chunks extend layer 1's rows
+        # of one in-place cycle buffer
         rng = np.random.default_rng(6)
         n_heads, head_dim, chunks = 2, 4, (2, 1)
         d = n_heads * head_dim
@@ -570,6 +569,7 @@ class TestGradients:
         def loss():
             stream = model._Streams(params, PolicySpec("concat"), sum(chunks))
             stream.cache = KvCache(k_cached, v_cached)
+            stream.open_cycle()
             outs, n_context = [], n_cached
             for q, k, v in zip(qs, ks, vs):
                 context_k, context_v = stream.extend_context(
@@ -581,6 +581,35 @@ class TestGradients:
             return cross_entropy_cols(only_sequence(merge_heads(hstack(outs))), np.array([1, 6, 3]))
 
         fd_check(loss, [k_cached, v_cached, *qs, *ks, *vs])
+
+    def test_slot_relative_open(self):
+        # a sink_window open of two sequences turns every layer's cached keys by
+        # slot in one rotation; layer 1 of 2 attends, so layer 0's rows get 0
+        rng = np.random.default_rng(8)
+        n_seq, n_heads, head_dim, n_cached, b = 2, 2, 4, 3, 2
+        d = n_heads * head_dim
+        params = ModelParams.zeros(ModelConfig(d_model=d, n_layers=2, n_heads=n_heads,
+                                               head_dim=head_dim))
+        k_cached, v_cached = (Tensor2(rng.standard_normal((2 * n_seq, d, n_cached)),
+                                      requires_grad=True) for _ in range(2))
+        q, k, v = (head_batched(rng, n_seq * n_heads, head_dim, b, trainable=True)
+                   for _ in range(3))
+        weights = rng.standard_normal((n_seq * n_heads, head_dim, b))
+
+        def loss():
+            stream = model._Streams(params, PolicySpec("sink_window", capacity=8, n_sink=2), b,
+                                    n_seq=n_seq)
+            stream.cache = KvCache(k_cached, v_cached)
+            stream.open_cycle()
+            context_k, context_v = stream.extend_context(1, k, v)
+            return weighted_sum(attend(q, context_k, context_v, n_cached)[0], weights)
+
+        fd_check(loss, [k_cached, v_cached, q, k, v])
+        with GradTape() as tape:
+            value = loss()
+        grads = backward(tape, value)
+        assert not grads[k_cached][:n_seq].any() and grads[k_cached][n_seq:].any()
+
 
     @pytest.mark.parametrize("output", ["q_rot", "k_rot", "k", "v"])
     def test_project_qkv_output(self, output):

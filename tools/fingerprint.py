@@ -12,9 +12,11 @@ of a 3-step 4 x 128 calibration. The second line is a sha256 over the
 logits that ``generate`` computes for those decodes, feed by feed, so a
 change that moves decode by rounding only, with the same greedy tokens and
 so the same first digest, shows apart from one that moves nothing. The
-third line gives the tape entries that one 4 x 128 step records for each
-merging policy on the benchmark's shape (default model, M = 64, B = 16,
-kernel 21). The package is the one on ``PYTHONPATH``, so pointing it at
+third line is a sha256 over the ``MemoryTrace`` CSV of each policy's
+prefill of that batch, so the live and attention entries the trace counts
+per (block, layer) show apart from the logits. The fourth line gives the
+tape entries that one 4 x 128 step records for each merging policy on the
+benchmark's shape (default model, M = 64, B = 16, kernel 21). The package is the one on ``PYTHONPATH``, so pointing it at
 another checkout's ``src`` fingerprints that checkout. It needs only numpy and takes a few seconds.
 """
 
@@ -27,6 +29,7 @@ from convkv import model as model_module
 from convkv import (
     POLICY_NAMES,
     GradTape,
+    MemoryTrace,
     ModelConfig,
     ModelParams,
     PolicySpec,
@@ -90,6 +93,19 @@ def digests() -> tuple[str, str]:
     return h.hexdigest(), decode.hexdigest()
 
 
+def trace_digest() -> str:
+    """The sha256 over the memory trace CSVs of every policy's traced prefill."""
+    batch = np.random.default_rng(0).integers(0, 256, size=(2, 200))
+    h = hashlib.sha256()
+    for n_layers in (2, 3):
+        for name in POLICY_NAMES:
+            policy = spec(name, 32)
+            trace = MemoryTrace()
+            forward_segmented(model(n_layers, policy, 5), batch, policy, 16, trace=trace)
+            h.update(trace.to_csv_text().encode())
+    return h.hexdigest()
+
+
 def tape_entries(name: str) -> int:
     policy = spec(name, 64)
     params = model(2, policy, 21)
@@ -105,5 +121,6 @@ if __name__ == "__main__":
     every, decode = digests()
     print(f"sha256 {every}")
     print(f"decode logits sha256 {decode}")
+    print(f"memory trace sha256 {trace_digest()}")
     print("tape entries per 4 x 128 step at M = 64: "
           + " / ".join(f"{name} {tape_entries(name)}" for name in MERGING))
