@@ -610,7 +610,6 @@ class TestGradients:
         grads = backward(tape, value)
         assert not grads[k_cached][:n_seq].any() and grads[k_cached][n_seq:].any()
 
-
     @pytest.mark.parametrize("output", ["q_rot", "k_rot", "k", "v"])
     def test_project_qkv_output(self, output):
         rng = np.random.default_rng(7)

@@ -80,19 +80,14 @@ class TestAdam:
             assert np.array_equal(t.data, oracles.adam_arrays(start[name], grads[name], lr=0.05))
 
     def test_nonpositive_lr_rejected(self):
-        params, _ = one_param()
-        with pytest.raises(ValueError):
-            adam_step(params, {}, AdamState(), lr=0.0)
-
-    @pytest.mark.parametrize("lr", [0.0, float("nan")])
-    def test_zero_or_nan_lr_rejected_before_any_write(self, lr):
         # NaN compares False with 0 both ways: taken, it would write NaN into every weight
-        params, t = one_param(1.5)
-        state = AdamState()
-        with pytest.raises(ValueError, match="learning rate must be positive"):
-            adam_step(params, {"p": np.ones((1, 1))}, state, lr=lr)
-        assert t.data[0, 0] == 1.5
-        assert state.t == 0 and not state.m and not state.v
+        for lr in (0.0, float("nan")):
+            params, t = one_param(1.5)
+            state = AdamState()
+            with pytest.raises(ValueError, match="learning rate must be positive"):
+                adam_step(params, {"p": np.ones((1, 1))}, state, lr=lr)
+            assert t.data[0, 0] == 1.5
+            assert state.t == 0 and not state.m and not state.v
 
 
 SMALL = ModelConfig(d_model=8, n_layers=1, n_heads=1, head_dim=8, max_context=128)
