@@ -8,7 +8,6 @@ compared on equal footing with exact memory instrumentation.
 
 from .attention import (
     AttentionParams,
-    RopeConfig,
     apply_rope,
     project_qkv,
 )

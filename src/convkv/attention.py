@@ -5,13 +5,14 @@
 whole-sequence causal pass for every block size (the reference lives in the
 tests), which is the core correctness property everything downstream leans
 on. Rotary position embedding (with optional interpolation for context
-extension) lives here too.
+extension) lives here too; its settings are ``ModelConfig``'s.
 
 Heads ride a leading axis: ``project_qkv`` makes every head's (head_dim, T)
 rotated q and k, raw k and v with one GEMM and one rotation, and ``attend`` runs
 every head in one call. Neither makes what its caller can share: the model
 stacks each layer's w_q/w_k/w_v once per stream, and builds one rotary table
-(``_rope_table``) and one causal mask (``_block_mask``) per chunk for all layers.
+(``_rope_table``) and one causal mask (``_block_mask``) per chunk for all layers;
+``attend`` masks only what its caller's mask says.
 """
 
 from __future__ import annotations
@@ -23,27 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import ShapeError, Tensor2, custom_op, matmul, softmax_cols
-
-
-@dataclass(frozen=True)
-class RopeConfig:
-    """Rotary embedding settings.
-
-    ``interpolation_scale`` > 1 squeezes positions into the pretrained range
-    when extending the context window (target_context / pretrained_context);
-    leave it at 1 otherwise.
-    """
-
-    base: float = 10000.0
-    interpolation_scale: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.base < math.inf:  # NaN fails too
-            raise ValueError(f"rope base must be positive and finite, got {self.base}")
-        if not 1.0 <= self.interpolation_scale < math.inf:
-            raise ValueError(
-                f"interpolation_scale must be >= 1 and finite, got {self.interpolation_scale}"
-            )
 
 
 @dataclass
@@ -80,13 +60,12 @@ class AttentionParams:
         return np.concatenate([self.w_q.data, self.w_k.data, self.w_v.data])
 
 
-def _rope_table(positions: np.ndarray, d: int, cfg: RopeConfig):
+def _rope_table(positions: np.ndarray, d: int, base: float, interpolation_scale: float):
     """cos and sin, (d / 2, T), of ``apply_rope``'s angles for ``d`` rows at T
-    ``positions``; the op that takes the table checks that it fits."""
-    if d % 2 != 0:
-        raise ShapeError(f"rotary embedding needs an even row count, got {d}")
+    ``positions``, squeezed by ``interpolation_scale`` (``ModelConfig`` checks
+    both settings); the op that takes the table checks that it fits."""
     pos = np.asarray(positions, dtype=np.float64)
-    ang = np.outer(_inv_freq(d, cfg.base), pos / cfg.interpolation_scale)
+    ang = np.outer(_inv_freq(d, base), pos / interpolation_scale)
     return np.cos(ang), np.sin(ang)
 
 
@@ -195,31 +174,26 @@ def _scores(k: Tensor2, q: Tensor2) -> Tensor2:
     return custom_op([k, q], k.data.swapaxes(-1, -2) @ q.data, vjp)
 
 
-def attend(q: Tensor2, k: Tensor2, v: Tensor2, n_cached: int = 0,
+def attend(q: Tensor2, k: Tensor2, v: Tensor2,
            mask: np.ndarray | None = None) -> tuple[Tensor2, Tensor2]:
-    """Scaled dot-product attention of queries against cached + fresh keys;
-    returns the output and the attention probabilities (keys x queries).
+    """Scaled dot-product attention of queries against keys; returns the output
+    and the attention probabilities (keys x queries).
 
-    The first ``n_cached`` key columns are past context and fully visible;
-    the remaining columns pair off causally with the query columns. Head-batched
-    operands (H, d, .) attend per head. The scores are one op that reads the
-    keys through a view, so a layer copies no key context. ``softmax_cols``
-    scales them by 1/sqrt(d), with d the query row count, raises
-    NonFiniteError when they overflow and applies the one causal mask shared
-    by every head: ``mask`` when the caller made it once for every layer of a
-    chunk, else ``_block_mask(n_cached, ...)``, which is None for one fresh key.
+    ``mask`` is the (keys, queries) bool mask, True where masked, that every head
+    shares; None, the default, masks nothing, so causality is the caller's: the
+    model passes each chunk's ``_block_mask``. Head-batched operands (H, d, .)
+    attend per head. The scores are one op that reads the keys through a view,
+    so a layer copies no key context. ``softmax_cols`` scales them by
+    1/sqrt(d), with d the query row count, raises NonFiniteError when they
+    overflow and applies the mask.
     """
     if k.cols != v.cols:
         raise ShapeError(f"key/value column mismatch: {k.cols} vs {v.cols}")
     if k.shape[:-1] != q.shape[:-1]:
         raise ShapeError(f"keys of shape {k.shape} do not fit queries of shape {q.shape}")
-    if not (0 <= n_cached <= k.cols):
-        raise ShapeError(f"n_cached={n_cached} out of range for {k.cols} keys")
     # scores that overflow raise NonFiniteError in softmax_cols, so numpy's
     # overflow warning for them would only say it first
     with np.errstate(over="ignore", invalid="ignore"):
         scores = _scores(k, q)
-    if mask is None:
-        mask = _block_mask(n_cached, k.cols - n_cached, q.cols)
     probs = softmax_cols(scores, 1.0 / math.sqrt(q.rows), mask)
     return matmul(v, probs), probs

@@ -39,10 +39,16 @@ def _layout(params: ModelParams) -> tuple[dict, list | None]:
 
     The one place that knows the layout: save writes it, and load accepts a
     header only if it equals the layout of the params built from it. Tensors
-    sit in the payload back to back, base weights first.
+    sit in the payload back to back, base weights first. Conv heads that load
+    would not rebuild raise CheckpointError, at save before the file is opened.
     """
+    n, c_in, heads = params.config.n_layers, 2 * params.config.d_model, params.conv_heads
+    if heads is not None and ([h.layer_index for h in heads] != list(range(n))
+                              or any(h.kernels.c_in != c_in for h in heads)):
+        raise CheckpointError(f"conv heads must be listed for layers 0..{n - 1} and read "
+                              f"2 * d_model = {c_in} channels, keys over values")
     named = {"base": params.named_base()}
-    if params.conv_heads is not None:
+    if heads is not None:
         named["conv_heads"] = params.named_conv()
     sections, offset = {}, 0
     for section, tensors in named.items():
@@ -52,14 +58,9 @@ def _layout(params: ModelParams) -> tuple[dict, list | None]:
                 {"name": name, "rows": tensor.rows, "cols": tensor.cols, "offset": offset}
             )
             offset += tensor.rows * tensor.cols
-    conv_meta = None if params.conv_heads is None else [
-        {
-            "layer_index": head.layer_index,
-            "kernel_size": head.kernel_size,
-            "relu_position": head.relu_position,
-            "slots": head.slots,
-        }
-        for head in params.conv_heads
+    conv_meta = None if heads is None else [
+        {k: getattr(head, k) for k in ("layer_index", "kernel_size", "relu_position", "slots")}
+        for head in heads
     ]
     return sections, conv_meta
 
@@ -79,9 +80,10 @@ def _tensors(params: ModelParams) -> list[Tensor2]:
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Write config + weights; byte output is a pure function of the params."""
-    payload = b"".join(t.data.astype("<f8", copy=False).tobytes() for t in _tensors(params))
+    """Write config + weights; byte output is a pure function of the params, and
+    params that ``load_checkpoint`` would reject raise CheckpointError unwritten."""
     sections, conv_meta = _layout(params)
+    payload = b"".join(t.data.astype("<f8", copy=False).tobytes() for t in _tensors(params))
     header: dict = {
         "format_version": FORMAT_VERSION,
         "config": dataclasses.asdict(params.config),
@@ -126,8 +128,13 @@ def _read_header(fh) -> dict:
 
 
 def _params_from_header(header: dict) -> ModelParams:
-    """Params shaped as the header says, their weights still to be filled."""
-    config = ModelConfig(**header["config"])
+    """Params shaped as the header says, their weights still to be filled; the
+    config is built from its inputs, and the rest must read as they follow."""
+    fields = header["config"]
+    config = ModelConfig(**{f.name: fields[f.name]
+                            for f in dataclasses.fields(ModelConfig) if f.init})
+    if dataclasses.asdict(config) != fields:
+        raise ValueError(f"the config {fields} is not the one it builds")
     params = ModelParams.zeros(config)
     conv_meta = header.get("conv_meta")
     if conv_meta is not None:
@@ -137,8 +144,6 @@ def _params_from_header(header: dict) -> ModelParams:
                                  m["kernel_size"]), m["layer_index"], m["relu_position"])
             for m in conv_meta
         ]
-        if [head.layer_index for head in params.conv_heads] != list(range(config.n_layers)):
-            raise ValueError(f"conv heads must be listed for layers 0..{config.n_layers - 1}")
     if (header["sections"], conv_meta) != _layout(params):
         raise ValueError("the tensor layout does not match the config and conv_meta")
     return params

@@ -27,7 +27,8 @@ from .corpus import corpus_to_ids, load_corpus
 from .instrumentation import compare_policies, write_reports_json
 from .model import ModelConfig, ModelParams, build_layer_policies, generate, perplexity
 from .policies import PolicySpec
-from .training import TrainConfig, calibrate_conv_heads, check_calibration, pretrain, write_loss_trace
+from .training import (TrainConfig, calibrate_conv_heads, check_calibration, check_heads, pretrain,
+                       write_loss_trace)
 
 ABLATE_AXES = ("kernel_size", "memory_size", "policy")
 
@@ -75,7 +76,6 @@ class RunConfig:
     policies: str | None = None  # comma list for eval sweeps
     capacities: str | None = None  # comma list for eval sweeps
     # model architecture
-    d_model: int = 64
     n_layers: int = 2
     n_heads: int = 2
     head_dim: int = 32
@@ -248,6 +248,16 @@ def _serving(params: ModelParams, specs: list[PolicySpec], block_size: int) -> M
     return params
 
 
+def _calibratable(params: ModelParams, runs: list[tuple[PolicySpec, int]],
+                  cfg: RunConfig) -> ModelParams:
+    """``params``, once the conv heads it has, which calibration trains as they
+    are, are checked to serve each (spec, kernel size) run."""
+    for spec, kernel_size in runs if params.conv_heads is not None else ():
+        _serving(params, [spec], cfg.block_size)
+        _checked(check_heads, params, kernel_size, cfg.relu_position)
+    return params
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -297,9 +307,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     _require(cfg, "corpus", "checkpoint")
     spec = cfg.policy_spec()
     train_config = cfg.calibration_config(spec)
-    params = load_checkpoint(cfg.checkpoint)
-    # heads the checkpoint has are trained on, so they must fit the spec
-    _serving(params, [spec] if params.conv_heads is not None else [], cfg.block_size)
+    params = _calibratable(load_checkpoint(cfg.checkpoint), [(spec, cfg.kernel_size)], cfg)
     out = _out_dir(cfg)
     _echo_config(cfg, out, "calibrate")
     ids = load_corpus(cfg.corpus)
@@ -392,9 +400,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
         if spec.needs_conv_head:
             cfg.calibration_config(spec, kernel)
         runs.append((value, spec, kernel))
-    params = load_checkpoint(cfg.checkpoint)  # heads it has are calibrated on, as in calibrate
-    _serving(params, [spec for _, spec, _ in runs] if params.conv_heads is not None else [],
-             cfg.block_size)
+    _calibratable(load_checkpoint(cfg.checkpoint),
+                  [(spec, kernel) for _, spec, kernel in runs if spec.needs_conv_head], cfg)
     out = _out_dir(cfg)
     _echo_config(cfg, out, "ablate")
     ids = load_corpus(cfg.corpus)

@@ -23,13 +23,13 @@ next-token cross entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attention import (
     AttentionParams,
-    RopeConfig,
     _block_mask,
     _rope_table,
     apply_rope,
@@ -61,35 +61,37 @@ _EVAL_GROUP_TOKENS = 4096  # per ``perplexity`` group; a sweep found 8192 no fas
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture knobs; defaults are the desk-scale test model."""
+    """Architecture knobs; defaults are the desk-scale test model. The counts
+    are integers, numpy's taken as Python ints; ``d_model`` (n_heads * head_dim)
+    and ``vocab_size`` (bytes) are no inputs, fields only so that a checkpoint
+    header's ``asdict`` lists them. ``interpolation_scale`` > 1 squeezes rotary
+    positions into the pretrained range (target_context / pretrained_context).
+    """
 
-    d_model: int = 64
+    d_model: int = field(init=False)
     n_layers: int = 2
     n_heads: int = 2
     head_dim: int = 32
-    vocab_size: int = BYTE_VOCAB
+    vocab_size: int = field(init=False, default=BYTE_VOCAB)
     max_context: int = 4096
     mlp_ratio: int = 4
     rope_base: float = 10000.0
     interpolation_scale: float = 1.0
 
     def __post_init__(self):
-        if self.vocab_size != BYTE_VOCAB:
-            raise ValueError(f"vocab is byte-level, must be {BYTE_VOCAB}")
-        if self.d_model != self.n_heads * self.head_dim:
-            raise ValueError(
-                f"d_model ({self.d_model}) must equal n_heads*head_dim "
-                f"({self.n_heads}*{self.head_dim})"
-            )
+        for name in ("n_layers", "n_heads", "head_dim", "max_context", "mlp_ratio"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # as a checkpoint's JSON header needs it
         if self.head_dim % 2 != 0:
             raise ValueError("head_dim must be even for rotary embedding")
-        if min(self.n_layers, self.n_heads, self.head_dim, self.max_context, self.mlp_ratio) < 1:
-            raise ValueError("n_layers, n_heads, head_dim, max_context, mlp_ratio must be positive")
-        self.rope  # RopeConfig checks the rotary settings
-
-    @property
-    def rope(self) -> RopeConfig:
-        return RopeConfig(self.rope_base, self.interpolation_scale)
+        if not 0 < self.rope_base < math.inf:  # NaN fails too
+            raise ValueError(f"rope base must be positive and finite, got {self.rope_base}")
+        if not 1.0 <= self.interpolation_scale < math.inf:
+            raise ValueError(f"interpolation_scale must be >= 1 and finite, "
+                             f"got {self.interpolation_scale}")
+        object.__setattr__(self, "d_model", self.n_heads * self.head_dim)
 
     @property
     def context_limit(self) -> int:
@@ -271,12 +273,11 @@ def _layer_step(
     the stacked QKV weights and the open context are the stream's, and the
     rotary ``table`` and causal ``mask`` the chunk's.
     """
-    n_context = stream.cache.live_entries + stream.n_staged
     relative = stream.policy.spec.slot_relative
     q_rot, k_rot, k, v = project_qkv(rms_norm_cols(h, layer.attn_gain), layer.attn,
                                      stream.w_qkv[index], table, raw_k=relative)
     context_k, context_v = stream.extend_context(index, k_rot, v)
-    out, probs = attend(q_rot, context_k, context_v, n_context, mask)
+    out, probs = attend(q_rot, context_k, context_v, mask)
     h = add(h, matmul(layer.attn.w_o, _merge_to_cols(out, stream.n_seq)))
 
     mlp_normed = rms_norm_cols(h, layer.mlp_gain)
@@ -294,29 +295,25 @@ def _merge_to_cols(x: Tensor2, n_seq: int) -> Tensor2:
                      lambda g: (g.reshape(d, n_seq, t).swapaxes(0, 1).reshape(n, hd, t),))
 
 
-def _forward_chunk(
-    stream: "_Streams",
-    tokens: np.ndarray,
-    positions: np.ndarray,
-    block: int,
-) -> Tensor2:
-    """Final residual stream of one chunk within ``block``.
+def _forward_chunk(stream: "_Streams", tokens: np.ndarray, block: int) -> Tensor2:
+    """Final residual stream of one chunk within ``block``, the stream's next b
+    tokens of each sequence, one sequence after another.
 
     The cycle's first chunk opens it (``_Streams.open_cycle``). What every
-    layer of the chunk shares is made once here: the rotary table of the
-    queries' and fresh keys' positions, and the causal mask of the chunk
-    against its context (None for one token). A slot-relative policy caches
-    keys unrotated and rotates the chunk by cache slot, not by position. A
-    NonFiniteError inside a layer, or a layer output that overflows, is raised
-    again naming the block and the layer.
+    layer of the chunk shares is made once here: the positions, which continue
+    the stream's, or the cache's slots for a slot-relative policy (it caches
+    keys unrotated), their rotary table, and the causal mask of the chunk
+    against its context (None for one token). A NonFiniteError inside a
+    layer, or a layer output that overflows, is raised again naming the block
+    and the layer.
     """
-    params, b = stream.params, positions.size
+    params, config, b = stream.params, stream.params.config, tokens.size // stream.n_seq
     n_context = stream.cache.live_entries + stream.n_staged
     if not stream.n_staged:
         stream.open_cycle()
-    if stream.policy.spec.slot_relative:
-        positions = n_context + np.arange(b)
-    table = _rope_table(positions, params.config.head_dim, params.config.rope)
+    start = n_context if stream.policy.spec.slot_relative else stream.position
+    table = _rope_table(start + np.arange(b), config.head_dim, config.rope_base,
+                        config.interpolation_scale)
     mask = _block_mask(n_context, b, b)
     h = select_cols(params.embed, tokens)
     for index, layer in enumerate(params.layers):
@@ -425,7 +422,8 @@ class _Streams:
         self.mass = np.zeros((n_rows, shape[-1])) if self.policy.needs_mass else None
         keys = cache.keys
         if self.policy.spec.slot_relative and n_cached:
-            table = _rope_table(np.arange(n_cached), config.head_dim, config.rope)
+            table = _rope_table(np.arange(n_cached), config.head_dim, config.rope_base,
+                                config.interpolation_scale)
             keys = apply_rope(_rows(keys, slice(None), keys.data.reshape(shape[:-1] + (-1,))),
                               table)
         for t, buffer in zip((keys, cache.values), self.buffers):
@@ -471,9 +469,8 @@ class _Streams:
                     self.flush()
             stop = min(start + self.block_size - offset, t_len)
             b = stop - start
-            positions = np.arange(self.position, self.position + b)
             block = self.position // self.block_size
-            h = _forward_chunk(self, tokens[:, start:stop].ravel(), positions, block)
+            h = _forward_chunk(self, tokens[:, start:stop].ravel(), block)
             self._attn_entries = (self.cache.live_entries + self.n_staged + b) * b
             self.n_staged += b
             if self.unembed is None:

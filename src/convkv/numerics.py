@@ -94,7 +94,7 @@ class Tensor2:
     op, None for a tensor no tape recorded; ``backward`` keys gradients by it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C", copy=True)
@@ -104,7 +104,6 @@ class Tensor2:
             raise NonFiniteError("Tensor2 entries must be finite (found NaN/Inf)")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self.node: int | None = None
 
     @classmethod
@@ -133,7 +132,6 @@ def _wrap(arr: np.ndarray, requires_grad: bool) -> Tensor2:
     t = Tensor2.__new__(Tensor2)
     t.data = arr
     t.requires_grad = requires_grad
-    t.grad = None
     t.node = None
     return t
 
@@ -200,15 +198,15 @@ class GradTape:
 
 
 def backward(tape: GradTape, output: Tensor2) -> dict[Tensor2, np.ndarray]:
-    """Replay ``tape`` in reverse from the 1x1 ``output``, returning gradients
-    for trainable leaves.
+    """Replay ``tape`` in reverse from the 1x1 ``output``; the returned dict,
+    keyed by tensor, is the one place that holds the trainable leaves' gradients.
 
     Gradients are accumulated per node id, or per tensor for a leaf; ops whose
     result never received an upstream gradient contribute nothing. A vjp may
     return None for an operand that needs no gradient (``requires_grad``
     False when the op ran), and ops with several operands do, so a frozen
-    weight costs no gradient work. Each leaf's gradient is also stored as its
-    ``.grad``. A tape is replayed once; record a new one for the next pass.
+    weight costs no gradient work. A tape is replayed once; record a new one
+    for the next pass.
     """
     if tape._consumed:
         raise TapeError("tape already replayed; record a new tape for the next pass")
@@ -231,10 +229,7 @@ def backward(tape: GradTape, output: Tensor2) -> dict[Tensor2, np.ndarray]:
             else:
                 grads[key] = gt
     tape._consumed = True
-    leaves = {t: g for t, g in grads.items() if isinstance(t, Tensor2)}
-    for t, g in leaves.items():
-        t.grad = g
-    return leaves
+    return {t: g for t, g in grads.items() if isinstance(t, Tensor2)}
 
 
 def _result(data: np.ndarray, inputs: tuple[Tensor2, ...], vjp: _TapeVjp) -> Tensor2:
@@ -316,9 +311,10 @@ def softmax_cols(x: Tensor2, c: float = 1.0, mask: np.ndarray | None = None) -> 
     (per head, if any) masked out.
 
     The scaled scores must be finite: an overflowed one would turn into NaN
-    or pass for a masked entry. ``mask`` is a constant (rows, cols) bool array
-    shared by every head; its masked entries map to exactly 0, and a column
-    that is entirely masked has no attention context left and is rejected.
+    or pass for a masked entry. ``mask`` is None or a constant (rows, cols) bool
+    array shared by every head, else ShapeError; its masked entries map to
+    exactly 0, and a column that is entirely masked has no attention context
+    left and is rejected.
     Each column is normalised after subtracting its max.
     """
     if x.data.size == 0:
@@ -328,8 +324,9 @@ def softmax_cols(x: Tensor2, c: float = 1.0, mask: np.ndarray | None = None) -> 
     if not np.isfinite(d).all():
         raise NonFiniteError("softmax_cols: NaN or inf in the scores")
     if mask is not None:
-        if mask.shape != x.shape[-2:]:
-            raise ShapeError(f"softmax_cols: mask shape {mask.shape} != input shape {x.shape}")
+        if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != x.shape[-2:]:
+            raise ShapeError(f"softmax_cols: mask must be a bool array of shape {x.shape[-2:]}, "
+                             f"got {getattr(mask, 'dtype', type(mask).__name__)} {np.shape(mask)}")
         if mask.all(axis=0).any():
             raise NumericsError("softmax_cols: column with every entry masked")
         np.copyto(d, -np.inf, where=mask)

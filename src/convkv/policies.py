@@ -64,7 +64,8 @@ class PolicySpec:
     policy's knob must lie in [0, capacity), so the rest of the capacity is
     never empty: an eviction rule keeps exactly ``capacity`` columns, at
     least one heavy hitter (h2o) or window column (sink_window) among them;
-    a merging rule keeps fewer, and the head fills the rest.
+    a merging rule keeps fewer, and the head fills the rest. The capacity and
+    the knobs are integers; numpy's are taken as Python ints.
     """
 
     name: str
@@ -79,6 +80,11 @@ class PolicySpec:
     def __post_init__(self):
         if self.name not in _RULES:
             raise CacheError(f"unknown policy {self.name!r}; choose from {POLICY_NAMES}")
+        for name in ("capacity", "n_sink", "recent_budget", "reserved"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (int, np.integer)):
+                raise CacheError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, value if value is None else int(value))  # for JSON
         if self.name == "concat":
             object.__setattr__(self, "capacity", None)
         elif self.capacity is None or self.capacity < 1:

@@ -189,6 +189,16 @@ def check_calibration(policy: PolicySpec, block_size: int, context_length: int) 
                          f"{policy.capacity} + block size {block_size}")
 
 
+def check_heads(params: ModelParams, kernel_size: int, relu_position: str) -> None:
+    """Reject calibrating conv heads the model has, which are trained as they are,
+    when they have another ``kernel_size`` or ``relu_position`` than asked for."""
+    for layer, head in enumerate(params.conv_heads or ()):
+        if (head.kernel_size, head.relu_position) != (kernel_size, relu_position):
+            raise CacheError(f"calibration asks for heads of kernel size {kernel_size} and "
+                             f"relu_position {relu_position!r}, but the model's head at layer "
+                             f"{layer} has {head.kernel_size} and {head.relu_position!r}")
+
+
 def calibrate_conv_heads(
     params: ModelParams,
     corpus_ids: np.ndarray,
@@ -201,10 +211,12 @@ def calibrate_conv_heads(
     """Drop in conv heads and train only their kernels; the base weights stay frozen.
 
     Heads are installed at a seeded init when the model has none yet, so a
-    0-step run leaves them at initialization; ``check_calibration`` first
-    rejects a setting that cannot train.
+    0-step run leaves them at initialization; heads it has are trained as they
+    are. ``check_calibration`` and ``check_heads`` first reject a setting that
+    cannot train or that the model's heads do not have.
     """
     check_calibration(policy, block_size, cfg.context_length)
+    check_heads(params, kernel_size, relu_position)
     if params.conv_heads is None:
         params.install_conv_heads(
             slots=policy.merge_slots, kernel_size=kernel_size,

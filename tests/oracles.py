@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from convkv.attention import _rope_table, apply_rope, attend, project_qkv
+from convkv.attention import _block_mask, _rope_table, apply_rope, attend, project_qkv
 from convkv.numerics import ShapeError, Tensor2, custom_op, matmul
 
 
@@ -91,7 +91,7 @@ def full_causal_attention(q: Tensor2, k: Tensor2, v: Tensor2) -> Tensor2:
     """Reference quadratic path: output column t attends to key columns <= t."""
     if q.cols != k.cols:
         raise ShapeError(f"full attention expects square layout, got {q.cols} queries vs {k.cols} keys")
-    return attend(q, k, v, n_cached=0)[0]
+    return attend(q, k, v, _block_mask(0, k.cols, q.cols))[0]
 
 
 def split_heads(x: Tensor2, n_heads: int, head_dim: int) -> Tensor2:
@@ -141,25 +141,29 @@ def merge_heads(x: Tensor2, n_seq: int = 1) -> Tensor2:
     return custom_op([x], x.data.reshape(n_seq, shape[0] // n_seq * shape[1], shape[2]), vjp)
 
 
-def rope_at(x: Tensor2, positions: np.ndarray, rope) -> Tensor2:
-    """``apply_rope`` of ``x`` by the table of its rows at ``positions``."""
-    return apply_rope(x, _rope_table(positions, x.rows, rope))
+def rope_at(x: Tensor2, positions: np.ndarray, base: float = 10000.0,
+            scale: float = 1.0) -> Tensor2:
+    """``apply_rope`` of ``x`` by the table of its rows at ``positions``, for the
+    rotary ``base`` and interpolation ``scale``."""
+    return apply_rope(x, _rope_table(positions, x.rows, base, scale))
 
 
-def qkv_at(x: Tensor2, params, positions: np.ndarray, rope, raw_k: bool = True):
+def qkv_at(x: Tensor2, params, positions: np.ndarray, base: float = 10000.0,
+           scale: float = 1.0, raw_k: bool = True):
     """``project_qkv`` of ``x`` with the stacked weights and the table at ``positions``."""
-    table = _rope_table(positions, params.head_dim, rope)
+    table = _rope_table(positions, params.head_dim, base, scale)
     return project_qkv(x, params, params.stacked_qkv(), table, raw_k)
 
 
-def project_qkv_composed(x: Tensor2, params, positions: np.ndarray, rope):
+def project_qkv_composed(x: Tensor2, params, positions: np.ndarray, base: float = 10000.0,
+                         scale: float = 1.0):
     """``project_qkv`` from primitives: three ``matmul``s, ``split_heads`` on
     each, then ``apply_rope`` on q and k; returns (q_rot, k_rot, k, v)."""
     q, k, v = (
         split_heads(matmul(w, x), params.n_heads, params.head_dim)
         for w in (params.w_q, params.w_k, params.w_v)
     )
-    return rope_at(q, positions, rope), rope_at(k, positions, rope), k, v
+    return rope_at(q, positions, base, scale), rope_at(k, positions, base, scale), k, v
 
 
 def attend_numpy(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_cached: int):

@@ -46,7 +46,7 @@ def test_each_policy_runs_under_its_traced_entry_point(monkeypatch, policy):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     import tracing
 
-    params = convkv.ModelParams.init(convkv.ModelConfig(d_model=8, n_heads=1, head_dim=8))
+    params = convkv.ModelParams.init(convkv.ModelConfig(n_heads=1, head_dim=8))
     spec = convkv.PolicySpec(policy, capacity=6, n_sink=2, reserved=2)
     if spec.needs_conv_head:
         params.install_conv_heads(slots=spec.merge_slots, kernel_size=3, seed=0)
@@ -72,7 +72,7 @@ def test_calibration_runs_under_the_spans_the_benchmark_traces(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     import tracing
 
-    params = convkv.ModelParams.init(convkv.ModelConfig(d_model=8, n_heads=1, head_dim=8))
+    params = convkv.ModelParams.init(convkv.ModelConfig(n_heads=1, head_dim=8))
     spec = convkv.PolicySpec("lococo", capacity=8)
     cfg = convkv.TrainConfig(steps=1, batch_size=2, context_length=16)
     rec = tracing.SpanRecorder()

@@ -7,7 +7,7 @@ import convkv.attention as attention_mod
 from convkv import numerics
 from convkv.attention import (
     AttentionParams,
-    RopeConfig,
+    _block_mask,
     _rope_table,
     apply_rope,
     attend,
@@ -49,7 +49,7 @@ class TestProjectQkv:
         x = t2(np.arange(6.0).reshape(2, 3))
         eye = Tensor2(np.eye(2))
         params = AttentionParams(eye, eye, eye, Tensor2(np.eye(2)), n_heads=1, head_dim=2)
-        outs = qkv_at(x, params, np.zeros(3), RopeConfig())
+        outs = qkv_at(x, params, np.zeros(3))
         for out in outs:  # position 0 turns nothing
             assert out.shape == (1, 2, 3)
             assert np.array_equal(out.data[0], x.data)
@@ -57,7 +57,7 @@ class TestProjectQkv:
     def test_zero_input(self):
         rng = np.random.default_rng(0)
         params = rand_params(rng, 4)
-        outs = qkv_at(Tensor2.zeros(4, 5), params, np.arange(5), RopeConfig())
+        outs = qkv_at(Tensor2.zeros(4, 5), params, np.arange(5))
         assert not any(out.data.any() for out in outs)
 
     def test_matches_matmul_oracle(self):
@@ -65,7 +65,7 @@ class TestProjectQkv:
         params = rand_params(rng, 4, n_heads=2)
         x = t2(rng.standard_normal((4, 6)))
         positions = np.arange(6) + 3
-        q_rot, k_rot, k, v = qkv_at(x, params, positions, RopeConfig())
+        q_rot, k_rot, k, v = qkv_at(x, params, positions)
         q_loops, k_loops = (oracles.matmul_loops(w.data, x.data) for w in (params.w_q, params.w_k))
         expect = {
             "k": (k, k_loops),
@@ -87,14 +87,14 @@ class TestProjectQkv:
         params = rand_params(rng, 4, n_heads=2)
         x = t2(rng.standard_normal((4, 10)))
         pos = np.arange(5) + 7
-        both = qkv_at(x, params, pos, RopeConfig())
-        alone = [qkv_at(t2(x.data[:, i * 5:(i + 1) * 5]), params, pos, RopeConfig())
+        both = qkv_at(x, params, pos)
+        alone = [qkv_at(t2(x.data[:, i * 5:(i + 1) * 5]), params, pos)
                  for i in range(2)]
         for out, parts in zip(both, zip(*alone), strict=True):
             assert out.shape == (4, 2, 5)
             np.testing.assert_allclose(out.data, np.concatenate([p.data for p in parts]),
                                        rtol=0, atol=1e-12)
-        q_rot, k_rot, k, v = qkv_at(x, params, pos, RopeConfig(), raw_k=False)
+        q_rot, k_rot, k, v = qkv_at(x, params, pos, raw_k=False)
         assert k is None
         for out, ref in zip((q_rot, k_rot, v), (both[0], both[1], both[3])):
             assert np.array_equal(out.data, ref.data)
@@ -103,9 +103,9 @@ class TestProjectQkv:
         rng = np.random.default_rng(2)
         params = rand_params(rng, 4)
         with pytest.raises(ShapeError):
-            qkv_at(Tensor2.zeros(3, 5), params, np.arange(5), RopeConfig())
+            qkv_at(Tensor2.zeros(3, 5), params, np.arange(5))
         with pytest.raises(ShapeError, match="positions"):
-            qkv_at(Tensor2.zeros(4, 5), params, np.arange(4), RopeConfig())
+            qkv_at(Tensor2.zeros(4, 5), params, np.arange(4))
 
     @pytest.mark.parametrize("positions", ["absolute", "slot_relative", "decode_step"])
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
@@ -120,9 +120,8 @@ class TestProjectQkv:
         rng = np.random.default_rng(n_heads)
         params = rand_params(rng, 8, n_heads)
         x = t2(rng.standard_normal((8, pos.size)))
-        rope = RopeConfig(base=500.0, interpolation_scale=2.0)
-        fused = qkv_at(x, params, pos, rope)
-        composed = oracles.project_qkv_composed(x, params, pos, rope)
+        fused = qkv_at(x, params, pos, 500.0, 2.0)
+        composed = oracles.project_qkv_composed(x, params, pos, 500.0, 2.0)
         for out, ref in zip(fused, composed, strict=True):
             assert out.shape == ref.shape == (n_heads, 8 // n_heads, pos.size)
             assert np.array_equal(out.data, ref.data)
@@ -132,31 +131,31 @@ class TestRope:
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(3)
         x = t2(rng.standard_normal((6, 1)))
-        out = rope_at(x, np.array([0]), RopeConfig())
+        out = rope_at(x, np.array([0]))
         assert np.array_equal(out.data, x.data)
 
     def test_interpolation_halves_angles(self):
         rng = np.random.default_rng(4)
         x = t2(rng.standard_normal((8, 3)))
-        doubled = rope_at(x, np.array([2, 4, 10]), RopeConfig(interpolation_scale=2.0))
-        plain = rope_at(x, np.array([1, 2, 5]), RopeConfig(interpolation_scale=1.0))
+        doubled = rope_at(x, np.array([2, 4, 10]), scale=2.0)
+        plain = rope_at(x, np.array([1, 2, 5]), scale=1.0)
         assert np.max(np.abs(doubled.data - plain.data)) < 1e-12
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 1))
-        out = rope_at(t2(x), np.array([5]), RopeConfig(base=10000.0))
+        out = rope_at(t2(x), np.array([5]), base=10000.0)
         expect = oracles.rope_scalar(x, np.array([5]), base=10000.0, scale=1.0)
         assert np.max(np.abs(out.data - expect)) < 1e-12
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ShapeError):
-            rope_at(Tensor2.zeros(3, 1), np.array([0]), RopeConfig())
+            rope_at(Tensor2.zeros(3, 1), np.array([0]))
 
     def test_rotation_preserves_norm(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, 4))
-        out = rope_at(t2(x), np.arange(4) + 7, RopeConfig())
+        out = rope_at(t2(x), np.arange(4) + 7)
         assert np.max(np.abs(np.linalg.norm(out.data, axis=0) - np.linalg.norm(x, axis=0))) < 1e-12
 
 
@@ -206,16 +205,16 @@ class TestHeadBatched:
             t2(rng.standard_normal((n_heads * head_dim, cols)))
             for cols in (b, n_cached + b, n_cached + b)
         )
-        rope, q_pos, k_pos = RopeConfig(), n_cached + np.arange(b), np.arange(n_cached + b)
+        q_pos, k_pos = n_cached + np.arange(b), np.arange(n_cached + b)
+        mask = _block_mask(n_cached, b, b)
         qh, kh, vh = (split_heads(x, n_heads, head_dim) for x in (q, k, v))
-        out, probs = attend(rope_at(qh, q_pos, rope), rope_at(kh, k_pos, rope), vh,
-                            n_cached)
+        out, probs = attend(rope_at(qh, q_pos), rope_at(kh, k_pos), vh, mask)
         for h in range(n_heads):
             rows = slice(h * head_dim, (h + 1) * head_dim)
             one_out, one_probs = attend(
-                rope_at(t2(q.data[rows]), q_pos, rope),
-                rope_at(t2(k.data[rows]), k_pos, rope),
-                t2(v.data[rows]), n_cached,
+                rope_at(t2(q.data[rows]), q_pos),
+                rope_at(t2(k.data[rows]), k_pos),
+                t2(v.data[rows]), mask,
             )
             assert np.array_equal(out.data[h], one_out.data)
             assert np.array_equal(probs.data[h], one_probs.data)
@@ -246,29 +245,35 @@ class TestBadShapes:
         with pytest.raises(ShapeError, match="w_o has 3 cols, expected 4"):
             AttentionParams(w, w, w, Tensor2.zeros(4, 3), n_heads=2, head_dim=2)
 
-    def test_attend_needs_paired_keys_and_n_cached_within_them(self):
+    def test_attend_needs_paired_keys(self):
         q, k = Tensor2.zeros(2, 1), Tensor2.zeros(2, 3)
         with pytest.raises(ShapeError, match="key/value column mismatch: 3 vs 2"):
-            attend(q, k, Tensor2.zeros(2, 2))
-        for n_cached in (-1, 4):
-            with pytest.raises(ShapeError, match=f"n_cached={n_cached} out of range for 3 keys"):
-                attend(q, k, k, n_cached)
+            attend(q, k, Tensor2.zeros(2, 2), None)
         for other in (Tensor2.zeros(3, 3), Tensor2.zeros(2, 2, 3)):
             with pytest.raises(ShapeError, match="do not fit queries of shape \\(2, 1\\)"):
-                attend(q, other, other)
+                attend(q, other, other, None)
+
+    @pytest.mark.parametrize("mask, got", [
+        (3, "got int"),  # the count of cached keys that attend took before
+        (np.zeros((3, 1)), "got float64 \\(3, 1\\)"),
+        (np.zeros((3, 2), dtype=bool), "got bool \\(3, 2\\)"),
+    ], ids=["n_cached", "float", "shape"])
+    def test_attend_takes_only_a_bool_mask_of_the_scores_shape(self, mask, got):
+        q, k = Tensor2.zeros(2, 1), Tensor2.zeros(2, 3)
+        with pytest.raises(ShapeError, match=f"bool array of shape \\(3, 1\\), {got}"):
+            attend(q, k, k, mask)
 
     def test_rotary_table_must_fit(self):
-        rope = RopeConfig()
         x = Tensor2.zeros(4, 3)
         for positions, rows in ((np.arange(2), 4), (np.arange(3), 6)):
             with pytest.raises(ShapeError, match="rotary table of shape"):
-                apply_rope(x, _rope_table(positions, rows, rope))
+                apply_rope(x, _rope_table(positions, rows, 10000.0, 1.0))
         params = rand_params(np.random.default_rng(0), 4, n_heads=2)
         w_qkv = params.stacked_qkv()
         with pytest.raises(ShapeError, match="rotary table of shape \\(2, 3\\)"):
-            project_qkv(x, params, w_qkv, _rope_table(np.arange(3), 4, rope))
+            project_qkv(x, params, w_qkv, _rope_table(np.arange(3), 4, 10000.0, 1.0))
         with pytest.raises(ShapeError, match="does not fit projections"):
-            project_qkv(x, params, w_qkv[:8], _rope_table(np.arange(3), 2, rope))
+            project_qkv(x, params, w_qkv[:8], _rope_table(np.arange(3), 2, 10000.0, 1.0))
 
     def test_merge_heads_needs_a_head_axis(self):
         with pytest.raises(ShapeError, match="merge_heads needs a head-batched"):
@@ -276,10 +281,7 @@ class TestBadShapes:
 
 
 def one_layer(d_model, n_heads=1, seed=0):
-    config = ModelConfig(
-        d_model=d_model, n_layers=1, n_heads=n_heads, head_dim=d_model // n_heads,
-        max_context=64,
-    )
+    config = ModelConfig(n_layers=1, n_heads=n_heads, head_dim=d_model // n_heads, max_context=64)
     return ModelParams.init(config, seed=seed)
 
 
@@ -305,13 +307,12 @@ def full_forward(params, tokens):
     """One-layer model over the whole sequence, head by head, through
     full_causal_attention."""
     layer, cfg = params.layers[0], params.config
+    rope = (cfg.rope_base, cfg.interpolation_scale)
     positions = np.arange(len(tokens))
     h = select_cols(params.embed, tokens)
     q, k, v = projections(rms_norm_cols(h, layer.attn_gain), layer.attn)
     heads = [
-        full_causal_attention(
-            rope_at(hq, positions, cfg.rope), rope_at(hk, positions, cfg.rope), hv
-        )
+        full_causal_attention(rope_at(hq, positions, *rope), rope_at(hk, positions, *rope), hv)
         for hq, hk, hv in zip(*(per_head(x, cfg) for x in (q, k, v)))
     ]
     h = add(h, matmul(layer.attn.w_o, vstack(heads)))
@@ -362,7 +363,8 @@ class TestSegmentAttention:
         layer, cfg = params.layers[0], params.config
         h = rms_norm_cols(select_cols(params.embed, tokens), layer.attn_gain)
         _, k, _ = projections(h, layer.attn)
-        expect = vstack([rope_at(hk, np.arange(6), cfg.rope) for hk in per_head(k, cfg)])
+        rope = (cfg.rope_base, cfg.interpolation_scale)
+        expect = vstack([rope_at(hk, np.arange(6), *rope) for hk in per_head(k, cfg)])
         assert cache.live_entries == 6
         assert np.max(np.abs(cache.keys.data - expect.data)) < 1e-12
 
@@ -377,8 +379,9 @@ class TestSegmentAttention:
         h = rms_norm_cols(select_cols(params.embed, tokens), layer.attn_gain)
         expect = np.zeros(6)
         for hq, hk, hv in zip(*(per_head(x, cfg) for x in projections(h, layer.attn))):
-            _, probs = attend(rope_at(hq, positions, cfg.rope),
-                              rope_at(hk, positions, cfg.rope), hv)
+            _, probs = attend(rope_at(hq, positions, cfg.rope_base, cfg.interpolation_scale),
+                              rope_at(hk, positions, cfg.rope_base, cfg.interpolation_scale), hv,
+                              _block_mask(0, 6, 6))
             expect += probs.data.sum(axis=1)
         assert np.max(np.abs(caches[0].scores - expect)) < 1e-12
 

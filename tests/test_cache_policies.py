@@ -180,6 +180,17 @@ class TestPolicySpecRejects:
         with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
             PolicySpec(name, capacity=16, **{knob: value})
 
+    @pytest.mark.parametrize("knob", ["capacity", "n_sink", "recent_budget", "reserved"])
+    def test_a_float_count_is_rejected_and_a_numpy_integer_taken(self, knob):
+        # a float capacity used to pass and fail later, in the cache or perplexity,
+        # with "'float' object cannot be interpreted as an integer"
+        name = {"n_sink": "sink_window", "recent_budget": "h2o", "reserved": "lococo+h2o"}
+        kwargs = dict(name=name.get(knob, "h2o"), capacity=16)
+        with pytest.raises(CacheError, match=f"^{knob} must be an integer, got 2.5$"):
+            PolicySpec(**{**kwargs, knob: 2.5})
+        spec = PolicySpec(**{**kwargs, knob: np.int64(2)})
+        assert type(getattr(spec, knob)) is int and spec == PolicySpec(**{**kwargs, knob: 2})
+
 
 class TestUpdateRejects:
     """Typed errors of a cache update handed what its rule cannot use."""

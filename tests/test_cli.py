@@ -11,10 +11,7 @@ from convkv.model import ModelConfig, ModelParams
 
 from corpora import make_recall_corpus, write_corpus
 
-TINY_ARGS = [
-    "--d-model", "8", "--n-layers", "1", "--n-heads", "1", "--head-dim", "8",
-    "--max-context", "256",
-]
+TINY_ARGS = ["--n-layers", "1", "--n-heads", "1", "--head-dim", "8", "--max-context", "256"]
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +24,7 @@ def corpus_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def base_ckpt(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "base.ckpt"
-    config = ModelConfig(d_model=8, n_layers=1, n_heads=1, head_dim=8, max_context=256)
+    config = ModelConfig(n_layers=1, n_heads=1, head_dim=8, max_context=256)
     save_checkpoint(ModelParams.init(config, seed=1), path)
     return str(path)
 
@@ -92,9 +89,10 @@ UNWORKABLE = {
     "calibrate_relu_position_bogus": ["calibrate", "--relu-position", "bogus"],
     "calibrate_batch_size_0": ["calibrate", "--batch-size", "0"],
     "generate_block_size_0": ["generate", "--block-size", "0", "--prompt", "ab"],
-    "pretrain_odd_head_dim": ["pretrain", "--d-model", "6", "--n-heads", "2", "--head-dim", "3"],
+    "pretrain_odd_head_dim": ["pretrain", "--n-heads", "2", "--head-dim", "3"],
     "pretrain_heads_negative": ["pretrain", "--n-heads", "-2", "--head-dim", "-32"],
-    "pretrain_heads_0": ["pretrain", "--d-model", "0", "--n-heads", "0", "--head-dim", "0"],
+    "pretrain_heads_0": ["pretrain", "--n-heads", "0", "--head-dim", "0"],
+    "pretrain_d_model_is_no_flag": ["pretrain", "--d-model", "64"],  # n_heads * head_dim
     "pretrain_seed_negative": ["pretrain", "--seed", "-1"],
     "calibrate_seed_negative": ["calibrate", "--seed", "-1"],
     "generate_n_new_negative": ["generate", "--n-new", "-1", "--prompt", "ab"],
@@ -187,7 +185,7 @@ class TestPretrainCommand:
         ])
         assert code == 0
         assert "pretrained 0 steps, final loss nan" in capsys.readouterr().out
-        config = ModelConfig(d_model=8, n_layers=1, n_heads=1, head_dim=8, max_context=256)
+        config = ModelConfig(n_layers=1, n_heads=1, head_dim=8, max_context=256)
         loaded = load_checkpoint(out / "model.ckpt")
         assert loaded.base_fingerprint() == ModelParams.init(config, seed=0).base_fingerprint()
 
@@ -279,7 +277,7 @@ class TestEvalCommand:
         assert code == 2
 
     def test_overflowing_weights_are_runtime_error(self, corpus_file, tmp_path, capsys):
-        config = ModelConfig(d_model=8, n_layers=1, n_heads=1, head_dim=8, max_context=256)
+        config = ModelConfig(n_layers=1, n_heads=1, head_dim=8, max_context=256)
         params = ModelParams.init(config, seed=1)
         params.layers[0].mlp_out.data = params.layers[0].mlp_out.data * 1e200
         path = tmp_path / "overflow.ckpt"
@@ -398,6 +396,26 @@ class TestHeadsThatCannotServe:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "got 8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["calibrate", "--kernel-size", "7"],
+        ["calibrate"],  # the default kernel size, 21
+        ["calibrate", "--kernel-size", "5", "--relu-position", "pre"],
+        ["ablate", "--axis", "kernel_size", "--values", "3,7"],
+        ["ablate", "--axis", "policy", "--values", "h2o,lococo"],  # lococo at the default 21
+    ], ids=["calibrate_7", "calibrate_default", "calibrate_pre", "ablate_3_7", "ablate_policy"])
+    def test_calibrating_heads_of_another_shape_exits_1(self, args, corpus_file, calibrated_ckpt,
+                                                        tmp_path, capsys):
+        # the 5-tap heads would be trained as they are, and the run labelled otherwise
+        out = tmp_path / "out"
+        code = main([*args, "--corpus", corpus_file, "--checkpoint", calibrated_ckpt,
+                     "--out-dir", str(out), "--capacity", "8", "--block-size", "4",
+                     "--context-length", "16", "--steps", "1", "--batch-size", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: calibration asks for heads of kernel size")
+        assert "the model's head at layer 0 has 5 and 'post'" in err
         assert not out.exists()
 
     def test_calibrate_trains_heads_that_fit(self, corpus_file, calibrated_ckpt, tmp_path):

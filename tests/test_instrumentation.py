@@ -19,7 +19,7 @@ from convkv.policies import PolicySpec
 
 from corpora import make_recall_corpus
 
-CFG = ModelConfig(d_model=16, n_layers=2, n_heads=2, head_dim=8, max_context=1024)
+CFG = ModelConfig(n_layers=2, n_heads=2, head_dim=8, max_context=1024)
 
 
 def run_traced(params, n_tokens, spec, block_size):

@@ -47,9 +47,9 @@ import oracles
 from corpora import make_recall_corpus
 from oracles import split_heads
 
-TINY = ModelConfig(d_model=16, n_layers=2, n_heads=2, head_dim=8, max_context=256)
+TINY = ModelConfig(n_layers=2, n_heads=2, head_dim=8, max_context=256)
 # an odd layer count gives the two threads of a grouped conv unequal shares
-TINY3 = ModelConfig(d_model=16, n_layers=3, n_heads=2, head_dim=8, max_context=256)
+TINY3 = ModelConfig(n_layers=3, n_heads=2, head_dim=8, max_context=256)
 
 # logit fingerprint of the seed-3 lococo run, frozen once the equivalence and
 # bound invariants above/below were green (see test_lococo_regression_locked_logits)
@@ -89,28 +89,44 @@ POLICIES = {"concat": PolicySpec("concat"), **BOUNDED}
 
 
 class TestModelConfig:
-    # the rotary settings are RopeConfig's checks; NaN fails them too
+    # NaN fails the rotary checks too
     @pytest.mark.parametrize("kwargs, match", [
-        (dict(vocab_size=128), "vocab is byte-level"),
-        (dict(d_model=48), "d_model \\(48\\) must equal n_heads\\*head_dim"),
-        (dict(d_model=6, n_heads=2, head_dim=3), "head_dim must be even"),
-        (dict(n_layers=0), "must be positive"),
-        (dict(mlp_ratio=0), "must be positive"),
-        (dict(n_heads=-2, head_dim=-32), "must be positive"),
-        (dict(d_model=0, n_heads=0, head_dim=0), "must be positive"),
+        (dict(n_heads=2, head_dim=3), "head_dim must be even"),
+        (dict(n_layers=0), "n_layers must be a positive integer, got 0"),
+        (dict(mlp_ratio=0), "mlp_ratio must be a positive integer, got 0"),
+        (dict(n_heads=-2, head_dim=-32), "n_heads must be a positive integer, got -2"),
+        (dict(n_heads=0, head_dim=0), "n_heads must be a positive integer, got 0"),
         (dict(rope_base=-1.0), "rope base must be positive"),
         (dict(rope_base=float("nan")), "rope base must be positive"),
         (dict(interpolation_scale=0.5), "interpolation_scale must be >= 1"),
         (dict(interpolation_scale=float("nan")), "interpolation_scale must be >= 1"),
         (dict(rope_base=float("inf")), "rope base must be positive and finite"),
         (dict(interpolation_scale=float("inf")), "interpolation_scale must be >= 1 and finite"),
-    ], ids=["vocab", "d_model", "odd-head_dim", "n_layers-0", "mlp_ratio-0", "heads-negative",
+    ], ids=["odd-head_dim", "n_layers-0", "mlp_ratio-0", "heads-negative",
             "heads-0", "rope_base-neg",
             "rope_base-nan", "interpolation-0.5", "interpolation-nan", "rope_base-inf",
             "interpolation-inf"])
     def test_rejected_with_value_error(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ModelConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["n_layers", "n_heads", "head_dim", "max_context",
+                                      "mlp_ratio"])
+    def test_a_float_count_is_rejected_and_a_numpy_integer_taken(self, name):
+        # a float count used to pass and fail later, in ModelParams.init or
+        # perplexity, with "'float' object cannot be interpreted as an integer"
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got 2.0"):
+            ModelConfig(**{name: 2.0})
+        config = ModelConfig(**{name: np.int64(2)})
+        assert type(getattr(config, name)) is int
+        assert config == ModelConfig(**{name: 2})
+
+    def test_d_model_and_vocab_size_follow_and_are_no_inputs(self):
+        config = ModelConfig(n_heads=3, head_dim=4)
+        assert (config.d_model, config.vocab_size) == (12, 256)
+        for name in ("d_model", "vocab_size"):
+            with pytest.raises(TypeError, match=name):
+                ModelConfig(**{name: 12})
 
 
 def model_for(spec, seed=13, config=TINY):
@@ -264,6 +280,10 @@ CORRUPTIONS = {
     # self-consistent edits that load as a different model unless checksummed
     "every_relu_position_pre": lambda raw: _rewrite_header(raw, _every_relu_position_pre),
     "rope_base_500": _header_edit("config", "rope_base", value=500.0),
+    # the fields that follow from the config's inputs must read as they follow
+    "d_model_48": _header_edit("config", "d_model", value=48),
+    "vocab_size_128": _header_edit("config", "vocab_size", value=128),
+    "d_model_missing": _header_edit("config", "d_model"),
     "version_4": lambda raw: raw[:4] + struct.pack("<I", 4) + raw[8:],
     "header_not_json": lambda raw: raw[:16] + b"x" + raw[17:],
     "header_not_utf8": lambda raw: raw[:16] + b"\xff" + raw[17:],
@@ -338,8 +358,42 @@ class TestCheckpoints:
         edit = _header_edit("config", "n_heads", value=-TINY.n_heads)
         edit_too = _header_edit("config", "head_dim", value=-TINY.head_dim)
         path.write_bytes(edit_too(edit(path.read_bytes())))
-        with pytest.raises(CheckpointError, match="malformed checkpoint header.*must be positive"):
+        with pytest.raises(CheckpointError, match="malformed checkpoint header.*must be a positive"):
             load_checkpoint(path)
+
+    def test_header_config_lists_every_field(self, tiny_params, tmp_path):
+        # d_model and vocab_size are no inputs, but the header keeps them, so its
+        # bytes, and files saved before they stopped being inputs, are as they were
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(tiny_params, path)
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<Q", raw[8:16])
+        assert json.loads(raw[16:16 + n])["config"] == {
+            "d_model": 16, "n_layers": 2, "n_heads": 2, "head_dim": 8, "vocab_size": 256,
+            "max_context": 256, "mlp_ratio": 4, "rope_base": 10000.0, "interpolation_scale": 1.0,
+        }
+        path.write_bytes(_header_edit("config", "d_model", value=48)(raw))
+        with pytest.raises(CheckpointError, match="'d_model': 48.*is not the one it builds"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("heads, match", [
+        ("every_layer_index_0", "must be listed for layers 0..1"),
+        ("one_head_for_2_layers", "must be listed for layers 0..1"),
+        ("d_model_8_on_16", "and read 2 \\* d_model = 32 channels"),
+    ])
+    def test_heads_that_load_would_reject_are_not_saved(self, tmp_path, heads, match):
+        # such heads used to save without error, and the file then failed to load
+        rng = np.random.default_rng(0)
+        params = ModelParams.init(TINY, seed=8)
+        params.conv_heads = {
+            "every_layer_index_0": [new_conv_head(16, 4, 3, rng) for _ in range(2)],
+            "one_head_for_2_layers": [new_conv_head(16, 4, 3, rng)],
+            "d_model_8_on_16": [new_conv_head(8, 4, 3, rng, layer_index=i) for i in range(2)],
+        }[heads]
+        path = tmp_path / "a.ckpt"
+        with pytest.raises(CheckpointError, match=match):
+            save_checkpoint(params, path)
+        assert not path.exists()
 
     def test_format_version_1_rejected_by_name(self, tiny_params, tmp_path):
         # version 2, whose checksum skips the header, is rejected the same way
@@ -715,7 +769,7 @@ class TestOpBudget:
         prompt = rand_tokens(np.random.default_rng(1), 40)
         per_layer_token = []
         for n_heads in (1, 2, 4):
-            config = ModelConfig(d_model=16, n_layers=2, n_heads=n_heads,
+            config = ModelConfig(n_layers=2, n_heads=n_heads,
                                  head_dim=16 // n_heads, max_context=256)
             params = ModelParams.init(config, seed=2)
             if spec.needs_conv_head:
@@ -747,7 +801,8 @@ class TestOpBudget:
                     split_heads(Tensor2(rng.standard_normal((4 * n_heads, cols))), n_heads, 4)
                     for cols in (n_new, n_cached + n_new, n_cached + n_new)
                 )
-                out, probs = attention.attend(q, k, v, n_cached)
+                mask = attention._block_mask(n_cached, n_new, n_new)
+                out, probs = attention.attend(q, k, v, mask)
                 assert (masks.pop() is None) == (n_new == 1)
                 want_out, want_probs = oracles.attend_numpy(q.data, k.data, v.data, n_cached)
                 assert np.array_equal(probs.data, want_probs)
@@ -854,7 +909,8 @@ def as_attended(spec: PolicySpec, keys: np.ndarray, config: ModelConfig) -> np.n
     for a slot-relative policy."""
     if not spec.slot_relative:
         return keys
-    return oracles.rope_at(Tensor2(keys), np.arange(keys.shape[-1]), config.rope).data
+    return oracles.rope_at(Tensor2(keys), np.arange(keys.shape[-1]), config.rope_base,
+                          config.interpolation_scale).data
 
 
 class TestContextBuffer:
@@ -940,7 +996,7 @@ class TestContextBuffer:
             k, v = (heads_of(x.data, TINY) for x in (k_new, v_new))
             assert np.array_equal(v, values)
             if spec.slot_relative:  # the block's keys turn by the slots they were attended at
-                k = oracles.rope_at(Tensor2(k), n_cached + np.arange(k.shape[-1]), TINY.rope).data
+                k = oracles.rope_at(Tensor2(k), n_cached + np.arange(k.shape[-1])).data
             assert np.array_equal(k, keys)
             assert (attn_mass is None) == (mass is None)
             assert attn_mass is None or np.shares_memory(attn_mass, mass)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from convkv.attention import (
     AttentionParams,
-    RopeConfig,
+    _block_mask,
     attend,
 )
 from convkv import attention, model, numerics
@@ -165,10 +165,16 @@ class TestSoftmaxCols:
         with pytest.raises(NumericsError, match="every entry masked"):
             softmax_cols(t2([[0.0], [0.0]]), mask=np.ones((2, 1), dtype=bool))
 
-    def test_mask_must_match_the_scores(self):
+    @pytest.mark.parametrize("mask, got", [
+        (np.zeros((3, 2), dtype=bool), "bool \\(3, 2\\)"),
+        (np.zeros((2, 3)), "float64 \\(2, 3\\)"),  # numpy's TypeError before
+        (np.full((2, 3), -np.inf), "float64 \\(2, 3\\)"),  # "every entry masked" before
+        ([[False] * 3] * 2, "list \\(2, 3\\)"),
+    ], ids=["shape", "float", "float-neg-inf", "list"])
+    def test_mask_must_be_bool_of_the_scores_shape(self, mask, got):
         x = t2(np.zeros((2, 3)))
-        with pytest.raises(ShapeError, match="mask shape"):
-            softmax_cols(x, mask=np.zeros((3, 2), dtype=bool))
+        with pytest.raises(ShapeError, match=f"bool array of shape \\(2, 3\\), got {got}"):
+            softmax_cols(x, mask=mask)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -532,7 +538,7 @@ class TestGradients:
         # which is masked when it has several columns and unmasked with one
         rng = np.random.default_rng(5)
         n_heads, head_dim = 2, 4
-        d, rope = n_heads * head_dim, RopeConfig()
+        d = n_heads * head_dim
         for b in (3, 1):
             q, k_new, v_new = (rand(rng, d, b, trainable=True) for _ in range(3))
             k_cached, v_cached = (rand(rng, d, n_cached, trainable=True) for _ in range(2))
@@ -544,10 +550,10 @@ class TestGradients:
                     for x in (q, k_cached, k_new, v_cached, v_new)
                 )
                 out, _ = attend(
-                    rope_at(qh, positions, rope),
-                    hstack([kc, rope_at(kn, positions, rope)]),
+                    rope_at(qh, positions),
+                    hstack([kc, rope_at(kn, positions)]),
                     hstack([vc, vn]),
-                    n_cached,
+                    _block_mask(n_cached, b, b),
                 )
                 return cross_entropy_cols(only_sequence(merge_heads(out)), np.array([1, 6, 3])[:b])
 
@@ -560,8 +566,7 @@ class TestGradients:
         rng = np.random.default_rng(6)
         n_heads, head_dim, chunks = 2, 4, (2, 1)
         d = n_heads * head_dim
-        params = ModelParams.zeros(ModelConfig(d_model=d, n_layers=2, n_heads=n_heads,
-                                               head_dim=head_dim))
+        params = ModelParams.zeros(ModelConfig(n_layers=2, n_heads=n_heads, head_dim=head_dim))
         k_cached, v_cached = (Tensor2(rng.standard_normal((2, d, n_cached)), requires_grad=True)
                               for _ in range(2))
         qs, ks, vs = ([rand(rng, d, b, trainable=True) for b in chunks] for _ in range(3))
@@ -576,7 +581,7 @@ class TestGradients:
                     1, split_heads(k, n_heads, head_dim), split_heads(v, n_heads, head_dim)
                 )
                 outs.append(attend(split_heads(q, n_heads, head_dim), context_k, context_v,
-                                   n_context)[0])
+                                   _block_mask(n_context, q.cols, q.cols))[0])
                 n_context += q.cols
             return cross_entropy_cols(only_sequence(merge_heads(hstack(outs))), np.array([1, 6, 3]))
 
@@ -588,8 +593,7 @@ class TestGradients:
         rng = np.random.default_rng(8)
         n_seq, n_heads, head_dim, n_cached, b = 2, 2, 4, 3, 2
         d = n_heads * head_dim
-        params = ModelParams.zeros(ModelConfig(d_model=d, n_layers=2, n_heads=n_heads,
-                                               head_dim=head_dim))
+        params = ModelParams.zeros(ModelConfig(n_layers=2, n_heads=n_heads, head_dim=head_dim))
         k_cached, v_cached = (Tensor2(rng.standard_normal((2 * n_seq, d, n_cached)),
                                       requires_grad=True) for _ in range(2))
         q, k, v = (head_batched(rng, n_seq * n_heads, head_dim, b, trainable=True)
@@ -602,7 +606,8 @@ class TestGradients:
             stream.cache = KvCache(k_cached, v_cached)
             stream.open_cycle()
             context_k, context_v = stream.extend_context(1, k, v)
-            return weighted_sum(attend(q, context_k, context_v, n_cached)[0], weights)
+            return weighted_sum(attend(q, context_k, context_v, _block_mask(n_cached, b, b))[0],
+                                weights)
 
         fd_check(loss, [k_cached, v_cached, q, k, v])
         with GradTape() as tape:
@@ -620,7 +625,7 @@ class TestGradients:
         weight = (w_q, w_k, w_k, w_v)[index]
 
         def loss():
-            out = qkv_at(x, params, np.array([3, 4, 5]), RopeConfig())[index]
+            out = qkv_at(x, params, np.array([3, 4, 5]))[index]
             return cross_entropy_cols(only_sequence(merge_heads(out)), np.array([1, 6, 3]))
 
         fd_check(loss, [x, weight])
@@ -682,7 +687,7 @@ class TestFrozenOperandVjp:
             for name, t in tensors.items():
                 t.requires_grad = name != frozen_name
             with GradTape() as tape:
-                qkv_at(tensors["x"], params, np.array([3, 4, 5]), RopeConfig())
+                qkv_at(tensors["x"], params, np.array([3, 4, 5]))
             g = np.random.default_rng(5).standard_normal((2, 4, 3))
             return [(inputs, vjp(g)) for inputs, _, vjp in tape._entries]
 
@@ -830,7 +835,7 @@ class TestConvThreads:
     def test_multi_token_feeds_merge_side_by_side(self, monkeypatch):
         # a one-sequence prefill's flushes run the layers' convs on two threads; a
         # flush in a one-token feed, a decode step, keeps them on the caller
-        params = ModelParams.init(ModelConfig(d_model=16, n_heads=2, head_dim=8), seed=0)
+        params = ModelParams.init(ModelConfig(n_heads=2, head_dim=8), seed=0)
         policy = PolicySpec("lococo", capacity=8)
         params.install_conv_heads(slots=policy.merge_slots, kernel_size=5, seed=0)
         tokens = np.random.default_rng(3).integers(0, 256, size=33)
@@ -1060,10 +1065,10 @@ class TestTapeProtocol:
         with GradTape() as tape:
             loss = cross_entropy_cols(vstack([h, Tensor2.zeros(1, 2)]), np.array([1, 1]))
         grads = backward(tape, loss)
-        assert set(grads) == {h}
-        assert grads[h] is h.grad and w.grad is None
+        assert set(grads) == {h}  # w, behind the earlier tape, gets none
         # the loss averages 2 columns; d loss / d h is row 0's softmax weight against the zero row, halved
-        assert np.allclose(h.grad, 1 / (1 + np.exp(-h.data)) / 2)
+        assert np.allclose(grads[h], 1 / (1 + np.exp(-h.data)) / 2)
+        assert not hasattr(h, "grad")  # the returned dict is the one place gradients live
 
     def test_empty_tape_cannot_be_replayed(self):
         with GradTape() as tape:

@@ -90,7 +90,7 @@ class TestAdam:
             assert state.t == 0 and not state.m and not state.v
 
 
-SMALL = ModelConfig(d_model=8, n_layers=1, n_heads=1, head_dim=8, max_context=128)
+SMALL = ModelConfig(n_layers=1, n_heads=1, head_dim=8, max_context=128)
 
 
 def small_cfg(**kw):
@@ -244,7 +244,7 @@ class TestCalibration:
 
     def test_overflowing_gradient_named_by_parameter_and_step(self):
         # a finite forward pass whose loss gradient squares past float64 in Adam
-        config = ModelConfig(d_model=16, n_layers=2, n_heads=2, head_dim=8, max_context=64)
+        config = ModelConfig(n_layers=2, n_heads=2, head_dim=8, max_context=64)
         params = ModelParams.init(config, seed=7)
         params.final_gain.data[:] = 1e306
         ids = corpus_to_ids(make_recall_corpus(16, seed=6))
@@ -252,6 +252,25 @@ class TestCalibration:
                            match="conv_heads.0.kernels: Adam's second moment overflowed at step 0"):
             calibrate_conv_heads(params, ids, PolicySpec("lococo", capacity=8), 4,
                                  self.cal_cfg(steps=2), kernel_size=5)
+
+    @pytest.mark.parametrize("kernel_size, relu_position", [(7, "post"), (21, "post"),
+                                                             (5, "pre")])
+    def test_heads_of_another_shape_rejected(self, kernel_size, relu_position):
+        # heads the model has are trained as they are, so the asked-for shape must be theirs
+        params = self.make_base()
+        params.install_conv_heads(slots=8, kernel_size=5, seed=3)
+        before = params.conv_heads[0].kernels.weights.data.copy()
+        ids = corpus_to_ids(make_recall_corpus(16, seed=6))
+        with pytest.raises(CacheError, match=f"kernel size {kernel_size} and relu_position "
+                                             f"'{relu_position}', but the model's head at layer 0 "
+                                             "has 5 and 'post'"):
+            calibrate_conv_heads(params, ids, PolicySpec("lococo", capacity=8), 4,
+                                 self.cal_cfg(steps=1), kernel_size=kernel_size,
+                                 relu_position=relu_position)
+        assert np.array_equal(params.conv_heads[0].kernels.weights.data, before)
+        trace = calibrate_conv_heads(params, ids, PolicySpec("lococo", capacity=8), 4,
+                                     self.cal_cfg(steps=1), kernel_size=5)
+        assert len(trace) == 1 and params.conv_heads[0].kernel_size == 5
 
     def test_eviction_policy_and_ragged_context_rejected(self):
         params = self.make_base()
@@ -287,7 +306,7 @@ class TestCalibration:
     def test_end_to_end_gradcheck_small_instance(self, n_layers):
         # d=4, capacity=4, block=2, 12 tokens; probes 5 random conv parameters, with
         # the conv groups on both threads, as a multi-token feed runs them
-        config = ModelConfig(d_model=4, n_layers=n_layers, n_heads=1, head_dim=4, max_context=64)
+        config = ModelConfig(n_layers=n_layers, n_heads=1, head_dim=4, max_context=64)
         params = ModelParams.init(config, seed=5)
         params.install_conv_heads(slots=4, kernel_size=5, seed=6)
         trainable = params.named_conv()
@@ -383,7 +402,7 @@ CALIBRATION_PROBE = {
         0.8273663060715495,
     ],
 }
-PROBE_MODEL = ModelConfig(d_model=8, n_layers=2, n_heads=2, head_dim=4, max_context=64)
+PROBE_MODEL = ModelConfig(n_layers=2, n_heads=2, head_dim=4, max_context=64)
 PROBE_POLICIES = {
     "lococo": PolicySpec("lococo", capacity=8),
     "lococo+h2o": PolicySpec("lococo+h2o", capacity=8, reserved=2),

@@ -16,11 +16,17 @@ third line is a sha256 over the ``MemoryTrace`` CSV of each policy's
 prefill of that batch, so the live and attention entries the trace counts
 per (block, layer) show apart from the logits. The fourth line gives the
 tape entries that one 4 x 128 step records for each merging policy on the
-benchmark's shape (default model, M = 64, B = 16, kernel 21). The package is the one on ``PYTHONPATH``, so pointing it at
-another checkout's ``src`` fingerprints that checkout. It needs only numpy and takes a few seconds.
+benchmark's shape (default model, M = 64, B = 16, kernel 21). The fifth
+line is a sha256 over the bytes of a saved checkpoint of the seeded 2-layer
+model with lococo's conv heads, so a change to the config or the header
+shows even where every output stays. The package is the one on
+``PYTHONPATH``, so pointing it at another checkout's ``src`` fingerprints
+that checkout. It needs only numpy and takes a few seconds.
 """
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +43,7 @@ from convkv import (
     calibrate_conv_heads,
     forward_segmented,
     generate,
+    save_checkpoint,
     sequence_loss,
 )
 
@@ -117,6 +124,13 @@ def tape_entries(name: str) -> int:
     return len(tape)
 
 
+def checkpoint_digest() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(model(2, spec("lococo", 32), 5), path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 if __name__ == "__main__":
     every, decode = digests()
     print(f"sha256 {every}")
@@ -124,3 +138,4 @@ if __name__ == "__main__":
     print(f"memory trace sha256 {trace_digest()}")
     print("tape entries per 4 x 128 step at M = 64: "
           + " / ".join(f"{name} {tape_entries(name)}" for name in MERGING))
+    print(f"checkpoint sha256 {checkpoint_digest()}")
