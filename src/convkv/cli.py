@@ -25,7 +25,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .compressor import RELU_POSITIONS
 from .corpus import corpus_to_ids, load_corpus
 from .instrumentation import compare_policies, write_reports_json
-from .model import ModelConfig, ModelParams, build_layer_policies, generate, perplexity
+from .model import ModelConfig, ModelParams, generate, perplexity
 from .policies import PolicySpec
 from .training import (TrainConfig, calibrate_conv_heads, check_calibration, check_heads, pretrain,
                        write_loss_trace)
@@ -242,9 +242,10 @@ def _require_at_least(cfg: RunConfig, name: str, low: int) -> None:
 
 
 def _serving(params: ModelParams, specs: list[PolicySpec], block_size: int) -> ModelParams:
-    """``params``, once its conv heads are checked to serve each of ``specs``."""
+    """``params``, once ``PolicySpec.build`` has checked that its conv heads and
+    layers serve each of ``specs`` at ``block_size``."""
     for spec in specs:
-        _checked(build_layer_policies, params, spec, block_size)
+        _checked(spec.build, params.conv_heads, params.config.n_layers, block_size)
     return params
 
 
@@ -327,8 +328,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "corpus", "checkpoint")
     names = _parse_list(cfg.policies, str, "policy") if cfg.policies else [cfg.policy]
     caps = _parse_list(cfg.capacities, int, "capacity") if cfg.capacities else [cfg.capacity]
-    combos = [(n, c) for n in names for c in caps]
-    specs = [cfg.policy_spec(n, c) for n, c in combos]
+    # concat ignores capacity, so a sweep may name one spec more than once: run it once
+    specs = list(dict.fromkeys(cfg.policy_spec(n, c) for n in names for c in caps))
     _require_at_least(cfg, "eval_context_length", 2)
     params = _serving(load_checkpoint(cfg.checkpoint), specs, cfg.block_size)
     out = _out_dir(cfg)
@@ -340,7 +341,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     )
     rows = [
         {
-            "policy": name,
+            "policy": spec.name,
             "capacity": "" if spec.capacity is None else spec.capacity,
             "block_size": cfg.block_size,
             "eval_context_length": cfg.eval_context_length,
@@ -348,7 +349,7 @@ def cmd_eval(cfg: RunConfig) -> int:
             "perplexity": repr(report.perplexity),
             "peak_live_entries": report.peak_live_entries,
         }
-        for (name, _), spec, report in zip(combos, specs, reports)
+        for spec, report in zip(specs, reports)
     ]
     _write_rows_csv(out / "eval.csv", rows)
     write_reports_json(out / "eval_report.json", reports)

@@ -36,12 +36,13 @@ from .attention import (
     attend,
     project_qkv,
 )
-from .cache import CacheError, KvCache
+from .cache import KvCache
 from .compressor import ConvHead, new_conv_head
 from .numerics import (
     NonFiniteError,
     ShapeError,
     Tensor2,
+    _is_integer,
     _side_by_side,
     add,
     cross_entropy_cols,
@@ -53,7 +54,7 @@ from .numerics import (
     select_cols,
     transpose,
 )
-from .policies import LayerPolicy, PolicySpec
+from .policies import PolicySpec
 
 BYTE_VOCAB = 256
 _EVAL_GROUP_TOKENS = 4096  # per ``perplexity`` group; a sweep found 8192 no faster
@@ -62,10 +63,11 @@ _EVAL_GROUP_TOKENS = 4096  # per ``perplexity`` group; a sweep found 8192 no fas
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture knobs; defaults are the desk-scale test model. The counts
-    are integers, numpy's taken as Python ints; ``d_model`` (n_heads * head_dim)
-    and ``vocab_size`` (bytes) are no inputs, fields only so that a checkpoint
-    header's ``asdict`` lists them. ``interpolation_scale`` > 1 squeezes rotary
-    positions into the pretrained range (target_context / pretrained_context).
+    are integers, not bools, numpy's taken as Python ints; ``d_model``
+    (n_heads * head_dim) and ``vocab_size`` (bytes) are no inputs, fields only
+    so that a checkpoint header's ``asdict`` lists them. ``interpolation_scale``
+    > 1 squeezes rotary positions into the pretrained range (target_context /
+    pretrained_context).
     """
 
     d_model: int = field(init=False)
@@ -81,7 +83,7 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("n_layers", "n_heads", "head_dim", "max_context", "mlp_ratio"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # as a checkpoint's JSON header needs it
         if self.head_dim % 2 != 0:
@@ -185,27 +187,6 @@ class ModelParams:
 
     def drop_conv_heads(self) -> None:
         self.conv_heads = None
-
-
-def build_layer_policies(
-    params: ModelParams, spec: PolicySpec, block_size: int
-) -> LayerPolicy:
-    """The one policy that updates every layer's cache, stacked layer after layer;
-    a merging policy gets the model's heads, head l for layer l's rows."""
-    spec.check_block_size(block_size)
-    if spec.needs_conv_head:
-        if params.conv_heads is None:
-            raise CacheError(
-                f"policy {spec.name!r} needs conv heads but the model has none; "
-                "calibrate first or pick an eviction policy"
-            )
-        if len(params.conv_heads) != params.config.n_layers:
-            raise CacheError(
-                f"policy {spec.name!r} needs one conv head per layer: the model has "
-                f"{params.config.n_layers} layers and {len(params.conv_heads)} heads"
-            )
-        return spec.build(*params.conv_heads)
-    return spec.build()
 
 
 def _extend_cols(context: Tensor2, buffer: np.ndarray, x: Tensor2) -> Tensor2:
@@ -346,7 +327,8 @@ class _Streams:
     threads; one made in a one-token feed, a decode step, or by the caller
     outside ``feed`` runs them inline.
 
-    What depends only on the weights is made once per stream: ``w_qkv``, each
+    The policy is bound to the model's heads by ``PolicySpec.build``. What
+    depends only on the weights is made once per stream: ``w_qkv``, each
     layer's stacked w_q/w_k/w_v, which ``project_qkv`` multiplies every chunk
     by. The weights do not change within a stream; training updates them
     between streams, and the next stream stacks them again.
@@ -371,7 +353,7 @@ class _Streams:
     def __init__(self, params: ModelParams, policy: PolicySpec, block_size: int, *,
                  n_seq: int = 1, detach_cache: bool = False, trace=None):
         self.params = params
-        self.policy = build_layer_policies(params, policy, block_size)
+        self.policy = policy.build(params.conv_heads, params.config.n_layers, block_size)
         self.n_seq, self.n_layers = n_seq, params.config.n_layers
         self.cache = self.policy.empty_cache(params.config.d_model, self.n_layers * n_seq)
         self.position = 0
@@ -607,6 +589,8 @@ def generate(
     deterministic. The total context must fit max_context * interpolation_scale.
     """
     prompt = _token_ids(params, prompt, "prompt")
+    if not _is_integer(n_new):
+        raise ValueError(f"n_new must be an integer, got {n_new!r}")
     if n_new < 0:
         raise ValueError("n_new must be nonnegative")
     if prompt.size + n_new > params.config.context_limit:
@@ -637,6 +621,8 @@ def perplexity(
     constant bounds memory: concat holds every window's keys, the logits 2 KiB a token.
     """
     ids = _token_ids(params, corpus_ids, "corpus")
+    if not _is_integer(eval_context_length):
+        raise ValueError(f"eval_context_length must be an integer, got {eval_context_length!r}")
     if eval_context_length < 2:
         raise ValueError("eval_context_length must be at least 2")
     n_windows = ids.size // eval_context_length

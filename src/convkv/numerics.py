@@ -78,6 +78,11 @@ class TapeError(NumericsError):
     """Gradient tape used out of protocol (e.g. replayed twice)."""
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` can be a count: a Python or numpy integer, but no bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class Tensor2:
     """Dense rows x cols matrix of 64-bit reals, stored row-major by the constructor.
 

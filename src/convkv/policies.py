@@ -12,7 +12,8 @@ stays exactly at the slot budget.
 One ``LayerPolicy`` serves every layer of a model: the model stacks the
 layers' caches and blocks on the leading axis, layer after layer, and makes
 one ``update`` per flush. A merging policy holds one conv head per layer,
-head l scoring layer l's rows.
+head l scoring layer l's rows; ``PolicySpec.build`` alone binds a policy to
+a model's heads, checked against its layers, slots and block size.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .cache import (
     update_sink_window,
 )
 from .compressor import ConvHead, compress_step
-from .numerics import Tensor2
+from .numerics import Tensor2, _is_integer
 
 # name -> (the knob that sets its keep rule's budgets, or None; the rule at
 #          capacity c and knob value k; merge the rest (else drop it);
@@ -65,7 +66,7 @@ class PolicySpec:
     never empty: an eviction rule keeps exactly ``capacity`` columns, at
     least one heavy hitter (h2o) or window column (sink_window) among them;
     a merging rule keeps fewer, and the head fills the rest. The capacity and
-    the knobs are integers; numpy's are taken as Python ints.
+    the knobs are integers, not bools; numpy's are taken as Python ints.
     """
 
     name: str
@@ -82,7 +83,7 @@ class PolicySpec:
             raise CacheError(f"unknown policy {self.name!r}; choose from {POLICY_NAMES}")
         for name in ("capacity", "n_sink", "recent_budget", "reserved"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, (int, np.integer)):
+            if value is not None and not _is_integer(value):
                 raise CacheError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, value if value is None else int(value))  # for JSON
         if self.name == "concat":
@@ -106,12 +107,15 @@ class PolicySpec:
         return self.capacity - self.rule.budget if self.needs_conv_head else None
 
     def check_block_size(self, block_size: int) -> None:
-        """Reject a block size that is below 1 or whose blocks cannot enter the cache whole.
+        """Reject a block size that is no integer, is below 1 or whose blocks cannot
+        enter the cache whole.
 
         A merging policy keeps ``rule.budget`` columns verbatim, so at most
         ``merge_slots`` columns of one block fit; an eviction policy takes up
         to ``capacity``.
         """
+        if not _is_integer(block_size):
+            raise ValueError(f"block_size must be an integer, got {block_size!r}")
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
         if self.capacity is None:
@@ -124,37 +128,47 @@ class PolicySpec:
                 f"{self.capacity - room} pinned)"
             )
 
-    def build(self, *conv_heads: ConvHead) -> "LayerPolicy":
-        """The policy over caches stacked in as many equal groups as ``conv_heads``,
-        head l merging group l (layer l of a model); an eviction policy takes none.
+    def build(self, conv_heads: list[ConvHead] | None, n_layers: int,
+              block_size: int) -> "LayerPolicy":
+        """The one policy over the caches of ``n_layers`` layers, stacked layer after
+        layer, fed blocks of ``block_size``: a merging policy binds ``conv_heads``
+        (a model's), head l merging layer l's rows; an eviction policy binds none,
+        whatever it is given.
 
-        A merging policy needs at least one head, every head with ``merge_slots``
-        slots, and all of them of one kernel size and ``relu_position``, as one
-        grouped conv scores every group; CacheError names the first layer that
-        differs.
+        ``check_block_size`` runs first. A merging policy then needs one head
+        per layer, every head with ``merge_slots`` slots, and all of them of one
+        kernel size and ``relu_position``, as one grouped conv scores every
+        layer; CacheError names the first layer that differs.
         """
-        if self.needs_conv_head:
-            if not conv_heads:
-                raise CacheError(f"policy {self.name!r} needs a conv head")
-            first = conv_heads[0]
-            for layer, head in enumerate(conv_heads):
-                if head.slots != self.merge_slots:
-                    raise CacheError(
-                        f"policy {self.name!r} needs a head with {self.merge_slots} slots, "
-                        f"got {head.slots} at layer {layer}"
-                    )
-                if (head.kernel_size, head.relu_position) != (first.kernel_size, first.relu_position):
-                    raise CacheError(
-                        f"conv heads must agree on kernel size and relu_position: layer {layer} "
-                        f"has {head.kernel_size} and {head.relu_position!r}, layer 0 has "
-                        f"{first.kernel_size} and {first.relu_position!r}"
-                    )
-        return LayerPolicy(self, conv_heads)
+        self.check_block_size(block_size)
+        if not self.needs_conv_head:
+            return LayerPolicy(self)
+        if not conv_heads:
+            raise CacheError(f"policy {self.name!r} needs conv heads but the model has none; "
+                             "calibrate first or pick an eviction policy")
+        if len(conv_heads) != n_layers:
+            raise CacheError(f"policy {self.name!r} needs one conv head per layer: the model has "
+                             f"{n_layers} layers and {len(conv_heads)} heads")
+        first = conv_heads[0]
+        for layer, head in enumerate(conv_heads):
+            if head.slots != self.merge_slots:
+                raise CacheError(
+                    f"policy {self.name!r} needs a head with {self.merge_slots} slots, "
+                    f"got {head.slots} at layer {layer}"
+                )
+            if (head.kernel_size, head.relu_position) != (first.kernel_size, first.relu_position):
+                raise CacheError(
+                    f"conv heads must agree on kernel size and relu_position: layer {layer} "
+                    f"has {head.kernel_size} and {head.relu_position!r}, layer 0 has "
+                    f"{first.kernel_size} and {first.relu_position!r}"
+                )
+        return LayerPolicy(self, tuple(conv_heads))
 
 
 class LayerPolicy:
-    """A policy bound to the conv heads of the layers whose stacked caches it
-    updates (when it needs them), one per equal group of the leading axis."""
+    """A policy bound by ``PolicySpec.build`` to the conv heads of the layers whose
+    stacked caches it updates, one per equal group of the leading axis; an
+    eviction policy holds none."""
 
     def __init__(self, spec: PolicySpec, conv_heads: tuple[ConvHead, ...] = ()):
         self.spec = spec

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cache import CacheError
 from .model import ModelConfig, ModelParams, sequence_loss
-from .numerics import GradTape, NonFiniteError, Tensor2, backward
+from .numerics import GradTape, NonFiniteError, Tensor2, _is_integer, backward
 from .policies import PolicySpec
 
 ADAM_BETAS = (0.9, 0.999)
@@ -37,7 +37,9 @@ class TrainConfig:
 
     The conv-head learning rate keeps its 1000x ratio over the base rate by
     default; desk-scale pretraining passes an explicit base rate instead of
-    relying on the (deliberately conservative) default.
+    relying on the (deliberately conservative) default. The counts (steps,
+    batch size, seed, context length) are integers, not bools; numpy's are taken
+    as Python ints.
     """
 
     learning_rate_base: float = 5e-5
@@ -49,6 +51,11 @@ class TrainConfig:
     detach_cache_between_blocks: bool = False
 
     def __post_init__(self):
+        for name in ("steps", "batch_size", "seed", "context_length"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         for name, above in (("batch_size", 0), ("steps", -1), ("seed", -1), ("context_length", 1),
                             ("learning_rate_base", 0), ("learning_rate_conv", 0)):
             if not getattr(self, name) > above:  # NaN fails too

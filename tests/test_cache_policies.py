@@ -186,8 +186,9 @@ class TestPolicySpecRejects:
         # with "'float' object cannot be interpreted as an integer"
         name = {"n_sink": "sink_window", "recent_budget": "h2o", "reserved": "lococo+h2o"}
         kwargs = dict(name=name.get(knob, "h2o"), capacity=16)
-        with pytest.raises(CacheError, match=f"^{knob} must be an integer, got 2.5$"):
-            PolicySpec(**{**kwargs, knob: 2.5})
+        for value in (2.5, True):  # True used to pass as the count 1
+            with pytest.raises(CacheError, match=f"^{knob} must be an integer, got {value}$"):
+                PolicySpec(**{**kwargs, knob: value})
         spec = PolicySpec(**{**kwargs, knob: np.int64(2)})
         assert type(getattr(spec, knob)) is int and spec == PolicySpec(**{**kwargs, knob: 2})
 
@@ -255,11 +256,23 @@ class TestUpdateRejects:
 
     def test_merging_policy_needs_a_head_with_its_slot_count(self):
         spec = PolicySpec("lococo+sink", capacity=8, n_sink=2)
-        with pytest.raises(CacheError, match="needs a conv head"):
-            spec.build()
+        with pytest.raises(CacheError, match="needs conv heads but the model has none"):
+            spec.build([], 1, 4)
         head = new_conv_head(2, 5, 3, np.random.default_rng(0))
         with pytest.raises(CacheError, match="needs a head with 6 slots, got 5"):
-            spec.build(head)
+            spec.build([head], 1, 4)
+
+    def test_merging_policy_without_heads_says_so(self):
+        message = ("policy 'lococo' needs conv heads but the model has none; "
+                   "calibrate first or pick an eviction policy")
+        with pytest.raises(CacheError, match=f"^{re.escape(message)}$"):
+            PolicySpec("lococo", capacity=8).build(None, 2, 4)
+
+    @pytest.mark.parametrize("name", ["concat", "h2o", "sink_window"])
+    def test_eviction_policy_binds_no_heads_whatever_it_is_given(self, name):
+        head = new_conv_head(2, 8, 3, np.random.default_rng(0))
+        layer = PolicySpec(name, capacity=8, n_sink=2).build([head, head, head], 2, 4)
+        assert layer.conv_heads == ()
 
 
 def h2o_cache(d, capacity, recent=None, heavy=None):
@@ -383,7 +396,8 @@ class TestInvariants:
             if spec.needs_conv_head
             else None
         )
-        layer = spec.build(head)
+        # blocks may exceed what a stream's block size may be; ``update`` takes any
+        layer = spec.build([head], 1, 1)
         cache = layer.empty_cache(d)
         total = 0
         for _ in range(n_blocks):
@@ -398,7 +412,7 @@ class TestInvariants:
         rng = np.random.default_rng(3)
         for policy in ("h2o", "sink_window"):
             spec = PolicySpec(policy, capacity=4, n_sink=2)
-            layer = spec.build()
+            layer = spec.build(None, 1, 3)
             cache = layer.empty_cache(3)
             for t in range(4):
                 k = token_block(3, 3 * t, 3)

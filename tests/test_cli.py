@@ -266,6 +266,25 @@ class TestEvalCommand:
         report = json.loads((out / "eval_report.json").read_text())
         assert len(report) == 4 and all("tokens_per_second" in r for r in report)
 
+    def test_sweep_evaluates_each_distinct_policy_once(self, corpus_file, base_ckpt, tmp_path):
+        # concat ignores capacity: its three specs are one, and make one row
+        csvs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main([
+                "eval", "--corpus", corpus_file, "--checkpoint", base_ckpt,
+                "--out-dir", str(out), "--policies", "concat,h2o",
+                "--capacities", "8,16,32", "--block-size", "4", "--seed", "3",
+            ]) == 0
+            lines = (out / "eval.csv").read_text().strip().splitlines()
+            assert [line.split(",")[:2] for line in lines[1:]] == [
+                ["concat", ""], ["h2o", "8"], ["h2o", "16"], ["h2o", "32"]]
+            report = json.loads((out / "eval_report.json").read_text())
+            assert [(r["policy"], r["config"].get("capacity")) for r in report] == [
+                ("concat", None), ("h2o", 8), ("h2o", 16), ("h2o", 32)]
+            csvs.append((out / "eval.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_checkpoint_with_trailing_bytes_is_runtime_error(self, corpus_file, base_ckpt, tmp_path):
         padded = tmp_path / "padded.ckpt"
         with open(base_ckpt, "rb") as fh:
@@ -357,6 +376,17 @@ class TestAblateCommand:
         ])
         assert code == 0
         assert len((out / "ablate.csv").read_text().strip().splitlines()) == 3
+
+    def test_one_row_per_value_where_the_specs_are_one(self, corpus_file, base_ckpt, tmp_path):
+        # concat ignores the swept capacity; ablate still reports every value
+        out = tmp_path / "ab3"
+        assert main([
+            "ablate", "--corpus", corpus_file, "--checkpoint", base_ckpt,
+            "--out-dir", str(out), "--axis", "memory_size", "--values", "8,16",
+            "--policy", "concat", "--block-size", "4",
+        ]) == 0
+        lines = (out / "ablate.csv").read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["value", "8", "16"]
 
     def test_empty_values_rejected(self, corpus_file, base_ckpt, tmp_path):
         code = main([

@@ -115,8 +115,9 @@ class TestModelConfig:
     def test_a_float_count_is_rejected_and_a_numpy_integer_taken(self, name):
         # a float count used to pass and fail later, in ModelParams.init or
         # perplexity, with "'float' object cannot be interpreted as an integer"
-        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got 2.0"):
-            ModelConfig(**{name: 2.0})
+        for value in (2.0, True):  # True used to pass as the count 1
+            with pytest.raises(ValueError, match=f"{name} must be a positive integer, got {value}"):
+                ModelConfig(**{name: value})
         config = ModelConfig(**{name: np.int64(2)})
         assert type(getattr(config, name)) is int
         assert config == ModelConfig(**{name: 2})
@@ -470,6 +471,14 @@ class TestGenerate:
         with pytest.raises(ValueError, match="n_new must be nonnegative"):
             generate(tiny_params, np.array([3]), -1, PolicySpec("concat"), 4)
 
+    def test_n_new_must_be_an_integer(self, tiny_params):
+        # a float n_new used to fail in range() with "'float' object cannot be
+        # interpreted as an integer", and True to decode one token
+        for n_new in (2.0, True):
+            with pytest.raises(ValueError, match=f"^n_new must be an integer, got {n_new!r}$"):
+                generate(tiny_params, np.array([3]), n_new, PolicySpec("concat"), 4)
+        assert generate(tiny_params, np.array([3]), np.int64(2), PolicySpec("concat"), 4).size == 3
+
 
 class TestDecodeMatchesPrefill:
     """Block-buffered decode reproduces the teacher-forced segmented prefill."""
@@ -683,6 +692,27 @@ class TestBlockSizePrecondition:
         with pytest.raises(ValueError, match="block_size must be >= 1, got 0"):
             calls[entry]()
 
+    @pytest.mark.parametrize("entry", ["forward_segmented", "sequence_loss", "generate",
+                                       "perplexity", "compare_policies"])
+    def test_block_size_must_be_an_integer(self, entry):
+        # a float block size used to fail in numpy with "slice indices must be
+        # integers", and True to stream blocks of one token
+        spec = POLICIES["lococo"]
+        params = model_for(spec)
+        tokens = rand_tokens(np.random.default_rng(2), 8)
+        calls = {
+            "forward_segmented": lambda b: forward_segmented(params, tokens, spec, b),
+            "sequence_loss": lambda b: sequence_loss(params, tokens, spec, b),
+            "generate": lambda b: generate(params, tokens[:5], 3, spec, b),
+            "perplexity": lambda b: perplexity(params, tokens, spec, 8, b),
+            "compare_policies": lambda b: compare_policies(params, tokens, [spec], 8, b),
+        }
+        for block_size in (4.0, True):
+            with pytest.raises(ValueError,
+                               match=f"^block_size must be an integer, got {block_size!r}$"):
+                calls[entry](block_size)
+        calls[entry](np.int64(4))
+
 
 class TestStreamSplits:
     """However a sequence is cut into ``feed`` calls, one stream sees the same blocks."""
@@ -727,6 +757,14 @@ class TestConvHeadCount:
         with pytest.raises(CacheError, match="one conv head per layer"):
             generate(params, tokens, 3, spec, 4)
 
+    def test_a_model_without_heads_is_named(self):
+        spec = BOUNDED["lococo"]
+        params = model_for(spec)
+        params.drop_conv_heads()
+        with pytest.raises(CacheError, match="^policy 'lococo' needs conv heads but the model "
+                                             "has none; calibrate first or pick an eviction"):
+            forward_segmented(params, rand_tokens(np.random.default_rng(3), 12), spec, 4)
+
 
 class TestHeadAgreement:
     """One grouped conv scores every layer, so the layers' heads must agree."""
@@ -744,7 +782,7 @@ class TestHeadAgreement:
         params.conv_heads[2] = new_conv_head(TINY3.d_model, head["slots"], head["kernel_size"],
                                              np.random.default_rng(0), head["relu_position"], 2)
         with pytest.raises(CacheError, match=match):
-            model.build_layer_policies(params, spec, 4)
+            spec.build(params.conv_heads, params.config.n_layers, 4)
         with pytest.raises(CacheError, match=match):
             forward_segmented(params, rand_tokens(np.random.default_rng(3), 12), spec, 4)
 
@@ -1192,6 +1230,20 @@ class TestPerplexity:
         ids = rand_tokens(np.random.default_rng(9), n_ids)
         with pytest.raises(ValueError, match=match):
             perplexity(tiny_params, ids, PolicySpec("concat"), window, 4)
+
+    @pytest.mark.parametrize("entry", ["perplexity", "compare_policies"])
+    def test_window_length_must_be_an_integer(self, tiny_params, entry):
+        # a float window used to fail in numpy with "slice indices must be integers"
+        ids, spec = rand_tokens(np.random.default_rng(9), 32), PolicySpec("concat")
+        calls = {
+            "perplexity": lambda n: perplexity(tiny_params, ids, spec, n, 4),
+            "compare_policies": lambda n: compare_policies(tiny_params, ids, [spec], n, 4),
+        }
+        for window in (16.0, True):
+            with pytest.raises(ValueError,
+                               match=f"^eval_context_length must be an integer, got {window!r}$"):
+                calls[entry](window)
+        calls[entry](np.int64(16))
 
     def test_missing_conv_heads_rejected(self, tiny_params):
         rng = np.random.default_rng(9)

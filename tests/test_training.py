@@ -111,6 +111,14 @@ class TestTrainConfig:
         ("context_length", 1),
         ("learning_rate_base", 0.0),
         ("learning_rate_conv", -1e-3),
+        # a float count used to pass and fail in pretrain with an untyped
+        # TypeError or IndexError; True passed as the count 1
+        ("steps", 1.5),
+        ("batch_size", 2.5),
+        ("context_length", 16.0),
+        ("seed", 1.5),
+        ("batch_size", True),
+        ("steps", True),
     ])
     def test_bad_size_raises_value_error_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -118,6 +126,12 @@ class TestTrainConfig:
 
     def test_zero_steps_and_smallest_sizes_are_valid(self):
         TrainConfig(steps=0, batch_size=1, context_length=2)
+        # numpy's integers are taken, as Python ints
+        config = TrainConfig(steps=np.int64(0), batch_size=np.int32(1),
+                             context_length=np.int64(2), seed=np.uint8(3))
+        assert config == TrainConfig(steps=0, batch_size=1, context_length=2, seed=3)
+        assert all(type(getattr(config, name)) is int
+                   for name in ("steps", "batch_size", "context_length", "seed"))
 
 
 class TestPretrain:
