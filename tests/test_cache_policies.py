@@ -396,7 +396,7 @@ class TestInvariants:
             if spec.needs_conv_head
             else None
         )
-        # blocks may exceed what a stream's block size may be; ``update`` takes any
+        # the blocks may be wider than a stream takes, which ``update`` allows
         layer = spec.build([head], 1, 1)
         cache = layer.empty_cache(d)
         total = 0
