@@ -3,7 +3,10 @@
 The conv heads live in their own section after the base weights, so adding
 them after calibration, or saving again after ``ModelParams.drop_conv_heads``,
 leaves every byte of the base weights as it was; loading a checkpoint and
-saving it back reproduces the file bit for bit.
+saving it back reproduces the file bit for bit. A conv bank is written
+channel-major, as (c_out, c_in * k) with column c*k + j holding tap j of
+input channel c, and permuted back to the tap-major ``ConvKernels`` layout
+on load, so the files of format 3 keep their bytes.
 The header of format version 3 carries a CRC-32 of the canonical header
 (without that field) followed by the payload, so a flipped bit in the
 weights, or a header edit that stays self-consistent, is caught at load
@@ -75,15 +78,28 @@ def _checksum(header: dict, payload: bytes) -> int:
     return zlib.crc32(payload, zlib.crc32(_canonical(body)))
 
 
-def _tensors(params: ModelParams) -> list[Tensor2]:
-    return [tensor for _, tensor in params.named_base() + params.named_conv()]
+def _tensors(params: ModelParams) -> list[tuple[Tensor2, int]]:
+    """Every tensor in payload order, with its taps per column group: a conv
+    bank's kernel size, 1 for a base weight (see ``_channel_major``)."""
+    return ([(tensor, 1) for _, tensor in params.named_base()]
+            + [(head.kernels.weights, head.kernels.k) for head in params.conv_heads or []])
+
+
+def _channel_major(data: np.ndarray, k: int) -> np.ndarray:
+    """(rows, k * c) tap-major data as the (rows, c, k) view written to disk.
+
+    A conv bank, tap-major in memory (column j*c_in + c is tap j of channel
+    c), is stored channel-major, column c*k + j, as format 3 always has; for
+    k = 1 the order is the data's own."""
+    return data.reshape(len(data), k, -1).swapaxes(1, 2)
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     """Write config + weights; byte output is a pure function of the params, and
     params that ``load_checkpoint`` would reject raise CheckpointError unwritten."""
     sections, conv_meta = _layout(params)
-    payload = b"".join(t.data.astype("<f8", copy=False).tobytes() for t in _tensors(params))
+    payload = b"".join(_channel_major(t.data, k).astype("<f8", copy=False).tobytes()
+                       for t, k in _tensors(params))
     header: dict = {
         "format_version": FORMAT_VERSION,
         "config": dataclasses.asdict(params.config),
@@ -161,7 +177,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
     tensors = _tensors(params)
-    expected = 8 * sum(t.rows * t.cols for t in tensors)
+    expected = 8 * sum(t.rows * t.cols for t, _ in tensors)
     if len(payload) != expected:
         raise CheckpointError(
             f"payload holds {len(payload)} bytes but the header describes {expected}"
@@ -170,8 +186,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         raise CheckpointError("checksum mismatch: the header or the weights are corrupt")
     data = np.frombuffer(payload, dtype="<f8")
     offset = 0
-    for tensor in tensors:
+    for tensor, k in tensors:
         count = tensor.rows * tensor.cols
-        tensor.data = Tensor2(data[offset:offset + count].reshape(tensor.shape)).data
+        on_disk = data[offset:offset + count].reshape(tensor.rows, -1, k)
+        tensor.data = Tensor2(on_disk.swapaxes(1, 2).reshape(tensor.shape)).data
         offset += count
     return params

@@ -408,16 +408,22 @@ def cmd_ablate(cfg: RunConfig) -> int:
     ids = load_corpus(cfg.corpus)
 
     rows = []
+    uncalibrated = {}  # perplexity by spec, for each spec that needs no conv head: one pass each
     for index, (value, spec, kernel) in enumerate(runs):
-        run_seed = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1)[0])
-        params = load_checkpoint(cfg.checkpoint)
-        if spec.needs_conv_head:
-            calibrate_conv_heads(
-                params, ids, spec, cfg.block_size,
-                cfg.train_config(seed=run_seed),
-                kernel_size=kernel, relu_position=cfg.relu_position,
-            )
-        ppl = perplexity(params, ids, spec, cfg.eval_context_length, cfg.block_size)
+        if spec in uncalibrated:
+            ppl = uncalibrated[spec]
+        else:
+            params = load_checkpoint(cfg.checkpoint)
+            if spec.needs_conv_head:
+                run_seed = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1)[0])
+                calibrate_conv_heads(
+                    params, ids, spec, cfg.block_size,
+                    cfg.train_config(seed=run_seed),
+                    kernel_size=kernel, relu_position=cfg.relu_position,
+                )
+            ppl = perplexity(params, ids, spec, cfg.eval_context_length, cfg.block_size)
+            if not spec.needs_conv_head:
+                uncalibrated[spec] = ppl
         rows.append({"value": value, "perplexity": repr(ppl)})
         print(f"{cfg.axis}={value} perplexity={ppl:.4f}")
     _write_rows_csv(out / "ablate.csv", rows)

@@ -36,6 +36,7 @@ from .numerics import (
     ConvKernels,
     ShapeError,
     Tensor2,
+    _is_integer,
     conv1d,
     matmul,
     relu,
@@ -93,12 +94,17 @@ def new_conv_head(
     that survive the clamp (averaging-like behavior before calibration) while
     leaving every kernel parameter a live gradient path.
     """
+    for name, value in (("slots", slots), ("kernel_size", kernel_size)):
+        if not _is_integer(value):
+            raise ShapeError(f"{name} must be an integer, got {value!r}")
+    if slots < 1:
+        raise ShapeError(f"slots must be positive, got {slots}")
     if kernel_size < 1 or kernel_size % 2 == 0:
         raise ShapeError(f"kernel size must be odd and positive, got {kernel_size}")
     c_in = 2 * feature_dim
-    w = rng.normal(0.0, INIT_SCALE, size=(slots, c_in * kernel_size))
-    center = (kernel_size - 1) // 2
-    w[:, center::kernel_size] += INIT_SCALE / c_in
+    w = rng.normal(0.0, INIT_SCALE, size=(slots, c_in, kernel_size))  # drawn channel-major
+    w[:, :, (kernel_size - 1) // 2] += INIT_SCALE / c_in
+    w = w.transpose(0, 2, 1).reshape(slots, kernel_size * c_in)  # stored tap-major
     kernels = ConvKernels(Tensor2(w, requires_grad=False), c_in=c_in, k=kernel_size)
     return ConvHead(kernels, layer_index=layer_index, relu_position=relu_position)
 

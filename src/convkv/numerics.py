@@ -12,10 +12,13 @@ gradients; this is deliberately not a general autodiff system. A vjp keeps
 what its gradients need and no more: arrays and flags, never an operand
 tensor, and an operand's data only when the other operand's gradient reads
 it. The tape keys op results by node id rather than holding them, so an
-output that no vjp reads is freed while the tape still records. A recorded
-``conv1d`` keeps no im2col, k shifted copies of its input: the kernel
-gradient rebuilds it from the input, which it keeps only when the kernels
-are trainable.
+output that no vjp reads is freed while the tape still records.
+
+``conv1d``'s forward is one GEMM per tap, each on a strided view of the
+zero-padded input, so it builds no im2col, k shifted copies of that input;
+the kernels are stored tap-major for it, each tap's columns side by side.
+Its gradients are GEMMs over an im2col, which the kernel gradient rebuilds
+from the input, kept only when the kernels are trainable.
 
 A tensor may carry one leading axis, of heads or sequences, so one call
 serves them all; ``rows`` and ``cols`` are then the last two axes.
@@ -346,10 +349,12 @@ def softmax_cols(x: Tensor2, c: float = 1.0, mask: np.ndarray | None = None) -> 
 
 @dataclass(frozen=True)
 class ConvKernels:
-    """Multi-channel 1-D kernel bank stored flat as (c_out, c_in * k).
+    """Multi-channel 1-D kernel bank stored flat and tap-major as (c_out, k * c_in).
 
-    Column c*k + j holds tap j for input channel c. Kernel size must be odd
-    so "same" zero padding of (k-1)/2 preserves the column count.
+    Column j*c_in + c holds tap j for input channel c, so each tap's kernels
+    are one (c_out, c_in) block of adjacent columns. ``c_in`` and ``k`` are
+    integers; the kernel size must be odd so "same" zero padding of (k-1)/2
+    preserves the column count.
     """
 
     weights: Tensor2
@@ -357,6 +362,9 @@ class ConvKernels:
     k: int
 
     def __post_init__(self):
+        for name in ("c_in", "k"):
+            if not _is_integer(getattr(self, name)):
+                raise ShapeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.k < 1 or self.k % 2 == 0:
             raise ShapeError(f"kernel size must be odd and positive, got {self.k}")
         if self.weights.cols != self.c_in * self.k:
@@ -369,16 +377,35 @@ class ConvKernels:
         return self.weights.rows
 
 
-def _im2col(seqs: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """(C, n, T) -> (C * k, n * T), written into ``out``, each sequence zero-padded
-    alone by (k-1)/2 on both ends: row c*k + j is channel c shifted by tap j,
-    sequence by sequence."""
-    c, n, t_len = seqs.shape
+def _padded(seqs: np.ndarray, k: int) -> np.ndarray:
+    """A copy of ``seqs`` with (k-1)/2 zero columns on both ends of the last axis."""
     pad = (k - 1) // 2
-    padded = np.zeros((c, n, t_len + 2 * pad))
-    padded[..., pad:pad + t_len] = seqs
-    out.reshape(c, k, n, t_len)[...] = sliding_window_view(padded, k, axis=2).transpose(0, 3, 1, 2)
+    padded = np.zeros(seqs.shape[:-1] + (seqs.shape[-1] + 2 * pad,))
+    padded[..., pad:pad + seqs.shape[-1]] = seqs
+    return padded
+
+
+def _im2col(seqs: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """(C, n, T) -> (k * C, n * T), written into ``out``, each sequence zero-padded
+    alone by (k-1)/2 on both ends: row j*C + c is channel c shifted by tap j,
+    sequence by sequence, the row order of the tap-major kernel columns."""
+    c, n, t_len = seqs.shape
+    windows = sliding_window_view(_padded(seqs, k), k, axis=2)  # (C, n, T, k)
+    out.reshape(k, c, n, t_len)[...] = windows.transpose(3, 0, 1, 2)
     return out
+
+
+def _conv_taps(seqs: np.ndarray, w: np.ndarray, k: int, out: np.ndarray) -> None:
+    """(n, c_in, T) convolved by the tap-major (c_out, k * c_in) ``w`` into ``out``,
+    (n, c_out, T): the input is zero-padded once, and tap j adds the GEMM of its
+    (c_out, c_in) columns by that copy's columns j .. j + T - 1, a strided view."""
+    c_in, t_len = seqs.shape[1:]
+    padded = _padded(seqs, k)
+    np.matmul(w[:, :c_in], padded[..., :t_len], out=out)
+    part = np.empty_like(out) if k > 1 else None
+    for j in range(1, k):
+        np.matmul(w[:, j * c_in:(j + 1) * c_in], padded[..., j:j + t_len], out=part)
+        out += part
 
 
 def _new_pool() -> None:
@@ -417,11 +444,12 @@ def _alternate(tasks: Sequence[tuple[Callable[..., None], Callable[[int], tuple]
     ``args`` runs on the calling thread, just before its task starts or is
     queued, so the arrays it makes stay in the caller's heap and are made no
     earlier than needed. A task's own temporaries are made on the thread that
-    runs it: ``_im2col``'s zero-padded copy of its input is made on the worker
-    for the worker's tasks. Once every task has stopped, the exception of a task
-    that failed is raised here, so no task still writes when the caller sees
-    it. Tasks call only private helpers and numpy: no public op, and nothing
-    that records on a tape.
+    runs it: the zero-padded copy of its input that ``_conv_taps`` or
+    ``_im2col`` makes, and ``_conv_taps``'s one tap product, are made on the
+    worker for the worker's tasks. Once every task has stopped, the exception
+    of a task that failed is raised here, so no task still writes when the
+    caller sees it. Tasks call only private helpers and numpy: no public op,
+    and nothing that records on a tape.
     """
     futures = []
     try:
@@ -455,12 +483,14 @@ def conv1d(x: Tensor2, kernels: Sequence[ConvKernels]) -> Tensor2:
     Input is (c_in, T); output is (c_out, T) under zero padding of (k-1)/2 on
     both ends, so output column t depends only on input columns
     t-(k-1)/2 .. t+(k-1)/2; an (n, c_in, T) input is n sequences, padded one
-    by one and convolved by one GEMM over their im2col.
+    by one. The forward builds no im2col: it pads the input once and adds
+    one GEMM per tap, of that tap's (c_out, c_in) kernels by a strided view
+    of the padded columns (``_conv_taps``).
 
     ``kernels`` is a sequence of G banks of one shape, one per equal group of
     the leading axis: bank g convolves sequences g * n/G .. (g + 1) * n/G - 1
-    by that group's own GEMM, of the shape a one-bank call on the group alone
-    has, so each group's output is bit for bit that call's.
+    by that group's own GEMMs, of the shapes a one-bank call on the group
+    alone has, so each group's output is bit for bit that call's.
     Groups run side by side, every other one on a pool worker beside the
     calling thread, when the call is made inside this thread's
     ``_side_by_side`` context: the model's prefill, decode prompt, eval windows
@@ -469,10 +499,11 @@ def conv1d(x: Tensor2, kernels: Sequence[ConvKernels]) -> Tensor2:
     bank's weights are an input of their own.
 
     A recorded conv keeps no im2col, k times the size of its input: the kernel
-    gradient rebuilds it from the input and frees it when it is done. The vjp
-    skips the input gradient (the gradient convolved by the tap-flipped
-    kernels) when the input is frozen, and a bank's kernel gradient when its
-    weights are; either comes back as None. It keeps the input only for the
+    gradient, one GEMM of the upstream gradient by the input's im2col, rebuilds
+    it from the input and frees it when it is done; the input gradient is the
+    gradient's im2col convolved by the tap-flipped kernels. The vjp skips the
+    input gradient when the input is frozen, and a bank's kernel gradient when
+    its weights are; either comes back as None. It keeps the input only for the
     kernel gradients and the kernels only for the input gradient. With groups,
     the worker takes every kernel gradient and the calling thread every input
     gradient, or, when only one kind is needed, every other group each.
@@ -493,20 +524,16 @@ def conv1d(x: Tensor2, kernels: Sequence[ConvKernels]) -> Tensor2:
         raise ShapeError(f"conv1d: {n_all} sequences do not split into {groups} equal groups")
     n = n_all // groups
     side_by_side = groups > 1 and getattr(_LOCAL, "side_by_side", False)
-    seqs = x.data.reshape(groups, n, c_in, t_len).swapaxes(1, 2)  # (G, c_in, n, T), a view
+    seqs = x.data.reshape(groups, n, c_in, t_len)
     out = np.empty((groups, n, c_out, t_len))
     w = [bank.weights.data for bank in banks]
-    cols = _buffers(n * t_len)
-
-    def forward(g, cols_g):
-        out[g] = (w[g] @ _im2col(seqs[g], k, cols_g)).reshape(c_out, n, t_len).swapaxes(0, 1)
-
-    _alternate([(forward, lambda slot, g=g: (g, cols(c_in * k, slot))) for g in range(groups)],
+    _alternate([(_conv_taps, lambda slot, g=g: (seqs[g], w[g], k, out[g])) for g in range(groups)],
                side_by_side)
     x_shape = x.shape
     trainable = [bank.weights.requires_grad for bank in banks]
     wd = w if x.requires_grad else None  # read by the input gradients only
-    seqs = seqs if any(trainable) else None  # read by the kernel gradients only
+    # (G, c_in, n, T), a view read by the kernel gradients only
+    seqs = seqs.swapaxes(1, 2) if any(trainable) else None
 
     def vjp(g):
         g = g.reshape(groups, n, c_out, t_len).swapaxes(1, 2)  # (G, c_out, n, T)
@@ -522,7 +549,7 @@ def conv1d(x: Tensor2, kernels: Sequence[ConvKernels]) -> Tensor2:
             np.matmul(g[j].reshape(c_out, n * t_len), _im2col(seqs[j], k, cols_j).T, out=gw[j])
 
         def input_grad(j, cols_j):
-            flipped = wd[j].reshape(c_out, c_in, k)[..., ::-1].transpose(1, 0, 2).reshape(c_in, -1)
+            flipped = wd[j].reshape(c_out, k, c_in)[:, ::-1].transpose(2, 1, 0).reshape(c_in, -1)
             gx[j] = (flipped @ _im2col(g[j], k, cols_j)).reshape(c_in, n, t_len).swapaxes(0, 1)
 
         tasks = []  # group by group: its kernel gradient, then its input gradient

@@ -10,6 +10,8 @@ composition of primitives that ``attention.project_qkv`` fuses, and
 must match the package bit for bit. So must ``conv1d_vjp_stored_im2col``, the
 conv gradients formed from a stored im2col, and ``adam_arrays``, the
 textbook Adam formula that ``training.adam_step`` evaluates in place.
+``conv1d_channel_major_im2col`` is the one-GEMM forward over a channel-major
+im2col that ``conv1d``'s per-tap GEMMs replaced; the two agree to rounding.
 ``rope_at`` and ``qkv_at`` call ``apply_rope`` and ``project_qkv`` at
 positions, making the rotary table and the stacked weights that the model
 makes once per chunk and once per stream. ``split_heads`` and
@@ -247,24 +249,41 @@ def adam_arrays(theta: np.ndarray, grads: list, lr: float, beta1=0.9, beta2=0.99
 def conv1d_vjp_stored_im2col(x: np.ndarray, w: np.ndarray, k: int, g: np.ndarray):
     """(kernel gradient, input gradient) of conv1d from one whole im2col of the
     padded input and one of the padded upstream gradient: ``g @ cols.T`` and
-    ``flipped @ gcols``. ``x`` is (n, c_in, T), ``w`` (c_out, c_in * k) and
-    ``g`` (n, c_out, T)."""
+    ``flipped @ gcols``. ``x`` is (n, c_in, T), ``w`` the tap-major
+    (c_out, k * c_in) and ``g`` (n, c_out, T)."""
     n, c_in, t_len = x.shape
     c_out, pad = w.shape[0], (k - 1) // 2
 
-    def im2col(a):  # (n, c, T) -> (c * k, n * T), row c*k + j is channel c shifted by tap j
+    def im2col(a):  # (n, c, T) -> (k * c, n * T), row j*c + c' is channel c' shifted by tap j
         padded = np.zeros(a.shape[:2] + (t_len + 2 * pad,))
         padded[..., pad:pad + t_len] = a
-        cols = np.empty((a.shape[1], k, n, t_len))
+        cols = np.empty((k, a.shape[1], n, t_len))
         for j in range(k):
-            cols[:, j] = padded[..., j:j + t_len].swapaxes(0, 1)
+            cols[j] = padded[..., j:j + t_len].swapaxes(0, 1)
         return cols.reshape(-1, n * t_len)
 
     g_flat = g.swapaxes(0, 1).reshape(c_out, n * t_len)
     gw = g_flat @ im2col(x).T
-    flipped = w.reshape(c_out, c_in, k)[..., ::-1].transpose(1, 0, 2).reshape(c_in, -1)
+    flipped = w.reshape(c_out, k, c_in)[:, ::-1].transpose(2, 1, 0).reshape(c_in, -1)
     gx = (flipped @ im2col(g)).reshape(c_in, n, t_len).swapaxes(0, 1)
     return gw, gx
+
+
+def conv1d_channel_major_im2col(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """conv1d as one GEMM of the channel-major (c_out, c_in * k) kernels, column
+    c*k + j tap j of channel c, by the (c_in * k, n * T) im2col of the padded
+    input, row c*k + j channel c shifted by tap j. ``x`` is (n, c_in, T) and
+    ``kernels`` (c_out, c_in, k); returns (n, c_out, T)."""
+    n, c_in, t_len = x.shape
+    c_out, _, k = kernels.shape
+    pad = (k - 1) // 2
+    padded = np.zeros((n, c_in, t_len + 2 * pad))
+    padded[..., pad:pad + t_len] = x
+    cols = np.empty((c_in, k, n, t_len))
+    for j in range(k):
+        cols[:, j] = padded[..., j:j + t_len].swapaxes(0, 1)
+    out = kernels.reshape(c_out, c_in * k) @ cols.reshape(c_in * k, n * t_len)
+    return out.reshape(c_out, n, t_len).swapaxes(0, 1)
 
 
 def finite_difference(f, x0: float, h: float = 1e-5) -> float:

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from convkv import cli
 from convkv.checkpoint import load_checkpoint, save_checkpoint
 from convkv.cli import ConfigError, main, read_config_file, resolve_config, build_parser
-from convkv.model import ModelConfig, ModelParams
+from convkv.model import ModelConfig, ModelParams, perplexity
 
 from corpora import make_recall_corpus, write_corpus
 
@@ -387,6 +388,30 @@ class TestAblateCommand:
         ]) == 0
         lines = (out / "ablate.csv").read_text().strip().splitlines()
         assert [line.split(",")[0] for line in lines] == ["value", "8", "16"]
+
+    @pytest.mark.parametrize("axis, values, policy", [
+        ("memory_size", "8,16,32", ["--policy", "concat"]),
+        ("kernel_size", "3,5,7", ["--policy", "h2o", "--capacity", "8"]),
+    ], ids=["concat_memory_size", "h2o_kernel_size"])
+    def test_a_spec_without_conv_heads_is_evaluated_once(self, corpus_file, base_ckpt, tmp_path,
+                                                         monkeypatch, axis, values, policy):
+        # the policy ignores the swept axis: three equal rows from one perplexity pass
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return perplexity(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "perplexity", counted)
+        out = tmp_path / "ab4"
+        assert main([
+            "ablate", "--corpus", corpus_file, "--checkpoint", base_ckpt,
+            "--out-dir", str(out), "--axis", axis, "--values", values, *policy, "--block-size", "4",
+        ]) == 0
+        rows = [line.split(",") for line in (out / "ablate.csv").read_text().strip().splitlines()[1:]]
+        assert [value for value, _ in rows] == values.split(",")
+        assert len({ppl for _, ppl in rows}) == 1
+        assert [spec.name for spec in calls] == [policy[1]]
 
     def test_empty_values_rejected(self, corpus_file, base_ckpt, tmp_path):
         code = main([

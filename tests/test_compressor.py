@@ -5,6 +5,7 @@ import pytest
 
 from convkv.cache import CacheError, KeepRule, KvCache, update_concat
 from convkv.compressor import (
+    INIT_SCALE,
     RELU_POSITIONS,
     ConvHead,
     FusionWeights,
@@ -19,6 +20,7 @@ from convkv.numerics import (
     ShapeError,
     Tensor2,
     backward,
+    conv1d,
     cross_entropy_cols,
     custom_op,
     hstack,
@@ -38,7 +40,7 @@ def head_from_3d(kernels3d, relu_position="post"):
     k3 = np.asarray(kernels3d, dtype=np.float64)
     c_out, c_in, k = k3.shape
     return ConvHead(
-        ConvKernels(Tensor2(k3.reshape(c_out, c_in * k)), c_in=c_in, k=k),
+        ConvKernels(Tensor2(k3.transpose(0, 2, 1).reshape(c_out, k * c_in)), c_in=c_in, k=k),
         relu_position=relu_position,
     )
 
@@ -159,6 +161,31 @@ class TestSynthesizeWeights:
     def test_new_head_needs_an_odd_positive_kernel_size(self, kernel_size):
         with pytest.raises(ShapeError, match=f"kernel size must be odd and positive, got {kernel_size}"):
             new_conv_head(2, 3, kernel_size, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("slots, kernel_size, match", [
+        (4, 3.0, "kernel_size must be an integer, got 3.0"),
+        (2.5, 3, "slots must be an integer, got 2.5"),
+        (4, True, "kernel_size must be an integer, got True"),
+        (0, 3, "slots must be positive, got 0"),
+        (-1, 3, "slots must be positive, got -1"),
+    ])
+    def test_new_head_needs_integer_counts(self, slots, kernel_size, match):
+        with pytest.raises(ShapeError, match=f"^{match}$"):
+            new_conv_head(8, slots, kernel_size, rng=np.random.default_rng(0))
+        head = new_conv_head(8, np.int64(4), np.int64(3), rng=np.random.default_rng(0))
+        assert (head.slots, head.kernel_size) == (4, 3)
+
+    def test_seeded_head_is_the_channel_major_draw_permuted(self):
+        # a seed draws the kernels it drew when banks were stored channel-major, so the conv is the same
+        d, slots, k = 3, 4, 5
+        c_in = 2 * d
+        head = new_conv_head(d, slots, k, rng=np.random.default_rng(7))
+        drawn = np.random.default_rng(7).normal(0.0, INIT_SCALE, size=(slots, c_in * k))
+        drawn[:, (k - 1) // 2::k] += INIT_SCALE / c_in  # column c*k + j: tap j of channel c
+        k3 = drawn.reshape(slots, c_in, k)
+        assert np.array_equal(head.kernels.weights.data, k3.transpose(0, 2, 1).reshape(slots, k * c_in))
+        x = np.random.default_rng(8).standard_normal((c_in, 9))
+        assert np.max(np.abs(conv1d(t2(x), [head.kernels]).data - oracles.conv1d_loops(x, k3))) < 1e-12
 
     def test_head_needs_keys_over_values(self):
         with pytest.raises(ShapeError, match="2\\*d \\(keys over values\\)"):

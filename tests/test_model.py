@@ -309,6 +309,23 @@ class TestCheckpoints:
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_conv_kernels_are_stored_channel_major(self, headed_params, tmp_path):
+        # tap-major in memory, channel-major on disk (column c*k + j), as format 3 always was
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(headed_params, path)
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<Q", raw[8:16])
+        sections, payload = json.loads(raw[16:16 + n])["sections"], raw[16 + n:]
+        heads = headed_params.conv_heads
+        assert len(sections["conv_heads"]) == len(heads) == TINY.n_layers
+        for entry, head in zip(sections["conv_heads"], heads):
+            bank = head.kernels
+            channel_major = bank.weights.data.reshape(bank.c_out, bank.k, bank.c_in).transpose(0, 2, 1)
+            start = 8 * entry["offset"]
+            assert payload[start:start + 8 * channel_major.size] == channel_major.astype("<f8").tobytes()
+        for head, loaded in zip(heads, load_checkpoint(path).conv_heads):
+            assert np.array_equal(loaded.kernels.weights.data, head.kernels.weights.data)
+
     def test_strip_restores_concat_behavior_bitwise(self, tmp_path):
         params = ModelParams.init(TINY, seed=8)
         params.install_conv_heads(slots=8, kernel_size=5, seed=2)

@@ -188,11 +188,16 @@ class TestSoftmaxCols:
         assert np.max(np.abs(out.data.sum(axis=0) - 1.0)) < 1e-12
 
 
+def kernel_bank(kernels3d) -> ConvKernels:
+    """The bank of (c_out, c_in, k) kernels, laid out tap-major."""
+    k3 = np.asarray(kernels3d, dtype=np.float64)
+    c_out, c_in, k = k3.shape
+    return ConvKernels(Tensor2(k3.transpose(0, 2, 1).reshape(c_out, k * c_in)), c_in=c_in, k=k)
+
+
 class TestConv1d:
     def make(self, kernels3d):
-        k3 = np.asarray(kernels3d, dtype=np.float64)
-        c_out, c_in, k = k3.shape
-        return ConvKernels(Tensor2(k3.reshape(c_out, c_in * k)), c_in=c_in, k=k)
+        return kernel_bank(kernels3d)
 
     def test_delta_kernel_identity(self):
         kern = self.make([[[0.0, 1.0, 0.0]]])
@@ -224,6 +229,16 @@ class TestConv1d:
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError):
             ConvKernels(Tensor2(np.zeros((1, 4))), c_in=2, k=2)
+
+    @pytest.mark.parametrize("c_in, k, match", [
+        (2.0, 1, "c_in must be an integer, got 2.0"),
+        (2, 1.0, "k must be an integer, got 1.0"),
+        (2, True, "k must be an integer, got True"),
+    ])
+    def test_counts_must_be_integers(self, c_in, k, match):
+        with pytest.raises(ShapeError, match=f"^{match}$"):
+            ConvKernels(Tensor2(np.zeros((1, 2))), c_in=c_in, k=k)
+        assert ConvKernels(Tensor2(np.zeros((1, 2))), c_in=np.int64(2), k=np.int64(1)).k == 1
 
     @settings(max_examples=30, deadline=None)
     @given(shift=st.integers(1, 3), seed=st.integers(0, 2**31))
@@ -702,6 +717,39 @@ class TestFrozenOperandVjp:
         assert any(key is None for keys, _ in one for key in keys)
 
 
+class TestConvTaps:
+    """The forward's one GEMM per tap equals the direct sliding-window sum, and
+    the one GEMM over a channel-major im2col that it replaced, to rounding."""
+
+    @pytest.mark.parametrize("side_by_side", [False, True], ids=["inline", "side_by_side"])
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("k", [1, 5, 21])
+    def test_forward_equals_the_sliding_window_loops(self, k, n, groups, side_by_side):
+        rng = np.random.default_rng(k + n + groups)
+        c_in, c_out, t_len = 4, 3, 12  # at k = 21 the padding is wider than the input
+        x = rng.standard_normal((groups * n, c_in, t_len))
+        k3 = rng.standard_normal((groups, c_out, c_in, k))
+        with numerics._side_by_side(side_by_side):
+            out = conv1d(t2(x), [kernel_bank(bank) for bank in k3])
+        for s in range(groups * n):
+            assert np.max(np.abs(out.data[s] - oracles.conv1d_loops(x[s], k3[s // n]))) < 1e-12
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_forward_equals_the_channel_major_im2col_gemm(self, n, groups):
+        # the benchmark's merge shape: 64 slots over 128 channels, 80 columns, k = 21
+        rng = np.random.default_rng(n + groups)
+        x = rng.standard_normal((groups, n, 128, 80))
+        k3 = rng.standard_normal((groups, 64, 128, 21))
+        with numerics._side_by_side(True):
+            out = conv1d(t2(x.reshape(groups * n, 128, 80)), [kernel_bank(bank) for bank in k3])
+        for g in range(groups):
+            want = oracles.conv1d_channel_major_im2col(x[g], k3[g])
+            got = out.data[g * n:(g + 1) * n]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestConv1dVjp:
     """The kernel gradient, from an im2col rebuilt in the backward pass, and the
     input gradient equal the formulas over one stored im2col bit for bit."""
@@ -738,15 +786,17 @@ class TestConv1dVjp:
         assert self.vjp_of_conv(x, w, k, g)[1] is None
 
 
-def im2col_threads(monkeypatch) -> set[int]:
-    """The ids of the threads that run ``_im2col`` from now on (cleared by the caller)."""
-    threads, im2col = set(), numerics._im2col
+def helper_threads(monkeypatch, name: str) -> set[int]:
+    """The ids of the threads that run the private conv helper ``name`` from now
+    on (cleared by the caller): ``_conv_taps`` for the forward, ``_im2col`` for
+    the gradients."""
+    threads, helper = set(), getattr(numerics, name)
 
     def spy(*args):
         threads.add(threading.get_ident())
-        return im2col(*args)
+        return helper(*args)
 
-    monkeypatch.setattr(numerics, "_im2col", spy)
+    monkeypatch.setattr(numerics, name, spy)
     return threads
 
 
@@ -769,7 +819,7 @@ class TestGroupedConv1d:
             out = conv1d(x, banks)
         ((keys, _, vjp),) = tape._entries
         assert len(keys) == 1 + groups  # the input, then each bank's weights
-        threads = im2col_threads(monkeypatch)
+        threads = helper_threads(monkeypatch, "_im2col")
         gx, *gw = vjp(g)  # outside the context: the vjp keeps the forward's choice
         monkeypatch.undo()
         assert len(threads) == (2 if side_by_side and groups > 1 else 1)
@@ -821,16 +871,18 @@ class TestConvThreads:
             for attr, value in list(vars(module).items()):
                 if inspect.isfunction(value) and value in public:
                     monkeypatch.setattr(module, attr, on_thread(public[value], value))
-        monkeypatch.setattr(numerics, "_im2col", on_thread("_im2col", numerics._im2col))
+        for helper in ("_im2col", "_conv_taps"):
+            monkeypatch.setattr(numerics, helper, on_thread(helper, getattr(numerics, helper)))
         params, tokens, policy, block = TestTapeMemory.calibration_step()
         assert params.config.n_layers == 2
         with GradTape() as tape:
             loss = sequence_loss(params, tokens, policy, block)
         numerics.backward(tape, loss)
         assert {"conv1d", "backward", "row_normalize"} <= set(threads)
-        # only the private im2col ran off the caller, on the pool's one worker
+        # only the private conv helpers ran off the caller, on the pool's one worker
         off_main = {name for name, ids in threads.items() if ids != {threading.get_ident()}}
-        assert off_main == {"_im2col"} and len(threads["_im2col"]) == 2
+        assert off_main == {"_im2col", "_conv_taps"}
+        assert len(threads["_im2col"]) == len(threads["_conv_taps"]) == 2
 
     def test_multi_token_feeds_merge_side_by_side(self, monkeypatch):
         # a one-sequence prefill's flushes run the layers' convs on two threads; a
@@ -839,7 +891,7 @@ class TestConvThreads:
         policy = PolicySpec("lococo", capacity=8)
         params.install_conv_heads(slots=policy.merge_slots, kernel_size=5, seed=0)
         tokens = np.random.default_rng(3).integers(0, 256, size=33)
-        threads = im2col_threads(monkeypatch)
+        threads = helper_threads(monkeypatch, "_conv_taps")
         streams = model._Streams(params, policy, 4)
         streams.feed(tokens[:32])  # 7 flushes, the last block staged
         assert len(threads) == 2
@@ -851,15 +903,15 @@ class TestConvThreads:
         rng = np.random.default_rng(2)
         x = head_batched(rng, 4, 6, 7)
         banks = [ConvKernels(rand(rng, 4, 6 * 3), c_in=6, k=3) for _ in range(2)]
-        main, raised, im2col = threading.get_ident(), [], numerics._im2col
+        main, raised, conv_taps = threading.get_ident(), [], numerics._conv_taps
 
         def failing_off_main(*args):
             if threading.get_ident() != main:
-                raised.append(RuntimeError("im2col failed on the worker"))
+                raised.append(RuntimeError("a tap GEMM failed on the worker"))
                 raise raised[-1]
-            return im2col(*args)
+            return conv_taps(*args)
 
-        monkeypatch.setattr(numerics, "_im2col", failing_off_main)
+        monkeypatch.setattr(numerics, "_conv_taps", failing_off_main)
         with pytest.raises(RuntimeError) as info, numerics._side_by_side(True):
             conv1d(x, banks)
         assert len(raised) == 1 and info.value is raised[0]
@@ -943,6 +995,16 @@ class TestTapeMemory:
             out, held, _ = traced_allocation(lambda: conv1d(x, [kernels]))
         assert len(tape) == 1 and out.shape == (4, 64, 80)
         assert held <= 1 * self.MIB
+
+    def test_untaped_forward_builds_no_im2col(self):
+        # 2 groups of 4 x (128, 80) at k = 21, inline: a group's im2col was 6.6 MiB; now the
+        # output is 0.31 MiB, a group's padded input 0.39 MiB and its tap product 0.16 MiB
+        rng = np.random.default_rng(20)
+        x = head_batched(rng, 8, 128, 80)
+        banks = [ConvKernels(rand(rng, 64, 21 * 128), c_in=128, k=21) for _ in range(2)]
+        out, _, peak = traced_allocation(lambda: conv1d(x, banks))
+        assert out.shape == (8, 64, 80)
+        assert peak <= 1 * self.MIB
 
     @staticmethod
     def calibration_step():
