@@ -176,7 +176,7 @@ class TestSynthesizeWeights:
         assert (head.slots, head.kernel_size) == (4, 3)
 
     def test_seeded_head_is_the_channel_major_draw_permuted(self):
-        # a seed draws the kernels it drew when banks were stored channel-major, so the conv is the same
+        # a seed draws its values channel-major, as ever, so it gives the same conv in either layout
         d, slots, k = 3, 4, 5
         c_in = 2 * d
         head = new_conv_head(d, slots, k, rng=np.random.default_rng(7))

@@ -196,16 +196,13 @@ def kernel_bank(kernels3d) -> ConvKernels:
 
 
 class TestConv1d:
-    def make(self, kernels3d):
-        return kernel_bank(kernels3d)
-
     def test_delta_kernel_identity(self):
-        kern = self.make([[[0.0, 1.0, 0.0]]])
+        kern = kernel_bank([[[0.0, 1.0, 0.0]]])
         out = conv1d(t2([[5.0, -2.0, 7.0]]), [kern])
         assert np.array_equal(out.data, [[5.0, -2.0, 7.0]])
 
     def test_box_kernel_zero_padding_edges(self):
-        kern = self.make([[[1.0, 1.0, 1.0]]])
+        kern = kernel_bank([[[1.0, 1.0, 1.0]]])
         out = conv1d(t2([[1.0, 1.0, 1.0, 1.0]]), [kern])
         assert np.array_equal(out.data, [[2.0, 3.0, 3.0, 2.0]])
 
@@ -213,16 +210,16 @@ class TestConv1d:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((2, 9))
         k3 = rng.standard_normal((3, 2, 5))
-        out = conv1d(t2(x), [self.make(k3)])
+        out = conv1d(t2(x), [kernel_bank(k3)])
         assert np.max(np.abs(out.data - oracles.conv1d_loops(x, k3))) < 1e-12
 
     def test_channel_mismatch(self):
-        kern = self.make([[[0.0, 1.0, 0.0]]])
+        kern = kernel_bank([[[0.0, 1.0, 0.0]]])
         with pytest.raises(ShapeError):
             conv1d(t2(np.zeros((2, 4))), [kern])
 
     def test_no_columns_rejected(self):
-        kern = self.make([[[0.0, 1.0, 0.0]]])
+        kern = kernel_bank([[[0.0, 1.0, 0.0]]])
         with pytest.raises(ShapeError, match="no columns"):
             conv1d(t2(np.zeros((1, 0))), [kern])
 
@@ -250,8 +247,8 @@ class TestConv1d:
         k3 = rng.standard_normal((3, 2, k))
         shifted = np.zeros_like(x)
         shifted[:, shift:] = x[:, :-shift]
-        base = conv1d(t2(x), [self.make(k3)]).data
-        moved = conv1d(t2(shifted), [self.make(k3)]).data
+        base = conv1d(t2(x), [kernel_bank(k3)]).data
+        moved = conv1d(t2(shifted), [kernel_bank(k3)]).data
         for t in range(shift + half, t_len - half):
             assert np.max(np.abs(moved[:, t] - base[:, t - shift])) < 1e-12
 
@@ -997,8 +994,8 @@ class TestTapeMemory:
         assert held <= 1 * self.MIB
 
     def test_untaped_forward_builds_no_im2col(self):
-        # 2 groups of 4 x (128, 80) at k = 21, inline: a group's im2col was 6.6 MiB; now the
-        # output is 0.31 MiB, a group's padded input 0.39 MiB and its tap product 0.16 MiB
+        # 2 groups of 4 x (128, 80) at k = 21, inline: one group's im2col would be 6.6 MiB;
+        # the output is 0.31 MiB, a group's padded input 0.39 MiB and its tap product 0.16 MiB
         rng = np.random.default_rng(20)
         x = head_batched(rng, 8, 128, 80)
         banks = [ConvKernels(rand(rng, 64, 21 * 128), c_in=128, k=21) for _ in range(2)]
